@@ -54,16 +54,19 @@ type Emulator struct {
 
 	// Blocks are emulated one at a time, so one set of execution
 	// scratch state serves every block: warp contexts (their 64 KB
-	// register files are the dominant per-block allocation) and the
-	// shared-memory buffer are pooled, trace slices are presized to the
-	// longest warp trace seen so far, and coalesced line addresses are
-	// carved out of a chunked arena instead of one slice per
-	// instruction. Traces and arena chunks still escape into the
-	// returned BlockTrace; only state that does not escape is reused.
+	// register files and their trace buffers) and the shared-memory
+	// buffer are pooled, and coalesced line addresses are carved out of
+	// a chunked arena instead of one slice per instruction. A finished
+	// block's traces are copied out into one exactly sized allocation;
+	// that and the arena chunks escape into the returned BlockTrace,
+	// while only state that does not escape is reused.
 	ctxs      []*warpCtx
 	sharedBuf []byte
-	traceHint int
 	arena     []uint64
+	// regSpan is one past the highest register the kernel names. No
+	// instruction reads or writes a register above it, so a pooled
+	// register file is reset by clearing only regs[:regSpan].
+	regSpan int
 
 	// flip is the armed bit-flip injector (zero = off); flips counts
 	// the flips applied so far across all blocks.
@@ -103,8 +106,24 @@ func New(l *kernel.Launch, mem *Memory, lineSize int) (*Emulator, error) {
 		mem:          mem,
 		lineSize:     uint64(lineSize),
 		MaxWarpInsts: DefaultMaxWarpInsts,
+		regSpan:      regSpan(l.Kernel.Code),
 		heap:         heap,
 	}, nil
+}
+
+// regSpan returns one past the highest register named by any operand
+// of code, RZ excluded.
+func regSpan(code []isa.Instruction) int {
+	n := 0
+	for i := range code {
+		in := &code[i]
+		for _, r := range [...]isa.Reg{in.Dst, in.SrcA, in.SrcB, in.SrcC, in.Pred} {
+			if r != isa.RegNone && r != isa.RZ && int(r) >= n {
+				n = int(r) + 1
+			}
+		}
+	}
+	return n
 }
 
 // ConfigureFlips arms the bit-flip injector for the launch. Call
@@ -126,16 +145,29 @@ type stackEntry struct {
 	mask    uint32
 }
 
+// laneVec holds one register's value in each of the 32 lanes of a warp.
+type laneVec = [32]uint64
+
+// zeroVec is what RZ and RegNone read. Nothing writes it.
+var zeroVec laneVec
+
 type warpCtx struct {
-	id        int
-	regs      [][isa.MaxRegs]uint64 // per lane
+	id int
+	// regs is the register file, register-major: regs[r][lane]. A warp
+	// instruction decodes its operands once and then walks each one as
+	// 32 contiguous lanes.
+	regs [isa.MaxRegs]laneVec
+	// sink absorbs writes to RZ and RegNone; nothing reads it.
+	sink      laneVec
 	stack     []stackEntry
 	exited    uint32
 	threads   uint32 // lanes that hold live threads (partial last warp)
 	atBarrier bool
 	done      bool
 	insts     int
-	trace     []TraceInst
+	// trace collects the warp's instructions during the block; it is
+	// copied out at the end, and the buffer is reused.
+	trace []TraceInst
 
 	// excep is the warp's raised exception, if any: the trace ends
 	// just before the faulting instruction and the warp counts as done
@@ -147,6 +179,26 @@ type warpCtx struct {
 	flipAddrMask uint32
 	flipAddrXor  [32]uint64
 }
+
+// src returns the lanes of source operand r.
+func (w *warpCtx) src(r isa.Reg) *laneVec {
+	if r == isa.RZ || r == isa.RegNone {
+		return &zeroVec
+	}
+	return &w.regs[uint8(r)]
+}
+
+// dst returns the lanes that destination operand r writes.
+func (w *warpCtx) dst(r isa.Reg) *laneVec {
+	if r == isa.RZ || r == isa.RegNone {
+		return &w.sink
+	}
+	return &w.regs[uint8(r)]
+}
+
+// lane returns the lowest lane set in the non-zero mask m. The & 31
+// lets the compiler drop the bounds check on lanes indexing.
+func lane(m uint32) int { return bits.TrailingZeros32(m) & 31 }
 
 // EmulateBlock executes thread block blockID to completion and returns
 // its trace. It is safe to call for each block exactly once per launch;
@@ -165,7 +217,7 @@ func (e *Emulator) EmulateBlock(blockID int) (*BlockTrace, error) {
 	clear(shared)
 
 	for len(e.ctxs) < numWarps {
-		e.ctxs = append(e.ctxs, &warpCtx{regs: make([][isa.MaxRegs]uint64, 32)})
+		e.ctxs = append(e.ctxs, new(warpCtx))
 	}
 	warps := e.ctxs[:numWarps]
 	for w := 0; w < numWarps; w++ {
@@ -180,9 +232,7 @@ func (e *Emulator) EmulateBlock(blockID int) (*BlockTrace, error) {
 			tm = (1 << lanes) - 1
 		}
 		ctx := warps[w]
-		for i := range ctx.regs {
-			ctx.regs[i] = [isa.MaxRegs]uint64{}
-		}
+		clear(ctx.regs[:e.regSpan])
 		ctx.id = w
 		ctx.stack = append(ctx.stack[:0], stackEntry{pc: 0, rpc: -2, mask: tm})
 		ctx.exited = 0
@@ -190,11 +240,12 @@ func (e *Emulator) EmulateBlock(blockID int) (*BlockTrace, error) {
 		ctx.atBarrier = false
 		ctx.done = false
 		ctx.insts = 0
-		ctx.trace = make([]TraceInst, 0, e.traceHint)
+		ctx.trace = ctx.trace[:0]
 		ctx.excep = nil
 		ctx.flipAddrMask = 0
 	}
 
+	bt := &BlockTrace{BlockID: blockID, Warps: make([]WarpTrace, numWarps)}
 	// Round-robin warp execution, switching at barriers, until all warps
 	// are done. A pass with no progress means a malformed barrier.
 	for {
@@ -209,7 +260,7 @@ func (e *Emulator) EmulateBlock(blockID int) (*BlockTrace, error) {
 				continue
 			}
 			before := w.insts
-			if err := e.runWarp(w, blockID, shared); err != nil {
+			if err := e.runWarp(w, blockID, shared, bt); err != nil {
 				return nil, fmt.Errorf("emu: block %d warp %d: %w", blockID, w.id, err)
 			}
 			if w.insts != before || w.done {
@@ -238,28 +289,25 @@ func (e *Emulator) EmulateBlock(blockID int) (*BlockTrace, error) {
 		}
 	}
 
-	bt := &BlockTrace{BlockID: blockID, Warps: make([]WarpTrace, numWarps)}
+	for _, ctx := range warps {
+		bt.DynInsts += len(ctx.trace)
+	}
+	// Each warp's trace gets a capacity-capped window of one block-wide
+	// slice, so an append to one cannot overwrite the next.
+	all := make([]TraceInst, bt.DynInsts)
 	for w, ctx := range warps {
-		if len(ctx.trace) > e.traceHint {
-			e.traceHint = len(ctx.trace)
-		}
-		tr := ctx.trace
-		ctx.trace = nil
-		bt.Warps[w] = WarpTrace{WarpID: w, Insts: tr, Excep: ctx.excep}
-		bt.DynInsts += len(tr)
-		for i := range tr {
-			ti := &tr[i]
-			if ti.Static.IsGlobalMem() {
-				bt.GlobalAccesses++
-				bt.MemRequests += len(ti.Lines)
-			}
-		}
+		n := copy(all, ctx.trace)
+		bt.Warps[w] = WarpTrace{WarpID: w, Insts: all[:n:n], Excep: ctx.excep}
+		all = all[n:]
 	}
 	return bt, nil
 }
 
-// runWarp executes the warp until it exits or reaches a barrier.
-func (e *Emulator) runWarp(w *warpCtx, blockID int, shared []byte) error {
+// runWarp executes the warp until it exits or reaches a barrier. Each
+// warp instruction is decoded once and executed for all its active
+// lanes together; bt collects the block's global-memory counters as
+// instructions are appended to the trace.
+func (e *Emulator) runWarp(w *warpCtx, blockID int, shared []byte, bt *BlockTrace) error {
 	code := e.launch.Kernel.Code
 	for {
 		if len(w.stack) == 0 {
@@ -291,13 +339,12 @@ func (e *Emulator) runWarp(w *warpCtx, blockID int, shared []byte) error {
 		in := &code[top.pc]
 		execMask := active
 		if in.Pred != isa.RegNone {
+			p := w.src(in.Pred)
+			neg := boolVal(in.PredNeg)
 			var pm uint32
 			for m := active; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros32(m)
-				p := e.readReg(w, lane, in.Pred)&1 != 0
-				if p != in.PredNeg {
-					pm |= 1 << lane
-				}
+				l := lane(m)
+				pm |= uint32((p[l]^neg)&1) << l
 			}
 			execMask = pm
 		}
@@ -367,15 +414,20 @@ func (e *Emulator) runWarp(w *warpCtx, blockID int, shared []byte) error {
 				return nil
 			}
 			w.trace = append(w.trace, ti)
+			if in.IsGlobalMem() {
+				bt.GlobalAccesses++
+				bt.MemRequests += len(ti.Lines)
+			}
 			top.pc++
 			continue
 
 		case isa.OpAssert:
+			a := w.src(in.SrcA)
 			var failed uint32
 			for m := execMask; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros32(m)
-				if e.readReg(w, lane, in.SrcA) == 0 {
-					failed |= 1 << lane
+				l := lane(m)
+				if a[l] == 0 {
+					failed |= 1 << l
 				}
 			}
 			if failed != 0 {
@@ -407,9 +459,7 @@ func (e *Emulator) runWarp(w *warpCtx, blockID int, shared []byte) error {
 			continue
 
 		default:
-			for m := execMask; m != 0; m &= m - 1 {
-				e.execALU(w, in, bits.TrailingZeros32(m), blockID)
-			}
+			e.execALU(w, in, execMask, blockID)
 			w.trace = append(w.trace, ti)
 			top.pc++
 			continue
@@ -449,14 +499,14 @@ func (e *Emulator) raise(w *warpCtx, blockID int, k excep.Kind, pc int32, in *is
 // site, so reruns of the same seed flip identically.
 func (e *Emulator) injectFlips(w *warpCtx, in *isa.Instruction, active, execMask uint32, blockID int) uint32 {
 	for m := w.flipAddrMask; m != 0; m &= m - 1 {
-		w.flipAddrXor[bits.TrailingZeros32(m)] = 0
+		w.flipAddrXor[lane(m)] = 0
 	}
 	w.flipAddrMask = 0
 	memOp := in.IsMem()
 	inst := int32(w.insts)
 	for m := active; m != 0; m &= m - 1 {
-		lane := bits.TrailingZeros32(m)
-		d, ok := e.flip.At(int32(blockID), int32(w.id), int32(lane), inst, w.id*32+lane, memOp)
+		l := lane(m)
+		d, ok := e.flip.At(int32(blockID), int32(w.id), int32(l), inst, w.id*32+l, memOp)
 		if !ok {
 			continue
 		}
@@ -473,12 +523,12 @@ func (e *Emulator) injectFlips(w *warpCtx, in *isa.Instruction, active, execMask
 			if n == 0 {
 				continue // no register state read here: the flip lands in unused space
 			}
-			w.regs[lane][srcs[int(d.Src)%n]] ^= 1 << (d.Bit & 63)
+			w.regs[srcs[int(d.Src)%n]][l] ^= 1 << (d.Bit & 63)
 		case excep.TargetPredicate:
-			execMask ^= 1 << lane
+			execMask ^= 1 << l
 		case excep.TargetAddress:
-			w.flipAddrXor[lane] ^= 1 << (d.Bit & 63)
-			w.flipAddrMask |= 1 << lane
+			w.flipAddrXor[l] ^= 1 << (d.Bit & 63)
+			w.flipAddrMask |= 1 << l
 		}
 		e.flips++
 	}
@@ -488,39 +538,26 @@ func (e *Emulator) injectFlips(w *warpCtx, in *isa.Instruction, active, execMask
 // execMalloc serves a device-malloc instruction lane by lane; heap
 // exhaustion (or a missing heap) raises KindDeviceOOM.
 func (e *Emulator) execMalloc(w *warpCtx, in *isa.Instruction, mask uint32, blockID int, pc int32) {
+	sizes, d := w.src(in.SrcA), w.dst(in.Dst)
 	for m := mask; m != 0; m &= m - 1 {
-		lane := bits.TrailingZeros32(m)
+		l := lane(m)
 		size := in.Imm
 		if in.SrcA != isa.RegNone && in.SrcA != isa.RZ {
-			size = int64(e.readReg(w, lane, in.SrcA))
+			size = int64(sizes[l])
 		}
 		if e.heap == nil {
-			e.raise(w, blockID, excep.KindDeviceOOM, pc, in, 1<<lane, 0,
+			e.raise(w, blockID, excep.KindDeviceOOM, pc, in, 1<<l, 0,
 				"device malloc without a device heap")
 			return
 		}
-		tid := blockID*e.launch.ThreadsPerBlock() + w.id*32 + lane
+		tid := blockID*e.launch.ThreadsPerBlock() + w.id*32 + l
 		addr, err := e.heap.Alloc(tid, int(size))
 		if err != nil {
-			e.raise(w, blockID, excep.KindDeviceOOM, pc, in, 1<<lane, 0, err.Error())
+			e.raise(w, blockID, excep.KindDeviceOOM, pc, in, 1<<l, 0, err.Error())
 			return
 		}
-		e.writeReg(w, lane, in.Dst, addr)
+		d[l] = addr
 	}
-}
-
-func (e *Emulator) readReg(w *warpCtx, lane int, r isa.Reg) uint64 {
-	if r == isa.RZ || r == isa.RegNone {
-		return 0
-	}
-	return w.regs[lane][r]
-}
-
-func (e *Emulator) writeReg(w *warpCtx, lane int, r isa.Reg, v uint64) {
-	if r == isa.RZ || r == isa.RegNone {
-		return
-	}
-	w.regs[lane][r] = v
 }
 
 func f(v uint64) float64  { return math.Float64frombits(v) }
@@ -532,144 +569,259 @@ func boolVal(b bool) uint64 {
 	return 0
 }
 
-func (e *Emulator) execALU(w *warpCtx, in *isa.Instruction, lane, blockID int) {
-	a := e.readReg(w, lane, in.SrcA)
-	b := e.readReg(w, lane, in.SrcB)
-	var v uint64
+// execALU executes an ALU, SFU or special-register instruction for
+// every lane in mask. The opcode and operands are decoded once; each
+// case is a single loop over the active lanes. A lane reads only its
+// own lane of each source before writing its own lane of the
+// destination, so a destination that aliases a source is safe.
+func (e *Emulator) execALU(w *warpCtx, in *isa.Instruction, mask uint32, blockID int) {
+	a, b, c := w.src(in.SrcA), w.src(in.SrcB), w.src(in.SrcC)
+	d := w.dst(in.Dst)
+	imm := uint64(in.Imm)
+	// immB reports whether the second operand is the immediate (IMul
+	// and And take Rb when present, the immediate otherwise).
+	immB := in.SrcB == isa.RZ || in.SrcB == isa.RegNone
 	switch in.Op {
-	case isa.OpNop:
-		return
 	case isa.OpIAdd:
-		v = a + b + uint64(in.Imm)
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = a[l] + b[l] + imm
+		}
 	case isa.OpISub:
-		v = a - b
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = a[l] - b[l]
+		}
 	case isa.OpIMul:
-		if in.SrcB != isa.RZ && in.SrcB != isa.RegNone {
-			v = a * b
+		if immB {
+			for m := mask; m != 0; m &= m - 1 {
+				l := lane(m)
+				d[l] = a[l] * imm
+			}
 		} else {
-			v = a * uint64(in.Imm)
+			for m := mask; m != 0; m &= m - 1 {
+				l := lane(m)
+				d[l] = a[l] * b[l]
+			}
 		}
 	case isa.OpIMad:
-		v = a*b + e.readReg(w, lane, in.SrcC)
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = a[l]*b[l] + c[l]
+		}
 	case isa.OpIMin:
-		if int64(a) < int64(b) {
-			v = a
-		} else {
-			v = b
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = uint64(min(int64(a[l]), int64(b[l])))
 		}
 	case isa.OpIMax:
-		if int64(a) > int64(b) {
-			v = a
-		} else {
-			v = b
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = uint64(max(int64(a[l]), int64(b[l])))
 		}
 	case isa.OpShl:
-		v = a << ((b + uint64(in.Imm)) & 63)
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = a[l] << ((b[l] + imm) & 63)
+		}
 	case isa.OpShr:
-		v = a >> ((b + uint64(in.Imm)) & 63)
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = a[l] >> ((b[l] + imm) & 63)
+		}
 	case isa.OpAnd:
-		if in.SrcB != isa.RZ && in.SrcB != isa.RegNone {
-			v = a & b
+		if immB {
+			for m := mask; m != 0; m &= m - 1 {
+				l := lane(m)
+				d[l] = a[l] & imm
+			}
 		} else {
-			v = a & uint64(in.Imm)
+			for m := mask; m != 0; m &= m - 1 {
+				l := lane(m)
+				d[l] = a[l] & b[l]
+			}
 		}
 	case isa.OpOr:
-		v = a | b | uint64(in.Imm)
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = a[l] | b[l] | imm
+		}
 	case isa.OpXor:
-		v = a ^ b ^ uint64(in.Imm)
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = a[l] ^ b[l] ^ imm
+		}
 	case isa.OpMov:
-		if in.SrcA != isa.RegNone {
-			v = a
+		if in.SrcA == isa.RegNone {
+			broadcast(d, mask, imm)
 		} else {
-			v = uint64(in.Imm)
+			for m := mask; m != 0; m &= m - 1 {
+				l := lane(m)
+				d[l] = a[l]
+			}
 		}
 	case isa.OpSetP:
-		v = boolVal(icmp(in.Cmp, int64(a), int64(b)+in.Imm))
+		acc := accepts(in.Cmp)
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = boolVal(acc&iorder(int64(a[l]), int64(b[l])+in.Imm) != 0)
+		}
 	case isa.OpFAdd:
-		v = fb(f(a) + f(b))
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = fb(f(a[l]) + f(b[l]))
+		}
 	case isa.OpFSub:
-		v = fb(f(a) - f(b))
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = fb(f(a[l]) - f(b[l]))
+		}
 	case isa.OpFMul:
-		v = fb(f(a) * f(b))
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = fb(f(a[l]) * f(b[l]))
+		}
 	case isa.OpFFma:
-		v = fb(math.FMA(f(a), f(b), f(e.readReg(w, lane, in.SrcC))))
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = fb(math.FMA(f(a[l]), f(b[l]), f(c[l])))
+		}
 	case isa.OpFMin:
-		v = fb(math.Min(f(a), f(b)))
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = fb(math.Min(f(a[l]), f(b[l])))
+		}
 	case isa.OpFMax:
-		v = fb(math.Max(f(a), f(b)))
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = fb(math.Max(f(a[l]), f(b[l])))
+		}
 	case isa.OpFSetP:
-		v = boolVal(fcmp(in.Cmp, f(a), f(b)))
+		acc := accepts(in.Cmp)
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = boolVal(acc&forder(f(a[l]), f(b[l])) != 0)
+		}
 	case isa.OpI2F:
-		v = fb(float64(int64(a)))
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = fb(float64(int64(a[l])))
+		}
 	case isa.OpF2I:
-		x := f(a)
-		if math.IsNaN(x) {
-			v = 0
-		} else {
-			v = uint64(int64(x))
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			if x := f(a[l]); math.IsNaN(x) {
+				d[l] = 0
+			} else {
+				d[l] = uint64(int64(x))
+			}
 		}
 	case isa.OpFRcp:
-		v = fb(1 / f(a))
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = fb(1 / f(a[l]))
+		}
 	case isa.OpFSqrt:
-		v = fb(math.Sqrt(f(a)))
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = fb(math.Sqrt(f(a[l])))
+		}
 	case isa.OpFRsqrt:
-		v = fb(1 / math.Sqrt(f(a)))
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = fb(1 / math.Sqrt(f(a[l])))
+		}
 	case isa.OpFExp:
-		v = fb(math.Exp2(f(a)))
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = fb(math.Exp2(f(a[l])))
+		}
 	case isa.OpFLog:
-		v = fb(math.Log2(f(a)))
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = fb(math.Log2(f(a[l])))
+		}
 	case isa.OpFSin:
-		v = fb(math.Sin(f(a)))
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = fb(math.Sin(f(a[l])))
+		}
 	case isa.OpFCos:
-		v = fb(math.Cos(f(a)))
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = fb(math.Cos(f(a[l])))
+		}
 	case isa.OpS2R:
-		v = e.sreg(w, lane, isa.SReg(in.Imm), blockID)
+		e.execS2R(w, isa.SReg(in.Imm), d, mask, blockID)
 	case isa.OpLdParam:
-		v = e.launch.Kernel.Params[in.Imm]
+		broadcast(d, mask, e.launch.Kernel.Params[in.Imm])
 	default:
-		// Unknown ops execute as nop; Validate rejects them earlier.
-		return
+		// OpNop writes nothing; runWarp routes every other op elsewhere.
 	}
-	e.writeReg(w, lane, in.Dst, v)
 }
 
-func icmp(c isa.Cmp, a, b int64) bool {
+// broadcast writes v to every lane of d in mask.
+func broadcast(d *laneVec, mask uint32, v uint64) {
+	for m := mask; m != 0; m &= m - 1 {
+		d[lane(m)] = v
+	}
+}
+
+// Comparison outcomes, as bits of an accept set: a compare instruction
+// yields 1 when the outcome of its operands is in the set of its Cmp.
+const (
+	ordLT uint8 = 1 << iota
+	ordEQ
+	ordGT
+	ordUnordered // a NaN operand
+)
+
+// accepts returns the outcomes for which c holds. Only NE holds on
+// unordered (NaN) operands, as with Go's float comparisons.
+func accepts(c isa.Cmp) uint8 {
 	switch c {
 	case isa.CmpEQ:
-		return a == b
+		return ordEQ
 	case isa.CmpNE:
-		return a != b
+		return ordLT | ordGT | ordUnordered
 	case isa.CmpLT:
-		return a < b
+		return ordLT
 	case isa.CmpLE:
-		return a <= b
+		return ordLT | ordEQ
 	case isa.CmpGT:
-		return a > b
+		return ordGT
 	case isa.CmpGE:
-		return a >= b
+		return ordGT | ordEQ
 	}
-	return false
+	return 0
 }
 
-func fcmp(c isa.Cmp, a, b float64) bool {
-	switch c {
-	case isa.CmpEQ:
-		return a == b
-	case isa.CmpNE:
-		return a != b
-	case isa.CmpLT:
-		return a < b
-	case isa.CmpLE:
-		return a <= b
-	case isa.CmpGT:
-		return a > b
-	case isa.CmpGE:
-		return a >= b
+func iorder(a, b int64) uint8 {
+	switch {
+	case a < b:
+		return ordLT
+	case a == b:
+		return ordEQ
 	}
-	return false
+	return ordGT
 }
 
-func (e *Emulator) sreg(w *warpCtx, lane int, s isa.SReg, blockID int) uint64 {
+func forder(a, b float64) uint8 {
+	switch {
+	case a < b:
+		return ordLT
+	case a == b:
+		return ordEQ
+	case a > b:
+		return ordGT
+	}
+	return ordUnordered
+}
+
+// execS2R reads special register s into d for every lane in mask. Only
+// the thread and lane indices vary across lanes; the rest are
+// broadcast.
+func (e *Emulator) execS2R(w *warpCtx, s isa.SReg, d *laneVec, mask uint32, blockID int) {
 	bdimX := e.launch.Block.X
 	if bdimX == 0 {
 		bdimX = 1
@@ -678,38 +830,43 @@ func (e *Emulator) sreg(w *warpCtx, lane int, s isa.SReg, blockID int) uint64 {
 	if gdimX == 0 {
 		gdimX = 1
 	}
-	t := w.id*32 + lane
+	base := w.id * 32
+	var v uint64
 	switch s {
 	case isa.SRTidX:
-		return uint64(t % bdimX)
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = uint64((base + l) % bdimX)
+		}
+		return
 	case isa.SRTidY:
-		return uint64(t / bdimX)
-	case isa.SRCtaIDX:
-		return uint64(blockID % gdimX)
-	case isa.SRCtaIDY:
-		return uint64(blockID / gdimX)
-	case isa.SRNTidX:
-		return uint64(bdimX)
-	case isa.SRNTidY:
-		y := e.launch.Block.Y
-		if y == 0 {
-			y = 1
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = uint64((base + l) / bdimX)
 		}
-		return uint64(y)
-	case isa.SRGridDimX:
-		return uint64(gdimX)
-	case isa.SRGridDimY:
-		y := e.launch.Grid.Y
-		if y == 0 {
-			y = 1
-		}
-		return uint64(y)
+		return
 	case isa.SRLaneID:
-		return uint64(lane)
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = uint64(l)
+		}
+		return
+	case isa.SRCtaIDX:
+		v = uint64(blockID % gdimX)
+	case isa.SRCtaIDY:
+		v = uint64(blockID / gdimX)
+	case isa.SRNTidX:
+		v = uint64(bdimX)
+	case isa.SRNTidY:
+		v = uint64(max(e.launch.Block.Y, 1))
+	case isa.SRGridDimX:
+		v = uint64(gdimX)
+	case isa.SRGridDimY:
+		v = uint64(max(e.launch.Grid.Y, 1))
 	case isa.SRWarpID:
-		return uint64(w.id)
+		v = uint64(w.id)
 	}
-	return 0
+	broadcast(d, mask, v)
 }
 
 // coalesceArena coalesces the per-lane accesses into line addresses
@@ -733,33 +890,39 @@ func (e *Emulator) coalesceArena(addrs *[32]uint64, mask uint32, size int) []uin
 	return dst
 }
 
+// execMem executes a memory instruction for every lane in mask. The
+// effective addresses are computed first; the exception checks, the
+// accesses (so atomics and a block's stores interleave in lane order)
+// and the error on an out-of-partition shared access then all run in
+// ascending lane order.
 func (e *Emulator) execMem(w *warpCtx, in *isa.Instruction, mask uint32, blockID int, shared []byte, ti *TraceInst) error {
 	size := int(in.Size)
 	var addrs [32]uint64
+	base := w.src(in.SrcA)
 	for m := mask; m != 0; m &= m - 1 {
-		lane := bits.TrailingZeros32(m)
-		addrs[lane] = e.readReg(w, lane, in.SrcA) + uint64(in.Imm)
+		l := lane(m)
+		addrs[l] = base[l] + uint64(in.Imm)
 	}
 	for m := w.flipAddrMask & mask; m != 0; m &= m - 1 {
-		lane := bits.TrailingZeros32(m)
-		addrs[lane] ^= w.flipAddrXor[lane]
+		l := lane(m)
+		addrs[l] ^= w.flipAddrXor[l]
 	}
 	if in.IsGlobalMem() {
 		for m := mask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			a := addrs[lane]
+			l := lane(m)
+			a := addrs[l]
 			if a < IllegalFloor {
-				e.raise(w, blockID, excep.KindIllegalAddress, ti.PC, in, 1<<lane, a,
+				e.raise(w, blockID, excep.KindIllegalAddress, ti.PC, in, 1<<l, a,
 					"global access below the mapped address space")
 				return nil
 			}
-			if a%uint64(size) != 0 {
-				e.raise(w, blockID, excep.KindMisaligned, ti.PC, in, 1<<lane, a,
+			if a&uint64(size-1) != 0 { // sizes are powers of two
+				e.raise(w, blockID, excep.KindMisaligned, ti.PC, in, 1<<l, a,
 					fmt.Sprintf("address not %d-byte aligned", size))
 				return nil
 			}
 			if e.AddrValid != nil && !e.AddrValid(a) {
-				e.raise(w, blockID, excep.KindIllegalAddress, ti.PC, in, 1<<lane, a,
+				e.raise(w, blockID, excep.KindIllegalAddress, ti.PC, in, 1<<l, a,
 					"global access outside any mapped region")
 				return nil
 			}
@@ -767,47 +930,44 @@ func (e *Emulator) execMem(w *warpCtx, in *isa.Instruction, mask uint32, blockID
 	}
 
 	switch in.Op {
-	case isa.OpLdShared, isa.OpStShared:
+	case isa.OpLdShared:
+		d := w.dst(in.Dst)
 		for m := mask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			off := addrs[lane]
-			if off+uint64(size) > uint64(len(shared)) {
-				return fmt.Errorf("shared access at %d beyond %d B partition", off, len(shared))
+			l := lane(m)
+			word, err := sharedWord(shared, addrs[l], size)
+			if err != nil {
+				return err
 			}
-			if in.Op == isa.OpLdShared {
-				var v uint64
-				for i := 0; i < size; i++ {
-					v |= uint64(shared[off+uint64(i)]) << (8 * i)
-				}
-				e.writeReg(w, lane, in.Dst, v)
-			} else {
-				v := e.readReg(w, lane, in.SrcB)
-				for i := 0; i < size; i++ {
-					shared[off+uint64(i)] = byte(v >> (8 * i))
-				}
+			d[l] = getLE(word, size)
+		}
+	case isa.OpStShared:
+		v := w.src(in.SrcB)
+		for m := mask; m != 0; m &= m - 1 {
+			l := lane(m)
+			word, err := sharedWord(shared, addrs[l], size)
+			if err != nil {
+				return err
 			}
+			putLE(word, size, v[l])
 		}
-		if mask != 0 {
-			ti.Lines = e.coalesceArena(&addrs, mask, size)
-		}
-		return nil
-
 	case isa.OpLdGlobal:
+		d := w.dst(in.Dst)
 		for m := mask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.writeReg(w, lane, in.Dst, e.mem.Read(addrs[lane], size))
+			l := lane(m)
+			d[l] = e.mem.Read(addrs[l], size)
 		}
 	case isa.OpStGlobal:
+		v := w.src(in.SrcB)
 		for m := mask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.mem.Write(addrs[lane], size, e.readReg(w, lane, in.SrcB))
+			l := lane(m)
+			e.mem.Write(addrs[l], size, v[l])
 		}
 	case isa.OpAtomGlobal:
+		vs, cmps, d := w.src(in.SrcB), w.src(in.SrcC), w.dst(in.Dst)
 		for m := mask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			v := e.readReg(w, lane, in.SrcB)
-			cmp := e.readReg(w, lane, in.SrcC)
-			old := e.mem.Atom(addrs[lane], size, func(o uint64) (uint64, bool) {
+			l := lane(m)
+			v, cmp := vs[l], cmps[l]
+			d[l] = e.mem.Atom(addrs[l], size, func(o uint64) (uint64, bool) {
 				switch in.Atom {
 				case isa.AtomAdd:
 					return o + v, true
@@ -835,7 +995,6 @@ func (e *Emulator) execMem(w *warpCtx, in *isa.Instruction, mask uint32, blockID
 				}
 				return o, false
 			})
-			e.writeReg(w, lane, in.Dst, old)
 		}
 	default:
 		return fmt.Errorf("execMem: %v is not a memory op", in.Op)
@@ -844,4 +1003,15 @@ func (e *Emulator) execMem(w *warpCtx, in *isa.Instruction, mask uint32, blockID
 		ti.Lines = e.coalesceArena(&addrs, mask, size)
 	}
 	return nil
+}
+
+// sharedWord returns the size bytes of the shared partition at off, or
+// an error when they do not lie wholly inside it. The check compares
+// against the partition length minus size, so no sum can wrap.
+func sharedWord(shared []byte, off uint64, size int) ([]byte, error) {
+	n := uint64(len(shared))
+	if uint64(size) > n || off > n-uint64(size) {
+		return nil, fmt.Errorf("shared access at %d beyond %d B partition", off, len(shared))
+	}
+	return shared[off : off+uint64(size)], nil
 }

@@ -1,6 +1,8 @@
 package emu
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"gpues/internal/isa"
@@ -447,6 +449,44 @@ func TestSharedMemoryBounds(t *testing.T) {
 	e, _ := New(l, mem, 128)
 	if _, err := e.EmulateBlock(0); err == nil {
 		t.Fatal("out-of-bounds shared access must error")
+	}
+}
+
+// TestSharedMemoryWrappingOffset pins the bounds check against offsets
+// whose end wraps past zero: `mov r, -1; st.shared [r+0].4` once
+// indexed the partition at 2^64-1 and panicked. Every such access must
+// come back as an error.
+func TestSharedMemoryWrappingOffset(t *testing.T) {
+	cases := []struct {
+		name string
+		off  int64 // register value
+		imm  int64 // instruction offset
+		load bool
+	}{
+		{"store reg -1", -1, 0, false},
+		{"load reg -1", -1, 0, true},
+		{"store imm -1", 0, -1, false},
+		{"store reg -8 imm +4", -8, 4, false},
+		{"load max offset", math.MaxInt64, math.MaxInt64, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			b := kernel.NewBuilder("wrap").SetSharedMem(64)
+			off := b.Reg()
+			b.MovI(off, c.off)
+			if c.load {
+				b.LdShared(off, off, c.imm, 4)
+			} else {
+				b.StShared(off, c.imm, off, 4)
+			}
+			b.Exit()
+			l := &kernel.Launch{Kernel: b.MustBuild(), Grid: kernel.Dim3{X: 1}, Block: kernel.Dim3{X: 32}}
+			e, _ := New(l, NewMemory(), 128)
+			_, err := e.EmulateBlock(0)
+			if err == nil || !strings.Contains(err.Error(), "beyond 64 B partition") {
+				t.Fatalf("err = %v, want a shared out-of-partition error", err)
+			}
+		})
 	}
 }
 

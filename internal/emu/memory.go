@@ -69,18 +69,9 @@ func (m *Memory) Read(addr uint64, size int) uint64 {
 		if c == nil {
 			return 0
 		}
-		switch size {
-		case 8:
-			return binary.LittleEndian.Uint64(c[off:])
-		case 4:
-			return uint64(binary.LittleEndian.Uint32(c[off:]))
-		case 2:
-			return uint64(binary.LittleEndian.Uint16(c[off:]))
-		case 1:
-			return uint64(c[off])
-		}
+		return getLE(c[off:], size)
 	}
-	// Slow path: byte-wise, possibly spanning chunks.
+	// Slow path: byte-wise, spanning chunks.
 	var v uint64
 	for i := 0; i < size; i++ {
 		c := m.chunk(addr+uint64(i), false)
@@ -96,25 +87,45 @@ func (m *Memory) Read(addr uint64, size int) uint64 {
 // Write stores the low size bytes of v at addr, little-endian.
 func (m *Memory) Write(addr uint64, size int, v uint64) {
 	if off := addr & (chunkSize - 1); int(off)+size <= chunkSize {
-		c := m.chunk(addr, true)
-		switch size {
-		case 8:
-			binary.LittleEndian.PutUint64(c[off:], v)
-			return
-		case 4:
-			binary.LittleEndian.PutUint32(c[off:], uint32(v))
-			return
-		case 2:
-			binary.LittleEndian.PutUint16(c[off:], uint16(v))
-			return
-		case 1:
-			c[off] = byte(v)
-			return
-		}
+		putLE(m.chunk(addr, true)[off:], size, v)
+		return
 	}
 	for i := 0; i < size; i++ {
 		c := m.chunk(addr+uint64(i), true)
 		c[(addr+uint64(i))&(chunkSize-1)] = byte(v >> (8 * i))
+	}
+}
+
+// getLE returns the little-endian value of the first size bytes of b.
+func getLE(b []byte, size int) uint64 {
+	switch size {
+	case 8:
+		return binary.LittleEndian.Uint64(b)
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b))
+	}
+	var v uint64
+	for i := 0; i < size; i++ {
+		v |= uint64(b[i]) << (8 * i)
+	}
+	return v
+}
+
+// putLE stores the low size bytes of v into b, little-endian.
+func putLE(b []byte, size int, v uint64) {
+	switch size {
+	case 8:
+		binary.LittleEndian.PutUint64(b, v)
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+	default:
+		for i := 0; i < size; i++ {
+			b[i] = byte(v >> (8 * i))
+		}
 	}
 }
 

@@ -11,14 +11,15 @@ import (
 // TraceInst is one dynamic warp instruction in a trace: the static
 // instruction it came from plus the runtime information the timing
 // simulator needs (active mask and, for memory instructions, the
-// coalesced line addresses).
+// coalesced line addresses). PC and Mask sit together so the struct
+// packs into 40 bytes.
 type TraceInst struct {
 	// PC is the static instruction index in the kernel code.
 	PC int32
-	// Static points at the kernel's instruction.
-	Static *isa.Instruction
 	// Mask is the set of active lanes when the instruction executed.
 	Mask uint32
+	// Static points at the kernel's instruction.
+	Static *isa.Instruction
 	// Lines holds the coalesced memory request addresses: one entry per
 	// unique cache line touched by the active lanes, aligned to the line
 	// size, in first-touch lane order. Nil for non-memory instructions
@@ -98,9 +99,11 @@ func coalesce(dst []uint64, addrs *[32]uint64, mask uint32, size int, lineSize u
 		first := addrs[lane] & lineMask
 		last := (addrs[lane] + uint64(size) - 1) & lineMask
 		for line := first; ; line += lineSize {
+			// Neighbouring lanes mostly touch the line appended last,
+			// so the search runs newest first.
 			seen := false
-			for _, d := range dst {
-				if d == line {
+			for i := len(dst) - 1; i >= 0; i-- {
+				if dst[i] == line {
 					seen = true
 					break
 				}
