@@ -263,46 +263,3 @@ func BenchmarkSimulator(b *testing.B) {
 	}
 	b.ReportMetric(float64(simCycles)/b.Elapsed().Seconds(), "sim-cycles/s")
 }
-
-// BenchmarkParallel measures the sharded tick phase: each workload
-// shape runs at workers ∈ {1, 2, 4, 8}, every count producing
-// bit-identical results (the sim-cycles metric must not move across
-// subcases of one shape — only ns/op may). benchjson derives a
-// speedup-vs-workers-1 metric from the ns/op of sibling subcases, so
-// BENCH_<sha>.json records the parallel scaling per host. Speedup is
-// hardware-bound: on a single-core host every count runs at ~1x.
-func BenchmarkParallel(b *testing.B) {
-	shapes := []struct {
-		name  string
-		bench string
-		scale int
-		place gpues.Placement
-		mut   func(*gpues.Config)
-	}{
-		{"fig10-resident", "sgemm", 1, gpues.ResidentPlacement(),
-			func(c *gpues.Config) { c.Scheme = gpues.OperandLog }},
-		{"fig12-paging-switching", "sgemm", 2, gpues.DemandPagingPlacement(),
-			func(c *gpues.Config) {
-				c.Scheme = gpues.ReplayQueue
-				c.DemandPaging = true
-				c.Scheduler.Enabled = true
-			}},
-	}
-	for _, sh := range shapes {
-		sh := sh
-		for _, w := range []int{1, 2, 4, 8} {
-			w := w
-			b.Run(sh.name+"/workers-"+itoa(w), func(b *testing.B) {
-				var res *gpues.Result
-				for i := 0; i < b.N; i++ {
-					res = runOnce(b, sh.bench, sh.scale, sh.place, func(c *gpues.Config) {
-						sh.mut(c)
-						c.Workers = w
-					})
-				}
-				b.ReportMetric(float64(res.Cycles), "sim-cycles")
-				b.ReportMetric(float64(w), "workers")
-			})
-		}
-	}
-}

@@ -5,9 +5,6 @@
 // the fault-driven benchmarks attach (fault-lat-mean, fault-lat-p99,
 // and the per-reason stall-<reason> breakdown), so a perf or timing
 // regression between two commits is a one-line diff of two artifacts.
-// For the parallel-simulation benchmarks (BenchmarkParallel subcases
-// named .../workers-N) it additionally derives speedup-vs-workers-1
-// from sibling wall times, recording each host's parallel scaling.
 //
 // Example:
 //
@@ -36,7 +33,6 @@ func main() {
 		os.Exit(1)
 	}
 	rep.Commit = *commit
-	deriveSpeedups(rep)
 	if len(rep.Benchmarks) == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
 		os.Exit(1)

@@ -79,38 +79,3 @@ func parseLine(rep *Report, line string) {
 	}
 	rep.Benchmarks = append(rep.Benchmarks, b)
 }
-
-// workersSuffix introduces the worker-count subcase names the parallel
-// benchmarks use (BenchmarkParallel/<shape>/workers-N).
-const workersSuffix = "/workers-"
-
-// deriveSpeedups attaches a speedup-vs-workers-1 metric to every
-// benchmark named .../workers-N: its sibling's (.../workers-1) wall
-// time divided by its own. The metric makes the parallel scaling a
-// first-class field of BENCH_<sha>.json instead of a ratio readers
-// compute by hand; it is derived per report, so artifacts from hosts
-// with different core counts stay directly comparable. Benchmarks
-// without a workers-1 sibling (or without ns/op) are left untouched.
-func deriveSpeedups(rep *Report) {
-	base := map[string]float64{}
-	for _, b := range rep.Benchmarks {
-		if i := strings.LastIndex(b.Name, workersSuffix); i >= 0 && b.Name[i+len(workersSuffix):] == "1" {
-			if ns, ok := b.Metrics["ns/op"]; ok && ns > 0 {
-				base[b.Name[:i]] = ns
-			}
-		}
-	}
-	for _, b := range rep.Benchmarks {
-		i := strings.LastIndex(b.Name, workersSuffix)
-		if i < 0 {
-			continue
-		}
-		ref, ok := base[b.Name[:i]]
-		if !ok {
-			continue
-		}
-		if ns, ok := b.Metrics["ns/op"]; ok && ns > 0 {
-			b.Metrics["speedup-vs-workers-1"] = ref / ns
-		}
-	}
-}

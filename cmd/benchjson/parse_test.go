@@ -51,44 +51,6 @@ func TestParse(t *testing.T) {
 	}
 }
 
-// TestDeriveSpeedups covers the parallel-benchmark post-pass: every
-// .../workers-N subcase gains a speedup-vs-workers-1 metric computed
-// from its workers-1 sibling's wall time, and benchmarks outside the
-// naming scheme (or shapes missing their workers-1 sibling) are left
-// untouched.
-func TestDeriveSpeedups(t *testing.T) {
-	const input = `BenchmarkParallel/fig12-paging-switching/workers-1 1 8000 ns/op 129906 sim-cycles 1 workers
-BenchmarkParallel/fig12-paging-switching/workers-2 1 4000 ns/op 129906 sim-cycles 2 workers
-BenchmarkParallel/fig12-paging-switching/workers-8 1 2000 ns/op 129906 sim-cycles 8 workers
-BenchmarkParallel/orphan/workers-4 1 1000 ns/op 7 sim-cycles 4 workers
-BenchmarkFig10/baseline 1 579904096 ns/op 117137 sim-cycles
-`
-	rep, err := Parse(strings.NewReader(input))
-	if err != nil {
-		t.Fatal(err)
-	}
-	deriveSpeedups(rep)
-	got := map[string]float64{}
-	for _, b := range rep.Benchmarks {
-		if v, ok := b.Metrics["speedup-vs-workers-1"]; ok {
-			got[b.Name] = v
-		}
-	}
-	want := map[string]float64{
-		"BenchmarkParallel/fig12-paging-switching/workers-1": 1,
-		"BenchmarkParallel/fig12-paging-switching/workers-2": 2,
-		"BenchmarkParallel/fig12-paging-switching/workers-8": 4,
-	}
-	if len(got) != len(want) {
-		t.Fatalf("speedups on %v, want exactly %v", got, want)
-	}
-	for name, v := range want {
-		if got[name] != v {
-			t.Errorf("%s speedup = %g, want %g", name, got[name], v)
-		}
-	}
-}
-
 // TestParseSeriesMetrics covers the telemetry-derived units the
 // fault-driven benchmarks report (steady-ipc, peak-stall-share):
 // fractional values must come through the generic value/unit parsing

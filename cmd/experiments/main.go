@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"gpues"
@@ -41,7 +40,6 @@ func main() {
 		flipSeed  = flag.Int64("flip-seed", 0, "pin the resilience campaign's base flip seed (0 = derive one per cell)")
 		flipRate  = flag.Float64("flip-rate", 0, "override the resilience campaign's flip probability in [0,1] (0 = default)")
 		protectN  = flag.Int("protect-threads", -1, "pin the resilience campaign's protection to N threads per block (-1 = sweep the built-in ladder)")
-		workers   = flag.Int("workers", 1, "tick-phase worker goroutines per simulation (1 = sequential; any count is bit-identical; composes with -j)")
 		sampleEv  = flag.Int64("sample-every", 0, "sample every registered metric inside each simulation every N cycles (0 = off)")
 		httpAddr  = flag.String("http", "", "serve live campaign progress (/status, /metrics, pprof) on this host:port")
 	)
@@ -72,10 +70,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-trials %d must be non-negative\n", *trials)
 		os.Exit(2)
 	}
-	if *workers < 1 || *workers > runtime.NumCPU() {
-		fmt.Fprintf(os.Stderr, "-workers %d out of range [1,%d] (NumCPU)\n", *workers, runtime.NumCPU())
-		os.Exit(2)
-	}
 	if *sampleEv < 0 {
 		fmt.Fprintf(os.Stderr, "-sample-every %d must be non-negative (0 = sampling off)\n", *sampleEv)
 		os.Exit(2)
@@ -94,8 +88,8 @@ func main() {
 	}
 
 	opt := gpues.ExperimentOptions{Scale: *scale, Parallelism: *par,
-		Workers: *workers, SampleEvery: *sampleEv,
-		TraceDir: *traceDir, TraceFilter: *traceFlt,
+		SampleEvery: *sampleEv,
+		TraceDir:    *traceDir, TraceFilter: *traceFlt,
 		ResumeDir: *resumeDir, CheckpointEvery: *ckptEvery,
 		Trials: *trials, FlipSeed: *flipSeed, FlipRate: *flipRate,
 		ProtectPin: *protectN >= 0, ProtectThreads: max(*protectN, 0),

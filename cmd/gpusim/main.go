@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -58,7 +57,6 @@ func main() {
 		flipSeed  = flag.Int64("flip-seed", 0, "bit-flip injection seed (with -flip-rate)")
 		flipRate  = flag.Float64("flip-rate", 0, "per-lane-instruction bit-flip probability in [0,1] (0 = off)")
 		protectN  = flag.Int("protect-threads", 0, "shield the first N threads of every block from bit flips")
-		workers   = flag.Int("workers", 1, "tick-phase worker goroutines (1 = sequential; any count is bit-identical)")
 		sampleEv  = flag.Int64("sample-every", 0, "sample every registered metric into the telemetry series every N cycles (0 = off)")
 		seriesFn  = flag.String("series", "", "write the sampled telemetry series to this file (.csv for CSV, otherwise NDJSON); needs -sample-every")
 		httpAddr  = flag.String("http", "", "serve live introspection (/status, /metrics, /series, /trace/last, pprof) on this host:port")
@@ -99,10 +97,6 @@ func main() {
 	}
 	if *flipSeed != 0 && *flipRate == 0 {
 		fmt.Fprintln(os.Stderr, "-flip-seed needs -flip-rate > 0")
-		os.Exit(2)
-	}
-	if *workers < 1 || *workers > runtime.NumCPU() {
-		fmt.Fprintf(os.Stderr, "-workers %d out of range [1,%d] (NumCPU)\n", *workers, runtime.NumCPU())
 		os.Exit(2)
 	}
 	if *sampleEv < 0 {
@@ -166,7 +160,6 @@ func main() {
 	}
 	cfg.SM.OperandLog.SizeKB = *logKB
 	cfg.MaxCycles = *maxCycles
-	cfg.Workers = *workers
 	cfg.SampleEvery = *sampleEv
 	cfg.DemandPaging = *paging
 	cfg.Scheduler.Enabled = *switching

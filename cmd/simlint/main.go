@@ -1,6 +1,6 @@
 // Command simlint runs the simulator's static-analysis suite
 // (internal/analysis: determinism, poolsafe, noalloc, enumswitch,
-// directive, ckptcomplete, shardpurity).
+// directive, ckptcomplete).
 //
 // Two modes:
 //

@@ -64,7 +64,7 @@ func TestList(t *testing.T) {
 			t.Errorf("analyzer %s doc spills past one line", a.Name)
 		}
 	}
-	for _, name := range []string{"determinism", "poolsafe", "noalloc", "enumswitch", "directive", "ckptcomplete", "shardpurity"} {
+	for _, name := range []string{"determinism", "poolsafe", "noalloc", "enumswitch", "directive", "ckptcomplete"} {
 		if !strings.Contains(out, name+": ") {
 			t.Errorf("-list output is missing analyzer %s:\n%s", name, out)
 		}

@@ -24,27 +24,12 @@
 //	    On a package comment: opts the package into the determinism
 //	    analyzer's rules in addition to the built-in package list.
 //
-//	//simlint:shardsafe
-//	    On a function's doc comment: the function (and the function
-//	    literals it encloses) may spawn goroutines inside a timing-core
-//	    package. The annotation asserts the deterministic-parallelism
-//	    contract of docs/parallelism.md: spawned goroutines touch only
-//	    shard-private state plus staged effect ledgers that the main
-//	    goroutine flushes in a deterministic order. Unannotated spawns
-//	    are still flagged by the determinism analyzer.
-//
 //	//simlint:ckptskip <reason>
 //	    On a struct field of a checkpointable type (one implementing
 //	    ckpt.Saver): exempts the field from the ckptcomplete analyzer's
 //	    save/restore coverage proof. The reason is mandatory and should
 //	    say why the field needs no serialization (rebuilt by replay,
 //	    immutable config, derived cache, ...).
-//
-//	//simlint:tickroot
-//	    On a function's doc comment: marks an entry point of the
-//	    parallel tick phase. The shardpurity analyzer proves everything
-//	    reachable from a tick root mutates only per-shard receiver
-//	    state and the staged effect ledgers.
 //
 //	//simlint:ignore <analyzer> <reason>
 //	    On (or on the line above) a flagged line: suppresses that
@@ -137,10 +122,8 @@ var KnownDirectives = map[string]bool{
 	"noalloc":       true,
 	"releases":      true,
 	"deterministic": true,
-	"shardsafe":     true,
 	"ignore":        true,
 	"ckptskip":      true,
-	"tickroot":      true,
 }
 
 // DirectiveOf exposes directive parsing to the analyzer packages: it

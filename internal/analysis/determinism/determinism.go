@@ -2,14 +2,8 @@
 // bit-identical replay guarantee: map iteration whose body mutates
 // state or emits events (Go randomises map order per run), wall-clock
 // reads, the global math/rand source, and goroutine spawns in the
-// timing core.
-//
-// Goroutine spawns admit one sanctioned idiom: a function whose doc
-// comment carries //simlint:shardsafe may spawn (directly or via
-// enclosed function literals), asserting the deterministic-parallelism
-// contract — workers touch only shard-private state plus staged effect
-// ledgers flushed in deterministic order (docs/parallelism.md). Any
-// spawn not under an annotated declaration is still flagged.
+// timing core. The timing core is single-threaded, so every goroutine
+// spawn in it is reported.
 //
 // The analyzer applies to the built-in list of timing-core packages
 // plus any package carrying a //simlint:deterministic comment.
@@ -92,35 +86,13 @@ func (v *visitor) Visit(n ast.Node) ast.Visitor {
 		stack[len(v.funcs)] = n
 		return &visitor{pass: v.pass, funcs: stack}
 	case *ast.GoStmt:
-		if !v.shardsafe() {
-			v.pass.Reportf(n.Pos(), "goroutine spawned in a timing-core package: tick-phase concurrency must stage shared-state effects and flush them in deterministic order; annotate the spawning function //simlint:shardsafe once it upholds that contract")
-		}
+		v.pass.Reportf(n.Pos(), "goroutine spawned in a timing-core package: the timing core is single-threaded, so concurrency would make results depend on the Go scheduler")
 	case *ast.CallExpr:
 		v.checkCall(n)
 	case *ast.RangeStmt:
 		v.checkRange(n)
 	}
 	return v
-}
-
-// shardsafe reports whether the visit point sits inside a function
-// whose declaration carries //simlint:shardsafe — the annotation by
-// which deterministic-parallelism code (the sharded tick phase)
-// declares that its goroutines only touch shard-private state plus
-// staged effect ledgers flushed in a deterministic order. The
-// directive must sit on a FuncDecl: function literals inherit it from
-// their enclosing declaration, so an annotated spawner may pass
-// closures to `go`, but an unannotated function can never launder a
-// spawn through a literal.
-func (v *visitor) shardsafe() bool {
-	for _, fn := range v.funcs {
-		if decl, ok := fn.(*ast.FuncDecl); ok {
-			if _, ok := analysis.FuncHasDirective(decl, "shardsafe"); ok {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // checkCall flags wall-clock reads and the shared math/rand source.

@@ -34,8 +34,7 @@ func spawn(fn func()) {
 	go fn() // want "goroutine spawned in a timing-core package"
 }
 
-// A function literal cannot launder a spawn: only a declaration-level
-// //simlint:shardsafe annotation sanctions it.
+// A spawn inside a function literal is reported like any other.
 func spawnViaLiteral() {
 	launch := func() {
 		go func() {}() // want "goroutine spawned in a timing-core package"
@@ -112,17 +111,14 @@ func copyInto(src map[string]int64) map[string]string {
 	return dst
 }
 
-// The sanctioned concurrency idiom: a shardsafe-annotated declaration
-// may spawn, both directly and through nested function literals
-// (workers stage effects into ledgers flushed deterministically).
-//
-//simlint:shardsafe
+// A worker pool is a spawn like any other: the timing core admits no
+// goroutines, whatever their shape.
 func launchWorkers(n int, work func(int)) {
 	for w := 0; w < n; w++ {
 		w := w
-		go work(w)
-		go func() {
-			inner := func() { go work(w) }
+		go work(w)  // want "goroutine spawned in a timing-core package"
+		go func() { // want "goroutine spawned in a timing-core package"
+			inner := func() { go work(w) } // want "goroutine spawned in a timing-core package"
 			inner()
 		}()
 	}

@@ -10,11 +10,10 @@ import (
 	"gpues/internal/analysis/enumswitch"
 	"gpues/internal/analysis/noalloc"
 	"gpues/internal/analysis/poolsafe"
-	"gpues/internal/analysis/shardpurity"
 )
 
 // All returns the full analyzer suite. The interprocedural members
-// (ckptcomplete, shardpurity) export facts during their Run phase and
+// (ckptcomplete) export facts during their Run phase and
 // prove their whole-program property in Finish.
 func All() []*analysis.Analyzer {
 	as := []*analysis.Analyzer{
@@ -24,7 +23,6 @@ func All() []*analysis.Analyzer {
 		enumswitch.Analyzer,
 		directive.Analyzer,
 		ckptcomplete.Analyzer,
-		shardpurity.Analyzer,
 	}
 	for _, a := range as {
 		analysis.RegisterFactTypes(a)

@@ -245,13 +245,6 @@ func (p *Plan) TransferJitter(cycles int64) int64 {
 
 // StallIssue implements part of sm.Chaos: an artificial one-cycle issue
 // stall for a global-memory instruction.
-//
-// Shard-pure by runtime gating: sim.Run's parallel tick phase requires
-// Plan.TickOrderFree — a plan whose tick-path hooks draw no randomness
-// and record no events — so during TickStaged this body returns
-// without mutating the shared plan.
-//
-//simlint:shardsafe
 func (p *Plan) StallIssue(smID int, isReplay bool) bool {
 	if p == nil || p.cfg.IssueStallProb <= 0 || p.issueStalls >= p.cfg.MaxIssueStalls {
 		return false
@@ -262,21 +255,6 @@ func (p *Plan) StallIssue(smID int, isReplay bool) bool {
 	p.issueStalls++
 	p.record(EventIssueStall, uint64(smID))
 	return true
-}
-
-// TickOrderFree reports whether the plan draws no randomness from the
-// SM tick path (doIssue/doFetch), i.e. whether StallIssue always
-// returns false before touching the RNG. The parallel tick phase in
-// sim.StepTo requires this: the plan's single RNG is consumed in
-// simulation call order, and ticking SMs concurrently would reorder
-// tick-path draws across worker counts. Plans with issue-stall
-// injection enabled force the run loop back to sequential ticking —
-// still bit-identical, just not parallel. Every other hook
-// (InjectWalkFault, ServiceDelay, TransferJitter, ForceSwitch) is
-// reached only from event callbacks, which the sequential drain phase
-// runs in deterministic queue order regardless of the worker count.
-func (p *Plan) TickOrderFree() bool {
-	return p == nil || p.cfg.IssueStallProb <= 0 || p.cfg.MaxIssueStalls <= 0
 }
 
 // ForceSwitch implements part of sm.Chaos: switch the faulting block

@@ -307,65 +307,6 @@ func (q *Queue) SkipTo(cycle int64) {
 	}
 }
 
-// Stage is a deferred-schedule buffer for the parallel tick phase of
-// the simulator's run loop. Shard workers tick SMs concurrently, and a
-// concurrent At/After on the shared Queue would race on the node free
-// list and — worse — assign FIFO sequence numbers in a
-// schedule-dependent order. Instead each SM records its schedules into
-// a private Stage, and the main goroutine flushes the stages in SM
-// index order after the barrier: FlushTo replays the buffered calls
-// through Queue.After in recording order, so the queue's (cycle, seq)
-// assignment is exactly what a sequential tick sweep would have
-// produced. The buffer is reused across flushes; steady-state staging
-// performs no allocation once the high-water mark is reached.
-//
-// A Stage belongs to one goroutine at a time: the ticking worker
-// between barrier entry and exit, the flushing main goroutine
-// otherwise. It provides no locking of its own.
-type Stage struct {
-	events []stagedEvent
-}
-
-// stagedEvent is one deferred After call.
-type stagedEvent struct {
-	delay int64
-	fn    func()
-}
-
-// After records a deferred Queue.After(delay, fn).
-//
-//simlint:noalloc
-func (st *Stage) After(delay int64, fn func()) {
-	if len(st.events) < cap(st.events) {
-		st.events = st.events[:len(st.events)+1]
-		st.events[len(st.events)-1] = stagedEvent{delay, fn}
-		return
-	}
-	//simlint:ignore noalloc grow path, runs once per high-water mark of staged events
-	st.events = append(st.events, stagedEvent{delay, fn})
-}
-
-// Len returns the number of buffered schedules.
-func (st *Stage) Len() int { return len(st.events) }
-
-// Cap returns the buffer's retained capacity (its staging high-water
-// mark; nonzero once the stage has ever buffered a schedule).
-func (st *Stage) Cap() int { return cap(st.events) }
-
-// FlushTo replays the buffered schedules onto q in recording order and
-// resets the stage (retaining capacity). Buffered entries are cleared
-// so the stage does not pin callbacks past the flush.
-//
-//simlint:noalloc
-func (st *Stage) FlushTo(q *Queue) {
-	for i := range st.events {
-		e := &st.events[i]
-		q.After(e.delay, e.fn)
-		e.fn = nil
-	}
-	st.events = st.events[:0]
-}
-
 // overflow min-heap, ordered by (cycle, seq) ----------------------------
 
 func overflowLess(a, b *node) bool {

@@ -257,25 +257,12 @@ type Config struct {
 	// touches fault (use-case 2, Figure 13).
 	LazyHeap bool
 
-	// Workers is the number of worker goroutines the run loop may use
-	// for the parallel tick phase: SM ticks are sharded across workers
-	// each cycle, with all shared-state side effects staged into
-	// per-SM ledgers and flushed in SM index order after the barrier,
-	// so results — sim-cycles, metrics, traces, per-component digests —
-	// are bit-identical at every worker count (see docs/parallelism.md).
-	// 0 or 1 selects the sequential path, byte-identical to a build
-	// without the knob. Workers is excluded from the checkpoint config
-	// fingerprint: a checkpoint taken at one worker count restores at
-	// any other.
-	Workers int
-
 	// SampleEvery, when positive, samples every registered metric into
 	// the in-memory telemetry series each time the main loop crosses a
-	// multiple of this many cycles (at the sequential post-tick flush
-	// point, so sampling is bit-identical at any worker count and a
+	// multiple of this many cycles (right after the tick phase, so a
 	// sampled run's cycles and digests match an unsampled one's).
-	// 0 disables the sampler. Like Workers, SampleEvery is excluded
-	// from the checkpoint config fingerprint.
+	// 0 disables the sampler. SampleEvery is excluded from the
+	// checkpoint config fingerprint.
 	SampleEvery int64
 
 	// MaxCycles aborts the simulation past this many cycles (a last-ditch
@@ -439,9 +426,6 @@ func (c *Config) Validate() error {
 	case c.Excep.Flip.ProtectThreads < 0:
 		return fmt.Errorf("config: protected thread count %d must not be negative",
 			c.Excep.Flip.ProtectThreads)
-	case c.Workers < 0:
-		return fmt.Errorf("config: worker count %d must not be negative (0 or 1 = sequential)",
-			c.Workers)
 	case c.SampleEvery < 0:
 		return fmt.Errorf("config: sample period %d must not be negative (0 = sampling off)",
 			c.SampleEvery)

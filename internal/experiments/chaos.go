@@ -65,9 +65,6 @@ func Chaos(opt Options) (*Result, error) {
 				cfg.Scheme = scheme
 				cfg.DemandPaging = true
 				cfg.Scheduler.Enabled = true
-				if opt.Workers > 1 {
-					cfg.Workers = opt.Workers
-				}
 				if opt.SampleEvery > 0 {
 					cfg.SampleEvery = opt.SampleEvery
 				}

@@ -34,11 +34,6 @@ type Options struct {
 	Benchmarks []string
 	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
 	Parallelism int
-	// Workers is the tick-phase worker-goroutine count inside each
-	// simulation (config.Config.Workers; 0 or 1 = sequential). Results
-	// are bit-identical at any worker count, so this is purely a
-	// wall-clock knob; it composes with Parallelism (inter-simulation).
-	Workers int
 	// Progress, when set, receives one line per completed run.
 	Progress func(string)
 	// TraceDir, when set, writes one Chrome trace JSON per simulation
@@ -206,9 +201,6 @@ func buildSpec(opt Options, j runJob) (sim.LaunchSpec, error) {
 // runOne runs one job, attaching a tracer and/or in-flight
 // checkpointing as the options ask.
 func runOne(opt Options, fig string, j runJob) (*sim.Result, error) {
-	if opt.Workers > 1 {
-		j.cfg.Workers = opt.Workers
-	}
 	if opt.SampleEvery > 0 {
 		j.cfg.SampleEvery = opt.SampleEvery
 	}

@@ -118,9 +118,6 @@ func Resilience(opt Options) (*Result, error) {
 					if opt.ExcepMode == excep.ModePreemptible {
 						cfg.Scheme = config.ReplayQueue
 					}
-					if opt.Workers > 1 {
-						cfg.Workers = opt.Workers
-					}
 					cfg.Excep.Flip = excep.FlipConfig{
 						Seed:           base + int64(trial),
 						Rate:           rate,

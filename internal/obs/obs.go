@@ -280,66 +280,6 @@ func (t *Tracer) Emit(sm int, k Kind, warp int32, a, b uint64) {
 	r.n++
 }
 
-// EmitStage is a deferred-emission buffer for the parallel tick phase.
-// Tracer.Emit assigns the global sequence number from a shared counter,
-// so SMs ticking concurrently must not call it directly; each SM
-// instead records its emissions into a private EmitStage, and the main
-// goroutine flushes the stages in SM index order after the barrier.
-// Replaying through Emit in recording order reproduces exactly the
-// sequence numbers a sequential tick sweep would have assigned, which
-// is what keeps trace exports bit-identical across worker counts.
-//
-// An EmitStage belongs to one goroutine at a time (the ticking worker
-// between barriers, the flushing main goroutine otherwise) and does no
-// locking of its own. The buffer is reused across flushes.
-type EmitStage struct {
-	events []stagedEmit
-}
-
-// stagedEmit is one deferred Emit call.
-type stagedEmit struct {
-	a, b uint64
-	warp int32
-	sm   int16
-	kind Kind
-}
-
-// Emit records one deferred Tracer.Emit(sm, k, warp, a, b). The stage
-// does not filter; the flush target's filter applies at flush time, so
-// staging against a nil or disabled tracer is harmless (callers guard
-// with Tracer.Enabled the same way they guard direct emission).
-//
-//simlint:noalloc
-func (st *EmitStage) Emit(sm int, k Kind, warp int32, a, b uint64) {
-	if len(st.events) < cap(st.events) {
-		st.events = st.events[:len(st.events)+1]
-		st.events[len(st.events)-1] = stagedEmit{a, b, warp, int16(sm), k}
-		return
-	}
-	//simlint:ignore noalloc grow path, runs once per high-water mark of staged emissions
-	st.events = append(st.events, stagedEmit{a, b, warp, int16(sm), k})
-}
-
-// Len returns the number of buffered emissions.
-func (st *EmitStage) Len() int { return len(st.events) }
-
-// Cap returns the buffer's retained capacity (its staging high-water
-// mark; nonzero once the stage has ever buffered an emission).
-func (st *EmitStage) Cap() int { return cap(st.events) }
-
-// FlushTo replays the buffered emissions through t.Emit in recording
-// order and resets the stage (retaining capacity). A nil tracer drops
-// everything, exactly as direct emission would.
-//
-//simlint:noalloc
-func (st *EmitStage) FlushTo(t *Tracer) {
-	for i := range st.events {
-		e := &st.events[i]
-		t.Emit(int(e.sm), e.kind, e.warp, e.a, e.b)
-	}
-	st.events = st.events[:0]
-}
-
 // Dropped returns how many events were overwritten across all rings.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {

@@ -94,11 +94,9 @@ func (c *simCore) RestoreState(r *ckpt.Reader) error {
 
 // FingerprintConfig returns the checkpoint config fingerprint of cfg —
 // the value stamped into every checkpoint and used as half of the
-// result-cache key. The worker count and sampling period are excluded:
-// neither ever changes simulation results, so runs differing only in
-// those fields are interchangeable.
+// result-cache key. The sampling period is excluded: it never changes
+// simulation results, so runs differing only in it are interchangeable.
 func FingerprintConfig(cfg config.Config) uint64 {
-	cfg.Workers = 0
 	cfg.SampleEvery = 0
 	return ckpt.Digest([]byte(fmt.Sprintf("%#v", cfg)))
 }

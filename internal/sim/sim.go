@@ -7,6 +7,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gpues/internal/cache"
 	"gpues/internal/chaos"
@@ -126,18 +127,6 @@ type Simulator struct {
 	// idle or done, so quiescent SMs cost nothing per cycle.
 	active []uint64
 
-	// workers is the tick-phase worker count from Config.Workers; with
-	// workers >= 2 StepTo shards the SM tick sweep across that many
-	// goroutines (see parallel.go), bit-identical to sequential.
-	// ledgers and tickRes are the per-SM staging buffers and outcome
-	// slots, allocated on first parallel use and reused across calls.
-	workers int
-	ledgers []sm.Ledger
-	tickRes []uint8
-	// parTicks counts tick phases run through the worker barrier
-	// (diagnostic; see ParallelTicks).
-	parTicks int64
-
 	// reg holds the metrics registry; tracer is the attached event
 	// tracer (nil unless AttachTracer was called).
 	reg    *obs.Registry
@@ -202,7 +191,7 @@ func New(cfg config.Config, spec LaunchSpec) (*Simulator, error) {
 	}
 
 	s := &Simulator{cfg: cfg, spec: spec, q: clock.New(), MaxCycles: DefaultMaxCycles,
-		progressWindow: DefaultProgressWindow, workers: cfg.Workers}
+		progressWindow: DefaultProgressWindow}
 	if cfg.MaxCycles > 0 {
 		s.MaxCycles = cfg.MaxCycles
 	}
@@ -349,12 +338,10 @@ func New(cfg config.Config, spec LaunchSpec) (*Simulator, error) {
 		s.sampler = obs.NewSampler(cfg.SampleEvery, s.reg)
 	}
 	s.nonces = make(map[string]uint64)
-	// Neither the worker count nor the sampling period ever changes
-	// simulation results (the parallel tick phase is bit-identical to
-	// sequential, and the sampler only reads), so both are excluded
-	// from the config fingerprint (see FingerprintConfig): a checkpoint
-	// taken at one worker count or sampling period restores under any
-	// other.
+	// The sampling period never changes simulation results (the
+	// sampler only reads), so it is excluded from the config
+	// fingerprint (see FingerprintConfig): a checkpoint taken at one
+	// sampling period restores under any other.
 	s.cfgFP = FingerprintConfig(cfg)
 	s.specFP = FingerprintSpec(spec)
 	return s, nil
@@ -495,16 +482,6 @@ func (s *Simulator) Start() error {
 // simulator reaches via StepTo(C) — the foundation of restore
 // verification and divergence bisection.
 func (s *Simulator) StepTo(stop int64) (bool, error) {
-	// With Workers >= 2 and an isolated tick path, shard the tick sweep
-	// across worker goroutines for this call (parallel.go); the workers
-	// are parked at a barrier except during the tick phase and stopped
-	// before return. A nil pool means the sequential sweep below — the
-	// two produce bit-identical state.
-	pool := s.newShardPool()
-	if pool != nil {
-		pool.launch()
-		defer pool.stop()
-	}
 	for !s.finished() {
 		now := s.q.Now()
 		s.applyPerturbs(now)
@@ -538,18 +515,12 @@ func (s *Simulator) StepTo(stop int64) (bool, error) {
 		// over-approximate (a woken SM can be done), so each set bit
 		// re-checks the old scan's !Done && !Idle condition; SMs that
 		// fail it drop out of the set until their next wake.
-		var anyActive bool
-		if pool != nil {
-			anyActive = pool.tick()
-		} else {
-			anyActive = s.tickSequential()
-		}
+		anyActive := s.tickSequential()
 		if err := s.firstError(); err != nil {
 			return false, err
 		}
-		// Telemetry fires here — after the tick phase and, for parallel
-		// runs, after the ordered ledger flush — so samples observe
-		// exactly the sequential sweep's state at this cycle.
+		// Telemetry fires here, after the tick phase and before the
+		// drain, so samples observe the tick sweep's state at this cycle.
 		s.maybeTelemetry(now)
 		if s.finished() {
 			break
@@ -565,6 +536,29 @@ func (s *Simulator) StepTo(stop int64) (bool, error) {
 		}
 	}
 	return false, nil
+}
+
+// tickSequential sweeps the active SMs in index order and reports
+// whether any of them ticked.
+func (s *Simulator) tickSequential() bool {
+	anyActive := false
+	for w, word := range s.active {
+		for word != 0 {
+			bit := bits.TrailingZeros64(word)
+			word &^= 1 << uint(bit)
+			m := s.sms[w<<6+bit]
+			if m.Done() || m.Idle() {
+				s.active[w] &^= 1 << uint(bit)
+				continue
+			}
+			m.Tick()
+			anyActive = true
+			if m.Done() || m.Idle() {
+				s.active[w] &^= 1 << uint(bit)
+			}
+		}
+	}
+	return anyActive
 }
 
 // Run simulates the launch to completion and returns the result.

@@ -72,11 +72,9 @@ func (s *Simulator) SetTelemetrySink(sink TelemetrySink, every int64) {
 }
 
 // maybeTelemetry is the per-cycle telemetry hook. It runs in the main
-// loop right after the tick phase — for parallel runs, after the
-// barrier and the in-order ledger flush — so every sample and publish
-// observes exactly the state a sequential sweep would have produced;
-// that placement is what keeps sampled series byte-identical across
-// worker counts. Two compares on the idle path.
+// loop right after the tick phase, so every sample and publish
+// observes the state the tick sweep produced at that cycle. Two
+// compares on the idle path.
 func (s *Simulator) maybeTelemetry(now int64) {
 	if s.sampler != nil && now >= s.nextSample {
 		s.sampler.Sample(now)

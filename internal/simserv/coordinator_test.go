@@ -350,7 +350,7 @@ func TestDrainPreemptsAndRejects(t *testing.T) {
 
 	drainErr := make(chan error, 1)
 	go func() { drainErr <- h.coord.Drain(5 * time.Second) }()
-	waitUntil(t, func() bool { return h.coord.Draining() })
+	waitUntil(t, 5*time.Second, func() bool { return h.coord.Draining() })
 
 	// Draining: no new work in, no new claims out.
 	_, err := h.cl.Submit(SubmitRequest{ID: "late", Spec: specSgemm})
@@ -457,12 +457,13 @@ func TestFabricMetricsPublishedToSink(t *testing.T) {
 	}
 }
 
-func waitUntil(t *testing.T, cond func() bool) {
+// waitUntil polls cond until it holds, failing the test after timeout.
+func waitUntil(t *testing.T, timeout time.Duration, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(timeout)
 	for !cond() {
 		if time.Now().After(deadline) {
-			t.Fatal("condition not reached in 5s")
+			t.Fatalf("condition not reached in %v", timeout)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -480,10 +481,12 @@ func TestWorkerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	start := time.Now()
 	ref, err := sim.RunSpec(cfg, lspec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	refWall := time.Since(start)
 
 	h := newHarness(t, func(o *Options) { o.Now = nil }) // real clock: the worker renews on wall time
 	w := &Worker{
@@ -498,7 +501,10 @@ func TestWorkerEndToEnd(t *testing.T) {
 	go w.Run(ctx) //nolint:errcheck // returns nil on cancel
 
 	resp := h.submit(t, SubmitRequest{Spec: specSgemm})
-	waitUntil(t, func() bool {
+	// The fabric runs the same simulation, sliced and checkpointed, so
+	// it takes about as long as the reference run did on this machine
+	// under these build flags (-race slows both about tenfold).
+	waitUntil(t, 5*refWall, func() bool {
 		st, err := h.cl.Job(resp.ID)
 		return err == nil && st.State == "done"
 	})

@@ -196,12 +196,6 @@ type SM struct {
 	// nil tracer costs one branch per emission site.
 	//simlint:ckptskip tracer wiring; trace emission is observability, not simulation state
 	tr *obs.Tracer
-	// led, while non-nil (inside TickStaged only), redirects the tick
-	// path's shared-state side effects — clock schedules, trace
-	// emissions, histogram samples — into the ledger for an ordered
-	// post-barrier flush; see ledger.go.
-	//simlint:ckptskip transient, non-nil only inside TickStaged; checkpoints are never taken mid-tick
-	led *Ledger
 	// met holds the shared aggregate instruments the simulator passes
 	// in; its pointers are nil-safe, so observations run unconditionally.
 	//simlint:ckptskip wiring to shared instruments; the obs registry checkpoints them as its own section
@@ -219,12 +213,7 @@ type Metrics struct {
 	LogOcc *obs.Histogram
 }
 
-// event fires the OnEvent hook. Shard-pure by runtime gating, not by
-// staging: sim.Run's TickIsolated check refuses the parallel tick phase
-// while any OnEvent hook is installed, so during TickStaged this body
-// is a no-op.
-//
-//simlint:shardsafe
+// event fires the OnEvent hook.
 func (s *SM) event(kind string, w *warpRT, tIdx int32) {
 	if s.OnEvent != nil {
 		s.OnEvent(kind, w.idx, tIdx, s.q.Now())
@@ -248,64 +237,17 @@ func (s *SM) warpID(w *warpRT) int32 {
 func (s *SM) blockTID(b *blockRT) int32 { return int32(b.id * s.warpsPerBlock) }
 
 // trace emits one pipeline-shaped event (A=trace index, B=block id).
-// During a staged tick the emission is buffered in the ledger instead,
-// preserving per-SM order; the Enabled pre-check keeps the staged path
-// from buffering events the tracer's filter would drop anyway.
-//
-//simlint:shardsafe
 func (s *SM) trace(k obs.Kind, w *warpRT, tIdx int32) {
 	if s.tr == nil {
-		return
-	}
-	if s.led != nil {
-		if s.tr.Enabled(k) {
-			s.led.Trace.Emit(s.ID, k, s.warpID(w), uint64(tIdx), uint64(w.block.id))
-		}
 		return
 	}
 	s.tr.Emit(s.ID, k, s.warpID(w), uint64(tIdx), uint64(w.block.id))
 }
 
-// schedule books an event callback after d cycles. During a staged
-// tick the booking is buffered in the ledger (FlushLedger replays it
-// onto the shared queue in SM index order); otherwise it goes straight
-// to the queue.
-//
-//simlint:shardsafe
-func (s *SM) schedule(d int64, fn func()) {
-	if s.led != nil {
-		s.led.Events.After(d, fn)
-		return
-	}
-	s.q.After(d, fn)
-}
-
-// observeLogOcc samples the operand-log occupancy histogram. During a
-// staged tick the sample is buffered in the ledger; otherwise it is
-// observed directly.
-//
-//simlint:shardsafe
-func (s *SM) observeLogOcc(v int64) {
-	if s.led != nil {
-		s.led.observeLogOcc(v)
-		return
-	}
-	s.met.LogOcc.Observe(v)
-}
-
-// stall counts one issue-stage stall occurrence and traces it. Like
-// trace, a staged tick buffers the emission in the ledger.
-//
-//simlint:shardsafe
+// stall counts one issue-stage stall occurrence and traces it.
 func (s *SM) stall(w *warpRT, f *flight, r obs.StallReason) {
 	s.stats.Stalls[r]++
 	if s.tr == nil {
-		return
-	}
-	if s.led != nil {
-		if s.tr.Enabled(obs.KStall) {
-			s.led.Trace.Emit(s.ID, obs.KStall, s.warpID(w), uint64(r), uint64(f.tIdx))
-		}
 		return
 	}
 	s.tr.Emit(s.ID, obs.KStall, s.warpID(w), uint64(r), uint64(f.tIdx))
@@ -526,13 +468,6 @@ func (s *SM) SetWakeHook(h func()) { s.onWake = h }
 
 // wake marks the SM runnable; every event callback that changes SM
 // state calls it.
-//
-// Shard-pure as a boundary: wake only does work on the idle→awake
-// transition, and a ticking SM is by definition not idle — during
-// TickStaged the body is a no-op, so the onWake callback into the run
-// loop's active set fires only from the single-threaded drain phase.
-//
-//simlint:shardsafe
 func (s *SM) wake() {
 	if s.idle {
 		s.idle = false
@@ -749,7 +684,7 @@ issueLoop:
 					continue
 				}
 				w.block.logUsed += logNeed
-				s.observeLogOcc(int64(w.block.logUsed))
+				s.met.LogOcc.Observe(int64(w.block.logUsed))
 			}
 			f.logHeld = logNeed
 		}
@@ -779,7 +714,7 @@ issueLoop:
 		s.stats.Issued++
 		s.event("issue", w, f.tIdx)
 		s.trace(obs.KIssue, w, f.tIdx)
-		s.schedule(1, f.opReadFn)
+		s.q.After(1, f.opReadFn)
 		budget--
 		unitBudget[unit]--
 		warpsLeft--
@@ -800,15 +735,6 @@ func logEntriesFor(in *isa.Instruction) int {
 // scoreboards are released here in the baseline, warp-disable and
 // operand-log schemes; the replay-queue scheme defers the release of
 // global memory sources to the last TLB check (Section 3.2).
-//
-// Shard-pure as a boundary, not by staging: opRead runs only as an
-// event callback (scheduled via s.schedule from doIssue), so it
-// executes in the single-threaded drain phase, never inside a
-// concurrent TickStaged. The static call graph cannot see that the
-// closure referencing it is deferred, so the boundary is asserted
-// here.
-//
-//simlint:shardsafe
 func (s *SM) opRead(f *flight) {
 	w := f.w
 	if !(s.cfg.Scheme == config.ReplayQueue && f.global()) {
@@ -881,13 +807,6 @@ func (s *SM) clearFetchBlock(w *warpRT) {
 
 // commit retires an instruction: scoreboard release, fetch unblocking,
 // warp/block completion checks, and drain progress for block switching.
-//
-// Shard-pure as a boundary, not by staging: commit runs only as an
-// event callback (commitFn, scheduled from event-time stages), so it
-// executes in the single-threaded drain phase, never inside a
-// concurrent TickStaged.
-//
-//simlint:shardsafe
 func (s *SM) commit(f *flight) {
 	if f.committed || f.squashed {
 		return
