@@ -5,9 +5,9 @@
 //
 //	gpusim -workload sgemm
 //	gpusim -workload lbm -scheme replay-queue
-//	gpusim -workload stencil -paging -switching -link pcie
+//	gpusim -workload stencil -scheme replay-queue -paging -switching -link pcie
 //	gpusim -workload halloc-spree -lazy -local
-//	gpusim -workload stencil -paging -switching -trace run.trace.json -trace-filter fault,switch,migrate,replay
+//	gpusim -workload stencil -scheme replay-queue -paging -switching -trace run.trace.json -trace-filter fault,switch,migrate,replay
 //	gpusim -workload sgemm -metrics metrics.csv
 //	gpusim -list
 package main
@@ -18,30 +18,19 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	"gpues"
 	"gpues/internal/obsrv"
 	"gpues/internal/prof"
+	"gpues/internal/runspec"
 )
 
 func main() {
+	js := runspec.Bind(flag.CommandLine)
 	var (
 		list      = flag.Bool("list", false, "list available workloads and exit")
-		workload  = flag.String("workload", "sgemm", "workload to run (see -list)")
-		schemeStr = flag.String("scheme", "baseline", "pipeline scheme: baseline, wd-commit, wd-lastcheck, replay-queue, operand-log")
-		scale     = flag.Int("scale", 1, "dataset scale factor")
-		linkStr   = flag.String("link", "nvlink", "CPU-GPU interconnect: nvlink or pcie")
-		paging    = flag.Bool("paging", false, "start data in CPU memory (on-demand paging)")
-		lazy      = flag.Bool("lazy", false, "leave output/heap pages unallocated (lazy allocation)")
-		switching = flag.Bool("switching", false, "enable thread block switching on fault (use case 1)")
-		local     = flag.Bool("local", false, "handle allocation-only faults on the GPU (use case 2)")
-		logKB     = flag.Int("log-kb", 16, "operand log size in KB (operand-log scheme)")
-		maxCycles = flag.Int64("max-cycles", 0, "abort with a stall report after this many cycles (0 = default)")
-		chaosLvl  = flag.Int("chaos-level", 0, "fault-injection level: 0 none, 1 timing noise, 2 transient faults, 3 fault storm")
-		chaosSeed = flag.Int64("chaos-seed", 1, "fault-injection RNG seed (with -chaos-level)")
 		verbose   = flag.Bool("v", false, "print per-SM statistics")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file after the run")
@@ -52,12 +41,6 @@ func main() {
 		ckptDir   = flag.String("checkpoint-dir", "", "directory for periodic and stall checkpoints")
 		resume    = flag.String("resume", "", "resume from a checkpoint file, or from the latest checkpoint in a directory")
 		digestAt  = flag.Int64("digest-at", 0, "run to this cycle (-1 = completion), print per-component state digests as JSON, and exit (the simbisect probe)")
-		perturbFl = flag.String("perturb", "", "comma-separated cycle:component artificial state divergences (for exercising simbisect; see docs/checkpointing.md)")
-		excepMode = flag.String("exception-mode", "precise", "device exception delivery: precise (drain and kill the faulting warp) or preemptible (squash the block via context save)")
-		flipSeed  = flag.Int64("flip-seed", 0, "bit-flip injection seed (with -flip-rate)")
-		flipRate  = flag.Float64("flip-rate", 0, "per-lane-instruction bit-flip probability in [0,1] (0 = off)")
-		protectN  = flag.Int("protect-threads", 0, "shield the first N threads of every block from bit flips")
-		sampleEv  = flag.Int64("sample-every", 0, "sample every registered metric into the telemetry series every N cycles (0 = off)")
 		seriesFn  = flag.String("series", "", "write the sampled telemetry series to this file (.csv for CSV, otherwise NDJSON); needs -sample-every")
 		httpAddr  = flag.String("http", "", "serve live introspection (/status, /metrics, /series, /trace/last, pprof) on this host:port")
 		httpWait  = flag.Duration("http-linger", 0, "keep the -http server up this long after the run completes")
@@ -71,55 +54,33 @@ func main() {
 	})
 
 	// Validate flag values up front, before any simulation work: a bad
-	// value must fail fast with a clear message, not be silently ignored.
-	if *chaosLvl < 0 || *chaosLvl > 3 {
-		fmt.Fprintf(os.Stderr, "-chaos-level %d out of range [0,3]\n", *chaosLvl)
+	// value must fail fast with exit 2, not be silently ignored. The
+	// model axes are checked by runspec's Build below; these are the
+	// output and observability flags only gpusim has.
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, format+"\n", args...)
 		os.Exit(2)
 	}
-	if *traceFlt != "" {
-		if _, err := gpues.ParseTraceFilter(*traceFlt); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	}
-	mode, err := gpues.ParseExcepMode(*excepMode)
+	traceMask, err := gpues.ParseTraceFilter(*traceFlt)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		usage("%v", err)
 	}
-	if *flipRate < 0 || *flipRate > 1 {
-		fmt.Fprintf(os.Stderr, "-flip-rate %v outside [0,1]\n", *flipRate)
-		os.Exit(2)
-	}
-	if *protectN < 0 {
-		fmt.Fprintf(os.Stderr, "-protect-threads %d must be non-negative\n", *protectN)
-		os.Exit(2)
-	}
-	if *flipSeed != 0 && *flipRate == 0 {
-		fmt.Fprintln(os.Stderr, "-flip-seed needs -flip-rate > 0")
-		os.Exit(2)
-	}
-	if *sampleEv < 0 {
-		fmt.Fprintf(os.Stderr, "-sample-every %d must be non-negative (0 = sampling off)\n", *sampleEv)
-		os.Exit(2)
-	}
-	if *seriesFn != "" && *sampleEv == 0 {
-		fmt.Fprintln(os.Stderr, "-series needs -sample-every > 0")
-		os.Exit(2)
+	if *seriesFn != "" && js.SampleEvery == 0 {
+		usage("-series needs -sample-every > 0")
 	}
 	if *httpAddr != "" {
 		if err := obsrv.ValidateAddr(*httpAddr); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			usage("%v", err)
 		}
 	}
 	if *httpWait != 0 && *httpAddr == "" {
-		fmt.Fprintln(os.Stderr, "-http-linger needs -http")
-		os.Exit(2)
+		usage("-http-linger needs -http")
 	}
 	if *httpWait < 0 {
-		fmt.Fprintf(os.Stderr, "-http-linger %v must be non-negative\n", *httpWait)
-		os.Exit(2)
+		usage("-http-linger %v must be non-negative", *httpWait)
+	}
+	if js.ChaosLevel > 0 && js.Perturb != "" && !digestMode {
+		usage("-perturb needs -digest-at or a chaos-free run")
 	}
 
 	if *list {
@@ -133,71 +94,13 @@ func main() {
 		return
 	}
 
-	cfg := gpues.DefaultConfig()
-	switch *schemeStr {
-	case "baseline":
-		cfg.Scheme = gpues.Baseline
-	case "wd-commit":
-		cfg.Scheme = gpues.WarpDisableCommit
-	case "wd-lastcheck":
-		cfg.Scheme = gpues.WarpDisableLastCheck
-	case "replay-queue":
-		cfg.Scheme = gpues.ReplayQueue
-	case "operand-log":
-		cfg.Scheme = gpues.OperandLog
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scheme %q\n", *schemeStr)
-		os.Exit(2)
-	}
-	switch *linkStr {
-	case "nvlink":
-		cfg.Link = gpues.NVLinkConfig()
-	case "pcie":
-		cfg.Link = gpues.PCIeConfig()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown link %q\n", *linkStr)
-		os.Exit(2)
-	}
-	cfg.SM.OperandLog.SizeKB = *logKB
-	cfg.MaxCycles = *maxCycles
-	cfg.SampleEvery = *sampleEv
-	cfg.DemandPaging = *paging
-	cfg.Scheduler.Enabled = *switching
-	cfg.Local.Enabled = *local
-	cfg.Excep.Mode = mode
-	cfg.Excep.Flip = gpues.FlipConfig{Seed: *flipSeed, Rate: *flipRate, ProtectThreads: *protectN}
-
-	place := gpues.ResidentPlacement()
-	switch {
-	case *paging && *lazy:
-		fmt.Fprintln(os.Stderr, "-paging and -lazy are mutually exclusive")
-		os.Exit(2)
-	case *paging:
-		place = gpues.DemandPagingPlacement()
-	case *lazy:
-		place = gpues.LazyOutputPlacement()
-	}
-	if (*switching || cfg.DemandPaging || *lazy) && cfg.Scheme == gpues.Baseline {
-		// Preemption requires a preemptible pipeline; warn but allow the
-		// stall-on-fault baseline for comparison runs.
-		if *switching {
-			fmt.Fprintln(os.Stderr, "note: block switching needs a preemptible scheme; using replay-queue")
-			cfg.Scheme = gpues.ReplayQueue
-		}
-	}
-	if mode == gpues.ExcepPreemptible && !cfg.Scheme.Preemptible() {
-		fmt.Fprintln(os.Stderr, "-exception-mode preemptible needs a preemptible scheme (see -scheme)")
-		os.Exit(2)
-	}
-
-	spec, err := gpues.BuildWorkload(*workload, gpues.WorkloadParams{Scale: *scale, Placement: place})
+	cfg, spec, err := js.Build()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		usage("%v", err)
 	}
 
 	if digestMode {
-		if err := runDigestProbe(cfg, spec, *digestAt, *chaosLvl, *chaosSeed, *perturbFl); err != nil {
+		if err := runDigestProbe(cfg, spec, js, *digestAt); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -208,12 +111,7 @@ func main() {
 	// path (the trace of a failed run is the most valuable one).
 	var tracer *gpues.Tracer
 	if *traceOut != "" {
-		mask, err := gpues.ParseTraceFilter(*traceFlt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		tracer = gpues.NewTracer(gpues.TracerOptions{Filter: mask})
+		tracer = gpues.NewTracer(gpues.TracerOptions{Filter: traceMask})
 	}
 	writeTrace := func() {
 		if tracer == nil {
@@ -253,16 +151,8 @@ func main() {
 		os.Exit(1)
 	}
 	var res *gpues.Result
-	if *chaosLvl > 0 {
-		if *perturbFl != "" {
-			fmt.Fprintln(os.Stderr, "-perturb needs -digest-at or a chaos-free run")
-			os.Exit(2)
-		}
-		plan, err := gpues.ChaosPlanForLevel(*chaosLvl, *chaosSeed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+	if js.ChaosLevel > 0 {
+		plan, _ := js.ChaosPlan() // checked by Build
 		opt := gpues.ChaosRunOptions{
 			Tracer:          tracer,
 			CheckpointEvery: *ckptEvery,
@@ -282,7 +172,7 @@ func main() {
 			os.Exit(1)
 		}
 		res = cr.Result
-		fmt.Printf("chaos         level %d seed %d: %s\n", *chaosLvl, *chaosSeed, cr.Summary)
+		fmt.Printf("chaos         level %d seed %d: %s\n", js.ChaosLevel, js.ChaosSeed, cr.Summary)
 		fmt.Printf("fingerprint   %#016x (%d events, %d walk faults injected)\n",
 			cr.Fingerprint, len(cr.Events), res.InjectedFaults)
 		if cr.OracleOK() {
@@ -306,9 +196,8 @@ func main() {
 		if srv != nil {
 			s.SetTelemetrySink(srv, 0)
 		}
-		if err := applyPerturbs(s, *perturbFl); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+		if err := js.Attach(s); err != nil {
+			usage("%v", err)
 		}
 		if *resume != "" {
 			path, err := gpues.ResolveCheckpoint(*resume)
@@ -350,14 +239,14 @@ func main() {
 	}
 
 	fmt.Printf("workload      %s (scale %d, %d blocks of %d threads)\n",
-		*workload, *scale, spec.Launch.Blocks(), spec.Launch.ThreadsPerBlock())
+		js.Benchmark, js.Scale, spec.Launch.Blocks(), spec.Launch.ThreadsPerBlock())
 	fmt.Printf("scheme        %v, link %v\n", cfg.Scheme, cfg.Link.Kind)
 	fmt.Printf("cycles        %d (%.1f us at %.0f GHz)\n",
 		res.Cycles, float64(res.Cycles)/1000/cfg.System.FrequencyGHz, cfg.System.FrequencyGHz)
 	fmt.Printf("committed     %d warp instructions, IPC %.2f\n", res.Committed, res.IPC())
 	if res.Flips > 0 {
 		fmt.Printf("flips         %d architectural bit flips injected (seed %d, rate %g)\n",
-			res.Flips, *flipSeed, *flipRate)
+			res.Flips, js.Flip.Seed, js.Flip.Rate)
 	}
 	fmt.Printf("occupancy     %d-%d blocks/SM (mean %.1f)\n",
 		res.OccupancyMin, res.Occupancy, res.OccupancyMean)
@@ -434,44 +323,15 @@ func exitOnExcep(err error, flush func()) {
 	os.Exit(3)
 }
 
-// applyPerturbs parses a comma-separated cycle:component list and
-// registers each as an artificial state divergence.
-func applyPerturbs(s *gpues.Simulator, spec string) error {
-	if spec == "" {
-		return nil
-	}
-	for _, item := range strings.Split(spec, ",") {
-		cycleStr, comp, ok := strings.Cut(item, ":")
-		if !ok {
-			return fmt.Errorf("-perturb %q is not cycle:component", item)
-		}
-		cycle, err := strconv.ParseInt(cycleStr, 10, 64)
-		if err != nil || cycle < 0 {
-			return fmt.Errorf("-perturb cycle %q must be a non-negative integer", cycleStr)
-		}
-		if err := s.InjectDivergence(cycle, comp); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // runDigestProbe runs the configured launch to the requested cycle and
 // prints the per-component state digests as one JSON object — the
 // probe protocol simbisect's -exec-a/-exec-b mode speaks.
-func runDigestProbe(cfg gpues.Config, spec gpues.LaunchSpec, at int64, chaosLvl int, chaosSeed int64, perturbs string) error {
+func runDigestProbe(cfg gpues.Config, spec gpues.LaunchSpec, js *runspec.JobSpec, at int64) error {
 	s, err := gpues.NewSimulator(cfg, spec)
 	if err != nil {
 		return err
 	}
-	if chaosLvl > 0 {
-		plan, err := gpues.ChaosPlanForLevel(chaosLvl, chaosSeed)
-		if err != nil {
-			return err
-		}
-		s.AttachChaos(plan)
-	}
-	if err := applyPerturbs(s, perturbs); err != nil {
+	if err := js.Attach(s); err != nil {
 		return err
 	}
 	if err := s.Start(); err != nil {

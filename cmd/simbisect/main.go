@@ -3,9 +3,12 @@
 // runs execute the same workload; each side is either an in-process
 // variant described by -a/-b key=value overrides, or an external
 // gpusim-compatible command (-exec-a/-exec-b) probed via its
-// -digest-at flag. Because the simulator is deterministic, state
-// digests disagree from the first divergent cycle onward, so a binary
-// search over replays pinpoints it in O(log N) probes.
+// -digest-at flag. The override keys are gpusim's own flag names, so
+// -b scheme=replay-queue,paging=true and -exec-b "gpusim -scheme
+// replay-queue -paging" describe the same run. Because the simulator
+// is deterministic, state digests disagree from the first divergent
+// cycle onward, so a binary search over replays pinpoints it in
+// O(log N) probes.
 //
 // Examples:
 //
@@ -19,22 +22,18 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"gpues/internal/bisect"
-	"gpues/internal/chaos"
-	"gpues/internal/config"
 	"gpues/internal/obs"
-	"gpues/internal/sim"
-	"gpues/internal/workloads"
+	"gpues/internal/runspec"
 )
 
 func main() {
 	var (
 		workload = flag.String("workload", "sgemm", "workload both runs execute")
 		scale    = flag.Int("scale", 1, "dataset scale factor")
-		aSpec    = flag.String("a", "", "run A overrides: comma-separated key=value (scheme, link, paging, lazy, switching, local, log-kb, chaos-level, chaos-seed, perturb=cycle:component)")
+		aSpec    = flag.String("a", "", "run A overrides: comma-separated key=value, each key a gpusim flag name (scheme, link, paging, lazy, switching, local, log-kb, chaos-level, chaos-seed, perturb=cycle:component, ...)")
 		bSpec    = flag.String("b", "", "run B overrides, same syntax as -a")
 		execA    = flag.String("exec-a", "", "probe run A via this gpusim command line instead of in-process")
 		execB    = flag.String("exec-b", "", "probe run B via this gpusim command line instead of in-process")
@@ -61,16 +60,14 @@ func main() {
 		}
 	}
 
-	var vb *variant
 	runnerA, _, err := makeRunner(*execA, *aSpec, *workload, *scale)
 	if err != nil {
 		fatal(fmt.Errorf("run A: %w", err))
 	}
-	runnerB, vbTmp, err := makeRunner(*execB, *bSpec, *workload, *scale)
+	runnerB, specB, err := makeRunner(*execB, *bSpec, *workload, *scale)
 	if err != nil {
 		fatal(fmt.Errorf("run B: %w", err))
 	}
-	vb = vbTmp
 
 	rep, err := bisect.FirstDivergence(runnerA, runnerB, lower, *hi)
 	if err != nil {
@@ -83,8 +80,8 @@ func main() {
 	fmt.Printf("  run A stopped at cycle %d (done=%v), run B at %d (done=%v)\n",
 		rep.A.Cycle, rep.A.Done, rep.B.Cycle, rep.B.Done)
 
-	if *window > 0 && vb != nil {
-		if err := printTraceWindow(vb, *workload, *scale, rep.FirstCycle, *window); err != nil {
+	if *window > 0 && specB != nil {
+		if err := printTraceWindow(specB, rep.FirstCycle, *window); err != nil {
 			fmt.Fprintf(os.Stderr, "trace window: %v\n", err)
 		}
 	}
@@ -96,194 +93,39 @@ func fatal(err error) {
 	os.Exit(2)
 }
 
-// variant is one in-process run configuration.
-type variant struct {
-	cfg        config.Config
-	place      workloads.Placement
-	chaosLevel int
-	chaosSeed  int64
-	perturbs   []perturb
-}
-
-type perturb struct {
-	cycle     int64
-	component string
-}
-
 // makeRunner builds one side's Runner: an ExecRunner when execCmd is
-// set, otherwise an in-process SimRunner from the override spec. The
-// returned variant is non-nil only for in-process runs.
-func makeRunner(execCmd, spec, workload string, scale int) (bisect.Runner, *variant, error) {
+// set, otherwise an in-process SimRunner whose spec is gpusim's
+// defaults with the workload, scale and key=value overrides applied.
+// The returned spec is non-nil only for in-process runs.
+func makeRunner(execCmd, overrides, workload string, scale int) (bisect.Runner, *runspec.JobSpec, error) {
 	if execCmd != "" {
-		if spec != "" {
+		if overrides != "" {
 			return nil, nil, fmt.Errorf("-exec-* and in-process overrides are mutually exclusive")
 		}
 		return bisect.ExecRunner{Argv: strings.Fields(execCmd)}, nil, nil
 	}
-	v, err := parseVariant(spec)
-	if err != nil {
+	fs := flag.NewFlagSet("overrides", flag.ContinueOnError)
+	js := runspec.Bind(fs)
+	js.Benchmark, js.Scale = workload, scale
+	if err := runspec.SetItems(fs, overrides); err != nil {
 		return nil, nil, err
 	}
-	return bisect.SimRunner{Build: v.build(workload, scale)}, v, nil
-}
-
-// parseVariant applies comma-separated key=value overrides to the
-// default configuration.
-func parseVariant(spec string) (*variant, error) {
-	v := &variant{cfg: config.Default(), place: workloads.Resident(), chaosSeed: 1}
-	if spec == "" {
-		return v, nil
+	if _, _, err := js.Build(); err != nil {
+		return nil, nil, err
 	}
-	for _, item := range strings.Split(spec, ",") {
-		key, val, ok := strings.Cut(item, "=")
-		if !ok {
-			return nil, fmt.Errorf("override %q is not key=value", item)
-		}
-		if err := v.apply(key, val); err != nil {
-			return nil, err
-		}
-	}
-	return v, nil
-}
-
-func (v *variant) apply(key, val string) error {
-	switch key {
-	case "scheme":
-		s, err := parseScheme(val)
-		if err != nil {
-			return err
-		}
-		v.cfg.Scheme = s
-	case "link":
-		switch val {
-		case "nvlink":
-			v.cfg.Link = config.NVLinkConfig()
-		case "pcie":
-			v.cfg.Link = config.PCIeConfig()
-		default:
-			return fmt.Errorf("unknown link %q", val)
-		}
-	case "paging":
-		b, err := strconv.ParseBool(val)
-		if err != nil {
-			return fmt.Errorf("paging: %v", err)
-		}
-		v.cfg.DemandPaging = b
-		if b {
-			v.place = workloads.DemandPaging()
-		}
-	case "lazy":
-		b, err := strconv.ParseBool(val)
-		if err != nil {
-			return fmt.Errorf("lazy: %v", err)
-		}
-		if b {
-			v.place = workloads.LazyOutput()
-		}
-	case "switching":
-		b, err := strconv.ParseBool(val)
-		if err != nil {
-			return fmt.Errorf("switching: %v", err)
-		}
-		v.cfg.Scheduler.Enabled = b
-	case "local":
-		b, err := strconv.ParseBool(val)
-		if err != nil {
-			return fmt.Errorf("local: %v", err)
-		}
-		v.cfg.Local.Enabled = b
-	case "log-kb":
-		n, err := strconv.Atoi(val)
-		if err != nil {
-			return fmt.Errorf("log-kb: %v", err)
-		}
-		v.cfg.SM.OperandLog.SizeKB = n
-	case "chaos-level":
-		n, err := strconv.Atoi(val)
-		if err != nil || n < 0 || n > 3 {
-			return fmt.Errorf("chaos-level %q must be an integer in [0,3]", val)
-		}
-		v.chaosLevel = n
-	case "chaos-seed":
-		n, err := strconv.ParseInt(val, 10, 64)
-		if err != nil {
-			return fmt.Errorf("chaos-seed: %v", err)
-		}
-		v.chaosSeed = n
-	case "perturb":
-		cycleStr, comp, ok := strings.Cut(val, ":")
-		if !ok {
-			return fmt.Errorf("perturb %q is not cycle:component", val)
-		}
-		cycle, err := strconv.ParseInt(cycleStr, 10, 64)
-		if err != nil || cycle < 0 {
-			return fmt.Errorf("perturb cycle %q must be a non-negative integer", cycleStr)
-		}
-		v.perturbs = append(v.perturbs, perturb{cycle: cycle, component: comp})
-	default:
-		return fmt.Errorf("unknown override key %q", key)
-	}
-	return nil
-}
-
-func parseScheme(s string) (config.Scheme, error) {
-	switch s {
-	case "baseline":
-		return config.Baseline, nil
-	case "wd-commit":
-		return config.WarpDisableCommit, nil
-	case "wd-lastcheck":
-		return config.WarpDisableLastCheck, nil
-	case "replay-queue":
-		return config.ReplayQueue, nil
-	case "operand-log":
-		return config.OperandLog, nil
-	}
-	return 0, fmt.Errorf("unknown scheme %q", s)
-}
-
-// newSim builds a fresh, fully wired simulator for the variant; tr may
-// be nil.
-func (v *variant) newSim(workload string, scale int, tr *obs.Tracer) (*sim.Simulator, error) {
-	spec, err := workloads.Build(workload, workloads.Params{Scale: scale, Placement: v.place})
-	if err != nil {
-		return nil, err
-	}
-	s, err := sim.New(v.cfg, spec)
-	if err != nil {
-		return nil, err
-	}
-	if v.chaosLevel > 0 {
-		plan, err := chaos.ForLevel(v.chaosLevel, v.chaosSeed)
-		if err != nil {
-			return nil, err
-		}
-		s.AttachChaos(plan)
-	}
-	if tr != nil {
-		s.AttachTracer(tr)
-	}
-	for _, p := range v.perturbs {
-		if err := s.InjectDivergence(p.cycle, p.component); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-func (v *variant) build(workload string, scale int) func() (*sim.Simulator, error) {
-	return func() (*sim.Simulator, error) { return v.newSim(workload, scale, nil) }
+	return bisect.SimRunner{Build: js.NewSim}, js, nil
 }
 
 // printTraceWindow replays run B once more with a flight-recorder
 // tracer to the divergence cycle and prints the trailing events — the
 // activity leading into the first divergent state.
-func printTraceWindow(v *variant, workload string, scale int, cycle int64, n int) error {
+func printTraceWindow(js *runspec.JobSpec, cycle int64, n int) error {
 	tr := obs.New(obs.Options{})
-	s, err := v.newSim(workload, scale, tr)
+	s, err := js.NewSim()
 	if err != nil {
 		return err
 	}
+	s.AttachTracer(tr)
 	if err := s.Start(); err != nil {
 		return err
 	}

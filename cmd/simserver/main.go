@@ -33,10 +33,12 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strings"
 	"syscall"
 	"time"
 
 	"gpues/internal/obsrv"
+	"gpues/internal/runspec"
 	"gpues/internal/simserv"
 	"gpues/internal/simserv/queue"
 )
@@ -65,6 +67,8 @@ type options struct {
 	submit string
 	tenant string
 	wait   bool
+
+	spec runspec.JobSpec // -submit, decoded and checked by validate
 }
 
 // validate enforces the flag contract. It returns the message to
@@ -133,9 +137,13 @@ func (o *options) validate() string {
 		return fmt.Sprintf("-poll %v must be positive", o.poll)
 	}
 	if o.submit != "" {
-		var spec simserv.JobSpec
-		if err := json.Unmarshal([]byte(o.submit), &spec); err != nil {
+		dec := json.NewDecoder(strings.NewReader(o.submit))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&o.spec); err != nil {
 			return fmt.Sprintf("-submit is not a JobSpec JSON document: %v", err)
+		}
+		if _, _, err := o.spec.Build(); err != nil {
+			return fmt.Sprintf("-submit: %v", err)
 		}
 	}
 	if o.wait && o.submit == "" {
@@ -316,13 +324,8 @@ func runWorker(o *options) int {
 }
 
 func runSubmit(o *options) int {
-	var spec simserv.JobSpec
-	if err := json.Unmarshal([]byte(o.submit), &spec); err != nil {
-		fmt.Fprintln(os.Stderr, err) // unreachable after validate; belt and braces
-		return 1
-	}
 	cl := &simserv.Client{Base: o.join}
-	resp, err := cl.Submit(simserv.SubmitRequest{Tenant: o.tenant, Spec: spec})
+	resp, err := cl.Submit(simserv.SubmitRequest{Tenant: o.tenant, Spec: o.spec})
 	if err != nil {
 		if ra := simserv.RetryAfter(err); ra != "" {
 			fmt.Fprintf(os.Stderr, "%v (retry after %ss)\n", err, ra)

@@ -39,6 +39,9 @@ func TestValidateFlags(t *testing.T) {
 		{"zero slice", []string{"-join", "http://x:1", "-slice", "0"}, "-slice"},
 		{"zero poll", []string{"-join", "http://x:1", "-poll", "0s"}, "-poll"},
 		{"submit bad json", []string{"-join", "http://x:1", "-submit", "{"}, "not a JobSpec"},
+		{"submit bad scheme", []string{"-join", "http://x:1", "-submit", `{"benchmark":"sgemm","scheme":"nope"}`}, "unknown scheme"},
+		{"submit misspelled field", []string{"-join", "http://x:1", "-submit", `{"benchmark":"sgemm","schme":"replay-queue"}`}, "unknown field"},
+		{"submit switching on baseline", []string{"-join", "http://x:1", "-submit", `{"benchmark":"sgemm","switching":true}`}, "preemptible scheme"},
 		{"submit ok", []string{"-join", "http://x:1", "-submit", `{"benchmark":"sgemm"}`}, ""},
 		{"wait without submit", []string{"-join", "http://x:1", "-wait"}, "-wait needs -submit"},
 	}

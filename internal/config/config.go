@@ -250,12 +250,6 @@ type Config struct {
 	// DemandPaging starts all data in CPU memory and migrates on fault.
 	// When false, data is pre-placed in GPU memory (explicit transfers).
 	DemandPaging bool
-	// LazyOutput leaves kernel output pages unallocated so first writes
-	// fault (use-case 2, Figure 14).
-	LazyOutput bool
-	// LazyHeap leaves device-heap pages unallocated so first allocator
-	// touches fault (use-case 2, Figure 13).
-	LazyHeap bool
 
 	// SampleEvery, when positive, samples every registered metric into
 	// the in-memory telemetry series each time the main loop crosses a
@@ -419,6 +413,8 @@ func (c *Config) Validate() error {
 	case c.Excep.Mode == excep.ModePreemptible && !c.Scheme.Preemptible():
 		return fmt.Errorf("config: preemptible exception delivery requires a preemptible scheme, not %s",
 			c.Scheme)
+	case c.Scheduler.Enabled && !c.Scheme.Preemptible():
+		return fmt.Errorf("config: block switching requires a preemptible scheme, not %s", c.Scheme)
 	case c.Excep.PollEvery < 0:
 		return fmt.Errorf("config: exception poll period %d must not be negative", c.Excep.PollEvery)
 	case c.Excep.Flip.Rate < 0 || c.Excep.Flip.Rate > 1:
@@ -426,9 +422,14 @@ func (c *Config) Validate() error {
 	case c.Excep.Flip.ProtectThreads < 0:
 		return fmt.Errorf("config: protected thread count %d must not be negative",
 			c.Excep.Flip.ProtectThreads)
+	case c.Excep.Flip.Seed != 0 && c.Excep.Flip.Rate == 0:
+		return fmt.Errorf("config: flip seed %d needs a flip rate above 0", c.Excep.Flip.Seed)
 	case c.SampleEvery < 0:
 		return fmt.Errorf("config: sample period %d must not be negative (0 = sampling off)",
 			c.SampleEvery)
+	case c.MaxCycles < 0:
+		return fmt.Errorf("config: max cycles %d must not be negative (0 = simulator default)",
+			c.MaxCycles)
 	}
 	return nil
 }

@@ -127,6 +127,9 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 			c.Scheme = OperandLog
 			c.SM.OperandLog = OperandLogConfig{SizeKB: 1, EntryBytes: 256}
 		}},
+		{"switching on baseline", func(c *Config) { c.Scheduler.Enabled = true }},
+		{"flip seed without rate", func(c *Config) { c.Excep.Flip.Seed = 3 }},
+		{"negative max cycles", func(c *Config) { c.MaxCycles = -5 }},
 	}
 	for _, m := range mutations {
 		c := Default()

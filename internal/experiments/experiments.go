@@ -558,7 +558,6 @@ func localHandlingFigure(opt Options, id, title string, benches []string) (*Resu
 			cpu := config.Default()
 			cpu.Scheme = config.ReplayQueue
 			cpu.Link = link
-			cpu.LazyOutput = true
 			jobs = append(jobs, runJob{bench: bench, col: lname + "-cpu", cfg: cpu, place: workloads.LazyOutput()})
 
 			gpu := cpu

@@ -1,8 +1,17 @@
+// Package simserv is the simulation-as-a-service job fabric: a
+// coordinator that accepts simulation jobs over HTTP/JSON and hands
+// them to pull-based workers under a claim/lease protocol, with
+// bounded retries, checkpoint-carrying preemption, a fingerprint-keyed
+// result cache, per-tenant admission control, a crash-only journal,
+// and graceful drain. The deterministic queue state machine underneath
+// lives in simserv/queue; this package owns everything with a clock,
+// a socket or a disk.
 package simserv
 
 import (
 	"encoding/json"
 
+	"gpues/internal/runspec"
 	"gpues/internal/simserv/queue"
 )
 
@@ -14,9 +23,9 @@ import (
 type SubmitRequest struct {
 	// ID is the caller's idempotency key; empty lets the coordinator
 	// assign one.
-	ID     string  `json:"id,omitempty"`
-	Tenant string  `json:"tenant,omitempty"`
-	Spec   JobSpec `json:"spec"`
+	ID     string          `json:"id,omitempty"`
+	Tenant string          `json:"tenant,omitempty"`
+	Spec   runspec.JobSpec `json:"spec"`
 }
 
 // SubmitResponse acknowledges a submission. A result-cache hit
@@ -37,9 +46,9 @@ type ClaimRequest struct {
 // when set, is a checkpoint file the worker must resume from instead
 // of starting the simulation from cycle zero. A 204 means no work.
 type ClaimResponse struct {
-	JobID string  `json:"job_id"`
-	Token uint64  `json:"token"`
-	Spec  JobSpec `json:"spec"`
+	JobID string          `json:"job_id"`
+	Token uint64          `json:"token"`
+	Spec  runspec.JobSpec `json:"spec"`
 	// LeaseNS is the lease duration in nanoseconds; the worker must
 	// renew well inside it or the reaper hands the job to someone else.
 	LeaseNS    int64  `json:"lease_ns"`

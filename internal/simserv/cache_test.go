@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"gpues/internal/runspec"
 )
 
 // The result cache is keyed on the simulator's config/spec
@@ -11,18 +13,18 @@ import (
 // entry and any config change misses.
 
 func TestSpecKeyNormalizesSpelling(t *testing.T) {
-	a, err := JobSpec{Benchmark: "sgemm"}.Key()
+	a, err := runspec.JobSpec{Benchmark: "sgemm"}.Key()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := JobSpec{Benchmark: "sgemm", Scale: 1, Scheme: "baseline", Link: "nvlink", Placement: "resident"}.Key()
+	b, err := runspec.JobSpec{Benchmark: "sgemm", Scale: 1, Scheme: "baseline", Link: "nvlink", Placement: "resident"}.Key()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Fatalf("defaulted and explicit spellings differ: %s vs %s", a, b)
 	}
-	for _, mut := range []JobSpec{
+	for _, mut := range []runspec.JobSpec{
 		{Benchmark: "sgemm", Scale: 2},
 		{Benchmark: "sgemm", Scheme: "replay-queue"},
 		{Benchmark: "sgemm", Link: "pcie"},
@@ -57,7 +59,7 @@ func TestCacheHitServesOriginalMetrics(t *testing.T) {
 
 	// Identical spec, different spelling: completes at admission with
 	// the original run's result and metrics, no worker involved.
-	resp := h.submit(t, SubmitRequest{ID: "second", Spec: JobSpec{Benchmark: "sgemm", Scale: 1, Scheme: "baseline"}})
+	resp := h.submit(t, SubmitRequest{ID: "second", Spec: runspec.JobSpec{Benchmark: "sgemm", Scale: 1, Scheme: "baseline"}})
 	if resp.State != "done" || resp.Result == nil {
 		t.Fatalf("cache hit = %+v", resp)
 	}
@@ -73,7 +75,7 @@ func TestCacheHitServesOriginalMetrics(t *testing.T) {
 
 	// A config change invalidates: different scheme misses the cache
 	// and queues for real execution.
-	miss := h.submit(t, SubmitRequest{ID: "third", Spec: JobSpec{Benchmark: "sgemm", Scheme: "replay-queue"}})
+	miss := h.submit(t, SubmitRequest{ID: "third", Spec: runspec.JobSpec{Benchmark: "sgemm", Scheme: "replay-queue"}})
 	if miss.State != "queued" {
 		t.Fatalf("changed config served from cache: %+v", miss)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"gpues/internal/runspec"
 	"gpues/internal/sim"
 	"gpues/internal/simserv/queue"
 )
@@ -67,15 +68,15 @@ func runCampaign(t *testing.T, seed uint64) campaignOutcome {
 	})
 	rng := &campaignRNG{s: seed}
 
-	specA := JobSpec{Benchmark: "sgemm", Scale: 1}
-	specB := JobSpec{Benchmark: "sgemm", Scale: 1, Scheme: "replay-queue"}
-	specC := JobSpec{Benchmark: "mri-q", Scale: 1}
+	specA := runspec.JobSpec{Benchmark: "sgemm", Scale: 1}
+	specB := runspec.JobSpec{Benchmark: "sgemm", Scale: 1, Scheme: "replay-queue"}
+	specC := runspec.JobSpec{Benchmark: "mri-q", Scale: 1}
 	// Doomed: MaxCycles far below completion stalls every attempt.
-	specStall := JobSpec{Benchmark: "sgemm", Scale: 1, MaxCycles: 2000}
+	specStall := runspec.JobSpec{Benchmark: "sgemm", Scale: 1, MaxCycles: 2000}
 
 	submissions := []struct {
 		id   string
-		spec JobSpec
+		spec runspec.JobSpec
 	}{
 		{"job-a1", specA}, {"job-b1", specB}, {"job-c1", specC},
 		{"job-a2", specA}, // coalesces onto job-a1 or hits its cache
@@ -270,7 +271,7 @@ func runCampaign(t *testing.T, seed uint64) campaignOutcome {
 
 	// Verdicts. The doomed job dead-letters carrying its stall report;
 	// everything else completes with bit-identical reference cycles.
-	refs := map[string]JobSpec{
+	refs := map[string]runspec.JobSpec{
 		"job-a1": specA, "job-a2": specA,
 		"job-b1": specB, "job-b2": specB,
 		"job-c1": specC,

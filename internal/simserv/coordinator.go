@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gpues/internal/obs"
+	"gpues/internal/runspec"
 	"gpues/internal/simserv/queue"
 )
 
@@ -330,8 +331,12 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// decode reads a request body into v. Unknown fields are an error, so a
+// misspelled JobSpec axis is rejected instead of silently defaulted.
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}
@@ -467,7 +472,7 @@ func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	var spec JobSpec
+	var spec runspec.JobSpec
 	if err := json.Unmarshal(j.Spec, &spec); err != nil {
 		writeErr(w, http.StatusInternalServerError, "corrupt job spec: %v", err)
 		return

@@ -2,6 +2,7 @@ package simserv
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"gpues/internal/obs"
+	"gpues/internal/runspec"
 	"gpues/internal/sim"
 	"gpues/internal/simserv/queue"
 )
@@ -91,7 +93,7 @@ func (h *harness) submit(t *testing.T, req SubmitRequest) SubmitResponse {
 	return resp
 }
 
-var specSgemm = JobSpec{Benchmark: "sgemm", Scale: 1}
+var specSgemm = runspec.JobSpec{Benchmark: "sgemm", Scale: 1}
 
 func TestSubmitClaimCompleteHTTP(t *testing.T) {
 	h := newHarness(t, nil)
@@ -140,20 +142,29 @@ func TestSubmitClaimCompleteHTTP(t *testing.T) {
 
 func TestUnknownSpecRejectedAtAdmission(t *testing.T) {
 	h := newHarness(t, nil)
-	_, err := h.cl.Submit(SubmitRequest{Spec: JobSpec{Benchmark: "nope"}})
+	_, err := h.cl.Submit(SubmitRequest{Spec: runspec.JobSpec{Benchmark: "nope"}})
 	if !IsStatus(err, http.StatusBadRequest) {
 		t.Fatalf("unknown benchmark: %v, want 400", err)
 	}
-	_, err = h.cl.Submit(SubmitRequest{Spec: JobSpec{Benchmark: "sgemm", Scheme: "bogus"}})
+	_, err = h.cl.Submit(SubmitRequest{Spec: runspec.JobSpec{Benchmark: "sgemm", Scheme: "bogus"}})
 	if !IsStatus(err, http.StatusBadRequest) {
 		t.Fatalf("unknown scheme: %v, want 400", err)
+	}
+	_, err = h.cl.Submit(SubmitRequest{Spec: runspec.JobSpec{Benchmark: "sgemm", Switching: true}})
+	if !IsStatus(err, http.StatusBadRequest) {
+		t.Fatalf("switching on baseline: %v, want 400", err)
+	}
+	// A misspelled axis must not silently run the default.
+	err = h.cl.post("/v1/jobs", json.RawMessage(`{"spec":{"benchmark":"sgemm","schme":"replay-queue"}}`), nil)
+	if !IsStatus(err, http.StatusBadRequest) {
+		t.Fatalf("unknown spec field: %v, want 400", err)
 	}
 }
 
 func TestAdmissionCapReturns429WithRetryAfter(t *testing.T) {
 	h := newHarness(t, func(o *Options) { o.Queue.Cap = 2 })
 	h.submit(t, SubmitRequest{ID: "a", Spec: specSgemm})
-	h.submit(t, SubmitRequest{ID: "b", Spec: JobSpec{Benchmark: "sgemm", Scale: 2}})
+	h.submit(t, SubmitRequest{ID: "b", Spec: runspec.JobSpec{Benchmark: "sgemm", Scale: 2}})
 	_, err := h.cl.Submit(SubmitRequest{ID: "c", Spec: specSgemm})
 	if !IsStatus(err, http.StatusTooManyRequests) {
 		t.Fatalf("over-cap submit: %v, want 429", err)
@@ -261,8 +272,8 @@ func TestCoordinatorRestartRecoversQueue(t *testing.T) {
 	h := newHarness(t, nil)
 	// Three jobs: one completes, one is mid-lease, one never claimed.
 	done := h.submit(t, SubmitRequest{ID: "done-job", Spec: specSgemm})
-	leased := h.submit(t, SubmitRequest{ID: "leased-job", Spec: JobSpec{Benchmark: "sgemm", Scale: 2}})
-	_ = h.submit(t, SubmitRequest{ID: "queued-job", Spec: JobSpec{Benchmark: "mri-q", Scale: 1}})
+	leased := h.submit(t, SubmitRequest{ID: "leased-job", Spec: runspec.JobSpec{Benchmark: "sgemm", Scale: 2}})
+	_ = h.submit(t, SubmitRequest{ID: "queued-job", Spec: runspec.JobSpec{Benchmark: "mri-q", Scale: 1}})
 
 	c1, ok, _ := h.cl.Claim("w1")
 	if !ok || c1.JobID != done.ID {

@@ -114,12 +114,7 @@ func (w *Worker) fail(claim ClaimResponse, err error) {
 }
 
 func (w *Worker) runJob(ctx context.Context, claim ClaimResponse) {
-	cfg, spec, err := claim.Spec.Build()
-	if err != nil {
-		w.fail(claim, err)
-		return
-	}
-	s, err := sim.New(cfg, spec)
+	s, err := claim.Spec.NewSim()
 	if err != nil {
 		w.fail(claim, err)
 		return
