@@ -5,7 +5,7 @@ package comp
 
 import "badmod/internal/ckpt"
 
-// Counter has one field its checkpoint methods forgot.
+// Counter has one field its SaveState forgot.
 type Counter struct {
 	ticks     int64
 	forgotten int64
@@ -14,10 +14,4 @@ type Counter struct {
 // SaveState serializes only ticks; forgotten is the injected gap.
 func (c *Counter) SaveState(w *ckpt.Writer) {
 	w.I64(c.ticks)
-}
-
-// RestoreState mirrors SaveState.
-func (c *Counter) RestoreState(r *ckpt.Reader) error {
-	c.ticks = r.I64()
-	return r.Err()
 }

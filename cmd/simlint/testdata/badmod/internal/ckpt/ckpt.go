@@ -1,5 +1,5 @@
 // Package ckpt is a minimal stand-in for the simulator's checkpoint
-// writer/reader (see cleanmod); here it backs the deliberate defect.
+// writer (see cleanmod); here it backs the deliberate defect.
 package ckpt
 
 // Writer appends typed fields.
@@ -7,22 +7,3 @@ type Writer struct{ fields []int64 }
 
 // I64 appends one field.
 func (w *Writer) I64(v int64) { w.fields = append(w.fields, v) }
-
-// Reader consumes typed fields.
-type Reader struct {
-	fields []int64
-	err    error
-}
-
-// I64 consumes one field.
-func (r *Reader) I64() int64 {
-	if len(r.fields) == 0 {
-		return 0
-	}
-	v := r.fields[0]
-	r.fields = r.fields[1:]
-	return v
-}
-
-// Err reports the first decode failure.
-func (r *Reader) Err() error { return r.err }

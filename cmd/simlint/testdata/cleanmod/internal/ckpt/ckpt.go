@@ -1,5 +1,5 @@
 // Package ckpt is a minimal stand-in for the simulator's checkpoint
-// writer/reader: ckptcomplete matches Saver methods by the parameter
+// writer: ckptcomplete matches Saver methods by the parameter
 // type's "internal/ckpt" package suffix, so the fixture is
 // self-contained.
 package ckpt
@@ -9,22 +9,3 @@ type Writer struct{ fields []int64 }
 
 // I64 appends one field.
 func (w *Writer) I64(v int64) { w.fields = append(w.fields, v) }
-
-// Reader consumes typed fields.
-type Reader struct {
-	fields []int64
-	err    error
-}
-
-// I64 consumes one field.
-func (r *Reader) I64() int64 {
-	if len(r.fields) == 0 {
-		return 0
-	}
-	v := r.fields[0]
-	r.fields = r.fields[1:]
-	return v
-}
-
-// Err reports the first decode failure.
-func (r *Reader) Err() error { return r.err }

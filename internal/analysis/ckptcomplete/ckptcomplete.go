@@ -1,20 +1,20 @@
 // Package ckptcomplete proves checkpoint field coverage at compile
 // time: for every type implementing ckpt.Saver, every struct field must
 // be touched by SaveState (serialized, or structurally summarized for
-// the digest) and symmetrically touched by RestoreState — or carry an
-// explicit //simlint:ckptskip <reason> exemption on its declaration.
+// the digest) — or carry an explicit //simlint:ckptskip <reason>
+// exemption on its declaration.
 //
-// Adding a field to a checkpointable component without serializing it
-// previously surfaced only at runtime, as a ckpt.DivergenceError digest
-// mismatch after a divergent replay — a simbisect hunt away from the
-// actual one-line omission. This analyzer turns that hunt into a CI
-// failure at the field declaration.
+// Restore replays to the checkpoint cycle and compares each
+// component's SaveState digest against the file, so that comparison is
+// only as complete as SaveState. A field SaveState misses would let a
+// divergent replay pass the audit unnoticed; this analyzer turns the
+// omission into a CI failure at the field declaration.
 //
 // The proof is interprocedural: SaveState may delegate to helper
 // methods (in this package or another), so the analyzer summarizes
 // every function's field accesses as an exported fact and unions the
-// summaries over the static call graph reachable from each Saver
-// method, within a bounded depth.
+// summaries over the static call graph reachable from each SaveState,
+// within a bounded depth.
 package ckptcomplete
 
 import (
@@ -28,7 +28,7 @@ import (
 // Analyzer is the checkpoint field-coverage check.
 var Analyzer = &analysis.Analyzer{
 	Name: "ckptcomplete",
-	Doc: "prove every field of a ckpt.Saver type is covered by SaveState and RestoreState " +
+	Doc: "prove every field of a ckpt.Saver type is covered by SaveState " +
 		"or exempted with //simlint:ckptskip <reason>",
 	Run:       run,
 	FactTypes: []analysis.Fact{(*AccessFact)(nil)},
@@ -104,11 +104,11 @@ func run(pass *analysis.Pass) error {
 				if !ok {
 					continue
 				}
-				save, restore := saverMethods(named)
-				if save == nil || restore == nil {
+				save := saveMethod(named)
+				if save == nil {
 					continue
 				}
-				checkType(pass, named, st, save, restore, local, imports)
+				checkType(pass, named, st, save, local, imports)
 			}
 		}
 	}
@@ -168,28 +168,21 @@ func summarize(pass *analysis.Pass, fn *ast.FuncDecl) *AccessFact {
 	return fact
 }
 
-// saverMethods returns the type's SaveState(*ckpt.Writer) and
-// RestoreState(*ckpt.Reader) methods, or nils.
-func saverMethods(named *types.Named) (save, restore *types.Func) {
+// saveMethod returns the type's SaveState(*ckpt.Writer) method — the
+// one method that makes a type a ckpt.Saver — or nil.
+func saveMethod(named *types.Named) *types.Func {
 	for i := 0; i < named.NumMethods(); i++ {
 		m := named.Method(i)
 		sig := m.Type().(*types.Signature)
-		switch m.Name() {
-		case "SaveState":
-			if sig.Params().Len() == 1 && isCkptPtr(sig.Params().At(0).Type(), "Writer") {
-				save = m
-			}
-		case "RestoreState":
-			if sig.Params().Len() == 1 && isCkptPtr(sig.Params().At(0).Type(), "Reader") {
-				restore = m
-			}
+		if m.Name() == "SaveState" && sig.Params().Len() == 1 && isCkptWriter(sig.Params().At(0).Type()) {
+			return m
 		}
 	}
-	return save, restore
+	return nil
 }
 
-// isCkptPtr reports whether t is *ckpt.<name>.
-func isCkptPtr(t types.Type, name string) bool {
+// isCkptWriter reports whether t is *ckpt.Writer.
+func isCkptWriter(t types.Type) bool {
 	p, ok := t.(*types.Pointer)
 	if !ok {
 		return false
@@ -199,11 +192,11 @@ func isCkptPtr(t types.Type, name string) bool {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Name() == name && obj.Pkg() != nil &&
+	return obj.Name() == "Writer" && obj.Pkg() != nil &&
 		strings.HasSuffix(obj.Pkg().Path(), "internal/ckpt")
 }
 
-// maxDepth bounds the call-graph walk from a Saver method; checkpoint
+// maxDepth bounds the call-graph walk from SaveState; checkpoint
 // serialization helpers are shallow, so a deep chain means recursion or
 // an accidental walk into unrelated code.
 const maxDepth = 8
@@ -288,10 +281,8 @@ func importClosure(pkg *types.Package) map[string]*types.Package {
 
 // checkType applies the coverage proof to one Saver type.
 func checkType(pass *analysis.Pass, named *types.Named, st *ast.StructType,
-	save, restore *types.Func, local map[types.Object]*AccessFact, imports map[string]*types.Package) {
-	key := typeKey(named)
-	saved := coveredFields(pass, save, key, local, imports)
-	restored := coveredFields(pass, restore, key, local, imports)
+	save *types.Func, local map[types.Object]*AccessFact, imports map[string]*types.Package) {
+	saved := coveredFields(pass, save, typeKey(named), local, imports)
 	tname := named.Obj().Name()
 
 	for _, field := range st.Fields.List {
@@ -305,13 +296,9 @@ func checkType(pass *analysis.Pass, named *types.Named, st *ast.StructType,
 			if name == "_" {
 				continue
 			}
-			switch {
-			case skip:
-				// Exempted; the reason on the declaration documents why.
-			case !saved[name]:
-				pass.Reportf(field.Pos(), "field %s.%s is not covered by SaveState: serialize it (and read it back in RestoreState) or exempt it with //simlint:ckptskip <reason>", tname, name)
-			case !restored[name]:
-				pass.Reportf(field.Pos(), "field %s.%s is written by SaveState but never read back by RestoreState: restore it symmetrically or exempt it with //simlint:ckptskip <reason>", tname, name)
+			// An exempted field's reason documents why it needs no digest.
+			if !skip && !saved[name] {
+				pass.Reportf(field.Pos(), "field %s.%s is not covered by SaveState: serialize it or exempt it with //simlint:ckptskip <reason>", tname, name)
 			}
 		}
 	}

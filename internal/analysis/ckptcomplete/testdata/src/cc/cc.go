@@ -1,5 +1,5 @@
 // Package cc is the ckptcomplete corpus: Saver types with complete,
-// incomplete, asymmetric and exempted field coverage.
+// incomplete and exempted field coverage.
 package cc
 
 import "gpues/internal/ckpt"
@@ -20,14 +20,8 @@ func (g *Good) saveRest(w *ckpt.Writer) {
 	w.U64(g.b)
 }
 
-func (g *Good) RestoreState(r *ckpt.Reader) error {
-	g.a = r.I64()
-	g.b = r.U64()
-	return r.Err()
-}
-
-// Missing has a field SaveState never touches: the injected defect a
-// divergent replay would otherwise surface at run time.
+// Missing has a field SaveState never touches: the injected defect the
+// replay audit could not see.
 type Missing struct {
 	kept    int64
 	dropped int64 // want "field Missing.dropped is not covered by SaveState"
@@ -37,42 +31,16 @@ func (m *Missing) SaveState(w *ckpt.Writer) {
 	w.I64(m.kept)
 }
 
-func (m *Missing) RestoreState(r *ckpt.Reader) error {
-	m.kept = r.I64()
-	return r.Err()
-}
-
-// Asym saves both fields but restores only one.
-type Asym struct {
-	installed int64
-	oneWay    int64 // want "field Asym.oneWay is written by SaveState but never read back by RestoreState"
-}
-
-func (a *Asym) SaveState(w *ckpt.Writer) {
-	w.I64(a.installed)
-	w.I64(a.oneWay)
-}
-
-func (a *Asym) RestoreState(r *ckpt.Reader) error {
-	a.installed = r.I64()
-	return r.Err()
-}
-
 // Skipped exempts its uncovered field with a reasoned directive; no
 // diagnostic may fire (the no-false-positive case).
 type Skipped struct {
 	saved int64
-	//simlint:ckptskip wiring rebuilt by the harness before restore
+	//simlint:ckptskip wiring fixed at construction; equal in every run of one configuration
 	wiring func()
 }
 
 func (s *Skipped) SaveState(w *ckpt.Writer) {
 	w.I64(s.saved)
-}
-
-func (s *Skipped) RestoreState(r *ckpt.Reader) error {
-	s.saved = r.I64()
-	return r.Err()
 }
 
 // NoReason carries a bare ckptskip: the exemption must say why.
@@ -86,15 +54,10 @@ func (n *NoReason) SaveState(w *ckpt.Writer) {
 	w.I64(n.saved)
 }
 
-func (n *NoReason) RestoreState(r *ckpt.Reader) error {
-	n.saved = r.I64()
-	return r.Err()
-}
-
-// NotASaver has uncovered fields but no RestoreState; the analyzer
-// only governs full ckpt.Saver implementations.
+// NotASaver has uncovered fields and a SaveState that does not take a
+// *ckpt.Writer; the analyzer only governs ckpt.Saver implementations.
 type NotASaver struct {
 	anything int64
 }
 
-func (n *NotASaver) SaveState(w *ckpt.Writer) {}
+func (n *NotASaver) SaveState(buf []byte) {}

@@ -270,7 +270,7 @@ func digestsByCycle(dir string) (map[int64][]ckpt.SectionDigest, error) {
 		if err != nil {
 			continue // unreadable checkpoints just don't contribute
 		}
-		out[c.Cycle] = c.Digests()
+		out[c.Cycle] = c.Sections
 	}
 	return out, nil
 }

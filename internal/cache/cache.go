@@ -82,12 +82,12 @@ type Cache struct {
 	cfg   Config
 	sets  int
 	lines [][]line // [set][way]
-	//simlint:ckptskip wiring to the shared event queue, rebuilt by the harness before restore
+	//simlint:ckptskip wiring to the shared event queue, which checkpoints itself as the clock section
 	q *clock.Queue
-	//simlint:ckptskip wiring to the lower level, rebuilt by the harness before restore
+	//simlint:ckptskip wiring to the lower level, which checkpoints itself as its own section
 	next  Backend
 	mshrs map[uint64]*mshr // keyed by line address
-	//simlint:ckptskip free list of recycled MSHRs, a pure allocation cache; an empty list after restore is correct
+	//simlint:ckptskip free list of recycled MSHRs, a pure allocation cache that holds no simulated state
 	pool  *mshr // free list of recycled MSHRs
 	stats Stats
 	tick  int64 // LRU clock

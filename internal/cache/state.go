@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"fmt"
 	"sort"
 
 	"gpues/internal/ckpt"
@@ -44,50 +43,4 @@ func (c *Cache) SaveState(w *ckpt.Writer) {
 		w.I64(m.born)
 		w.Int(len(m.waiters))
 	}
-}
-
-// RestoreState reads the SaveState stream back: tag array, LRU clock
-// and statistics are installed; the MSHR summary is cross-checked
-// against the replayed population.
-func (c *Cache) RestoreState(r *ckpt.Reader) error {
-	c.tick = r.I64()
-	c.stats.Hits = r.I64()
-	c.stats.Misses = r.I64()
-	c.stats.MSHRMerges = r.I64()
-	c.stats.Rejects = r.I64()
-	c.stats.WriteBacks = r.I64()
-
-	sets := r.Int()
-	ways := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if sets != c.sets || ways != c.cfg.Ways {
-		return fmt.Errorf("cache %s: geometry %dx%d does not match checkpoint %dx%d",
-			c.cfg.Name, c.sets, c.cfg.Ways, sets, ways)
-	}
-	for _, set := range c.lines {
-		for i := range set {
-			l := &set[i]
-			l.tag = r.U64()
-			l.valid = r.Bool()
-			l.dirty = r.Bool()
-			l.lru = r.I64()
-		}
-	}
-
-	r.Int() // waiter count: closures, rebuilt by replay
-	n := r.Int()
-	for i := 0; i < n; i++ {
-		r.U64()
-		r.I64()
-		r.Int()
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != len(c.mshrs) {
-		return fmt.Errorf("cache %s: replayed %d MSHRs, checkpoint has %d", c.cfg.Name, len(c.mshrs), n)
-	}
-	return nil
 }

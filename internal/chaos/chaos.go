@@ -128,7 +128,7 @@ type Plan struct {
 	cfg Config
 	//simlint:ckptskip stream position is implied by the saved injection counters; replay re-draws the same sequence from cfg.Seed
 	rng *rand.Rand
-	//simlint:ckptskip clock hookup, rebound by AttachChaos when the plan is rewired on restore
+	//simlint:ckptskip clock hookup, fixed when the plan is attached; the queue checkpoints itself as the clock section
 	now func() int64
 
 	injectedPages  map[uint64]bool

@@ -1,15 +1,11 @@
 package chaos
 
-import (
-	"fmt"
-
-	"gpues/internal/ckpt"
-)
+import "gpues/internal/ckpt"
 
 // SaveState serializes the plan's injection progress: budget counters,
 // event-log length and fingerprint, and the injected-page count. The
 // RNG stream position is implied by the counters — replay re-draws the
-// same sequence — so everything here is cross-checked, not installed.
+// same sequence — so the counters alone pin it for the digest.
 func (p *Plan) SaveState(w *ckpt.Writer) {
 	w.I64(p.cfg.Seed)
 	w.Int(p.walkFaults)
@@ -18,29 +14,4 @@ func (p *Plan) SaveState(w *ckpt.Writer) {
 	w.Int(len(p.injectedPages))
 	w.Int(len(p.events))
 	w.U64(p.Fingerprint())
-}
-
-// RestoreState reads the SaveState stream back and cross-checks the
-// replayed plan against it.
-func (p *Plan) RestoreState(r *ckpt.Reader) error {
-	seed := r.I64()
-	wf, is, fs := r.Int(), r.Int(), r.Int()
-	pages, events := r.Int(), r.Int()
-	fp := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if seed != p.cfg.Seed {
-		return fmt.Errorf("chaos: plan seed %d, checkpoint has %d", p.cfg.Seed, seed)
-	}
-	if wf != p.walkFaults || is != p.issueStalls || fs != p.forcedSwitches ||
-		pages != len(p.injectedPages) || events != len(p.events) {
-		return fmt.Errorf("chaos: replayed injection counts (%d walk faults, %d stalls, %d switches, %d pages, %d events) do not match checkpoint (%d, %d, %d, %d, %d)",
-			p.walkFaults, p.issueStalls, p.forcedSwitches, len(p.injectedPages), len(p.events),
-			wf, is, fs, pages, events)
-	}
-	if got := p.Fingerprint(); got != fp {
-		return fmt.Errorf("chaos: replayed event log fingerprint %#016x, checkpoint has %#016x", got, fp)
-	}
-	return nil
 }

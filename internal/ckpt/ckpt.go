@@ -1,22 +1,24 @@
 // Package ckpt implements the versioned, deterministic whole-simulator
-// checkpoint format. A checkpoint captures the state of every
-// registered component at one cycle boundary as a named, digested
-// section; the file carries a format version, fingerprints of the
-// configuration and launch spec it belongs to, and a trailing
-// whole-file digest so a checkpoint truncated by a crash (kill -9
-// mid-write) is detected rather than restored.
+// checkpoint format. A checkpoint is a cycle plus one state digest per
+// registered component: restore rebuilds the state itself by replaying
+// to that cycle and audits the replay against the digests, so no
+// component state is ever read back from a file. The file carries a
+// format version, fingerprints of the configuration and launch spec it
+// belongs to, and a trailing whole-file digest so a checkpoint
+// truncated by a crash (kill -9 mid-write) is detected rather than
+// restored.
 //
 // Components implement Saver: SaveState appends the component's state
-// to a Writer as a flat sequence of typed fields; RestoreState reads
-// the same fields back in the same order. Serialization must be
-// deterministic — in particular, map-keyed state must be written in
-// sorted key order (the simlint determinism analyzer covers this
-// package). Section digests double as the per-component state
-// fingerprints that cmd/simbisect compares when binary-searching for
-// the first cycle two runs diverge.
+// to a Writer as a flat sequence of typed fields, and the section
+// digest is taken over those bytes. Serialization must be deterministic
+// — in particular, map-keyed state must be written in sorted key order
+// (the simlint determinism analyzer covers this package). Section
+// digests double as the per-component state fingerprints that
+// cmd/simbisect compares when binary-searching for the first cycle two
+// runs diverge.
 //
 // See docs/checkpointing.md for the format layout, the determinism
-// contract and the restore (replay-and-verify) model.
+// contract and the restore (replay-and-audit) model.
 package ckpt
 
 import (
@@ -31,15 +33,16 @@ import (
 	"gpues/internal/atomicio"
 )
 
-// Magic identifies a checkpoint file; the trailing digit is the layout
-// generation and only changes when the envelope itself (not section
-// payloads) becomes incompatible.
+// Magic identifies a checkpoint file. It stays fixed across format
+// versions, so a file written by another version is refused with an
+// error naming that version rather than as bad magic.
 const Magic = "GPUCKPT1"
 
 // Version is the current checkpoint format version. Bump it whenever
-// any component's SaveState layout changes: restore refuses checkpoints
-// written by a different version instead of misparsing them.
-const Version uint32 = 1
+// the envelope or any component's SaveState layout changes: restore
+// refuses checkpoints written by a different version instead of
+// reporting a spurious divergence against them.
+const Version uint32 = 2
 
 // fnv64a is the FNV-1a digest used for section, file and streaming
 // state digests. It is not cryptographic; it only needs to make state
@@ -89,10 +92,10 @@ func (s *Hasher) Bytes(b []byte) {
 func (s *Hasher) Sum() uint64 { return s.h }
 
 // Saver is the common interface every stateful simulator component
-// implements to participate in checkpointing. SaveState appends the
-// component's state to w; RestoreState consumes the exact same field
-// sequence from r. The two must stay symmetric: restore is verified by
-// byte-comparing a fresh SaveState against the checkpoint section.
+// implements to participate in checkpointing: SaveState appends the
+// component's state to w. Restore compares the digest of a replayed
+// SaveState against the checkpoint, so any state SaveState leaves out
+// is state a divergent replay could differ in unnoticed.
 //
 // State that cannot be serialized (scheduled event closures, pooled
 // objects in flight) is represented structurally — counts and sorted
@@ -100,7 +103,6 @@ func (s *Hasher) Sum() uint64 { return s.h }
 // docs/checkpointing.md.
 type Saver interface {
 	SaveState(w *Writer)
-	RestoreState(r *Reader) error
 }
 
 // Writer accumulates one component's serialized state as a flat byte
@@ -112,9 +114,6 @@ func NewWriter() *Writer { return &Writer{} }
 
 // Reset clears the writer for reuse.
 func (w *Writer) Reset() { w.buf = w.buf[:0] }
-
-// Len returns the number of bytes written.
-func (w *Writer) Len() int { return len(w.buf) }
 
 // Data returns the accumulated bytes (not a copy).
 func (w *Writer) Data() []byte { return w.buf }
@@ -155,37 +154,24 @@ func (w *Writer) String(s string) {
 	w.buf = append(w.buf, s...)
 }
 
-// Reader consumes a field stream written by Writer. Errors are sticky:
-// after the first short read every accessor returns the zero value and
-// Err reports the failure, so RestoreState bodies can read
-// unconditionally and check once.
-type Reader struct {
+// reader consumes the fields of an encoded checkpoint. Errors are
+// sticky: after the first short read every accessor returns the zero
+// value and err reports the failure, so Decode reads unconditionally
+// and checks once.
+type reader struct {
 	buf []byte
 	off int
 	err error
 }
 
-// NewReader reads the field stream in b.
-func NewReader(b []byte) *Reader { return &Reader{buf: b} }
+func (r *reader) remaining() int { return len(r.buf) - r.off }
 
-// Err returns the first decode error, if any.
-func (r *Reader) Err() error { return r.err }
-
-// Remaining returns the number of unread bytes.
-func (r *Reader) Remaining() int { return len(r.buf) - r.off }
-
-func (r *Reader) fail(n int) {
-	if r.err == nil {
-		r.err = fmt.Errorf("ckpt: truncated section: need %d bytes at offset %d of %d", n, r.off, len(r.buf))
-	}
-}
-
-func (r *Reader) take(n int) []byte {
+func (r *reader) take(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if len(r.buf)-r.off < n {
-		r.fail(n)
+	if r.remaining() < n {
+		r.err = fmt.Errorf("ckpt: truncated checkpoint: need %d bytes at offset %d of %d", n, r.off, len(r.buf))
 		return nil
 	}
 	b := r.buf[r.off : r.off+n]
@@ -193,8 +179,7 @@ func (r *Reader) take(n int) []byte {
 	return b
 }
 
-// U64 reads one uint64.
-func (r *Reader) U64() uint64 {
+func (r *reader) u64() uint64 {
 	b := r.take(8)
 	if b == nil {
 		return 0
@@ -202,11 +187,7 @@ func (r *Reader) U64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-// I64 reads one int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// U32 reads one uint32.
-func (r *Reader) U32() uint32 {
+func (r *reader) u32() uint32 {
 	b := r.take(4)
 	if b == nil {
 		return 0
@@ -214,45 +195,18 @@ func (r *Reader) U32() uint32 {
 	return binary.LittleEndian.Uint32(b)
 }
 
-// Int reads one int64 as an int.
-func (r *Reader) Int() int { return int(r.I64()) }
-
-// Bool reads one byte as a bool.
-func (r *Reader) Bool() bool {
-	b := r.take(1)
-	return b != nil && b[0] != 0
-}
-
-// F64 reads one float64.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
-// Bytes reads one length-prefixed byte slice (a view into the buffer).
-func (r *Reader) Bytes() []byte {
-	n := r.U64()
-	if r.err != nil {
-		return nil
+// string reads one length-prefixed string.
+func (r *reader) string() string {
+	n := r.u64()
+	if r.err == nil && n > uint64(r.remaining()) {
+		r.err = fmt.Errorf("ckpt: truncated checkpoint: string of %d bytes at offset %d of %d", n, r.off, len(r.buf))
 	}
-	if n > uint64(r.Remaining()) {
-		r.fail(int(n))
-		return nil
-	}
-	return r.take(int(n))
+	return string(r.take(int(n)))
 }
 
-// String reads one length-prefixed string.
-func (r *Reader) String() string { return string(r.Bytes()) }
-
-// Section is one component's serialized state within a checkpoint.
-type Section struct {
-	Name string
-	Data []byte
-}
-
-// Digest returns the section's state digest.
-func (s *Section) Digest() uint64 { return Digest(s.Data) }
-
-// SectionDigest names one component's state digest; simbisect compares
-// slices of these across two runs.
+// SectionDigest names one component's state digest: the FNV-1a hash of
+// its SaveState bytes with its divergence nonce appended. A checkpoint
+// is a list of these, and simbisect compares such lists across runs.
 type SectionDigest struct {
 	Name   string
 	Digest uint64
@@ -260,38 +214,19 @@ type SectionDigest struct {
 
 // Checkpoint is one decoded (or to-be-encoded) checkpoint: the cycle it
 // was taken at, the fingerprints of the configuration and launch spec
-// that produced it, and one section per registered component.
+// that produced it, and one digest per registered component.
 type Checkpoint struct {
 	Version  uint32
 	Cycle    int64
 	ConfigFP uint64
 	SpecFP   uint64
-	Sections []Section
-}
-
-// Section returns the named section, or nil.
-func (c *Checkpoint) Section(name string) *Section {
-	for i := range c.Sections {
-		if c.Sections[i].Name == name {
-			return &c.Sections[i]
-		}
-	}
-	return nil
-}
-
-// Digests returns the per-section digests in section order.
-func (c *Checkpoint) Digests() []SectionDigest {
-	out := make([]SectionDigest, len(c.Sections))
-	for i := range c.Sections {
-		out[i] = SectionDigest{Name: c.Sections[i].Name, Digest: c.Sections[i].Digest()}
-	}
-	return out
+	Sections []SectionDigest
 }
 
 // Encode serializes the checkpoint:
 //
 //	magic[8] version:u32 cycle:i64 configFP:u64 specFP:u64 nSections:u32
-//	( name:str data:bytes digest:u64 )*
+//	( name:str digest:u64 )*
 //	fileDigest:u64   — FNV-1a over every preceding byte
 func (c *Checkpoint) Encode() []byte {
 	w := NewWriter()
@@ -301,19 +236,18 @@ func (c *Checkpoint) Encode() []byte {
 	w.U64(c.ConfigFP)
 	w.U64(c.SpecFP)
 	w.U32(uint32(len(c.Sections)))
-	for i := range c.Sections {
-		s := &c.Sections[i]
+	for _, s := range c.Sections {
 		w.String(s.Name)
-		w.Bytes(s.Data)
-		w.U64(s.Digest())
+		w.U64(s.Digest)
 	}
 	w.U64(Digest(w.buf))
 	return w.buf
 }
 
-// Decode parses and fully validates an encoded checkpoint: magic,
-// version, every section digest and the trailing file digest. A file
-// cut short by a crash fails here instead of restoring garbage.
+// Decode parses and fully validates an encoded checkpoint: magic, the
+// trailing file digest, version, a non-negative cycle and the exact
+// section list. A file cut short by a crash fails here instead of
+// restoring garbage.
 func Decode(b []byte) (*Checkpoint, error) {
 	if len(b) < len(Magic)+8 || string(b[:len(Magic)]) != Magic {
 		return nil, fmt.Errorf("ckpt: not a checkpoint file (bad magic)")
@@ -322,32 +256,32 @@ func Decode(b []byte) (*Checkpoint, error) {
 	if got, want := binary.LittleEndian.Uint64(tail), Digest(body); got != want {
 		return nil, fmt.Errorf("ckpt: file digest mismatch (%#016x != %#016x): truncated or corrupt", got, want)
 	}
-	r := NewReader(body[len(Magic):])
-	c := &Checkpoint{Version: r.U32()}
+	r := &reader{buf: body[len(Magic):]}
+	c := &Checkpoint{Version: r.u32()}
+	if r.err != nil {
+		return nil, r.err
+	}
 	if c.Version != Version {
 		return nil, fmt.Errorf("ckpt: format version %d, this binary reads version %d", c.Version, Version)
 	}
-	c.Cycle = r.I64()
-	c.ConfigFP = r.U64()
-	c.SpecFP = r.U64()
-	n := int(r.U32())
-	for i := 0; i < n; i++ {
-		name := r.String()
-		data := append([]byte(nil), r.Bytes()...)
-		digest := r.U64()
-		if r.err != nil {
-			break
-		}
-		if got := Digest(data); got != digest {
-			return nil, fmt.Errorf("ckpt: section %q digest mismatch (%#016x != %#016x)", name, got, digest)
-		}
-		c.Sections = append(c.Sections, Section{Name: name, Data: data})
+	// A negative cycle would make restore replay to the end of the run
+	// before failing (StepTo treats a negative stop as "no stop").
+	if c.Cycle = int64(r.u64()); c.Cycle < 0 {
+		return nil, fmt.Errorf("ckpt: negative checkpoint cycle %d", c.Cycle)
+	}
+	c.ConfigFP = r.u64()
+	c.SpecFP = r.u64()
+	n := r.u32()
+	for i := uint32(0); i < n && r.err == nil; i++ {
+		s := SectionDigest{Name: r.string()}
+		s.Digest = r.u64()
+		c.Sections = append(c.Sections, s)
 	}
 	if r.err != nil {
 		return nil, r.err
 	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("ckpt: %d trailing bytes after %d sections", r.Remaining(), n)
+	if rem := r.remaining(); rem != 0 {
+		return nil, fmt.Errorf("ckpt: %d trailing bytes after %d sections", rem, n)
 	}
 	return c, nil
 }

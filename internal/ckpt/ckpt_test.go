@@ -1,36 +1,55 @@
 package ckpt
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 func sampleCheckpoint() *Checkpoint {
-	w := NewWriter()
-	w.U64(42)
-	w.I64(-7)
-	w.Int(13)
-	w.Bool(true)
-	w.F64(3.5)
-	w.Bytes([]byte{1, 2, 3})
-	w.String("hello")
-	data := append([]byte(nil), w.Data()...)
 	return &Checkpoint{
 		Version:  Version,
 		Cycle:    12345,
 		ConfigFP: 0xdead,
 		SpecFP:   0xbeef,
-		Sections: []Section{
-			{Name: "alpha", Data: data},
-			{Name: "beta", Data: []byte("state")},
-			{Name: "empty", Data: nil},
+		Sections: []SectionDigest{
+			{Name: "alpha", Digest: 0x0123456789abcdef},
+			{Name: "beta", Digest: Digest([]byte("state"))},
+			{Name: "empty", Digest: Digest(nil)},
 		},
 	}
 }
 
-func TestWriterReaderRoundTrip(t *testing.T) {
+// stamp replaces b's trailing file digest with the digest of the bytes
+// before it, so a hand-edited body still passes the integrity check.
+func stamp(b []byte) []byte {
+	body := b[:len(b)-8]
+	return binary.LittleEndian.AppendUint64(append([]byte(nil), body...), Digest(body))
+}
+
+// encodeV1 lays out a version-1 checkpoint, which carried each
+// section's full state bytes ahead of its digest.
+func encodeV1() []byte {
+	payload := []byte("payload")
+	w := NewWriter()
+	w.buf = append(w.buf, Magic...)
+	w.U32(1)
+	w.I64(100)
+	w.U64(0xdead)
+	w.U64(0xbeef)
+	w.U32(1)
+	w.String("alpha")
+	w.Bytes(payload)
+	w.U64(Digest(payload))
+	w.U64(Digest(w.buf))
+	return w.buf
+}
+
+func TestWriterLayout(t *testing.T) {
 	w := NewWriter()
 	w.U64(42)
 	w.I64(-7)
@@ -40,83 +59,70 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	w.Bool(false)
 	w.F64(3.5)
 	w.Bytes([]byte{1, 2, 3})
-	w.String("hello")
-
-	r := NewReader(w.Data())
-	if got := r.U64(); got != 42 {
-		t.Errorf("U64 = %d", got)
+	w.String("hi")
+	want := []byte{}
+	want = binary.LittleEndian.AppendUint64(want, 42)
+	want = binary.LittleEndian.AppendUint64(want, ^uint64(6))
+	want = binary.LittleEndian.AppendUint32(want, 9)
+	want = binary.LittleEndian.AppendUint64(want, 13)
+	want = append(want, 1, 0)
+	want = binary.LittleEndian.AppendUint64(want, 0x400c000000000000)
+	want = binary.LittleEndian.AppendUint64(want, 3)
+	want = append(want, 1, 2, 3)
+	want = binary.LittleEndian.AppendUint64(want, 2)
+	want = append(want, 'h', 'i')
+	if !bytes.Equal(w.Data(), want) {
+		t.Fatalf("writer bytes\n got %x\nwant %x", w.Data(), want)
 	}
-	if got := r.I64(); got != -7 {
-		t.Errorf("I64 = %d", got)
-	}
-	if got := r.U32(); got != 9 {
-		t.Errorf("U32 = %d", got)
-	}
-	if got := r.Int(); got != 13 {
-		t.Errorf("Int = %d", got)
-	}
-	if !r.Bool() || r.Bool() {
-		t.Error("Bool round trip failed")
-	}
-	if got := r.F64(); got != 3.5 {
-		t.Errorf("F64 = %v", got)
-	}
-	if got := r.Bytes(); len(got) != 3 || got[0] != 1 {
-		t.Errorf("Bytes = %v", got)
-	}
-	if got := r.String(); got != "hello" {
-		t.Errorf("String = %q", got)
-	}
-	if err := r.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if r.Remaining() != 0 {
-		t.Errorf("%d bytes left over", r.Remaining())
+	w.Reset()
+	if len(w.Data()) != 0 {
+		t.Error("Reset left bytes behind")
 	}
 }
 
 func TestReaderStickyError(t *testing.T) {
-	r := NewReader([]byte{1, 2}) // too short for any field
-	if got := r.U64(); got != 0 {
-		t.Errorf("U64 on short buffer = %d, want 0", got)
+	r := &reader{buf: []byte{1, 2}} // too short for any field
+	if got := r.u64(); got != 0 {
+		t.Errorf("u64 on short buffer = %d, want 0", got)
 	}
-	if r.Err() == nil {
+	if r.err == nil {
 		t.Fatal("short read must set the error")
 	}
 	// Every subsequent read stays zero-valued and the error sticks.
-	if r.Int() != 0 || r.Bool() || r.Bytes() != nil {
+	if r.u32() != 0 || r.string() != "" {
 		t.Error("reads after error must return zero values")
 	}
-	if r.Err() == nil {
+	if r.err == nil {
 		t.Error("error must be sticky")
 	}
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	c := sampleCheckpoint()
-	got, err := Decode(c.Encode())
+	b := c.Encode()
+	got, err := Decode(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Cycle != c.Cycle || got.ConfigFP != c.ConfigFP || got.SpecFP != c.SpecFP {
+	if got.Version != c.Version || got.Cycle != c.Cycle || got.ConfigFP != c.ConfigFP || got.SpecFP != c.SpecFP {
 		t.Errorf("header mismatch: %+v", got)
 	}
 	if len(got.Sections) != len(c.Sections) {
 		t.Fatalf("%d sections, want %d", len(got.Sections), len(c.Sections))
 	}
 	for i := range c.Sections {
-		if got.Sections[i].Name != c.Sections[i].Name {
-			t.Errorf("section %d name %q, want %q", i, got.Sections[i].Name, c.Sections[i].Name)
-		}
-		if string(got.Sections[i].Data) != string(c.Sections[i].Data) {
-			t.Errorf("section %q data mismatch", c.Sections[i].Name)
+		if got.Sections[i] != c.Sections[i] {
+			t.Errorf("section %d = %+v, want %+v", i, got.Sections[i], c.Sections[i])
 		}
 	}
-	if s := got.Section("beta"); s == nil || string(s.Data) != "state" {
-		t.Error("Section lookup failed")
+	// magic + version + cycle + two fingerprints + count, then
+	// (length-prefixed name, digest) per section, then the file digest.
+	size := 8 + 4 + 8 + 8 + 8 + 4 + 8
+	for _, s := range c.Sections {
+		size += 8 + len(s.Name) + 8
 	}
-	if got.Section("nope") != nil {
-		t.Error("unknown section must return nil")
+	if len(b) != size {
+		t.Errorf("encoded size %d, want %d", len(b), size)
 	}
 }
 
@@ -152,6 +158,36 @@ func TestDecodeRejectsWrongVersion(t *testing.T) {
 	c.Version = Version + 1
 	if _, err := Decode(c.Encode()); err == nil {
 		t.Error("future format version accepted")
+	}
+}
+
+func TestDecodeRefusesVersion1(t *testing.T) {
+	_, err := Decode(encodeV1())
+	if err == nil {
+		t.Fatal("version-1 file accepted")
+	}
+	if !strings.Contains(err.Error(), "format version 1, this binary reads version 2") {
+		t.Errorf("error %q does not name version 1", err)
+	}
+}
+
+func TestDecodeRejectsNegativeCycle(t *testing.T) {
+	c := sampleCheckpoint()
+	c.Cycle = -5
+	_, err := Decode(c.Encode())
+	if err == nil {
+		t.Fatal("negative cycle accepted")
+	}
+	if !strings.Contains(err.Error(), "negative checkpoint cycle -5") {
+		t.Errorf("error = %v", err)
+	}
+}
+
+func TestDecodeRejectsTrailingBytes(t *testing.T) {
+	b := sampleCheckpoint().Encode()
+	padded := append(append([]byte(nil), b[:len(b)-8]...), make([]byte, 16)...)
+	if _, err := Decode(stamp(padded)); err == nil {
+		t.Error("trailing bytes after the last section accepted")
 	}
 }
 
@@ -221,4 +257,27 @@ func TestHasherMatchesDigest(t *testing.T) {
 	if h.Sum() != Digest(b) {
 		t.Error("streaming hasher disagrees with one-shot digest")
 	}
+}
+
+// FuzzDecode: Decode never panics, and any input it accepts re-encodes
+// to exactly the same bytes, so a checkpoint has one encoding. Each
+// input is also tried with its file digest recomputed, which lets
+// mutations reach the parser behind the integrity check.
+func FuzzDecode(f *testing.F) {
+	f.Add(sampleCheckpoint().Encode())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		inputs := [][]byte{b}
+		if len(b) >= 8 {
+			inputs = append(inputs, stamp(b))
+		}
+		for _, in := range inputs {
+			c, err := Decode(in)
+			if err != nil {
+				continue
+			}
+			if out := c.Encode(); !bytes.Equal(out, in) {
+				t.Fatalf("Encode(Decode(b)) differs from b\n   b %x\n got %x", in, out)
+			}
+		}
+	})
 }

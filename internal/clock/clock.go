@@ -58,9 +58,9 @@ type Queue struct {
 
 	//simlint:ckptskip holds closures; SaveState digests the per-cycle counts and replay rebuilds the population
 	buckets [numBuckets]bucketList
-	//simlint:ckptskip derived occupancy index over buckets; rebuilt as replay reschedules events
+	//simlint:ckptskip derived occupancy index over buckets, whose per-cycle counts SaveState digests
 	occ [occWords]uint64 // bit per non-empty bucket
-	//simlint:ckptskip derived occupancy index over occ; rebuilt as replay reschedules events
+	//simlint:ckptskip derived occupancy index over occ, whose per-cycle counts SaveState digests
 	occSum uint32 // bit per non-zero occ word
 
 	// overdue holds events left behind at a cycle the clock has already
@@ -73,7 +73,7 @@ type Queue struct {
 	//simlint:ckptskip holds closures; SaveState digests the count and replay rebuilds the population
 	overdue bucketList
 
-	//simlint:ckptskip node free list, a pure allocation cache; an empty list after restore is correct
+	//simlint:ckptskip node free list, a pure allocation cache that holds no simulated state
 	free *node
 
 	// overflow holds events at now+numBuckets or later, ordered by

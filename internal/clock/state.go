@@ -1,7 +1,6 @@
 package clock
 
 import (
-	"fmt"
 	"sort"
 
 	"gpues/internal/ckpt"
@@ -48,32 +47,4 @@ func (q *Queue) SaveState(w *ckpt.Writer) {
 		w.I64(c - q.now) // relative, so equal schedules digest equally
 		w.Int(counts[c])
 	}
-}
-
-// RestoreState consumes the field stream written by SaveState. The
-// event population itself is rebuilt by replay before restore runs, so
-// this only cross-checks the clock position and pending-event count —
-// a mismatch means the replay was not deterministic.
-func (q *Queue) RestoreState(r *ckpt.Reader) error {
-	now := r.I64()
-	seq := r.U64()
-	n := r.Int()
-	overdue := r.Int()
-	_ = overdue
-	pendingCycles := r.Int()
-	for i := 0; i < pendingCycles; i++ {
-		r.I64()
-		r.Int()
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if now != q.now || n != q.n {
-		return fmt.Errorf("clock: replayed state (cycle %d, %d events) does not match checkpoint (cycle %d, %d events)",
-			q.now, q.n, now, n)
-	}
-	if seq != q.seq {
-		return fmt.Errorf("clock: replayed event sequence %d does not match checkpoint %d", q.seq, seq)
-	}
-	return nil
 }

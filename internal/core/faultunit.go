@@ -48,13 +48,13 @@ type regionFault struct {
 // scheduler's switch decisions, and routes each region to the CPU
 // driver or the GPU-local handler.
 type FaultUnit struct {
-	//simlint:ckptskip wiring to the shared event queue, rebuilt by the harness before restore
+	//simlint:ckptskip wiring to the shared event queue, which checkpoints itself as the clock section
 	q *clock.Queue
 	//simlint:ckptskip construction-time region granularity (Section 5.1: 64 KB), fixed for the life of the unit
 	gran uint64
-	//simlint:ckptskip wiring to the CPU driver resolver, rebuilt by the harness before restore
+	//simlint:ckptskip wiring to the CPU driver resolver, which checkpoints itself as its own section
 	cpu Resolver
-	//simlint:ckptskip wiring to the GPU-local resolver, rebuilt by the harness before restore
+	//simlint:ckptskip wiring to the GPU-local resolver, which checkpoints itself as its own section
 	local Resolver // nil when use case 2 is disabled
 
 	pending map[uint64]*regionFault

@@ -48,7 +48,7 @@ func DefaultHandlerConcurrency(numSMs int) int {
 }
 
 type LocalHandler struct {
-	//simlint:ckptskip wiring to the shared event queue, rebuilt by the harness before restore
+	//simlint:ckptskip wiring to the shared event queue, which checkpoints itself as the clock section
 	q *clock.Queue
 	//simlint:ckptskip wiring to the address space, which checkpoints itself as its own section
 	as *vm.AddressSpace

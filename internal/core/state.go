@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"gpues/internal/ckpt"
@@ -34,33 +33,6 @@ func (u *FaultUnit) SaveState(w *ckpt.Writer) {
 	}
 }
 
-// RestoreState reads the SaveState stream back, installing counters and
-// cross-checking the replayed pending-region population.
-func (u *FaultUnit) RestoreState(r *ckpt.Reader) error {
-	u.queued = r.Int()
-	u.stats.Raised = r.I64()
-	u.stats.Regions = r.I64()
-	u.stats.Merged = r.I64()
-	u.stats.RoutedCPU = r.I64()
-	u.stats.RoutedLocal = r.I64()
-	u.stats.MaxQueue = r.Int()
-
-	n := r.Int()
-	for i := 0; i < n; i++ {
-		r.U64()
-		r.Int()
-		r.I64()
-		r.Int()
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != len(u.pending) {
-		return fmt.Errorf("faultunit: replayed %d pending regions, checkpoint has %d", len(u.pending), n)
-	}
-	return nil
-}
-
 // SaveState serializes the GPU-local handler: per-slot next-free
 // cycles, statistics, and each SM partition's physical allocator.
 func (h *LocalHandler) SaveState(w *ckpt.Writer) {
@@ -75,34 +47,4 @@ func (h *LocalHandler) SaveState(w *ckpt.Writer) {
 	for _, a := range h.allocs {
 		a.SaveState(w)
 	}
-}
-
-// RestoreState reads the SaveState stream back and installs it.
-func (h *LocalHandler) RestoreState(r *ckpt.Reader) error {
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != len(h.free) {
-		return fmt.Errorf("localhandler: %d slots, checkpoint has %d", len(h.free), n)
-	}
-	for i := range h.free {
-		h.free[i] = r.I64()
-	}
-	h.stats.Handled = r.I64()
-	h.stats.PagesMapped = r.I64()
-	h.stats.SerialCycles = r.I64()
-	na := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if na != len(h.allocs) {
-		return fmt.Errorf("localhandler: %d allocator partitions, checkpoint has %d", len(h.allocs), na)
-	}
-	for _, a := range h.allocs {
-		if err := a.RestoreState(r); err != nil {
-			return err
-		}
-	}
-	return r.Err()
 }

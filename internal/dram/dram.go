@@ -26,7 +26,7 @@ type Stats struct {
 // cache.Backend for line traffic and serves bulk transfers (context
 // save/restore) through Transfer.
 type DRAM struct {
-	//simlint:ckptskip wiring to the shared event queue, rebuilt by the harness before restore
+	//simlint:ckptskip wiring to the shared event queue, which checkpoints itself as the clock section
 	q *clock.Queue
 	//simlint:ckptskip construction-time timing parameter, fixed for the life of the model
 	latency int64

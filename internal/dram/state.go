@@ -12,14 +12,3 @@ func (d *DRAM) SaveState(w *ckpt.Writer) {
 	w.I64(d.stats.BytesWrit)
 	w.I64(d.stats.StallCycles)
 }
-
-// RestoreState reads the SaveState stream back and installs it.
-func (d *DRAM) RestoreState(r *ckpt.Reader) error {
-	d.nextFree = r.F64()
-	d.stats.Reads = r.I64()
-	d.stats.Writes = r.I64()
-	d.stats.BytesRead = r.I64()
-	d.stats.BytesWrit = r.I64()
-	d.stats.StallCycles = r.I64()
-	return r.Err()
-}

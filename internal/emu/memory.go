@@ -30,9 +30,9 @@ type Memory struct {
 	// Single-entry chunk cache: warp accesses are heavily clustered, so
 	// most lookups hit the chunk of the previous one. Chunks are never
 	// removed from the map, so the cached slice cannot go stale.
-	//simlint:ckptskip lookup cache; a cold start after restore is correct and self-repopulates
+	//simlint:ckptskip lookup cache over chunks, holding no state beyond the chunks SaveState digests
 	lastKey uint64
-	//simlint:ckptskip lookup cache; a cold start after restore is correct and self-repopulates
+	//simlint:ckptskip lookup cache over chunks, holding no state beyond the chunks SaveState digests
 	lastChunk []byte
 }
 

@@ -1,7 +1,6 @@
 package emu
 
 import (
-	"fmt"
 	"sort"
 
 	"gpues/internal/ckpt"
@@ -16,25 +15,6 @@ func (m *Memory) SaveState(w *ckpt.Writer) {
 	w.Int(m.allocated)
 	w.Int(len(m.chunks))
 	w.U64(m.digest())
-}
-
-// RestoreState reads the SaveState stream back and cross-checks the
-// replayed memory image against it.
-func (m *Memory) RestoreState(r *ckpt.Reader) error {
-	allocated := r.Int()
-	chunks := r.Int()
-	digest := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if allocated != m.allocated || chunks != len(m.chunks) {
-		return fmt.Errorf("emu: replayed memory has %d chunks/%d bytes, checkpoint has %d/%d",
-			len(m.chunks), m.allocated, chunks, allocated)
-	}
-	if got := m.digest(); got != digest {
-		return fmt.Errorf("emu: replayed memory digest %#016x, checkpoint has %#016x", got, digest)
-	}
-	return nil
 }
 
 func (m *Memory) digest() uint64 {

@@ -19,7 +19,7 @@ const DefaultExcepPollEvery = 1024
 // poll boundary is a pure function of the first post cycle, so the
 // cycle a run terminates at is deterministic and seed-stable.
 type ExcepBoard struct {
-	//simlint:ckptskip wiring to the shared event queue, rebuilt by the harness before restore
+	//simlint:ckptskip wiring to the shared event queue, which checkpoints itself as the clock section
 	q *clock.Queue
 	//simlint:ckptskip construction-time polling period, fixed for the life of the board
 	pollEvery int64
@@ -83,8 +83,7 @@ func (b *ExcepBoard) Drain(now int64) *excep.Error {
 }
 
 // SaveState serializes the board: the first-post cycle and the full
-// record contents (records are plain data, rebuilt verbatim on
-// restore).
+// record contents (records are plain data, written verbatim).
 func (b *ExcepBoard) SaveState(w *ckpt.Writer) {
 	w.I64(b.firstPosted)
 	w.Int(len(b.records))
@@ -104,46 +103,4 @@ func (b *ExcepBoard) SaveState(w *ckpt.Writer) {
 			w.U32(f.Mask)
 		}
 	}
-}
-
-// RestoreState reads the SaveState stream back and installs it. The
-// replay that precedes installation re-posts identical records (and
-// re-schedules the boundary event), so installation only swaps in
-// byte-identical state.
-func (b *ExcepBoard) RestoreState(r *ckpt.Reader) error {
-	b.firstPosted = r.I64()
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	records := make([]*excep.Record, 0, n)
-	for i := 0; i < n; i++ {
-		rec := &excep.Record{
-			Kind:     excep.Kind(r.U64()),
-			Block:    int32(uint32(r.U64())),
-			Warp:     int32(uint32(r.U64())),
-			Lane:     int32(uint32(r.U64())),
-			PC:       int32(uint32(r.U64())),
-			Mnemonic: r.String(),
-			Addr:     r.U64(),
-			Detail:   r.String(),
-		}
-		nf := r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		for j := 0; j < nf; j++ {
-			rec.Frames = append(rec.Frames, excep.Frame{
-				PC:   int32(uint32(r.U64())),
-				RPC:  int32(uint32(r.U64())),
-				Mask: r.U32(),
-			})
-		}
-		records = append(records, rec)
-	}
-	if len(records) == 0 {
-		records = nil
-	}
-	b.records = records
-	return r.Err()
 }

@@ -88,7 +88,7 @@ type FaultStats struct {
 // delay here is what makes CPU-side handling the bottleneck (Section
 // 2.4).
 type FaultService struct {
-	//simlint:ckptskip wiring to the shared event queue, rebuilt by the harness before restore
+	//simlint:ckptskip wiring to the shared event queue, which checkpoints itself as the clock section
 	q *clock.Queue
 	//simlint:ckptskip wiring to the interconnect, which checkpoints itself as its own section
 	link *interconnect.Link
@@ -100,7 +100,7 @@ type FaultService struct {
 	costs config.FaultCosts
 	//simlint:ckptskip unit-conversion closure over the clock rate, re-supplied at construction
 	toCyc func(us float64) int64
-	//simlint:ckptskip chaos hook, rebound by AttachChaos on restore; the plan checkpoints its own progress
+	//simlint:ckptskip chaos hook, fixed when the plan is attached; the plan checkpoints its progress as the chaos section
 	delayer Delayer
 
 	cpuFree int64 // next cycle the CPU handler is free

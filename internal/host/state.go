@@ -9,14 +9,6 @@ func (d *Dispatcher) SaveState(w *ckpt.Writer) {
 	w.Int(d.done)
 }
 
-// RestoreState reads the SaveState stream back and installs it.
-func (d *Dispatcher) RestoreState(r *ckpt.Reader) error {
-	d.total = r.Int()
-	d.next = r.Int()
-	d.done = r.Int()
-	return r.Err()
-}
-
 // SaveState serializes the CPU fault service: the handler's next-free
 // cycle and the service statistics. In-flight service completions are
 // scheduled closures, rebuilt by replay.
@@ -27,15 +19,4 @@ func (s *FaultService) SaveState(w *ckpt.Writer) {
 	w.I64(s.stats.AllocOnly)
 	w.I64(s.stats.PagesMapped)
 	w.I64(s.stats.QueueCycles)
-}
-
-// RestoreState reads the SaveState stream back and installs it.
-func (s *FaultService) RestoreState(r *ckpt.Reader) error {
-	s.cpuFree = r.I64()
-	s.stats.Served = r.I64()
-	s.stats.Migrations = r.I64()
-	s.stats.AllocOnly = r.I64()
-	s.stats.PagesMapped = r.I64()
-	s.stats.QueueCycles = r.I64()
-	return r.Err()
 }

@@ -29,10 +29,10 @@ type Jitter interface {
 type Link struct {
 	//simlint:ckptskip identity assigned at construction; the checkpoint section is keyed by it
 	name string
-	//simlint:ckptskip wiring to the shared event queue, rebuilt by the harness before restore
+	//simlint:ckptskip wiring to the shared event queue, which checkpoints itself as the clock section
 	q        *clock.Queue
 	channels []int64 // nextFree cycle per channel
-	//simlint:ckptskip chaos hook, rebound by AttachChaos on restore; the plan checkpoints its own progress
+	//simlint:ckptskip chaos hook, fixed when the plan is attached; the plan checkpoints its progress as the chaos section
 	jitter Jitter
 	stats  Stats
 }

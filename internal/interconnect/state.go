@@ -1,10 +1,6 @@
 package interconnect
 
-import (
-	"fmt"
-
-	"gpues/internal/ckpt"
-)
+import "gpues/internal/ckpt"
 
 // SaveState serializes the link: per-channel next-free cycles and the
 // transfer statistics.
@@ -16,22 +12,4 @@ func (l *Link) SaveState(w *ckpt.Writer) {
 	w.I64(l.stats.Transfers)
 	w.I64(l.stats.BusyCycles)
 	w.I64(l.stats.StallCycles)
-}
-
-// RestoreState reads the SaveState stream back and installs it.
-func (l *Link) RestoreState(r *ckpt.Reader) error {
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != len(l.channels) {
-		return fmt.Errorf("interconnect %s: %d channels, checkpoint has %d", l.name, len(l.channels), n)
-	}
-	for i := range l.channels {
-		l.channels[i] = r.I64()
-	}
-	l.stats.Transfers = r.I64()
-	l.stats.BusyCycles = r.I64()
-	l.stats.StallCycles = r.I64()
-	return r.Err()
 }

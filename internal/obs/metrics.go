@@ -138,7 +138,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // instrument pointers. Single-threaded, like the simulation.
 type Registry struct {
 	counters map[string]*Counter
-	//simlint:ckptskip gauge closures read component state that restores separately; SaveState records readings for the digest only
+	//simlint:ckptskip gauge closures, fixed at registration; SaveState digests their readings
 	gauges map[string]func() int64
 	hists  map[string]*Histogram
 }

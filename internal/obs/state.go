@@ -1,15 +1,9 @@
 package obs
 
-import (
-	"fmt"
+import "gpues/internal/ckpt"
 
-	"gpues/internal/ckpt"
-)
-
-// SaveState serializes the registry: counter values and histogram
-// contents (installable on restore), plus gauge readings for the
-// digest — gauges read component state that restores separately, so
-// they are cross-checked rather than installed.
+// SaveState serializes the registry: counter values, histogram
+// contents and the current gauge readings.
 func (r *Registry) SaveState(w *ckpt.Writer) {
 	w.Int(len(r.counters))
 	for _, n := range sortedNames(r.counters) {
@@ -33,49 +27,4 @@ func (r *Registry) SaveState(w *ckpt.Writer) {
 			w.I64(b)
 		}
 	}
-}
-
-// RestoreState reads the SaveState stream back, installing counters
-// and histograms and discarding the recorded gauge readings (live
-// gauges re-read the restored component state).
-func (r *Registry) RestoreState(rd *ckpt.Reader) error {
-	nc := rd.Int()
-	if err := rd.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < nc; i++ {
-		name := rd.String()
-		v := rd.I64()
-		if _, ok := r.counters[name]; !ok {
-			return fmt.Errorf("obs: checkpoint has unknown counter %q", name)
-		}
-		r.counters[name].v = v
-	}
-	ng := rd.Int()
-	if err := rd.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < ng; i++ {
-		_ = rd.String()
-		rd.I64()
-	}
-	nh := rd.Int()
-	if err := rd.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < nh; i++ {
-		name := rd.String()
-		h, ok := r.hists[name]
-		if !ok {
-			return fmt.Errorf("obs: checkpoint has unknown histogram %q", name)
-		}
-		h.count = rd.I64()
-		h.sum = rd.I64()
-		h.min = rd.I64()
-		h.max = rd.I64()
-		for j := range h.buckets {
-			h.buckets[j] = rd.I64()
-		}
-	}
-	return rd.Err()
 }

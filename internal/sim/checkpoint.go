@@ -1,17 +1,17 @@
 // Checkpoint/restore for the full simulator. The clock queue stores
 // scheduled closures, which cannot be serialized; a checkpoint instead
-// captures the cycle plus every component's architectural state (and a
-// structural summary of its closure-bound state), and restore replays
-// a fresh simulator to the checkpoint cycle — deterministic execution
-// makes the replay bit-identical — then verifies each component's
-// re-serialized state byte-for-byte against the checkpoint before
-// installing the installable parts. Every restore therefore doubles as
-// a determinism audit: any nondeterminism between the writing run and
-// the replay surfaces as a DivergenceError naming the component.
+// records the cycle plus one digest of every component's serialized
+// state (architectural state and a structural summary of its
+// closure-bound state). Restore replays a fresh simulator to the
+// checkpoint cycle — deterministic execution makes the replay
+// bit-identical — and audits every component's digest against the
+// checkpoint; the replay itself is the restored state. Every restore
+// therefore doubles as a determinism audit: any nondeterminism between
+// the writing run and the replay surfaces as a DivergenceError naming
+// the component.
 package sim
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -77,21 +77,6 @@ func (c *simCore) SaveState(w *ckpt.Writer) {
 	}
 }
 
-// RestoreState reads the SaveState stream back and installs it.
-func (c *simCore) RestoreState(r *ckpt.Reader) error {
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != len(c.active) {
-		return fmt.Errorf("sim: %d active-set words, checkpoint has %d", len(c.active), n)
-	}
-	for i := range c.active {
-		c.active[i] = r.U64()
-	}
-	return r.Err()
-}
-
 // FingerprintConfig returns the checkpoint config fingerprint of cfg —
 // the value stamped into every checkpoint and used as half of the
 // result-cache key. The sampling period is excluded: it never changes
@@ -129,7 +114,7 @@ func FingerprintSpec(spec LaunchSpec) uint64 {
 // simulation service's result cache is built on.
 func (s *Simulator) Fingerprints() (cfgFP, specFP uint64) { return s.cfgFP, s.specFP }
 
-// Capture serializes the complete current state into a checkpoint.
+// Capture digests the complete current state into a checkpoint.
 // Valid only at a cycle boundary (the main loop's top); callers inside
 // the loop are maybeWriteCheckpoint and stallError, callers outside
 // must go through StepTo.
@@ -145,9 +130,7 @@ func (s *Simulator) Capture() *ckpt.Checkpoint {
 		w.Reset()
 		ns.saver.SaveState(w)
 		w.U64(s.nonces[ns.name])
-		data := make([]byte, len(w.Data()))
-		copy(data, w.Data())
-		ck.Sections = append(ck.Sections, ckpt.Section{Name: ns.name, Data: data})
+		ck.Sections = append(ck.Sections, ckpt.SectionDigest{Name: ns.name, Digest: ckpt.Digest(w.Data())})
 	}
 	return ck
 }
@@ -155,7 +138,7 @@ func (s *Simulator) Capture() *ckpt.Checkpoint {
 // ComponentDigests returns the per-component state digests at the
 // current cycle boundary — the bisection probe primitive.
 func (s *Simulator) ComponentDigests() []ckpt.SectionDigest {
-	return s.Capture().Digests()
+	return s.Capture().Sections
 }
 
 // WriteCheckpoint captures the current state and writes it into dir
@@ -205,10 +188,10 @@ func ResolveCheckpoint(pathOrDir string) (string, error) {
 	return path, nil
 }
 
-// DivergenceError reports that a component's replayed state does not
-// match its checkpoint section — either real nondeterminism between
-// the checkpointing run and the restoring one, or a configuration
-// drift the fingerprints could not catch.
+// DivergenceError reports that a component's replayed state digest
+// does not match its checkpoint section — either real nondeterminism
+// between the checkpointing run and the restoring one, or a
+// configuration drift the fingerprints could not catch.
 type DivergenceError struct {
 	Component string
 	Cycle     int64
@@ -230,12 +213,12 @@ func (s *Simulator) RestoreFile(path string) error {
 }
 
 // Restore brings a freshly built simulator to the checkpoint's state:
-// replay to the checkpoint cycle, verify every component's
-// re-serialized state byte-for-byte against its section, then install
-// the installable state. The simulator must be configured exactly as
-// the checkpointing run was (same config, spec, chaos plan, tracer)
-// and must not have run yet; call Run afterwards to continue to
-// completion.
+// replay to the checkpoint cycle, then audit every component's state
+// digest against its section. Nothing is installed — the replay is the
+// restored state, and the audit proves it matches. The simulator must
+// be configured exactly as the checkpointing run was (same config,
+// spec, chaos plan, tracer) and must not have run yet; call Run
+// afterwards to continue to completion.
 func (s *Simulator) Restore(ck *ckpt.Checkpoint) error {
 	if s.started {
 		return fmt.Errorf("sim: restore must precede Run")
@@ -265,34 +248,22 @@ func (s *Simulator) Restore(ck *ckpt.Checkpoint) error {
 		return fmt.Errorf("sim: replay stopped at cycle %d, checkpoint is at %d", got, ck.Cycle)
 	}
 
-	savers := s.saverList()
 	fresh := s.Capture()
 	if len(fresh.Sections) != len(ck.Sections) {
 		return fmt.Errorf("sim: simulator has %d components, checkpoint has %d (chaos/local wiring must match)",
 			len(fresh.Sections), len(ck.Sections))
 	}
+	want := make(map[string]uint64, len(ck.Sections))
+	for _, sec := range ck.Sections {
+		want[sec.Name] = sec.Digest
+	}
 	for _, sec := range fresh.Sections {
-		want := ck.Section(sec.Name)
-		if want == nil {
+		d, ok := want[sec.Name]
+		if !ok {
 			return fmt.Errorf("sim: checkpoint has no section %q", sec.Name)
 		}
-		if !bytes.Equal(sec.Data, want.Data) {
+		if d != sec.Digest {
 			return &DivergenceError{Component: sec.Name, Cycle: ck.Cycle}
-		}
-	}
-
-	for _, ns := range savers {
-		sec := ck.Section(ns.name)
-		r := ckpt.NewReader(sec.Data)
-		if err := ns.saver.RestoreState(r); err != nil {
-			return fmt.Errorf("sim: restore %s: %w", ns.name, err)
-		}
-		s.nonces[ns.name] = r.U64()
-		if err := r.Err(); err != nil {
-			return fmt.Errorf("sim: restore %s: %w", ns.name, err)
-		}
-		if rem := r.Remaining(); rem != 0 {
-			return fmt.Errorf("sim: restore %s: %d trailing bytes", ns.name, rem)
 		}
 	}
 

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -462,6 +464,116 @@ func TestInjectedDivergenceDetected(t *testing.T) {
 	// InjectDivergence must reject unknown components.
 	if err := s.InjectDivergence(10, "no.such.component"); err == nil {
 		t.Error("unknown component accepted")
+	}
+}
+
+// TestRestoreNamesTamperedSection: a file whose section digest was
+// edited and whose file digest was then recomputed is a well-formed
+// checkpoint, so Decode accepts it; the replay audit must still catch
+// the edit and name the section.
+func TestRestoreNamesTamperedSection(t *testing.T) {
+	cfg := config.Default()
+	spec := func() LaunchSpec { return testSpec(t, 8, 128, vm.RegionGPUInit, vm.RegionGPUInit) }
+	s, err := New(cfg, spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if reached, err := s.StepTo(100); err != nil || !reached {
+		t.Fatalf("StepTo: reached=%v err=%v", reached, err)
+	}
+	path, err := s.WriteCheckpoint(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Sections are (length-prefixed name, digest); flip a digest byte.
+	const victim = "tlb.fillunit"
+	name := binary.LittleEndian.AppendUint64(nil, uint64(len(victim)))
+	name = append(name, victim...)
+	at := bytes.Index(b, name)
+	if at < 0 || bytes.Index(b[at+1:], name) >= 0 {
+		t.Fatalf("section %q not found exactly once", victim)
+	}
+	b[at+len(name)] ^= 0xff
+	body := b[:len(b)-8]
+	binary.LittleEndian.PutUint64(b[len(b)-8:], ckpt.Digest(body))
+	if _, err := ckpt.Decode(b); err != nil {
+		t.Fatalf("re-stamped file rejected: %v", err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	clean, err := New(cfg, spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = clean.RestoreFile(path)
+	var de *DivergenceError
+	if !errors.As(err, &de) {
+		t.Fatalf("restore error = %v, want DivergenceError", err)
+	}
+	if de.Component != victim {
+		t.Errorf("divergent component = %q, want %s", de.Component, victim)
+	}
+}
+
+// TestCheckpointFilesAreSmall: a checkpoint holds only a cycle and one
+// digest per component, so at the default 16 SMs — with every optional
+// component (chaos plan, GPU-local handler) wired in — each file stays
+// within 2 KB.
+func TestCheckpointFilesAreSmall(t *testing.T) {
+	cfg := config.Default()
+	cfg.Scheme = config.ReplayQueue
+	cfg.Local.Enabled = true
+	if cfg.System.NumSMs != 16 {
+		t.Fatalf("default config has %d SMs, want 16", cfg.System.NumSMs)
+	}
+	plan, err := chaos.ForLevel(2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec(t, 32, 128, vm.RegionGPUInit, vm.RegionLazy)
+	s, err := New(cfg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AttachChaos(plan)
+	dir := t.TempDir()
+	s.CheckpointEvery = 500
+	s.CheckpointDir = dir
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("run wrote no checkpoints")
+	}
+	for _, f := range files {
+		info, err := os.Stat(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Size() > 2048 {
+			t.Errorf("%s is %d bytes, want <= 2048", filepath.Base(f), info.Size())
+		}
+	}
+	ck, err := ckpt.ReadFile(files[len(files)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(s.saverList()); len(ck.Sections) != want {
+		t.Errorf("checkpoint has %d sections, simulator %d components", len(ck.Sections), want)
 	}
 }
 

@@ -194,8 +194,8 @@ func TestPreemptibleRequiresPreemptibleScheme(t *testing.T) {
 
 // TestExceptionCheckpointRestore checkpoints through the window between
 // the exception post and the host's poll boundary, restores the latest
-// checkpoint into a fresh simulator (the restore's byte-compare is the
-// digest audit), and requires the resumed run to terminate with the
+// checkpoint into a fresh simulator (the restore's digest comparison
+// is the audit), and requires the resumed run to terminate with the
 // identical exception.
 func TestExceptionCheckpointRestore(t *testing.T) {
 	cfg := config.Default()

@@ -158,7 +158,7 @@ type Simulator struct {
 	wd      *watchdog
 	// nextCkpt is the cycle at or after which the next periodic
 	// checkpoint is due; replaying suppresses checkpoint writes while
-	// RestoreFrom replays up to the checkpoint cycle.
+	// Restore replays up to the checkpoint cycle.
 	nextCkpt  int64
 	replaying bool
 
@@ -438,7 +438,7 @@ func (s *Simulator) AddressSpace() *vm.AddressSpace { return s.as }
 
 // Start seeds the launch: blocks are filled onto the SMs and the
 // active set and progress tracking are initialized. Idempotent; Run
-// calls it automatically, RestoreFrom calls it before replaying.
+// calls it automatically, Restore calls it before replaying.
 func (s *Simulator) Start() error {
 	if s.started {
 		return nil

@@ -481,7 +481,7 @@ func (q *Queue) ExpireLeases(now int64) []*Job {
 			j.LastError = fmt.Sprintf("lease expired on worker %s (previous: %s)", j.Worker, j.LastError)
 		}
 		// A mid-run checkpoint from the dead worker's attempt is still
-		// trustworthy — restore verifies it byte-for-byte against a
+		// trustworthy — restore audits its digests against a
 		// replay, so a corrupt one fails the next attempt cleanly.
 		q.requeueOrBury(j, now)
 		out = append(out, j)

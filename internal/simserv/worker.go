@@ -121,7 +121,7 @@ func (w *Worker) runJob(ctx context.Context, claim ClaimResponse) {
 	}
 	if claim.Checkpoint != "" {
 		// Resume the preempted run. RestoreFile replays to the
-		// checkpoint cycle and byte-compares every component, so a
+		// checkpoint cycle and compares every component's digest, so a
 		// corrupt or mismatched checkpoint surfaces here as a
 		// DivergenceError; Fail wipes it and the retry starts clean.
 		if err := s.RestoreFile(claim.Checkpoint); err != nil {

@@ -130,33 +130,33 @@ type SM struct {
 	ID int
 	//simlint:ckptskip immutable run configuration, re-supplied by the harness
 	cfg *config.Config
-	//simlint:ckptskip wiring to the shared event queue, rebuilt by the harness before restore
+	//simlint:ckptskip wiring to the shared event queue, which checkpoints itself as the clock section
 	q *clock.Queue
 
 	//simlint:ckptskip wiring to the private L1, which checkpoints itself as its own section
 	l1 *cache.Cache
 	//simlint:ckptskip wiring to the private L1 TLB, which checkpoints itself as its own section
 	l1tlb *tlb.TLB
-	//simlint:ckptskip wiring to the fault coordinator, rebuilt by the harness before restore
+	//simlint:ckptskip wiring to the fault coordinator, which checkpoints itself as its own section
 	sink FaultSink
-	//simlint:ckptskip wiring to the block dispatcher, rebuilt by the harness before restore
+	//simlint:ckptskip wiring to the block dispatcher, which checkpoints itself as its own section
 	src BlockSource
-	//simlint:ckptskip wiring to the context mover, rebuilt by the harness before restore
+	//simlint:ckptskip wiring to the context mover, a stateless adapter over DRAM, which checkpoints itself as the dram section
 	mover ContextMover
-	//simlint:ckptskip chaos hook, rebound by AttachChaos on restore; the plan checkpoints its own progress
+	//simlint:ckptskip chaos hook, fixed when the plan is attached; the plan checkpoints its progress as the chaos section
 	chaos Chaos
-	//simlint:ckptskip wiring to the exception board, rebuilt by the harness before restore
+	//simlint:ckptskip wiring to the exception board, which checkpoints itself as its own section
 	excep ExcepSink
 
 	//simlint:ckptskip kernel launch description, re-supplied by the replayed workload
 	launch *kernel.Launch
-	//simlint:ckptskip derived from launch at BeginKernel, which replay re-executes before restore
+	//simlint:ckptskip derived from launch at BeginKernel; the spec fingerprint covers the launch
 	occupancy int // concurrent blocks this kernel supports
-	//simlint:ckptskip derived from launch at BeginKernel, which replay re-executes before restore
+	//simlint:ckptskip derived from launch at BeginKernel; the spec fingerprint covers the launch
 	warpsPerBlock int
-	//simlint:ckptskip derived from launch at BeginKernel, which replay re-executes before restore
+	//simlint:ckptskip derived from launch at BeginKernel; the spec fingerprint covers the launch
 	logPerBlock int // operand log entries per block partition
-	//simlint:ckptskip derived from launch at BeginKernel, which replay re-executes before restore
+	//simlint:ckptskip derived from launch at BeginKernel; the spec fingerprint covers the launch
 	blockBytes int // architectural context size of one block
 
 	slots   []*blockRT // active block slots (nil = free)
@@ -175,7 +175,7 @@ type SM struct {
 	bufMask []uint64
 
 	// flightPool is a free list of flight objects; see newFlight.
-	//simlint:ckptskip free list, a pure allocation cache; an empty list after restore is correct
+	//simlint:ckptskip free list, a pure allocation cache that holds no simulated state
 	flightPool *flight
 
 	idle  bool // nothing proceeded last tick; sleep until next event
@@ -183,7 +183,7 @@ type SM struct {
 
 	// onWake, when set, fires on the idle→awake transition; the main
 	// loop uses it to put the SM back into its active set.
-	//simlint:ckptskip wiring to the main loop, rebuilt by the harness before restore
+	//simlint:ckptskip wake callback into the main loop, fixed at construction; the loop's active set checkpoints as the sim.core section
 	onWake func()
 
 	// OnEvent, when set, receives pipeline events for tests and tracing:

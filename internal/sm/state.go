@@ -1,15 +1,14 @@
 package sm
 
 import (
-	"fmt"
 	"sort"
 
 	"gpues/internal/ckpt"
 )
 
-// SaveState serializes the SM: statistics and scheduler scalars
-// (installable), the buffered-instruction mask, and a full structural
-// record of every resident and switched-out block — per-warp cursors,
+// SaveState serializes the SM: statistics and scheduler scalars, the
+// buffered-instruction mask, and a full structural record of every
+// resident and switched-out block — per-warp cursors,
 // replay queues, scoreboards and stall stamps. In-flight instructions
 // live as pooled flights referenced by scheduled closures, so flights
 // themselves are represented only by the per-warp counts and flags
@@ -121,165 +120,4 @@ func saveWarp(w *ckpt.Writer, wr *warpRT) {
 			w.U64(uint64(reg))
 		}
 	}
-}
-
-// RestoreState reads the SaveState stream back: statistics and
-// scheduler scalars are installed, the structural block/warp records
-// are consumed and cross-checked against the replayed population
-// (replay already rebuilt the closure-bound pipeline state).
-func (s *SM) RestoreState(r *ckpt.Reader) error {
-	s.stats.Cycles = r.I64()
-	s.stats.ActiveCycles = r.I64()
-	s.stats.Committed = r.I64()
-	s.stats.Issued = r.I64()
-	s.stats.Fetched = r.I64()
-	s.stats.GlobalMemInsts = r.I64()
-	s.stats.MemRequests = r.I64()
-	s.stats.Faults = r.I64()
-	s.stats.Squashed = r.I64()
-	s.stats.Replays = r.I64()
-	s.stats.BlocksRun = r.I64()
-	s.stats.SwitchesOut = r.I64()
-	s.stats.SwitchesIn = r.I64()
-	s.stats.ContextBytes = r.I64()
-	s.stats.IssueStallLog = r.I64()
-	s.stats.IssueStallScore = r.I64()
-	s.stats.IssueStallChaos = r.I64()
-	s.stats.Exceptions = r.I64()
-	for i := range s.stats.Stalls {
-		s.stats.Stalls[i] = r.I64()
-	}
-
-	s.lastFetch = r.Int()
-	s.lastIssue = r.Int()
-	s.idle = r.Bool()
-	s.assigned = r.Int()
-	nm := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nm != len(s.bufMask) {
-		return fmt.Errorf("sm %d: %d bufMask words, checkpoint has %d", s.ID, len(s.bufMask), nm)
-	}
-	for i := range s.bufMask {
-		s.bufMask[i] = r.U64()
-	}
-
-	ns := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if ns != len(s.slots) {
-		return fmt.Errorf("sm %d: %d block slots, checkpoint has %d", s.ID, len(s.slots), ns)
-	}
-	for i, b := range s.slots {
-		present := r.Bool()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if present != (b != nil) {
-			return fmt.Errorf("sm %d: slot %d occupancy does not match checkpoint", s.ID, i)
-		}
-		if present {
-			if err := skipBlock(r, b); err != nil {
-				return fmt.Errorf("sm %d slot %d: %w", s.ID, i, err)
-			}
-		}
-	}
-	no := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if no != len(s.offchip) {
-		return fmt.Errorf("sm %d: %d off-chip blocks, checkpoint has %d", s.ID, len(s.offchip), no)
-	}
-	for i, b := range s.offchip {
-		if err := skipBlock(r, b); err != nil {
-			return fmt.Errorf("sm %d off-chip %d: %w", s.ID, i, err)
-		}
-	}
-	return r.Err()
-}
-
-// skipBlock consumes one block record (the mirror of saveBlock),
-// cross-checking identity against the replayed block.
-func skipBlock(r *ckpt.Reader, b *blockRT) error {
-	id := r.Int()
-	r.Int() // slot
-	state := blockState(r.U64())
-	r.Int()  // liveWarps
-	r.Int()  // barrierCount
-	r.Int()  // logUsed
-	r.Int()  // pendingFaults
-	r.Int()  // contextBytes
-	r.I64()  // switchOutStart
-	r.Bool() // excepted
-	nw := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if id != b.id || state != b.state {
-		return fmt.Errorf("replayed block %d (state %d), checkpoint has block %d (state %d)",
-			b.id, b.state, id, state)
-	}
-	if nw != len(b.warps) {
-		return fmt.Errorf("block %d: %d warps, checkpoint has %d", b.id, len(b.warps), nw)
-	}
-	for _, wr := range b.warps {
-		if err := skipWarp(r, wr); err != nil {
-			return fmt.Errorf("block %d: %w", b.id, err)
-		}
-	}
-	return r.Err()
-}
-
-// skipWarp consumes one warp record (the mirror of saveWarp).
-func skipWarp(r *ckpt.Reader, wr *warpRT) error {
-	idx := r.Int()
-	r.Int() // cursor
-	nr := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if idx != wr.idx {
-		return fmt.Errorf("replayed warp %d, checkpoint has warp %d", wr.idx, idx)
-	}
-	for i := 0; i < nr; i++ {
-		r.U64() // replay-queue entry
-	}
-	if r.Bool() { // buffered instruction present
-		r.U64() // its trace index
-	}
-	r.I64()  // bufReady
-	r.U64()  // fetchBlock
-	r.Bool() // fetchOwner present
-	for i := 0; i < len(wr.pendWrite); i++ {
-		r.U64()
-	}
-	r.Bytes() // pendRead
-	r.Int()   // inFlight
-	r.Bool()  // atBarrier
-	r.Bool()  // barFlight present
-	r.Int()   // faultsOutstanding
-	r.Bool()  // done
-	r.Bool()  // excep present
-	r.Bool()  // excepDone
-	r.I64()   // faultWaitStart
-	r.I64()   // barStart
-	r.I64()   // fetchBlockStart
-	nh := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < nh; i++ {
-		r.U64()
-		ng := r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		for j := 0; j < ng; j++ {
-			r.U64()
-		}
-	}
-	return r.Err()
 }

@@ -1,7 +1,6 @@
 package tlb
 
 import (
-	"fmt"
 	"sort"
 
 	"gpues/internal/ckpt"
@@ -46,51 +45,6 @@ func (t *TLB) SaveState(w *ckpt.Writer) {
 	}
 }
 
-// RestoreState reads the SaveState stream back, installing the entry
-// array and statistics and cross-checking the replayed MSHR population.
-func (t *TLB) RestoreState(r *ckpt.Reader) error {
-	t.tick = r.I64()
-	t.stats.Hits = r.I64()
-	t.stats.Misses = r.I64()
-	t.stats.Merges = r.I64()
-	t.stats.Rejects = r.I64()
-	t.stats.Faults = r.I64()
-
-	sets := r.Int()
-	ways := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if sets != t.sets || ways != t.cfg.Ways {
-		return fmt.Errorf("tlb %s: geometry %dx%d does not match checkpoint %dx%d",
-			t.cfg.Name, t.sets, t.cfg.Ways, sets, ways)
-	}
-	for _, set := range t.entries {
-		for i := range set {
-			e := &set[i]
-			e.vpn = r.U64()
-			e.valid = r.Bool()
-			e.lru = r.I64()
-		}
-	}
-
-	r.Int() // waiter count: closures, rebuilt by replay
-	n := r.Int()
-	for i := 0; i < n; i++ {
-		r.U64()
-		r.U64()
-		r.I64()
-		r.Int()
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != len(t.mshrs) {
-		return fmt.Errorf("tlb %s: replayed %d MSHRs, checkpoint has %d", t.cfg.Name, len(t.mshrs), n)
-	}
-	return nil
-}
-
 // SaveState serializes the fill unit: walk counters, busy walkers and
 // the queued walk requests in queue order (their completion closures
 // are rebuilt by replay).
@@ -103,25 +57,4 @@ func (f *FillUnit) SaveState(w *ckpt.Writer) {
 	for i := range f.queue {
 		w.U64(f.queue[i].pageVA)
 	}
-}
-
-// RestoreState reads the SaveState stream back, installing counters and
-// cross-checking the replayed walker occupancy and queue.
-func (f *FillUnit) RestoreState(r *ckpt.Reader) error {
-	f.Walks = r.I64()
-	f.FaultsDetected = r.I64()
-	f.FaultsInjected = r.I64()
-	busy := r.Int()
-	n := r.Int()
-	for i := 0; i < n; i++ {
-		r.U64()
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if busy != f.busy || n != len(f.queue) {
-		return fmt.Errorf("fillunit: replayed %d busy / %d queued, checkpoint has %d / %d",
-			f.busy, len(f.queue), busy, n)
-	}
-	return nil
 }

@@ -83,16 +83,16 @@ type TLB struct {
 	cfg     Config
 	sets    int
 	entries [][]tlbEntry
-	//simlint:ckptskip construction-time geometry derived from cfg; restore cross-checks sets and ways
+	//simlint:ckptskip construction-time geometry derived from cfg, which the config fingerprint covers
 	pageSize uint64
-	//simlint:ckptskip wiring to the shared event queue, rebuilt by the harness before restore
+	//simlint:ckptskip wiring to the shared event queue, which checkpoints itself as the clock section
 	q *clock.Queue
-	//simlint:ckptskip wiring to the lower level, rebuilt by the harness before restore
+	//simlint:ckptskip wiring to the lower level, which checkpoints itself as its own section
 	next  Level
 	mshrs map[uint64]*tlbMSHR
-	//simlint:ckptskip free list of recycled MSHRs, a pure allocation cache; an empty list after restore is correct
+	//simlint:ckptskip free list of recycled MSHRs, a pure allocation cache that holds no simulated state
 	pool *tlbMSHR // free list of recycled MSHRs
-	//simlint:ckptskip free list of recycled hit deliveries, a pure allocation cache; an empty list after restore is correct
+	//simlint:ckptskip free list of recycled hit deliveries, a pure allocation cache that holds no simulated state
 	deliver *delivery // free list of recycled hit deliveries
 	stats   Stats
 	tick    int64
@@ -340,7 +340,7 @@ type WalkInjector interface {
 // classify callback consults the GPU page table; non-present results
 // are page faults reported upward.
 type FillUnit struct {
-	//simlint:ckptskip wiring to the shared event queue, rebuilt by the harness before restore
+	//simlint:ckptskip wiring to the shared event queue, which checkpoints itself as the clock section
 	q *clock.Queue
 	//simlint:ckptskip construction-time capacity (Table 1: 64 walkers), fixed for the life of the unit
 	walkers int
@@ -348,9 +348,9 @@ type FillUnit struct {
 	walkLatency int64
 	busy        int
 	queue       []walkReq
-	//simlint:ckptskip page-table-probe closure, rebound by the harness before restore
+	//simlint:ckptskip page-table-probe closure over the address space, which checkpoints itself as the vm section
 	classify func(pageVA uint64) Result
-	//simlint:ckptskip chaos hook, rebound by AttachChaos on restore; the plan checkpoints its own progress
+	//simlint:ckptskip chaos hook, fixed when the plan is attached; the plan checkpoints its progress as the chaos section
 	injector WalkInjector
 	//simlint:ckptskip tracer wiring; trace emission is observability, not simulation state
 	tr *obs.Tracer

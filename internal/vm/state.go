@@ -1,10 +1,6 @@
 package vm
 
-import (
-	"fmt"
-
-	"gpues/internal/ckpt"
-)
+import "gpues/internal/ckpt"
 
 // SaveState serializes the allocator: the fresh-frame cursor, the
 // allocation count and the free list in its insertion order (which is
@@ -19,31 +15,6 @@ func (a *PhysAllocator) SaveState(w *ckpt.Writer) {
 	for _, f := range a.free {
 		w.U64(f)
 	}
-}
-
-// RestoreState reads the SaveState stream back and installs it.
-func (a *PhysAllocator) RestoreState(r *ckpt.Reader) error {
-	base := r.U64()
-	frame := r.U64()
-	limit := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if base != a.base || frame != a.frameSize || limit != a.limit {
-		return fmt.Errorf("vm: allocator range [%#x,%#x)/%d does not match checkpoint [%#x,%#x)/%d",
-			a.base, a.limit, a.frameSize, base, limit, frame)
-	}
-	a.nextFresh = r.U64()
-	a.allocated = r.Int()
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	a.free = a.free[:0]
-	for i := 0; i < n; i++ {
-		a.free = append(a.free, r.U64())
-	}
-	return r.Err()
 }
 
 // Walk visits every leaf entry of the table in ascending virtual
@@ -108,46 +79,4 @@ func (as *AddressSpace) SaveState(w *ckpt.Writer) {
 		w.U64(reg.Size)
 		w.U64(uint64(reg.Kind))
 	}
-}
-
-// RestoreState reads the SaveState stream back. The page tables are
-// rebuilt by replay, so their digests are cross-checked rather than
-// installed; the allocators install their serialized state.
-func (as *AddressSpace) RestoreState(r *ckpt.Reader) error {
-	gpuMapped, gpuDigest := r.Int(), r.U64()
-	cpuMapped, cpuDigest := r.Int(), r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if gpuMapped != as.GPUTable.MappedPages() || gpuDigest != as.GPUTable.digest() {
-		return fmt.Errorf("vm: replayed GPU page table (%d pages, %#016x) does not match checkpoint (%d pages, %#016x)",
-			as.GPUTable.MappedPages(), as.GPUTable.digest(), gpuMapped, gpuDigest)
-	}
-	if cpuMapped != as.CPUTable.MappedPages() || cpuDigest != as.CPUTable.digest() {
-		return fmt.Errorf("vm: replayed CPU page table (%d pages, %#016x) does not match checkpoint (%d pages, %#016x)",
-			as.CPUTable.MappedPages(), as.CPUTable.digest(), cpuMapped, cpuDigest)
-	}
-	if err := as.GPUPhys.RestoreState(r); err != nil {
-		return err
-	}
-	if err := as.CPUPhys.RestoreState(r); err != nil {
-		return err
-	}
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != len(as.regions) {
-		return fmt.Errorf("vm: %d regions, checkpoint has %d", len(as.regions), n)
-	}
-	for i := 0; i < n; i++ {
-		name, base := r.String(), r.U64()
-		r.U64()
-		r.U64()
-		if name != as.regions[i].Name || base != as.regions[i].Base {
-			return fmt.Errorf("vm: region %d is %s@%#x, checkpoint has %s@%#x",
-				i, as.regions[i].Name, as.regions[i].Base, name, base)
-		}
-	}
-	return r.Err()
 }
