@@ -6,7 +6,29 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"gpues/internal/chaos"
+	"gpues/internal/config"
+	"gpues/internal/workloads"
 )
+
+// chaosJob is one half of the chaos sweep's cell for bench and scheme.
+func chaosJob(t *testing.T, bench string, s config.Scheme, stormy bool) job {
+	t.Helper()
+	cfg := config.Default()
+	cfg.Scheme = s
+	cfg.DemandPaging = true
+	cfg.Scheduler.Enabled = true
+	j := job{row: bench, col: s.String() + "-clean", bench: bench, cfg: cfg, place: workloads.DemandPaging(), oracle: true}
+	if stormy {
+		plan, err := chaos.ForLevel(chaosLevel, chaosSeed(bench, s.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.col, j.plan = s.String()+"-chaos", plan
+	}
+	return j
+}
 
 // TestChaosKillAndResume exercises the sweep's crash recovery: a full
 // pass records one done-file per clean/chaos run half; deleting a
@@ -24,7 +46,7 @@ func TestChaosKillAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done, err := filepath.Glob(filepath.Join(dir, "chaos-mri-q-*.done.json"))
+	done, err := filepath.Glob(filepath.Join(dir, "*.done.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,12 +56,12 @@ func TestChaosKillAndResume(t *testing.T) {
 
 	// Kill mid-campaign: drop the replay-queue halves and one clean
 	// half of another scheme, keeping the rest finished.
-	for _, name := range []string{
-		"chaos-mri-q-replay-queue-clean.done.json",
-		"chaos-mri-q-replay-queue-chaos.done.json",
-		"chaos-mri-q-wd-commit-clean.done.json",
+	for _, j := range []job{
+		chaosJob(t, "mri-q", config.ReplayQueue, false),
+		chaosJob(t, "mri-q", config.ReplayQueue, true),
+		chaosJob(t, "mri-q", config.WarpDisableCommit, false),
 	} {
-		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+		if err := os.Remove(resumePath(t, opt, j, ".done.json")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -53,13 +75,7 @@ func TestChaosKillAndResume(t *testing.T) {
 	if !reflect.DeepEqual(first, second) {
 		t.Errorf("resumed sweep differs:\nfirst  %v\nsecond %v", first, second)
 	}
-	var skipped int
-	for _, l := range lines {
-		if strings.Contains(l, "(done, skipped)") {
-			skipped++
-		}
-	}
-	if skipped != 5 { // 8 halves minus the 3 deleted done-files
+	if skipped := countSkipped(lines); skipped != 5 { // 8 halves minus the 3 deleted done-files
 		t.Errorf("skipped %d halves on resume, want 5:\n%s", skipped, strings.Join(lines, "\n"))
 	}
 
@@ -68,13 +84,7 @@ func TestChaosKillAndResume(t *testing.T) {
 	if _, err := Chaos(opt); err != nil {
 		t.Fatal(err)
 	}
-	skipped = 0
-	for _, l := range lines {
-		if strings.Contains(l, "(done, skipped)") {
-			skipped++
-		}
-	}
-	if skipped != 8 {
+	if skipped := countSkipped(lines); skipped != 8 {
 		t.Errorf("skipped %d halves on full resume, want 8", skipped)
 	}
 }

@@ -14,9 +14,10 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"gpues/internal/atomicio"
+	"gpues/internal/chaos"
+	"gpues/internal/ckpt"
 	"gpues/internal/config"
 	"gpues/internal/excep"
 	"gpues/internal/obs"
@@ -34,7 +35,8 @@ type Options struct {
 	Benchmarks []string
 	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
 	Parallelism int
-	// Progress, when set, receives one line per completed run.
+	// Progress, when set, receives one line per completed run (never
+	// two calls at once).
 	Progress func(string)
 	// TraceDir, when set, writes one Chrome trace JSON per simulation
 	// into the directory as <bench>-<column>.trace.json.
@@ -42,16 +44,20 @@ type Options struct {
 	// TraceFilter selects the traced event kinds (obs.ParseFilter
 	// syntax; empty records everything).
 	TraceFilter string
-	// ResumeDir, when set, makes the campaign crash-recoverable:
-	// finished runs record their cycle counts as
-	// <fig>-<bench>-<col>.done.json (skipped on the next invocation),
-	// and in-flight runs checkpoint periodically into
-	// <fig>-<bench>-<col>.ckpts and resume from the latest checkpoint.
-	// The chaos sweep resumes at cell granularity only: its oracle
-	// check needs the full run's memory trajectory, so each clean or
-	// chaos run executes whole, but finished halves record done-files
-	// (as chaos-<bench>-<scheme>-{clean,chaos}.done.json) and are
-	// skipped when a killed sweep is re-invoked.
+	// ResumeDir, when set, makes the campaign crash-recoverable: a
+	// finished run records its cycle count as <key>.done.json and is
+	// skipped by later invocations, and an in-flight run checkpoints
+	// into <key>.ckpts and resumes from its latest checkpoint. The key
+	// names what is simulated, never the figure: sim.RunKey of the
+	// config and workload image, plus the chaos plan for a chaos-sweep
+	// half. So identical runs in different figures share one record,
+	// and a changed config, scale, workload or plan misses. Records
+	// named <fig>-<bench>-<col>.done.json by older versions are
+	// ignored, and those runs rerun. A record carries no binary
+	// identity: after a timing-code change that leaves Config and the
+	// workload images alone, use a fresh directory. Chaos-sweep halves
+	// run whole, since their oracle check needs the full memory
+	// trajectory; resilience trials are neither recorded nor resumed.
 	ResumeDir string
 	// CheckpointEvery is the in-flight checkpoint period in cycles when
 	// ResumeDir is set (0 = a sensible default).
@@ -79,9 +85,8 @@ type Options struct {
 	// sampled campaigns report the same cycle counts as unsampled ones.
 	SampleEvery int64
 	// CampaignProgress, when set, receives (done, total, line) after
-	// every finished unit of campaign work — one simulation for the
-	// figure campaigns, one trial for the resilience campaign, one
-	// clean/chaos half for the chaos sweep. The live introspection
+	// every finished simulation: a figure run, a clean or chaos half of
+	// the chaos sweep, or a resilience trial. The live introspection
 	// server's SetCampaign has exactly this shape.
 	CampaignProgress func(done, total int, last string)
 }
@@ -95,16 +100,6 @@ func (o Options) checkpointEvery() int64 {
 		return o.CheckpointEvery
 	}
 	return defaultCheckpointEvery
-}
-
-// campaignStep reports one finished unit of campaign work to the
-// CampaignProgress hook; done is the campaign-wide atomic counter the
-// concurrent workers share.
-func (o Options) campaignStep(done *atomic.Int64, total int, last string) {
-	if o.CampaignProgress == nil {
-		return
-	}
-	o.CampaignProgress(int(done.Add(1)), total, last)
 }
 
 func (o Options) normalize() Options {
@@ -176,45 +171,175 @@ func geomean(rows []Row, col string) float64 {
 	return math.Exp(logSum / float64(n))
 }
 
-// runJob identifies one simulation. bench doubles as the result row
-// label; realBench, when set, is the workload actually built (used by
-// the scalability/ablation sweeps whose rows are parameters, not
-// benchmarks).
-type runJob struct {
-	bench     string
-	realBench string
-	col       string
-	cfg       config.Config
-	place     workloads.Placement
+// job is one simulation of a campaign. row and col name the result
+// cell it fills. bench, cfg and place, plus plan for an oracle-checked
+// run, are what is simulated; only they make up its resume key, so
+// identical runs in different figures share one record.
+type job struct {
+	row, col string
+	bench    string
+	cfg      config.Config
+	place    workloads.Placement
+	// oracle runs the job whole under sim.RunChaos with plan (nil for a
+	// clean run) and fails it if the final memory diverges from the
+	// functional oracle: one half of a chaos-sweep cell.
+	oracle bool
+	plan   *chaos.Plan
+	// protect, when set, makes the job one bit-flip resilience trial
+	// that shields protect(threads per block) threads of every block.
+	// Trials are neither recorded nor resumed.
+	protect func(tpb int) int
 }
 
-// buildSpec builds the job's workload afresh (runs mutate the
-// functional memory, so every attempt needs its own image).
-func buildSpec(opt Options, j runJob) (sim.LaunchSpec, error) {
-	name := j.bench
-	if j.realBench != "" {
-		name = j.realBench
-	}
-	return workloads.Build(name, workloads.Params{Scale: opt.Scale, Placement: j.place})
+// build builds the job's workload afresh (runs mutate the functional
+// memory, so every attempt needs its own image).
+func (o Options) build(j job) (sim.LaunchSpec, error) {
+	return workloads.Build(j.bench, workloads.Params{Scale: o.Scale, Placement: j.place})
 }
 
-// runOne runs one job, attaching a tracer and/or in-flight
-// checkpointing as the options ask.
-func runOne(opt Options, fig string, j runJob) (*sim.Result, error) {
-	if opt.SampleEvery > 0 {
-		j.cfg.SampleEvery = opt.SampleEvery
+// key names what the job simulates: sim.RunKey of its config and
+// workload image, plus the chaos plan's configuration for an
+// oracle-checked run (the zero configuration for a clean one), so a
+// record never satisfies a run that differs in any of them.
+func (j job) key(spec sim.LaunchSpec) string {
+	key := sim.RunKey(j.cfg, spec)
+	if j.oracle {
+		var pc chaos.Config
+		if j.plan != nil {
+			pc = j.plan.Config()
+		}
+		key += fmt.Sprintf("-plan%016x", ckpt.Digest([]byte(fmt.Sprintf("%#v", pc))))
 	}
-	spec, err := buildSpec(opt, j)
+	return key
+}
+
+// runAll runs the jobs on Options.Parallelism workers and returns what
+// each measured, keyed by row and column: its cycles, or a trial's
+// excep.Outcome. Every finished job is reported to Progress and
+// CampaignProgress, one call at a time. With Options.ResumeDir set, a
+// job whose record exists is not simulated and a finished job is
+// recorded, so a killed campaign re-invoked with the same options
+// continues where it stopped.
+func runAll(opt Options, jobs []job) (map[string]map[string]int64, error) {
+	vals := make([]int64, len(jobs))
+	errs := make([]error, len(jobs))
+	next := make(chan int)
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	done := 0
+	for w := 0; w < opt.Parallelism; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				j := jobs[i]
+				v, line, err := opt.runJob(j)
+				if err != nil {
+					errs[i] = fmt.Errorf("%s/%s: %w", j.row, j.col, err)
+					continue
+				}
+				vals[i] = v
+				mu.Lock()
+				done++
+				if opt.Progress != nil {
+					opt.Progress(line)
+				}
+				if opt.CampaignProgress != nil {
+					opt.CampaignProgress(done, len(jobs), line)
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	for i := range jobs {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	out := make(map[string]map[string]int64)
+	for i, j := range jobs {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		if out[j.row] == nil {
+			out[j.row] = make(map[string]int64)
+		}
+		out[j.row][j.col] = vals[i]
+	}
+	return out, nil
+}
+
+// runJob runs one job, or reads its record, and returns its
+// measurement and progress line.
+func (o Options) runJob(j job) (int64, string, error) {
+	if o.SampleEvery > 0 {
+		j.cfg.SampleEvery = o.SampleEvery
+	}
+	spec, err := o.build(j)
 	if err != nil {
-		return nil, err
+		return 0, "", err
 	}
-	if opt.TraceDir == "" && opt.ResumeDir == "" {
-		return sim.RunSpec(j.cfg, spec)
+	if j.protect != nil {
+		j.cfg.Excep.Flip.ProtectThreads = j.protect(spec.Launch.ThreadsPerBlock())
+		tr, err := sim.RunResilienceTrial(j.cfg, spec, sim.TrialOptions{MaxWarpInsts: resilienceWarpInsts})
+		if err != nil {
+			return 0, "", err
+		}
+		return int64(tr.Outcome), fmt.Sprintf("%-20s %s: %-9v flips=%d cycles=%d",
+			j.row, j.col, tr.Outcome, tr.Flips, tr.Cycles), nil
+	}
+	var key string
+	var rec struct {
+		Cycles int64 `json:"cycles"`
+	}
+	if o.ResumeDir != "" {
+		key = j.key(spec)
+		// A torn or malformed record reads as absent: the job reruns.
+		if atomicio.ReadJSON(filepath.Join(o.ResumeDir, key+".done.json"), &rec) == nil && rec.Cycles > 0 {
+			return rec.Cycles, fmt.Sprintf("%-14s %-14s %12d cycles (done, skipped)", j.row, j.col, rec.Cycles), nil
+		}
+	}
+	note := ""
+	if j.oracle {
+		cr, err := sim.RunChaos(j.cfg, spec, j.plan)
+		if err != nil {
+			return 0, "", err
+		}
+		if !cr.OracleOK() {
+			return 0, "", fmt.Errorf("memory diverged from oracle (%d mismatches, first at %#x)",
+				len(cr.Mismatches), cr.Mismatches[0].Addr)
+		}
+		rec.Cycles = cr.Cycles
+		if j.plan != nil {
+			note = " (" + cr.Summary + ")"
+		}
+	} else if rec.Cycles, note, err = o.runOne(j, spec, key); err != nil {
+		return 0, "", err
+	}
+	if key != "" {
+		if err := atomicio.WriteJSON(filepath.Join(o.ResumeDir, key+".done.json"), rec); err != nil {
+			return 0, "", fmt.Errorf("recording completion: %w", err)
+		}
+		os.RemoveAll(filepath.Join(o.ResumeDir, key+".ckpts"))
+	}
+	return rec.Cycles, fmt.Sprintf("%-14s %-14s %12d cycles", j.row, j.col, rec.Cycles) + note, nil
+}
+
+// runOne runs one figure job, attaching a tracer and, under key, the
+// in-flight checkpoints as the options ask. The note tells of a
+// discarded checkpoint.
+func (o Options) runOne(j job, spec sim.LaunchSpec, key string) (cycles int64, note string, err error) {
+	if o.TraceDir == "" && key == "" {
+		r, err := sim.RunSpec(j.cfg, spec)
+		if err != nil {
+			return 0, "", err
+		}
+		return r.Cycles, "", nil
 	}
 	var mask uint64
-	if opt.TraceDir != "" {
-		if mask, err = obs.ParseFilter(opt.TraceFilter); err != nil {
-			return nil, err
+	if o.TraceDir != "" {
+		if mask, err = obs.ParseFilter(o.TraceFilter); err != nil {
+			return 0, "", err
 		}
 	}
 	wire := func(spec sim.LaunchSpec) (*sim.Simulator, *obs.Tracer, error) {
@@ -223,43 +348,41 @@ func runOne(opt Options, fig string, j runJob) (*sim.Result, error) {
 			return nil, nil, err
 		}
 		var tr *obs.Tracer
-		if opt.TraceDir != "" {
+		if o.TraceDir != "" {
 			tr = obs.New(obs.Options{Filter: mask})
 			s.AttachTracer(tr)
 		}
-		if opt.ResumeDir != "" {
-			s.CheckpointEvery = opt.checkpointEvery()
-			s.CheckpointDir = jobCheckpointDir(opt.ResumeDir, fig, j)
+		if key != "" {
+			s.CheckpointEvery = o.checkpointEvery()
+			s.CheckpointDir = filepath.Join(o.ResumeDir, key+".ckpts")
 		}
 		return s, tr, nil
 	}
 	s, tr, err := wire(spec)
 	if err != nil {
-		return nil, err
+		return 0, "", err
 	}
-	if opt.ResumeDir != "" {
+	if key != "" {
 		if path, rerr := sim.ResolveCheckpoint(s.CheckpointDir); rerr == nil {
 			if rerr := s.RestoreFile(path); rerr != nil {
 				// Stale or incompatible checkpoint (changed config,
 				// scale, or binary): discard it and run from scratch on
 				// a fresh simulator and memory image.
-				if opt.Progress != nil {
-					opt.Progress(fmt.Sprintf("%s/%s: discarding checkpoint: %v", j.bench, j.col, rerr))
-				}
-				if spec, err = buildSpec(opt, j); err != nil {
-					return nil, err
+				note = fmt.Sprintf(" (discarded checkpoint: %v)", rerr)
+				if spec, err = o.build(j); err != nil {
+					return 0, "", err
 				}
 				if s, tr, err = wire(spec); err != nil {
-					return nil, err
+					return 0, "", err
 				}
 			}
 		}
 	}
 	r, runErr := s.Run()
-	if opt.TraceDir != "" {
+	if o.TraceDir != "" {
 		// Export even when the run failed — a failed run's trace is the
 		// most useful one. The run error still wins the return.
-		path := filepath.Join(opt.TraceDir, fmt.Sprintf("%s-%s.trace.json", j.bench, j.col))
+		path := filepath.Join(o.TraceDir, fmt.Sprintf("%s-%s.trace.json", j.row, j.col))
 		werr := func() error {
 			f, err := os.Create(path)
 			if err != nil {
@@ -272,151 +395,46 @@ func runOne(opt Options, fig string, j runJob) (*sim.Result, error) {
 			return err
 		}()
 		if runErr == nil && werr != nil {
-			return nil, werr
+			return 0, "", werr
 		}
 	}
 	if runErr != nil {
-		return nil, runErr
+		return 0, "", runErr
 	}
-	return r, nil
+	return r.Cycles, note, nil
 }
 
-// doneRecord is the crash-recovery marker of one finished run.
-type doneRecord struct {
-	Fig    string `json:"fig"`
-	Bench  string `json:"bench"`
-	Col    string `json:"col"`
-	Scale  int    `json:"scale"`
-	Cycles int64  `json:"cycles"`
-}
+// at names one run of a campaign by its row and column labels.
+type at struct{ row, col string }
 
-// jobKey is the per-run file stem inside ResumeDir.
-func jobKey(fig string, j runJob) string {
-	return fmt.Sprintf("%s-%s-%s", fig, j.bench, j.col)
-}
-
-func doneFilePath(dir, fig string, j runJob) string {
-	return filepath.Join(dir, jobKey(fig, j)+".done.json")
-}
-
-func jobCheckpointDir(dir, fig string, j runJob) string {
-	return filepath.Join(dir, jobKey(fig, j)+".ckpts")
-}
-
-// readDone returns a prior invocation's cycle count for the job, if a
-// matching done-file exists. Torn or malformed files read as absent,
-// so the job simply reruns.
-func readDone(opt Options, fig string, j runJob) (int64, bool) {
-	var d doneRecord
-	if atomicio.ReadJSON(doneFilePath(opt.ResumeDir, fig, j), &d) != nil {
-		return 0, false
-	}
-	if d.Fig != fig || d.Bench != j.bench || d.Col != j.col || d.Scale != opt.Scale {
-		return 0, false
-	}
-	return d.Cycles, true
-}
-
-// writeDone atomically records a finished run (atomicio tmp+rename) and
-// drops its now-useless in-flight checkpoints.
-func writeDone(opt Options, fig string, j runJob, cycles int64) error {
-	d := doneRecord{Fig: fig, Bench: j.bench, Col: j.col, Scale: opt.Scale, Cycles: cycles}
-	if err := atomicio.WriteJSON(doneFilePath(opt.ResumeDir, fig, j), d); err != nil {
-		return err
-	}
-	os.RemoveAll(jobCheckpointDir(opt.ResumeDir, fig, j))
-	return nil
-}
-
-// runAll executes the figure's jobs with bounded parallelism and
-// returns cycles[bench][col]. With Options.ResumeDir set, jobs already
-// recorded as done are skipped and finishing jobs are recorded, so a
-// killed campaign re-invoked with the same options continues where it
-// stopped.
-func runAll(opt Options, fig string, jobs []runJob) (map[string]map[string]int64, error) {
-	type out struct {
-		bench, col string
-		cycles     int64
-		err        error
-	}
-	sem := make(chan struct{}, opt.Parallelism)
-	results := make(chan out, len(jobs))
-	var wg sync.WaitGroup
-	var done atomic.Int64
-	total := len(jobs)
-	for _, j := range jobs {
-		j := j
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if opt.ResumeDir != "" {
-				if cycles, ok := readDone(opt, fig, j); ok {
-					line := fmt.Sprintf("%-14s %-14s %12d cycles (done, skipped)", j.bench, j.col, cycles)
-					if opt.Progress != nil {
-						opt.Progress(line)
-					}
-					opt.campaignStep(&done, total, line)
-					results <- out{j.bench, j.col, cycles, nil}
-					return
-				}
-			}
-			r, err := runOne(opt, fig, j)
-			if err != nil {
-				results <- out{j.bench, j.col, 0, fmt.Errorf("%s/%s: %w", j.bench, j.col, err)}
-				return
-			}
-			if opt.ResumeDir != "" {
-				if err := writeDone(opt, fig, j, r.Cycles); err != nil {
-					results <- out{j.bench, j.col, 0, fmt.Errorf("%s/%s: recording completion: %w", j.bench, j.col, err)}
-					return
-				}
-			}
-			line := fmt.Sprintf("%-14s %-14s %12d cycles", j.bench, j.col, r.Cycles)
-			if opt.Progress != nil {
-				opt.Progress(line)
-			}
-			opt.campaignStep(&done, total, line)
-			results <- out{j.bench, j.col, r.Cycles, nil}
-		}()
-	}
-	wg.Wait()
-	close(results)
-	cycles := make(map[string]map[string]int64)
-	for o := range results {
-		if o.err != nil {
-			return nil, o.err
-		}
-		if cycles[o.bench] == nil {
-			cycles[o.bench] = make(map[string]int64)
-		}
-		cycles[o.bench][o.col] = o.cycles
-	}
-	return cycles, nil
-}
-
-// assemble builds a Result with values[col] = cycles[base]/cycles[col]
-// (relative performance, higher is better).
-func assemble(id, title, metric string, benches, cols []string,
-	cycles map[string]map[string]int64, baseCol string) *Result {
-	res := &Result{ID: id, Title: title, Metric: metric, Columns: cols, Geomean: map[string]float64{}}
-	sorted := append([]string(nil), benches...)
-	sort.Strings(sorted)
-	for _, bench := range sorted {
-		row := Row{Benchmark: bench, Values: map[string]float64{}}
-		base := cycles[bench][baseCol]
-		for _, c := range cols {
-			if v := cycles[bench][c]; v > 0 && base > 0 {
-				row.Values[c] = float64(base) / float64(v)
+// ratios fills res, whose Columns are set, with one Row per label in
+// rows and each column's geomean. The value at (row, col) is
+// cycles[num] / cycles[den] for the two runs pick(row, col) names; it
+// is left out when either run is missing.
+func ratios(res *Result, rows []string, cycles map[string]map[string]int64,
+	pick func(row, col string) (num, den at)) *Result {
+	res.Geomean = map[string]float64{}
+	for _, label := range rows {
+		row := Row{Benchmark: label, Values: map[string]float64{}}
+		for _, col := range res.Columns {
+			num, den := pick(label, col)
+			if n, d := cycles[num.row][num.col], cycles[den.row][den.col]; n > 0 && d > 0 {
+				row.Values[col] = float64(n) / float64(d)
 			}
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	for _, c := range cols {
-		res.Geomean[c] = geomean(res.Rows, c)
+	for _, col := range res.Columns {
+		res.Geomean[col] = geomean(res.Rows, col)
 	}
 	return res
+}
+
+// sorted returns a sorted copy of names.
+func sorted(names []string) []string {
+	names = append([]string(nil), names...)
+	sort.Strings(names)
+	return names
 }
 
 func (o Options) parboil() []string {
@@ -436,21 +454,21 @@ func Fig10(opt Options) (*Result, error) {
 		config.Baseline, config.WarpDisableCommit,
 		config.WarpDisableLastCheck, config.ReplayQueue,
 	}
-	var jobs []runJob
+	var jobs []job
 	for _, bench := range benches {
 		for _, s := range schemes {
 			cfg := config.Default()
 			cfg.Scheme = s
-			jobs = append(jobs, runJob{bench: bench, col: s.String(), cfg: cfg, place: workloads.Resident()})
+			jobs = append(jobs, job{row: bench, col: s.String(), bench: bench, cfg: cfg, place: workloads.Resident()})
 		}
 	}
-	cycles, err := runAll(opt, "fig10", jobs)
+	cycles, err := runAll(opt, jobs)
 	if err != nil {
 		return nil, err
 	}
-	cols := []string{"wd-commit", "wd-lastcheck", "replay-queue"}
-	return assemble("fig10", "Performance of warp disable and replay queue pipelines",
-		"normalized to baseline, higher is better", benches, cols, cycles, "baseline"), nil
+	return ratios(&Result{ID: "fig10", Title: "Performance of warp disable and replay queue pipelines",
+		Metric: "normalized to baseline, higher is better", Columns: []string{"wd-commit", "wd-lastcheck", "replay-queue"}},
+		sorted(benches), cycles, func(row, col string) (at, at) { return at{row, "baseline"}, at{row, col} }), nil
 }
 
 // Fig11 regenerates Figure 11: operand log performance at 8, 16, 20 and
@@ -458,26 +476,32 @@ func Fig10(opt Options) (*Result, error) {
 func Fig11(opt Options) (*Result, error) {
 	opt = opt.normalize()
 	benches := opt.parboil()
-	sizes := []int{8, 16, 20, 32}
-	var jobs []runJob
+	var jobs []job
 	for _, bench := range benches {
-		base := config.Default()
-		jobs = append(jobs, runJob{bench: bench, col: "baseline", cfg: base, place: workloads.Resident()})
-		for _, kb := range sizes {
+		jobs = append(jobs, job{row: bench, col: "baseline", bench: bench, cfg: config.Default(), place: workloads.Resident()})
+		for _, kb := range []int{8, 16, 20, 32} {
 			cfg := config.Default()
 			cfg.Scheme = config.OperandLog
 			cfg.SM.OperandLog.SizeKB = kb
-			jobs = append(jobs, runJob{bench: bench, col: fmt.Sprintf("log-%dKB", kb), cfg: cfg, place: workloads.Resident()})
+			jobs = append(jobs, job{row: bench, col: fmt.Sprintf("log-%dKB", kb), bench: bench, cfg: cfg, place: workloads.Resident()})
 		}
 	}
-	cycles, err := runAll(opt, "fig11", jobs)
+	cycles, err := runAll(opt, jobs)
 	if err != nil {
 		return nil, err
 	}
-	cols := []string{"log-8KB", "log-16KB", "log-20KB", "log-32KB"}
-	return assemble("fig11", "Performance of the operand log scheme by log size",
-		"normalized to baseline, higher is better", benches, cols, cycles, "baseline"), nil
+	return ratios(&Result{ID: "fig11", Title: "Performance of the operand log scheme by log size",
+		Metric: "normalized to baseline, higher is better", Columns: []string{"log-8KB", "log-16KB", "log-20KB", "log-32KB"}},
+		sorted(benches), cycles, func(row, col string) (at, at) { return at{row, "baseline"}, at{row, col} }), nil
 }
+
+// link is one CPU-GPU interconnect the use-case figures compare.
+type link struct {
+	name string
+	cfg  config.InterconnectConfig
+}
+
+var links = []link{{"nvlink", config.NVLinkConfig()}, {"pcie", config.PCIeConfig()}}
 
 // Fig12 regenerates Figure 12: speedup from thread block switching on
 // fault under on-demand paging, for NVLink and PCIe, with normal and
@@ -486,113 +510,60 @@ func Fig11(opt Options) (*Result, error) {
 func Fig12(opt Options) (*Result, error) {
 	opt = opt.normalize()
 	benches := opt.parboil()
-	links := map[string]config.InterconnectConfig{
-		"nvlink": config.NVLinkConfig(),
-		"pcie":   config.PCIeConfig(),
-	}
-	var jobs []runJob
+	var jobs []job
 	for _, bench := range benches {
-		for lname, link := range links {
+		for _, l := range links {
 			base := config.Default()
 			base.Scheme = config.ReplayQueue
 			base.DemandPaging = true
-			base.Link = link
-			jobs = append(jobs, runJob{bench: bench, col: lname + "-base", cfg: base, place: workloads.DemandPaging()})
-
+			base.Link = l.cfg
 			sw := base
 			sw.Scheduler.Enabled = true
-			jobs = append(jobs, runJob{bench: bench, col: lname, cfg: sw, place: workloads.DemandPaging()})
-
 			ideal := sw
 			ideal.Scheduler.IdealContextSwitch = true
-			jobs = append(jobs, runJob{bench: bench, col: lname + "-ideal", cfg: ideal, place: workloads.DemandPaging()})
+			jobs = append(jobs,
+				job{row: bench, col: l.name + "-base", bench: bench, cfg: base, place: workloads.DemandPaging()},
+				job{row: bench, col: l.name, bench: bench, cfg: sw, place: workloads.DemandPaging()},
+				job{row: bench, col: l.name + "-ideal", bench: bench, cfg: ideal, place: workloads.DemandPaging()})
 		}
 	}
-	cycles, err := runAll(opt, "fig12", jobs)
+	cycles, err := runAll(opt, jobs)
 	if err != nil {
 		return nil, err
 	}
 	// Each link normalizes to its own no-switching base.
-	res := &Result{
-		ID:      "fig12",
-		Title:   "Thread block switching on fault vs. no switching",
-		Metric:  "speedup over no-switching, higher is better",
-		Columns: []string{"nvlink", "nvlink-ideal", "pcie", "pcie-ideal"},
-		Geomean: map[string]float64{},
-	}
-	sorted := append([]string(nil), benches...)
-	sort.Strings(sorted)
-	for _, bench := range sorted {
-		row := Row{Benchmark: bench, Values: map[string]float64{}}
-		for lname := range links {
-			base := cycles[bench][lname+"-base"]
-			if base == 0 {
-				continue
-			}
-			if v := cycles[bench][lname]; v > 0 {
-				row.Values[lname] = float64(base) / float64(v)
-			}
-			if v := cycles[bench][lname+"-ideal"]; v > 0 {
-				row.Values[lname+"-ideal"] = float64(base) / float64(v)
-			}
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	for _, c := range res.Columns {
-		res.Geomean[c] = geomean(res.Rows, c)
-	}
-	return res, nil
+	return ratios(&Result{ID: "fig12", Title: "Thread block switching on fault vs. no switching",
+		Metric: "speedup over no-switching, higher is better", Columns: []string{"nvlink", "nvlink-ideal", "pcie", "pcie-ideal"}},
+		sorted(benches), cycles, func(row, col string) (at, at) {
+			return at{row, strings.TrimSuffix(col, "-ideal") + "-base"}, at{row, col}
+		}), nil
 }
 
 // localHandlingFigure shares the Figure 13/14 machinery: speedup of
 // GPU-local fault handling over CPU handling for lazily allocated
 // pages, per interconnect.
 func localHandlingFigure(opt Options, id, title string, benches []string) (*Result, error) {
-	links := map[string]config.InterconnectConfig{
-		"nvlink": config.NVLinkConfig(),
-		"pcie":   config.PCIeConfig(),
-	}
-	var jobs []runJob
+	var jobs []job
 	for _, bench := range benches {
-		for lname, link := range links {
+		for _, l := range links {
 			cpu := config.Default()
 			cpu.Scheme = config.ReplayQueue
-			cpu.Link = link
-			jobs = append(jobs, runJob{bench: bench, col: lname + "-cpu", cfg: cpu, place: workloads.LazyOutput()})
-
+			cpu.Link = l.cfg
 			gpu := cpu
 			gpu.Local.Enabled = true
-			jobs = append(jobs, runJob{bench: bench, col: lname + "-gpu", cfg: gpu, place: workloads.LazyOutput()})
+			jobs = append(jobs,
+				job{row: bench, col: l.name + "-cpu", bench: bench, cfg: cpu, place: workloads.LazyOutput()},
+				job{row: bench, col: l.name + "-gpu", bench: bench, cfg: gpu, place: workloads.LazyOutput()})
 		}
 	}
-	cycles, err := runAll(opt, id, jobs)
+	cycles, err := runAll(opt, jobs)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		ID:      id,
-		Title:   title,
-		Metric:  "speedup of GPU-local handling over CPU handling, higher is better",
-		Columns: []string{"nvlink", "pcie"},
-		Geomean: map[string]float64{},
-	}
-	sorted := append([]string(nil), benches...)
-	sort.Strings(sorted)
-	for _, bench := range sorted {
-		row := Row{Benchmark: bench, Values: map[string]float64{}}
-		for lname := range links {
-			cpu := cycles[bench][lname+"-cpu"]
-			gpu := cycles[bench][lname+"-gpu"]
-			if cpu > 0 && gpu > 0 {
-				row.Values[lname] = float64(cpu) / float64(gpu)
-			}
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	for _, c := range res.Columns {
-		res.Geomean[c] = geomean(res.Rows, c)
-	}
-	return res, nil
+	// The numerator is the CPU-handled run, the denominator the GPU one.
+	return ratios(&Result{ID: id, Title: title,
+		Metric: "speedup of GPU-local handling over CPU handling, higher is better", Columns: []string{"nvlink", "pcie"}},
+		sorted(benches), cycles, func(row, col string) (at, at) { return at{row, col + "-cpu"}, at{row, col + "-gpu"} }), nil
 }
 
 // Fig13 regenerates Figure 13: local handling of faults to pages

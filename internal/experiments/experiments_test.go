@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -137,6 +136,35 @@ func TestGeomeanSkipsZeros(t *testing.T) {
 	}
 }
 
+// fig10Job is Figure 10's job for one benchmark and scheme.
+func fig10Job(bench string, s config.Scheme) job {
+	cfg := config.Default()
+	cfg.Scheme = s
+	return job{row: bench, col: s.String(), bench: bench, cfg: cfg, place: workloads.Resident()}
+}
+
+// resumePath is where opt.ResumeDir keeps j's record (suffix
+// ".done.json") or in-flight checkpoints (".ckpts").
+func resumePath(t *testing.T, opt Options, j job, suffix string) string {
+	t.Helper()
+	spec, err := opt.normalize().build(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return filepath.Join(opt.ResumeDir, j.key(spec)+suffix)
+}
+
+// countSkipped counts the progress lines of runs served from a record.
+func countSkipped(lines []string) int {
+	n := 0
+	for _, l := range lines {
+		if strings.Contains(l, "(done, skipped)") {
+			n++
+		}
+	}
+	return n
+}
+
 func TestResumeDirSkipsFinishedRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -148,12 +176,13 @@ func TestResumeDirSkipsFinishedRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done, err := filepath.Glob(filepath.Join(dir, "fig10-mri-q-*.done.json"))
-	if err != nil {
-		t.Fatal(err)
+	for _, s := range []config.Scheme{config.Baseline, config.WarpDisableCommit, config.WarpDisableLastCheck, config.ReplayQueue} {
+		if _, err := os.Stat(resumePath(t, opt, fig10Job("mri-q", s), ".done.json")); err != nil {
+			t.Errorf("no record for %v: %v", s, err)
+		}
 	}
-	if len(done) != 4 { // 4 schemes
-		t.Fatalf("done files = %v, want 4", done)
+	if done, _ := filepath.Glob(filepath.Join(dir, "*.done.json")); len(done) != 4 { // 4 schemes
+		t.Fatalf("records = %v, want 4", done)
 	}
 
 	// Second invocation must skip every run and reproduce the figure.
@@ -163,13 +192,73 @@ func TestResumeDirSkipsFinishedRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, l := range lines {
-		if !strings.Contains(l, "skipped") {
-			t.Errorf("run not skipped on resume: %s", l)
-		}
+	if n := countSkipped(lines); n != 4 || len(lines) != 4 {
+		t.Errorf("skipped %d of %d runs on resume, want 4 of 4: %q", n, len(lines), lines)
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Errorf("resumed figure differs:\nfirst  %v\nsecond %v", first, second)
+	}
+}
+
+// A record is keyed by what was simulated, so the same row and column
+// labels with a changed config must simulate, not reuse.
+func TestResumeDirMissesOnConfigChange(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	var lines []string
+	opt := Options{Scale: 1, ResumeDir: t.TempDir(), Progress: func(s string) { lines = append(lines, s) }}.normalize()
+	j := fig10Job("mri-q", config.Baseline)
+	first, err := runAll(opt, []job{j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.cfg.SM.L1Latency++
+	second, err := runAll(opt, []job{j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := countSkipped(lines); n != 0 {
+		t.Fatalf("changed config reused a record: %q", lines)
+	}
+	if a, b := first["mri-q"]["baseline"], second["mri-q"]["baseline"]; a == b {
+		t.Errorf("L1 latency +1 kept the cycle count %d", a)
+	}
+	if done, _ := filepath.Glob(filepath.Join(opt.ResumeDir, "*.done.json")); len(done) != 2 {
+		t.Errorf("records = %v, want one per config", done)
+	}
+}
+
+// Identical runs in different figures share one record: every Figure
+// 11 baseline run is a Figure 10 baseline run.
+func TestResumeDirSharedAcrossFigures(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	fresh, err := Fig11(Options{Scale: 1, Benchmarks: []string{"mri-q"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Scale: 1, Benchmarks: []string{"mri-q"}, ResumeDir: t.TempDir()}
+	if _, err := Fig10(opt); err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	opt.Progress = func(s string) { lines = append(lines, s) }
+	shared, err := Fig11(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range lines {
+		if skipped := strings.Contains(l, "(done, skipped)"); skipped != strings.Contains(l, " baseline ") {
+			t.Errorf("only the baseline run may come from Figure 10's record: %s", l)
+		}
+	}
+	if countSkipped(lines) != 1 {
+		t.Errorf("baseline not served from Figure 10's record: %q", lines)
+	}
+	if !reflect.DeepEqual(fresh, shared) {
+		t.Errorf("shared-record figure differs:\nfresh  %v\nshared %v", fresh, shared)
 	}
 }
 
@@ -178,17 +267,29 @@ func TestResumeDirDiscardStaleDoneFile(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	dir := t.TempDir()
-	// A done-file from a different scale must not satisfy this campaign.
-	stale := doneRecord{Fig: "fig10", Bench: "mri-q", Col: "baseline", Scale: 7, Cycles: 1}
-	data, _ := json.Marshal(stale)
-	if err := os.WriteFile(filepath.Join(dir, "fig10-mri-q-baseline.done.json"), data, 0o644); err != nil {
-		t.Fatal(err)
+	var lines []string
+	opt := Options{Scale: 1, Benchmarks: []string{"mri-q"}, ResumeDir: dir,
+		Progress: func(s string) { lines = append(lines, s) }}
+	bogus := []byte(`{"fig":"fig10","bench":"mri-q","col":"baseline","scale":1,"cycles":1}`)
+	// A record of the same run at another scale must not satisfy this
+	// campaign, and neither may one named the old way, by figure,
+	// benchmark and column.
+	for _, path := range []string{
+		resumePath(t, Options{Scale: 2, ResumeDir: dir}, fig10Job("mri-q", config.Baseline), ".done.json"),
+		filepath.Join(dir, "fig10-mri-q-baseline.done.json"),
+	} {
+		if err := os.WriteFile(path, bogus, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	r, err := Fig10(Options{Scale: 1, Benchmarks: []string{"mri-q"}, ResumeDir: dir})
+	r, err := Fig10(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := r.Rows[0].Values["replay-queue"]; v <= 0 || v > 1.02 {
+	if n := countSkipped(lines); n != 0 {
+		t.Errorf("stale done-file served: %q", lines)
+	}
+	if v := r.Rows[0].Values["replay-queue"]; v <= 0.9 || v > 1.02 {
 		t.Errorf("stale done-file corrupted the figure: %+v", r.Rows[0].Values)
 	}
 }
@@ -200,25 +301,30 @@ func TestResumeDirIgnoresTornDoneFile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	dir := t.TempDir()
+	var lines []string
+	opt := Options{Scale: 1, Benchmarks: []string{"mri-q"}, ResumeDir: t.TempDir(),
+		Progress: func(s string) { lines = append(lines, s) }}
 	// Only the .tmp sibling exists: the atomic-write idiom guarantees the
 	// destination never appears half-written, so this is the on-disk
 	// state after a mid-write kill.
-	if err := os.WriteFile(filepath.Join(dir, "fig10-mri-q-baseline.done.json.tmp"),
-		[]byte(`{"fig":"fig10","bench":"mri-q"`), 0o644); err != nil {
+	if err := os.WriteFile(resumePath(t, opt, fig10Job("mri-q", config.Baseline), ".done.json.tmp"),
+		[]byte(`{"cycles":`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// And a sibling column's destination holds garbage (torn by a
 	// non-atomic writer): it must be discarded, not half-decoded.
-	if err := os.WriteFile(filepath.Join(dir, "fig10-mri-q-replay-queue.done.json"),
-		[]byte(`{"fig":"fig10","cycles":`), 0o644); err != nil {
+	if err := os.WriteFile(resumePath(t, opt, fig10Job("mri-q", config.ReplayQueue), ".done.json"),
+		[]byte(`{"cycles":`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Fig10(Options{Scale: 1, Benchmarks: []string{"mri-q"}, ResumeDir: dir})
+	r, err := Fig10(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := r.Rows[0].Values["replay-queue"]; v <= 0 || v > 1.02 {
+	if n := countSkipped(lines); n != 0 {
+		t.Errorf("torn done-file served: %q", lines)
+	}
+	if v := r.Rows[0].Values["replay-queue"]; v <= 0.9 || v > 1.02 {
 		t.Errorf("torn done-files corrupted the figure: %+v", r.Rows[0].Values)
 	}
 }
@@ -230,10 +336,12 @@ func TestResumeDirDiscardsStaleCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	dir := t.TempDir()
+	var lines []string
+	opt := Options{Scale: 1, Benchmarks: []string{"mri-q"}, ResumeDir: t.TempDir(),
+		Progress: func(s string) { lines = append(lines, s) }}
 
 	// Plant a mid-flight checkpoint of a replay-queue run where the
-	// baseline column's checkpoints live.
+	// baseline run's checkpoints live.
 	cfg := config.Default()
 	cfg.Scheme = config.ReplayQueue
 	spec, err := workloads.Build("mri-q", workloads.Params{Scale: 1, Placement: workloads.Resident()})
@@ -250,20 +358,17 @@ func TestResumeDirDiscardsStaleCheckpoint(t *testing.T) {
 	if _, err := s.StepTo(5000); err != nil {
 		t.Fatal(err)
 	}
-	ckptDir := filepath.Join(dir, "fig10-mri-q-baseline.ckpts")
-	if _, err := s.WriteCheckpoint(ckptDir); err != nil {
+	if _, err := s.WriteCheckpoint(resumePath(t, opt, fig10Job("mri-q", config.Baseline), ".ckpts")); err != nil {
 		t.Fatal(err)
 	}
 
-	var lines []string
-	r, err := Fig10(Options{Scale: 1, Benchmarks: []string{"mri-q"}, ResumeDir: dir,
-		Progress: func(s string) { lines = append(lines, s) }})
+	r, err := Fig10(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	discarded := false
 	for _, l := range lines {
-		if strings.Contains(l, "discarding checkpoint") {
+		if strings.Contains(l, "discarded checkpoint") {
 			discarded = true
 		}
 	}

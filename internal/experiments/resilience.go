@@ -3,12 +3,9 @@ package experiments
 import (
 	"fmt"
 	"hash/fnv"
-	"sync"
-	"sync/atomic"
 
 	"gpues/internal/config"
 	"gpues/internal/excep"
-	"gpues/internal/sim"
 	"gpues/internal/workloads"
 )
 
@@ -80,69 +77,29 @@ func Resilience(opt Options) (*Result, error) {
 		rate = opt.FlipRate
 	}
 	prots := opt.protCells()
-
-	type cell struct {
-		row    string
-		counts []float64
-		err    error
-	}
-	sem := make(chan struct{}, opt.Parallelism)
-	results := make(chan cell, len(benches)*len(prots))
-	var wg sync.WaitGroup
-	var doneTrials atomic.Int64
-	// Campaign progress counts individual trials.
-	totalTrials := len(benches) * len(prots) * trials
+	var jobs []job
 	for _, bench := range benches {
 		for _, prot := range prots {
-			bench, prot := bench, prot
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				row := fmt.Sprintf("%s/%s", bench, prot.label)
-				counts := make([]float64, excep.NumOutcomes)
-				base := opt.FlipSeed
-				if base == 0 {
-					base = resilienceSeed(bench, prot.label)
+			base := opt.FlipSeed
+			if base == 0 {
+				base = resilienceSeed(bench, prot.label)
+			}
+			for trial := 0; trial < trials; trial++ {
+				cfg := config.Default()
+				cfg.Excep.Mode = opt.ExcepMode
+				if opt.ExcepMode == excep.ModePreemptible {
+					cfg.Scheme = config.ReplayQueue
 				}
-				for trial := 0; trial < trials; trial++ {
-					spec, err := workloads.Build(bench,
-						workloads.Params{Scale: opt.Scale, Placement: workloads.Resident()})
-					if err != nil {
-						results <- cell{row, nil, err}
-						return
-					}
-					cfg := config.Default()
-					cfg.Excep.Mode = opt.ExcepMode
-					if opt.ExcepMode == excep.ModePreemptible {
-						cfg.Scheme = config.ReplayQueue
-					}
-					cfg.Excep.Flip = excep.FlipConfig{
-						Seed:           base + int64(trial),
-						Rate:           rate,
-						ProtectThreads: prot.threads(spec.Launch.ThreadsPerBlock()),
-					}
-					tr, err := sim.RunResilienceTrial(cfg, spec,
-						sim.TrialOptions{MaxWarpInsts: resilienceWarpInsts})
-					if err != nil {
-						results <- cell{row, nil, fmt.Errorf("%s trial %d: %w", row, trial, err)}
-						return
-					}
-					counts[tr.Outcome]++
-					line := fmt.Sprintf("%-20s trial %d: %-9v flips=%d cycles=%d",
-						row, trial, tr.Outcome, tr.Flips, tr.Cycles)
-					if opt.Progress != nil {
-						opt.Progress(line)
-					}
-					opt.campaignStep(&doneTrials, totalTrials, line)
-				}
-				results <- cell{row, counts, nil}
-			}()
+				cfg.Excep.Flip = excep.FlipConfig{Seed: base + int64(trial), Rate: rate}
+				jobs = append(jobs, job{row: bench + "/" + prot.label, col: fmt.Sprintf("trial %d", trial),
+					bench: bench, cfg: cfg, place: workloads.Resident(), protect: prot.threads})
+			}
 		}
 	}
-	wg.Wait()
-	close(results)
+	outcomes, err := runAll(opt, jobs)
+	if err != nil {
+		return nil, err
+	}
 
 	res := &Result{
 		ID:      "resilience",
@@ -153,19 +110,14 @@ func Resilience(opt Options) (*Result, error) {
 	for o := excep.Outcome(0); o < excep.NumOutcomes; o++ {
 		res.Columns = append(res.Columns, o.String())
 	}
-	byRow := map[string][]float64{}
-	for c := range results {
-		if c.err != nil {
-			return nil, c.err
-		}
-		byRow[c.row] = c.counts
-	}
 	for _, bench := range benches {
 		for _, prot := range prots {
-			row := Row{Benchmark: fmt.Sprintf("%s/%s", bench, prot.label), Values: map[string]float64{}}
-			counts := byRow[row.Benchmark]
-			for o := excep.Outcome(0); o < excep.NumOutcomes; o++ {
-				row.Values[o.String()] = counts[o]
+			row := Row{Benchmark: bench + "/" + prot.label, Values: map[string]float64{}}
+			for _, col := range res.Columns {
+				row.Values[col] = 0
+			}
+			for _, o := range outcomes[row.Benchmark] {
+				row.Values[excep.Outcome(o).String()]++
 			}
 			res.Rows = append(res.Rows, row)
 		}

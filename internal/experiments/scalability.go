@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"gpues/internal/config"
 	"gpues/internal/workloads"
@@ -16,6 +15,15 @@ import (
 
 // smCounts are the GPU sizes swept by the scalability experiments.
 var smCounts = []int{4, 8, 16, 32}
+
+// smRows returns the scalability experiments' row labels.
+func smRows() []string {
+	rows := make([]string, len(smCounts))
+	for i, sms := range smCounts {
+		rows[i] = fmt.Sprintf("%d-SMs", sms)
+	}
+	return rows
+}
 
 // SchemeScalability measures the performance of the preemptible schemes
 // relative to the baseline as the GPU grows, on a fixed-size workload.
@@ -31,48 +39,22 @@ func SchemeScalability(opt Options) (*Result, error) {
 		config.Baseline, config.WarpDisableCommit,
 		config.WarpDisableLastCheck, config.ReplayQueue,
 	}
-	var jobs []runJob
-	for _, sms := range smCounts {
+	var jobs []job
+	for i, row := range smRows() {
 		for _, s := range schemes {
 			cfg := config.Default()
-			cfg.System.NumSMs = sms
+			cfg.System.NumSMs = smCounts[i]
 			cfg.Scheme = s
-			jobs = append(jobs, runJob{
-				bench: fmt.Sprintf("%d-SMs", sms),
-				col:   s.String(),
-				cfg:   cfg,
-				place: workloads.Resident(),
-			})
+			jobs = append(jobs, job{row: row, col: s.String(), bench: bench, cfg: cfg, place: workloads.Resident()})
 		}
 	}
-	// All rows run the same benchmark; runJob.bench doubles as the row
-	// label, so resolve the real benchmark in a custom runner.
-	cycles, err := runAllNamed(opt, "scal-schemes", bench, jobs)
+	cycles, err := runAll(opt, jobs)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		ID:      "scal-schemes",
-		Title:   fmt.Sprintf("Scheme cost vs. GPU size (%s, fixed dataset)", bench),
-		Metric:  "normalized to baseline at the same SM count, higher is better",
-		Columns: []string{"wd-commit", "wd-lastcheck", "replay-queue"},
-		Geomean: map[string]float64{},
-	}
-	for _, sms := range smCounts {
-		label := fmt.Sprintf("%d-SMs", sms)
-		row := Row{Benchmark: label, Values: map[string]float64{}}
-		base := cycles[label]["baseline"]
-		for _, c := range res.Columns {
-			if v := cycles[label][c]; v > 0 && base > 0 {
-				row.Values[c] = float64(base) / float64(v)
-			}
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	for _, c := range res.Columns {
-		res.Geomean[c] = geomean(res.Rows, c)
-	}
-	return res, nil
+	return ratios(&Result{ID: "scal-schemes", Title: fmt.Sprintf("Scheme cost vs. GPU size (%s, fixed dataset)", bench),
+		Metric: "normalized to baseline at the same SM count, higher is better", Columns: []string{"wd-commit", "wd-lastcheck", "replay-queue"}},
+		smRows(), cycles, func(row, col string) (at, at) { return at{row, "baseline"}, at{row, col} }), nil
 }
 
 // LocalHandlingScalability measures use case 2's speedup as the GPU
@@ -84,209 +66,110 @@ func LocalHandlingScalability(opt Options) (*Result, error) {
 	if len(opt.Benchmarks) == 1 {
 		bench = opt.Benchmarks[0]
 	}
-	var jobs []runJob
-	for _, sms := range smCounts {
+	var jobs []job
+	for i, row := range smRows() {
 		cpu := config.Default()
-		cpu.System.NumSMs = sms
+		cpu.System.NumSMs = smCounts[i]
 		cpu.Scheme = config.ReplayQueue
-		jobs = append(jobs, runJob{bench: fmt.Sprintf("%d-SMs", sms), col: "cpu", cfg: cpu, place: workloads.LazyOutput()})
 		gpu := cpu
 		gpu.Local.Enabled = true
-		jobs = append(jobs, runJob{bench: fmt.Sprintf("%d-SMs", sms), col: "gpu-local", cfg: gpu, place: workloads.LazyOutput()})
+		jobs = append(jobs,
+			job{row: row, col: "cpu", bench: bench, cfg: cpu, place: workloads.LazyOutput()},
+			job{row: row, col: "gpu-local", bench: bench, cfg: gpu, place: workloads.LazyOutput()})
 	}
-	cycles, err := runAllNamed(opt, "scal-local", bench, jobs)
+	cycles, err := runAll(opt, jobs)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		ID:      "scal-local",
-		Title:   fmt.Sprintf("Local fault handling vs. GPU size (%s)", bench),
-		Metric:  "speedup of GPU-local over CPU handling, higher is better",
-		Columns: []string{"speedup"},
-		Geomean: map[string]float64{},
-	}
-	for _, sms := range smCounts {
-		label := fmt.Sprintf("%d-SMs", sms)
-		row := Row{Benchmark: label, Values: map[string]float64{}}
-		if c, g := cycles[label]["cpu"], cycles[label]["gpu-local"]; c > 0 && g > 0 {
-			row.Values["speedup"] = float64(c) / float64(g)
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	res.Geomean["speedup"] = geomean(res.Rows, "speedup")
-	return res, nil
-}
-
-// runAllNamed is runAll for jobs whose bench field is a row label
-// rather than a workload name: every job runs `bench`.
-func runAllNamed(opt Options, fig, bench string, jobs []runJob) (map[string]map[string]int64, error) {
-	for i := range jobs {
-		jobs[i].realBench = bench
-	}
-	return runAll(opt, fig, jobs)
+	return ratios(&Result{ID: "scal-local", Title: fmt.Sprintf("Local fault handling vs. GPU size (%s)", bench),
+		Metric: "speedup of GPU-local over CPU handling, higher is better", Columns: []string{"speedup"}},
+		smRows(), cycles, func(row, _ string) (at, at) { return at{row, "cpu"}, at{row, "gpu-local"} }), nil
 }
 
 // Ablations runs the design-parameter sweeps: each Result isolates one
 // knob of the paper's mechanisms.
 func Ablations(opt Options) ([]*Result, error) {
 	opt = opt.normalize()
+	paging := func(cfg *config.Config) {
+		cfg.Scheme = config.ReplayQueue
+		cfg.DemandPaging = true
+	}
+	sweeps := []struct {
+		id, title, metric, bench string
+		place                    workloads.Placement
+		values                   []int
+		mut                      func(*config.Config, int)
+		// baseRow is the row every other row is relative to; base, when
+		// set, adds it as a run of its own.
+		baseRow string
+		base    func(*config.Config)
+	}{
+		// 1. Switch threshold (use case 1): how aggressive should the
+		// local scheduler be about switching on a queued fault?
+		{"switch-threshold", "Block switching threshold (sgemm, demand paging, NVLink)",
+			"speedup over no-switching", "sgemm", workloads.DemandPaging(),
+			[]int{0, 1, 2, 4},
+			func(cfg *config.Config, v int) {
+				paging(cfg)
+				cfg.Scheduler.Enabled = true
+				cfg.Scheduler.SwitchThreshold = v
+			},
+			"base", paging},
+		// 2. Extra block budget (use case 1): the paper allows 4
+		// off-chip blocks per SM.
+		{"extra-blocks", "Extra off-chip blocks per SM (sgemm, demand paging, NVLink)",
+			"speedup over no-switching", "sgemm", workloads.DemandPaging(),
+			[]int{1, 2, 4, 8},
+			func(cfg *config.Config, v int) {
+				paging(cfg)
+				cfg.Scheduler.Enabled = true
+				cfg.Scheduler.MaxExtraBlocks = v
+			},
+			"base", paging},
+		// 3. GPU handler concurrency (use case 2): how much parallelism
+		// the system-level synchronization permits.
+		{"handler-concurrency", "GPU-local handler concurrency (halloc-spree, lazy heap, NVLink)",
+			"speedup over CPU handling", "halloc-spree", workloads.LazyOutput(),
+			[]int{1, 2, 3, 4, 8},
+			func(cfg *config.Config, v int) {
+				cfg.Scheme = config.ReplayQueue
+				cfg.Local.Enabled = true
+				cfg.Local.Concurrency = v
+			},
+			"base", func(cfg *config.Config) { cfg.Scheme = config.ReplayQueue }},
+		// 4. Fault handling granularity (Section 5.1 fixes 64 KB): the
+		// prefetch-vs-overfetch trade-off of region size. The base is
+		// the 64 KB row.
+		{"fault-granularity", "Fault handling granularity in KB (stencil, demand paging, NVLink)",
+			"speedup over 64 KB handling", "stencil", workloads.DemandPaging(),
+			[]int{16, 64, 256},
+			func(cfg *config.Config, v int) {
+				paging(cfg)
+				cfg.System.FaultGranularity = v * 1024
+			},
+			"64", nil},
+	}
 	var out []*Result
-
-	// 1. Switch threshold (use case 1): how aggressive should the local
-	// scheduler be about switching on a queued fault?
-	thr, err := sweep(opt, "switch-threshold",
-		"Block switching threshold (sgemm, demand paging, NVLink)",
-		"speedup over no-switching", "sgemm", workloads.DemandPaging(),
-		[]int{0, 1, 2, 4},
-		func(cfg *config.Config, v int) {
-			cfg.Scheme = config.ReplayQueue
-			cfg.DemandPaging = true
-			cfg.Scheduler.Enabled = true
-			cfg.Scheduler.SwitchThreshold = v
-		},
-		func(cfg *config.Config) {
-			cfg.Scheme = config.ReplayQueue
-			cfg.DemandPaging = true
-		})
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, thr)
-
-	// 2. Extra block budget (use case 1): the paper allows 4 off-chip
-	// blocks per SM.
-	extra, err := sweep(opt, "extra-blocks",
-		"Extra off-chip blocks per SM (sgemm, demand paging, NVLink)",
-		"speedup over no-switching", "sgemm", workloads.DemandPaging(),
-		[]int{1, 2, 4, 8},
-		func(cfg *config.Config, v int) {
-			cfg.Scheme = config.ReplayQueue
-			cfg.DemandPaging = true
-			cfg.Scheduler.Enabled = true
-			cfg.Scheduler.MaxExtraBlocks = v
-		},
-		func(cfg *config.Config) {
-			cfg.Scheme = config.ReplayQueue
-			cfg.DemandPaging = true
-		})
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, extra)
-
-	// 3. GPU handler concurrency (use case 2): how much parallelism the
-	// system-level synchronization permits.
-	conc, err := sweep(opt, "handler-concurrency",
-		"GPU-local handler concurrency (halloc-spree, lazy heap, NVLink)",
-		"speedup over CPU handling", "halloc-spree", workloads.LazyOutput(),
-		[]int{1, 2, 3, 4, 8},
-		func(cfg *config.Config, v int) {
-			cfg.Scheme = config.ReplayQueue
-			cfg.Local.Enabled = true
-			cfg.Local.Concurrency = v
-		},
-		func(cfg *config.Config) {
-			cfg.Scheme = config.ReplayQueue
-		})
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, conc)
-
-	// 4. Fault handling granularity (Section 5.1 fixes 64 KB): the
-	// prefetch-vs-overfetch trade-off of region size.
-	gran, err := sweep(opt, "fault-granularity",
-		"Fault handling granularity in KB (stencil, demand paging, NVLink)",
-		"speedup over 64 KB handling", "stencil", workloads.DemandPaging(),
-		[]int{16, 64, 256},
-		func(cfg *config.Config, v int) {
-			cfg.Scheme = config.ReplayQueue
-			cfg.DemandPaging = true
-			cfg.System.FaultGranularity = v * 1024
-		},
-		nil)
-	if err != nil {
-		return nil, err
-	}
-	// Normalize granularity rows to the 64 KB row instead of a base run.
-	if base := findRow(gran, "64"); base > 0 {
-		for i := range gran.Rows {
-			gran.Rows[i].Values["speedup"] = base / gran.Rows[i].Values["cycles"]
-			delete(gran.Rows[i].Values, "cycles")
+	for _, sw := range sweeps {
+		var jobs []job
+		var rows []string
+		for _, v := range sw.values {
+			cfg := config.Default()
+			sw.mut(&cfg, v)
+			rows = append(rows, fmt.Sprint(v))
+			jobs = append(jobs, job{row: fmt.Sprint(v), col: "run", bench: sw.bench, cfg: cfg, place: sw.place})
 		}
-		gran.Columns = []string{"speedup"}
-		gran.Geomean = map[string]float64{"speedup": geomean(gran.Rows, "speedup")}
+		if sw.base != nil {
+			cfg := config.Default()
+			sw.base(&cfg)
+			jobs = append(jobs, job{row: sw.baseRow, col: "run", bench: sw.bench, cfg: cfg, place: sw.place})
+		}
+		cycles, err := runAll(opt, jobs)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, ratios(&Result{ID: sw.id, Title: sw.title, Metric: sw.metric, Columns: []string{"speedup"}},
+			rows, cycles, func(row, _ string) (at, at) { return at{sw.baseRow, "run"}, at{row, "run"} }))
 	}
-	out = append(out, gran)
 	return out, nil
-}
-
-func findRow(r *Result, label string) float64 {
-	for _, row := range r.Rows {
-		if row.Benchmark == label {
-			return row.Values["cycles"]
-		}
-	}
-	return 0
-}
-
-// sweep runs `bench` once per value (plus one base run when baseMut is
-// set) and returns speedups vs. the base, or raw cycles when baseMut is
-// nil.
-func sweep(opt Options, id, title, metric, bench string, place workloads.Placement,
-	values []int, mut func(*config.Config, int), baseMut func(*config.Config)) (*Result, error) {
-	var jobs []runJob
-	for _, v := range values {
-		cfg := config.Default()
-		mut(&cfg, v)
-		jobs = append(jobs, runJob{
-			bench:     fmt.Sprintf("%d", v),
-			realBench: bench,
-			col:       "run",
-			cfg:       cfg,
-			place:     place,
-		})
-	}
-	if baseMut != nil {
-		cfg := config.Default()
-		baseMut(&cfg)
-		jobs = append(jobs, runJob{bench: "base", realBench: bench, col: "run", cfg: cfg, place: place})
-	}
-	cycles, err := runAll(opt, id, jobs)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		ID:      id,
-		Title:   title,
-		Metric:  metric,
-		Geomean: map[string]float64{},
-	}
-	labels := make([]string, 0, len(values))
-	for _, v := range values {
-		labels = append(labels, fmt.Sprintf("%d", v))
-	}
-	sort.Strings(labels) // stable row order; numeric labels sort well enough for small sweeps
-	if baseMut != nil {
-		res.Columns = []string{"speedup"}
-		base := cycles["base"]["run"]
-		for _, v := range values {
-			label := fmt.Sprintf("%d", v)
-			row := Row{Benchmark: label, Values: map[string]float64{}}
-			if c := cycles[label]["run"]; c > 0 && base > 0 {
-				row.Values["speedup"] = float64(base) / float64(c)
-			}
-			res.Rows = append(res.Rows, row)
-		}
-		res.Geomean["speedup"] = geomean(res.Rows, "speedup")
-	} else {
-		res.Columns = []string{"cycles"}
-		for _, v := range values {
-			label := fmt.Sprintf("%d", v)
-			row := Row{Benchmark: label, Values: map[string]float64{}}
-			row.Values["cycles"] = float64(cycles[label]["run"])
-			res.Rows = append(res.Rows, row)
-		}
-	}
-	return res, nil
 }

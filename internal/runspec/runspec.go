@@ -64,6 +64,12 @@ type JobSpec struct {
 	Perturb string `json:"-"`
 }
 
+// maxScale bounds JobSpec.Scale. Workload images grow with the scale,
+// and Build (so a job submission, before it is admitted) builds one: at
+// scale 8 the largest, stencil's, is 32 MiB and grows with the square
+// of the scale. The repository's figures and CI run scales 1-4.
+const maxScale = 8
+
 // Bind registers every model axis on fs under its gpusim flag name and
 // returns the spec that parsing fs fills in, starting from the flags'
 // defaults.
@@ -207,8 +213,8 @@ func (js JobSpec) Build() (config.Config, sim.LaunchSpec, error) {
 	cfg.MaxCycles = js.MaxCycles
 	cfg.Excep.Flip = js.Flip
 	cfg.SampleEvery = js.SampleEvery
-	if js.Scale < 0 {
-		return fail(fmt.Errorf("runspec: scale %d must be >= 1", js.Scale))
+	if js.Scale < 0 || js.Scale > maxScale {
+		return fail(fmt.Errorf("runspec: scale %d outside [1,%d]", js.Scale, maxScale))
 	}
 	if _, err := js.ChaosPlan(); err != nil {
 		return fail(err)
@@ -236,7 +242,7 @@ func (js JobSpec) Key() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("cfg%016x-spec%016x", sim.FingerprintConfig(cfg), sim.FingerprintSpec(spec)), nil
+	return sim.RunKey(cfg, spec), nil
 }
 
 // ChaosPlan returns the fault-injection plan for ChaosLevel and

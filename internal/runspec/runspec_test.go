@@ -73,6 +73,8 @@ func TestFlagContract(t *testing.T) {
 			[]string{"-workload", "halloc-spree", "-lazy", "-local"},
 			"workload=halloc-spree,lazy=true,local=true",
 			`{"benchmark":"halloc-spree","placement":"lazy","local":true}`, ""},
+		{"largest scale", []string{"-workload", "mri-q", "-scale", "8"}, "workload=mri-q,scale=8",
+			`{"benchmark":"mri-q","scale":8}`, ""},
 		{"scale and cycle bound",
 			[]string{"-workload", "mri-q", "-scale", "2", "-max-cycles", "100000", "-scheme", "wd-commit"},
 			"workload=mri-q,scale=2,max-cycles=100000,scheme=wd-commit",
@@ -99,6 +101,8 @@ func TestFlagContract(t *testing.T) {
 		{"paging and lazy", []string{"-paging", "-lazy"}, "paging=true,lazy=true", "", "mutually exclusive"},
 		{"lazy and paging", []string{"-lazy", "-paging"}, "lazy=true,paging=true", "", "mutually exclusive"},
 		{"negative scale", []string{"-scale", "-3"}, "scale=-3", `{"benchmark":"sgemm","scale":-3}`, "scale -3"},
+		{"scale above maximum", []string{"-workload", "stencil", "-scale", "9"}, "workload=stencil,scale=9",
+			`{"benchmark":"stencil","scale":9}`, "scale 9"},
 		{"flip rate above 1", []string{"-flip-rate", "2"}, "flip-rate=2", "", "flip rate"},
 		{"empty operand log", []string{"-scheme", "operand-log", "-log-kb", "0"}, "scheme=operand-log,log-kb=0", "", "operand log"},
 		{"negative max cycles", []string{"-max-cycles", "-5"}, "max-cycles=-5", `{"benchmark":"sgemm","max_cycles":-5}`, "max cycles"},
@@ -186,6 +190,20 @@ func TestDefaultsMatchConfig(t *testing.T) {
 	}
 	if a != b {
 		t.Fatalf("flag defaults key %s, zero JobSpec key %s", a, b)
+	}
+}
+
+// TestKeyPinned: a job's key is the simulation service's result-cache
+// key. It may change only with the simulation itself (config defaults,
+// the workload image): a change of spelling alone would orphan every
+// cache entry written before it.
+func TestKeyPinned(t *testing.T) {
+	key, err := JobSpec{Benchmark: "sgemm", Scale: 2, Scheme: "replay-queue", Placement: "paging"}.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "cfgbdcdddb578ddbb90-specdd6c949a170a8643"; key != want {
+		t.Fatalf("key %s, want %s", key, want)
 	}
 }
 

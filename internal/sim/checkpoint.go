@@ -109,6 +109,14 @@ func FingerprintSpec(spec LaunchSpec) uint64 {
 	return h.Sum()
 }
 
+// RunKey names a simulation by its config and launch-spec fingerprints:
+// the simulation service's result-cache key and the experiment
+// campaigns' done-record key. Like FingerprintSpec, it must see the
+// spec before any run mutates its memory.
+func RunKey(cfg config.Config, spec LaunchSpec) string {
+	return fmt.Sprintf("cfg%016x-spec%016x", FingerprintConfig(cfg), FingerprintSpec(spec))
+}
+
 // Fingerprints returns the simulator's config and spec fingerprints —
 // the pair a checkpoint must match to restore here, and the key the
 // simulation service's result cache is built on.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -158,6 +159,26 @@ func TestUnknownSpecRejectedAtAdmission(t *testing.T) {
 	err = h.cl.post("/v1/jobs", json.RawMessage(`{"spec":{"benchmark":"sgemm","schme":"replay-queue"}}`), nil)
 	if !IsStatus(err, http.StatusBadRequest) {
 		t.Fatalf("unknown spec field: %v, want 400", err)
+	}
+}
+
+// TestOversizedScaleRejectedBeforeBuild: admission fingerprints the
+// workload image, so an unbounded scale would make the coordinator
+// build a huge one before replying. One past the maximum scale must
+// get a 400 instead, without any workload being built.
+func TestOversizedScaleRejectedBeforeBuild(t *testing.T) {
+	h := newHarness(t, nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := h.cl.Submit(SubmitRequest{Spec: runspec.JobSpec{Benchmark: "stencil", Scale: 9}})
+	runtime.ReadMemStats(&after)
+	if !IsStatus(err, http.StatusBadRequest) {
+		t.Fatalf("scale 9: %v, want 400", err)
+	}
+	// Stencil's image is 40 MiB at scale 9; the request itself takes a
+	// few KiB.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("admission allocated %d bytes: a workload was built", grew)
 	}
 }
 
