@@ -40,6 +40,14 @@ func TestExitCodeContract(t *testing.T) {
 	if got := inModule(t, "testdata/brokenmod", func() int { return standalone([]string{"./..."}) }); got != 1 {
 		t.Errorf("unparseable module: standalone exited %d, want 1", got)
 	}
+	// Only requested packages are reported: ./user imports the defective
+	// ./comp but is clean itself.
+	if got := inModule(t, "testdata/badmod", func() int { return standalone([]string{"./user"}) }); got != 0 {
+		t.Errorf("package importing the defect: standalone exited %d, want 0", got)
+	}
+	if got := inModule(t, "testdata/badmod", func() int { return standalone([]string{"./comp"}) }); got != 2 {
+		t.Errorf("package with the defect: standalone exited %d, want 2", got)
+	}
 }
 
 // TestList checks that -list prints every registered analyzer with a

@@ -4,9 +4,10 @@
 // unavailable), scoped to exactly what the simlint analyzers need.
 //
 // An Analyzer inspects one type-checked package (a Pass) and reports
-// Diagnostics. The drivers — cmd/simlint in standalone and vettool
-// mode, and the analysistest harness — construct Passes and apply the
-// shared suppression rules before surfacing diagnostics.
+// Diagnostics; every analyzer is purely per-package, so a package's
+// findings depend on that package alone. The drivers — cmd/simlint and
+// the analysistest harness — construct Passes and apply the shared
+// suppression rules before surfacing diagnostics.
 //
 // Source directives understood by the suite:
 //
@@ -55,18 +56,8 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description, shown by `simlint -list`.
 	Doc string
-	// Run applies the check to one package. Interprocedural analyzers
-	// use Run to summarize the package as exported facts (and to report
-	// anything provable locally).
+	// Run applies the check to one package.
 	Run func(*Pass) error
-	// FactTypes lists prototype values of every fact type Run exports,
-	// so drivers can register them for serialization. Empty for purely
-	// intraprocedural analyzers.
-	FactTypes []Fact
-	// Finish, when non-nil, runs once after every package's Run phase
-	// with the whole-program view: this is where interprocedural
-	// analyzers walk the fact-built call graph and report.
-	Finish func(*Program) ([]Diagnostic, error)
 }
 
 // Pass is one (analyzer, package) unit of work.
@@ -77,27 +68,9 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Facts is the run-wide fact store; dependency packages' facts are
-	// already in it when Run starts (drivers analyze in dependency
-	// order, or preload serialized facts in vettool mode).
-	Facts *FactStore
-
 	// Report delivers one diagnostic. Drivers install it; analyzers
 	// usually call Reportf instead.
 	Report func(Diagnostic)
-}
-
-// ExportObjectFact attaches fact to obj for downstream passes.
-func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
-	if p.Facts != nil {
-		p.Facts.Export(obj, fact)
-	}
-}
-
-// ImportObjectFact copies the fact of fact's type attached to obj into
-// fact, reporting whether one exists.
-func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
-	return p.Facts != nil && p.Facts.Import(obj, fact)
 }
 
 // Diagnostic is one finding.

@@ -55,36 +55,11 @@ func Run(t *testing.T, a *analysis.Analyzer, dir, pkgpath string) {
 		t.Fatal(err)
 	}
 
-	// Fact-based analyzers summarize dependencies before the corpus
-	// package (the loader's order is topological), then finish over the
-	// whole mini-program. Only corpus-file diagnostics are matched
-	// against wants: the dependency packages are real repo packages and
-	// their findings belong to the repo-wide simlint run, not here.
-	analysis.RegisterFactTypes(a)
-	facts := analysis.NewFactStore()
-	var diags []analysis.Diagnostic
-	for _, dep := range loader.Packages() {
-		ds, err := analysis.RunAnalyzer(a, dep, facts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dep == lp {
-			diags = ds
-		}
-	}
-	prog := analysis.NewProgram(lp.Fset, loader.Packages(), facts)
-	fdiags, err := analysis.RunFinish(a, prog)
+	// Only the corpus package is analyzed: its imports are real repo
+	// packages whose findings belong to the repo-wide simlint run.
+	diags, err := analysis.RunAnalyzer(a, lp)
 	if err != nil {
 		t.Fatal(err)
-	}
-	corpus := map[string]bool{}
-	for _, name := range files {
-		corpus[name] = true
-	}
-	for _, d := range fdiags {
-		if corpus[lp.Fset.Position(d.Pos).Filename] {
-			diags = append(diags, d)
-		}
 	}
 
 	wants := collectWants(t, lp)

@@ -10,11 +10,15 @@
 // divergent replay pass the audit unnoticed; this analyzer turns the
 // omission into a CI failure at the field declaration.
 //
-// The proof is interprocedural: SaveState may delegate to helper
-// methods (in this package or another), so the analyzer summarizes
-// every function's field accesses as an exported fact and unions the
-// summaries over the static call graph reachable from each SaveState,
-// within a bounded depth.
+// The proof follows calls: SaveState may delegate to helpers, so the
+// analyzer summarizes every function of the package (fields touched,
+// static callees) and unions the summaries over the call graph reachable
+// from each SaveState, within a bounded depth.
+//
+// Only calls within the package are followed. A function in another
+// package cannot select fields of a type declared here without importing
+// this package, and this package calling it would then be an import
+// cycle, so cross-package summaries could never add a covered field.
 package ckptcomplete
 
 import (
@@ -30,57 +34,37 @@ var Analyzer = &analysis.Analyzer{
 	Name: "ckptcomplete",
 	Doc: "prove every field of a ckpt.Saver type is covered by SaveState " +
 		"or exempted with //simlint:ckptskip <reason>",
-	Run:       run,
-	FactTypes: []analysis.Fact{(*AccessFact)(nil)},
+	Run: run,
 }
 
-// AccessFact summarizes one function for the coverage proof: which
-// struct fields it touches, grouped by the owning named type, and which
-// functions it statically calls (so the proof can follow SaveState into
-// helpers across package boundaries).
-type AccessFact struct {
-	// Fields maps a type key ("pkgpath\x00TypeName") to the names of
-	// that type's top-level fields the function reads or writes.
-	Fields map[string][]string
-	// Callees are the functions and methods this one statically calls.
-	Callees []analysis.FuncRef
-}
-
-// AFact marks AccessFact as a serializable fact.
-func (*AccessFact) AFact() {}
-
-// typeKey names a type across fact boundaries.
-func typeKey(named *types.Named) string {
-	obj := named.Obj()
-	pkg := ""
-	if obj.Pkg() != nil {
-		pkg = obj.Pkg().Path()
-	}
-	return pkg + "\x00" + obj.Name()
+// summary records what one function of the package contributes to the
+// coverage proof: which struct fields it touches, grouped by the owning
+// named type, and which functions of the same package it statically
+// calls.
+type summary struct {
+	// fields maps a type to the names of its top-level fields the
+	// function reads or writes.
+	fields map[*types.TypeName][]string
+	// callees are the package's functions and methods this one calls.
+	callees []*types.Func
 }
 
 func run(pass *analysis.Pass) error {
-	// Phase 1: summarize every declared function in the package and
-	// export the summaries as facts.
-	local := map[types.Object]*AccessFact{}
+	// Phase 1: summarize every declared function in the package.
+	local := map[*types.Func]*summary{}
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			fn, ok := d.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
 				continue
 			}
-			obj := pass.TypesInfo.Defs[fn.Name]
-			if obj == nil {
-				continue
+			if obj, ok := pass.TypesInfo.Defs[fn.Name].(*types.Func); ok {
+				local[obj] = summarize(pass, fn)
 			}
-			fact := summarize(pass, fn)
-			local[obj] = fact
-			pass.ExportObjectFact(obj, fact)
 		}
 	}
 
 	// Phase 2: check every Saver type declared in this package.
-	imports := importClosure(pass.Pkg)
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			gd, ok := d.(*ast.GenDecl)
@@ -108,7 +92,7 @@ func run(pass *analysis.Pass) error {
 				if save == nil {
 					continue
 				}
-				checkType(pass, named, st, save, local, imports)
+				checkType(pass, named, st, save, local)
 			}
 		}
 	}
@@ -116,11 +100,11 @@ func run(pass *analysis.Pass) error {
 }
 
 // summarize walks one function body collecting field accesses and
-// static callees.
-func summarize(pass *analysis.Pass, fn *ast.FuncDecl) *AccessFact {
-	fact := &AccessFact{Fields: map[string][]string{}}
-	seenField := map[string]map[string]bool{}
-	seenCallee := map[analysis.FuncRef]bool{}
+// static callees within the package.
+func summarize(pass *analysis.Pass, fn *ast.FuncDecl) *summary {
+	sum := &summary{fields: map[*types.TypeName][]string{}}
+	seenField := map[*types.TypeName]map[string]bool{}
+	seenCallee := map[*types.Func]bool{}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
@@ -144,28 +128,31 @@ func summarize(pass *analysis.Pass, fn *ast.FuncDecl) *AccessFact {
 			if !ok || len(idx) == 0 || idx[0] >= stru.NumFields() {
 				return true
 			}
-			key := typeKey(named)
+			key := named.Obj()
 			name := stru.Field(idx[0]).Name()
 			if seenField[key] == nil {
 				seenField[key] = map[string]bool{}
 			}
 			if !seenField[key][name] {
 				seenField[key][name] = true
-				fact.Fields[key] = append(fact.Fields[key], name)
+				sum.fields[key] = append(sum.fields[key], name)
 			}
 		case *ast.CallExpr:
 			callee := analysis.CalleeFunc(pass.TypesInfo, n)
-			if callee == nil || callee.Pkg() == nil {
+			if callee == nil || callee.Pkg() != pass.Pkg {
 				return true
 			}
-			if ref, ok := analysis.FuncRefOf(callee); ok && !seenCallee[ref] {
-				seenCallee[ref] = true
-				fact.Callees = append(fact.Callees, ref)
+			// Methods of generic types resolve to their instantiation;
+			// the summary is keyed by the declared method.
+			callee = callee.Origin()
+			if !seenCallee[callee] {
+				seenCallee[callee] = true
+				sum.callees = append(sum.callees, callee)
 			}
 		}
 		return true
 	})
-	return fact
+	return sum
 }
 
 // saveMethod returns the type's SaveState(*ckpt.Writer) method — the
@@ -202,87 +189,43 @@ func isCkptWriter(t types.Type) bool {
 const maxDepth = 8
 
 // coveredFields unions the field accesses of every function reachable
-// from root (depth-bounded) for the given type key.
-func coveredFields(pass *analysis.Pass, root *types.Func, key string,
-	local map[types.Object]*AccessFact, imports map[string]*types.Package) map[string]bool {
+// from root (depth-bounded) for the given type.
+func coveredFields(root *types.Func, key *types.TypeName, local map[*types.Func]*summary) map[string]bool {
 	covered := map[string]bool{}
 	type item struct {
-		obj   types.Object
+		fn    *types.Func
 		depth int
 	}
-	visited := map[types.Object]bool{}
+	visited := map[*types.Func]bool{}
 	queue := []item{{root, 0}}
 	for len(queue) > 0 {
 		it := queue[0]
 		queue = queue[1:]
-		if visited[it.obj] {
+		if visited[it.fn] {
 			continue
 		}
-		visited[it.obj] = true
-		fact, ok := local[it.obj]
+		visited[it.fn] = true
+		sum, ok := local[it.fn]
 		if !ok {
-			var imported AccessFact
-			if !pass.ImportObjectFact(it.obj, &imported) {
-				continue
-			}
-			fact = &imported
+			continue
 		}
-		for _, name := range fact.Fields[key] {
+		for _, name := range sum.fields[key] {
 			covered[name] = true
 		}
 		if it.depth >= maxDepth {
 			continue
 		}
-		for _, ref := range fact.Callees {
-			if obj := resolveRef(pass, ref, imports); obj != nil {
-				queue = append(queue, item{obj, it.depth + 1})
-			}
+		for _, callee := range sum.callees {
+			queue = append(queue, item{callee, it.depth + 1})
 		}
 	}
 	return covered
 }
 
-// resolveRef maps a FuncRef back to a types.Object in the current
-// type-checking session.
-func resolveRef(pass *analysis.Pass, ref analysis.FuncRef, imports map[string]*types.Package) types.Object {
-	pkgPath, objPath := ref.Split()
-	var pkg *types.Package
-	if pkgPath == pass.Pkg.Path() {
-		pkg = pass.Pkg
-	} else {
-		pkg = imports[pkgPath]
-	}
-	if pkg == nil {
-		return nil
-	}
-	obj, err := analysis.ResolveObjectPath(pkg, objPath)
-	if err != nil {
-		return nil
-	}
-	return obj
-}
-
-// importClosure indexes the package's transitive imports by path.
-func importClosure(pkg *types.Package) map[string]*types.Package {
-	out := map[string]*types.Package{}
-	var walk func(p *types.Package)
-	walk = func(p *types.Package) {
-		for _, imp := range p.Imports() {
-			if out[imp.Path()] != nil {
-				continue
-			}
-			out[imp.Path()] = imp
-			walk(imp)
-		}
-	}
-	walk(pkg)
-	return out
-}
-
 // checkType applies the coverage proof to one Saver type.
 func checkType(pass *analysis.Pass, named *types.Named, st *ast.StructType,
-	save *types.Func, local map[types.Object]*AccessFact, imports map[string]*types.Package) {
-	saved := coveredFields(pass, save, typeKey(named), local, imports)
+	save *types.Func, local map[*types.Func]*summary) {
+	saved := coveredFields(save, named.Obj(), local)
 	tname := named.Obj().Name()
 
 	for _, field := range st.Fields.List {

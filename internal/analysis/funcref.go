@@ -3,45 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
-
-// FuncRef names a function or method across fact boundaries as
-// "pkgpath\x00objpath". Interprocedural analyzers store callee edges as
-// FuncRefs inside facts (types.Object identities do not serialize) and
-// resolve them back through the fact store when walking the call graph.
-type FuncRef string
-
-// FuncRefOf builds the ref for a declared function or method.
-func FuncRefOf(fn *types.Func) (FuncRef, bool) {
-	if fn == nil || fn.Pkg() == nil {
-		return "", false
-	}
-	path, ok := ObjectPath(fn)
-	if !ok {
-		return "", false
-	}
-	return FuncRef(fn.Pkg().Path() + "\x00" + path), true
-}
-
-// Split returns the package path and object path halves.
-func (r FuncRef) Split() (pkgPath, objPath string) {
-	pkgPath, objPath, _ = strings.Cut(string(r), "\x00")
-	return pkgPath, objPath
-}
-
-// String renders the ref human-readably for diagnostics: the package
-// path plus the bare function or Type.Method name.
-func (r FuncRef) String() string {
-	pkg, obj := r.Split()
-	if i := strings.IndexByte(obj, ':'); i >= 0 {
-		obj = obj[i+1:]
-	}
-	if i := strings.LastIndexByte(pkg, '/'); i >= 0 {
-		pkg = pkg[i+1:]
-	}
-	return pkg + "." + obj
-}
 
 // CalleeFunc resolves a call expression to the named function or method
 // it statically invokes, or nil for dynamic calls (function values,
@@ -59,19 +21,4 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
-}
-
-// IsInterfaceCall reports whether the call dispatches through an
-// interface method (the resolved *types.Func belongs to an interface,
-// not a concrete type).
-func IsInterfaceCall(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	s, ok := info.Selections[sel]
-	if !ok {
-		return false
-	}
-	return types.IsInterface(s.Recv())
 }

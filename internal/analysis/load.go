@@ -17,18 +17,15 @@ import (
 // Loader type-checks packages from source with no toolchain help: the
 // standard library resolves through the compiler's source importer
 // (works offline, straight from GOROOT/src) and module-local import
-// paths resolve against the module directory. Standalone simlint and
-// the analysistest harness both load through it; the vettool protocol
-// path in cmd/simlint instead consumes the export data `go vet` hands
-// it.
+// paths resolve against the module directory. cmd/simlint and the
+// analysistest harness both load through it.
 type Loader struct {
 	Fset       *token.FileSet
 	ModulePath string
 	ModuleDir  string
 
-	std   types.ImporterFrom
-	pkgs  map[string]*LoadedPackage
-	order []*LoadedPackage
+	std  types.ImporterFrom
+	pkgs map[string]*LoadedPackage
 }
 
 // LoadedPackage is one parsed and type-checked package, ready to run
@@ -152,20 +149,7 @@ func (l *Loader) LoadDir(dir, path string, extraFiles []string) (*LoadedPackage,
 	}
 	lp := &LoadedPackage{Path: path, Fset: l.Fset, Files: files, Types: pkg, Info: info}
 	l.pkgs[path] = lp
-	// A package finishes loading only after every import it pulled in
-	// (type-checking resolves them through ImportFrom), so completion
-	// order is a topological order: dependencies before dependents.
-	// Drivers analyze in this order so facts flow forward.
-	l.order = append(l.order, lp)
 	return lp, nil
-}
-
-// Packages returns every module-local package loaded so far, in
-// dependency order (imports before importers).
-func (l *Loader) Packages() []*LoadedPackage {
-	out := make([]*LoadedPackage, len(l.order))
-	copy(out, l.order)
-	return out
 }
 
 // NewInfo returns a types.Info with every map the analyzers consume.
@@ -183,9 +167,8 @@ func NewInfo() *types.Info {
 
 // RunAnalyzer applies one analyzer's Run phase to a loaded package,
 // returning the diagnostics that survive //simlint:ignore suppression,
-// sorted by position. Facts may be nil for purely intraprocedural
-// analyzers; fact-exporting analyzers write their summaries into it.
-func RunAnalyzer(a *Analyzer, lp *LoadedPackage, facts *FactStore) ([]Diagnostic, error) {
+// sorted by position.
+func RunAnalyzer(a *Analyzer, lp *LoadedPackage) ([]Diagnostic, error) {
 	sup := BuildSuppressions(lp.Fset, lp.Files)
 	var diags []Diagnostic
 	pass := &Pass{
@@ -194,7 +177,6 @@ func RunAnalyzer(a *Analyzer, lp *LoadedPackage, facts *FactStore) ([]Diagnostic
 		Files:     lp.Files,
 		Pkg:       lp.Types,
 		TypesInfo: lp.Info,
-		Facts:     facts,
 	}
 	pass.Report = func(d Diagnostic) {
 		if !sup.Suppressed(lp.Fset, a.Name, d) {

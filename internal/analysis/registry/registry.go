@@ -12,11 +12,9 @@ import (
 	"gpues/internal/analysis/poolsafe"
 )
 
-// All returns the full analyzer suite. The interprocedural members
-// (ckptcomplete) export facts during their Run phase and
-// prove their whole-program property in Finish.
+// All returns the full analyzer suite.
 func All() []*analysis.Analyzer {
-	as := []*analysis.Analyzer{
+	return []*analysis.Analyzer{
 		determinism.Analyzer,
 		poolsafe.Analyzer,
 		noalloc.Analyzer,
@@ -24,8 +22,4 @@ func All() []*analysis.Analyzer {
 		directive.Analyzer,
 		ckptcomplete.Analyzer,
 	}
-	for _, a := range as {
-		analysis.RegisterFactTypes(a)
-	}
-	return as
 }
