@@ -40,7 +40,6 @@ func main() {
 		flipSeed  = flag.Int64("flip-seed", 0, "pin the resilience campaign's base flip seed (0 = derive one per cell)")
 		flipRate  = flag.Float64("flip-rate", 0, "override the resilience campaign's flip probability in [0,1] (0 = default)")
 		protectN  = flag.Int("protect-threads", -1, "pin the resilience campaign's protection to N threads per block (-1 = sweep the built-in ladder)")
-		sampleEv  = flag.Int64("sample-every", 0, "sample every registered metric inside each simulation every N cycles (0 = off)")
 		httpAddr  = flag.String("http", "", "serve live campaign progress (/status, /metrics, pprof) on this host:port")
 	)
 	flag.Parse()
@@ -70,10 +69,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-trials %d must be non-negative\n", *trials)
 		os.Exit(2)
 	}
-	if *sampleEv < 0 {
-		fmt.Fprintf(os.Stderr, "-sample-every %d must be non-negative (0 = sampling off)\n", *sampleEv)
-		os.Exit(2)
-	}
 	if *httpAddr != "" {
 		if err := obsrv.ValidateAddr(*httpAddr); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -88,8 +83,7 @@ func main() {
 	}
 
 	opt := gpues.ExperimentOptions{Scale: *scale, Parallelism: *par,
-		SampleEvery: *sampleEv,
-		TraceDir:    *traceDir, TraceFilter: *traceFlt,
+		TraceDir: *traceDir, TraceFilter: *traceFlt,
 		ResumeDir: *resumeDir, CheckpointEvery: *ckptEvery,
 		Trials: *trials, FlipSeed: *flipSeed, FlipRate: *flipRate,
 		ProtectPin: *protectN >= 0, ProtectThreads: max(*protectN, 0),

@@ -34,7 +34,7 @@ func main() {
 		verbose   = flag.Bool("v", false, "print per-SM statistics")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file after the run")
-		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON of the run to this file (.bin for the compact binary format); view in Perfetto")
+		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON of the run to this file; view in Perfetto")
 		traceFlt  = flag.String("trace-filter", "", "comma-separated event kinds or groups to record (all, pipeline, stall, fault, replay, switch, migrate, local); empty records everything")
 		metricsFn = flag.String("metrics", "", "write the metrics registry snapshot to this file (.csv for CSV, otherwise JSON)")
 		ckptEvery = flag.Int64("checkpoint-every", 0, "write a checkpoint into -checkpoint-dir every N cycles (0 = off)")
@@ -78,9 +78,6 @@ func main() {
 	}
 	if *httpWait < 0 {
 		usage("-http-linger %v must be non-negative", *httpWait)
-	}
-	if js.ChaosLevel > 0 && js.Perturb != "" && !digestMode {
-		usage("-perturb needs -digest-at or a chaos-free run")
 	}
 
 	if *list {
@@ -150,74 +147,60 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	var res *gpues.Result
-	if js.ChaosLevel > 0 {
-		plan, _ := js.ChaosPlan() // checked by Build
-		opt := gpues.ChaosRunOptions{
-			Tracer:          tracer,
-			CheckpointEvery: *ckptEvery,
-			CheckpointDir:   *ckptDir,
-			Resume:          *resume,
+	fail := func(err error) {
+		exitOnExcep(err, writeTrace)
+		fmt.Fprintln(os.Stderr, err)
+		writeTrace()
+		os.Exit(1)
+	}
+	s, err := gpues.NewSimulator(cfg, spec)
+	if err != nil {
+		fail(err)
+	}
+	plan, err := js.Attach(s)
+	if err != nil {
+		usage("%v", err)
+	}
+	s.AttachTracer(tracer)
+	s.CheckpointEvery = *ckptEvery
+	s.CheckpointDir = *ckptDir
+	if srv != nil {
+		s.SetTelemetrySink(srv)
+	}
+	var initial *gpues.Memory
+	if plan != nil {
+		initial = spec.Memory.Clone()
+	}
+	if *resume != "" {
+		path, err := gpues.ResolveCheckpoint(*resume)
+		if err == nil {
+			err = s.RestoreFile(path)
 		}
-		if srv != nil {
-			// Assign only a live server: a typed-nil in the interface field
-			// would pass the != nil check inside RunChaosOpts.
-			opt.Telemetry = srv
-		}
-		cr, err := gpues.RunChaosOpts(cfg, spec, plan, opt)
 		if err != nil {
-			exitOnExcep(err, writeTrace)
-			fmt.Fprintln(os.Stderr, err)
-			writeTrace()
-			os.Exit(1)
+			fail(err)
 		}
-		res = cr.Result
-		fmt.Printf("chaos         level %d seed %d: %s\n", js.ChaosLevel, js.ChaosSeed, cr.Summary)
+		fmt.Printf("resumed       from %s (cycle %d)\n", path, s.Cycle())
+	}
+	res, err := s.Run()
+	if err != nil {
+		fail(err)
+	}
+	if plan != nil {
+		fmt.Printf("chaos         level %d seed %d: %s\n", js.ChaosLevel, js.ChaosSeed, plan.Summary())
 		fmt.Printf("fingerprint   %#016x (%d events, %d walk faults injected)\n",
-			cr.Fingerprint, len(cr.Events), res.InjectedFaults)
-		if cr.OracleOK() {
-			fmt.Println("oracle        final memory matches functional re-execution")
-		} else {
+			plan.Fingerprint(), len(plan.Events()), res.InjectedFaults)
+		mis, err := gpues.CheckOracle(spec.Launch, initial, spec.Memory, cfg.SM.L1LineB)
+		if err != nil {
+			fail(err)
+		}
+		if len(mis) > 0 {
 			fmt.Fprintf(os.Stderr, "oracle        MISMATCH: %d bytes diverge, first at %#x\n",
-				len(cr.Mismatches), cr.Mismatches[0].Addr)
+				len(mis), mis[0].Addr)
 			stopProf()
 			writeTrace()
 			os.Exit(1)
 		}
-	} else {
-		s, err := gpues.NewSimulator(cfg, spec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		s.AttachTracer(tracer)
-		s.CheckpointEvery = *ckptEvery
-		s.CheckpointDir = *ckptDir
-		if srv != nil {
-			s.SetTelemetrySink(srv, 0)
-		}
-		if err := js.Attach(s); err != nil {
-			usage("%v", err)
-		}
-		if *resume != "" {
-			path, err := gpues.ResolveCheckpoint(*resume)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if err := s.RestoreFile(path); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("resumed       from %s (cycle %d)\n", path, s.Cycle())
-		}
-		res, err = s.Run()
-		if err != nil {
-			exitOnExcep(err, writeTrace)
-			fmt.Fprintln(os.Stderr, err)
-			writeTrace()
-			os.Exit(1)
-		}
+		fmt.Println("oracle        final memory matches functional re-execution")
 	}
 	stopProf()
 	if err := prof.WriteHeap(*memProf); err != nil {
@@ -331,7 +314,7 @@ func runDigestProbe(cfg gpues.Config, spec gpues.LaunchSpec, js *runspec.JobSpec
 	if err != nil {
 		return err
 	}
-	if err := js.Attach(s); err != nil {
+	if _, err := js.Attach(s); err != nil {
 		return err
 	}
 	if err := s.Start(); err != nil {
@@ -350,18 +333,13 @@ func runDigestProbe(cfg gpues.Config, spec gpues.LaunchSpec, js *runspec.JobSpec
 	return json.NewEncoder(os.Stdout).Encode(probe)
 }
 
-// writeTraceFile exports the tracer: Chrome trace_event JSON, or the
-// compact binary format when the path ends in .bin.
+// writeTraceFile exports the tracer as Chrome trace_event JSON.
 func writeTraceFile(tr *gpues.Tracer, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if strings.HasSuffix(path, ".bin") {
-		err = tr.WriteBinary(f)
-	} else {
-		err = tr.WriteChrome(f)
-	}
+	err = tr.WriteChrome(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -132,7 +132,7 @@ func printTraceWindow(js *runspec.JobSpec, cycle int64, n int) error {
 	if _, err := s.StepTo(cycle); err != nil {
 		return err
 	}
-	events := tr.LastN(n)
+	events := tr.Tail(n)
 	fmt.Printf("  last %d trace events of run B before cycle %d:\n", len(events), cycle)
 	for _, e := range events {
 		fmt.Printf("    %s\n", e)

@@ -138,11 +138,11 @@ func RunChaos(cfg Config, spec LaunchSpec, plan *ChaosPlan) (*ChaosResult, error
 	return sim.RunChaos(cfg, spec, plan)
 }
 
-// RunChaosTraced is RunChaos with an explicit tracer whose events
-// survive the run for export; a nil tracer still attaches a small
-// flight recorder for stall reports.
-func RunChaosTraced(cfg Config, spec LaunchSpec, plan *ChaosPlan, tr *Tracer) (*ChaosResult, error) {
-	return sim.RunChaosTraced(cfg, spec, plan, tr)
+// CheckOracle re-executes the launch functionally on initial (a clone
+// of the memory the run started from; overwritten) and returns up to 16
+// bytes on which final disagrees: the restartability oracle.
+func CheckOracle(l *Launch, initial, final *Memory, lineB int) ([]emu.Mismatch, error) {
+	return sim.CheckOracle(l, initial, final, lineB)
 }
 
 // Device exceptions & resilience ------------------------------------------
@@ -199,19 +199,10 @@ func RunResilienceTrial(cfg Config, spec LaunchSpec, opt ResilienceTrialOptions)
 
 // Checkpoint/restore ------------------------------------------------------
 
-// ChaosRunOptions carries the optional knobs of a chaos run: tracer,
-// periodic checkpointing, and resume.
-type ChaosRunOptions = sim.ChaosRunOptions
-
 // DivergenceError reports that a restore's deterministic replay did
 // not reproduce the checkpointed state of one component (recover it
 // with errors.As).
 type DivergenceError = sim.DivergenceError
-
-// RunChaosOpts is RunChaosTraced plus checkpoint/resume knobs.
-func RunChaosOpts(cfg Config, spec LaunchSpec, plan *ChaosPlan, opt ChaosRunOptions) (*ChaosResult, error) {
-	return sim.RunChaosOpts(cfg, spec, plan, opt)
-}
 
 // ResolveCheckpoint turns a resume argument — a checkpoint file, or a
 // directory whose latest valid checkpoint is used — into a file path.
@@ -226,7 +217,7 @@ type ComponentDigest = ckpt.SectionDigest
 // Observability ----------------------------------------------------------
 
 // Tracer records typed simulation events into per-SM ring buffers for
-// Chrome-trace or binary export. Attach one with Simulator.AttachTracer
+// Chrome-trace export. Attach one with Simulator.AttachTracer
 // before Run; a nil or unattached tracer costs one branch per site.
 type Tracer = obs.Tracer
 

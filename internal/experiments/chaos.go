@@ -54,9 +54,10 @@ func Chaos(opt Options) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
+			pc := plan.Config()
 			jobs = append(jobs,
 				job{row: bench, col: col + "-clean", bench: bench, cfg: cfg, place: workloads.DemandPaging(), oracle: true},
-				job{row: bench, col: col + "-chaos", bench: bench, cfg: cfg, place: workloads.DemandPaging(), oracle: true, plan: plan})
+				job{row: bench, col: col + "-chaos", bench: bench, cfg: cfg, place: workloads.DemandPaging(), oracle: true, chaos: &pc})
 		}
 	}
 	cycles, err := runAll(opt, jobs)

@@ -19,6 +19,7 @@ import (
 	"gpues/internal/chaos"
 	"gpues/internal/ckpt"
 	"gpues/internal/config"
+	"gpues/internal/emu"
 	"gpues/internal/excep"
 	"gpues/internal/obs"
 	"gpues/internal/sim"
@@ -55,9 +56,8 @@ type Options struct {
 	// named <fig>-<bench>-<col>.done.json by older versions are
 	// ignored, and those runs rerun. A record carries no binary
 	// identity: after a timing-code change that leaves Config and the
-	// workload images alone, use a fresh directory. Chaos-sweep halves
-	// run whole, since their oracle check needs the full memory
-	// trajectory; resilience trials are neither recorded nor resumed.
+	// workload images alone, use a fresh directory. Resilience trials
+	// are neither recorded nor resumed.
 	ResumeDir string
 	// CheckpointEvery is the in-flight checkpoint period in cycles when
 	// ResumeDir is set (0 = a sensible default).
@@ -80,10 +80,6 @@ type Options struct {
 	// (the zero value is precise; preemptible switches trials to the
 	// replay-queue scheme).
 	ExcepMode excep.Mode
-	// SampleEvery, when positive, enables metric sampling inside every
-	// simulation (config.Config.SampleEvery). Purely observational:
-	// sampled campaigns report the same cycle counts as unsampled ones.
-	SampleEvery int64
 	// CampaignProgress, when set, receives (done, total, line) after
 	// every finished simulation: a figure run, a clean or chaos half of
 	// the chaos sweep, or a resilience trial. The live introspection
@@ -172,7 +168,7 @@ func geomean(rows []Row, col string) float64 {
 }
 
 // job is one simulation of a campaign. row and col name the result
-// cell it fills. bench, cfg and place, plus plan for an oracle-checked
+// cell it fills. bench, cfg and place, plus chaos for an oracle-checked
 // run, are what is simulated; only they make up its resume key, so
 // identical runs in different figures share one record.
 type job struct {
@@ -180,11 +176,11 @@ type job struct {
 	bench    string
 	cfg      config.Config
 	place    workloads.Placement
-	// oracle runs the job whole under sim.RunChaos with plan (nil for a
-	// clean run) and fails it if the final memory diverges from the
-	// functional oracle: one half of a chaos-sweep cell.
+	// oracle fails the job if its final memory diverges from the
+	// functional oracle: one half of a chaos-sweep cell, run under a
+	// fresh plan of chaos (nil for the clean half).
 	oracle bool
-	plan   *chaos.Plan
+	chaos  *chaos.Config
 	// protect, when set, makes the job one bit-flip resilience trial
 	// that shields protect(threads per block) threads of every block.
 	// Trials are neither recorded nor resumed.
@@ -205,8 +201,8 @@ func (j job) key(spec sim.LaunchSpec) string {
 	key := sim.RunKey(j.cfg, spec)
 	if j.oracle {
 		var pc chaos.Config
-		if j.plan != nil {
-			pc = j.plan.Config()
+		if j.chaos != nil {
+			pc = *j.chaos
 		}
 		key += fmt.Sprintf("-plan%016x", ckpt.Digest([]byte(fmt.Sprintf("%#v", pc))))
 	}
@@ -272,9 +268,6 @@ func runAll(opt Options, jobs []job) (map[string]map[string]int64, error) {
 // runJob runs one job, or reads its record, and returns its
 // measurement and progress line.
 func (o Options) runJob(j job) (int64, string, error) {
-	if o.SampleEvery > 0 {
-		j.cfg.SampleEvery = o.SampleEvery
-	}
 	spec, err := o.build(j)
 	if err != nil {
 		return 0, "", err
@@ -299,21 +292,8 @@ func (o Options) runJob(j job) (int64, string, error) {
 			return rec.Cycles, fmt.Sprintf("%-14s %-14s %12d cycles (done, skipped)", j.row, j.col, rec.Cycles), nil
 		}
 	}
-	note := ""
-	if j.oracle {
-		cr, err := sim.RunChaos(j.cfg, spec, j.plan)
-		if err != nil {
-			return 0, "", err
-		}
-		if !cr.OracleOK() {
-			return 0, "", fmt.Errorf("memory diverged from oracle (%d mismatches, first at %#x)",
-				len(cr.Mismatches), cr.Mismatches[0].Addr)
-		}
-		rec.Cycles = cr.Cycles
-		if j.plan != nil {
-			note = " (" + cr.Summary + ")"
-		}
-	} else if rec.Cycles, note, err = o.runOne(j, spec, key); err != nil {
+	var note string
+	if rec.Cycles, note, err = o.runOne(j, spec, key); err != nil {
 		return 0, "", err
 	}
 	if key != "" {
@@ -325,29 +305,36 @@ func (o Options) runJob(j job) (int64, string, error) {
 	return rec.Cycles, fmt.Sprintf("%-14s %-14s %12d cycles", j.row, j.col, rec.Cycles) + note, nil
 }
 
-// runOne runs one figure job, attaching a tracer and, under key, the
-// in-flight checkpoints as the options ask. The note tells of a
-// discarded checkpoint.
+// runOne runs one job, attaching a fresh chaos plan, a tracer and,
+// under key, the in-flight checkpoints as the job and options ask, and
+// checks an oracle job's final memory. The note tells of a discarded
+// checkpoint and of the injected faults.
 func (o Options) runOne(j job, spec sim.LaunchSpec, key string) (cycles int64, note string, err error) {
-	if o.TraceDir == "" && key == "" {
-		r, err := sim.RunSpec(j.cfg, spec)
-		if err != nil {
-			return 0, "", err
-		}
-		return r.Cycles, "", nil
-	}
 	var mask uint64
 	if o.TraceDir != "" {
 		if mask, err = obs.ParseFilter(o.TraceFilter); err != nil {
 			return 0, "", err
 		}
 	}
-	wire := func(spec sim.LaunchSpec) (*sim.Simulator, *obs.Tracer, error) {
-		s, err := sim.New(j.cfg, spec)
-		if err != nil {
-			return nil, nil, err
+	var (
+		s       *sim.Simulator
+		plan    *chaos.Plan
+		tr      *obs.Tracer
+		initial *emu.Memory
+	)
+	// wire builds the simulator for spec. Every attempt gets its own
+	// plan: a restore that is then discarded has replayed the old one.
+	wire := func() error {
+		if s, err = sim.New(j.cfg, spec); err != nil {
+			return err
 		}
-		var tr *obs.Tracer
+		if j.oracle {
+			initial = spec.Memory.Clone()
+		}
+		if j.chaos != nil {
+			plan = chaos.New(*j.chaos)
+			s.AttachChaos(plan)
+		}
 		if o.TraceDir != "" {
 			tr = obs.New(obs.Options{Filter: mask})
 			s.AttachTracer(tr)
@@ -356,10 +343,9 @@ func (o Options) runOne(j job, spec sim.LaunchSpec, key string) (cycles int64, n
 			s.CheckpointEvery = o.checkpointEvery()
 			s.CheckpointDir = filepath.Join(o.ResumeDir, key+".ckpts")
 		}
-		return s, tr, nil
+		return nil
 	}
-	s, tr, err := wire(spec)
-	if err != nil {
+	if err := wire(); err != nil {
 		return 0, "", err
 	}
 	if key != "" {
@@ -372,7 +358,7 @@ func (o Options) runOne(j job, spec sim.LaunchSpec, key string) (cycles int64, n
 				if spec, err = o.build(j); err != nil {
 					return 0, "", err
 				}
-				if s, tr, err = wire(spec); err != nil {
+				if err := wire(); err != nil {
 					return 0, "", err
 				}
 			}
@@ -400,6 +386,19 @@ func (o Options) runOne(j job, spec sim.LaunchSpec, key string) (cycles int64, n
 	}
 	if runErr != nil {
 		return 0, "", runErr
+	}
+	if j.oracle {
+		mis, err := sim.CheckOracle(spec.Launch, initial, spec.Memory, j.cfg.SM.L1LineB)
+		if err != nil {
+			return 0, "", err
+		}
+		if len(mis) > 0 {
+			return 0, "", fmt.Errorf("memory diverged from oracle (%d mismatches, first at %#x)",
+				len(mis), mis[0].Addr)
+		}
+	}
+	if plan != nil {
+		note += " (" + plan.Summary() + ")"
 	}
 	return r.Cycles, note, nil
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -110,68 +109,4 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 // process plus the block/region id, so concurrent spans never collide.
 func spanID(cat string, pid int, a uint64) string {
 	return fmt.Sprintf("%s:%d:%#x", cat, pid, a)
-}
-
-// Binary export ---------------------------------------------------------
-
-// binaryMagic heads the compact binary trace format; the trailing digit
-// is the format version.
-var binaryMagic = [8]byte{'G', 'P', 'U', 'E', 'S', 'T', 'R', '1'}
-
-// binaryRecordSize is the fixed little-endian record width:
-// cycle(8) seq(8) a(8) b(8) warp(4) sm(2) kind(1).
-const binaryRecordSize = 39
-
-// WriteBinary writes the retained events in the compact binary format:
-// the 8-byte magic "GPUESTR1" followed by fixed-width little-endian
-// records in emission order.
-func (t *Tracer) WriteBinary(w io.Writer) error {
-	if _, err := w.Write(binaryMagic[:]); err != nil {
-		return err
-	}
-	var buf [binaryRecordSize]byte
-	for _, e := range t.Events() {
-		binary.LittleEndian.PutUint64(buf[0:], uint64(e.Cycle))
-		binary.LittleEndian.PutUint64(buf[8:], e.Seq)
-		binary.LittleEndian.PutUint64(buf[16:], e.A)
-		binary.LittleEndian.PutUint64(buf[24:], e.B)
-		binary.LittleEndian.PutUint32(buf[32:], uint32(e.Warp))
-		binary.LittleEndian.PutUint16(buf[36:], uint16(e.SM))
-		buf[38] = byte(e.Kind)
-		if _, err := w.Write(buf[:]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadBinary decodes a binary trace written by WriteBinary.
-func ReadBinary(r io.Reader) ([]Event, error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("obs: reading trace magic: %w", err)
-	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("obs: bad trace magic %q", magic[:])
-	}
-	var out []Event
-	var buf [binaryRecordSize]byte
-	for {
-		_, err := io.ReadFull(r, buf[:])
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("obs: truncated trace record: %w", err)
-		}
-		out = append(out, Event{
-			Cycle: int64(binary.LittleEndian.Uint64(buf[0:])),
-			Seq:   binary.LittleEndian.Uint64(buf[8:]),
-			A:     binary.LittleEndian.Uint64(buf[16:]),
-			B:     binary.LittleEndian.Uint64(buf[24:]),
-			Warp:  int32(binary.LittleEndian.Uint32(buf[32:])),
-			SM:    int16(binary.LittleEndian.Uint16(buf[36:])),
-			Kind:  Kind(buf[38]),
-		})
-	}
 }

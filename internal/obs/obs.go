@@ -325,21 +325,12 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// LastN returns the newest n events across all rings, oldest first.
-func (t *Tracer) LastN(n int) []Event {
-	ev := t.Events()
-	if len(ev) > n {
-		ev = ev[len(ev)-n:]
-	}
-	return ev
-}
-
 // Tail returns the newest n events across all rings, oldest first,
 // without merging entire rings: each ring contributes at most its
 // newest n events (a superset of the global tail), and the merged
 // candidates are cut down to n. Cost is O(rings*n log(rings*n))
 // regardless of ring fill, so the live-telemetry publish path can
-// afford it every interval. Result equals LastN(n).
+// afford it every interval. Result equals the last n of Events().
 func (t *Tracer) Tail(n int) []Event {
 	if t == nil || n <= 0 {
 		return nil

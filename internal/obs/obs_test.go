@@ -194,33 +194,6 @@ func TestRegistrySnapshotDeterministic(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	tr, cycle := boundTracer(0, 64)
-	*cycle = 42
-	tr.Emit(0, KFaultRaised, 5, 0x1000, 1)
-	tr.Emit(-1, KMigrateStart, 0, 0x40000, 3)
-	var buf bytes.Buffer
-	if err := tr.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := tr.Events()
-	if len(got) != len(want) {
-		t.Fatalf("decoded %d events, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("event %d: %+v != %+v", i, got[i], want[i])
-		}
-	}
-	if _, err := ReadBinary(bytes.NewReader([]byte("BADMAGIC"))); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-}
-
 func TestChromeExportValid(t *testing.T) {
 	tr, cycle := boundTracer(0, 64)
 	*cycle = 10
@@ -262,21 +235,5 @@ func TestChromeExportValid(t *testing.T) {
 	}
 	if len(ids) != 2 || ids[0] != ids[1] {
 		t.Fatalf("migrate span ids = %v", ids)
-	}
-}
-
-func TestLastN(t *testing.T) {
-	tr, cycle := boundTracer(0, 64)
-	for i := 0; i < 10; i++ {
-		*cycle = int64(i)
-		tr.Emit(0, KCommit, 0, uint64(i), 0)
-	}
-	last := tr.LastN(3)
-	if len(last) != 3 || last[0].A != 7 || last[2].A != 9 {
-		t.Fatalf("LastN = %+v", last)
-	}
-	var nilTr *Tracer
-	if nilTr.LastN(3) != nil {
-		t.Fatal("nil tracer LastN != nil")
 	}
 }

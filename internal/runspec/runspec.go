@@ -279,23 +279,23 @@ func (js JobSpec) perturbs() ([]perturb, error) {
 }
 
 // Attach arms a simulator built from this spec with its chaos plan and
-// perturbations.
-func (js JobSpec) Attach(s *sim.Simulator) error {
+// perturbations, and returns the plan (nil at chaos level 0).
+func (js JobSpec) Attach(s *sim.Simulator) (*chaos.Plan, error) {
 	plan, err := js.ChaosPlan()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	s.AttachChaos(plan)
 	ps, err := js.perturbs()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, p := range ps {
 		if err := s.InjectDivergence(p.cycle, p.component); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return plan, nil
 }
 
 // NewSim builds a fresh, fully armed simulator for the spec.
@@ -308,7 +308,7 @@ func (js JobSpec) NewSim() (*sim.Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := js.Attach(s); err != nil {
+	if _, err := js.Attach(s); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"gpues/internal/ckpt"
 	"gpues/internal/config"
 	"gpues/internal/excep"
 	"gpues/internal/sim"
@@ -234,5 +235,63 @@ func TestBuildSetsEveryAxis(t *testing.T) {
 	want.SampleEvery = 100
 	if !reflect.DeepEqual(cfg, want) {
 		t.Fatalf("Build config\n%+v\nwant\n%+v", cfg, want)
+	}
+}
+
+// TestAttachChaosAndPerturb: a spec with a chaos level and a
+// perturbation attaches both. The perturbed component is the chaos
+// plan itself, which only an attached plan has, and its digest departs
+// from the unperturbed run's exactly from the perturb cycle on.
+func TestAttachChaosAndPerturb(t *testing.T) {
+	const at = 50_000
+	clean := JobSpec{Benchmark: "mri-q", Scheme: "replay-queue", Placement: "paging", Switching: true,
+		ChaosLevel: 2, ChaosSeed: 3}
+	perturbed := clean
+	perturbed.Perturb = "50000:chaos"
+	// diverged steps the clean run and js to cycle and names the
+	// components whose digests differ, and the cycle both stopped at.
+	diverged := func(js JobSpec, cycle int64) ([]string, int64) {
+		t.Helper()
+		var all [2][]ckpt.SectionDigest
+		var stopped int64
+		for i, js := range []JobSpec{clean, js} {
+			cfg, spec, err := js.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := sim.New(cfg, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := js.Attach(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan == nil {
+				t.Fatal("Attach returned no plan at chaos level 2")
+			}
+			if err := s.Start(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.StepTo(cycle); err != nil {
+				t.Fatal(err)
+			}
+			all[i], stopped = s.ComponentDigests(), s.Cycle()
+		}
+		var names []string
+		for i, d := range all[0] {
+			if d != all[1][i] {
+				names = append(names, d.Name)
+			}
+		}
+		return names, stopped
+	}
+	if got, stopped := diverged(perturbed, at/2); stopped >= at || len(got) != 0 {
+		t.Errorf("digests at cycle %d, before the perturb cycle, diverge: %v", stopped, got)
+	}
+	for _, cycle := range []int64{at, at + 5000} {
+		if got, _ := diverged(perturbed, cycle); !reflect.DeepEqual(got, []string{"chaos"}) {
+			t.Errorf("diverged components at cycle %d = %v, want [chaos]", cycle, got)
+		}
 	}
 }

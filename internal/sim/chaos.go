@@ -17,8 +17,11 @@ const DefaultInvariantInterval = 100_000
 // AttachChaos wires a chaos plan through every injection hook of the
 // system — fill-unit walker, CPU fault service, interconnect, SMs —
 // binds it to the simulation clock, applies plan-level resource
-// exhaustion, and enables the periodic invariant sweep. A nil plan is a
-// no-op. Call before Run.
+// exhaustion, and enables the periodic invariant sweep. When no tracer
+// is attached yet it also attaches a small flight recorder (fault,
+// switch, migrate and local events), so a failing run's StallReport
+// carries the recent fault-lifecycle history; a tracer attached later
+// with AttachTracer replaces it. A nil plan is a no-op. Call before Run.
 func (s *Simulator) AttachChaos(p *chaos.Plan) {
 	if p == nil {
 		return
@@ -44,7 +47,19 @@ func (s *Simulator) AttachChaos(p *chaos.Plan) {
 	}
 	s.sweepEvery = interval
 	s.nextSweep = interval
+	if s.tracer == nil {
+		mask, _ := obs.ParseFilter(chaosTraceFilter) // a constant, valid filter
+		s.AttachTracer(obs.New(obs.Options{Filter: mask, RingSize: chaosRingSize}))
+	}
 }
+
+// chaosRingSize bounds the chaos flight recorder: enough for the recent
+// fault-lifecycle history without retaining a full run.
+const chaosRingSize = 4096
+
+// chaosTraceFilter is the chaos flight-recorder filter: the fault
+// lifecycle plus context switching and both handler paths.
+const chaosTraceFilter = "fault,switch,migrate,local"
 
 // ChaosResult is the outcome of a chaos run: the timing result plus the
 // injected-event log and the verdict of the restartability oracle.
@@ -58,114 +73,48 @@ type ChaosResult struct {
 	// Summary is the one-line per-kind injection count.
 	Summary string
 
-	// Mismatches holds up to maxOracleMismatches bytes on which the
-	// final memory disagrees with the functional oracle. Injected faults
-	// must never change architectural results, so any entry here is a
+	// Mismatches holds what CheckOracle found. Injected faults must
+	// never change architectural results, so any entry here is a
 	// restartability violation.
 	Mismatches []emu.Mismatch
 }
 
-const maxOracleMismatches = 16
-
 // OracleOK reports whether the final memory matched the oracle.
 func (r *ChaosResult) OracleOK() bool { return len(r.Mismatches) == 0 }
 
-// oracleMemory re-executes the whole grid functionally on mem (the
-// cloned initial memory) and returns it: the architectural reference
-// any timing run — however perturbed — must reproduce.
-func oracleMemory(l *kernel.Launch, mem *emu.Memory, lineSize int) (*emu.Memory, error) {
-	em, err := emu.New(l, mem, lineSize)
+// maxOracleMismatches caps the bytes CheckOracle reports.
+const maxOracleMismatches = 16
+
+// CheckOracle is the restartability oracle. It re-executes the whole
+// grid of l functionally on initial, a clone of the memory the timing
+// run started from, and returns up to 16 bytes on which final, the
+// timing run's memory, disagrees with it. However a run is preempted or
+// perturbed, its architectural result must equal this re-execution.
+// initial is overwritten.
+func CheckOracle(l *kernel.Launch, initial, final *emu.Memory, lineB int) ([]emu.Mismatch, error) {
+	em, err := emu.New(l, initial, lineB)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sim: functional oracle failed: %w", err)
 	}
 	for b := 0; b < l.Blocks(); b++ {
 		if _, err := em.EmulateBlock(b); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("sim: functional oracle failed: %w", err)
 		}
 	}
-	return mem, nil
+	return final.Diff(initial, maxOracleMismatches), nil
 }
 
 // RunChaos builds a simulator for cfg/spec, attaches the plan, runs the
-// launch, and checks the restartability property: the final functional
-// memory must be byte-identical to a pure functional re-execution of
-// the grid from the initial memory. A nil plan runs clean. The returned
-// ChaosResult carries the event log and fingerprint even when the run
-// itself fails (its Result is nil in that case).
+// launch, and checks it with CheckOracle. A nil plan runs clean. The
+// returned ChaosResult carries the event log and fingerprint even when
+// the run itself fails (its Result is nil in that case).
 func RunChaos(cfg config.Config, spec LaunchSpec, plan *chaos.Plan) (*ChaosResult, error) {
-	return RunChaosTraced(cfg, spec, plan, nil)
-}
-
-// chaosRingSize bounds the default chaos flight recorder: enough for
-// the recent fault-lifecycle history without retaining a full run.
-const chaosRingSize = 4096
-
-// chaosTraceFilter is the default chaos flight-recorder filter: the
-// fault lifecycle plus context switching and both handler paths.
-const chaosTraceFilter = "fault,switch,migrate,local"
-
-// RunChaosTraced is RunChaos with an explicit tracer. When tr is nil, a
-// small flight-recorder tracer (fault, switch, migrate and local
-// events) is attached anyway, so a failing run's StallReport carries
-// the recent fault-lifecycle history; pass a tracer built from
-// obs.Options to keep it for export.
-func RunChaosTraced(cfg config.Config, spec LaunchSpec, plan *chaos.Plan, tr *obs.Tracer) (*ChaosResult, error) {
-	return RunChaosOpts(cfg, spec, plan, ChaosRunOptions{Tracer: tr})
-}
-
-// ChaosRunOptions carries the optional knobs of a chaos run.
-type ChaosRunOptions struct {
-	// Tracer to attach; nil attaches the default flight recorder.
-	Tracer *obs.Tracer
-	// CheckpointEvery/CheckpointDir enable periodic checkpoints.
-	CheckpointEvery int64
-	CheckpointDir   string
-	// Resume is a checkpoint file (or a directory, whose latest valid
-	// checkpoint is used) to restore before running. The plan must be
-	// built from the same config and seed as the checkpointing run.
-	Resume string
-	// Telemetry, when non-nil, receives telemetry snapshots every
-	// TelemetryEvery cycles (<= 0 selects the simulator default).
-	Telemetry      TelemetrySink
-	TelemetryEvery int64
-}
-
-// RunChaosOpts is RunChaosTraced plus checkpoint/resume knobs.
-func RunChaosOpts(cfg config.Config, spec LaunchSpec, plan *chaos.Plan, opt ChaosRunOptions) (*ChaosResult, error) {
-	initial := spec.Memory
-	if initial == nil {
-		return nil, fmt.Errorf("sim: launch spec needs memory")
-	}
-	snapshot := initial.Clone()
-
 	s, err := New(cfg, spec)
 	if err != nil {
 		return nil, err
 	}
+	initial := spec.Memory.Clone()
 	s.AttachChaos(plan)
-	tr := opt.Tracer
-	if tr == nil {
-		mask, ferr := obs.ParseFilter(chaosTraceFilter)
-		if ferr != nil {
-			return nil, ferr
-		}
-		tr = obs.New(obs.Options{Filter: mask, RingSize: chaosRingSize})
-	}
-	s.AttachTracer(tr)
-	s.CheckpointEvery = opt.CheckpointEvery
-	s.CheckpointDir = opt.CheckpointDir
-	if opt.Telemetry != nil {
-		s.SetTelemetrySink(opt.Telemetry, opt.TelemetryEvery)
-	}
-	if opt.Resume != "" {
-		path, rerr := ResolveCheckpoint(opt.Resume)
-		if rerr != nil {
-			return nil, rerr
-		}
-		if rerr := s.RestoreFile(path); rerr != nil {
-			return nil, rerr
-		}
-	}
 	r, err := s.Run()
 	cr := &ChaosResult{
 		Result:      r,
@@ -176,10 +125,6 @@ func RunChaosOpts(cfg config.Config, spec LaunchSpec, plan *chaos.Plan, opt Chao
 	if err != nil {
 		return cr, err
 	}
-	oracle, err := oracleMemory(spec.Launch, snapshot, cfg.SM.L1LineB)
-	if err != nil {
-		return cr, fmt.Errorf("sim: functional oracle failed: %w", err)
-	}
-	cr.Mismatches = spec.Memory.Diff(oracle, maxOracleMismatches)
-	return cr, nil
+	cr.Mismatches, err = CheckOracle(spec.Launch, initial, spec.Memory, cfg.SM.L1LineB)
+	return cr, err
 }

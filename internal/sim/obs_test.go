@@ -3,8 +3,10 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"testing"
 
+	"gpues/internal/chaos"
 	"gpues/internal/config"
 	"gpues/internal/obs"
 	"gpues/internal/vm"
@@ -165,5 +167,74 @@ func TestTraceFilterLimitsKinds(t *testing.T) {
 		default:
 			t.Fatalf("event kind %v leaked through filter %q", ev.Kind, "fault,migrate")
 		}
+	}
+}
+
+// chaosStall runs a demand-paging launch under a level-2 chaos plan
+// until a cycle cap stops it mid-run, attaching tr (when non-nil) after
+// the plan, and returns the stall report.
+func chaosStall(t *testing.T, tr *obs.Tracer) StallReport {
+	t.Helper()
+	cfg := switchingConfig()
+	cfg.MaxCycles = 20_000
+	s, err := New(cfg, testSpec(t, 64, 128, vm.RegionCPUInit, vm.RegionGPUInit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := chaos.ForLevel(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AttachChaos(plan)
+	if s.Tracer() == nil {
+		t.Fatal("AttachChaos on an untraced simulator attached no flight recorder")
+	}
+	if tr != nil {
+		s.AttachTracer(tr)
+		if s.Tracer() != tr {
+			t.Fatal("AttachTracer did not replace the flight recorder")
+		}
+	}
+	_, err = s.Run()
+	var se *StallError
+	if !errors.As(err, &se) || se.Report.Reason != "max-cycles" {
+		t.Fatalf("run returned %v, want a max-cycles stall", err)
+	}
+	return se.Report
+}
+
+// TestChaosFlightRecorder: AttachChaos gives an untraced simulator a
+// flight recorder of the fault lifecycle, whose events ride on a stall
+// report; a tracer attached afterwards replaces it.
+func TestChaosFlightRecorder(t *testing.T) {
+	lifecycle, err := obs.ParseFilter(chaosTraceFilter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// outside counts the events the recorder's filter would drop.
+	outside := func(ev []obs.Event) int {
+		n := 0
+		for _, e := range ev {
+			if lifecycle&(1<<e.Kind) == 0 {
+				n++
+			}
+		}
+		return n
+	}
+	rec := chaosStall(t, nil).Trace
+	faults := 0
+	for _, e := range rec {
+		if e.Kind == obs.KFaultRaised {
+			faults++
+		}
+	}
+	if faults == 0 {
+		t.Errorf("stall report of a recorded chaos run has no fault events: %v", rec)
+	}
+	if n := outside(rec); n != 0 {
+		t.Errorf("flight recorder kept %d events outside %q", n, chaosTraceFilter)
+	}
+	if n := outside(chaosStall(t, obs.New(obs.Options{})).Trace); n == 0 {
+		t.Error("stall report carries only flight-recorder kinds; the attached unfiltered tracer did not replace it")
 	}
 }

@@ -8,25 +8,19 @@ package sim
 
 import (
 	"errors"
-	"fmt"
 
 	"gpues/internal/config"
 	"gpues/internal/emu"
 	"gpues/internal/excep"
 )
 
-// TrialOptions bounds one resilience trial.
+// TrialOptions bounds one resilience trial beyond Config.MaxCycles,
+// whose overrun classifies as a hang.
 type TrialOptions struct {
-	// MaxCycles caps the timing run (0 keeps the simulator default);
-	// trials that exceed the cap classify as hangs.
-	MaxCycles int64
 	// MaxWarpInsts caps functional emulation per warp (0 keeps the
 	// emulator default); a flipped loop bound then hangs functionally
 	// instead of running for the full default budget.
 	MaxWarpInsts int
-	// MaxMismatches caps the recorded SDC evidence (0 = the chaos
-	// oracle's default cap).
-	MaxMismatches int
 }
 
 // Trial is one classified flip-injection run.
@@ -59,17 +53,11 @@ type Trial struct {
 // from the initial memory image, so masked-vs-SDC is exact, not
 // heuristic.
 func RunResilienceTrial(cfg config.Config, spec LaunchSpec, opt TrialOptions) (*Trial, error) {
-	if spec.Memory == nil {
-		return nil, fmt.Errorf("sim: launch spec needs memory")
-	}
-	snapshot := spec.Memory.Clone()
 	s, err := New(cfg, spec)
 	if err != nil {
 		return nil, err
 	}
-	if opt.MaxCycles > 0 {
-		s.MaxCycles = opt.MaxCycles
-	}
+	initial := spec.Memory.Clone()
 	if opt.MaxWarpInsts > 0 {
 		s.emul.MaxWarpInsts = opt.MaxWarpInsts
 	}
@@ -79,15 +67,9 @@ func RunResilienceTrial(cfg config.Config, spec LaunchSpec, opt TrialOptions) (*
 	}
 	t := &Trial{Flips: r.Flips, Cycles: r.Cycles, Err: runErr}
 	if runErr == nil {
-		maxMis := opt.MaxMismatches
-		if maxMis <= 0 {
-			maxMis = maxOracleMismatches
+		if t.Mismatches, err = CheckOracle(spec.Launch, initial, spec.Memory, cfg.SM.L1LineB); err != nil {
+			return nil, err
 		}
-		oracle, oerr := oracleMemory(spec.Launch, snapshot, cfg.SM.L1LineB)
-		if oerr != nil {
-			return nil, fmt.Errorf("sim: functional oracle failed: %w", oerr)
-		}
-		t.Mismatches = spec.Memory.Diff(oracle, maxMis)
 		if len(t.Mismatches) == 0 {
 			t.Outcome = excep.OutcomeMasked
 		} else {

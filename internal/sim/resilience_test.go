@@ -8,13 +8,16 @@ import (
 	"gpues/internal/vm"
 )
 
-// trialBounds keeps runaway flip trials (hung loops, corrupted
-// schedules) short enough for a unit test.
-var trialBounds = TrialOptions{MaxCycles: 500_000, MaxWarpInsts: 1 << 16}
+// trialMaxCycles and trialBounds keep runaway flip trials (hung loops,
+// corrupted schedules) short enough for a unit test.
+const trialMaxCycles = 500_000
+
+var trialBounds = TrialOptions{MaxWarpInsts: 1 << 16}
 
 func runTrial(t *testing.T, seed int64, rate float64, protect int) *Trial {
 	t.Helper()
 	cfg := config.Default()
+	cfg.MaxCycles = trialMaxCycles
 	cfg.Excep.Flip = excep.FlipConfig{Seed: seed, Rate: rate, ProtectThreads: protect}
 	spec := testSpec(t, 4, 64, vm.RegionGPUInit, vm.RegionGPUInit)
 	tr, err := RunResilienceTrial(cfg, spec, trialBounds)

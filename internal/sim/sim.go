@@ -108,9 +108,9 @@ type Simulator struct {
 	l1s    []*cache.Cache
 	l1tlbs []*tlb.TLB
 
-	// MaxCycles aborts runaway simulations (hard bound; the progress
-	// watchdog normally fires far earlier).
-	MaxCycles int64
+	// maxCycles aborts runaway simulations: Config.MaxCycles, or
+	// DefaultMaxCycles (the progress watchdog normally fires far earlier).
+	maxCycles int64
 
 	// progressWindow is the watchdog window (0 disables the watchdog).
 	progressWindow int64
@@ -190,10 +190,10 @@ func New(cfg config.Config, spec LaunchSpec) (*Simulator, error) {
 		return nil, err
 	}
 
-	s := &Simulator{cfg: cfg, spec: spec, q: clock.New(), MaxCycles: DefaultMaxCycles,
+	s := &Simulator{cfg: cfg, spec: spec, q: clock.New(), maxCycles: DefaultMaxCycles,
 		progressWindow: DefaultProgressWindow}
 	if cfg.MaxCycles > 0 {
-		s.MaxCycles = cfg.MaxCycles
+		s.maxCycles = cfg.MaxCycles
 	}
 	switch {
 	case cfg.ProgressWindow > 0:
@@ -499,7 +499,7 @@ func (s *Simulator) StepTo(stop int64) (bool, error) {
 				[]string{fmt.Sprintf("clock moved backwards: %d after %d", now, s.lastNow)})
 		}
 		s.lastNow = now
-		if now > s.MaxCycles {
+		if now > s.maxCycles {
 			return false, s.stallError("max-cycles", nil)
 		}
 		if s.wd != nil && s.wd.observe(now, s.progressSignature()) {

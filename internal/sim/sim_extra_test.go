@@ -169,13 +169,9 @@ func TestSwitchingWithOperandLog(t *testing.T) {
 // TestMaxCyclesGuard: a tiny cycle budget aborts with a clear error.
 func TestMaxCyclesGuard(t *testing.T) {
 	cfg := config.Default()
+	cfg.MaxCycles = 10
 	spec := testSpec(t, 16, 128, vm.RegionGPUInit, vm.RegionGPUInit)
-	s, err := New(cfg, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.MaxCycles = 10
-	if _, err := s.Run(); err == nil {
+	if _, err := RunSpec(cfg, spec); err == nil {
 		t.Fatal("MaxCycles guard did not trip")
 	}
 }

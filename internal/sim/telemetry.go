@@ -47,27 +47,23 @@ type TelemetrySink interface {
 	PublishTelemetry(TelemetrySnapshot)
 }
 
-// DefaultTelemetryEvery is the publish period in cycles when
-// SetTelemetrySink is called without one.
+// DefaultTelemetryEvery is the publish period in cycles when no
+// sampling period is configured.
 const DefaultTelemetryEvery = 1 << 16
 
 // telemetryTraceTail bounds the trace events carried on each snapshot.
 const telemetryTraceTail = 64
 
-// SetTelemetrySink attaches a telemetry sink publishing every that-many
-// cycles (<= 0 selects DefaultTelemetryEvery, or the sampling period
-// when one is configured). Call before Run. Publishing reads state and
-// never schedules events, so an attached sink cannot change simulated
-// cycle counts.
-func (s *Simulator) SetTelemetrySink(sink TelemetrySink, every int64) {
+// SetTelemetrySink attaches a telemetry sink publishing at the sampling
+// period when one is configured, else every DefaultTelemetryEvery
+// cycles. Call before Run. Publishing reads state and never schedules
+// events, so an attached sink cannot change simulated cycle counts.
+func (s *Simulator) SetTelemetrySink(sink TelemetrySink) {
 	s.sink = sink
-	if every <= 0 {
-		every = DefaultTelemetryEvery
-		if s.sampler != nil && s.sampler.Every() > 0 {
-			every = s.sampler.Every()
-		}
+	s.sinkEvery = DefaultTelemetryEvery
+	if s.sampler != nil {
+		s.sinkEvery = s.sampler.Every()
 	}
-	s.sinkEvery = every
 	s.nextPublish = 0
 }
 

@@ -126,7 +126,7 @@ func TestTelemetrySinkPublishes(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &collectSink{}
-	s.SetTelemetrySink(sink, 0) // defaults to the sampling period
+	s.SetTelemetrySink(sink) // publishes at the sampling period
 	r, err := s.Run()
 	if err != nil {
 		t.Fatal(err)

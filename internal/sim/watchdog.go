@@ -164,7 +164,7 @@ func (s *Simulator) stallError(reason string, violations []string) error {
 	if reason == "watchdog" {
 		rep.Window = s.progressWindow
 	}
-	rep.Trace = s.tracer.LastN(stallTraceEvents)
+	rep.Trace = s.tracer.Tail(stallTraceEvents)
 	if s.sampler.Len() > 0 {
 		rep.LastSample = s.sampler.Last()
 	}
