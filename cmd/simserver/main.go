@@ -54,7 +54,6 @@ type options struct {
 	queueCap     int
 	drainTimeout time.Duration
 	backoff      time.Duration
-	seed         int64
 	tenantRate   float64
 	tenantBurst  int
 	httpAddr     string
@@ -165,7 +164,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.queueCap, "queue-cap", 256, "resident job cap; submissions beyond it get 429 (0 = unlimited)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM")
 	fs.DurationVar(&o.backoff, "backoff", 2*time.Second, "base retry backoff (doubles per retry, jittered)")
-	fs.Int64Var(&o.seed, "seed", 1, "backoff jitter seed")
 	fs.Float64Var(&o.tenantRate, "tenant-rate", 0, "per-tenant submissions per second (0 = no quotas)")
 	fs.IntVar(&o.tenantBurst, "tenant-burst", 8, "per-tenant submission burst (with -tenant-rate)")
 	fs.StringVar(&o.httpAddr, "http", "", "serve fabric metrics (/metrics, /status) on this host:port")
@@ -226,7 +224,6 @@ func runCoordinator(o *options) int {
 			Lease:      int64(o.lease),
 			MaxRetries: o.maxRetries,
 			Backoff:    int64(o.backoff),
-			Seed:       o.seed,
 		},
 		JournalDir:  o.journal,
 		TenantRate:  o.tenantRate,

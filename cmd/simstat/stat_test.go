@@ -10,16 +10,24 @@ import (
 	"gpues/internal/obs"
 )
 
+// gaugeVar registers a gauge over a fresh variable, the way a
+// component exposes a count it keeps, and returns the variable.
+func gaugeVar(r *obs.Registry, name string) *int64 {
+	v := new(int64)
+	r.Gauge(name, func() int64 { return *v })
+	return v
+}
+
 // buildSeries samples a synthetic run shape into a decoded table:
 // steady commit progress, a fault burst with latency observations in
 // the middle third, and a fault-wait stall dominating that burst.
 func buildSeries(t *testing.T, samples int, burstFaults int64) *gpues.SeriesTable {
 	t.Helper()
 	r := obs.NewRegistry()
-	committed := r.Counter(obs.ColCommitted)
-	faults := r.Counter(obs.ColFaultsRaised)
-	fw := r.Counter(obs.StallColPrefix + "fault-wait")
-	sb := r.Counter(obs.StallColPrefix + "scoreboard")
+	committed := gaugeVar(r, obs.ColCommitted)
+	faults := gaugeVar(r, obs.ColFaultsRaised)
+	fw := gaugeVar(r, obs.StallColPrefix+"fault-wait")
+	sb := gaugeVar(r, obs.StallColPrefix+"scoreboard")
 	lat := r.Histogram("fault.latency_cycles")
 	occ := int64(32)
 	r.Gauge(obs.ColOccupancy, func() int64 { return occ })
@@ -28,17 +36,17 @@ func buildSeries(t *testing.T, samples int, burstFaults int64) *gpues.SeriesTabl
 	for i := 1; i <= samples; i++ {
 		inBurst := i > samples/3 && i <= 2*samples/3
 		if inBurst {
-			committed.Add(200)
-			faults.Add(burstFaults)
-			fw.Add(700)
-			sb.Add(100)
+			*committed += 200
+			*faults += burstFaults
+			*fw += 700
+			*sb += 100
 			for f := int64(0); f < burstFaults; f++ {
 				lat.Observe(20_000)
 			}
 		} else {
-			committed.Add(650)
-			sb.Add(200)
-			fw.Add(150)
+			*committed += 650
+			*sb += 200
+			*fw += 150
 		}
 		sp.Sample(int64(i) * 1000)
 	}
@@ -164,7 +172,7 @@ func TestDiffMissingColumnGates(t *testing.T) {
 	a := buildSeries(t, 10, 2)
 	// b lacks the occupancy gauge.
 	r := obs.NewRegistry()
-	r.Counter(obs.ColCommitted).Add(1)
+	*gaugeVar(r, obs.ColCommitted) = 1
 	sp := obs.NewSampler(1000, r)
 	sp.Sample(1000)
 	var buf bytes.Buffer

@@ -42,7 +42,7 @@ const Magic = "GPUCKPT1"
 // the envelope or any component's SaveState layout changes: restore
 // refuses checkpoints written by a different version instead of
 // reporting a spurious divergence against them.
-const Version uint32 = 2
+const Version uint32 = 3
 
 // fnv64a is the FNV-1a digest used for section, file and streaming
 // state digests. It is not cryptographic; it only needs to make state

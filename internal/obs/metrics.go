@@ -8,28 +8,6 @@ import (
 	"sort"
 )
 
-// Counter is a monotonically increasing count. Add is nil-receiver safe
-// and allocation-free, so components can increment unconditionally.
-type Counter struct {
-	v int64
-}
-
-// Add increments the counter.
-func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
-	}
-	c.v += n
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
 // histBuckets is the number of log2 histogram buckets: bucket 0 holds
 // values <= 0, bucket i (i >= 1) holds values in [2^(i-1), 2^i).
 const histBuckets = 65
@@ -137,7 +115,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // happens at wiring time; the hot path touches only the returned
 // instrument pointers. Single-threaded, like the simulation.
 type Registry struct {
-	counters map[string]*Counter
 	//simlint:ckptskip gauge closures, fixed at registration; SaveState digests their readings
 	gauges map[string]func() int64
 	hists  map[string]*Histogram
@@ -146,23 +123,9 @@ type Registry struct {
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]func() int64),
-		hists:    make(map[string]*Histogram),
+		gauges: make(map[string]func() int64),
+		hists:  make(map[string]*Histogram),
 	}
-}
-
-// Counter registers (or returns the existing) counter under name.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	c := &Counter{}
-	r.counters[name] = c
-	return c
 }
 
 // Gauge registers a read-at-snapshot value source under name.
@@ -188,7 +151,10 @@ func (r *Registry) Histogram(name string) *Histogram {
 }
 
 // Snapshot is a point-in-time copy of every registered instrument,
-// exportable as JSON or CSV and embedded in sim.Result.
+// exportable as JSON or CSV and embedded in sim.Result. A Registry
+// fills Gauges and Histograms. Counters carries monotonic counts a
+// producer keeps itself, such as the job fabric's queue counters;
+// /metrics types them as Prometheus counters.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
@@ -205,12 +171,6 @@ func (r *Registry) Snapshot() Snapshot {
 	// Sorted names keep the reads deterministic: gauge callbacks run in
 	// a fixed order, so a callback with side effects (or one that reads
 	// state another callback touches) cannot vary between runs.
-	if len(r.counters) > 0 {
-		s.Counters = make(map[string]int64, len(r.counters))
-		for _, n := range sortedNames(r.counters) {
-			s.Counters[n] = r.counters[n].Value()
-		}
-	}
 	if len(r.gauges) > 0 {
 		s.Gauges = make(map[string]int64, len(r.gauges))
 		for _, n := range sortedNames(r.gauges) {

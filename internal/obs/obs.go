@@ -1,6 +1,6 @@
 // Package obs is the simulator-wide observability layer: a
 // zero-allocation event tracer with per-SM ring buffers, a metrics
-// registry of counters, gauges and histograms, and the stall-reason
+// registry of gauges and histograms, and the stall-reason
 // taxonomy of the SM issue stage.
 //
 // Design rules, enforced by tests:

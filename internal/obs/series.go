@@ -14,10 +14,10 @@ import (
 // so a long mostly-steady run compresses into small numbers and the
 // whole series lives in one flat slice.
 //
-// Columns are fixed at construction: every counter and gauge
-// contributes one column under its metric name, every histogram
-// contributes "<name>.count" and "<name>.sum", all sorted by column
-// name. The sorted order makes both the read sweep and the exports
+// Columns are fixed at construction: every gauge contributes one
+// column under its metric name, every histogram contributes
+// "<name>.count" and "<name>.sum", all sorted by column name. The
+// sorted order makes both the read sweep and the exports
 // deterministic.
 //
 // The sampler only reads instruments; it never schedules clock events
@@ -51,11 +51,6 @@ const samplerWarmup = 512
 func NewSampler(every int64, r *Registry) *Sampler {
 	sp := &Sampler{every: every}
 	if r != nil {
-		for _, n := range sortedNames(r.counters) {
-			c := r.counters[n]
-			sp.names = append(sp.names, n)
-			sp.read = append(sp.read, c.Value)
-		}
 		for _, n := range sortedNames(r.gauges) {
 			sp.names = append(sp.names, n)
 			sp.read = append(sp.read, r.gauges[n])
@@ -65,7 +60,7 @@ func NewSampler(every int64, r *Registry) *Sampler {
 			sp.names = append(sp.names, n+".count", n+".sum")
 			sp.read = append(sp.read, h.Count, func() int64 { return h.sum })
 		}
-		// The three groups are each sorted, but the merged column list
+		// The two groups are each sorted, but the merged column list
 		// must be too: sort names and reads together.
 		sort.Sort(&columnSort{sp.names, sp.read})
 	}

@@ -6,20 +6,27 @@ import (
 	"testing"
 )
 
+// gaugeVar registers a gauge over a fresh variable, the way a
+// component exposes a count it keeps, and returns the variable.
+func gaugeVar(r *Registry, name string) *int64 {
+	v := new(int64)
+	r.Gauge(name, func() int64 { return *v })
+	return v
+}
+
 // seriesRegistry builds a small registry with one of each instrument
 // kind, returning the mutable handles.
-func seriesRegistry() (*Registry, *Counter, *int64, *Histogram) {
+func seriesRegistry() (*Registry, *int64, *int64, *Histogram) {
 	r := NewRegistry()
-	c := r.Counter("sm.committed")
-	g := new(int64)
-	r.Gauge("sm.occupancy_blocks", func() int64 { return *g })
+	c := gaugeVar(r, "sm.committed")
+	g := gaugeVar(r, "sm.occupancy_blocks")
 	h := r.Histogram("fault.latency_cycles")
 	return r, c, g, h
 }
 
 func TestSamplerColumnsSorted(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("zeta")
+	r.Gauge("zeta", func() int64 { return 0 })
 	r.Gauge("alpha", func() int64 { return 0 })
 	r.Histogram("mid")
 	sp := NewSampler(100, r)
@@ -38,12 +45,12 @@ func TestSamplerDeltaRoundTrip(t *testing.T) {
 	r, c, g, h := seriesRegistry()
 	sp := NewSampler(1000, r)
 
-	c.Add(10)
+	*c += 10
 	*g = 4
 	h.Observe(100)
 	sp.Sample(1000)
 
-	c.Add(5)
+	*c += 5
 	*g = 2
 	h.Observe(300)
 	h.Observe(50)
@@ -85,7 +92,7 @@ func TestSampleHotPathDoesNotAllocate(t *testing.T) {
 	cycle := int64(0)
 	allocs := testing.AllocsPerRun(samplerWarmup-8, func() {
 		cycle += 10
-		c.Add(3)
+		*c += 3
 		*g++
 		h.Observe(cycle)
 		sp.Sample(cycle)
@@ -100,7 +107,7 @@ func TestSamplerGrowsPastWarmup(t *testing.T) {
 	sp := NewSampler(1, r)
 	n := samplerWarmup*3 + 7
 	for i := 1; i <= n; i++ {
-		c.Add(1)
+		*c += 1
 		sp.Sample(int64(i))
 	}
 	if sp.Len() != n {
@@ -116,13 +123,13 @@ func TestSamplerGrowsPastWarmup(t *testing.T) {
 func TestSeriesViewIsStableUnderAppend(t *testing.T) {
 	r, c, _, _ := seriesRegistry()
 	sp := NewSampler(10, r)
-	c.Add(7)
+	*c += 7
 	sp.Sample(10)
 	view := sp.View()
 	// Keep sampling past the view; the view must not change, even
 	// across a grow of the backing array.
 	for i := 2; i <= samplerWarmup+4; i++ {
-		c.Add(1)
+		*c += 1
 		sp.Sample(int64(i * 10))
 	}
 	if view.N != 1 {
@@ -136,13 +143,13 @@ func TestSeriesViewIsStableUnderAppend(t *testing.T) {
 func TestSeriesNDJSONRoundTripAndDeterminism(t *testing.T) {
 	build := func() SeriesView {
 		r, c, g, h := seriesRegistry()
-		r2 := r.Counter("faultunit.raised")
+		r2 := gaugeVar(r, "faultunit.raised")
 		sp := NewSampler(500, r)
 		for i := 1; i <= 4; i++ {
-			c.Add(int64(100 * i))
+			*c += int64(100 * i)
 			*g = int64(i)
 			if i%2 == 0 {
-				r2.Add(3)
+				*r2 += 3
 				h.Observe(int64(40 * i))
 			}
 			sp.Sample(int64(500 * i))
@@ -187,9 +194,9 @@ func TestSeriesNDJSONRoundTripAndDeterminism(t *testing.T) {
 func TestSeriesCSV(t *testing.T) {
 	r, c, _, _ := seriesRegistry()
 	sp := NewSampler(10, r)
-	c.Add(5)
+	*c += 5
 	sp.Sample(10)
-	c.Add(5)
+	*c += 5
 	sp.Sample(20)
 	var buf bytes.Buffer
 	if err := sp.View().WriteCSV(&buf); err != nil {
@@ -209,20 +216,20 @@ func TestSeriesCSV(t *testing.T) {
 
 func TestAnalyzeDerivedRates(t *testing.T) {
 	r := NewRegistry()
-	committed := r.Counter(ColCommitted)
-	faults := r.Counter(ColFaultsRaised)
-	scoreboard := r.Counter(StallColPrefix + "scoreboard")
-	faultWait := r.Counter(StallColPrefix + "fault-wait")
+	committed := gaugeVar(r, ColCommitted)
+	faults := gaugeVar(r, ColFaultsRaised)
+	scoreboard := gaugeVar(r, StallColPrefix+"scoreboard")
+	faultWait := gaugeVar(r, StallColPrefix+"fault-wait")
 	sp := NewSampler(1000, r)
 
-	committed.Add(2000) // interval 1: IPC 2.0, all stalls scoreboard
-	scoreboard.Add(300)
+	*committed += 2000 // interval 1: IPC 2.0, all stalls scoreboard
+	*scoreboard += 300
 	sp.Sample(1000)
 
-	committed.Add(500) // interval 2: IPC 0.5, faults dominate
-	faults.Add(8)
-	scoreboard.Add(100)
-	faultWait.Add(900)
+	*committed += 500 // interval 2: IPC 0.5, faults dominate
+	*faults += 8
+	*scoreboard += 100
+	*faultWait += 900
 	sp.Sample(2000)
 
 	iv := Analyze(sp.View().Table())
@@ -246,14 +253,14 @@ func TestAnalyzeDerivedRates(t *testing.T) {
 
 func TestSummarizeFaultPhases(t *testing.T) {
 	r := NewRegistry()
-	committed := r.Counter(ColCommitted)
-	faults := r.Counter(ColFaultsRaised)
+	committed := gaugeVar(r, ColCommitted)
+	faults := gaugeVar(r, ColFaultsRaised)
 	lat := r.Histogram("fault.latency_cycles")
 	sp := NewSampler(1000, r)
 
 	step := func(c, f int64, lats ...int64) {
-		committed.Add(c)
-		faults.Add(f)
+		*committed += c
+		*faults += f
 		for _, l := range lats {
 			lat.Observe(l)
 		}

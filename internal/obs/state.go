@@ -2,14 +2,9 @@ package obs
 
 import "gpues/internal/ckpt"
 
-// SaveState serializes the registry: counter values, histogram
-// contents and the current gauge readings.
+// SaveState serializes the registry: the current gauge readings and
+// histogram contents.
 func (r *Registry) SaveState(w *ckpt.Writer) {
-	w.Int(len(r.counters))
-	for _, n := range sortedNames(r.counters) {
-		w.String(n)
-		w.I64(r.counters[n].v)
-	}
 	w.Int(len(r.gauges))
 	for _, n := range sortedNames(r.gauges) {
 		w.String(n)

@@ -10,11 +10,10 @@ import (
 )
 
 func fabricSnapshot() obs.Snapshot {
-	r := obs.NewRegistry()
-	r.Counter("fabric.jobs.submitted").Add(7)
-	r.Counter("fabric.cache.hits").Add(3)
-	r.Gauge("fabric.queue.depth", func() int64 { return 4 })
-	return r.Snapshot()
+	return obs.Snapshot{
+		Counters: map[string]int64{"fabric.jobs.submitted": 7, "fabric.cache.hits": 3},
+		Gauges:   map[string]int64{"fabric.queue.depth": 4},
+	}
 }
 
 func fetch(t *testing.T, url string) string {

@@ -30,13 +30,14 @@ func TestValidateAddr(t *testing.T) {
 // trace tail — the shape a live simulation publishes.
 func testSnapshot(cycle int64) sim.TelemetrySnapshot {
 	r := obs.NewRegistry()
-	r.Counter("sm.committed").Add(cycle * 2)
 	r.Gauge("excep.pending", func() int64 { return 0 })
 	r.Histogram("fault.latency_cycles").Observe(1200)
 	sp := obs.NewSampler(1000, r)
 	for c := int64(1000); c <= cycle; c += 1000 {
 		sp.Sample(c)
 	}
+	metrics := r.Snapshot()
+	metrics.Counters = map[string]int64{"sm.committed": cycle * 2}
 	tr := obs.New(obs.Options{RingSize: 64})
 	now := cycle
 	tr.Bind(2, func() int64 { return now })
@@ -51,7 +52,7 @@ func testSnapshot(cycle int64) sim.TelemetrySnapshot {
 		Committed:      cycle * 2,
 		WatchdogWindow: 2_000_000,
 		SinceProgress:  42,
-		Metrics:        r.Snapshot(),
+		Metrics:        metrics,
 		Series:         sp.View(),
 		Trace:          tr.Tail(64),
 	}

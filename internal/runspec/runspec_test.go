@@ -1,6 +1,7 @@
 package runspec
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"io"
@@ -294,4 +295,31 @@ func TestAttachChaosAndPerturb(t *testing.T) {
 			t.Errorf("diverged components at cycle %d = %v, want [chaos]", cycle, got)
 		}
 	}
+}
+
+// FuzzJobSpec feeds arbitrary bytes through the job API's strict body
+// decode: Build and Key must never panic on a decoded spec, both must
+// agree on whether it is accepted, and an accepted spec keys the same
+// on every call.
+func FuzzJobSpec(f *testing.F) {
+	f.Add([]byte(`{"benchmark":"sgemm"}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		dec := json.NewDecoder(bytes.NewReader(b))
+		dec.DisallowUnknownFields()
+		var js JobSpec
+		if dec.Decode(&js) != nil {
+			return
+		}
+		_, _, buildErr := js.Build()
+		k1, err := js.Key()
+		if (err == nil) != (buildErr == nil) {
+			t.Fatalf("Build error %v, Key error %v", buildErr, err)
+		}
+		if err != nil {
+			return
+		}
+		if k2, err := js.Key(); err != nil || k2 != k1 {
+			t.Fatalf("Key = %q then %q, %v", k1, k2, err)
+		}
+	})
 }

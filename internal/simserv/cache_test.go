@@ -1,7 +1,10 @@
 package simserv
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"strings"
 	"sync"
 	"testing"
 
@@ -153,5 +156,43 @@ func TestSingleflightCollapsesConcurrentSubmissions(t *testing.T) {
 	late := h.submit(t, SubmitRequest{ID: "late", Spec: specSgemm})
 	if late.State != "done" || !late.Result.CacheHit {
 		t.Fatalf("late = %+v", late)
+	}
+}
+
+// Serving a done key needs no queue slot, so a full queue still serves
+// it: 200 with the original result, and nothing counts as rejected.
+func TestCacheHitServedAtFullQueue(t *testing.T) {
+	h := newHarness(t, func(o *Options) { o.Queue.Cap = 1 })
+	h.submit(t, SubmitRequest{ID: "a", Spec: specSgemm})
+	claim, ok, _ := h.cl.Claim("w1")
+	if !ok {
+		t.Fatal("no claim")
+	}
+	if err := h.cl.Complete(CompleteRequest{JobID: claim.JobID, Worker: "w1", Token: claim.Token, Cycles: 4242}); err != nil {
+		t.Fatal(err)
+	}
+	h.submit(t, SubmitRequest{ID: "b", Spec: runspec.JobSpec{Benchmark: "mri-q"}}) // fills the only slot
+
+	r, err := http.Post(h.srv.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"id":"a-again","spec":{"benchmark":"sgemm"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	var hit SubmitResponse
+	if err := json.NewDecoder(r.Body).Decode(&hit); err != nil {
+		t.Fatal(err)
+	}
+	if r.StatusCode != http.StatusOK || hit.State != "done" || hit.Result == nil ||
+		!hit.Result.CacheHit || hit.Result.Cycles != 4242 || hit.Result.Worker != "w1" {
+		t.Fatalf("resubmit at full queue = %d %+v", r.StatusCode, hit)
+	}
+	stats, _ := h.cl.Stats()
+	if stats.Counters.RejectedFull != 0 || stats.Depth != 1 || stats.CacheHits != 1 {
+		t.Fatalf("stats = %+v", stats)
+	}
+	// A submission that needs a slot is still refused.
+	if _, err := h.cl.Submit(SubmitRequest{ID: "c", Spec: runspec.JobSpec{Benchmark: "sgemm", Scale: 2}}); !IsStatus(err, http.StatusTooManyRequests) {
+		t.Fatalf("miss at full queue: %v, want 429", err)
 	}
 }

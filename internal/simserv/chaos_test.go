@@ -64,7 +64,6 @@ func runCampaign(t *testing.T, seed uint64) campaignOutcome {
 		o.Queue.Lease = int64(3 * time.Second)
 		o.Queue.MaxRetries = 4
 		o.Queue.Backoff = int64(time.Millisecond)
-		o.Queue.Seed = int64(seed)
 	})
 	rng := &campaignRNG{s: seed}
 

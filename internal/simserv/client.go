@@ -13,15 +13,6 @@ import (
 type Client struct {
 	// Base is the coordinator base URL, e.g. "http://127.0.0.1:8990".
 	Base string
-	// HTTP is the transport (nil = http.DefaultClient).
-	HTTP *http.Client
-}
-
-func (c *Client) httpc() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
 }
 
 // apiError is a non-2xx response decoded from the {"error": ...} body.
@@ -42,7 +33,7 @@ func (c *Client) post(path string, req, resp any) error {
 	if err != nil {
 		return err
 	}
-	r, err := c.httpc().Post(c.Base+path, "application/json", bytes.NewReader(body))
+	r, err := http.Post(c.Base+path, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -51,7 +42,7 @@ func (c *Client) post(path string, req, resp any) error {
 }
 
 func (c *Client) get(path string, resp any) error {
-	r, err := c.httpc().Get(c.Base + path)
+	r, err := http.Get(c.Base + path)
 	if err != nil {
 		return err
 	}
@@ -105,23 +96,12 @@ func (c *Client) Submit(req SubmitRequest) (SubmitResponse, error) {
 // Claim asks for work; ok is false when the coordinator has none (or
 // is draining).
 func (c *Client) Claim(worker string) (ClaimResponse, bool, error) {
-	body, err := json.Marshal(ClaimRequest{Worker: worker})
-	if err != nil {
-		return ClaimResponse{}, false, err
-	}
-	r, err := c.httpc().Post(c.Base+"/v1/claim", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return ClaimResponse{}, false, err
-	}
-	defer r.Body.Close()
-	if r.StatusCode == http.StatusNoContent {
-		return ClaimResponse{}, false, nil
-	}
 	var resp ClaimResponse
-	if err := decodeResp(r, &resp); err != nil {
+	if err := c.post("/v1/claim", ClaimRequest{Worker: worker}, &resp); err != nil {
 		return ClaimResponse{}, false, err
 	}
-	return resp, true, nil
+	// A 204 decodes nothing; every handed-out job has an ID.
+	return resp, resp.JobID != "", nil
 }
 
 // Renew extends a lease and returns the coordinator's directive.

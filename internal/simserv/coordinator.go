@@ -23,8 +23,7 @@ type FabricSink interface {
 // Options parameterizes a coordinator.
 type Options struct {
 	// Queue carries the state-machine knobs: Cap (admission), Lease,
-	// MaxRetries, Backoff/MaxBackoff and the jitter Seed, all durations
-	// in nanoseconds.
+	// MaxRetries and Backoff, all durations in nanoseconds.
 	Queue queue.Config
 	// JournalDir roots the crash-only journal and checkpoint spool.
 	JournalDir string
@@ -47,8 +46,9 @@ type bucket struct {
 	last   int64
 }
 
-// Coordinator owns the job fabric: the queue state machine, the
-// journal, the result cache, admission control and the HTTP API.
+// Coordinator owns the job fabric: the queue state machine (which is
+// also the result cache), the journal, admission control and the HTTP
+// API.
 // All state mutates under mu; the journal write lands before any
 // transition is acknowledged over HTTP.
 type Coordinator struct {
@@ -58,7 +58,6 @@ type Coordinator struct {
 	mu       sync.Mutex
 	q        *queue.Queue
 	jr       *Journal
-	cache    map[string]queue.Result
 	buckets  map[string]*bucket
 	idSeq    int64
 	draining bool
@@ -68,17 +67,12 @@ type Coordinator struct {
 	cacheHits     int64
 	cacheMisses   int64
 	rejectedQuota int64
-
-	reg        *obs.Registry
-	lastCounts queue.Counters
-	evCounters map[string]*obs.Counter
 }
 
 // NewCoordinator opens (or reopens) the fabric rooted at
 // opt.JournalDir: journaled jobs are reloaded verbatim — leases
 // included, so the reaper reclaims work from workers that died with
-// the coordinator — and the result cache is rebuilt from completed
-// records.
+// the coordinator — and done jobs go on serving their keys.
 func NewCoordinator(opt Options) (*Coordinator, error) {
 	jr, err := OpenJournal(opt.JournalDir)
 	if err != nil {
@@ -88,42 +82,20 @@ func NewCoordinator(opt Options) (*Coordinator, error) {
 		opt:     opt,
 		q:       queue.New(opt.Queue),
 		jr:      jr,
-		cache:   make(map[string]queue.Result),
 		buckets: make(map[string]*bucket),
 		drained: make(chan struct{}),
 	}
-	jobs, skipped, err := jr.Load()
+	// Corrupt records are skipped, not fatal.
+	jobs, _, err := jr.Load()
 	if err != nil {
 		return nil, err
 	}
-	_ = skipped // corrupt records are rerun, not fatal
 	for _, j := range jobs {
 		c.q.Load(j)
-		if n := jobSeqNum(j.ID); n > c.idSeq {
-			c.idSeq = n
-		}
-		if j.State == queue.Done && j.Key != "" && j.Result != nil {
-			if _, ok := c.cache[j.Key]; !ok || !j.Result.CacheHit {
-				c.cache[j.Key] = *j.Result
-			}
-		}
 	}
 	c.q.Reorder()
-	c.initMetrics()
 	c.buildMux()
 	return c, nil
-}
-
-// jobSeqNum extracts n from an auto-assigned "j-%06d" ID (0 otherwise).
-func jobSeqNum(id string) int64 {
-	if len(id) < 3 || id[:2] != "j-" {
-		return 0
-	}
-	n, err := strconv.ParseInt(id[2:], 10, 64)
-	if err != nil {
-		return 0
-	}
-	return n
 }
 
 func (c *Coordinator) now() int64 {
@@ -133,62 +105,45 @@ func (c *Coordinator) now() int64 {
 	return time.Now().UnixNano()
 }
 
-// initMetrics registers the fabric metrics. Queue event counts mirror
-// queue.Counters via delta sync in publish; gauges read live state.
-// Everything is touched under mu only, satisfying the registry's
-// single-goroutine contract.
-func (c *Coordinator) initMetrics() {
-	c.reg = obs.NewRegistry()
-	c.evCounters = map[string]*obs.Counter{}
-	for _, name := range []string{
-		"fabric.jobs.submitted", "fabric.jobs.completed", "fabric.jobs.coalesced",
-		"fabric.failures", "fabric.retries", "fabric.lease.expiries",
-		"fabric.dead.letters", "fabric.stale.ops", "fabric.preemptions",
-		"fabric.resumes", "fabric.rejected.full",
-	} {
-		c.evCounters[name] = c.reg.Counter(name)
+// metrics reads the fabric metrics straight from their sources: the
+// queue's event counts, the admission counts and live state. Caller
+// holds mu.
+func (c *Coordinator) metrics() obs.Snapshot {
+	q := c.q.Counters()
+	var draining int64
+	if c.draining {
+		draining = 1
 	}
-	c.evCounters["fabric.cache.hits"] = c.reg.Counter("fabric.cache.hits")
-	c.evCounters["fabric.cache.misses"] = c.reg.Counter("fabric.cache.misses")
-	c.evCounters["fabric.rejected.quota"] = c.reg.Counter("fabric.rejected.quota")
-	c.reg.Gauge("fabric.queue.depth", func() int64 { return int64(c.q.Depth()) })
-	c.reg.Gauge("fabric.queue.leased", func() int64 { return int64(c.q.Leased()) })
-	c.reg.Gauge("fabric.draining", func() int64 {
-		if c.draining {
-			return 1
-		}
-		return 0
-	})
-	c.reg.Gauge("fabric.drain.ms", func() int64 { return c.drainDur / int64(time.Millisecond) })
+	return obs.Snapshot{
+		Counters: map[string]int64{
+			"fabric.jobs.submitted": q.Submitted,
+			"fabric.jobs.completed": q.Completed,
+			"fabric.jobs.coalesced": q.Coalesced,
+			"fabric.failures":       q.Failures,
+			"fabric.retries":        q.Retries,
+			"fabric.lease.expiries": q.LeaseExpiries,
+			"fabric.dead.letters":   q.DeadLetters,
+			"fabric.stale.ops":      q.StaleOps,
+			"fabric.preemptions":    q.Preemptions,
+			"fabric.resumes":        q.Resumes,
+			"fabric.rejected.full":  q.RejectedFull,
+			"fabric.cache.hits":     c.cacheHits,
+			"fabric.cache.misses":   c.cacheMisses,
+			"fabric.rejected.quota": c.rejectedQuota,
+		},
+		Gauges: map[string]int64{
+			"fabric.queue.depth":  int64(c.q.Depth()),
+			"fabric.queue.leased": int64(c.q.Leased()),
+			"fabric.draining":     draining,
+			"fabric.drain.ms":     c.drainDur / int64(time.Millisecond),
+		},
+	}
 }
 
-// publish syncs queue counter deltas into the registry and hands a
-// snapshot to the sink. Caller holds mu.
+// publish hands the current metrics to the sink. Caller holds mu.
 func (c *Coordinator) publish() {
-	cur := c.q.Counters()
-	add := func(name string, now, last int64) {
-		if d := now - last; d > 0 {
-			c.evCounters[name].Add(d)
-		}
-	}
-	last := c.lastCounts
-	add("fabric.jobs.submitted", cur.Submitted, last.Submitted)
-	add("fabric.jobs.completed", cur.Completed, last.Completed)
-	add("fabric.jobs.coalesced", cur.Coalesced, last.Coalesced)
-	add("fabric.failures", cur.Failures, last.Failures)
-	add("fabric.retries", cur.Retries, last.Retries)
-	add("fabric.lease.expiries", cur.LeaseExpiries, last.LeaseExpiries)
-	add("fabric.dead.letters", cur.DeadLetters, last.DeadLetters)
-	add("fabric.stale.ops", cur.StaleOps, last.StaleOps)
-	add("fabric.preemptions", cur.Preemptions, last.Preemptions)
-	add("fabric.resumes", cur.Resumes, last.Resumes)
-	add("fabric.rejected.full", cur.RejectedFull, last.RejectedFull)
-	add("fabric.cache.hits", c.cacheHits, c.evCounters["fabric.cache.hits"].Value())
-	add("fabric.cache.misses", c.cacheMisses, c.evCounters["fabric.cache.misses"].Value())
-	add("fabric.rejected.quota", c.rejectedQuota, c.evCounters["fabric.rejected.quota"].Value())
-	c.lastCounts = cur
 	if c.opt.Sink != nil {
-		c.opt.Sink.PublishFabric(c.reg.Snapshot())
+		c.opt.Sink.PublishFabric(c.metrics())
 	}
 }
 
@@ -197,7 +152,7 @@ func (c *Coordinator) publish() {
 func (c *Coordinator) MetricsSnapshot() obs.Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.reg.Snapshot()
+	return c.metrics()
 }
 
 // admit charges tenant one submission against its bucket. Caller
@@ -372,8 +327,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	id := req.ID
 	if id == "" {
-		c.idSeq++
-		id = fmt.Sprintf("j-%06d", c.idSeq)
+		id = c.nextID()
 	}
 	spec, err := json.Marshal(req.Spec)
 	if err != nil {
@@ -402,21 +356,12 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Result cache: an identical simulation already ran to completion —
-	// complete at admission with the original run's result and metrics.
-	if res, hit := c.cache[key]; hit {
+	// An identical simulation that already ran to completion serves the
+	// submission at admission with the original run's result and metrics.
+	code := http.StatusAccepted
+	if j.State == queue.Done {
 		c.cacheHits++
-		done, err := c.q.CompleteCached(id, res, now)
-		if err == nil {
-			for _, dj := range done {
-				c.jr.Record(dj) //nolint:errcheck // cache replay is reconstructible
-			}
-			c.publish()
-			writeJSON(w, http.StatusOK, SubmitResponse{ID: id, State: j.State.String(), Result: j.Result})
-			return
-		}
-		// Coalesced onto an in-flight primary (not cache-completable):
-		// fall through to the normal accepted path.
+		code = http.StatusOK
 	} else {
 		c.cacheMisses++
 	}
@@ -425,7 +370,20 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.publish()
-	writeJSON(w, http.StatusAccepted, SubmitResponse{ID: id, State: j.State.String()})
+	writeJSON(w, code, SubmitResponse{ID: id, State: j.State.String(), Result: j.Result})
+}
+
+// nextID returns the next "j-%06d" ID the queue does not hold yet: a
+// caller may pick IDs of that form itself, and a restarted coordinator
+// counts from the start again. Caller holds mu.
+func (c *Coordinator) nextID() string {
+	for {
+		c.idSeq++
+		id := fmt.Sprintf("j-%06d", c.idSeq)
+		if _, taken := c.q.Get(id); !taken {
+			return id
+		}
+	}
 }
 
 func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
@@ -519,10 +477,6 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeErr(w, http.StatusConflict, "%v", err)
 		return
-	}
-	primary := done[0]
-	if primary.Key != "" && primary.Result != nil {
-		c.cache[primary.Key] = *primary.Result
 	}
 	for _, j := range done {
 		if err := c.jr.Record(j); err != nil {

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -36,7 +37,6 @@ func defaultOptions(dir string, now *atomic.Int64) Options {
 			Lease:      int64(10 * time.Second),
 			MaxRetries: 2,
 			Backoff:    int64(time.Millisecond),
-			Seed:       7,
 		},
 		JournalDir: dir,
 		Now:        now.Load,
@@ -197,6 +197,22 @@ func TestAdmissionCapReturns429WithRetryAfter(t *testing.T) {
 	_, err = h.cl.Submit(SubmitRequest{ID: "a", Spec: specSgemm})
 	if !IsStatus(err, http.StatusConflict) {
 		t.Fatalf("duplicate id: %v, want 409", err)
+	}
+}
+
+// Auto-assigned IDs skip IDs the queue already holds, whether a caller
+// chose them or a coordinator before a restart assigned them.
+func TestAutoIDSkipsTakenIDs(t *testing.T) {
+	h := newHarness(t, nil)
+	h.submit(t, SubmitRequest{ID: "j-000002", Spec: specSgemm})
+	var ids []string
+	for i := 0; i < 2; i++ {
+		ids = append(ids, h.submit(t, SubmitRequest{Spec: specSgemm}).ID)
+	}
+	h.restart(nil)
+	ids = append(ids, h.submit(t, SubmitRequest{Spec: specSgemm}).ID)
+	if want := []string{"j-000001", "j-000003", "j-000004"}; !slices.Equal(ids, want) {
+		t.Fatalf("auto IDs = %v, want %v", ids, want)
 	}
 }
 

@@ -31,9 +31,6 @@ func OpenJournal(dir string) (*Journal, error) {
 	return &Journal{dir: dir}, nil
 }
 
-// Dir returns the journal root.
-func (jr *Journal) Dir() string { return jr.dir }
-
 // SpoolDir returns the shared checkpoint spool for preempted jobs.
 func (jr *Journal) SpoolDir() string { return filepath.Join(jr.dir, "spool") }
 

@@ -2,13 +2,15 @@
 // heart of the simulation service: submission with a depth cap,
 // claim/lease handout, lease renewal and expiry, exactly-once
 // completion guarded by lease tokens, bounded retries with exponential
-// backoff and seeded jitter, checkpoint-carrying preemption handoff,
-// singleflight coalescing of identical submissions, and a terminal
-// dead-letter state carrying the last stall report.
+// backoff and hashed jitter, checkpoint-carrying preemption handoff,
+// singleflight coalescing of identical submissions, serving a
+// submission from an earlier done job with the same key (the result
+// cache), and a terminal dead-letter state carrying the last stall
+// report.
 //
 // The package is pure state: no goroutines, no wall clock, no global
 // randomness. Every mutating operation takes the current time as an
-// argument and the only randomness is a seeded FNV jitter hash, so a
+// argument and the only randomness is an FNV jitter hash, so a
 // test (or the fabric chaos campaign) can drive any interleaving of
 // claims, expiries and completions and get bit-identical outcomes.
 // The simlint determinism analyzer polices this contract.
@@ -63,8 +65,8 @@ type Result struct {
 	Committed int64           `json:"committed"`
 	Worker    string          `json:"worker,omitempty"`
 	Metrics   json.RawMessage `json:"metrics,omitempty"`
-	// CacheHit marks a result served from the coordinator's result
-	// cache or coalesced onto an identical in-flight job, rather than
+	// CacheHit marks a result served from an earlier done job with the
+	// same key or coalesced onto an identical in-flight job, rather than
 	// simulated for this submission.
 	CacheHit bool `json:"cache_hit,omitempty"`
 }
@@ -77,7 +79,7 @@ type Job struct {
 	// Spec is the opaque job payload (the coordinator's JobSpec JSON).
 	Spec []byte `json:"spec"`
 	// Key is the dedup/cache key (the config+spec fingerprint pair);
-	// empty disables coalescing and caching for the job.
+	// empty disables coalescing and result serving for the job.
 	Key string `json:"key,omitempty"`
 	// Seq is the submission sequence number; claims hand out eligible
 	// jobs in Seq order, so scheduling is FIFO and deterministic.
@@ -132,18 +134,8 @@ type Config struct {
 	// pushes the job to Dead.
 	MaxRetries int
 	// Backoff is the delay before a job's first retry; each further
-	// retry doubles it up to MaxBackoff (0 = Backoff×8).
-	Backoff    int64
-	MaxBackoff int64
-	// Seed drives the deterministic jitter added to every backoff.
-	Seed int64
-}
-
-func (c Config) maxBackoff() int64 {
-	if c.MaxBackoff > 0 {
-		return c.MaxBackoff
-	}
-	return c.Backoff * 8
+	// retry doubles it, up to 8×Backoff.
+	Backoff int64
 }
 
 // Counters are the queue's monotonic event counts, the source of the
@@ -230,6 +222,9 @@ func (q *Queue) Jobs() []*Job {
 
 // Submit enqueues a job. The job must carry ID, Spec and optionally
 // Tenant/Key; the queue assigns Seq and state. A submission whose Key
+// an earlier job already simulated to completion is served at once: it
+// is Done with that job's result, marked as a cache hit, and needs no
+// queue slot, so the depth cap does not apply. A submission whose Key
 // matches a resident job coalesces onto it (singleflight): it occupies
 // a queue slot and completes when the primary does, but is never
 // claimed itself.
@@ -240,24 +235,48 @@ func (q *Queue) Submit(j *Job, now int64) error {
 	if _, ok := q.jobs[j.ID]; ok {
 		return ErrDuplicate
 	}
-	if q.cfg.Cap > 0 && q.resident >= q.cfg.Cap {
+	served := q.doneForKey(j.Key)
+	if served == nil && q.cfg.Cap > 0 && q.resident >= q.cfg.Cap {
 		q.counts.RejectedFull++
 		return ErrFull
 	}
 	q.seq++
 	j.Seq = q.seq
-	j.State = Queued
 	j.Submitted = now
-	if j.Key != "" {
-		if primary := q.primaryForKey(j.Key); primary != nil {
-			j.CoalescedInto = primary.ID
-			q.counts.Coalesced++
+	if served != nil {
+		res := *served.Result
+		res.CacheHit = true
+		j.State = Done
+		j.Result = &res
+		q.counts.Completed++
+	} else {
+		j.State = Queued
+		if j.Key != "" {
+			if primary := q.primaryForKey(j.Key); primary != nil {
+				j.CoalescedInto = primary.ID
+				q.counts.Coalesced++
+			}
 		}
+		q.resident++
 	}
 	q.jobs[j.ID] = j
 	q.order = append(q.order, j.ID)
-	q.resident++
 	q.counts.Submitted++
+	return nil
+}
+
+// doneForKey returns the earliest done job that simulated key itself
+// (not a cache hit), whose result serves every later submission of it.
+func (q *Queue) doneForKey(key string) *Job {
+	if key == "" {
+		return nil
+	}
+	for _, id := range q.order {
+		j := q.jobs[id]
+		if j.State == Done && j.Key == key && j.Result != nil && !j.Result.CacheHit {
+			return j
+		}
+	}
 	return nil
 }
 
@@ -391,28 +410,6 @@ func (q *Queue) followers(primaryID string) []*Job {
 	return out
 }
 
-// CompleteCached finishes a queued (never-claimed) job with a cached
-// result — the coordinator's result-cache hit path. Followers ride
-// along as usual.
-func (q *Queue) CompleteCached(id string, res Result, now int64) ([]*Job, error) {
-	j, ok := q.jobs[id]
-	if !ok {
-		return nil, ErrUnknown
-	}
-	if j.State != Queued {
-		return nil, fmt.Errorf("queue: job %s is %s, cached completion needs queued", id, j.State)
-	}
-	res.CacheHit = true
-	q.finish(j, &res)
-	done := []*Job{j}
-	for _, f := range q.followers(j.ID) {
-		fres := res
-		q.finish(f, &fres)
-		done = append(done, f)
-	}
-	return done, nil
-}
-
 // Fail reports a failed attempt under a live lease: the job retries
 // with backoff, or dead-letters once retries are exhausted. stall, when
 // non-empty, is the rendered stall report to carry. A failure wipes
@@ -490,7 +487,7 @@ func (q *Queue) ExpireLeases(now int64) []*Job {
 }
 
 // requeueOrBury applies the retry budget: under it, the job requeues
-// with exponential backoff + seeded jitter; over it, the job (and any
+// with exponential backoff + hashed jitter; over it, the job (and any
 // followers) dead-letters. Reports whether the job was requeued.
 func (q *Queue) requeueOrBury(j *Job, now int64) bool {
 	// The fencing token stays burned; the next claim mints a new one, so
@@ -523,34 +520,25 @@ func (q *Queue) bury(j *Job) {
 }
 
 // backoff computes the delay before the job's next attempt:
-// Backoff × 2^(retries-1), capped at MaxBackoff, plus a deterministic
-// jitter in [0, backoff/2) hashed from (Seed, job ID, retry count) —
-// seeded spread without a shared RNG.
+// Backoff × 2^(retries-1), capped at 8×Backoff, plus a deterministic
+// jitter in [0, backoff/2) hashed from (job ID, retry count) — spread
+// without a shared RNG.
 func (q *Queue) backoff(j *Job) int64 {
 	if q.cfg.Backoff <= 0 {
 		return 0
 	}
-	d := q.cfg.Backoff
-	for i := 1; i < j.Retries && d < q.cfg.maxBackoff(); i++ {
-		d <<= 1
-	}
-	if m := q.cfg.maxBackoff(); d > m {
-		d = m
-	}
+	d := q.cfg.Backoff << min(j.Retries-1, 3)
 	if half := d / 2; half > 0 {
-		d += int64(jitterHash(q.cfg.Seed, j.ID, j.Retries) % uint64(half))
+		d += int64(jitterHash(j.ID, j.Retries) % uint64(half))
 	}
 	return d
 }
 
-// jitterHash is FNV-1a over (seed, id, attempt).
-func jitterHash(seed int64, id string, attempt int) uint64 {
+// jitterHash is FNV-1a over (id, attempt).
+func jitterHash(id string, attempt int) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
 	mix := func(b byte) { h ^= uint64(b); h *= prime }
-	for i := 0; i < 8; i++ {
-		mix(byte(uint64(seed) >> (8 * i)))
-	}
 	for i := 0; i < len(id); i++ {
 		mix(id[i])
 	}
@@ -558,32 +546,4 @@ func jitterHash(seed int64, id string, attempt int) uint64 {
 		mix(byte(uint64(attempt) >> (8 * i)))
 	}
 	return h
-}
-
-// NextWake returns the earliest future instant at which time-driven
-// work becomes due — a backoff elapsing or a lease expiring — so the
-// coordinator can sleep exactly until then (and fake-clock tests can
-// step straight there). ok is false when no timer is pending.
-func (q *Queue) NextWake(now int64) (at int64, ok bool) {
-	for _, id := range q.order {
-		j := q.jobs[id]
-		var t int64
-		switch j.State {
-		case Queued:
-			if j.CoalescedInto != "" || j.NotBefore <= now {
-				continue
-			}
-			t = j.NotBefore
-		case Leased:
-			t = j.LeaseExpiry
-		case Done, Dead:
-			continue
-		default:
-			continue
-		}
-		if !ok || t < at {
-			at, ok = t, true
-		}
-	}
-	return at, ok
 }

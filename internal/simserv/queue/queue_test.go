@@ -11,8 +11,6 @@ func testCfg() Config {
 		Lease:      100,
 		MaxRetries: 2,
 		Backoff:    10,
-		MaxBackoff: 80,
-		Seed:       42,
 	}
 }
 
@@ -185,10 +183,7 @@ func TestFailBackoffAndDeadLetter(t *testing.T) {
 	}
 	// Exponential base with bounded jitter: delay i in [base<<i, 1.5*(base<<i)).
 	for i, d := range delays {
-		base := cfg.Backoff << i
-		if base > cfg.MaxBackoff {
-			base = cfg.MaxBackoff
-		}
+		base := cfg.Backoff << min(i, 3)
 		if d < base || d >= base+base/2 {
 			t.Errorf("delay %d = %d, want in [%d, %d)", i, d, base, base+base/2)
 		}
@@ -203,10 +198,8 @@ func TestFailBackoffAndDeadLetter(t *testing.T) {
 }
 
 func TestBackoffDeterministicAcrossQueues(t *testing.T) {
-	run := func(seed int64) []int64 {
-		cfg := testCfg()
-		cfg.Seed = seed
-		q := New(cfg)
+	run := func() []int64 {
+		q := New(testCfg())
 		submit(t, q, "job-7", 0)
 		var delays []int64
 		now := int64(0)
@@ -224,32 +217,19 @@ func TestBackoffDeterministicAcrossQueues(t *testing.T) {
 		}
 		return delays
 	}
-	a, b := run(42), run(42)
+	a, b := run(), run()
 	if len(a) == 0 || len(a) != len(b) {
 		t.Fatalf("delay runs differ: %v vs %v", a, b)
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("same seed diverged: %v vs %v", a, b)
+			t.Fatalf("same inputs diverged: %v vs %v", a, b)
 		}
-	}
-	c := run(43)
-	same := len(a) == len(c)
-	if same {
-		for i := range a {
-			if a[i] != c[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		t.Errorf("different seeds produced identical jitter: %v", a)
 	}
 }
 
 func TestCoalescingSingleflight(t *testing.T) {
-	q := New(Config{Cap: 10, Lease: 100, MaxRetries: 1, Seed: 1})
+	q := New(Config{Cap: 10, Lease: 100, MaxRetries: 1})
 	p := &Job{ID: "p", Key: "fp:abc"}
 	if err := q.Submit(p, 1); err != nil {
 		t.Fatal(err)
@@ -303,7 +283,7 @@ func TestCoalescingSingleflight(t *testing.T) {
 }
 
 func TestCoalescedFollowersDieWithPrimary(t *testing.T) {
-	q := New(Config{Cap: 10, Lease: 100, MaxRetries: 0, Seed: 1})
+	q := New(Config{Cap: 10, Lease: 100, MaxRetries: 0})
 	submitKey := func(id string) *Job {
 		j := &Job{ID: id, Key: "fp:k"}
 		if err := q.Submit(j, 1); err != nil {
@@ -330,35 +310,65 @@ func TestCoalescedFollowersDieWithPrimary(t *testing.T) {
 	}
 }
 
-func TestCompleteCached(t *testing.T) {
+func TestSubmitServesDoneKey(t *testing.T) {
 	q := New(testCfg())
 	p := &Job{ID: "p", Key: "fp:k"}
-	f := &Job{ID: "f", Key: "fp:k"}
-	for _, j := range []*Job{p, f} {
-		if err := q.Submit(j, 1); err != nil {
-			t.Fatal(err)
+	if err := q.Submit(p, 1); err != nil {
+		t.Fatal(err)
+	}
+	_, tok, _ := q.Claim("w1", 2)
+	res := Result{Cycles: 33, Committed: 7, Metrics: []byte(`{"ipc":2}`)}
+	if _, err := q.Complete("p", "w1", tok, res, 3); err != nil {
+		t.Fatal(err)
+	}
+	// Fill every slot: serving a done key needs none, so the cap check
+	// must come after it.
+	for _, id := range []string{"a", "b", "c", "d"} {
+		submit(t, q, id, 4)
+	}
+	before := q.Counters()
+	hit := &Job{ID: "hit", Key: "fp:k"}
+	if err := q.Submit(hit, 5); err != nil {
+		t.Fatalf("submit of a done key at a full queue: %v", err)
+	}
+	if hit.State != Done || hit.Result == nil || hit.CoalescedInto != "" {
+		t.Fatalf("hit = %+v", hit)
+	}
+	r := hit.Result
+	if !r.CacheHit || r.Cycles != 33 || r.Committed != 7 || r.Worker != "w1" || string(r.Metrics) != `{"ipc":2}` {
+		t.Fatalf("served result = %+v, want p's result verbatim marked as a cache hit", r)
+	}
+	if p.Result.CacheHit {
+		t.Fatal("serving marked the original result as a cache hit")
+	}
+	after := q.Counters()
+	if after.Completed != before.Completed+1 || after.Submitted != before.Submitted+1 || after.RejectedFull != before.RejectedFull {
+		t.Fatalf("counters %+v -> %+v", before, after)
+	}
+	if q.Depth() != 4 {
+		t.Fatalf("depth = %d, want 4: a served job is never resident", q.Depth())
+	}
+	for i := 0; i < 5; i++ {
+		if j, _, ok := q.Claim("w2", 6); ok && j.ID == "hit" {
+			t.Fatal("served job was claimed")
 		}
 	}
-	done, err := q.CompleteCached("p", Result{Cycles: 33, Metrics: []byte(`{"ipc":2}`)}, 2)
-	if err != nil || len(done) != 2 {
-		t.Fatalf("cached complete: %v, %v", done, err)
+
+	// A dead primary simulated nothing: its key is not served.
+	q = New(Config{Cap: 10, Lease: 100, MaxRetries: 0})
+	if err := q.Submit(&Job{ID: "x", Key: "fp:d"}, 1); err != nil {
+		t.Fatal(err)
 	}
-	for _, j := range done {
-		if j.State != Done || !j.Result.CacheHit || j.Result.Cycles != 33 {
-			t.Fatalf("job %s: %+v", j.ID, j.Result)
-		}
-		if string(j.Result.Metrics) != `{"ipc":2}` {
-			t.Fatalf("cached metrics not carried: %s", j.Result.Metrics)
-		}
+	_, tok, _ = q.Claim("w1", 2)
+	if _, err := q.Fail("x", "w1", tok, "boom", "", 3); err != nil {
+		t.Fatal(err)
 	}
-	// Cached completion of a leased job is refused.
-	submit(t, q, "x", 3)
-	q.Claim("w1", 3)
-	if _, err := q.CompleteCached("x", Result{}, 4); err == nil {
-		t.Fatal("cached completion of leased job accepted")
+	y := &Job{ID: "y", Key: "fp:d"}
+	if err := q.Submit(y, 4); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := q.CompleteCached("nope", Result{}, 4); !errors.Is(err, ErrUnknown) {
-		t.Fatalf("unknown: %v", err)
+	if y.State != Queued || y.Result != nil {
+		t.Fatalf("dead primary's key served: %+v", y)
 	}
 }
 
@@ -470,40 +480,6 @@ func TestLoadReorderRoundTrip(t *testing.T) {
 	d, _ := q2.Get("d")
 	if d.Seq <= 3 {
 		t.Fatalf("seq not resumed: %+v", d)
-	}
-}
-
-func TestNextWake(t *testing.T) {
-	q := New(testCfg())
-	if _, ok := q.NextWake(0); ok {
-		t.Fatal("empty queue has a wake time")
-	}
-	submit(t, q, "a", 1)
-	// Eligible-now queued job needs no timer.
-	if _, ok := q.NextWake(1); ok {
-		t.Fatal("eligible job scheduled a wake")
-	}
-	_, tok, _ := q.Claim("w1", 2)
-	at, ok := q.NextWake(2)
-	if !ok || at != 102 {
-		t.Fatalf("wake = %d,%v want lease expiry 102", at, ok)
-	}
-	// A backing-off job wakes at NotBefore; the earlier timer wins.
-	submit(t, q, "b", 3)
-	jb, tokB, _ := q.Claim("w2", 3)
-	if _, err := q.Fail("b", "w2", tokB, "x", "", 3); err != nil {
-		t.Fatal(err)
-	}
-	at, ok = q.NextWake(4)
-	want := jb.NotBefore
-	if want > 102 {
-		want = 102
-	}
-	if !ok || at != want {
-		t.Fatalf("wake = %d,%v want %d", at, ok, want)
-	}
-	if _, err := q.Complete("a", "w1", tok, Result{}, 5); err != nil {
-		t.Fatal(err)
 	}
 }
 

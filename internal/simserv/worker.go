@@ -36,9 +36,9 @@ type Worker struct {
 	// coordinator's SpoolDir when co-located; any shared path
 	// otherwise).
 	Spool string
-	// SliceCycles is the renewal granularity (default 50_000 cycles).
+	// SliceCycles is the renewal granularity in cycles; must be positive.
 	SliceCycles int64
-	// Poll is the idle claim interval (default 200ms).
+	// Poll is the idle claim interval; must be positive.
 	Poll time.Duration
 	// Log receives progress lines (nil = silent).
 	Log func(string)
@@ -48,20 +48,6 @@ func (w *Worker) logf(format string, args ...any) {
 	if w.Log != nil {
 		w.Log(fmt.Sprintf(format, args...))
 	}
-}
-
-func (w *Worker) slice() int64 {
-	if w.SliceCycles > 0 {
-		return w.SliceCycles
-	}
-	return 50_000
-}
-
-func (w *Worker) poll() time.Duration {
-	if w.Poll > 0 {
-		return w.Poll
-	}
-	return 200 * time.Millisecond
 }
 
 // Run claims and executes jobs until ctx is canceled. Transport errors
@@ -80,23 +66,12 @@ func (w *Worker) Run(ctx context.Context) error {
 			select {
 			case <-ctx.Done():
 				return nil
-			case <-time.After(w.poll()):
+			case <-time.After(w.Poll):
 			}
 			continue
 		}
 		w.runJob(ctx, claim)
 	}
-}
-
-// RunOne claims and executes at most one job; claimed reports whether
-// there was work. Tests use it to step workers deterministically.
-func (w *Worker) RunOne(ctx context.Context) (claimed bool, err error) {
-	claim, ok, err := w.Client.Claim(w.Name)
-	if err != nil || !ok {
-		return false, err
-	}
-	w.runJob(ctx, claim)
-	return true, nil
 }
 
 // fail reports a failed attempt, rendering a stall report if the
@@ -140,7 +115,7 @@ func (w *Worker) runJob(ctx context.Context, claim ClaimResponse) {
 			// the reaper requeues the job.
 			return
 		}
-		reached, err := s.StepTo(s.Cycle() + w.slice())
+		reached, err := s.StepTo(s.Cycle() + w.SliceCycles)
 		if err != nil {
 			w.fail(claim, err)
 			return
