@@ -159,11 +159,6 @@ func ParseFilter(s string) (uint64, error) {
 	return m, nil
 }
 
-// FilterNames lists the group names ParseFilter accepts.
-func FilterNames() []string {
-	return []string{"all", "pipeline", "stall", "fault", "replay", "switch", "migrate", "local", "excep"}
-}
-
 // Event is one trace record. SM is -1 for system-level components (the
 // fault unit, fill unit, CPU fault service and local handler). Warp is
 // a stable warp identity (blockID*warpsPerBlock + warp index) for

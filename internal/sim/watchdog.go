@@ -43,8 +43,7 @@ func (w *watchdog) observe(cycle, sig int64) bool {
 func (s *Simulator) progressSignature() int64 {
 	var sig int64
 	for _, m := range s.sms {
-		st := m.Stats()
-		sig += st.Committed + st.ContextBytes + st.SwitchesIn
+		sig += m.Progress()
 	}
 	sig += int64(s.disp.Issued()) + int64(s.disp.Completed())
 	sig += s.cpu.Stats().PagesMapped

@@ -250,6 +250,40 @@ func (s *SM) CheckInvariants(now, maxMSHRAge int64) []string {
 		check(b)
 	}
 
+	// bufMask marks exactly the buffered slots, and the blocked set is a
+	// cache of scoreboard verdicts within it: each blocked slot holds a
+	// warp the issue stage would take to its scoreboard check, whose
+	// buffered instruction still fails that check and is recorded under
+	// its own exec unit.
+	for i, w := range s.warps {
+		wd, bit := i>>6, uint64(1)<<(uint(i)&63)
+		if buffered := w != nil && w.buf != nil; buffered != (s.bufMask[wd]&bit != 0) {
+			bad("slot %d: buffered=%v but bufMask bit=%v", i, buffered, !buffered)
+		}
+		var units uint64
+		for u := range s.blockedUnit {
+			if s.blockedUnit[u][wd]&bit != 0 {
+				units |= 1 << u
+			}
+		}
+		if s.blocked[wd]&bit == 0 {
+			if units != 0 {
+				bad("slot %d: unit bits %#x outside the blocked set", i, units)
+			}
+			continue
+		}
+		switch {
+		case w == nil || w.buf == nil:
+			bad("slot %d blocked with no buffered instruction", i)
+		case w.done || w.bufReady > now || w.block.state != blockActive || w.faultsOutstanding > 0:
+			bad("slot %d blocked but its warp is not ready to issue", i)
+		case units != 1<<w.buf.unit:
+			bad("slot %d blocked under units %#x, its instruction uses %s", i, units, w.buf.unit)
+		case s.scoreboardReady(w, w.buf):
+			bad("slot %d blocked but its instruction passes the scoreboard", i)
+		}
+	}
+
 	if s.l1 != nil {
 		v = append(v, s.l1.CheckInvariants(now, maxMSHRAge)...)
 	}

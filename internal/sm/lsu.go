@@ -258,6 +258,7 @@ func (s *SM) squashAndRaise(f *flight) {
 		w.faultWaitStart = s.q.Now()
 	}
 	w.faultsOutstanding += len(pages)
+	s.unblockWarp(w)
 	b := w.block
 	b.pendingFaults += len(pages)
 	maxPos := 0

@@ -36,6 +36,7 @@ func (s *SM) maybeSwitchOut(b *blockRT, queuePos int) {
 		return
 	}
 	b.state = blockDraining
+	s.unblockBlock(b)
 	b.switchOutStart = s.q.Now()
 	s.stats.SwitchesOut++
 	if s.tr != nil {

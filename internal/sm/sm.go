@@ -170,9 +170,18 @@ type SM struct {
 	lastIssue int
 	// bufMask marks warp slots holding a fetched instruction (bit i set
 	// iff warps[i] != nil && warps[i].buf != nil). doIssue walks only
-	// the set bits — in the same ascending wrap-around order as a full
-	// slot scan, which skips empty slots anyway.
+	// the set bits, and doFetch only the clear ones, each in the same
+	// ascending wrap-around order as a full slot scan.
 	bufMask []uint64
+	// blocked marks the buffered slots whose instruction failed its
+	// scoreboard check, and blockedUnit[u] those of them bound for exec
+	// unit u. A bit stays set only while nothing that could change the
+	// verdict has happened (see unblockWarp), so doIssue passes blocked
+	// slots without visiting them and counts their stalls in bulk.
+	//simlint:ckptskip derived cache of issue-stage scoreboard verdicts; an empty set changes no outcome, it only costs re-checks
+	blocked []uint64
+	//simlint:ckptskip derived cache of issue-stage scoreboard verdicts; an empty set changes no outcome, it only costs re-checks
+	blockedUnit [numUnits][]uint64
 
 	// flightPool is a free list of flight objects; see newFlight.
 	//simlint:ckptskip free list, a pure allocation cache that holds no simulated state
@@ -272,6 +281,13 @@ func New(id int, cfg *config.Config, q *clock.Queue, l1 *cache.Cache, l1tlb *tlb
 // Stats returns a copy of the counters.
 func (s *SM) Stats() Stats { return s.stats }
 
+// Progress is the SM's term of the simulator's watchdog signature:
+// committed instructions plus context bytes moved plus blocks switched
+// in. It reads three counters instead of copying the whole Stats.
+func (s *SM) Progress() int64 {
+	return s.stats.Committed + s.stats.ContextBytes + s.stats.SwitchesIn
+}
+
 // SetChaos installs the fault-injection hook; nil removes it.
 func (s *SM) SetChaos(c Chaos) { s.chaos = c }
 
@@ -306,6 +322,10 @@ func (s *SM) PrepareLaunch(l *kernel.Launch) {
 	s.warps = make([]*warpRT, s.occupancy*s.warpsPerBlock)
 	s.lastFetch, s.lastIssue = 0, 0
 	s.bufMask = make([]uint64, (len(s.warps)+63)/64)
+	s.blocked = make([]uint64, len(s.bufMask))
+	for u := range s.blockedUnit {
+		s.blockedUnit[u] = make([]uint64, len(s.bufMask))
+	}
 	s.idle = false
 }
 
@@ -412,6 +432,7 @@ func (s *SM) deliverExcep(w *warpRT) {
 		return
 	}
 	b.state = blockDraining
+	s.unblockBlock(b)
 	b.switchOutStart = s.q.Now()
 	s.stats.SwitchesOut++
 	if s.tr != nil {
@@ -435,6 +456,7 @@ func (s *SM) newFlight(w *warpRT, ti *emu.TraceInst, tIdx int32, isReplay bool) 
 		f.poolNext = nil
 	}
 	f.w, f.ti, f.tIdx, f.isReplay = w, ti, tIdx, isReplay
+	f.unit, f.global = ti.Static.ExecUnit(), ti.Static.IsGlobalMem()
 	f.srcHeld = f.srcHeld[:0]
 	f.reqs = f.reqs[:0]
 	f.tlbRem, f.reqRem = 0, 0
@@ -504,74 +526,167 @@ func (s *SM) Tick() {
 const fetchWidth = 2
 
 func (s *SM) doFetch() bool {
-	if len(s.warps) == 0 {
+	n := len(s.warps)
+	if n == 0 {
 		return false
 	}
 	budget := fetchWidth
-	n := len(s.warps)
 	pos := s.lastFetch + 1
 	if pos >= n {
 		pos -= n
 	}
-	for i := 0; i < n && budget > 0; i, pos = i+1, wrapNext(pos, n) {
-		w := s.warps[pos]
-		if w == nil || w.done || w.buf != nil || w.fetchBlock != fetchOK ||
-			w.atBarrier || w.faultsOutstanding > 0 || w.block.state != blockActive {
-			continue
+	// The instruction buffer is one entry deep, so only unbuffered slots
+	// can fetch: walk the clear bits of bufMask below n.
+	nW := len(s.bufMask)
+	tail := ^uint64(0) >> (uint(-n) & 63)
+	for k := 0; k <= nW; k++ {
+		wIdx, win := wrapWindow(pos, nW, k)
+		free := ^s.bufMask[wIdx] & win
+		if wIdx == nW-1 {
+			free &= tail
 		}
-		idx, isReplay, ok := w.nextFetchIndex()
-		if !ok {
-			continue
+		for ; free != 0; free &= free - 1 {
+			i := wIdx<<6 | bits.TrailingZeros64(free)
+			w := s.warps[i]
+			if w == nil || w.done || w.fetchBlock != fetchOK ||
+				w.atBarrier || w.faultsOutstanding > 0 || w.block.state != blockActive {
+				continue
+			}
+			idx, isReplay, ok := w.nextFetchIndex()
+			if !ok {
+				continue
+			}
+			ti := &w.trace[idx]
+			f := s.newFlight(w, ti, idx, isReplay)
+			if isReplay {
+				w.replay = w.replay[1:]
+				s.stats.Replays++
+			} else {
+				w.cursor++
+			}
+			w.buf = f
+			s.setBuf(i)
+			w.bufReady = s.q.Now() + 1
+			if ti.Static.IsControl() {
+				w.fetchBlock = fetchControl
+				w.fetchOwner = f
+				w.fetchBlockStart = s.q.Now()
+			} else if f.global &&
+				(s.cfg.Scheme == config.WarpDisableCommit || s.cfg.Scheme == config.WarpDisableLastCheck) {
+				w.fetchBlock = fetchWarpDisable
+				w.fetchOwner = f
+				f.wdOwner = true
+				w.fetchBlockStart = s.q.Now()
+			}
+			s.lastFetch = i
+			s.stats.Fetched++
+			s.event("fetch", w, idx)
+			if isReplay {
+				s.trace(obs.KReplayFetch, w, idx)
+			} else {
+				s.trace(obs.KFetch, w, idx)
+			}
+			budget--
+			if budget == 0 {
+				return true
+			}
 		}
-		ti := &w.trace[idx]
-		f := s.newFlight(w, ti, idx, isReplay)
-		if isReplay {
-			w.replay = w.replay[1:]
-			s.stats.Replays++
-		} else {
-			w.cursor++
-		}
-		w.buf = f
-		s.setBuf(pos)
-		w.bufReady = s.q.Now() + 1
-		if ti.Static.IsControl() {
-			w.fetchBlock = fetchControl
-			w.fetchOwner = f
-			w.fetchBlockStart = s.q.Now()
-		} else if ti.Static.IsGlobalMem() &&
-			(s.cfg.Scheme == config.WarpDisableCommit || s.cfg.Scheme == config.WarpDisableLastCheck) {
-			w.fetchBlock = fetchWarpDisable
-			w.fetchOwner = f
-			f.wdOwner = true
-			w.fetchBlockStart = s.q.Now()
-		}
-		s.lastFetch = pos
-		s.stats.Fetched++
-		s.event("fetch", w, idx)
-		if isReplay {
-			s.trace(obs.KReplayFetch, w, idx)
-		} else {
-			s.trace(obs.KFetch, w, idx)
-		}
-		budget--
 	}
 	return budget < fetchWidth
 }
 
-// wrapNext advances a round-robin index without a modulo.
-func wrapNext(pos, n int) int {
-	pos++
-	if pos == n {
-		pos = 0
+// wrapWindow returns the word and the bit window of step k, for k in
+// [0, nW], of a round-robin walk over an nW-word bitset that starts at
+// bit pos: the starting word's bits at or above pos, the following
+// words whole, and last the starting word's bits below pos. Walking
+// the set bits of each window in ascending order visits them in the
+// order of a slot-by-slot scan from pos.
+func wrapWindow(pos, nW, k int) (int, uint64) {
+	wIdx := pos>>6 + k
+	if wIdx >= nW {
+		wIdx -= nW
 	}
-	return pos
+	low := uint64(1)<<(uint(pos)&63) - 1
+	switch k {
+	case 0:
+		return wIdx, ^low
+	case nW:
+		return wIdx, low
+	}
+	return wIdx, ^uint64(0)
 }
 
-func (s *SM) setBuf(i int) { s.bufMask[i>>6] |= 1 << (uint(i) & 63) }
-func (s *SM) clrBuf(i int) { s.bufMask[i>>6] &^= 1 << (uint(i) & 63) }
+func (s *SM) setBuf(i int) {
+	s.bufMask[i>>6] |= 1 << (uint(i) & 63)
+	s.clrBlocked(i)
+}
+
+func (s *SM) clrBuf(i int) {
+	s.bufMask[i>>6] &^= 1 << (uint(i) & 63)
+	s.clrBlocked(i)
+}
+
+// numUnits sizes the per-unit tables of the issue stage.
+const numUnits = int(isa.UnitNone) + 1
+
+// setBlocked records that slot i's buffered instruction, bound for exec
+// unit u, failed its scoreboard check.
+func (s *SM) setBlocked(i int, u isa.Unit) {
+	wd, b := i>>6, uint64(1)<<(uint(i)&63)
+	s.blocked[wd] |= b
+	s.blockedUnit[u][wd] |= b
+}
+
+// clrBlocked drops slot i from the blocked set, so the issue stage
+// checks it afresh.
+func (s *SM) clrBlocked(i int) {
+	wd, b := i>>6, uint64(1)<<(uint(i)&63)
+	if s.blocked[wd]&b == 0 {
+		return
+	}
+	s.blocked[wd] &^= b
+	for u := range s.blockedUnit {
+		s.blockedUnit[u][wd] &^= b
+	}
+}
+
+// unblockWarp drops a resident warp's slot from the blocked set. It runs
+// on every event that could let the warp's buffered instruction pass
+// its scoreboard check, or keep the issue stage from reaching that
+// check: a scoreboard release, a fault raised on the warp, the warp
+// finishing and its block leaving blockActive. (setBuf and clrBuf
+// clear their slot themselves.) A call too many costs one re-check; a
+// missing one would repeat a stale stall, which CheckInvariants
+// catches. An off-chip block has no slot and nothing to clear.
+func (s *SM) unblockWarp(w *warpRT) {
+	if w.block.slot >= 0 {
+		s.clrBlocked(s.warpIndex(w))
+	}
+}
+
+// unblockBlock unblocks every warp of a block leaving blockActive.
+func (s *SM) unblockBlock(b *blockRT) {
+	for _, w := range b.warps {
+		s.unblockWarp(w)
+	}
+}
 
 // warpIndex returns a resident warp's slot in s.warps.
 func (s *SM) warpIndex(w *warpRT) int { return w.block.slot*s.warpsPerBlock + w.idx }
+
+// scoreboardReady runs the scoreboard check of w's buffered
+// instruction f.
+func (s *SM) scoreboardReady(w *warpRT, f *flight) bool {
+	if !f.isReplay {
+		return w.canIssue(f)
+	}
+	var heldOwn []isa.Reg
+	if s.cfg.Scheme == config.ReplayQueue {
+		heldOwn = w.heldSrcs[f.tIdx]
+	}
+	checkSources := s.cfg.Scheme != config.ReplayQueue && s.cfg.Scheme != config.OperandLog
+	return w.canIssueReplay(f, heldOwn, checkSources)
+}
 
 func (s *SM) doIssue() bool {
 	if len(s.warps) == 0 {
@@ -588,7 +703,7 @@ func (s *SM) doIssue() bool {
 	warpsLeft := s.cfg.SM.IssueWarps
 	// Per-unit issue ports, indexed by isa.Unit (a map here shows up as
 	// hashing in the cycle-loop profile).
-	unitBudget := [...]int{
+	unitBudget := [numUnits]int{
 		isa.UnitMath:      s.cfg.SM.MathUnits,
 		isa.UnitSpecial:   s.cfg.SM.SpecialUnits,
 		isa.UnitLoadStore: s.cfg.SM.LoadStore,
@@ -596,7 +711,6 @@ func (s *SM) doIssue() bool {
 		isa.UnitNone:      budget,
 	}
 	n := len(s.warps)
-	start := s.lastIssue
 	// Loose round-robin starts after the last issuing warp; the greedy
 	// policy starts at it, so a warp keeps issuing until it stalls.
 	first := 1
@@ -604,124 +718,137 @@ func (s *SM) doIssue() bool {
 		first = 0
 	}
 	issuedAny := false
-	pos := start + first
+	pos := s.lastIssue + first
 	if pos >= n {
 		pos -= n
 	}
-	// Walk the set bits of bufMask ascending from pos, wrapping once:
-	// the starting word is visited twice, first its bits at or above
-	// pos, then (after the full wrap) its bits below pos. That is
-	// exactly the candidate sequence of a full slot scan, which skips
-	// unbuffered slots anyway.
+	now := s.q.Now()
+	// Walk the buffered slots in round-robin order from pos. Blocked
+	// slots are passed, not visited: up to where the walk stops, they
+	// stall as a visit would have (passBlocked). The others, the
+	// candidates, are checked one by one. A tracer records each stall in
+	// slot order and a chaos plan must see its StallIssue calls in visit
+	// order, so with either attached every buffered slot is a candidate.
+	bulk := s.chaos == nil && !s.tr.Enabled(obs.KStall)
 	nW := len(s.bufMask)
-	startW := pos >> 6
-	lowMask := uint64(1)<<(uint(pos)&63) - 1
-	wIdx := startW
-	cur := s.bufMask[startW] &^ lowMask
-	step := 0
-issueLoop:
-	for budget > 0 && warpsLeft > 0 {
-		for cur == 0 {
-			step++
-			if step > nW {
-				break issueLoop
+	for k := 0; k <= nW; k++ {
+		wIdx, win := wrapWindow(pos, nW, k)
+		var blk uint64
+		if bulk {
+			blk = s.blocked[wIdx] & win
+		}
+		cand := s.bufMask[wIdx] & win &^ blk
+		for {
+			if budget <= 0 || warpsLeft <= 0 {
+				return issuedAny
 			}
-			wIdx = wrapNext(wIdx, nW)
-			cur = s.bufMask[wIdx]
-			if step == nW { // back at the starting word
-				cur &= lowMask
+			// The blocked slots before the next candidate, or all that
+			// are left when there is none.
+			next := cand & -cand
+			if passed := blk & (next - 1); passed != 0 {
+				s.passBlocked(wIdx, passed, &unitBudget)
+				blk &^= passed
 			}
-		}
-		pos = wIdx<<6 | bits.TrailingZeros64(cur)
-		cur &= cur - 1
-		w := s.warps[pos]
-		if w == nil || w.done || w.buf == nil || w.bufReady > s.q.Now() ||
-			w.block.state != blockActive || w.faultsOutstanding > 0 {
-			continue
-		}
-		f := w.buf
-		unit := f.ti.Static.ExecUnit()
-		if unitBudget[unit] <= 0 {
-			s.stall(w, f, obs.StallPort)
-			continue
-		}
-		if s.chaos != nil && f.global() && s.chaos.StallIssue(s.ID, f.isReplay) {
-			// The stall counts as activity so the SM retries next cycle
-			// instead of sleeping for an event that may never come.
-			s.stats.IssueStallChaos++
-			s.stall(w, f, obs.StallChaos)
-			issuedAny = true
-			continue
-		}
-		if f.isReplay {
-			var heldOwn []isa.Reg
-			if s.cfg.Scheme == config.ReplayQueue {
-				heldOwn = w.heldSrcs[f.tIdx]
+			if next == 0 {
+				break
 			}
-			checkSources := s.cfg.Scheme != config.ReplayQueue && s.cfg.Scheme != config.OperandLog
-			if !w.canIssueReplay(f, heldOwn, checkSources) {
-				s.stats.IssueStallScore++
-				s.stall(w, f, obs.StallScoreboard)
+			cand &^= next
+			i := wIdx<<6 | bits.TrailingZeros64(next)
+			w := s.warps[i]
+			if w == nil || w.done || w.buf == nil || w.bufReady > now ||
+				w.block.state != blockActive || w.faultsOutstanding > 0 {
 				continue
 			}
-		} else if !w.canIssue(f) {
-			s.stats.IssueStallScore++
-			s.stall(w, f, obs.StallScoreboard)
-			continue
-		}
-		// Operand log capacity: loads/atomics hold one entry, stores
-		// two (address and data); allocation happens at issue
-		// (Section 3.3). Entries of squashed instructions stay held
-		// until their replay passes its TLB checks, so a replayed
-		// instruction does not allocate again.
-		logNeed := 0
-		if s.cfg.Scheme == config.OperandLog && f.global() {
-			logNeed = logEntriesFor(f.ti.Static)
-			if !f.isReplay {
-				if w.block.logUsed+logNeed > s.logPerBlock {
-					s.stats.IssueStallLog++
-					s.stall(w, f, obs.StallLogFull)
-					continue
+			f := w.buf
+			if unitBudget[f.unit] <= 0 {
+				s.stall(w, f, obs.StallPort)
+				continue
+			}
+			if s.chaos != nil && f.global && s.chaos.StallIssue(s.ID, f.isReplay) {
+				// The stall counts as activity so the SM retries next cycle
+				// instead of sleeping for an event that may never come.
+				s.stats.IssueStallChaos++
+				s.stall(w, f, obs.StallChaos)
+				issuedAny = true
+				continue
+			}
+			if !s.scoreboardReady(w, f) {
+				s.stats.IssueStallScore++
+				s.stall(w, f, obs.StallScoreboard)
+				s.setBlocked(i, f.unit)
+				continue
+			}
+			// Operand log capacity: loads/atomics hold one entry, stores
+			// two (address and data); allocation happens at issue
+			// (Section 3.3). Entries of squashed instructions stay held
+			// until their replay passes its TLB checks, so a replayed
+			// instruction does not allocate again.
+			logNeed := 0
+			if s.cfg.Scheme == config.OperandLog && f.global {
+				logNeed = logEntriesFor(f.ti.Static)
+				if !f.isReplay {
+					if w.block.logUsed+logNeed > s.logPerBlock {
+						s.stats.IssueStallLog++
+						s.stall(w, f, obs.StallLogFull)
+						continue
+					}
+					w.block.logUsed += logNeed
+					s.met.LogOcc.Observe(int64(w.block.logUsed))
 				}
-				w.block.logUsed += logNeed
-				s.met.LogOcc.Observe(int64(w.block.logUsed))
+				f.logHeld = logNeed
 			}
-			f.logHeld = logNeed
+			// Issue: mark the scoreboard. A replayed instruction under the
+			// replay-queue scheme inherits the source holds it kept across
+			// the fault; under the operand-log scheme it reads from the log
+			// and takes no source holds at all.
+			if f.isReplay {
+				if f.ti.Static.Writes() {
+					w.setWritePending(f.ti.Static.Dst)
+				}
+				switch s.cfg.Scheme {
+				case config.ReplayQueue:
+					f.srcHeld = append(f.srcHeld[:0], w.heldSrcs[f.tIdx]...)
+					delete(w.heldSrcs, f.tIdx)
+				case config.OperandLog:
+					// No register file reads on replay.
+				default:
+					w.acquireSources(f)
+				}
+			} else {
+				w.acquire(f)
+			}
+			w.inFlight++
+			w.buf = nil
+			s.clrBuf(i)
+			s.stats.Issued++
+			s.event("issue", w, f.tIdx)
+			s.trace(obs.KIssue, w, f.tIdx)
+			s.q.After(1, f.opReadFn)
+			budget--
+			unitBudget[f.unit]--
+			warpsLeft--
+			s.lastIssue = i
+			issuedAny = true
 		}
-		// Issue: mark the scoreboard. A replayed instruction under the
-		// replay-queue scheme inherits the source holds it kept across
-		// the fault; under the operand-log scheme it reads from the log
-		// and takes no source holds at all.
-		if f.isReplay {
-			if f.ti.Static.Writes() {
-				w.setWritePending(f.ti.Static.Dst)
-			}
-			switch s.cfg.Scheme {
-			case config.ReplayQueue:
-				f.srcHeld = append(f.srcHeld[:0], w.heldSrcs[f.tIdx]...)
-				delete(w.heldSrcs, f.tIdx)
-			case config.OperandLog:
-				// No register file reads on replay.
-			default:
-				w.acquireSources(f)
-			}
-		} else {
-			w.acquire(f)
-		}
-		w.inFlight++
-		w.buf = nil
-		s.clrBuf(pos)
-		s.stats.Issued++
-		s.event("issue", w, f.tIdx)
-		s.trace(obs.KIssue, w, f.tIdx)
-		s.q.After(1, f.opReadFn)
-		budget--
-		unitBudget[unit]--
-		warpsLeft--
-		s.lastIssue = pos
-		issuedAny = true
 	}
 	return issuedAny
+}
+
+// passBlocked accounts the blocked slots of word wIdx selected by m,
+// which the issue walk passes over. Each stalls exactly as a visit
+// would have: on its port when its unit's budget is spent, otherwise on
+// its scoreboard.
+func (s *SM) passBlocked(wIdx int, m uint64, unitBudget *[numUnits]int) {
+	total := int64(bits.OnesCount64(m))
+	var port int64
+	for u, left := range unitBudget {
+		if left <= 0 {
+			port += int64(bits.OnesCount64(s.blockedUnit[u][wIdx] & m))
+		}
+	}
+	s.stats.Stalls[obs.StallPort] += port
+	s.stats.Stalls[obs.StallScoreboard] += total - port
+	s.stats.IssueStallScore += total - port
 }
 
 func logEntriesFor(in *isa.Instruction) int {
@@ -737,7 +864,7 @@ func logEntriesFor(in *isa.Instruction) int {
 // global memory sources to the last TLB check (Section 3.2).
 func (s *SM) opRead(f *flight) {
 	w := f.w
-	if !(s.cfg.Scheme == config.ReplayQueue && f.global()) {
+	if !(s.cfg.Scheme == config.ReplayQueue && f.global) {
 		w.releaseSources(f)
 	}
 	in := f.ti.Static
@@ -825,7 +952,7 @@ func (s *SM) commit(f *flight) {
 	w.releaseSources(f)
 	w.inFlight--
 	s.stats.Committed++
-	if f.global() {
+	if f.global {
 		s.stats.GlobalMemInsts++
 	}
 	if w.fetchOwner == f {
@@ -843,6 +970,7 @@ func (s *SM) checkWarpDone(w *warpRT) {
 		return
 	}
 	w.done = true
+	s.unblockWarp(w)
 	b := w.block
 	if w.excep != nil {
 		s.deliverExcep(w)

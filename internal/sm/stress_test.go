@@ -107,8 +107,13 @@ func stressOnce(t *testing.T, seed int64, scheme config.Scheme, inject bool) {
 		}
 	}
 
-	// Drive with periodic fault resolution.
+	// Drive with periodic fault resolution, sweeping the structural
+	// invariants every step: a missed unblock site leaves a stale bit in
+	// the issue stage's blocked set, which the sweep reports.
 	for i := 0; i < 1_000_000; i++ {
+		if v := h.sm.CheckInvariants(h.q.Now(), 0); len(v) > 0 {
+			t.Fatalf("seed %d: cycle %d: %v", seed, h.q.Now(), v)
+		}
 		if h.sm.Done() {
 			break
 		}

@@ -121,6 +121,10 @@ type flight struct {
 	ti       *emu.TraceInst
 	tIdx     int32
 	isReplay bool
+	// unit and global are decoded from ti.Static once, at fetch, so the
+	// issue stage reads them without chasing the static instruction.
+	unit   isa.Unit
+	global bool
 
 	// srcHeld are the source registers still holding pendRead.
 	srcHeld []isa.Reg
@@ -146,8 +150,6 @@ type flight struct {
 
 	poolNext *flight
 }
-
-func (f *flight) global() bool { return f.ti.Static.IsGlobalMem() }
 
 // scoreboard helpers ---------------------------------------------------
 
@@ -175,6 +177,7 @@ func (w *warpRT) clearWritePending(r isa.Reg) {
 	}
 	i, b := regBit(r)
 	w.pendWrite[i] &^= b
+	w.sm.unblockWarp(w)
 }
 
 // canIssue checks the scoreboard hazards for the buffered instruction:
@@ -223,10 +226,14 @@ func (w *warpRT) acquireSources(f *flight) {
 // read in the baseline; last TLB check for global memory under the
 // replay-queue scheme).
 func (w *warpRT) releaseSources(f *flight) {
+	if len(f.srcHeld) == 0 {
+		return
+	}
 	for _, r := range f.srcHeld {
 		w.pendRead[r]--
 	}
 	f.srcHeld = f.srcHeld[:0]
+	w.sm.unblockWarp(w)
 }
 
 // releaseDest drops the pendWrite hold (commit, or squash).

@@ -36,9 +36,6 @@ func NewPhysAllocator(base, size uint64, frameSize int) (*PhysAllocator, error) 
 	}, nil
 }
 
-// FrameSize returns the frame size in bytes.
-func (a *PhysAllocator) FrameSize() uint64 { return a.frameSize }
-
 // Allocated returns the number of live frames.
 func (a *PhysAllocator) Allocated() int { return a.allocated }
 
