@@ -33,8 +33,7 @@ func main() {
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		traceDir  = flag.String("trace-dir", "", "write one Chrome trace JSON per simulation into this directory")
 		traceFlt  = flag.String("trace-filter", "", "comma-separated event kinds or groups to trace (with -trace-dir); empty records everything")
-		resumeDir = flag.String("resume-dir", "", "record finished runs and checkpoint in-flight ones into this directory; re-invoking with the same options resumes a killed campaign")
-		ckptEvery = flag.Int64("checkpoint-every", 0, "in-flight checkpoint period in cycles (with -resume-dir; 0 = default)")
+		resumeDir = flag.String("resume-dir", "", "record finished runs into this directory; re-invoking with the same options skips them and re-simulates the rest")
 		trials    = flag.Int("trials", 0, "seeded trials per resilience-campaign cell (0 = default)")
 		excepMode = flag.String("exception-mode", "precise", "exception delivery during resilience trials: precise or preemptible")
 		flipSeed  = flag.Int64("flip-seed", 0, "pin the resilience campaign's base flip seed (0 = derive one per cell)")
@@ -83,8 +82,7 @@ func main() {
 	}
 
 	opt := gpues.ExperimentOptions{Scale: *scale, Parallelism: *par,
-		TraceDir: *traceDir, TraceFilter: *traceFlt,
-		ResumeDir: *resumeDir, CheckpointEvery: *ckptEvery,
+		TraceDir: *traceDir, TraceFilter: *traceFlt, ResumeDir: *resumeDir,
 		Trials: *trials, FlipSeed: *flipSeed, FlipRate: *flipRate,
 		ProtectPin: *protectN >= 0, ProtectThreads: max(*protectN, 0),
 		ExcepMode: mode}

@@ -9,6 +9,8 @@
 //	gpusim -workload halloc-spree -lazy -local
 //	gpusim -workload stencil -scheme replay-queue -paging -switching -trace run.trace.json -trace-filter fault,switch,migrate,replay
 //	gpusim -workload sgemm -metrics metrics.csv
+//	gpusim -workload sgemm -checkpoint-every 20000 -checkpoint-dir run.ckpts
+//	gpusim -workload sgemm -audit run.ckpts
 //	gpusim -list
 package main
 
@@ -18,10 +20,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
 	"gpues"
+	"gpues/internal/ckpt"
 	"gpues/internal/obsrv"
 	"gpues/internal/prof"
 	"gpues/internal/runspec"
@@ -39,7 +43,7 @@ func main() {
 		metricsFn = flag.String("metrics", "", "write the metrics registry snapshot to this file (.csv for CSV, otherwise JSON)")
 		ckptEvery = flag.Int64("checkpoint-every", 0, "write a checkpoint into -checkpoint-dir every N cycles (0 = off)")
 		ckptDir   = flag.String("checkpoint-dir", "", "directory for periodic and stall checkpoints")
-		resume    = flag.String("resume", "", "resume from a checkpoint file, or from the latest checkpoint in a directory")
+		auditDir  = flag.String("audit", "", "check the run's state digests against every checkpoint in this directory (a trail written with -checkpoint-dir), then finish the run")
 		digestAt  = flag.Int64("digest-at", 0, "run to this cycle (-1 = completion), print per-component state digests as JSON, and exit (the simbisect probe)")
 		seriesFn  = flag.String("series", "", "write the sampled telemetry series to this file (.csv for CSV, otherwise NDJSON); needs -sample-every")
 		httpAddr  = flag.String("http", "", "serve live introspection (/status, /metrics, /series, /trace/last, pprof) on this host:port")
@@ -78,6 +82,9 @@ func main() {
 	}
 	if *httpWait < 0 {
 		usage("-http-linger %v must be non-negative", *httpWait)
+	}
+	if *auditDir != "" && *ckptDir != "" {
+		usage("-audit cannot be combined with -checkpoint-dir: an audit checks a trail, it does not write one")
 	}
 
 	if *list {
@@ -171,15 +178,12 @@ func main() {
 	if plan != nil {
 		initial = spec.Memory.Clone()
 	}
-	if *resume != "" {
-		path, err := gpues.ResolveCheckpoint(*resume)
-		if err == nil {
-			err = s.RestoreFile(path)
-		}
+	if *auditDir != "" {
+		line, err := audit(s, *auditDir)
 		if err != nil {
 			fail(err)
 		}
-		fmt.Printf("resumed       from %s (cycle %d)\n", path, s.Cycle())
+		fmt.Println(line)
 	}
 	res, err := s.Run()
 	if err != nil {
@@ -304,6 +308,25 @@ func exitOnExcep(err error, flush func()) {
 	}
 	flush()
 	os.Exit(3)
+}
+
+// audit checks s, before it runs, against every checkpoint of the
+// trail in dir and returns the summary line. A file in the trail that
+// does not decode fails the audit by name: a trail with a gap proves
+// less than it claims.
+func audit(s *gpues.Simulator, dir string) (string, error) {
+	trail, skipped, err := ckpt.ReadTrail(dir)
+	if err != nil {
+		return "", err
+	}
+	if len(skipped) > 0 {
+		return "", fmt.Errorf("audit: unreadable checkpoint %s", filepath.Join(dir, skipped[0]))
+	}
+	if err := s.Audit(trail...); err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("audit         %d checkpoints match, cycles %d-%d",
+		len(trail), trail[0].Cycle, trail[len(trail)-1].Cycle), nil
 }
 
 // runDigestProbe runs the configured launch to the requested cycle and

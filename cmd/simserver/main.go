@@ -8,18 +8,20 @@
 //
 // Standalone worker attached to a coordinator:
 //
-//	simserver -join http://127.0.0.1:8990 -name w1 -spool /var/run/gpues/spool
+//	simserver -join http://127.0.0.1:8990 -name w1
 //
 // Submit a job and wait for its result:
 //
 //	simserver -join http://127.0.0.1:8990 -submit '{"benchmark":"sgemm","scale":2,"scheme":"replay-queue"}' -wait
 //
 // SIGTERM or SIGINT drains a coordinator gracefully: new submissions
-// are rejected, leased workers are asked to checkpoint and hand back
-// (finish-or-checkpoint), and the journal holds the full queue state
-// for the next coordinator. A SIGKILL loses nothing either — every
+// are rejected, leased workers are asked to hand their jobs back (a
+// worker that finishes first is fine too), and the journal holds the
+// full queue state for the next coordinator, which runs each handed-back
+// job again from cycle zero. A SIGKILL loses nothing either — every
 // transition was journaled before it was acknowledged — it just skips
-// the checkpoint courtesy.
+// the hand-back courtesy: the next coordinator's reaper reclaims the
+// lapsed leases.
 package main
 
 import (
@@ -60,7 +62,6 @@ type options struct {
 
 	join   string
 	name   string
-	spool  string
 	slice  int64
 	poll   time.Duration
 	submit string
@@ -169,7 +170,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&o.httpAddr, "http", "", "serve fabric metrics (/metrics, /status) on this host:port")
 	fs.StringVar(&o.join, "join", "", "coordinator URL to attach to as a worker or client")
 	fs.StringVar(&o.name, "name", "", "worker name (default worker-<pid>)")
-	fs.StringVar(&o.spool, "spool", "", "checkpoint spool directory (default <journal>/spool or ./spool)")
 	fs.Int64Var(&o.slice, "slice", 50_000, "cycles simulated between lease renewals")
 	fs.DurationVar(&o.poll, "poll", 200*time.Millisecond, "idle worker claim interval")
 	fs.StringVar(&o.submit, "submit", "", "submit this JobSpec JSON and exit (with -join)")
@@ -258,15 +258,14 @@ func runCoordinator(o *options) int {
 		}
 	}()
 
-	// In-process workers share the coordinator's spool via loopback
-	// HTTP: the same claim/lease protocol external workers speak.
+	// In-process workers reach the coordinator via loopback HTTP: the
+	// same claim/lease protocol external workers speak.
 	wctx, stopWorkers := context.WithCancel(context.Background())
 	base := fmt.Sprintf("http://%s", ln.Addr())
 	for i := 1; i <= o.workers; i++ {
 		w := &simserv.Worker{
 			Client:      &simserv.Client{Base: base},
 			Name:        fmt.Sprintf("%s-local-%d", o.name, i),
-			Spool:       coord.SpoolDir(),
 			SliceCycles: o.slice,
 			Poll:        o.poll,
 			Log:         func(s string) { fmt.Println(s) },
@@ -279,7 +278,7 @@ func runCoordinator(o *options) int {
 	<-sig
 	fmt.Printf("draining (budget %v)...\n", o.drainTimeout)
 	// Order matters: drain first — workers must stay alive to honor
-	// the checkpoint-and-hand-back directives — then stop them, then
+	// the hand-back directives — then stop them, then
 	// close the listeners.
 	if err := coord.Drain(o.drainTimeout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -299,14 +298,9 @@ func runCoordinator(o *options) int {
 }
 
 func runWorker(o *options) int {
-	spool := o.spool
-	if spool == "" {
-		spool = "spool"
-	}
 	w := &simserv.Worker{
 		Client:      &simserv.Client{Base: o.join},
 		Name:        o.name,
-		Spool:       spool,
 		SliceCycles: o.slice,
 		Poll:        o.poll,
 		Log:         func(s string) { fmt.Println(s) },

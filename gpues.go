@@ -197,18 +197,12 @@ func RunResilienceTrial(cfg Config, spec LaunchSpec, opt ResilienceTrialOptions)
 	return sim.RunResilienceTrial(cfg, spec, opt)
 }
 
-// Checkpoint/restore ------------------------------------------------------
+// Checkpoint audits ------------------------------------------------------
 
-// DivergenceError reports that a restore's deterministic replay did
-// not reproduce the checkpointed state of one component (recover it
-// with errors.As).
+// DivergenceError reports that an audit's deterministic re-execution
+// did not reproduce the checkpointed state of one component (recover
+// it with errors.As).
 type DivergenceError = sim.DivergenceError
-
-// ResolveCheckpoint turns a resume argument — a checkpoint file, or a
-// directory whose latest valid checkpoint is used — into a file path.
-func ResolveCheckpoint(pathOrDir string) (string, error) {
-	return sim.ResolveCheckpoint(pathOrDir)
-}
 
 // ComponentDigest names one component's state digest at a cycle
 // boundary (Simulator.ComponentDigests, the bisection probe).

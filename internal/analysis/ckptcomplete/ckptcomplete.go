@@ -4,11 +4,11 @@
 // the digest) — or carry an explicit //simlint:ckptskip <reason>
 // exemption on its declaration.
 //
-// Restore replays to the checkpoint cycle and compares each
-// component's SaveState digest against the file, so that comparison is
-// only as complete as SaveState. A field SaveState misses would let a
-// divergent replay pass the audit unnoticed; this analyzer turns the
-// omission into a CI failure at the field declaration.
+// An audit re-executes to each checkpoint cycle of a trail and compares
+// each component's SaveState digest against the file, so that
+// comparison is only as complete as SaveState. A field SaveState misses
+// would let a divergent run pass the audit unnoticed; this analyzer
+// turns the omission into a CI failure at the field declaration.
 //
 // The proof follows calls: SaveState may delegate to helpers, so the
 // analyzer summarizes every function of the package (fields touched,

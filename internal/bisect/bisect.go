@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -257,19 +256,12 @@ func NearestShared(dirA, dirB string) (int64, error) {
 }
 
 func digestsByCycle(dir string) (map[int64][]ckpt.SectionDigest, error) {
-	entries, err := os.ReadDir(dir)
+	trail, _, err := ckpt.ReadTrail(dir) // unreadable checkpoints just don't contribute
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[int64][]ckpt.SectionDigest)
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".ckpt") {
-			continue
-		}
-		c, err := ckpt.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			continue // unreadable checkpoints just don't contribute
-		}
+	out := make(map[int64][]ckpt.SectionDigest, len(trail))
+	for _, c := range trail {
 		out[c.Cycle] = c.Sections
 	}
 	return out, nil

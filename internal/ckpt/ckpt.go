@@ -1,12 +1,11 @@
 // Package ckpt implements the versioned, deterministic whole-simulator
 // checkpoint format. A checkpoint is a cycle plus one state digest per
-// registered component: restore rebuilds the state itself by replaying
-// to that cycle and audits the replay against the digests, so no
-// component state is ever read back from a file. The file carries a
+// registered component. No component state is ever read back from a
+// file: an audit re-executes a fresh run through the cycles of a trail
+// of checkpoints and checks the digests at each. The file carries a
 // format version, fingerprints of the configuration and launch spec it
 // belongs to, and a trailing whole-file digest so a checkpoint
-// truncated by a crash (kill -9 mid-write) is detected rather than
-// restored.
+// truncated in transit is detected rather than audited against.
 //
 // Components implement Saver: SaveState appends the component's state
 // to a Writer as a flat sequence of typed fields, and the section
@@ -18,7 +17,7 @@
 // runs diverge.
 //
 // See docs/checkpointing.md for the format layout, the determinism
-// contract and the restore (replay-and-audit) model.
+// contract and the audit model.
 package ckpt
 
 import (
@@ -39,7 +38,7 @@ import (
 const Magic = "GPUCKPT1"
 
 // Version is the current checkpoint format version. Bump it whenever
-// the envelope or any component's SaveState layout changes: restore
+// the envelope or any component's SaveState layout changes: an audit
 // refuses checkpoints written by a different version instead of
 // reporting a spurious divergence against them.
 const Version uint32 = 3
@@ -93,14 +92,14 @@ func (s *Hasher) Sum() uint64 { return s.h }
 
 // Saver is the common interface every stateful simulator component
 // implements to participate in checkpointing: SaveState appends the
-// component's state to w. Restore compares the digest of a replayed
+// component's state to w. An audit compares the digest of a re-executed
 // SaveState against the checkpoint, so any state SaveState leaves out
-// is state a divergent replay could differ in unnoticed.
+// is state a divergent re-execution could differ in unnoticed.
 //
 // State that cannot be serialized (scheduled event closures, pooled
 // objects in flight) is represented structurally — counts and sorted
-// summaries — and rebuilt by deterministic replay on restore; see
-// docs/checkpointing.md.
+// summaries — and reached again by deterministic re-execution in an
+// audit; see docs/checkpointing.md.
 type Saver interface {
 	SaveState(w *Writer)
 }
@@ -264,7 +263,7 @@ func Decode(b []byte) (*Checkpoint, error) {
 	if c.Version != Version {
 		return nil, fmt.Errorf("ckpt: format version %d, this binary reads version %d", c.Version, Version)
 	}
-	// A negative cycle would make restore replay to the end of the run
+	// A negative cycle would make an audit run to the end of the launch
 	// before failing (StepTo treats a negative stop as "no stop").
 	if c.Cycle = int64(r.u64()); c.Cycle < 0 {
 		return nil, fmt.Errorf("ckpt: negative checkpoint cycle %d", c.Cycle)
@@ -287,7 +286,7 @@ func Decode(b []byte) (*Checkpoint, error) {
 }
 
 // WriteFile atomically writes the checkpoint to path (tmp+rename via
-// atomicio), so a reader (or a resume after kill -9) only ever sees
+// atomicio), so a reader (or an audit after kill -9) only ever sees
 // complete files.
 func (c *Checkpoint) WriteFile(path string) error {
 	return atomicio.WriteFile(path, c.Encode())
@@ -310,46 +309,28 @@ func ReadFile(path string) (*Checkpoint, error) {
 // zero-padding keeps lexical and numeric order identical.
 func FileName(cycle int64) string { return fmt.Sprintf("ckpt-%012d.ckpt", cycle) }
 
-// Latest returns the path of the newest (highest-cycle) valid
-// checkpoint in dir, skipping files that fail validation (e.g. a write
-// interrupted before the atomic rename never produces one, but a copy
-// truncated in transit would). It returns os.ErrNotExist when the
-// directory holds no valid checkpoint.
-func Latest(dir string) (string, *Checkpoint, error) {
+// ReadTrail reads every checkpoint in dir, sorted by cycle: the digest
+// trail a run wrote with CheckpointEvery. A file that fails validation
+// (a copy truncated in transit; the atomic write itself never leaves a
+// partial file) is not fatal: its name lands in skipped, and the caller
+// decides whether a gap in the trail matters.
+func ReadTrail(dir string) (trail []*Checkpoint, skipped []string, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
-	var names []string
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".ckpt") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	var (
-		bestPath string
-		best     *Checkpoint
-		firstErr error
-	)
-	for _, name := range names {
-		path := filepath.Join(dir, name)
-		c, err := ReadFile(path)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".ckpt") {
 			continue
 		}
-		if best == nil || c.Cycle > best.Cycle {
-			bestPath, best = path, c
+		c, err := ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			skipped = append(skipped, name)
+			continue
 		}
+		trail = append(trail, c)
 	}
-	if best != nil {
-		return bestPath, best, nil
-	}
-	if firstErr != nil {
-		return "", nil, fmt.Errorf("ckpt: no valid checkpoint in %s: %w", dir, firstErr)
-	}
-	return "", nil, fmt.Errorf("ckpt: no checkpoint in %s: %w", dir, os.ErrNotExist)
+	sort.SliceStable(trail, func(a, b int) bool { return trail[a].Cycle < trail[b].Cycle })
+	return trail, skipped, nil
 }

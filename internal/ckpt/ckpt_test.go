@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -224,7 +225,7 @@ func TestWriteFileAtomicAndReadBack(t *testing.T) {
 	}
 }
 
-func TestLatestPicksHighestCycleAndSkipsInvalid(t *testing.T) {
+func TestReadTrailSortsByCycleAndSkipsInvalid(t *testing.T) {
 	dir := t.TempDir()
 	for _, cycle := range []int64{100, 5000, 900} {
 		c := sampleCheckpoint()
@@ -233,34 +234,41 @@ func TestLatestPicksHighestCycleAndSkipsInvalid(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A stall checkpoint whose name sorts after the periodic ones but
-	// whose cycle is lower must not shadow them.
+	// A stall checkpoint sorts after the periodic ones by name but
+	// takes its place in the trail by cycle.
 	c := sampleCheckpoint()
 	c.Cycle = 200
 	if err := c.WriteFile(filepath.Join(dir, "stall-000000000200.ckpt")); err != nil {
 		t.Fatal(err)
 	}
-	// A corrupt file is skipped, not fatal.
+	// A corrupt file is skipped by name, not fatal.
 	if err := os.WriteFile(filepath.Join(dir, "ckpt-999999999999.ckpt"), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	path, best, err := Latest(dir)
+	trail, skipped, err := ReadTrail(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if best.Cycle != 5000 {
-		t.Errorf("latest cycle = %d, want 5000", best.Cycle)
+	var cycles []int64
+	for _, c := range trail {
+		cycles = append(cycles, c.Cycle)
 	}
-	if filepath.Base(path) != FileName(5000) {
-		t.Errorf("latest path = %s", path)
+	if want := []int64{100, 200, 900, 5000}; fmt.Sprint(cycles) != fmt.Sprint(want) {
+		t.Errorf("trail cycles = %v, want %v", cycles, want)
+	}
+	if len(skipped) != 1 || skipped[0] != "ckpt-999999999999.ckpt" {
+		t.Errorf("skipped = %v, want the garbage file", skipped)
 	}
 }
 
-func TestLatestEmptyDir(t *testing.T) {
-	dir := t.TempDir()
-	if _, _, err := Latest(dir); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("empty dir error = %v, want ErrNotExist", err)
+func TestReadTrailEmptyDir(t *testing.T) {
+	trail, skipped, err := ReadTrail(t.TempDir())
+	if err != nil || len(trail) != 0 || len(skipped) != 0 {
+		t.Errorf("empty dir = (%d checkpoints, %v, %v), want nothing", len(trail), skipped, err)
+	}
+	if _, _, err := ReadTrail(filepath.Join(t.TempDir(), "missing")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("missing dir error = %v, want ErrNotExist", err)
 	}
 }
 

@@ -7,9 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"gpues/internal/atomicio"
 	"gpues/internal/chaos"
 	"gpues/internal/config"
-	"gpues/internal/sim"
 	"gpues/internal/workloads"
 )
 
@@ -114,11 +114,11 @@ func TestChaosTraceDir(t *testing.T) {
 	}
 }
 
-// TestChaosHalfResumes: a chaos half restores from the in-flight
-// checkpoint a killed campaign left at its key and reproduces the
-// uninterrupted result, while a checkpoint of another plan at the same
-// key is discarded.
-func TestChaosHalfResumes(t *testing.T) {
+// TestChaosHalfRecordKeyedByPlan: a chaos half's done record is keyed
+// by its plan, so a record of another plan for the same config and
+// workload is a miss and the half simulates, while its own record is
+// served without simulating.
+func TestChaosHalfRecordKeyedByPlan(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
@@ -127,48 +127,31 @@ func TestChaosHalfResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name    string
-		seed    int64
-		discard bool
-	}{
-		{"same plan", j.chaos.Seed, false},
-		{"other plan", j.chaos.Seed + 1, true},
-	} {
-		var lines []string
-		opt := Options{Scale: 1, ResumeDir: t.TempDir(), CheckpointEvery: 20_000,
-			Progress: func(s string) { lines = append(lines, s) }}.normalize()
-		// Plant the checkpoint of a half killed mid-run.
-		spec, err := opt.build(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := sim.New(j.cfg, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pc := *j.chaos
-		pc.Seed = tc.seed
-		s.AttachChaos(chaos.New(pc))
-		if err := s.Start(); err != nil {
-			t.Fatal(err)
-		}
-		if reached, err := s.StepTo(30_000); err != nil || !reached {
-			t.Fatalf("%s: planting run stopped early (reached %v): %v", tc.name, reached, err)
-		}
-		if _, err := s.WriteCheckpoint(resumePath(t, opt, j, ".ckpts")); err != nil {
-			t.Fatal(err)
-		}
-
+	var lines []string
+	opt := Options{Scale: 1, ResumeDir: t.TempDir(),
+		Progress: func(s string) { lines = append(lines, s) }}.normalize()
+	// Plant a record of the same half under another plan's key.
+	other := j
+	pc := *j.chaos
+	pc.Seed++
+	other.chaos = &pc
+	if err := atomicio.WriteJSON(resumePath(t, opt, other, ".done.json"), map[string]int64{"cycles": 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, pass := range []struct {
+		name   string
+		served bool
+	}{{"other plan's record", false}, {"own record", true}} {
+		lines = nil
 		got, err := runAll(opt, []job{j})
 		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatalf("%s: %v", pass.name, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: resumed half = %v, want %v", tc.name, got, want)
+			t.Errorf("%s: half = %v, want %v", pass.name, got, want)
 		}
-		if discarded := strings.Contains(strings.Join(lines, "\n"), "discarded checkpoint"); discarded != tc.discard {
-			t.Errorf("%s: discarded = %v, want %v; progress: %q", tc.name, discarded, tc.discard, lines)
+		if served := countSkipped(lines) == 1; served != pass.served {
+			t.Errorf("%s: served from a record = %v, want %v; progress: %q", pass.name, served, pass.served, lines)
 		}
 	}
 }

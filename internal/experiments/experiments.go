@@ -45,23 +45,18 @@ type Options struct {
 	// TraceFilter selects the traced event kinds (obs.ParseFilter
 	// syntax; empty records everything).
 	TraceFilter string
-	// ResumeDir, when set, makes the campaign crash-recoverable: a
-	// finished run records its cycle count as <key>.done.json and is
-	// skipped by later invocations, and an in-flight run checkpoints
-	// into <key>.ckpts and resumes from its latest checkpoint. The key
-	// names what is simulated, never the figure: sim.RunKey of the
-	// config and workload image, plus the chaos plan for a chaos-sweep
-	// half. So identical runs in different figures share one record,
-	// and a changed config, scale, workload or plan misses. Records
-	// named <fig>-<bench>-<col>.done.json by older versions are
-	// ignored, and those runs rerun. A record carries no binary
-	// identity: after a timing-code change that leaves Config and the
-	// workload images alone, use a fresh directory. Resilience trials
-	// are neither recorded nor resumed.
+	// ResumeDir, when set, makes the campaign crash-recoverable: a finished
+	// run records its cycle count as <key>.done.json and is skipped by later
+	// invocations; a run a kill interrupted simulates again from the start.
+	// The key names what is simulated, never the figure: sim.RunKey of the
+	// config and workload image, plus the chaos plan for a chaos-sweep half.
+	// So identical runs in different figures share one record, and a changed
+	// config, scale, workload or plan misses. Records named
+	// <fig>-<bench>-<col>.done.json by older versions are ignored, and those
+	// runs rerun. A record carries no binary identity: after a timing-code
+	// change that leaves Config and the workload images alone, use a fresh
+	// directory. Resilience trials are never recorded.
 	ResumeDir string
-	// CheckpointEvery is the in-flight checkpoint period in cycles when
-	// ResumeDir is set (0 = a sensible default).
-	CheckpointEvery int64
 	// Trials is the seeded trial count per resilience-campaign cell
 	// (0 = the campaign default; other sweeps ignore it).
 	Trials int
@@ -85,17 +80,6 @@ type Options struct {
 	// the chaos sweep, or a resilience trial. The live introspection
 	// server's SetCampaign has exactly this shape.
 	CampaignProgress func(done, total int, last string)
-}
-
-// defaultCheckpointEvery is the in-flight checkpoint period when
-// Options.ResumeDir is set without an explicit CheckpointEvery.
-const defaultCheckpointEvery = 100_000
-
-func (o Options) checkpointEvery() int64 {
-	if o.CheckpointEvery > 0 {
-		return o.CheckpointEvery
-	}
-	return defaultCheckpointEvery
 }
 
 func (o Options) normalize() Options {
@@ -183,7 +167,7 @@ type job struct {
 	chaos  *chaos.Config
 	// protect, when set, makes the job one bit-flip resilience trial
 	// that shields protect(threads per block) threads of every block.
-	// Trials are neither recorded nor resumed.
+	// Trials are never recorded.
 	protect func(tpb int) int
 }
 
@@ -293,76 +277,46 @@ func (o Options) runJob(j job) (int64, string, error) {
 		}
 	}
 	var note string
-	if rec.Cycles, note, err = o.runOne(j, spec, key); err != nil {
+	if rec.Cycles, note, err = o.runOne(j, spec); err != nil {
 		return 0, "", err
 	}
 	if key != "" {
 		if err := atomicio.WriteJSON(filepath.Join(o.ResumeDir, key+".done.json"), rec); err != nil {
 			return 0, "", fmt.Errorf("recording completion: %w", err)
 		}
-		os.RemoveAll(filepath.Join(o.ResumeDir, key+".ckpts"))
 	}
 	return rec.Cycles, fmt.Sprintf("%-14s %-14s %12d cycles", j.row, j.col, rec.Cycles) + note, nil
 }
 
-// runOne runs one job, attaching a fresh chaos plan, a tracer and,
-// under key, the in-flight checkpoints as the job and options ask, and
-// checks an oracle job's final memory. The note tells of a discarded
-// checkpoint and of the injected faults.
-func (o Options) runOne(j job, spec sim.LaunchSpec, key string) (cycles int64, note string, err error) {
+// runOne runs one job, attaching a fresh chaos plan and a tracer as
+// the job and options ask, and checks an oracle job's final memory. The
+// note tells of the injected faults.
+func (o Options) runOne(j job, spec sim.LaunchSpec) (cycles int64, note string, err error) {
 	var mask uint64
 	if o.TraceDir != "" {
 		if mask, err = obs.ParseFilter(o.TraceFilter); err != nil {
 			return 0, "", err
 		}
 	}
+	s, err := sim.New(j.cfg, spec)
+	if err != nil {
+		return 0, "", err
+	}
 	var (
-		s       *sim.Simulator
 		plan    *chaos.Plan
 		tr      *obs.Tracer
 		initial *emu.Memory
 	)
-	// wire builds the simulator for spec. Every attempt gets its own
-	// plan: a restore that is then discarded has replayed the old one.
-	wire := func() error {
-		if s, err = sim.New(j.cfg, spec); err != nil {
-			return err
-		}
-		if j.oracle {
-			initial = spec.Memory.Clone()
-		}
-		if j.chaos != nil {
-			plan = chaos.New(*j.chaos)
-			s.AttachChaos(plan)
-		}
-		if o.TraceDir != "" {
-			tr = obs.New(obs.Options{Filter: mask})
-			s.AttachTracer(tr)
-		}
-		if key != "" {
-			s.CheckpointEvery = o.checkpointEvery()
-			s.CheckpointDir = filepath.Join(o.ResumeDir, key+".ckpts")
-		}
-		return nil
+	if j.oracle {
+		initial = spec.Memory.Clone()
 	}
-	if err := wire(); err != nil {
-		return 0, "", err
+	if j.chaos != nil {
+		plan = chaos.New(*j.chaos)
+		s.AttachChaos(plan)
 	}
-	if key != "" {
-		if path, rerr := sim.ResolveCheckpoint(s.CheckpointDir); rerr == nil {
-			if rerr := s.RestoreFile(path); rerr != nil {
-				// Stale or incompatible checkpoint (changed config,
-				// scale, or binary): discard it and run from scratch on
-				// a fresh simulator and memory image.
-				note = fmt.Sprintf(" (discarded checkpoint: %v)", rerr)
-				if spec, err = o.build(j); err != nil {
-					return 0, "", err
-				}
-				if err := wire(); err != nil {
-					return 0, "", err
-				}
-			}
-		}
+	if o.TraceDir != "" {
+		tr = obs.New(obs.Options{Filter: mask})
+		s.AttachTracer(tr)
 	}
 	r, runErr := s.Run()
 	if o.TraceDir != "" {
@@ -398,7 +352,7 @@ func (o Options) runOne(j job, spec sim.LaunchSpec, key string) (cycles int64, n
 		}
 	}
 	if plan != nil {
-		note += " (" + plan.Summary() + ")"
+		note = " (" + plan.Summary() + ")"
 	}
 	return r.Cycles, note, nil
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"gpues/internal/config"
-	"gpues/internal/sim"
 	"gpues/internal/workloads"
 )
 
@@ -144,7 +143,7 @@ func fig10Job(bench string, s config.Scheme) job {
 }
 
 // resumePath is where opt.ResumeDir keeps j's record (suffix
-// ".done.json") or in-flight checkpoints (".ckpts").
+// ".done.json").
 func resumePath(t *testing.T, opt Options, j job, suffix string) string {
 	t.Helper()
 	spec, err := opt.normalize().build(j)
@@ -170,7 +169,7 @@ func TestResumeDirSkipsFinishedRuns(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	dir := t.TempDir()
-	opt := Options{Scale: 1, Benchmarks: []string{"mri-q"}, ResumeDir: dir, CheckpointEvery: 20_000}
+	opt := Options{Scale: 1, Benchmarks: []string{"mri-q"}, ResumeDir: dir}
 
 	first, err := Fig10(opt)
 	if err != nil {
@@ -326,56 +325,5 @@ func TestResumeDirIgnoresTornDoneFile(t *testing.T) {
 	}
 	if v := r.Rows[0].Values["replay-queue"]; v <= 0.9 || v > 1.02 {
 		t.Errorf("torn done-files corrupted the figure: %+v", r.Rows[0].Values)
-	}
-}
-
-// A checkpoint written under a different configuration (here: another
-// scheme) must be discarded — fingerprint mismatch — and the job rerun
-// from scratch on a fresh memory image.
-func TestResumeDirDiscardsStaleCheckpoint(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs simulations")
-	}
-	var lines []string
-	opt := Options{Scale: 1, Benchmarks: []string{"mri-q"}, ResumeDir: t.TempDir(),
-		Progress: func(s string) { lines = append(lines, s) }}
-
-	// Plant a mid-flight checkpoint of a replay-queue run where the
-	// baseline run's checkpoints live.
-	cfg := config.Default()
-	cfg.Scheme = config.ReplayQueue
-	spec, err := workloads.Build("mri-q", workloads.Params{Scale: 1, Placement: workloads.Resident()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := sim.New(cfg, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.StepTo(5000); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.WriteCheckpoint(resumePath(t, opt, fig10Job("mri-q", config.Baseline), ".ckpts")); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := Fig10(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	discarded := false
-	for _, l := range lines {
-		if strings.Contains(l, "discarded checkpoint") {
-			discarded = true
-		}
-	}
-	if !discarded {
-		t.Errorf("stale checkpoint was not discarded; progress: %q", lines)
-	}
-	if v := r.Rows[0].Values["replay-queue"]; v <= 0 || v > 1.02 {
-		t.Errorf("stale checkpoint corrupted the figure: %+v", r.Rows[0].Values)
 	}
 }

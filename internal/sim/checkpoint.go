@@ -1,14 +1,13 @@
-// Checkpoint/restore for the full simulator. The clock queue stores
-// scheduled closures, which cannot be serialized; a checkpoint instead
-// records the cycle plus one digest of every component's serialized
-// state (architectural state and a structural summary of its
-// closure-bound state). Restore replays a fresh simulator to the
-// checkpoint cycle — deterministic execution makes the replay
-// bit-identical — and audits every component's digest against the
-// checkpoint; the replay itself is the restored state. Every restore
-// therefore doubles as a determinism audit: any nondeterminism between
-// the writing run and the replay surfaces as a DivergenceError naming
-// the component.
+// Checkpoints and trail audits for the full simulator. The clock queue
+// stores scheduled closures, which cannot be serialized; a checkpoint
+// instead records the cycle plus one digest of every component's
+// serialized state (architectural state and a structural summary of its
+// closure-bound state). A run with CheckpointEvery leaves a trail of them.
+// Audit re-executes a fresh simulator through the trail's cycles —
+// deterministic execution makes the re-execution bit-identical — and
+// checks every component's digest at each: any nondeterminism between the
+// writing run and the audit surfaces as a DivergenceError naming the
+// component and the first checkpoint cycle that sees it.
 package sim
 
 import (
@@ -117,11 +116,6 @@ func RunKey(cfg config.Config, spec LaunchSpec) string {
 	return fmt.Sprintf("cfg%016x-spec%016x", FingerprintConfig(cfg), FingerprintSpec(spec))
 }
 
-// Fingerprints returns the simulator's config and spec fingerprints —
-// the pair a checkpoint must match to restore here, and the key the
-// simulation service's result cache is built on.
-func (s *Simulator) Fingerprints() (cfgFP, specFP uint64) { return s.cfgFP, s.specFP }
-
 // Capture digests the complete current state into a checkpoint.
 // Valid only at a cycle boundary (the main loop's top); callers inside
 // the loop are maybeWriteCheckpoint and stallError, callers outside
@@ -149,56 +143,32 @@ func (s *Simulator) ComponentDigests() []ckpt.SectionDigest {
 	return s.Capture().Sections
 }
 
-// WriteCheckpoint captures the current state and writes it into dir
-// (created if missing) under the canonical cycle-stamped name. The
-// write is atomic, so a kill mid-write never leaves a partial file.
-func (s *Simulator) WriteCheckpoint(dir string) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// writeCheckpoint captures the current state and writes it into
+// CheckpointDir (created if missing) under name. The write is atomic,
+// so a kill mid-write never leaves a partial file.
+func (s *Simulator) writeCheckpoint(name string) (string, error) {
+	if err := os.MkdirAll(s.CheckpointDir, 0o755); err != nil {
 		return "", err
 	}
-	ck := s.Capture()
-	path := filepath.Join(dir, ckpt.FileName(ck.Cycle))
-	if err := ck.WriteFile(path); err != nil {
-		return "", err
-	}
-	return path, nil
+	path := filepath.Join(s.CheckpointDir, name)
+	return path, s.Capture().WriteFile(path)
 }
 
 // maybeWriteCheckpoint writes the periodic checkpoint when one is due.
-// Disabled while replaying: the replay must not overwrite the files it
-// is restoring from.
 func (s *Simulator) maybeWriteCheckpoint(now int64) error {
-	if s.replaying || s.CheckpointEvery <= 0 || s.CheckpointDir == "" || now < s.nextCkpt {
+	if s.CheckpointEvery <= 0 || s.CheckpointDir == "" || now < s.nextCkpt {
 		return nil
 	}
 	for s.nextCkpt <= now {
 		s.nextCkpt += s.CheckpointEvery
 	}
-	_, err := s.WriteCheckpoint(s.CheckpointDir)
+	_, err := s.writeCheckpoint(ckpt.FileName(now))
 	return err
 }
 
-// ResolveCheckpoint turns a user-supplied resume argument into a
-// checkpoint file path: a directory resolves to its latest valid
-// checkpoint, anything else is taken as the file itself.
-func ResolveCheckpoint(pathOrDir string) (string, error) {
-	info, err := os.Stat(pathOrDir)
-	if err != nil {
-		return "", err
-	}
-	if !info.IsDir() {
-		return pathOrDir, nil
-	}
-	path, _, err := ckpt.Latest(pathOrDir)
-	if err != nil {
-		return "", fmt.Errorf("sim: no usable checkpoint in %s: %w", pathOrDir, err)
-	}
-	return path, nil
-}
-
-// DivergenceError reports that a component's replayed state digest
+// DivergenceError reports that a component's re-executed state digest
 // does not match its checkpoint section — either real nondeterminism
-// between the checkpointing run and the restoring one, or a
+// between the run that wrote the trail and the auditing one, or a
 // configuration drift the fingerprints could not catch.
 type DivergenceError struct {
 	Component string
@@ -210,52 +180,57 @@ func (e *DivergenceError) Error() string {
 	return fmt.Sprintf("sim: state of %q diverged from checkpoint at cycle %d", e.Component, e.Cycle)
 }
 
-// RestoreFile loads the checkpoint at path and restores it; see
-// Restore.
-func (s *Simulator) RestoreFile(path string) error {
-	ck, err := ckpt.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	return s.Restore(ck)
-}
-
-// Restore brings a freshly built simulator to the checkpoint's state:
-// replay to the checkpoint cycle, then audit every component's state
-// digest against its section. Nothing is installed — the replay is the
-// restored state, and the audit proves it matches. The simulator must
-// be configured exactly as the checkpointing run was (same config,
-// spec, chaos plan, tracer) and must not have run yet; call Run
-// afterwards to continue to completion.
-func (s *Simulator) Restore(ck *ckpt.Checkpoint) error {
+// Audit checks a digest trail, in ascending cycle order as
+// ckpt.ReadTrail returns it, against this run: it steps a fresh
+// simulator to each checkpoint's cycle in turn and compares every
+// component's state digest with the checkpoint's section there,
+// failing at the first mismatch with a DivergenceError.
+// Nothing is read back into the simulator; the re-execution is the
+// state, and the audit proves it matches. The simulator must be
+// configured exactly as the writing run was (same config, spec, chaos
+// plan, tracer) and must not have run yet; call Run afterwards to
+// finish the launch.
+func (s *Simulator) Audit(trail ...*ckpt.Checkpoint) error {
 	if s.started {
-		return fmt.Errorf("sim: restore must precede Run")
+		return fmt.Errorf("sim: audit must precede Run")
 	}
-	if ck.ConfigFP != s.cfgFP {
-		return fmt.Errorf("sim: checkpoint config fingerprint %#016x does not match simulator %#016x",
-			ck.ConfigFP, s.cfgFP)
+	if len(trail) == 0 {
+		return fmt.Errorf("sim: empty checkpoint trail")
 	}
-	if ck.SpecFP != s.specFP {
-		return fmt.Errorf("sim: checkpoint spec fingerprint %#016x does not match simulator %#016x",
-			ck.SpecFP, s.specFP)
+	for _, ck := range trail {
+		if ck.ConfigFP != s.cfgFP {
+			return fmt.Errorf("sim: checkpoint config fingerprint %#016x does not match simulator %#016x",
+				ck.ConfigFP, s.cfgFP)
+		}
+		if ck.SpecFP != s.specFP {
+			return fmt.Errorf("sim: checkpoint spec fingerprint %#016x does not match simulator %#016x",
+				ck.SpecFP, s.specFP)
+		}
 	}
 	if err := s.Start(); err != nil {
 		return err
 	}
-	s.replaying = true
-	reached, err := s.StepTo(ck.Cycle)
-	s.replaying = false
-	if err != nil {
-		return err
+	for _, ck := range trail {
+		reached, err := s.StepTo(ck.Cycle)
+		if err != nil {
+			return err
+		}
+		if !reached {
+			return fmt.Errorf("sim: run finished at cycle %d before reaching checkpoint cycle %d",
+				s.q.Now(), ck.Cycle)
+		}
+		if got := s.q.Now(); got != ck.Cycle {
+			return fmt.Errorf("sim: run stopped at cycle %d, checkpoint is at %d", got, ck.Cycle)
+		}
+		if err := s.auditAt(ck); err != nil {
+			return err
+		}
 	}
-	if !reached {
-		return fmt.Errorf("sim: replay finished at cycle %d before reaching checkpoint cycle %d",
-			s.q.Now(), ck.Cycle)
-	}
-	if got := s.q.Now(); got != ck.Cycle {
-		return fmt.Errorf("sim: replay stopped at cycle %d, checkpoint is at %d", got, ck.Cycle)
-	}
+	return nil
+}
 
+// auditAt compares the current state digests with one checkpoint.
+func (s *Simulator) auditAt(ck *ckpt.Checkpoint) error {
 	fresh := s.Capture()
 	if len(fresh.Sections) != len(ck.Sections) {
 		return fmt.Errorf("sim: simulator has %d components, checkpoint has %d (chaos/local wiring must match)",
@@ -273,10 +248,6 @@ func (s *Simulator) Restore(ck *ckpt.Checkpoint) error {
 		if d != sec.Digest {
 			return &DivergenceError{Component: sec.Name, Cycle: ck.Cycle}
 		}
-	}
-
-	if s.CheckpointEvery > 0 {
-		s.nextCkpt = (ck.Cycle/s.CheckpointEvery + 1) * s.CheckpointEvery
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gpues/internal/chaos"
@@ -47,14 +48,14 @@ func saveAt(t *testing.T, cfg config.Config, spec func() LaunchSpec, at int64) *
 	return s.Capture()
 }
 
-// resumeFrom restores ck onto a fresh simulator and runs to completion.
-func resumeFrom(t *testing.T, cfg config.Config, spec func() LaunchSpec, ck *ckpt.Checkpoint) *Result {
+// auditThenRun audits ck on a fresh simulator and runs to completion.
+func auditThenRun(t *testing.T, cfg config.Config, spec func() LaunchSpec, ck *ckpt.Checkpoint) *Result {
 	t.Helper()
 	s, err := New(cfg, spec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Restore(ck); err != nil {
+	if err := s.Audit(ck); err != nil {
 		t.Fatal(err)
 	}
 	r, err := s.Run()
@@ -64,21 +65,21 @@ func resumeFrom(t *testing.T, cfg config.Config, spec func() LaunchSpec, ck *ckp
 	return r
 }
 
-// checkIdentical fails unless the resumed result matches the
+// checkIdentical fails unless the audited result matches the
 // uninterrupted reference exactly — cycles, all statistics, metrics.
 func checkIdentical(t *testing.T, ref, got *Result) {
 	t.Helper()
 	if got.Cycles != ref.Cycles {
-		t.Fatalf("resumed run took %d cycles, uninterrupted run %d", got.Cycles, ref.Cycles)
+		t.Fatalf("audited run took %d cycles, uninterrupted run %d", got.Cycles, ref.Cycles)
 	}
 	if !reflect.DeepEqual(ref, got) {
-		t.Fatalf("resumed result differs from uninterrupted run:\n got %+v\nwant %+v", got, ref)
+		t.Fatalf("audited result differs from uninterrupted run:\n got %+v\nwant %+v", got, ref)
 	}
 }
 
 // TestCheckpointResumeBitIdentical is the core differential test: for
-// every Fig10 scheme, snapshot mid-run, restore onto a fresh
-// simulator, run to completion, and require a bit-identical Result.
+// every Fig10 scheme, snapshot mid-run, audit it on a fresh simulator,
+// run to completion, and require a bit-identical Result.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	for _, sch := range []config.Scheme{
 		config.Baseline, config.WarpDisableCommit, config.WarpDisableLastCheck,
@@ -97,13 +98,13 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			if ck.Cycle < at || ck.Cycle >= ref.Cycles {
 				t.Fatalf("checkpoint at cycle %d, want within [%d, %d)", ck.Cycle, at, ref.Cycles)
 			}
-			checkIdentical(t, ref, resumeFrom(t, cfg, spec, ck))
+			checkIdentical(t, ref, auditThenRun(t, cfg, spec, ck))
 		})
 	}
 }
 
 // TestCheckpointRoundTripThroughFile exercises the on-disk path:
-// periodic checkpoints during a run, resume from the latest file.
+// periodic checkpoints during a run, then an audit of the whole trail.
 func TestCheckpointRoundTripThroughFile(t *testing.T) {
 	cfg := config.Default()
 	cfg.Scheme = config.ReplayQueue
@@ -124,18 +125,18 @@ func TestCheckpointRoundTripThroughFile(t *testing.T) {
 	// Checkpointing must not perturb the run itself.
 	checkIdentical(t, ref, r)
 
-	path, ck, err := ckpt.Latest(dir)
-	if err != nil {
-		t.Fatal(err)
+	trail, skipped, err := ckpt.ReadTrail(dir)
+	if err != nil || len(skipped) > 0 {
+		t.Fatalf("ReadTrail: %v (skipped %v)", err, skipped)
 	}
-	if ck.Cycle <= 0 || ck.Cycle >= ref.Cycles {
-		t.Fatalf("latest checkpoint at cycle %d, want within (0, %d)", ck.Cycle, ref.Cycles)
+	if n := len(trail); n < 3 || trail[0].Cycle <= 0 || trail[n-1].Cycle >= ref.Cycles {
+		t.Fatalf("trail of %d checkpoints, want >= 3 within (0, %d)", n, ref.Cycles)
 	}
 	s2, err := New(cfg, spec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.RestoreFile(path); err != nil {
+	if err := s2.Audit(trail...); err != nil {
 		t.Fatal(err)
 	}
 	r2, err := s2.Run()
@@ -147,7 +148,8 @@ func TestCheckpointRoundTripThroughFile(t *testing.T) {
 
 // TestCheckpointResumeUnderChaos snapshots a chaos run mid-flight —
 // faults, forced switches and injected stalls in the air — and
-// requires bit-identical resumption, including the injected-event log.
+// requires a bit-identical audited run, including the injected-event
+// log.
 func TestCheckpointResumeUnderChaos(t *testing.T) {
 	cfg := config.Default()
 	cfg.Scheme = config.ReplayQueue
@@ -190,7 +192,7 @@ func TestCheckpointResumeUnderChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2.AttachChaos(newPlan())
-	if err := s2.Restore(ck); err != nil {
+	if err := s2.Audit(ck); err != nil {
 		t.Fatal(err)
 	}
 	r2, err := s2.Run()
@@ -199,12 +201,12 @@ func TestCheckpointResumeUnderChaos(t *testing.T) {
 	}
 	checkIdentical(t, ref, r2)
 	if fp := s2.chaos.Fingerprint(); fp != refFP {
-		t.Fatalf("resumed chaos event log fingerprint %#x, want %#x", fp, refFP)
+		t.Fatalf("audited chaos event log fingerprint %#x, want %#x", fp, refFP)
 	}
 }
 
 // TestCheckpointMidFault snapshots at the first cycle with a pending
-// fault in the fault unit, so restore is exercised with in-flight
+// fault in the fault unit, so the audit is exercised with in-flight
 // fault state.
 func TestCheckpointMidFault(t *testing.T) {
 	cfg := config.Default()
@@ -237,7 +239,7 @@ func TestCheckpointMidFault(t *testing.T) {
 		t.Fatal("no cycle with a pending fault found")
 	}
 	ck := s.Capture()
-	checkIdentical(t, ref, resumeFrom(t, cfg, spec, ck))
+	checkIdentical(t, ref, auditThenRun(t, cfg, spec, ck))
 }
 
 // TestCheckpointMidBlockSwitch snapshots while a block switch is in
@@ -309,7 +311,7 @@ func TestCheckpointMidBlockSwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2.AttachChaos(newPlan())
-	if err := s2.Restore(ck); err != nil {
+	if err := s2.Audit(ck); err != nil {
 		t.Fatal(err)
 	}
 	r2, err := s2.Run()
@@ -320,8 +322,8 @@ func TestCheckpointMidBlockSwitch(t *testing.T) {
 }
 
 // TestCheckpointPropertyRandom is the property test: random scheme,
-// placement, grid shape and snapshot cycle — save → restore → run to
-// end must always be bit-identical to the uninterrupted run.
+// placement, grid shape and snapshot cycle — save → audit → run to end
+// must always be bit-identical to the uninterrupted run.
 func TestCheckpointPropertyRandom(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test is slow")
@@ -392,7 +394,7 @@ func TestCheckpointPropertyRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		s2.AttachChaos(newPlan())
-		if err := s2.Restore(ck); err != nil {
+		if err := s2.Audit(ck); err != nil {
 			t.Fatalf("case %d (scheme=%v chaos=%v at=%d): %v", i, sch, useChaos, at, err)
 		}
 		r2, err := s2.Run()
@@ -400,13 +402,13 @@ func TestCheckpointPropertyRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		if r2.Cycles != ref.Cycles || !reflect.DeepEqual(ref, r2) {
-			t.Fatalf("case %d (scheme=%v chaos=%v at=%d): resumed run differs", i, sch, useChaos, at)
+			t.Fatalf("case %d (scheme=%v chaos=%v at=%d): audited run differs", i, sch, useChaos, at)
 		}
 	}
 }
 
 // TestRestoreRejectsMismatchedConfig: a checkpoint from one config must
-// not restore onto a simulator built for another.
+// not audit against a simulator built for another.
 func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 	cfg := config.Default()
 	spec := func() LaunchSpec { return testSpec(t, 8, 128, vm.RegionGPUInit, vm.RegionGPUInit) }
@@ -418,14 +420,14 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Restore(ck); err == nil {
-		t.Fatal("restore onto a different config must fail")
+	if err := s.Audit(ck); err == nil || !strings.Contains(err.Error(), "config fingerprint") {
+		t.Fatalf("audit against a different config = %v, want a config fingerprint mismatch", err)
 	}
 }
 
 // TestInjectedDivergenceDetected: a nonce perturbation in the
 // checkpointing run must surface as a DivergenceError naming the
-// component when a clean replay verifies against it.
+// component when a clean run audits against it.
 func TestInjectedDivergenceDetected(t *testing.T) {
 	cfg := config.Default()
 	spec := func() LaunchSpec { return testSpec(t, 8, 128, vm.RegionGPUInit, vm.RegionGPUInit) }
@@ -449,10 +451,10 @@ func TestInjectedDivergenceDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = clean.Restore(ck)
+	err = clean.Audit(ck)
 	var de *DivergenceError
 	if !errors.As(err, &de) {
-		t.Fatalf("restore error = %v, want DivergenceError", err)
+		t.Fatalf("audit error = %v, want DivergenceError", err)
 	}
 	if de.Component != "cache.l2" {
 		t.Errorf("divergent component = %q, want cache.l2", de.Component)
@@ -467,10 +469,57 @@ func TestInjectedDivergenceDetected(t *testing.T) {
 	}
 }
 
+// TestAuditChecksEveryCycle: an audit checks the digests at every
+// checkpoint of a trail, not only the last, so a divergence that starts
+// between the 2nd and 3rd checkpoints is reported at the 3rd one's
+// cycle, naming the diverged component.
+func TestAuditChecksEveryCycle(t *testing.T) {
+	cfg := config.Default()
+	cfg.Scheme = config.ReplayQueue
+	spec := func() LaunchSpec { return testSpec(t, 16, 128, vm.RegionCPUInit, vm.RegionCPUInit) }
+	ref := runRef(t, cfg, spec)
+
+	dir := t.TempDir()
+	s, err := New(cfg, spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.CheckpointEvery = ref.Cycles / 6
+	s.CheckpointDir = dir
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	trail, skipped, err := ckpt.ReadTrail(dir)
+	if err != nil || len(skipped) > 0 {
+		t.Fatalf("ReadTrail: %v (skipped %v)", err, skipped)
+	}
+	if len(trail) < 4 {
+		t.Fatalf("trail has %d checkpoints, want >= 4", len(trail))
+	}
+
+	audit, err := New(cfg, spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const victim = "dram"
+	if err := audit.InjectDivergence((trail[1].Cycle+trail[2].Cycle)/2, victim); err != nil {
+		t.Fatal(err)
+	}
+	err = audit.Audit(trail...)
+	var de *DivergenceError
+	if !errors.As(err, &de) {
+		t.Fatalf("audit error = %v, want DivergenceError", err)
+	}
+	if de.Component != victim || de.Cycle != trail[2].Cycle {
+		t.Errorf("divergence of %q at cycle %d, want %q at the 3rd checkpoint's cycle %d",
+			de.Component, de.Cycle, victim, trail[2].Cycle)
+	}
+}
+
 // TestRestoreNamesTamperedSection: a file whose section digest was
 // edited and whose file digest was then recomputed is a well-formed
-// checkpoint, so Decode accepts it; the replay audit must still catch
-// the edit and name the section.
+// checkpoint, so Decode accepts it; the audit must still catch the
+// edit and name the section.
 func TestRestoreNamesTamperedSection(t *testing.T) {
 	cfg := config.Default()
 	spec := func() LaunchSpec { return testSpec(t, 8, 128, vm.RegionGPUInit, vm.RegionGPUInit) }
@@ -484,8 +533,8 @@ func TestRestoreNamesTamperedSection(t *testing.T) {
 	if reached, err := s.StepTo(100); err != nil || !reached {
 		t.Fatalf("StepTo: reached=%v err=%v", reached, err)
 	}
-	path, err := s.WriteCheckpoint(t.TempDir())
-	if err != nil {
+	path := filepath.Join(t.TempDir(), ckpt.FileName(s.Cycle()))
+	if err := s.Capture().WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)
@@ -515,10 +564,14 @@ func TestRestoreNamesTamperedSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = clean.RestoreFile(path)
+	ck, err := ckpt.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = clean.Audit(ck)
 	var de *DivergenceError
 	if !errors.As(err, &de) {
-		t.Fatalf("restore error = %v, want DivergenceError", err)
+		t.Fatalf("audit error = %v, want DivergenceError", err)
 	}
 	if de.Component != victim {
 		t.Errorf("divergent component = %q, want %s", de.Component, victim)
@@ -603,12 +656,16 @@ func TestWatchdogWritesStallCheckpoint(t *testing.T) {
 	if filepath.Dir(se.Report.Checkpoint) != dir {
 		t.Errorf("stall checkpoint %s not in %s", se.Report.Checkpoint, dir)
 	}
-	// The stall checkpoint must itself restore cleanly.
+	// The stall checkpoint must itself audit cleanly.
+	ck, err := ckpt.ReadFile(se.Report.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s2, err := New(cfg, testSpec(t, 16, 128, vm.RegionCPUInit, vm.RegionCPUInit))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.RestoreFile(se.Report.Checkpoint); err != nil {
-		t.Fatalf("restore from stall checkpoint: %v", err)
+	if err := s2.Audit(ck); err != nil {
+		t.Fatalf("audit of stall checkpoint: %v", err)
 	}
 }

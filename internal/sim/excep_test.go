@@ -193,10 +193,9 @@ func TestPreemptibleRequiresPreemptibleScheme(t *testing.T) {
 }
 
 // TestExceptionCheckpointRestore checkpoints through the window between
-// the exception post and the host's poll boundary, restores the latest
-// checkpoint into a fresh simulator (the restore's digest comparison
-// is the audit), and requires the resumed run to terminate with the
-// identical exception.
+// the exception post and the host's poll boundary, audits the whole
+// trail on a fresh simulator, and requires the audited run to terminate
+// with the identical exception.
 func TestExceptionCheckpointRestore(t *testing.T) {
 	cfg := config.Default()
 	dir := t.TempDir()
@@ -212,30 +211,30 @@ func TestExceptionCheckpointRestore(t *testing.T) {
 		t.Fatalf("run failed with %v, want *excep.Error", err)
 	}
 
-	path, ck, err := ckpt.Latest(dir)
-	if err != nil {
-		t.Fatal(err)
+	trail, skipped, err := ckpt.ReadTrail(dir)
+	if err != nil || len(trail) == 0 || len(skipped) > 0 {
+		t.Fatalf("ReadTrail: %d checkpoints, skipped %v, %v", len(trail), skipped, err)
 	}
-	if ck.Cycle > ee1.Cycle {
-		t.Fatalf("latest checkpoint at cycle %d is past the exception cycle %d", ck.Cycle, ee1.Cycle)
+	if last := trail[len(trail)-1].Cycle; last > ee1.Cycle {
+		t.Fatalf("latest checkpoint at cycle %d is past the exception cycle %d", last, ee1.Cycle)
 	}
 	s2, err := New(cfg, excepSpec(t, 4, 64, 70))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.RestoreFile(path); err != nil {
-		t.Fatalf("restore (digest audit) failed: %v", err)
+	if err := s2.Audit(trail...); err != nil {
+		t.Fatalf("audit failed: %v", err)
 	}
 	_, err = s2.Run()
 	var ee2 *excep.Error
 	if !errors.As(err, &ee2) {
-		t.Fatalf("restored run failed with %v, want *excep.Error", err)
+		t.Fatalf("audited run failed with %v, want *excep.Error", err)
 	}
 	if ee1.Cycle != ee2.Cycle {
-		t.Errorf("restored run terminated at cycle %d, original at %d", ee2.Cycle, ee1.Cycle)
+		t.Errorf("audited run terminated at cycle %d, original at %d", ee2.Cycle, ee1.Cycle)
 	}
 	if ee1.Records[0].String() != ee2.Records[0].String() {
-		t.Errorf("restored exception report differs:\n%s\nvs\n%s",
+		t.Errorf("audited exception report differs:\n%s\nvs\n%s",
 			ee2.Records[0].String(), ee1.Records[0].String())
 	}
 }

@@ -1,5 +1,5 @@
 // Shared workload shape for the external differential tests, plus the
-// checkpoint tests that restore across a field FingerprintConfig
+// checkpoint tests that audit across a field FingerprintConfig
 // excludes.
 //
 // The tests live in the external sim_test package because the workload
@@ -73,11 +73,11 @@ func runWithDigests(t *testing.T, pc shapeCase, cfg config.Config) (*sim.Result,
 }
 
 // TestCheckpointCrossSampleEvery checkpoints a run at one sampling
-// period and restores it at another. SampleEvery is excluded from the
+// period and audits it at another. SampleEvery is excluded from the
 // checkpoint's config fingerprint (sampling only reads), so the
-// checkpoint must restore, with Restore's byte-exact section
-// comparison, and the resumed run must finish bit-identical to the
-// uninterrupted unsampled reference in everything but the series.
+// checkpoint must pass Audit's byte-exact section comparison, and the
+// audited run must finish bit-identical to the uninterrupted unsampled
+// reference in everything but the series.
 func TestCheckpointCrossSampleEvery(t *testing.T) {
 	pc := pagingCase()
 	base := caseConfig(pc, excep.ModePrecise)
@@ -121,15 +121,15 @@ func TestCheckpointCrossSampleEvery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := r.Restore(ck); err != nil {
-				t.Fatalf("restore at SampleEvery=%d: %v", dir.load, err)
+			if err := r.Audit(ck); err != nil {
+				t.Fatalf("audit at SampleEvery=%d: %v", dir.load, err)
 			}
 			gotR, err := r.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := gotR.Series.N > 0; got != (dir.load > 0) {
-				t.Fatalf("resumed run sampled = %v, want %v", got, dir.load > 0)
+				t.Fatalf("audited run sampled = %v, want %v", got, dir.load > 0)
 			}
 			if gotR.Cycles != refR.Cycles {
 				t.Errorf("%d cycles, reference %d", gotR.Cycles, refR.Cycles)
@@ -137,7 +137,7 @@ func TestCheckpointCrossSampleEvery(t *testing.T) {
 			unsampled := *gotR
 			unsampled.Series = refR.Series
 			if !reflect.DeepEqual(&unsampled, refR) {
-				t.Errorf("resumed result diverged from the reference:\n got %+v\nwant %+v", &unsampled, refR)
+				t.Errorf("audited result diverged from the reference:\n got %+v\nwant %+v", &unsampled, refR)
 			}
 			if gotD := r.ComponentDigests(); !reflect.DeepEqual(gotD, refD) {
 				t.Errorf("component digests diverged from the reference:\n got %v\nwant %v", gotD, refD)

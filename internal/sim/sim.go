@@ -157,13 +157,11 @@ type Simulator struct {
 	lastNow int64
 	wd      *watchdog
 	// nextCkpt is the cycle at or after which the next periodic
-	// checkpoint is due; replaying suppresses checkpoint writes while
-	// Restore replays up to the checkpoint cycle.
-	nextCkpt  int64
-	replaying bool
+	// checkpoint is due.
+	nextCkpt int64
 
 	// cfgFP and specFP fingerprint the configuration and launch spec; a
-	// checkpoint only restores onto a simulator with matching prints.
+	// checkpoint only audits against a simulator with matching prints.
 	cfgFP  uint64
 	specFP uint64
 
@@ -341,7 +339,7 @@ func New(cfg config.Config, spec LaunchSpec) (*Simulator, error) {
 	// The sampling period never changes simulation results (the
 	// sampler only reads), so it is excluded from the config
 	// fingerprint (see FingerprintConfig): a checkpoint taken at one
-	// sampling period restores under any other.
+	// sampling period audits under any other.
 	s.cfgFP = FingerprintConfig(cfg)
 	s.specFP = FingerprintSpec(spec)
 	return s, nil
@@ -438,7 +436,7 @@ func (s *Simulator) AddressSpace() *vm.AddressSpace { return s.as }
 
 // Start seeds the launch: blocks are filled onto the SMs and the
 // active set and progress tracking are initialized. Idempotent; Run
-// calls it automatically, Restore calls it before replaying.
+// calls it automatically, Audit calls it before stepping.
 func (s *Simulator) Start() error {
 	if s.started {
 		return nil
@@ -479,8 +477,8 @@ func (s *Simulator) Start() error {
 // with now >= stop while work remains. The stop check sits at the top
 // of the loop, before any per-cycle bookkeeping mutates state: a
 // checkpoint written at cycle C captures exactly the state a fresh
-// simulator reaches via StepTo(C) — the foundation of restore
-// verification and divergence bisection.
+// simulator reaches via StepTo(C) — the foundation of the trail
+// audit and divergence bisection.
 func (s *Simulator) StepTo(stop int64) (bool, error) {
 	for !s.finished() {
 		now := s.q.Now()

@@ -2,8 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 
 	"gpues/internal/host"
@@ -65,7 +63,7 @@ type StallReport struct {
 	// Violations lists invariant violations (invariant reason).
 	Violations []string
 	// Checkpoint is the path of the automatic stall checkpoint (empty
-	// when checkpointing is off or the stall state is not resumable).
+	// when checkpointing is off or the stall state is not auditable).
 	Checkpoint string
 
 	Committed     int64
@@ -172,16 +170,13 @@ func (s *Simulator) stallError(reason string, violations []string) error {
 		rep.Committed += st.Committed
 		rep.SMs = append(rep.SMs, m.Snapshot())
 	}
-	// Write an automatic checkpoint so the stall state can be reloaded
-	// for bisection or inspection. Only loop-top reasons qualify: a
-	// deadlock is raised after the cycle's ticks, where the state no
-	// longer matches what a replay to this cycle would reach.
-	if s.CheckpointDir != "" && !s.replaying && reason != "deadlock" && !s.finished() {
-		if err := os.MkdirAll(s.CheckpointDir, 0o755); err == nil {
-			path := filepath.Join(s.CheckpointDir, fmt.Sprintf("stall-%012d.ckpt", rep.Cycle))
-			if err := s.Capture().WriteFile(path); err == nil {
-				rep.Checkpoint = path
-			}
+	// Write an automatic checkpoint so the stall state can be audited
+	// or bisected. Only loop-top reasons qualify: a deadlock is raised
+	// after the cycle's ticks, where the state no longer matches what a
+	// re-execution to this cycle would reach.
+	if s.CheckpointDir != "" && reason != "deadlock" && !s.finished() {
+		if path, err := s.writeCheckpoint(fmt.Sprintf("stall-%012d.ckpt", rep.Cycle)); err == nil {
+			rep.Checkpoint = path
 		}
 	}
 	return &StallError{Report: rep}

@@ -1,7 +1,7 @@
 // Package simserv is the simulation-as-a-service job fabric: a
 // coordinator that accepts simulation jobs over HTTP/JSON and hands
 // them to pull-based workers under a claim/lease protocol, with
-// bounded retries, checkpoint-carrying preemption, a fingerprint-keyed
+// bounded retries, hand-back preemption, a fingerprint-keyed
 // result cache, per-tenant admission control, a crash-only journal,
 // and graceful drain. The deterministic queue state machine underneath
 // lives in simserv/queue; this package owns everything with a clock,
@@ -42,18 +42,16 @@ type ClaimRequest struct {
 	Worker string `json:"worker"`
 }
 
-// ClaimResponse hands out one job under a fresh lease. Checkpoint,
-// when set, is a checkpoint file the worker must resume from instead
-// of starting the simulation from cycle zero. A 204 means no work.
+// ClaimResponse hands out one job under a fresh lease; the worker runs
+// it from cycle zero. A 204 means no work.
 type ClaimResponse struct {
 	JobID string          `json:"job_id"`
 	Token uint64          `json:"token"`
 	Spec  runspec.JobSpec `json:"spec"`
 	// LeaseNS is the lease duration in nanoseconds; the worker must
 	// renew well inside it or the reaper hands the job to someone else.
-	LeaseNS    int64  `json:"lease_ns"`
-	Checkpoint string `json:"checkpoint,omitempty"`
-	Attempt    int    `json:"attempt"`
+	LeaseNS int64 `json:"lease_ns"`
+	Attempt int   `json:"attempt"`
 }
 
 // RenewRequest extends a lease mid-run.
@@ -67,8 +65,8 @@ type RenewRequest struct {
 const (
 	// DirectiveOK: keep running.
 	DirectiveOK = "ok"
-	// DirectivePreempt: checkpoint now and hand the job back (drain or
-	// migration); keep renewing until the preempt report is accepted.
+	// DirectivePreempt: stop now and hand the job back (drain or
+	// migration); its next claim runs it from cycle zero.
 	DirectivePreempt = "preempt"
 	// DirectiveLost: the lease is gone (expired or superseded) — abandon
 	// the run; any report would be rejected as stale anyway.
@@ -109,12 +107,11 @@ type FailResponse struct {
 	Retried bool `json:"retried"`
 }
 
-// PreemptRequest hands a leased job back with an in-flight checkpoint.
+// PreemptRequest hands a leased job back to the queue.
 type PreemptRequest struct {
-	JobID      string `json:"job_id"`
-	Worker     string `json:"worker"`
-	Token      uint64 `json:"token"`
-	Checkpoint string `json:"checkpoint"`
+	JobID  string `json:"job_id"`
+	Worker string `json:"worker"`
+	Token  uint64 `json:"token"`
 }
 
 // JobStatus is one job's externally visible state.
@@ -125,7 +122,6 @@ type JobStatus struct {
 	Attempts    int           `json:"attempts"`
 	Retries     int           `json:"retries"`
 	Worker      string        `json:"worker,omitempty"`
-	Checkpoint  string        `json:"checkpoint,omitempty"`
 	Coalesced   string        `json:"coalesced_into,omitempty"`
 	LastError   string        `json:"last_error,omitempty"`
 	StallReport string        `json:"stall_report,omitempty"`
@@ -154,7 +150,6 @@ func statusOf(j *queue.Job) JobStatus {
 		Attempts:    j.Attempts,
 		Retries:     j.Retries,
 		Worker:      j.Worker,
-		Checkpoint:  j.Checkpoint,
 		Coalesced:   j.CoalescedInto,
 		LastError:   j.LastError,
 		StallReport: j.StallReport,

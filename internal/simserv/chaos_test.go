@@ -2,9 +2,7 @@ package simserv
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -15,8 +13,9 @@ import (
 )
 
 // The fabric chaos campaign: a seeded schedule of worker kills, lease
-// expiries, voluntary preemptions, duplicate (zombie) completion
-// attempts and one corrupted checkpoint, driven against a coordinator
+// expiries, voluntary preemptions (hand-backs the next claimant runs
+// from cycle zero) and duplicate (zombie) completion attempts, driven
+// against a coordinator
 // under a fake clock with real simulations underneath. The acceptance
 // bar: every job completes exactly once, every completed job reports
 // the bit-identical cycle count of an uninterrupted sequential
@@ -89,7 +88,6 @@ func runCampaign(t *testing.T, seed uint64) campaignOutcome {
 	workers := []*chaosWorker{{name: "cw1"}, {name: "cw2"}, {name: "cw3"}}
 	var zombies []*zombie
 	staleHits := 0
-	corruptedOnce := false
 
 	const slice = 25_000
 	allTerminal := func() bool {
@@ -124,19 +122,7 @@ func runCampaign(t *testing.T, seed uint64) campaignOutcome {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if claim.Checkpoint != "" {
-					if err := s.RestoreFile(claim.Checkpoint); err != nil {
-						// Corrupt or diverged checkpoint: the restore
-						// audit caught it; fail and retry from scratch.
-						if _, ferr := h.cl.Fail(FailRequest{
-							JobID: claim.JobID, Worker: w.name, Token: claim.Token,
-							Error: fmt.Sprintf("restore: %v", err),
-						}); ferr != nil {
-							t.Fatalf("fail report: %v", ferr)
-						}
-						continue
-					}
-				} else if err := s.Start(); err != nil {
+				if err := s.Start(); err != nil {
 					t.Fatal(err)
 				}
 				w.claim, w.sim = &claim, s
@@ -187,22 +173,7 @@ func runCampaign(t *testing.T, seed uint64) campaignOutcome {
 				zombies = append(zombies, &zombie{worker: w.name, claim: *w.claim, fuse: 2 + rng.intn(3)})
 				w.claim, w.sim = nil, nil
 			case roll < 90: // voluntary preemption (migration)
-				dir := fmt.Sprintf("%s/%s-r%d", h.coord.SpoolDir(), w.claim.JobID, round)
-				path, err := w.sim.WriteCheckpoint(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !corruptedOnce {
-					// Sabotage the first spooled checkpoint: the next
-					// claimant's restore must detect it and recover.
-					corruptedOnce = true
-					if err := os.Truncate(path, 100); err != nil {
-						t.Fatal(err)
-					}
-				}
-				err = h.cl.Preempt(PreemptRequest{
-					JobID: w.claim.JobID, Worker: w.name, Token: w.claim.Token, Checkpoint: path,
-				})
+				err := h.cl.Preempt(PreemptRequest{JobID: w.claim.JobID, Worker: w.name, Token: w.claim.Token})
 				if err != nil && !IsStatus(err, http.StatusConflict) {
 					t.Fatalf("preempt: %v", err)
 				}
@@ -333,8 +304,8 @@ func TestFabricChaosCampaign(t *testing.T) {
 	if out.counters.LeaseExpiries == 0 {
 		t.Error("campaign produced no lease expiries")
 	}
-	if out.counters.Preemptions == 0 || out.counters.Resumes == 0 {
-		t.Errorf("campaign produced no preemption/resume: %+v", out.counters)
+	if out.counters.Preemptions == 0 {
+		t.Errorf("campaign produced no preemption: %+v", out.counters)
 	}
 	if out.staleHits == 0 && out.counters.StaleOps == 0 {
 		t.Error("campaign produced no fenced stale operations")

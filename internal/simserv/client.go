@@ -126,7 +126,7 @@ func (c *Client) Fail(req FailRequest) (bool, error) {
 	return resp.Retried, err
 }
 
-// Preempt hands a job back with a checkpoint.
+// Preempt hands a job back to the queue.
 func (c *Client) Preempt(req PreemptRequest) error {
 	return c.post("/v1/preempt", req, nil)
 }

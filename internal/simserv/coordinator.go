@@ -25,7 +25,7 @@ type Options struct {
 	// Queue carries the state-machine knobs: Cap (admission), Lease,
 	// MaxRetries and Backoff, all durations in nanoseconds.
 	Queue queue.Config
-	// JournalDir roots the crash-only journal and checkpoint spool.
+	// JournalDir roots the crash-only journal.
 	JournalDir string
 	// TenantRate/TenantBurst shape per-tenant admission: a token
 	// bucket of TenantBurst capacity refilling at TenantRate
@@ -125,7 +125,6 @@ func (c *Coordinator) metrics() obs.Snapshot {
 			"fabric.dead.letters":   q.DeadLetters,
 			"fabric.stale.ops":      q.StaleOps,
 			"fabric.preemptions":    q.Preemptions,
-			"fabric.resumes":        q.Resumes,
 			"fabric.rejected.full":  q.RejectedFull,
 			"fabric.cache.hits":     c.cacheHits,
 			"fabric.cache.misses":   c.cacheMisses,
@@ -206,12 +205,11 @@ func (c *Coordinator) Draining() bool {
 	return c.draining
 }
 
-// Drain stops admission, asks every leased worker to checkpoint and
-// hand back (finish-or-checkpoint: a worker that completes first is
-// fine too), and waits until no lease remains or the timeout expires.
-// All queue state is journaled as it happens, so a drained coordinator
-// can stop and a successor resumes the queue, resuming preempted jobs
-// from their checkpoints.
+// Drain stops admission, asks every leased worker to hand its job back
+// (a worker that completes first is fine too), and waits until no lease
+// remains or the timeout expires. All queue state is journaled as it
+// happens, so a drained coordinator can stop and a successor takes the
+// queue over; a handed-back job runs again from cycle zero.
 func (c *Coordinator) Drain(timeout time.Duration) error {
 	c.mu.Lock()
 	start := c.now()
@@ -442,7 +440,7 @@ func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 	c.publish()
 	writeJSON(w, http.StatusOK, ClaimResponse{
 		JobID: j.ID, Token: token, Spec: spec,
-		LeaseNS: c.opt.Queue.Lease, Checkpoint: j.Checkpoint, Attempt: j.Attempts,
+		LeaseNS: c.opt.Queue.Lease, Attempt: j.Attempts,
 	})
 }
 
@@ -519,13 +517,9 @@ func (c *Coordinator) handlePreempt(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	if req.Checkpoint == "" {
-		writeErr(w, http.StatusBadRequest, "empty checkpoint path")
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.q.Preempt(req.JobID, req.Worker, req.Token, req.Checkpoint, c.now()); err != nil {
+	if err := c.q.Preempt(req.JobID, req.Worker, req.Token, c.now()); err != nil {
 		writeErr(w, http.StatusConflict, "%v", err)
 		return
 	}
@@ -554,7 +548,3 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		DrainMS:       c.drainDur / int64(time.Millisecond),
 	})
 }
-
-// SpoolDir returns the shared checkpoint spool directory workers
-// write preemption checkpoints into.
-func (c *Coordinator) SpoolDir() string { return c.jr.SpoolDir() }

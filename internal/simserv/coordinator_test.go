@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"sync"
@@ -409,20 +411,20 @@ func TestDrainPreemptsAndRejects(t *testing.T) {
 		t.Fatal("claim handed out during drain")
 	}
 
-	// The leased worker is told to checkpoint at its next renewal...
+	// The leased worker is told to hand back at its next renewal...
 	d, err := h.cl.Renew(claim.JobID, "w1", claim.Token)
 	if err != nil || d != DirectivePreempt {
 		t.Fatalf("renew during drain = %q, %v; want preempt", d, err)
 	}
 	// ...and its handoff completes the drain.
-	if err := h.cl.Preempt(PreemptRequest{JobID: claim.JobID, Worker: "w1", Token: claim.Token, Checkpoint: "/spool/x"}); err != nil {
+	if err := h.cl.Preempt(PreemptRequest{JobID: claim.JobID, Worker: "w1", Token: claim.Token}); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-drainErr; err != nil {
 		t.Fatal(err)
 	}
 	st, _ := h.cl.Job("running")
-	if st.State != "queued" || st.Checkpoint != "/spool/x" {
+	if st.State != "queued" || st.Retries != 0 {
 		t.Fatalf("preempted job = %+v", st)
 	}
 	stats, _ := h.cl.Stats()
@@ -431,11 +433,11 @@ func TestDrainPreemptsAndRejects(t *testing.T) {
 	}
 
 	// A successor coordinator on the same journal is not draining and
-	// resumes the preempted job from its checkpoint.
+	// hands the preempted job out again.
 	h.restart(nil)
 	claim2, ok, _ := h.cl.Claim("w3")
-	if !ok || claim2.Checkpoint != "/spool/x" {
-		t.Fatalf("resume claim after drained handover = %+v ok=%v", claim2, ok)
+	if !ok || claim2.JobID != "running" || claim2.Attempt != 2 {
+		t.Fatalf("claim after drained handover = %+v ok=%v", claim2, ok)
 	}
 }
 
@@ -540,7 +542,6 @@ func TestWorkerEndToEnd(t *testing.T) {
 	w := &Worker{
 		Client:      h.cl,
 		Name:        "e2e-w1",
-		Spool:       h.coord.SpoolDir(),
 		SliceCycles: 20_000,
 		Poll:        5 * time.Millisecond,
 	}
@@ -549,7 +550,7 @@ func TestWorkerEndToEnd(t *testing.T) {
 	go w.Run(ctx) //nolint:errcheck // returns nil on cancel
 
 	resp := h.submit(t, SubmitRequest{Spec: specSgemm})
-	// The fabric runs the same simulation, sliced and checkpointed, so
+	// The fabric runs the same simulation, sliced, so
 	// it takes about as long as the reference run did on this machine
 	// under these build flags (-race slows both about tenfold).
 	waitUntil(t, 5*refWall, func() bool {
@@ -562,5 +563,54 @@ func TestWorkerEndToEnd(t *testing.T) {
 	}
 	if st.Result.Committed != ref.Committed {
 		t.Fatalf("fabric committed %d != reference %d", st.Result.Committed, ref.Committed)
+	}
+}
+
+// parentPreemptedRecord is a journal record of a preempted sgemm job as
+// written before preemption handed jobs back without a checkpoint: it
+// still carries the removed "checkpoint" field, naming a spool file
+// that no longer exists.
+const parentPreemptedRecord = `{"id":"old","spec":"eyJiZW5jaG1hcmsiOiJzZ2VtbSIsInNjYWxlIjoxfQ==","key":"cfg0cf2943df5fa453a-specbf4cb3c4a9e8d11f","seq":1,"state":0,"attempts":1,"retries":0,"submitted":3600000000000,"token":1,"checkpoint":"/var/run/gpues/spool/old/att001-w1/ckpt-000000050000.ckpt"}`
+
+// TestOldJournalRecordRunsFromZero: a journal written by an older
+// coordinator, whose preempted job carries a checkpoint path, still
+// loads; the job is claimed like any queued one, runs from cycle zero,
+// and completes with the cycles of an uninterrupted run.
+func TestOldJournalRecordRunsFromZero(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	cfg, lspec, err := specSgemm.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := sim.RunSpec(cfg, lspec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	h := newHarness(t, nil)
+	if err := os.WriteFile(filepath.Join(h.dir, "jobs", "old.json"), []byte(parentPreemptedRecord), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	h.restart(nil)
+	if st, err := h.cl.Job("old"); err != nil || st.State != "queued" {
+		t.Fatalf("old record after restart = %+v, %v", st, err)
+	}
+	w := &Worker{Client: h.cl, Name: "w2", SliceCycles: 20_000, Poll: time.Millisecond}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go w.Run(ctx) //nolint:errcheck // returns nil on cancel
+	waitUntil(t, time.Minute, func() bool {
+		st, err := h.cl.Job("old")
+		return err == nil && st.State == "done"
+	})
+	st, _ := h.cl.Job("old")
+	if st.Result.Cycles != ref.Cycles || st.Result.Committed != ref.Committed {
+		t.Fatalf("old job finished with %d cycles, %d committed; uninterrupted run %d, %d",
+			st.Result.Cycles, st.Result.Committed, ref.Cycles, ref.Committed)
+	}
+	if st.Attempts != 2 || st.Retries != 0 {
+		t.Fatalf("old job attempts %d retries %d, want 2 and 0", st.Attempts, st.Retries)
 	}
 }

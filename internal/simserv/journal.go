@@ -31,9 +31,6 @@ func OpenJournal(dir string) (*Journal, error) {
 	return &Journal{dir: dir}, nil
 }
 
-// SpoolDir returns the shared checkpoint spool for preempted jobs.
-func (jr *Journal) SpoolDir() string { return filepath.Join(jr.dir, "spool") }
-
 func (jr *Journal) jobPath(id string) string {
 	return filepath.Join(jr.dir, "jobs", id+".json")
 }

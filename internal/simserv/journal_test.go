@@ -73,3 +73,35 @@ func TestOpenJournalValidation(t *testing.T) {
 		t.Fatal("empty dir accepted")
 	}
 }
+
+// FuzzJournalLoad: no record bytes panic Load, and a record either
+// loads under its own name (ID+".json") or lands in skipped.
+func FuzzJournalLoad(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		dir := t.TempDir()
+		jr, err := OpenJournal(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const name = "fuzz.json"
+		if err := os.WriteFile(filepath.Join(dir, "jobs", name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		jobs, skipped, err := jr.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case len(jobs) == 1 && len(skipped) == 0:
+			if jobs[0].ID+".json" != name {
+				t.Fatalf("loaded record %q from %s", jobs[0].ID, name)
+			}
+		case len(jobs) == 0 && len(skipped) == 1:
+			if skipped[0] != name {
+				t.Fatalf("skipped %q, want %s", skipped[0], name)
+			}
+		default:
+			t.Fatalf("one record gave %d jobs and skipped %v", len(jobs), skipped)
+		}
+	})
+}

@@ -2,7 +2,7 @@
 // heart of the simulation service: submission with a depth cap,
 // claim/lease handout, lease renewal and expiry, exactly-once
 // completion guarded by lease tokens, bounded retries with exponential
-// backoff and hashed jitter, checkpoint-carrying preemption handoff,
+// backoff and hashed jitter, preemption by hand-back and requeue,
 // singleflight coalescing of identical submissions, serving a
 // submission from an earlier done job with the same key (the result
 // cache), and a terminal dead-letter state carrying the last stall
@@ -101,13 +101,10 @@ type Job struct {
 	Worker      string `json:"worker,omitempty"`
 	Token       uint64 `json:"token,omitempty"`
 	LeaseExpiry int64  `json:"lease_expiry,omitempty"`
-	// PreemptRequested asks the worker to checkpoint and hand the job
-	// back at its next lease renewal (graceful drain / migration).
+	// PreemptRequested asks the worker to hand the job back at its
+	// next lease renewal (graceful drain / migration).
 	PreemptRequested bool `json:"preempt_requested,omitempty"`
 
-	// Checkpoint is the in-flight checkpoint path a preempted job
-	// resumes from on its next claim.
-	Checkpoint string `json:"checkpoint,omitempty"`
 	// CoalescedInto names the identical primary job this submission
 	// rides on (singleflight); followers are never claimed.
 	CoalescedInto string `json:"coalesced_into,omitempty"`
@@ -153,7 +150,6 @@ type Counters struct {
 	// stopped from becoming a duplicate completion.
 	StaleOps     int64
 	Preemptions  int64
-	Resumes      int64
 	RejectedFull int64
 }
 
@@ -333,9 +329,6 @@ func (q *Queue) Claim(worker string, now int64) (*Job, uint64, bool) {
 		j.Token = q.tokenSeq
 		j.LeaseExpiry = now + q.cfg.Lease
 		j.Attempts++
-		if j.Checkpoint != "" {
-			q.counts.Resumes++
-		}
 		return j, j.Token, true
 	}
 	return nil, 0, false
@@ -355,7 +348,7 @@ func (q *Queue) lease(id, worker string, token uint64) (*Job, error) {
 }
 
 // Renew extends the lease and reports whether the coordinator has
-// requested preemption (the worker should checkpoint and hand back).
+// requested preemption (the worker should hand the job back).
 func (q *Queue) Renew(id, worker string, token uint64, now int64) (preempt bool, err error) {
 	j, err := q.lease(id, worker, token)
 	if err != nil {
@@ -412,9 +405,7 @@ func (q *Queue) followers(primaryID string) []*Job {
 
 // Fail reports a failed attempt under a live lease: the job retries
 // with backoff, or dead-letters once retries are exhausted. stall, when
-// non-empty, is the rendered stall report to carry. A failure wipes
-// any checkpoint: a stalled or crashed attempt's state is suspect, so
-// the retry runs from scratch.
+// non-empty, is the rendered stall report to carry.
 func (q *Queue) Fail(id, worker string, token uint64, errMsg, stall string, now int64) (retried bool, err error) {
 	j, err := q.lease(id, worker, token)
 	if err != nil {
@@ -425,15 +416,13 @@ func (q *Queue) Fail(id, worker string, token uint64, errMsg, stall string, now 
 	if stall != "" {
 		j.StallReport = stall
 	}
-	j.Checkpoint = ""
 	return q.requeueOrBury(j, now), nil
 }
 
-// Preempt hands a leased job back with an in-flight checkpoint: the
-// next claim resumes at the exact checkpointed cycle on another
-// worker. Preemption is cooperative (not a failure): no retry is
-// consumed and no backoff applies.
-func (q *Queue) Preempt(id, worker string, token uint64, checkpoint string, now int64) error {
+// Preempt hands a leased job back to the queue: the next claim runs it
+// from cycle zero, on any worker. Preemption is cooperative (not a
+// failure): no retry is consumed and no backoff applies.
+func (q *Queue) Preempt(id, worker string, token uint64, now int64) error {
 	j, err := q.lease(id, worker, token)
 	if err != nil {
 		return err
@@ -443,7 +432,6 @@ func (q *Queue) Preempt(id, worker string, token uint64, checkpoint string, now 
 	j.LeaseExpiry = 0
 	j.NotBefore = 0
 	j.PreemptRequested = false
-	j.Checkpoint = checkpoint
 	q.counts.Preemptions++
 	return nil
 }
@@ -477,9 +465,6 @@ func (q *Queue) ExpireLeases(now int64) []*Job {
 		} else {
 			j.LastError = fmt.Sprintf("lease expired on worker %s (previous: %s)", j.Worker, j.LastError)
 		}
-		// A mid-run checkpoint from the dead worker's attempt is still
-		// trustworthy — restore audits its digests against a
-		// replay, so a corrupt one fails the next attempt cleanly.
 		q.requeueOrBury(j, now)
 		out = append(out, j)
 	}

@@ -2,6 +2,7 @@ package queue
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -120,6 +121,9 @@ func TestLeaseExpiryFencesOldWorker(t *testing.T) {
 	exp := q.ExpireLeases(102)
 	if len(exp) != 1 || exp[0].ID != "a" || exp[0].State != Queued {
 		t.Fatalf("expiry = %+v", exp)
+	}
+	if !strings.Contains(exp[0].LastError, "lease expired on worker w1") {
+		t.Fatalf("expiry recorded no cause: %q", exp[0].LastError)
 	}
 
 	// w1 is still running and reports late: fenced.
@@ -391,10 +395,10 @@ func TestPreemptAndResume(t *testing.T) {
 		t.Fatalf("renew did not extend lease: %d", j.LeaseExpiry)
 	}
 
-	if err := q.Preempt("a", "w1", tok, "/spool/a/ckpt-000050000.ckpt", 12); err != nil {
+	if err := q.Preempt("a", "w1", tok, 12); err != nil {
 		t.Fatal(err)
 	}
-	if j.State != Queued || j.Checkpoint == "" || j.NotBefore != 0 || j.PreemptRequested {
+	if j.State != Queued || j.NotBefore != 0 || j.PreemptRequested {
 		t.Fatalf("after preempt: %+v", j)
 	}
 	// No retry consumed: preemption is cooperative.
@@ -402,40 +406,13 @@ func TestPreemptAndResume(t *testing.T) {
 		t.Fatalf("preempt consumed a retry: %+v", j)
 	}
 
-	// Immediately claimable; resume counted; checkpoint visible to claimant.
+	// Requeued with no backoff: immediately claimable under a new token.
 	j2, tok2, ok := q.Claim("w2", 13)
-	if !ok || j2.Checkpoint != "/spool/a/ckpt-000050000.ckpt" || tok2 == tok {
-		t.Fatalf("resume claim: %+v tok=%d", j2, tok2)
+	if !ok || j2.ID != "a" || tok2 == tok || j2.Attempts != 2 || j2.Retries != 0 {
+		t.Fatalf("claim after preempt: %+v tok=%d", j2, tok2)
 	}
-	c := q.Counters()
-	if c.Preemptions != 1 || c.Resumes != 1 {
+	if c := q.Counters(); c.Preemptions != 1 {
 		t.Fatalf("counters = %+v", c)
-	}
-
-	// A failure wipes the checkpoint: retries run from scratch.
-	if _, err := q.Fail("a", "w2", tok2, "divergence", "", 14); err != nil {
-		t.Fatal(err)
-	}
-	if j2.Checkpoint != "" {
-		t.Fatalf("failed job kept checkpoint: %+v", j2)
-	}
-}
-
-func TestExpiryKeepsCheckpoint(t *testing.T) {
-	q := New(testCfg())
-	submit(t, q, "a", 1)
-	_, tok, _ := q.Claim("w1", 2)
-	if err := q.Preempt("a", "w1", tok, "/spool/ck", 3); err != nil {
-		t.Fatal(err)
-	}
-	j, tok2, _ := q.Claim("w2", 4)
-	_ = tok2
-	q.ExpireLeases(4 + testCfg().Lease)
-	if j.Checkpoint != "/spool/ck" {
-		t.Fatalf("expiry wiped checkpoint: %+v", j)
-	}
-	if j.LastError == "" {
-		t.Fatal("expiry recorded no cause")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"time"
 
 	"gpues/internal/sim"
@@ -26,16 +25,12 @@ type RunMetrics struct {
 // Worker pulls jobs from a coordinator and simulates them. Execution
 // is sliced: the simulator advances SliceCycles at a time and the
 // lease is renewed between slices, so a preemption request (drain,
-// migration) is honored within one slice by checkpointing into the
-// spool and handing the job back.
+// migration) is honored within one slice by handing the job back; its
+// next claim runs it from cycle zero.
 type Worker struct {
 	Client *Client
 	// Name identifies this worker in leases and results.
 	Name string
-	// Spool is the shared checkpoint spool directory (the
-	// coordinator's SpoolDir when co-located; any shared path
-	// otherwise).
-	Spool string
 	// SliceCycles is the renewal granularity in cycles; must be positive.
 	SliceCycles int64
 	// Poll is the idle claim interval; must be positive.
@@ -52,7 +47,7 @@ func (w *Worker) logf(format string, args ...any) {
 
 // Run claims and executes jobs until ctx is canceled. Transport errors
 // back off to the poll interval: the worker rides out a coordinator
-// restart and resumes claiming from the recovered queue.
+// restart and goes on claiming from the recovered queue.
 func (w *Worker) Run(ctx context.Context) error {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -94,25 +89,15 @@ func (w *Worker) runJob(ctx context.Context, claim ClaimResponse) {
 		w.fail(claim, err)
 		return
 	}
-	if claim.Checkpoint != "" {
-		// Resume the preempted run. RestoreFile replays to the
-		// checkpoint cycle and compares every component's digest, so a
-		// corrupt or mismatched checkpoint surfaces here as a
-		// DivergenceError; Fail wipes it and the retry starts clean.
-		if err := s.RestoreFile(claim.Checkpoint); err != nil {
-			w.fail(claim, fmt.Errorf("restore %s: %w", claim.Checkpoint, err))
-			return
-		}
-		w.logf("worker %s: resumed %s from %s at cycle %d", w.Name, claim.JobID, claim.Checkpoint, s.Cycle())
-	} else if err := s.Start(); err != nil {
+	if err := s.Start(); err != nil {
 		w.fail(claim, err)
 		return
 	}
 
 	for {
 		if ctx.Err() != nil {
-			// Shutting down without a checkpoint: let the lease lapse,
-			// the reaper requeues the job.
+			// Shutting down: let the lease lapse, the reaper requeues
+			// the job.
 			return
 		}
 		reached, err := s.StepTo(s.Cycle() + w.SliceCycles)
@@ -175,18 +160,10 @@ func (w *Worker) complete(claim ClaimResponse, res *sim.Result) {
 }
 
 func (w *Worker) preempt(claim ClaimResponse, s *sim.Simulator) {
-	dir := filepath.Join(w.Spool, claim.JobID, fmt.Sprintf("att%03d-%s", claim.Attempt, w.Name))
-	path, err := s.WriteCheckpoint(dir)
-	if err != nil {
-		w.fail(claim, fmt.Errorf("preempt checkpoint: %w", err))
-		return
-	}
-	err = w.Client.Preempt(PreemptRequest{
-		JobID: claim.JobID, Worker: w.Name, Token: claim.Token, Checkpoint: path,
-	})
+	err := w.Client.Preempt(PreemptRequest{JobID: claim.JobID, Worker: w.Name, Token: claim.Token})
 	if err != nil {
 		w.logf("worker %s: preempt handoff of %s rejected: %v", w.Name, claim.JobID, err)
 		return
 	}
-	w.logf("worker %s: preempted %s at cycle %d -> %s", w.Name, claim.JobID, s.Cycle(), path)
+	w.logf("worker %s: preempted %s at cycle %d", w.Name, claim.JobID, s.Cycle())
 }
