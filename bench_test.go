@@ -135,11 +135,11 @@ func itoa(v int) string {
 // BenchmarkTable2 computes the operand log area/power overheads.
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := gpues.Table2()
+		doc, err := gpues.RunExperiments([]string{"table2"}, gpues.ExperimentOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rows) != 4 {
+		if rows := doc.Sections[0].Table2; len(rows) != 4 {
 			b.Fatalf("rows = %d", len(rows))
 		}
 	}

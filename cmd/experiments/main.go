@@ -6,7 +6,7 @@
 //	experiments -run all
 //	experiments -run fig10,fig11 -scale 1
 //	experiments -run fig12 -scale 2 -progress
-//	experiments -run table2
+//	experiments -run table1,table2,fig10 -bench mri-q -json
 package main
 
 import (
@@ -17,18 +17,19 @@ import (
 	"strings"
 
 	"gpues"
+	"gpues/internal/experiments"
 	"gpues/internal/obsrv"
 	"gpues/internal/prof"
 )
 
 func main() {
 	var (
-		run       = flag.String("run", "all", "comma-separated: table1, fig10, fig11, table2, fig12, fig13, fig14, scalability, ablations, chaos, resilience, all (chaos and resilience are not part of all)")
+		run       = flag.String("run", "all", "comma-separated experiments: "+experiments.Usage())
 		scale     = flag.Int("scale", 0, "dataset scale (0 = per-figure default: 1 for fig10/11/14, 2 for fig12/13)")
 		benches   = flag.String("bench", "", "comma-separated benchmark subset (default: the figure's full suite)")
 		progress  = flag.Bool("progress", false, "print one line per completed simulation")
 		par       = flag.Int("j", 0, "parallel simulations (0 = GOMAXPROCS)")
-		asJSON    = flag.Bool("json", false, "emit results as JSON instead of tables")
+		asJSON    = flag.Bool("json", false, "emit one JSON document instead of tables")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		traceDir  = flag.String("trace-dir", "", "write one Chrome trace JSON per simulation into this directory")
@@ -74,6 +75,11 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	names := strings.Split(*run, ",")
+	if err := experiments.Check(names); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	stopProf, err := prof.StartCPU(*cpuProf)
 	if err != nil {
@@ -81,13 +87,14 @@ func main() {
 		os.Exit(1)
 	}
 
-	opt := gpues.ExperimentOptions{Scale: *scale, Parallelism: *par,
+	opt := experiments.Options{Scale: *scale, Parallelism: *par,
 		TraceDir: *traceDir, TraceFilter: *traceFlt, ResumeDir: *resumeDir,
 		Trials: *trials, FlipSeed: *flipSeed, FlipRate: *flipRate,
 		ProtectPin: *protectN >= 0, ProtectThreads: max(*protectN, 0),
 		ExcepMode: mode}
+	var srv *obsrv.Server
 	if *httpAddr != "" {
-		srv := obsrv.New(*httpAddr)
+		srv = obsrv.New(*httpAddr)
 		bound, err := srv.Start()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -95,7 +102,16 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "serving http://%s\n", bound)
 		defer srv.Close()
-		opt.CampaignProgress = srv.SetCampaign
+	}
+	if *progress || srv != nil {
+		opt.Progress = func(done, total int, line string) {
+			if *progress {
+				fmt.Fprintln(os.Stderr, line)
+			}
+			if srv != nil {
+				srv.SetCampaign(done, total, line)
+			}
+		}
 	}
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
@@ -106,133 +122,24 @@ func main() {
 	if *benches != "" {
 		opt.Benchmarks = strings.Split(*benches, ",")
 	}
-	if *progress {
-		opt.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
-	}
 
-	want := map[string]bool{}
-	for _, r := range strings.Split(*run, ",") {
-		want[strings.TrimSpace(r)] = true
-	}
-	all := want["all"]
-
-	// Per-figure default scales: the pipeline studies converge at scale
-	// 1; the use cases need larger datasets for sustained fault streams.
-	withScale := func(def int) gpues.ExperimentOptions {
-		o := opt
-		if o.Scale == 0 {
-			o.Scale = def
+	doc, err := experiments.Run(names, opt)
+	stopProf()
+	// A failed campaign still shows every section that finished.
+	if *asJSON {
+		b, jerr := json.MarshalIndent(doc, "", "  ")
+		if jerr != nil {
+			fmt.Fprintln(os.Stderr, jerr)
+			os.Exit(1)
 		}
-		return o
+		fmt.Println(string(b))
+	} else {
+		fmt.Print(doc.String())
 	}
-
-	fail := func(err error) {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		stopProf()
 		os.Exit(1)
 	}
-	show := func(r *gpues.ExperimentResult) {
-		if *asJSON {
-			b, err := json.MarshalIndent(r, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			fmt.Println(string(b))
-			return
-		}
-		fmt.Println(r.String())
-	}
-
-	if all || want["table1"] {
-		fmt.Println(gpues.Table1())
-	}
-	if all || want["fig10"] {
-		r, err := gpues.Figure10(withScale(1))
-		if err != nil {
-			fail(err)
-		}
-		show(r)
-	}
-	if all || want["fig11"] {
-		r, err := gpues.Figure11(withScale(1))
-		if err != nil {
-			fail(err)
-		}
-		show(r)
-	}
-	if all || want["table2"] {
-		rows, err := gpues.Table2()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("table2 — Operand logging overheads")
-		fmt.Printf("%-8s %10s %10s %10s %10s\n", "log", "SM area", "GPU area", "SM power", "GPU power")
-		for _, r := range rows {
-			fmt.Printf("%-8s %9.2f%% %9.2f%% %9.2f%% %9.2f%%\n",
-				fmt.Sprintf("%d KB", r.LogKB), r.SMAreaPct, r.GPUAreaPct, r.SMPowerPct, r.GPUPowerPct)
-		}
-		fmt.Println()
-	}
-	if all || want["fig12"] {
-		r, err := gpues.Figure12(withScale(2))
-		if err != nil {
-			fail(err)
-		}
-		show(r)
-	}
-	if all || want["fig13"] {
-		r, err := gpues.Figure13(withScale(2))
-		if err != nil {
-			fail(err)
-		}
-		show(r)
-	}
-	if all || want["fig14"] {
-		r, err := gpues.Figure14(withScale(1))
-		if err != nil {
-			fail(err)
-		}
-		show(r)
-	}
-	if all || want["scalability"] || want["scal"] {
-		r, err := gpues.SchemeScalability(withScale(1))
-		if err != nil {
-			fail(err)
-		}
-		show(r)
-		r, err = gpues.LocalHandlingScalability(withScale(1))
-		if err != nil {
-			fail(err)
-		}
-		show(r)
-	}
-	if all || want["ablations"] {
-		rs, err := gpues.RunAblations(withScale(1))
-		if err != nil {
-			fail(err)
-		}
-		for _, r := range rs {
-			show(r)
-		}
-	}
-	// Not part of "all": a robustness sweep, not a paper figure.
-	if want["chaos"] {
-		r, err := gpues.ChaosSweep(withScale(1))
-		if err != nil {
-			fail(err)
-		}
-		show(r)
-	}
-	// Not part of "all": the bit-flip resilience campaign.
-	if want["resilience"] {
-		r, err := gpues.ResilienceSweep(withScale(1))
-		if err != nil {
-			fail(err)
-		}
-		show(r)
-	}
-
-	stopProf()
 	if err := prof.WriteHeap(*memProf); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -375,60 +375,21 @@ const (
 // ExperimentOptions configures a figure/table regeneration.
 type ExperimentOptions = experiments.Options
 
-// ExperimentResult is one regenerated figure or table.
+// ExperimentResult is one regenerated figure, sweep or ablation.
 type ExperimentResult = experiments.Result
 
-// Figure10 regenerates the warp-disable / replay-queue comparison.
-func Figure10(opt ExperimentOptions) (*ExperimentResult, error) { return experiments.Fig10(opt) }
-
-// Figure11 regenerates the operand log size sweep.
-func Figure11(opt ExperimentOptions) (*ExperimentResult, error) { return experiments.Fig11(opt) }
-
-// Figure12 regenerates thread block switching under demand paging.
-func Figure12(opt ExperimentOptions) (*ExperimentResult, error) { return experiments.Fig12(opt) }
-
-// Figure13 regenerates local handling of dynamic-allocation faults.
-func Figure13(opt ExperimentOptions) (*ExperimentResult, error) { return experiments.Fig13(opt) }
-
-// Figure14 regenerates local handling of output-page faults.
-func Figure14(opt ExperimentOptions) (*ExperimentResult, error) { return experiments.Fig14(opt) }
-
-// SchemeScalability sweeps the GPU size for the exception schemes
-// (the Section 5.5 discussion as an experiment).
-func SchemeScalability(opt ExperimentOptions) (*ExperimentResult, error) {
-	return experiments.SchemeScalability(opt)
-}
-
-// LocalHandlingScalability sweeps the GPU size for use case 2.
-func LocalHandlingScalability(opt ExperimentOptions) (*ExperimentResult, error) {
-	return experiments.LocalHandlingScalability(opt)
-}
-
-// ChaosSweep runs the preemptible schemes under deterministic fault
-// injection and reports the slowdown over clean runs; every chaos run
-// is checked against the functional oracle.
-func ChaosSweep(opt ExperimentOptions) (*ExperimentResult, error) {
-	return experiments.Chaos(opt)
-}
-
-// ResilienceSweep runs the bit-flip resilience campaign: seeded trials
-// per benchmark and thread-protection level, each classified by the
-// functional oracle into masked / sdc / exception / crash / hang.
-func ResilienceSweep(opt ExperimentOptions) (*ExperimentResult, error) {
-	return experiments.Resilience(opt)
-}
-
-// RunAblations sweeps the design parameters (switch threshold, extra
-// block budget, handler concurrency, fault granularity).
-func RunAblations(opt ExperimentOptions) ([]*ExperimentResult, error) {
-	return experiments.Ablations(opt)
-}
-
-// Table1 renders the simulation parameters.
-func Table1() string { return experiments.Table1() }
+// ExperimentDocument is every table and result one RunExperiments
+// produced, in run order; String renders the text tables, and it
+// marshals to one JSON document.
+type ExperimentDocument = experiments.Document
 
 // LogOverheads is one row of Table 2 (operand log area/power).
 type LogOverheads = cacti.Overheads
 
-// Table2 computes the operand log area and power overheads.
-func Table2() ([]LogOverheads, error) { return cacti.Table2() }
+// RunExperiments regenerates the named tables and figures of the
+// paper's evaluation in the paper's order. The names are those the
+// experiments command lists for -run. An unknown name fails before any
+// simulation; a failed run returns the sections that finished.
+func RunExperiments(names []string, opt ExperimentOptions) (*ExperimentDocument, error) {
+	return experiments.Run(names, opt)
+}

@@ -47,16 +47,20 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 }
 
 func TestPublicTables(t *testing.T) {
-	t1 := gpues.Table1()
+	doc, err := gpues.RunExperiments([]string{"table1", "table2"}, gpues.ExperimentOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Sections) != 2 {
+		t.Fatalf("sections = %+v, want table1 and table2", doc.Sections)
+	}
+	t1 := doc.String()
 	for _, want := range []string{"16 SMs", "64 max warps", "256 KB RF", "walkers"} {
 		if !strings.Contains(strings.ToLower(t1), strings.ToLower(want)) {
 			t.Errorf("Table1 output missing %q:\n%s", want, t1)
 		}
 	}
-	rows, err := gpues.Table2()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := doc.Sections[1].Table2
 	if len(rows) != 4 || rows[1].LogKB != 16 {
 		t.Errorf("Table2 rows = %+v", rows)
 	}
@@ -66,10 +70,14 @@ func TestPublicFigureSlice(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	r, err := gpues.Figure10(gpues.ExperimentOptions{Scale: 1, Benchmarks: []string{"mri-q"}})
+	doc, err := gpues.RunExperiments([]string{"fig10"}, gpues.ExperimentOptions{Benchmarks: []string{"mri-q"}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(doc.Sections) != 1 || len(doc.Sections[0].Results) != 1 {
+		t.Fatalf("sections = %+v, want one fig10 result", doc.Sections)
+	}
+	r := doc.Sections[0].Results[0]
 	if len(r.Rows) != 1 || r.Rows[0].Benchmark != "mri-q" {
 		t.Fatalf("rows = %+v", r.Rows)
 	}
@@ -77,7 +85,7 @@ func TestPublicFigureSlice(t *testing.T) {
 	if v <= 0 || v > 1.05 {
 		t.Errorf("wd-commit relative perf = %v, want (0, 1.05]", v)
 	}
-	if !strings.Contains(r.String(), "geomean") {
+	if !strings.Contains(doc.String(), "geomean") {
 		t.Error("rendered result missing geomean row")
 	}
 }

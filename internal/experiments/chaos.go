@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"gpues/internal/chaos"
 	"gpues/internal/config"
@@ -14,24 +13,13 @@ import (
 // timing noise without degenerating into a pure fault storm.
 const chaosLevel = 2
 
-// chaosSeed derives a stable per-cell seed so the sweep is reproducible
-// run to run.
-func chaosSeed(bench, col string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(bench))
-	h.Write([]byte{0})
-	h.Write([]byte(col))
-	return int64(h.Sum64() & 0x7fffffffffffffff)
-}
-
-// Chaos sweeps the preemptible schemes under deterministic fault
+// chaosSweep sweeps the preemptible schemes under deterministic fault
 // injection: each benchmark runs demand paging with block switching,
 // once clean and once under a level-2 chaos plan. The reported metric
 // is the chaos run's slowdown over the clean run; every run is checked
 // against the functional oracle and the structural invariants, so the
 // sweep doubles as a restartability regression test.
-func Chaos(opt Options) (*Result, error) {
-	opt = opt.normalize()
+func chaosSweep(opt Options) (*Result, error) {
 	benches := opt.parboil()
 	res := &Result{
 		ID:     "chaos",
@@ -50,7 +38,7 @@ func Chaos(opt Options) (*Result, error) {
 			cfg.Scheme = scheme
 			cfg.DemandPaging = true
 			cfg.Scheduler.Enabled = true
-			plan, err := chaos.ForLevel(chaosLevel, chaosSeed(bench, col))
+			plan, err := chaos.ForLevel(chaosLevel, cellSeed(bench, col))
 			if err != nil {
 				return nil, err
 			}

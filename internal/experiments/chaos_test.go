@@ -22,7 +22,7 @@ func chaosJob(t *testing.T, bench string, s config.Scheme, stormy bool) job {
 	cfg.Scheduler.Enabled = true
 	j := job{row: bench, col: s.String() + "-clean", bench: bench, cfg: cfg, place: workloads.DemandPaging(), oracle: true}
 	if stormy {
-		plan, err := chaos.ForLevel(chaosLevel, chaosSeed(bench, s.String()))
+		plan, err := chaos.ForLevel(chaosLevel, cellSeed(bench, s.String()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func TestChaosKillAndResume(t *testing.T) {
 	dir := t.TempDir()
 	opt := Options{Scale: 1, Benchmarks: []string{"mri-q"}, ResumeDir: dir}
 
-	first, err := Chaos(opt)
+	first, err := chaosSweep(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +69,8 @@ func TestChaosKillAndResume(t *testing.T) {
 	}
 
 	var lines []string
-	opt.Progress = func(s string) { lines = append(lines, s) }
-	second, err := Chaos(opt)
+	opt.Progress = func(_, _ int, s string) { lines = append(lines, s) }
+	second, err := chaosSweep(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestChaosKillAndResume(t *testing.T) {
 
 	// A third pass must skip everything.
 	lines = nil
-	if _, err := Chaos(opt); err != nil {
+	if _, err := chaosSweep(opt); err != nil {
 		t.Fatal(err)
 	}
 	if skipped := countSkipped(lines); skipped != 8 {
@@ -98,7 +98,7 @@ func TestChaosTraceDir(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	dir := t.TempDir()
-	if _, err := Chaos(Options{Scale: 1, Benchmarks: []string{"mri-q"}, TraceDir: dir, TraceFilter: "fault"}); err != nil {
+	if _, err := chaosSweep(Options{Scale: 1, Benchmarks: []string{"mri-q"}, TraceDir: dir, TraceFilter: "fault"}); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []config.Scheme{config.WarpDisableCommit, config.WarpDisableLastCheck, config.ReplayQueue, config.OperandLog} {
@@ -129,7 +129,7 @@ func TestChaosHalfRecordKeyedByPlan(t *testing.T) {
 	}
 	var lines []string
 	opt := Options{Scale: 1, ResumeDir: t.TempDir(),
-		Progress: func(s string) { lines = append(lines, s) }}.normalize()
+		Progress: func(_, _ int, s string) { lines = append(lines, s) }}.normalize()
 	// Plant a record of the same half under another plan's key.
 	other := j
 	pc := *j.chaos

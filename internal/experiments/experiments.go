@@ -3,10 +3,13 @@
 // (Figures 10 and 11), the operand log overheads (Table 2), thread
 // block switching under demand paging (Figure 12) and GPU-local fault
 // handling (Figures 13 and 14). Table 1 is the configuration itself.
+// Run executes entries of one catalogue by name and returns one
+// Document, which renders as text or marshals as JSON.
 package experiments
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -36,9 +39,12 @@ type Options struct {
 	Benchmarks []string
 	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
 	Parallelism int
-	// Progress, when set, receives one line per completed run (never
-	// two calls at once).
-	Progress func(string)
+	// Progress, when set, receives (done, total, line) after every
+	// finished simulation of a campaign: a figure run, a clean or chaos
+	// half of the chaos sweep, or a resilience trial. Calls never
+	// overlap. The live introspection server's SetCampaign has this
+	// shape.
+	Progress func(done, total int, line string)
 	// TraceDir, when set, writes one Chrome trace JSON per simulation
 	// into the directory as <bench>-<column>.trace.json.
 	TraceDir string
@@ -75,11 +81,6 @@ type Options struct {
 	// (the zero value is precise; preemptible switches trials to the
 	// replay-queue scheme).
 	ExcepMode excep.Mode
-	// CampaignProgress, when set, receives (done, total, line) after
-	// every finished simulation: a figure run, a clean or chaos half of
-	// the chaos sweep, or a resilience trial. The live introspection
-	// server's SetCampaign has exactly this shape.
-	CampaignProgress func(done, total int, last string)
 }
 
 func (o Options) normalize() Options {
@@ -195,12 +196,12 @@ func (j job) key(spec sim.LaunchSpec) string {
 
 // runAll runs the jobs on Options.Parallelism workers and returns what
 // each measured, keyed by row and column: its cycles, or a trial's
-// excep.Outcome. Every finished job is reported to Progress and
-// CampaignProgress, one call at a time. With Options.ResumeDir set, a
-// job whose record exists is not simulated and a finished job is
-// recorded, so a killed campaign re-invoked with the same options
-// continues where it stopped.
+// excep.Outcome. Every finished job is reported to Progress, one call
+// at a time. With Options.ResumeDir set, a job whose record exists is
+// not simulated and a finished job is recorded, so a killed campaign
+// re-invoked with the same options continues where it stopped.
 func runAll(opt Options, jobs []job) (map[string]map[string]int64, error) {
+	opt = opt.normalize()
 	vals := make([]int64, len(jobs))
 	errs := make([]error, len(jobs))
 	next := make(chan int)
@@ -222,10 +223,7 @@ func runAll(opt Options, jobs []job) (map[string]map[string]int64, error) {
 				mu.Lock()
 				done++
 				if opt.Progress != nil {
-					opt.Progress(line)
-				}
-				if opt.CampaignProgress != nil {
-					opt.CampaignProgress(done, len(jobs), line)
+					opt.Progress(done, len(jobs), line)
 				}
 				mu.Unlock()
 			}
@@ -357,6 +355,17 @@ func (o Options) runOne(j job, spec sim.LaunchSpec) (cycles int64, note string, 
 	return r.Cycles, note, nil
 }
 
+// cellSeed derives a stable seed for one cell of a seeded sweep (the
+// chaos plan, the resilience campaign's base flip seed), so the sweep
+// is reproducible run to run.
+func cellSeed(bench, label string) int64 {
+	h := fnv.New64a()
+	h.Write([]byte(bench))
+	h.Write([]byte{0})
+	h.Write([]byte(label))
+	return int64(h.Sum64() & 0x7fffffffffffffff)
+}
+
 // at names one run of a campaign by its row and column labels.
 type at struct{ row, col string }
 
@@ -397,11 +406,10 @@ func (o Options) parboil() []string {
 	return workloads.Names("parboil")
 }
 
-// Fig10 regenerates Figure 10: performance of wd-commit, wd-lastcheck
+// fig10 regenerates Figure 10: performance of wd-commit, wd-lastcheck
 // and replay-queue relative to the stall-on-fault baseline on
 // fault-free (fully resident) runs.
-func Fig10(opt Options) (*Result, error) {
-	opt = opt.normalize()
+func fig10(opt Options) (*Result, error) {
 	benches := opt.parboil()
 	schemes := []config.Scheme{
 		config.Baseline, config.WarpDisableCommit,
@@ -424,10 +432,9 @@ func Fig10(opt Options) (*Result, error) {
 		sorted(benches), cycles, func(row, col string) (at, at) { return at{row, "baseline"}, at{row, col} }), nil
 }
 
-// Fig11 regenerates Figure 11: operand log performance at 8, 16, 20 and
+// fig11 regenerates Figure 11: operand log performance at 8, 16, 20 and
 // 32 KB log sizes, relative to the baseline.
-func Fig11(opt Options) (*Result, error) {
-	opt = opt.normalize()
+func fig11(opt Options) (*Result, error) {
 	benches := opt.parboil()
 	var jobs []job
 	for _, bench := range benches {
@@ -456,12 +463,11 @@ type link struct {
 
 var links = []link{{"nvlink", config.NVLinkConfig()}, {"pcie", config.PCIeConfig()}}
 
-// Fig12 regenerates Figure 12: speedup from thread block switching on
+// fig12 regenerates Figure 12: speedup from thread block switching on
 // fault under on-demand paging, for NVLink and PCIe, with normal and
 // ideal (1-cycle) context switching; relative to the same system
 // without switching.
-func Fig12(opt Options) (*Result, error) {
-	opt = opt.normalize()
+func fig12(opt Options) (*Result, error) {
 	benches := opt.parboil()
 	var jobs []job
 	for _, bench := range benches {
@@ -519,11 +525,10 @@ func localHandlingFigure(opt Options, id, title string, benches []string) (*Resu
 		sorted(benches), cycles, func(row, col string) (at, at) { return at{row, col + "-cpu"}, at{row, col + "-gpu"} }), nil
 }
 
-// Fig13 regenerates Figure 13: local handling of faults to pages
+// fig13 regenerates Figure 13: local handling of faults to pages
 // backing dynamic (device-malloc) allocations, on the Halloc suite and
 // the quad-tree port.
-func Fig13(opt Options) (*Result, error) {
-	opt = opt.normalize()
+func fig13(opt Options) (*Result, error) {
 	benches := opt.Benchmarks
 	if len(benches) == 0 {
 		benches = append(workloads.Names("halloc"), workloads.Names("sdk")...)
@@ -532,30 +537,9 @@ func Fig13(opt Options) (*Result, error) {
 		"Local handling of faults to dynamically allocated pages", benches)
 }
 
-// Fig14 regenerates Figure 14: local handling of faults to kernel
+// fig14 regenerates Figure 14: local handling of faults to kernel
 // output pages across the Parboil suite.
-func Fig14(opt Options) (*Result, error) {
-	opt = opt.normalize()
+func fig14(opt Options) (*Result, error) {
 	return localHandlingFigure(opt, "fig14",
 		"Local handling of faults to output pages", opt.parboil())
-}
-
-// Table1 renders the simulation parameters (the paper's Table 1).
-func Table1() string {
-	c := config.Default()
-	var sb strings.Builder
-	sb.WriteString("Table 1 — Simulation parameters\n")
-	fmt.Fprintf(&sb, "SM:      %.0f GHz, %d max TBs, %d max warps, %d KB RF, %d KB shared\n",
-		c.System.FrequencyGHz, c.SM.MaxThreadBlocks, c.SM.MaxWarps, c.SM.RegisterFileKB, c.SM.SharedMemoryKB)
-	fmt.Fprintf(&sb, "Issue:   %d instructions from up to %d warps; %d math, %d SFU, %d ld/st, %d branch units\n",
-		c.SM.IssueWidth, c.SM.IssueWarps, c.SM.MathUnits, c.SM.SpecialUnits, c.SM.LoadStore, c.SM.BranchUnits)
-	fmt.Fprintf(&sb, "L1:      %d KB / %d-way / %d B lines, %d MSHRs, %d clk; L1 TLB %d entries / %d-way\n",
-		c.SM.L1SizeKB, c.SM.L1Ways, c.SM.L1LineB, c.SM.L1MSHRs, c.SM.L1Latency, c.SM.L1TLBSize, c.SM.L1TLBWays)
-	fmt.Fprintf(&sb, "System:  %d SMs; L2 %d KB / %d-way, %d clk, %d MSHRs; L2 TLB %d entries, %d MSHRs, %d clk\n",
-		c.System.NumSMs, c.System.L2SizeKB, c.System.L2Ways, c.System.L2Latency, c.System.L2MSHRs,
-		c.System.L2TLBEntries, c.System.L2TLBMSHRs, c.System.L2TLBLatency)
-	fmt.Fprintf(&sb, "Walkers: %d page table walkers, %d clk walks\n", c.System.PTWalkers, c.System.WalkLatency)
-	fmt.Fprintf(&sb, "DRAM:    %.0f GB/s, %d clk; pages %d B, fault handling granularity %d KB\n",
-		c.System.DRAMBandwidthGBs, c.System.DRAMLatency, c.System.PageSize, c.System.FaultGranularity/1024)
-	return sb.String()
 }

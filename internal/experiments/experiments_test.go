@@ -18,7 +18,7 @@ func TestFig10SubsetShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	r, err := Fig10(Options{Scale: 1, Benchmarks: []string{"mri-q"}})
+	r, err := fig10(Options{Scale: 1, Benchmarks: []string{"mri-q"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestFig13SubsetRouting(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	r, err := Fig13(Options{Scale: 1, Benchmarks: []string{"halloc-spree"}})
+	r, err := fig13(Options{Scale: 1, Benchmarks: []string{"halloc-spree"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,28 +65,33 @@ func TestProgressCallback(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	var lines []string
-	_, err := Fig10(Options{
+	_, err := fig10(Options{
 		Scale:      1,
 		Benchmarks: []string{"mri-q"},
-		Progress:   func(s string) { lines = append(lines, s) },
+		Progress: func(done, total int, s string) {
+			// 4 schemes = 4 runs, counted 1..4 as they finish.
+			if done != len(lines)+1 || total != 4 {
+				t.Errorf("progress %d/%d after %d lines, want %d/4", done, total, len(lines), len(lines)+1)
+			}
+			lines = append(lines, s)
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 schemes = 4 runs.
 	if len(lines) != 4 {
 		t.Errorf("progress lines = %d, want 4", len(lines))
 	}
 }
 
 func TestUnknownBenchmarkFails(t *testing.T) {
-	if _, err := Fig10(Options{Benchmarks: []string{"nope"}}); err == nil {
+	if _, err := fig10(Options{Benchmarks: []string{"nope"}}); err == nil {
 		t.Fatal("unknown benchmark must fail")
 	}
 }
 
 func TestTable1Render(t *testing.T) {
-	out := Table1()
+	out := table1(config.Default())
 	for _, want := range []string{"16 SMs", "64 page table walkers", "256 GB/s", "64 KB"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table1 missing %q:\n%s", want, out)
@@ -171,7 +176,7 @@ func TestResumeDirSkipsFinishedRuns(t *testing.T) {
 	dir := t.TempDir()
 	opt := Options{Scale: 1, Benchmarks: []string{"mri-q"}, ResumeDir: dir}
 
-	first, err := Fig10(opt)
+	first, err := fig10(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,8 +191,8 @@ func TestResumeDirSkipsFinishedRuns(t *testing.T) {
 
 	// Second invocation must skip every run and reproduce the figure.
 	var lines []string
-	opt.Progress = func(s string) { lines = append(lines, s) }
-	second, err := Fig10(opt)
+	opt.Progress = func(_, _ int, s string) { lines = append(lines, s) }
+	second, err := fig10(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +211,7 @@ func TestResumeDirMissesOnConfigChange(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	var lines []string
-	opt := Options{Scale: 1, ResumeDir: t.TempDir(), Progress: func(s string) { lines = append(lines, s) }}.normalize()
+	opt := Options{Scale: 1, ResumeDir: t.TempDir(), Progress: func(_, _ int, s string) { lines = append(lines, s) }}.normalize()
 	j := fig10Job("mri-q", config.Baseline)
 	first, err := runAll(opt, []job{j})
 	if err != nil {
@@ -234,17 +239,17 @@ func TestResumeDirSharedAcrossFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	fresh, err := Fig11(Options{Scale: 1, Benchmarks: []string{"mri-q"}})
+	fresh, err := fig11(Options{Scale: 1, Benchmarks: []string{"mri-q"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := Options{Scale: 1, Benchmarks: []string{"mri-q"}, ResumeDir: t.TempDir()}
-	if _, err := Fig10(opt); err != nil {
+	if _, err := fig10(opt); err != nil {
 		t.Fatal(err)
 	}
 	var lines []string
-	opt.Progress = func(s string) { lines = append(lines, s) }
-	shared, err := Fig11(opt)
+	opt.Progress = func(_, _ int, s string) { lines = append(lines, s) }
+	shared, err := fig11(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +273,7 @@ func TestResumeDirDiscardStaleDoneFile(t *testing.T) {
 	dir := t.TempDir()
 	var lines []string
 	opt := Options{Scale: 1, Benchmarks: []string{"mri-q"}, ResumeDir: dir,
-		Progress: func(s string) { lines = append(lines, s) }}
+		Progress: func(_, _ int, s string) { lines = append(lines, s) }}
 	bogus := []byte(`{"fig":"fig10","bench":"mri-q","col":"baseline","scale":1,"cycles":1}`)
 	// A record of the same run at another scale must not satisfy this
 	// campaign, and neither may one named the old way, by figure,
@@ -281,7 +286,7 @@ func TestResumeDirDiscardStaleDoneFile(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r, err := Fig10(opt)
+	r, err := fig10(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +307,7 @@ func TestResumeDirIgnoresTornDoneFile(t *testing.T) {
 	}
 	var lines []string
 	opt := Options{Scale: 1, Benchmarks: []string{"mri-q"}, ResumeDir: t.TempDir(),
-		Progress: func(s string) { lines = append(lines, s) }}
+		Progress: func(_, _ int, s string) { lines = append(lines, s) }}
 	// Only the .tmp sibling exists: the atomic-write idiom guarantees the
 	// destination never appears half-written, so this is the on-disk
 	// state after a mid-write kill.
@@ -316,7 +321,7 @@ func TestResumeDirIgnoresTornDoneFile(t *testing.T) {
 		[]byte(`{"cycles":`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Fig10(opt)
+	r, err := fig10(opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"gpues/internal/config"
 	"gpues/internal/excep"
@@ -27,15 +26,6 @@ const resilienceWarpInsts = 1 << 18
 // as a percentage of each block's threads.
 var resilienceProtections = []int{0, 50, 100}
 
-// resilienceSeed derives the stable base seed of one campaign cell.
-func resilienceSeed(bench, label string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(bench))
-	h.Write([]byte{0})
-	h.Write([]byte(label))
-	return int64(h.Sum64() & 0x7fffffffffffffff)
-}
-
 // protCell is one rung of the protection sweep: a row-label suffix and
 // the protected-thread count as a function of the block size.
 type protCell struct {
@@ -57,7 +47,7 @@ func (o Options) protCells() []protCell {
 	return cells
 }
 
-// Resilience runs the bit-flip resilience campaign: every benchmark ×
+// resilience runs the bit-flip resilience campaign: every benchmark ×
 // protection-level cell runs a fixed count of seeded trials, each
 // classified by the exact functional oracle into masked / sdc /
 // exception / crash / hang. Rows are bench/pN (N = percent of each
@@ -65,8 +55,7 @@ func (o Options) protCells() []protCell {
 // count), columns are outcome classes, values are trial counts —
 // deterministic for a given seed ladder, so CI can compare them
 // exactly.
-func Resilience(opt Options) (*Result, error) {
-	opt = opt.normalize()
+func resilience(opt Options) (*Result, error) {
 	benches := opt.parboil()
 	trials := opt.Trials
 	if trials <= 0 {
@@ -82,7 +71,7 @@ func Resilience(opt Options) (*Result, error) {
 		for _, prot := range prots {
 			base := opt.FlipSeed
 			if base == 0 {
-				base = resilienceSeed(bench, prot.label)
+				base = cellSeed(bench, prot.label)
 			}
 			for trial := 0; trial < trials; trial++ {
 				cfg := config.Default()

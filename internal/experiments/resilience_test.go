@@ -11,7 +11,7 @@ import (
 // keyed by name, for exact comparison.
 func resilienceCounts(t *testing.T, opt Options) map[string]map[string]float64 {
 	t.Helper()
-	r, err := Resilience(opt)
+	r, err := resilience(opt)
 	if err != nil {
 		t.Fatal(err)
 	}

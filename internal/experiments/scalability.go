@@ -25,15 +25,17 @@ func smRows() []string {
 	return rows
 }
 
-// SchemeScalability measures the performance of the preemptible schemes
-// relative to the baseline as the GPU grows, on a fixed-size workload.
-// Section 5.5: when the workload does not scale with the GPU (occupancy
-// drops), the gap between the schemes widens.
-func SchemeScalability(opt Options) (*Result, error) {
-	opt = opt.normalize()
-	bench := "lbm" // the scheme-sensitive benchmark
+// scalability measures, as the GPU grows on fixed-size workloads, the
+// performance of the preemptible schemes relative to the baseline and
+// use case 2's speedup. Section 5.5: when the workload does not scale
+// with the GPU (occupancy drops), the gap between the schemes widens;
+// local handling improves with the number of SMs, because it decreases
+// the contention of the CPU and the interconnect.
+func scalability(opt Options) (Section, error) {
+	// The scheme-sensitive benchmark and the allocation benchmark.
+	schemeBench, localBench := "lbm", "halloc-spree"
 	if len(opt.Benchmarks) == 1 {
-		bench = opt.Benchmarks[0]
+		schemeBench, localBench = opt.Benchmarks[0], opt.Benchmarks[0]
 	}
 	schemes := []config.Scheme{
 		config.Baseline, config.WarpDisableCommit,
@@ -45,28 +47,9 @@ func SchemeScalability(opt Options) (*Result, error) {
 			cfg := config.Default()
 			cfg.System.NumSMs = smCounts[i]
 			cfg.Scheme = s
-			jobs = append(jobs, job{row: row, col: s.String(), bench: bench, cfg: cfg, place: workloads.Resident()})
+			jobs = append(jobs, job{row: row, col: s.String(), bench: schemeBench, cfg: cfg, place: workloads.Resident()})
 		}
 	}
-	cycles, err := runAll(opt, jobs)
-	if err != nil {
-		return nil, err
-	}
-	return ratios(&Result{ID: "scal-schemes", Title: fmt.Sprintf("Scheme cost vs. GPU size (%s, fixed dataset)", bench),
-		Metric: "normalized to baseline at the same SM count, higher is better", Columns: []string{"wd-commit", "wd-lastcheck", "replay-queue"}},
-		smRows(), cycles, func(row, col string) (at, at) { return at{row, "baseline"}, at{row, col} }), nil
-}
-
-// LocalHandlingScalability measures use case 2's speedup as the GPU
-// grows. Section 5.5: local handling improves with the number of SMs,
-// because it decreases the contention of the CPU and the interconnect.
-func LocalHandlingScalability(opt Options) (*Result, error) {
-	opt = opt.normalize()
-	bench := "halloc-spree"
-	if len(opt.Benchmarks) == 1 {
-		bench = opt.Benchmarks[0]
-	}
-	var jobs []job
 	for i, row := range smRows() {
 		cpu := config.Default()
 		cpu.System.NumSMs = smCounts[i]
@@ -74,22 +57,26 @@ func LocalHandlingScalability(opt Options) (*Result, error) {
 		gpu := cpu
 		gpu.Local.Enabled = true
 		jobs = append(jobs,
-			job{row: row, col: "cpu", bench: bench, cfg: cpu, place: workloads.LazyOutput()},
-			job{row: row, col: "gpu-local", bench: bench, cfg: gpu, place: workloads.LazyOutput()})
+			job{row: row, col: "cpu", bench: localBench, cfg: cpu, place: workloads.LazyOutput()},
+			job{row: row, col: "gpu-local", bench: localBench, cfg: gpu, place: workloads.LazyOutput()})
 	}
 	cycles, err := runAll(opt, jobs)
 	if err != nil {
-		return nil, err
+		return Section{}, err
 	}
-	return ratios(&Result{ID: "scal-local", Title: fmt.Sprintf("Local fault handling vs. GPU size (%s)", bench),
-		Metric: "speedup of GPU-local over CPU handling, higher is better", Columns: []string{"speedup"}},
-		smRows(), cycles, func(row, _ string) (at, at) { return at{row, "cpu"}, at{row, "gpu-local"} }), nil
+	return Section{Results: []*Result{
+		ratios(&Result{ID: "scal-schemes", Title: fmt.Sprintf("Scheme cost vs. GPU size (%s, fixed dataset)", schemeBench),
+			Metric: "normalized to baseline at the same SM count, higher is better", Columns: []string{"wd-commit", "wd-lastcheck", "replay-queue"}},
+			smRows(), cycles, func(row, col string) (at, at) { return at{row, "baseline"}, at{row, col} }),
+		ratios(&Result{ID: "scal-local", Title: fmt.Sprintf("Local fault handling vs. GPU size (%s)", localBench),
+			Metric: "speedup of GPU-local over CPU handling, higher is better", Columns: []string{"speedup"}},
+			smRows(), cycles, func(row, _ string) (at, at) { return at{row, "cpu"}, at{row, "gpu-local"} }),
+	}}, nil
 }
 
-// Ablations runs the design-parameter sweeps: each Result isolates one
+// ablations runs the design-parameter sweeps: each Result isolates one
 // knob of the paper's mechanisms.
-func Ablations(opt Options) ([]*Result, error) {
-	opt = opt.normalize()
+func ablations(opt Options) (Section, error) {
 	paging := func(cfg *config.Config) {
 		cfg.Scheme = config.ReplayQueue
 		cfg.DemandPaging = true
@@ -149,7 +136,7 @@ func Ablations(opt Options) ([]*Result, error) {
 			},
 			"64", nil},
 	}
-	var out []*Result
+	var out Section
 	for _, sw := range sweeps {
 		var jobs []job
 		var rows []string
@@ -166,9 +153,9 @@ func Ablations(opt Options) ([]*Result, error) {
 		}
 		cycles, err := runAll(opt, jobs)
 		if err != nil {
-			return nil, err
+			return Section{}, err
 		}
-		out = append(out, ratios(&Result{ID: sw.id, Title: sw.title, Metric: sw.metric, Columns: []string{"speedup"}},
+		out.Results = append(out.Results, ratios(&Result{ID: sw.id, Title: sw.title, Metric: sw.metric, Columns: []string{"speedup"}},
 			rows, cycles, func(row, _ string) (at, at) { return at{sw.baseRow, "run"}, at{row, "run"} }))
 	}
 	return out, nil
