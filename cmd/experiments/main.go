@@ -76,7 +76,11 @@ func main() {
 		}
 	}
 	names := strings.Split(*run, ",")
-	if err := experiments.Check(names); err != nil {
+	var benchmarks []string
+	if *benches != "" {
+		benchmarks = strings.Split(*benches, ",")
+	}
+	if err := experiments.Check(names, benchmarks); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -87,7 +91,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	opt := experiments.Options{Scale: *scale, Parallelism: *par,
+	opt := experiments.Options{Scale: *scale, Benchmarks: benchmarks, Parallelism: *par,
 		TraceDir: *traceDir, TraceFilter: *traceFlt, ResumeDir: *resumeDir,
 		Trials: *trials, FlipSeed: *flipSeed, FlipRate: *flipRate,
 		ProtectPin: *protectN >= 0, ProtectThreads: max(*protectN, 0),
@@ -118,9 +122,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-	}
-	if *benches != "" {
-		opt.Benchmarks = strings.Split(*benches, ",")
 	}
 
 	doc, err := experiments.Run(names, opt)

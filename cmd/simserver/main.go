@@ -14,14 +14,15 @@
 //
 //	simserver -join http://127.0.0.1:8990 -submit '{"benchmark":"sgemm","scale":2,"scheme":"replay-queue"}' -wait
 //
-// SIGTERM or SIGINT drains a coordinator gracefully: new submissions
-// are rejected, leased workers are asked to hand their jobs back (a
-// worker that finishes first is fine too), and the journal holds the
-// full queue state for the next coordinator, which runs each handed-back
-// job again from cycle zero. A SIGKILL loses nothing either — every
-// transition was journaled before it was acknowledged — it just skips
-// the hand-back courtesy: the next coordinator's reaper reclaims the
-// lapsed leases.
+// SIGTERM or SIGINT drains a coordinator gracefully and at once: new
+// submissions and claims are refused, every leased job is returned to
+// the queue and journaled, and the coordinator exits. The next
+// coordinator on the journal runs each requeued job again from cycle
+// zero, with no retry used; a worker that held one learns at its next
+// renewal that its lease is lost. A SIGKILL loses nothing either —
+// every transition was journaled before it was acknowledged — but
+// leaves the leases live: the next coordinator's reaper expires them,
+// and each expiry uses a retry.
 package main
 
 import (
@@ -48,17 +49,16 @@ import (
 // options holds every flag value; validate checks them up front so a
 // bad value fails fast with exit 2, before any state is touched.
 type options struct {
-	listen       string
-	journal      string
-	workers      int
-	lease        time.Duration
-	maxRetries   int
-	queueCap     int
-	drainTimeout time.Duration
-	backoff      time.Duration
-	tenantRate   float64
-	tenantBurst  int
-	httpAddr     string
+	listen      string
+	journal     string
+	workers     int
+	lease       time.Duration
+	maxRetries  int
+	queueCap    int
+	backoff     time.Duration
+	tenantRate  float64
+	tenantBurst int
+	httpAddr    string
 
 	join   string
 	name   string
@@ -113,9 +113,6 @@ func (o *options) validate() string {
 	if o.queueCap < 0 {
 		return fmt.Sprintf("-queue-cap %d must be non-negative (0 = unlimited)", o.queueCap)
 	}
-	if o.drainTimeout <= 0 {
-		return fmt.Sprintf("-drain-timeout %v must be positive", o.drainTimeout)
-	}
 	if o.backoff < 0 {
 		return fmt.Sprintf("-backoff %v must be non-negative", o.backoff)
 	}
@@ -163,7 +160,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.DurationVar(&o.lease, "lease", 30*time.Second, "job lease duration; workers renew inside it")
 	fs.IntVar(&o.maxRetries, "max-retries", 2, "failed or expired attempts before a job dead-letters")
 	fs.IntVar(&o.queueCap, "queue-cap", 256, "resident job cap; submissions beyond it get 429 (0 = unlimited)")
-	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM")
 	fs.DurationVar(&o.backoff, "backoff", 2*time.Second, "base retry backoff (doubles per retry, jittered)")
 	fs.Float64Var(&o.tenantRate, "tenant-rate", 0, "per-tenant submissions per second (0 = no quotas)")
 	fs.IntVar(&o.tenantBurst, "tenant-burst", 8, "per-tenant submission burst (with -tenant-rate)")
@@ -276,22 +272,17 @@ func runCoordinator(o *options) int {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	<-sig
-	fmt.Printf("draining (budget %v)...\n", o.drainTimeout)
-	// Order matters: drain first — workers must stay alive to honor
-	// the hand-back directives — then stop them, then
-	// close the listeners.
-	if err := coord.Drain(o.drainTimeout); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		stopWorkers()
-		stopReaper()
-		srv.Close()
-		return 1
-	}
+	fmt.Println("draining...")
+	err = coord.Drain()
 	stopWorkers()
 	stopReaper()
 	srv.Close()
 	if obsSrv != nil {
 		obsSrv.Close()
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
 	fmt.Println("drained; journal holds the queue state")
 	return 0

@@ -31,7 +31,6 @@ func TestValidateFlags(t *testing.T) {
 		{"retries ok zero", []string{"-listen", ":0", "-journal", "j", "-max-retries", "0"}, ""},
 		{"negative cap", []string{"-listen", ":0", "-journal", "j", "-queue-cap", "-1"}, "-queue-cap"},
 		{"cap ok zero", []string{"-listen", ":0", "-journal", "j", "-queue-cap", "0"}, ""},
-		{"zero drain", []string{"-listen", ":0", "-journal", "j", "-drain-timeout", "0s"}, "-drain-timeout"},
 		{"negative backoff", []string{"-listen", ":0", "-journal", "j", "-backoff", "-1s"}, "-backoff"},
 		{"negative tenant rate", []string{"-listen", ":0", "-journal", "j", "-tenant-rate", "-1"}, "-tenant-rate"},
 		{"rate without burst", []string{"-listen", ":0", "-journal", "j", "-tenant-rate", "2", "-tenant-burst", "0"}, "-tenant-burst"},

@@ -7,6 +7,7 @@ import (
 
 	"gpues/internal/cacti"
 	"gpues/internal/config"
+	"gpues/internal/workloads"
 )
 
 // experiment is one entry of the catalogue: a paper artifact or sweep
@@ -85,23 +86,30 @@ type Section struct {
 }
 
 // Check returns an error naming the first of names that is neither a
-// catalogue entry nor "all". Spaces around a name are ignored.
-func Check(names []string) error {
+// catalogue entry nor "all" (spaces around a name are ignored), or else
+// the first of benchmarks that is not a registered workload.
+func Check(names, benchmarks []string) error {
 	for _, n := range names {
 		n = strings.TrimSpace(n)
 		if n != "all" && !slices.ContainsFunc(catalogue, func(e experiment) bool { return e.name == n }) {
 			return fmt.Errorf("unknown experiment %q; valid: %s", n, Usage())
 		}
 	}
+	valid := workloads.Names("")
+	for _, b := range benchmarks {
+		if !slices.Contains(valid, b) {
+			return fmt.Errorf("unknown benchmark %q; valid: %s", b, strings.Join(valid, ", "))
+		}
+	}
 	return nil
 }
 
 // Run runs the named experiments in catalogue order; "all" names every
-// entry marked for it. It checks every name before it simulates
-// anything. On a failure it returns the sections that finished with the
-// error.
+// entry marked for it. It checks every name and Options.Benchmarks
+// entry before it simulates anything. On a failure it returns the
+// sections that finished with the error.
 func Run(names []string, opt Options) (*Document, error) {
-	if err := Check(names); err != nil {
+	if err := Check(names, opt.Benchmarks); err != nil {
 		return nil, err
 	}
 	want := map[string]bool{}

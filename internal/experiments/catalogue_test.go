@@ -6,19 +6,28 @@ import (
 	"testing"
 )
 
-// An unknown name is rejected before the valid names ahead of it run.
+// An unknown experiment or benchmark name is rejected before the valid
+// names ahead of it run.
 func TestRunRejectsUnknownName(t *testing.T) {
-	runs := 0
-	doc, err := Run([]string{"fig10", "fig99"}, Options{Benchmarks: []string{"mri-q"},
-		Progress: func(int, int, string) { runs++ }})
-	if err == nil || doc != nil {
-		t.Fatalf("Run = %v, %v; want nil and an error", doc, err)
-	}
-	if !strings.Contains(err.Error(), `"fig99"`) || !strings.Contains(err.Error(), "resilience") {
-		t.Errorf("error %q must name the bad name and the valid ones", err)
-	}
-	if runs != 0 {
-		t.Errorf("%d simulations ran before the name check", runs)
+	for _, tc := range []struct {
+		names, benchmarks []string
+		bad, valid        string // the error names the bad name and a valid one
+	}{
+		{[]string{"fig10", "fig99"}, []string{"mri-q"}, `"fig99"`, "resilience"},
+		{[]string{"fig10"}, []string{"mri-q", "nope"}, `"nope"`, "sgemm"},
+	} {
+		runs := 0
+		doc, err := Run(tc.names, Options{Benchmarks: tc.benchmarks,
+			Progress: func(int, int, string) { runs++ }})
+		if err == nil || doc != nil {
+			t.Fatalf("Run = %v, %v; want nil and an error", doc, err)
+		}
+		if !strings.Contains(err.Error(), tc.bad) || !strings.Contains(err.Error(), tc.valid) {
+			t.Errorf("error %q must name the bad name and the valid ones", err)
+		}
+		if runs != 0 {
+			t.Errorf("%d simulations ran before the name check", runs)
+		}
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"gpues/internal/atomicio"
 	"gpues/internal/chaos"
@@ -197,9 +198,11 @@ func (j job) key(spec sim.LaunchSpec) string {
 // runAll runs the jobs on Options.Parallelism workers and returns what
 // each measured, keyed by row and column: its cycles, or a trial's
 // excep.Outcome. Every finished job is reported to Progress, one call
-// at a time. With Options.ResumeDir set, a job whose record exists is
-// not simulated and a finished job is recorded, so a killed campaign
-// re-invoked with the same options continues where it stopped.
+// at a time. The first failure stops the campaign: no job starts after
+// it, and runAll returns once the running ones end. With
+// Options.ResumeDir set, a job whose record exists is not simulated and
+// a finished job is recorded, so a killed campaign re-invoked with the
+// same options continues where it stopped.
 func runAll(opt Options, jobs []job) (map[string]map[string]int64, error) {
 	opt = opt.normalize()
 	vals := make([]int64, len(jobs))
@@ -207,16 +210,21 @@ func runAll(opt Options, jobs []job) (map[string]map[string]int64, error) {
 	next := make(chan int)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
+	var failed atomic.Bool
 	done := 0
 	for w := 0; w < opt.Parallelism; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range next {
+				if failed.Load() {
+					continue
+				}
 				j := jobs[i]
 				v, line, err := opt.runJob(j)
 				if err != nil {
 					errs[i] = fmt.Errorf("%s/%s: %w", j.row, j.col, err)
+					failed.Store(true)
 					continue
 				}
 				vals[i] = v
@@ -229,7 +237,7 @@ func runAll(opt Options, jobs []job) (map[string]map[string]int64, error) {
 			}
 		}()
 	}
-	for i := range jobs {
+	for i := 0; i < len(jobs) && !failed.Load(); i++ {
 		next <- i
 	}
 	close(next)

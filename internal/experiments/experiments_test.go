@@ -147,6 +147,22 @@ func fig10Job(bench string, s config.Scheme) job {
 	return job{row: bench, col: s.String(), bench: bench, cfg: cfg, place: workloads.Resident()}
 }
 
+// The first failure stops the campaign: on one worker, the jobs queued
+// behind a failed one never start.
+func TestRunAllStopsAtFirstError(t *testing.T) {
+	bad := fig10Job("mri-q", config.Baseline)
+	bad.cfg.System.NumSMs = 0
+	jobs := []job{bad, fig10Job("mri-q", config.WarpDisableCommit), fig10Job("mri-q", config.ReplayQueue)}
+	runs := 0
+	_, err := runAll(Options{Scale: 1, Parallelism: 1, Progress: func(int, int, string) { runs++ }}, jobs)
+	if err == nil || !strings.Contains(err.Error(), "mri-q/baseline") {
+		t.Fatalf("runAll error = %v, want the invalid baseline job's", err)
+	}
+	if runs != 0 {
+		t.Errorf("%d jobs ran after the first failed", runs)
+	}
+}
+
 // resumePath is where opt.ResumeDir keeps j's record (suffix
 // ".done.json").
 func resumePath(t *testing.T, opt Options, j job, suffix string) string {

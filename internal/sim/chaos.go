@@ -79,9 +79,6 @@ type ChaosResult struct {
 	Mismatches []emu.Mismatch
 }
 
-// OracleOK reports whether the final memory matched the oracle.
-func (r *ChaosResult) OracleOK() bool { return len(r.Mismatches) == 0 }
-
 // maxOracleMismatches caps the bytes CheckOracle reports.
 const maxOracleMismatches = 16
 

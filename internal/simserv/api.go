@@ -1,9 +1,9 @@
 // Package simserv is the simulation-as-a-service job fabric: a
 // coordinator that accepts simulation jobs over HTTP/JSON and hands
 // them to pull-based workers under a claim/lease protocol, with
-// bounded retries, hand-back preemption, a fingerprint-keyed
-// result cache, per-tenant admission control, a crash-only journal,
-// and graceful drain. The deterministic queue state machine underneath
+// bounded retries, a fingerprint-keyed result cache, per-tenant
+// admission control, a crash-only journal, and a graceful drain that
+// requeues every leased job. The deterministic queue state machine underneath
 // lives in simserv/queue; this package owns everything with a clock,
 // a socket or a disk.
 package simserv
@@ -65,11 +65,9 @@ type RenewRequest struct {
 const (
 	// DirectiveOK: keep running.
 	DirectiveOK = "ok"
-	// DirectivePreempt: stop now and hand the job back (drain or
-	// migration); its next claim runs it from cycle zero.
-	DirectivePreempt = "preempt"
-	// DirectiveLost: the lease is gone (expired or superseded) — abandon
-	// the run; any report would be rejected as stale anyway.
+	// DirectiveLost: the lease is gone (expired, requeued by a drain,
+	// or superseded) — abandon the run; any report would be rejected as
+	// stale anyway.
 	DirectiveLost = "lost"
 )
 
@@ -107,13 +105,6 @@ type FailResponse struct {
 	Retried bool `json:"retried"`
 }
 
-// PreemptRequest hands a leased job back to the queue.
-type PreemptRequest struct {
-	JobID  string `json:"job_id"`
-	Worker string `json:"worker"`
-	Token  uint64 `json:"token"`
-}
-
 // JobStatus is one job's externally visible state.
 type JobStatus struct {
 	ID          string        `json:"id"`
@@ -138,8 +129,6 @@ type Stats struct {
 	CacheHits     int64 `json:"cache_hits"`
 	CacheMisses   int64 `json:"cache_misses"`
 	RejectedQuota int64 `json:"rejected_quota"`
-	// DrainMS is the duration of the last completed drain.
-	DrainMS int64 `json:"drain_ms,omitempty"`
 }
 
 func statusOf(j *queue.Job) JobStatus {

@@ -3,6 +3,7 @@ package simserv
 import (
 	"errors"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -13,10 +14,11 @@ import (
 )
 
 // The fabric chaos campaign: a seeded schedule of worker kills, lease
-// expiries, voluntary preemptions (hand-backs the next claimant runs
-// from cycle zero) and duplicate (zombie) completion attempts, driven
-// against a coordinator
-// under a fake clock with real simulations underneath. The acceptance
+// expiries, duplicate (zombie) completion attempts, and one drain and
+// restart of the coordinator at a seeded round (every leased job goes
+// back to the queue, the next claimant runs it from cycle zero, and
+// its old worker is fenced), driven against a coordinator under a fake
+// clock with real simulations underneath. The acceptance
 // bar: every job completes exactly once, every completed job reports
 // the bit-identical cycle count of an uninterrupted sequential
 // reference run, the doomed job dead-letters with its stall report,
@@ -57,14 +59,27 @@ type campaignOutcome struct {
 	results   map[string]queue.Result
 }
 
+// plus returns the field-wise sum of two counter sets: a restarted
+// coordinator counts from zero.
+func plus(a, b queue.Counters) queue.Counters {
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(b)
+	for i := 0; i < va.NumField(); i++ {
+		va.Field(i).SetInt(va.Field(i).Int() + vb.Field(i).Int())
+	}
+	return a
+}
+
 func runCampaign(t *testing.T, seed uint64) campaignOutcome {
 	t.Helper()
-	h := newHarness(t, func(o *Options) {
+	opts := func(o *Options) {
 		o.Queue.Lease = int64(3 * time.Second)
 		o.Queue.MaxRetries = 4
 		o.Queue.Backoff = int64(time.Millisecond)
-	})
+	}
+	h := newHarness(t, opts)
 	rng := &campaignRNG{s: seed}
+	drainAt := 2 + rng.intn(6)
+	var drained queue.Counters // the first coordinator's counts
 
 	specA := runspec.JobSpec{Benchmark: "sgemm", Scale: 1}
 	specB := runspec.JobSpec{Benchmark: "sgemm", Scale: 1, Scheme: "replay-queue"}
@@ -105,6 +120,20 @@ func runCampaign(t *testing.T, seed uint64) campaignOutcome {
 
 	round := 0
 	for ; round < 400 && !allTerminal(); round++ {
+		if round == drainAt {
+			// SIGTERM: the coordinator requeues every leased job and
+			// stops; a successor takes the journal over. The workers
+			// keep their claims and find out at their next renewal.
+			if err := h.coord.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			stats, err := h.cl.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			drained = stats.Counters
+			h.restart(opts)
+		}
 		for _, w := range workers {
 			if w.claim == nil {
 				claim, ok, err := h.cl.Claim(w.name)
@@ -169,14 +198,8 @@ func runCampaign(t *testing.T, seed uint64) campaignOutcome {
 					}
 					w.claim, w.sim = nil, nil
 				}
-			case roll < 80: // SIGKILL: drop everything, leave a zombie
+			case roll < 85: // SIGKILL: drop everything, leave a zombie
 				zombies = append(zombies, &zombie{worker: w.name, claim: *w.claim, fuse: 2 + rng.intn(3)})
-				w.claim, w.sim = nil, nil
-			case roll < 90: // voluntary preemption (migration)
-				err := h.cl.Preempt(PreemptRequest{JobID: w.claim.JobID, Worker: w.name, Token: w.claim.Token})
-				if err != nil && !IsStatus(err, http.StatusConflict) {
-					t.Fatalf("preempt: %v", err)
-				}
 				w.claim, w.sim = nil, nil
 			default: // dawdle: no renew, the lease ages toward expiry
 			}
@@ -237,7 +260,7 @@ func runCampaign(t *testing.T, seed uint64) campaignOutcome {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out.counters = stats.Counters
+	out.counters = plus(drained, stats.Counters)
 
 	// Verdicts. The doomed job dead-letters carrying its stall report;
 	// everything else completes with bit-identical reference cycles.

@@ -126,11 +126,6 @@ func (c *Client) Fail(req FailRequest) (bool, error) {
 	return resp.Retried, err
 }
 
-// Preempt hands a job back to the queue.
-func (c *Client) Preempt(req PreemptRequest) error {
-	return c.post("/v1/preempt", req, nil)
-}
-
 // Job fetches one job's status.
 func (c *Client) Job(id string) (JobStatus, error) {
 	var st JobStatus

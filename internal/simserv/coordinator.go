@@ -2,6 +2,7 @@ package simserv
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -61,8 +62,6 @@ type Coordinator struct {
 	buckets  map[string]*bucket
 	idSeq    int64
 	draining bool
-	drained  chan struct{}
-	drainDur int64 // last completed drain, ns
 
 	cacheHits     int64
 	cacheMisses   int64
@@ -83,7 +82,6 @@ func NewCoordinator(opt Options) (*Coordinator, error) {
 		q:       queue.New(opt.Queue),
 		jr:      jr,
 		buckets: make(map[string]*bucket),
-		drained: make(chan struct{}),
 	}
 	// Corrupt records are skipped, not fatal.
 	jobs, _, err := jr.Load()
@@ -134,7 +132,6 @@ func (c *Coordinator) metrics() obs.Snapshot {
 			"fabric.queue.depth":  int64(c.q.Depth()),
 			"fabric.queue.leased": int64(c.q.Leased()),
 			"fabric.draining":     draining,
-			"fabric.drain.ms":     c.drainDur / int64(time.Millisecond),
 		},
 	}
 }
@@ -195,66 +192,25 @@ func (c *Coordinator) Tick(now int64) {
 	if len(expired) > 0 {
 		c.publish()
 	}
-	c.checkDrained()
 }
 
-// Draining reports whether the coordinator is refusing new work.
-func (c *Coordinator) Draining() bool {
+// Drain stops admission and claims and returns every leased job to the
+// queue, journaling each one before it returns. It waits on no worker:
+// a worker that held a lease learns at its next renew that the lease is
+// lost, and its completion or failure report is fenced. The journal
+// then holds no lease, so a drained coordinator can stop and a
+// successor hands each requeued job out again, to run from cycle zero
+// with no retry used.
+func (c *Coordinator) Drain() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.draining
-}
-
-// Drain stops admission, asks every leased worker to hand its job back
-// (a worker that completes first is fine too), and waits until no lease
-// remains or the timeout expires. All queue state is journaled as it
-// happens, so a drained coordinator can stop and a successor takes the
-// queue over; a handed-back job runs again from cycle zero.
-func (c *Coordinator) Drain(timeout time.Duration) error {
-	c.mu.Lock()
-	start := c.now()
-	if !c.draining {
-		c.draining = true
-		for _, j := range c.q.Jobs() {
-			if c.q.RequestPreempt(j.ID) {
-				c.jr.Record(j) //nolint:errcheck // advisory flag
-			}
-		}
-		c.publish()
+	c.draining = true
+	var err error
+	for _, j := range c.q.RequeueLeased() {
+		err = errors.Join(err, c.jr.Record(j))
 	}
-	c.checkDrained()
-	drained := c.drained
-	c.mu.Unlock()
-
-	select {
-	case <-drained:
-	case <-time.After(timeout):
-		return fmt.Errorf("simserv: drain timed out after %v with %d leases live", timeout, c.leasedNow())
-	}
-	c.mu.Lock()
-	c.drainDur = c.now() - start
 	c.publish()
-	c.mu.Unlock()
-	return nil
-}
-
-func (c *Coordinator) leasedNow() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.q.Leased()
-}
-
-// checkDrained closes the drain gate once no lease is live. Caller
-// holds mu.
-func (c *Coordinator) checkDrained() {
-	if !c.draining || c.q.Leased() != 0 {
-		return
-	}
-	select {
-	case <-c.drained:
-	default:
-		close(c.drained)
-	}
+	return err
 }
 
 // ServeHTTP implements http.Handler.
@@ -269,7 +225,6 @@ func (c *Coordinator) buildMux() {
 	m.HandleFunc("POST /v1/renew", c.handleRenew)
 	m.HandleFunc("POST /v1/complete", c.handleComplete)
 	m.HandleFunc("POST /v1/fail", c.handleFail)
-	m.HandleFunc("POST /v1/preempt", c.handlePreempt)
 	m.HandleFunc("GET /v1/stats", c.handleStats)
 	c.mux = m
 }
@@ -418,8 +373,7 @@ func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.draining {
-		// Drain rejects new work; in-flight renew/complete/preempt
-		// still lands.
+		// Drain rejects new work.
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
@@ -451,14 +405,9 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	preempt, err := c.q.Renew(req.JobID, req.Worker, req.Token, c.now())
-	if err != nil {
-		writeJSON(w, http.StatusOK, RenewResponse{Directive: DirectiveLost})
-		return
-	}
 	d := DirectiveOK
-	if preempt {
-		d = DirectivePreempt
+	if c.q.Renew(req.JobID, req.Worker, req.Token, c.now()) != nil {
+		d = DirectiveLost
 	}
 	writeJSON(w, http.StatusOK, RenewResponse{Directive: d})
 }
@@ -483,7 +432,6 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	c.publish()
-	c.checkDrained()
 	writeJSON(w, http.StatusOK, map[string]int{"completed": len(done)})
 }
 
@@ -508,30 +456,7 @@ func (c *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	c.publish()
-	c.checkDrained()
 	writeJSON(w, http.StatusOK, FailResponse{Retried: retried})
-}
-
-func (c *Coordinator) handlePreempt(w http.ResponseWriter, r *http.Request) {
-	var req PreemptRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.q.Preempt(req.JobID, req.Worker, req.Token, c.now()); err != nil {
-		writeErr(w, http.StatusConflict, "%v", err)
-		return
-	}
-	if j, ok := c.q.Get(req.JobID); ok {
-		if err := c.jr.Record(j); err != nil {
-			writeErr(w, http.StatusInternalServerError, "journal: %v", err)
-			return
-		}
-	}
-	c.publish()
-	c.checkDrained()
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -545,6 +470,5 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		CacheHits:     c.cacheHits,
 		CacheMisses:   c.cacheMisses,
 		RejectedQuota: c.rejectedQuota,
-		DrainMS:       c.drainDur / int64(time.Millisecond),
 	})
 }

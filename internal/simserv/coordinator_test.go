@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"gpues/internal/atomicio"
 	"gpues/internal/obs"
 	"gpues/internal/runspec"
 	"gpues/internal/sim"
@@ -390,7 +391,7 @@ func TestCoordinatorRestartRecoversQueue(t *testing.T) {
 	}
 }
 
-func TestDrainPreemptsAndRejects(t *testing.T) {
+func TestDrainRequeuesAndRejects(t *testing.T) {
 	h := newHarness(t, nil)
 	h.submit(t, SubmitRequest{ID: "running", Spec: specSgemm})
 	claim, ok, _ := h.cl.Claim("w1")
@@ -398,9 +399,22 @@ func TestDrainPreemptsAndRejects(t *testing.T) {
 		t.Fatal("no claim")
 	}
 
-	drainErr := make(chan error, 1)
-	go func() { drainErr <- h.coord.Drain(5 * time.Second) }()
-	waitUntil(t, 5*time.Second, func() bool { return h.coord.Draining() })
+	// Drain returns at once, with the leased job already back in the
+	// queue and journaled.
+	if err := h.coord.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := h.cl.Job("running")
+	if st.State != "queued" || st.Retries != 0 || st.Attempts != 1 || st.Worker != "" {
+		t.Fatalf("drained job = %+v", st)
+	}
+	var rec queue.Job
+	if err := atomicio.ReadJSON(filepath.Join(h.dir, "jobs", "running.json"), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.State != queue.Queued || rec.Retries != 0 || rec.Attempts != 1 {
+		t.Fatalf("journaled record = %+v, want queued with no retry used", rec)
+	}
 
 	// Draining: no new work in, no new claims out.
 	_, err := h.cl.Submit(SubmitRequest{ID: "late", Spec: specSgemm})
@@ -411,29 +425,22 @@ func TestDrainPreemptsAndRejects(t *testing.T) {
 		t.Fatal("claim handed out during drain")
 	}
 
-	// The leased worker is told to hand back at its next renewal...
-	d, err := h.cl.Renew(claim.JobID, "w1", claim.Token)
-	if err != nil || d != DirectivePreempt {
-		t.Fatalf("renew during drain = %q, %v; want preempt", d, err)
+	// The old lease is fenced: its renew answers lost, its completion
+	// gets 409.
+	if d, err := h.cl.Renew(claim.JobID, "w1", claim.Token); err != nil || d != DirectiveLost {
+		t.Fatalf("renew after drain = %q, %v; want lost", d, err)
 	}
-	// ...and its handoff completes the drain.
-	if err := h.cl.Preempt(PreemptRequest{JobID: claim.JobID, Worker: "w1", Token: claim.Token}); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-drainErr; err != nil {
-		t.Fatal(err)
-	}
-	st, _ := h.cl.Job("running")
-	if st.State != "queued" || st.Retries != 0 {
-		t.Fatalf("preempted job = %+v", st)
+	err = h.cl.Complete(CompleteRequest{JobID: claim.JobID, Worker: "w1", Token: claim.Token, Cycles: 1})
+	if !IsStatus(err, http.StatusConflict) {
+		t.Fatalf("complete after drain: %v, want 409", err)
 	}
 	stats, _ := h.cl.Stats()
-	if !stats.Draining || stats.Counters.Preemptions != 1 {
+	if !stats.Draining || stats.Leased != 0 || stats.Counters.Preemptions != 1 || stats.Counters.StaleOps != 2 {
 		t.Fatalf("stats = %+v", stats)
 	}
 
 	// A successor coordinator on the same journal is not draining and
-	// hands the preempted job out again.
+	// hands the requeued job out again.
 	h.restart(nil)
 	claim2, ok, _ := h.cl.Claim("w3")
 	if !ok || claim2.JobID != "running" || claim2.Attempt != 2 {
@@ -441,23 +448,14 @@ func TestDrainPreemptsAndRejects(t *testing.T) {
 	}
 }
 
-func TestDrainTimesOutOnStuckWorker(t *testing.T) {
-	h := newHarness(t, nil)
-	h.submit(t, SubmitRequest{Spec: specSgemm})
-	if _, ok, _ := h.cl.Claim("w1"); !ok {
-		t.Fatal("no claim")
-	}
-	// The worker never checkpoints: drain must give up, not hang.
-	if err := h.coord.Drain(50 * time.Millisecond); err == nil {
-		t.Fatal("drain with a stuck lease returned nil")
-	}
-}
-
-// An idle coordinator drains instantly.
+// An idle coordinator drains at once.
 func TestDrainIdle(t *testing.T) {
 	h := newHarness(t, nil)
-	if err := h.coord.Drain(time.Second); err != nil {
+	if err := h.coord.Drain(); err != nil {
 		t.Fatal(err)
+	}
+	if stats, err := h.cl.Stats(); err != nil || !stats.Draining {
+		t.Fatalf("stats after drain = %+v, %v; want draining", stats, err)
 	}
 }
 
@@ -566,16 +564,22 @@ func TestWorkerEndToEnd(t *testing.T) {
 	}
 }
 
-// parentPreemptedRecord is a journal record of a preempted sgemm job as
-// written before preemption handed jobs back without a checkpoint: it
-// still carries the removed "checkpoint" field, naming a spool file
-// that no longer exists.
-const parentPreemptedRecord = `{"id":"old","spec":"eyJiZW5jaG1hcmsiOiJzZ2VtbSIsInNjYWxlIjoxfQ==","key":"cfg0cf2943df5fa453a-specbf4cb3c4a9e8d11f","seq":1,"state":0,"attempts":1,"retries":0,"submitted":3600000000000,"token":1,"checkpoint":"/var/run/gpues/spool/old/att001-w1/ckpt-000000050000.ckpt"}`
+// Journal records of sgemm jobs as older coordinators wrote them. The
+// first was preempted when preemption saved a checkpoint: it still
+// carries the removed "checkpoint" field, naming a spool file that no
+// longer exists. The second was leased when a drain that waited for
+// workers to hand their jobs back timed out: it carries the removed
+// "preempt_requested" flag and a live lease.
+const (
+	parentPreemptedRecord        = `{"id":"old","spec":"eyJiZW5jaG1hcmsiOiJzZ2VtbSIsInNjYWxlIjoxfQ==","key":"cfg0cf2943df5fa453a-specbf4cb3c4a9e8d11f","seq":1,"state":0,"attempts":1,"retries":0,"submitted":3600000000000,"token":1,"checkpoint":"/var/run/gpues/spool/old/att001-w1/ckpt-000000050000.ckpt"}`
+	parentPreemptRequestedRecord = `{"id":"old","spec":"eyJiZW5jaG1hcmsiOiJzZ2VtbSIsInNjYWxlIjoxfQ==","key":"cfg0cf2943df5fa453a-specbf4cb3c4a9e8d11f","seq":1,"state":1,"attempts":1,"retries":0,"submitted":3600000000000,"worker":"w1","token":1,"lease_expiry":3610000000000,"preempt_requested":true}`
+)
 
 // TestOldJournalRecordRunsFromZero: a journal written by an older
-// coordinator, whose preempted job carries a checkpoint path, still
-// loads; the job is claimed like any queued one, runs from cycle zero,
-// and completes with the cycles of an uninterrupted run.
+// coordinator still loads. The job is claimed like any other (the
+// leased one once the reaper expires its lease, which uses a retry),
+// runs from cycle zero, and completes with the cycles of an
+// uninterrupted run.
 func TestOldJournalRecordRunsFromZero(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -589,28 +593,40 @@ func TestOldJournalRecordRunsFromZero(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	h := newHarness(t, nil)
-	if err := os.WriteFile(filepath.Join(h.dir, "jobs", "old.json"), []byte(parentPreemptedRecord), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	h.restart(nil)
-	if st, err := h.cl.Job("old"); err != nil || st.State != "queued" {
-		t.Fatalf("old record after restart = %+v, %v", st, err)
-	}
-	w := &Worker{Client: h.cl, Name: "w2", SliceCycles: 20_000, Poll: time.Millisecond}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go w.Run(ctx) //nolint:errcheck // returns nil on cancel
-	waitUntil(t, time.Minute, func() bool {
-		st, err := h.cl.Job("old")
-		return err == nil && st.State == "done"
-	})
-	st, _ := h.cl.Job("old")
-	if st.Result.Cycles != ref.Cycles || st.Result.Committed != ref.Committed {
-		t.Fatalf("old job finished with %d cycles, %d committed; uninterrupted run %d, %d",
-			st.Result.Cycles, st.Result.Committed, ref.Cycles, ref.Committed)
-	}
-	if st.Attempts != 2 || st.Retries != 0 {
-		t.Fatalf("old job attempts %d retries %d, want 2 and 0", st.Attempts, st.Retries)
+	for _, tc := range []struct {
+		name, record, state string
+		retries             int
+	}{
+		{"checkpoint", parentPreemptedRecord, "queued", 0},
+		{"preempt_requested", parentPreemptRequestedRecord, "leased", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, nil)
+			if err := os.WriteFile(filepath.Join(h.dir, "jobs", "old.json"), []byte(tc.record), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			h.restart(nil)
+			if st, err := h.cl.Job("old"); err != nil || st.State != tc.state {
+				t.Fatalf("old record after restart = %+v, %v; want %s", st, err, tc.state)
+			}
+			h.advance(11 * time.Second)      // past the old lease
+			h.advance(20 * time.Millisecond) // past the retry backoff
+			w := &Worker{Client: h.cl, Name: "w2", SliceCycles: 20_000, Poll: time.Millisecond}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			go w.Run(ctx) //nolint:errcheck // returns nil on cancel
+			waitUntil(t, time.Minute, func() bool {
+				st, err := h.cl.Job("old")
+				return err == nil && st.State == "done"
+			})
+			st, _ := h.cl.Job("old")
+			if st.Result.Cycles != ref.Cycles || st.Result.Committed != ref.Committed {
+				t.Fatalf("old job finished with %d cycles, %d committed; uninterrupted run %d, %d",
+					st.Result.Cycles, st.Result.Committed, ref.Cycles, ref.Committed)
+			}
+			if st.Attempts != 2 || st.Retries != tc.retries {
+				t.Fatalf("old job attempts %d retries %d, want 2 and %d", st.Attempts, st.Retries, tc.retries)
+			}
+		})
 	}
 }

@@ -2,7 +2,7 @@
 // heart of the simulation service: submission with a depth cap,
 // claim/lease handout, lease renewal and expiry, exactly-once
 // completion guarded by lease tokens, bounded retries with exponential
-// backoff and hashed jitter, preemption by hand-back and requeue,
+// backoff and hashed jitter, requeue of every lease on drain,
 // singleflight coalescing of identical submissions, serving a
 // submission from an earlier done job with the same key (the result
 // cache), and a terminal dead-letter state carrying the last stall
@@ -101,9 +101,6 @@ type Job struct {
 	Worker      string `json:"worker,omitempty"`
 	Token       uint64 `json:"token,omitempty"`
 	LeaseExpiry int64  `json:"lease_expiry,omitempty"`
-	// PreemptRequested asks the worker to hand the job back at its
-	// next lease renewal (graceful drain / migration).
-	PreemptRequested bool `json:"preempt_requested,omitempty"`
 
 	// CoalescedInto names the identical primary job this submission
 	// rides on (singleflight); followers are never claimed.
@@ -148,7 +145,8 @@ type Counters struct {
 	// StaleOps counts rejected operations from expired or superseded
 	// leases — each one is a duplicate execution the fencing token
 	// stopped from becoming a duplicate completion.
-	StaleOps     int64
+	StaleOps int64
+	// Preemptions counts leased jobs a drain returned to the queue.
 	Preemptions  int64
 	RejectedFull int64
 }
@@ -347,15 +345,14 @@ func (q *Queue) lease(id, worker string, token uint64) (*Job, error) {
 	return j, nil
 }
 
-// Renew extends the lease and reports whether the coordinator has
-// requested preemption (the worker should hand the job back).
-func (q *Queue) Renew(id, worker string, token uint64, now int64) (preempt bool, err error) {
+// Renew extends the lease.
+func (q *Queue) Renew(id, worker string, token uint64, now int64) error {
 	j, err := q.lease(id, worker, token)
 	if err != nil {
-		return false, err
+		return err
 	}
 	j.LeaseExpiry = now + q.cfg.Lease
-	return j.PreemptRequested, nil
+	return nil
 }
 
 // Complete finishes the job exactly once: only the live lease's worker
@@ -386,7 +383,6 @@ func (q *Queue) finish(j *Job, res *Result) {
 	j.Result = res
 	j.Worker = ""
 	j.LeaseExpiry = 0
-	j.PreemptRequested = false
 	q.resident--
 	q.counts.Completed++
 }
@@ -419,32 +415,27 @@ func (q *Queue) Fail(id, worker string, token uint64, errMsg, stall string, now 
 	return q.requeueOrBury(j, now), nil
 }
 
-// Preempt hands a leased job back to the queue: the next claim runs it
-// from cycle zero, on any worker. Preemption is cooperative (not a
-// failure): no retry is consumed and no backoff applies.
-func (q *Queue) Preempt(id, worker string, token uint64, now int64) error {
-	j, err := q.lease(id, worker, token)
-	if err != nil {
-		return err
+// RequeueLeased returns every leased job to the queue (a drain): the
+// next claim runs it from cycle zero, on any worker. The attempt was
+// cut short, not failed, so no retry is consumed and no backoff
+// applies; the fencing token stays burned, so the old lease's renew,
+// completion and failure reports are stale. It returns the requeued
+// jobs.
+func (q *Queue) RequeueLeased() []*Job {
+	var out []*Job
+	for _, id := range q.order {
+		j := q.jobs[id]
+		if j.State != Leased {
+			continue
+		}
+		j.State = Queued
+		j.Worker = ""
+		j.LeaseExpiry = 0
+		j.NotBefore = 0
+		q.counts.Preemptions++
+		out = append(out, j)
 	}
-	j.State = Queued
-	j.Worker = ""
-	j.LeaseExpiry = 0
-	j.NotBefore = 0
-	j.PreemptRequested = false
-	q.counts.Preemptions++
-	return nil
-}
-
-// RequestPreempt marks a leased job for preemption; the worker learns
-// at its next Renew. Unleased or terminal jobs are left alone.
-func (q *Queue) RequestPreempt(id string) bool {
-	j, ok := q.jobs[id]
-	if !ok || j.State != Leased {
-		return false
-	}
-	j.PreemptRequested = true
-	return true
+	return out
 }
 
 // ExpireLeases reclaims every leased job whose lease expired at or
@@ -480,7 +471,6 @@ func (q *Queue) requeueOrBury(j *Job, now int64) bool {
 	j.Retries++
 	j.Worker = ""
 	j.LeaseExpiry = 0
-	j.PreemptRequested = false
 	if j.Retries > q.cfg.MaxRetries {
 		q.bury(j)
 		return false

@@ -130,7 +130,7 @@ func TestLeaseExpiryFencesOldWorker(t *testing.T) {
 	if _, err := q.Complete("a", "w1", tok1, Result{}, 150); !errors.Is(err, ErrStale) {
 		t.Fatalf("late complete: %v, want ErrStale", err)
 	}
-	if _, err := q.Renew("a", "w1", tok1, 150); !errors.Is(err, ErrStale) {
+	if err := q.Renew("a", "w1", tok1, 150); !errors.Is(err, ErrStale) {
 		t.Fatalf("late renew: %v, want ErrStale", err)
 	}
 
@@ -376,42 +376,58 @@ func TestSubmitServesDoneKey(t *testing.T) {
 	}
 }
 
+// RequeueLeased (a drain) returns every leased job to the queue at
+// once: no retry used, no backoff, the old token fenced, and the next
+// claim runs the job again as a new attempt.
 func TestPreemptAndResume(t *testing.T) {
 	q := New(testCfg())
 	submit(t, q, "a", 1)
-	j, tok, _ := q.Claim("w1", 2)
-
-	if !q.RequestPreempt("a") {
-		t.Fatal("RequestPreempt on leased job failed")
-	}
-	if q.RequestPreempt("nope") {
-		t.Fatal("RequestPreempt on unknown job succeeded")
-	}
-	preempt, err := q.Renew("a", "w1", tok, 10)
-	if err != nil || !preempt {
-		t.Fatalf("renew: preempt=%v err=%v", preempt, err)
-	}
-	if j.LeaseExpiry != 110 {
-		t.Fatalf("renew did not extend lease: %d", j.LeaseExpiry)
-	}
-
-	if err := q.Preempt("a", "w1", tok, 12); err != nil {
+	submit(t, q, "b", 2)
+	submit(t, q, "c", 3)
+	ja, tok, _ := q.Claim("w1", 4)
+	q.Claim("w2", 5)
+	jc, _, _ := q.Claim("w3", 6)
+	if _, err := q.Complete("c", "w3", jc.Token, Result{Cycles: 1}, 7); err != nil {
 		t.Fatal(err)
 	}
-	if j.State != Queued || j.NotBefore != 0 || j.PreemptRequested {
-		t.Fatalf("after preempt: %+v", j)
+	if err := q.Renew("a", "w1", tok, 10); err != nil || ja.LeaseExpiry != 110 {
+		t.Fatalf("renew: %v, lease expiry %d", err, ja.LeaseExpiry)
 	}
-	// No retry consumed: preemption is cooperative.
-	if j.Retries != 0 {
-		t.Fatalf("preempt consumed a retry: %+v", j)
+
+	got := q.RequeueLeased()
+	if len(got) != 2 || got[0].ID != "a" || got[1].ID != "b" {
+		t.Fatalf("requeued = %+v, want a and b", got)
+	}
+	for _, j := range got {
+		if j.State != Queued || j.Worker != "" || j.LeaseExpiry != 0 || j.NotBefore != 0 {
+			t.Fatalf("after requeue: %+v", j)
+		}
+		// No retry consumed: the attempt was cut short, not failed.
+		if j.Retries != 0 || j.Attempts != 1 {
+			t.Fatalf("requeue changed the retry or attempt count: %+v", j)
+		}
+	}
+	if jc.State != Done || q.Depth() != 2 || q.Leased() != 0 {
+		t.Fatalf("done job %+v, depth %d, leased %d", jc, q.Depth(), q.Leased())
+	}
+	if len(q.RequeueLeased()) != 0 {
+		t.Fatal("second requeue found leases")
+	}
+
+	// The old lease is fenced.
+	if err := q.Renew("a", "w1", tok, 11); !errors.Is(err, ErrStale) {
+		t.Fatalf("renew on the old token: %v, want ErrStale", err)
+	}
+	if _, err := q.Complete("a", "w1", tok, Result{}, 11); !errors.Is(err, ErrStale) {
+		t.Fatalf("complete on the old token: %v, want ErrStale", err)
 	}
 
 	// Requeued with no backoff: immediately claimable under a new token.
-	j2, tok2, ok := q.Claim("w2", 13)
+	j2, tok2, ok := q.Claim("w2", 12)
 	if !ok || j2.ID != "a" || tok2 == tok || j2.Attempts != 2 || j2.Retries != 0 {
-		t.Fatalf("claim after preempt: %+v tok=%d", j2, tok2)
+		t.Fatalf("claim after requeue: %+v tok=%d", j2, tok2)
 	}
-	if c := q.Counters(); c.Preemptions != 1 {
+	if c := q.Counters(); c.Preemptions != 2 || c.StaleOps != 2 || c.Retries != 0 {
 		t.Fatalf("counters = %+v", c)
 	}
 }

@@ -24,9 +24,9 @@ type RunMetrics struct {
 
 // Worker pulls jobs from a coordinator and simulates them. Execution
 // is sliced: the simulator advances SliceCycles at a time and the
-// lease is renewed between slices, so a preemption request (drain,
-// migration) is honored within one slice by handing the job back; its
-// next claim runs it from cycle zero.
+// lease is renewed between slices. A lost lease (expired, or requeued
+// by a drain) ends the run at the next renewal; the job's next claim
+// runs it from cycle zero, on any worker.
 type Worker struct {
 	Client *Client
 	// Name identifies this worker in leases and results.
@@ -123,9 +123,6 @@ func (w *Worker) runJob(ctx context.Context, claim ClaimResponse) {
 		}
 		switch directive {
 		case DirectiveOK:
-		case DirectivePreempt:
-			w.preempt(claim, s)
-			return
 		case DirectiveLost:
 			w.logf("worker %s: lease on %s lost, abandoning at cycle %d", w.Name, claim.JobID, s.Cycle())
 			return
@@ -157,13 +154,4 @@ func (w *Worker) complete(claim ClaimResponse, res *sim.Result) {
 		return
 	}
 	w.logf("worker %s: completed %s in %d cycles", w.Name, claim.JobID, res.Cycles)
-}
-
-func (w *Worker) preempt(claim ClaimResponse, s *sim.Simulator) {
-	err := w.Client.Preempt(PreemptRequest{JobID: claim.JobID, Worker: w.Name, Token: claim.Token})
-	if err != nil {
-		w.logf("worker %s: preempt handoff of %s rejected: %v", w.Name, claim.JobID, err)
-		return
-	}
-	w.logf("worker %s: preempted %s at cycle %d", w.Name, claim.JobID, s.Cycle())
 }

@@ -265,6 +265,3 @@ func (as *AddressSpace) MapToGPU(va uint64, alloc *PhysAllocator) (transferred b
 	as.GPUTable.Set(page, PTE{State: PageGPU, PA: pa})
 	return transferred, nil
 }
-
-// ResidentGPUPages returns the number of pages mapped in the GPU table.
-func (as *AddressSpace) ResidentGPUPages() int { return as.GPUTable.MappedPages() }

@@ -297,8 +297,8 @@ func TestMapToGPULazyAllocation(t *testing.T) {
 	if transferred {
 		t.Error("lazy allocation must not transfer data")
 	}
-	if as.ResidentGPUPages() != 1 {
-		t.Errorf("resident pages = %d, want 1", as.ResidentGPUPages())
+	if as.GPUTable.MappedPages() != 1 {
+		t.Errorf("resident pages = %d, want 1", as.GPUTable.MappedPages())
 	}
 }
 
@@ -351,7 +351,7 @@ func TestRegionGPUInitPreallocates(t *testing.T) {
 	if as.GPUPhys.Allocated() != 8 {
 		t.Errorf("GPU frames = %d, want 8", as.GPUPhys.Allocated())
 	}
-	if as.ResidentGPUPages() != 8 {
-		t.Errorf("resident = %d, want 8", as.ResidentGPUPages())
+	if as.GPUTable.MappedPages() != 8 {
+		t.Errorf("resident = %d, want 8", as.GPUTable.MappedPages())
 	}
 }
