@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"gpues"
 	"gpues/internal/experiments"
@@ -75,10 +74,10 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	names := strings.Split(*run, ",")
+	names := experiments.SplitList(*run)
 	var benchmarks []string
 	if *benches != "" {
-		benchmarks = strings.Split(*benches, ",")
+		benchmarks = experiments.SplitList(*benches)
 	}
 	if err := experiments.Check(names, benchmarks); err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -54,5 +56,47 @@ func TestAuditTrail(t *testing.T) {
 	}
 	if _, err := audit(newRun(t), dir); err == nil || !strings.Contains(err.Error(), victim) {
 		t.Fatalf("audit of a truncated trail = %v, want an error naming %s", err, victim)
+	}
+}
+
+// TestSeriesDigest runs the CI telemetry job's configuration (gpusim
+// -workload sgemm -paging -switching -scheme replay-queue -sample-every
+// 1000 -series f) and requires the series file's SHA-256 to equal the
+// committed digest. The series samples every 1000 cycles across clock
+// skips, so it pins the cycles the main loop visits, which the cycle
+// count alone does not.
+func TestSeriesDigest(t *testing.T) {
+	js := &runspec.JobSpec{Benchmark: "sgemm", Scale: 1, Scheme: "replay-queue",
+		Placement: "paging", Switching: true, SampleEvery: 1000}
+	cfg, spec, err := js.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := gpues.NewSimulator(cfg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := js.Attach(s); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.series.ndjson")
+	if err := writeSeriesFile(res.Series, path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("../../testdata/ci/sgemm-paging-series.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != strings.TrimSpace(string(want)) {
+		t.Errorf("series digest %s, want %s", got, strings.TrimSpace(string(want)))
 	}
 }

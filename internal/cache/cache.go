@@ -18,10 +18,10 @@ type Backend interface {
 	// A false return means the level cannot accept the request now and
 	// the caller must retry.
 	Fetch(addr uint64, done func()) bool
-	// Write hands a line of store traffic downstream; done runs when
-	// the write has been accepted (used for bandwidth accounting, not
-	// for store completion).
-	Write(addr uint64, done func()) bool
+	// Write hands a line of store traffic downstream. Every level
+	// accepts it at once and nobody waits on it: the level accounts
+	// for its bandwidth and marks the cycle the write completes.
+	Write(addr uint64)
 }
 
 // WritePolicy selects how stores are handled.
@@ -197,7 +197,7 @@ func (c *Cache) find(addr uint64) (setIdx int, l *line) {
 }
 
 // install places the line, evicting the LRU victim; a dirty victim is
-// written back downstream (retrying until accepted).
+// written back downstream.
 func (c *Cache) install(addr uint64, dirty bool) {
 	tag := addr / uint64(c.cfg.LineB)
 	set := int(tag % uint64(c.sets))
@@ -221,17 +221,10 @@ func (c *Cache) install(addr uint64, dirty bool) {
 	*victim = line{tag: tag, valid: true, dirty: dirty, lru: c.tick}
 }
 
-// sendWrite forwards write traffic downstream, retrying on rejection.
+// sendWrite forwards write traffic downstream.
 func (c *Cache) sendWrite(addr uint64) {
-	if c.next == nil {
-		return
-	}
-	if !c.next.Write(addr, func() {}) {
-		if fn, ok := c.next.(freeNotifier); ok {
-			fn.OnFree(func() { c.sendWrite(addr) })
-		} else {
-			c.q.After(1, func() { c.sendWrite(addr) })
-		}
+	if c.next != nil {
+		c.next.Write(addr)
 	}
 }
 
@@ -242,7 +235,9 @@ func (c *Cache) sendWrite(addr uint64) {
 func (c *Cache) Access(addr uint64, write bool, done func()) bool {
 	addr = c.lineAddr(addr)
 	if write {
-		return c.accessWrite(addr, done)
+		c.accessWrite(addr)
+		c.q.After(c.cfg.Latency, done)
+		return true
 	}
 	return c.accessRead(addr, done)
 }
@@ -326,7 +321,9 @@ func (c *Cache) putMSHR(m *mshr) {
 	c.pool = m
 }
 
-func (c *Cache) accessWrite(addr uint64, done func()) bool {
+// accessWrite applies a store to the tag array and forwards its
+// traffic; the store completes Latency cycles later.
+func (c *Cache) accessWrite(addr uint64) {
 	_, ln := c.find(addr)
 	switch c.cfg.Policy {
 	case WriteThrough:
@@ -340,8 +337,6 @@ func (c *Cache) accessWrite(addr uint64, done func()) bool {
 		// The store completes locally (store buffer); traffic continues
 		// downstream in the background.
 		c.sendWrite(addr)
-		c.q.After(c.cfg.Latency, done)
-		return true
 	default: // WriteBack
 		if ln != nil {
 			c.stats.Hits++
@@ -354,8 +349,6 @@ func (c *Cache) accessWrite(addr uint64, done func()) bool {
 			c.stats.Misses++
 			c.install(addr, true)
 		}
-		c.q.After(c.cfg.Latency, done)
-		return true
 	}
 }
 
@@ -366,8 +359,9 @@ func (c *Cache) Fetch(addr uint64, done func()) bool {
 }
 
 // Write implements Backend for downstream write traffic.
-func (c *Cache) Write(addr uint64, done func()) bool {
-	return c.accessWrite(c.lineAddr(addr), done)
+func (c *Cache) Write(addr uint64) {
+	c.accessWrite(c.lineAddr(addr))
+	c.q.Mark(c.q.Now() + c.cfg.Latency)
 }
 
 // Flush writes back all dirty lines and invalidates the cache (used at

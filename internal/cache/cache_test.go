@@ -24,13 +24,9 @@ func (b *fakeBackend) Fetch(addr uint64, done func()) bool {
 	return true
 }
 
-func (b *fakeBackend) Write(addr uint64, done func()) bool {
-	if b.reject {
-		return false
-	}
+func (b *fakeBackend) Write(addr uint64) {
 	b.writes++
-	b.q.After(b.latency, done)
-	return true
+	b.q.Mark(b.q.Now() + b.latency)
 }
 
 func run(q *clock.Queue, maxCycles int64) {
@@ -201,6 +197,24 @@ func TestWriteBackHitDirtiesLine(t *testing.T) {
 	run(q, 10)
 	if be.writes != 1 {
 		t.Errorf("flush writes = %d, want 1 dirty line", be.writes)
+	}
+}
+
+// TestWriteMarksCompletion: a cache taking downstream write traffic
+// marks the cycle the write completes, Latency cycles on, and schedules
+// nothing else.
+func TestWriteMarksCompletion(t *testing.T) {
+	q := clock.New()
+	cfg := Config{Name: "L2", SizeKB: 1, Ways: 2, LineB: 128, MSHRs: 8, Latency: 7, Policy: WriteBack}
+	c, _ := New(cfg, q, &fakeBackend{q: q, latency: 1})
+	c.Write(0x80)
+	c.Write(0x100)
+	if got, ok := q.NextEvent(); !ok || got != 7 || q.Len() != 1 {
+		t.Fatalf("after two writes: next event %d,%v with %d pending; want one mark at 7", got, ok, q.Len())
+	}
+	run(q, 100)
+	if s := c.Stats(); s.Misses != 2 {
+		t.Errorf("stats = %+v, want 2 write misses", s)
 	}
 }
 

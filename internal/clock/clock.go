@@ -16,6 +16,12 @@
 // implementation: earliest cycle first, FIFO (scheduling order) among
 // same-cycle events.
 //
+// A mark (Mark) is a node with no callback: it makes the main loop
+// visit its cycle and runs nothing there. Write acknowledgements and
+// other completions nobody waits on use it instead of scheduling an
+// empty closure. A ring bucket holds one cycle, so a mark whose bucket
+// is already occupied needs no node of its own.
+//
 // Nearly every latency in the simulated machine — L1/L2 hit latencies,
 // TLB fills, DRAM accesses, link occupancies — is far below the
 // horizon, so the overflow heap only sees the microsecond-scale fault
@@ -35,8 +41,9 @@ const (
 	occWords = numBuckets / 64
 )
 
-// node is one scheduled event. Nodes are pooled: RunDue returns them to
-// the free list before invoking the callback.
+// node is one scheduled event, or a mark when fn is nil. Nodes are
+// pooled: RunDue returns them to the free list before invoking the
+// callback.
 type node struct {
 	cycle int64
 	seq   uint64 // FIFO order among same-cycle events
@@ -122,6 +129,8 @@ func (q *Queue) setOcc(b int) {
 	q.occSum |= 1 << (uint(b) >> 6)
 }
 
+func (q *Queue) occupied(b int) bool { return q.occ[b>>6]&(1<<(uint(b)&63)) != 0 }
+
 func (q *Queue) clrOcc(b int) {
 	w := b >> 6
 	q.occ[w] &^= 1 << (uint(b) & 63)
@@ -165,6 +174,32 @@ func (q *Queue) At(cycle int64, fn func()) {
 	q.n++
 }
 
+// Mark makes the main loop visit the given absolute cycle without
+// running anything there: NextEvent, SkipTo and Len see it as an event
+// whose callback does nothing. Marks in the past land at the current
+// cycle. A cycle whose ring bucket already holds an event or a mark
+// gets no further node; a mark beyond the horizon is checked again
+// when it migrates into the ring.
+//
+//simlint:noalloc
+func (q *Queue) Mark(cycle int64) {
+	if cycle < q.now {
+		cycle = q.now
+	}
+	near := cycle-q.now < numBuckets
+	if near && q.occupied(int(cycle)&bucketMask) {
+		return
+	}
+	nd := q.alloc()
+	nd.cycle, nd.seq = cycle, 0
+	if near {
+		q.push(nd)
+	} else {
+		q.overflowPush(nd)
+	}
+	q.n++
+}
+
 // After schedules fn to run delay cycles from now.
 //
 //simlint:noalloc
@@ -179,7 +214,13 @@ func (q *Queue) After(delay int64, fn func()) { q.At(q.now+delay, fn) }
 //simlint:noalloc
 func (q *Queue) migrate() {
 	for len(q.overflow) > 0 && q.overflow[0].cycle-q.now < numBuckets {
-		q.push(q.overflowPop())
+		nd := q.overflowPop()
+		if nd.fn == nil && q.occupied(int(nd.cycle)&bucketMask) {
+			q.n--
+			q.recycle(nd)
+			continue
+		}
+		q.push(nd)
 	}
 }
 
@@ -221,7 +262,9 @@ func (q *Queue) RunDue() {
 		q.n--
 		fn := nd.fn
 		q.recycle(nd)
-		fn()
+		if fn != nil {
+			fn()
+		}
 	}
 	b := int(q.now) & bucketMask
 	bl := &q.buckets[b]
@@ -235,7 +278,9 @@ func (q *Queue) RunDue() {
 		q.n--
 		fn := nd.fn
 		q.recycle(nd)
-		fn()
+		if fn != nil {
+			fn()
+		}
 	}
 }
 

@@ -12,6 +12,10 @@ import (
 // rebuilds them by deterministic replay, and the summary written here
 // — total count, overdue count, and the per-cycle pending counts in
 // ascending cycle order — is what the replay is verified against.
+// Marks count as nodes, but the marks at one cycle inside the horizon
+// share a node (none beside an event), so a marked cycle counts once
+// in the summary however often it was marked; marks beyond the
+// horizon merge when they migrate into the ring.
 func (q *Queue) SaveState(w *ckpt.Writer) {
 	w.I64(q.now)
 	w.U64(q.seq)

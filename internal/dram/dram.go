@@ -87,12 +87,12 @@ func (d *DRAM) Fetch(addr uint64, done func()) bool {
 	return true
 }
 
-// Write implements cache.Backend: a line of write traffic.
-func (d *DRAM) Write(addr uint64, done func()) bool {
+// Write implements cache.Backend: a line of write traffic, marked at
+// the cycle it leaves the pipe.
+func (d *DRAM) Write(addr uint64) {
 	d.stats.Writes++
 	d.stats.BytesWrit += int64(d.lineBytes)
-	d.q.At(d.occupy(d.lineBytes), done)
-	return true
+	d.q.Mark(d.occupy(d.lineBytes))
 }
 
 // Transfer moves bytes in bulk (context save/restore, migrated page

@@ -58,11 +58,15 @@ func TestBandwidthSerialization(t *testing.T) {
 func TestWritesShareBandwidth(t *testing.T) {
 	q := clock.New()
 	d, _ := New(q, 0, 1, 128)
-	var rdDone, wrDone int64
-	d.Write(0, func() { wrDone = q.Now() })
+	var rdDone int64
+	d.Write(0)
+	wrDone, ok := q.NextEvent()
+	if !ok || wrDone != 128 {
+		t.Fatalf("write marked %d,%v, want 128 (one line at 1 B/cycle)", wrDone, ok)
+	}
 	d.Fetch(128, func() { rdDone = q.Now() })
 	drain(q)
-	if wrDone == 0 || rdDone <= wrDone {
+	if rdDone != 2*wrDone {
 		t.Errorf("write done %d, read done %d: read must queue behind write", wrDone, rdDone)
 	}
 }

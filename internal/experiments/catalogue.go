@@ -85,12 +85,21 @@ type Section struct {
 	Results []*Result         `json:",omitempty"`
 }
 
+// SplitList splits a comma-separated list of experiment or benchmark
+// names, as a command line spells it, and trims the spaces around each.
+func SplitList(list string) []string {
+	names := strings.Split(list, ",")
+	for i, n := range names {
+		names[i] = strings.TrimSpace(n)
+	}
+	return names
+}
+
 // Check returns an error naming the first of names that is neither a
-// catalogue entry nor "all" (spaces around a name are ignored), or else
-// the first of benchmarks that is not a registered workload.
+// catalogue entry nor "all", or else the first of benchmarks that is
+// not a registered workload.
 func Check(names, benchmarks []string) error {
 	for _, n := range names {
-		n = strings.TrimSpace(n)
 		if n != "all" && !slices.ContainsFunc(catalogue, func(e experiment) bool { return e.name == n }) {
 			return fmt.Errorf("unknown experiment %q; valid: %s", n, Usage())
 		}
@@ -114,7 +123,7 @@ func Run(names []string, opt Options) (*Document, error) {
 	}
 	want := map[string]bool{}
 	for _, n := range names {
-		want[strings.TrimSpace(n)] = true
+		want[n] = true
 	}
 	// Non-nil, so even a campaign that fails first marshals "Sections": [].
 	doc := &Document{Sections: []Section{}}

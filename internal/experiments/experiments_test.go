@@ -90,6 +90,21 @@ func TestUnknownBenchmarkFails(t *testing.T) {
 	}
 }
 
+// Both comma lists of a command line follow one spelling rule: the
+// spaces around a name are not part of it.
+func TestSplitListTrimsBothLists(t *testing.T) {
+	names, benches := SplitList("table1, table2"), SplitList("mri-q, sgemm")
+	if err := Check(names, benches); err != nil {
+		t.Fatal(err)
+	}
+	if benches[1] != "sgemm" {
+		t.Errorf("benchmarks = %q, want the spaces trimmed", benches)
+	}
+	if err := Check([]string{"table1"}, []string{" sgemm"}); err == nil {
+		t.Error(`Check accepted " sgemm": names are exact, SplitList spells them`)
+	}
+}
+
 func TestTable1Render(t *testing.T) {
 	out := table1(config.Default())
 	for _, want := range []string{"16 SMs", "64 page table walkers", "256 GB/s", "64 KB"} {

@@ -40,13 +40,13 @@ func NewExcepBoard(q *clock.Queue, pollEvery int64) *ExcepBoard {
 }
 
 // PostExcep implements sm.ExcepSink: it latches the record and, on the
-// first post, schedules a no-op clock event at the poll boundary so an
+// first post, marks the poll boundary on the clock so an
 // otherwise-quiescent simulation still advances to the cycle at which
 // the host observes the flag.
 func (b *ExcepBoard) PostExcep(now int64, r *excep.Record) {
 	if b.firstPosted < 0 {
 		b.firstPosted = now
-		b.q.At(b.Boundary(), func() {})
+		b.q.Mark(b.Boundary())
 	}
 	b.records = append(b.records, r)
 }

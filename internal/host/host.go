@@ -195,7 +195,7 @@ func (s *FaultService) Service(regionBase uint64, kind vm.FaultKind, smID int, d
 		s.tr.Emit(-1, obs.KMigrateStart, int32(smID), regionBase, uint64(start-now))
 	}
 	s.q.At(start, func() {
-		s.link.Occupy(linkCycles, func() {})
+		s.link.Occupy(linkCycles)
 	})
 	s.q.At(start+totalCycles, func() {
 		if s.tr != nil {

@@ -61,10 +61,10 @@ func (l *Link) RegisterMetrics(reg *obs.Registry, prefix string) {
 // SetJitter installs the chaos hook; nil removes it.
 func (l *Link) SetJitter(j Jitter) { l.jitter = j }
 
-// Occupy reserves a channel for the given number of cycles and calls
-// done when the occupancy ends. Requests wait for the earliest-free
+// Occupy reserves a channel for the given number of cycles and marks
+// the cycle the occupancy ends. Requests wait for the earliest-free
 // channel.
-func (l *Link) Occupy(cycles int64, done func()) {
+func (l *Link) Occupy(cycles int64) {
 	if cycles <= 0 {
 		cycles = 1
 	}
@@ -97,7 +97,7 @@ func (l *Link) Occupy(cycles int64, done func()) {
 	l.stats.StallCycles += start - now
 	l.stats.BusyCycles += cycles
 	l.channels[best] = start + cycles
-	l.q.At(start+cycles, done)
+	l.q.Mark(start + cycles)
 }
 
 // Utilization returns the fraction of cycles the link was busy over the

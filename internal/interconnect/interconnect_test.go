@@ -6,9 +6,16 @@ import (
 	"gpues/internal/clock"
 )
 
-func drain(q *clock.Queue) {
-	for q.Len() > 0 {
-		q.Step()
+// visits drains the queue and returns the cycles it stopped at.
+func visits(q *clock.Queue) []int64 {
+	var at []int64
+	for {
+		next, ok := q.NextEvent()
+		if !ok {
+			return at
+		}
+		q.SkipTo(next)
+		at = append(at, next)
 	}
 }
 
@@ -18,12 +25,14 @@ func TestSingleChannelSerializes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var times []int64
 	for i := 0; i < 3; i++ {
-		l.Occupy(100, func() { times = append(times, q.Now()) })
+		l.Occupy(100)
 	}
-	drain(q)
+	times := visits(q)
 	want := []int64{100, 200, 300}
+	if len(times) != len(want) {
+		t.Fatalf("occupancies ended at %v, want %v", times, want)
+	}
 	for i := range want {
 		if times[i] != want[i] {
 			t.Errorf("occupancy %d ended at %d, want %d", i, times[i], want[i])
@@ -41,22 +50,23 @@ func TestSingleChannelSerializes(t *testing.T) {
 func TestTwoChannelsOverlap(t *testing.T) {
 	q := clock.New()
 	l, _ := New("nvlink", q, 2)
-	var times []int64
 	for i := 0; i < 4; i++ {
-		l.Occupy(100, func() { times = append(times, q.Now()) })
+		l.Occupy(100)
 	}
-	drain(q)
-	// Two at a time: 100, 100, 200, 200.
-	if times[0] != 100 || times[1] != 100 || times[2] != 200 || times[3] != 200 {
-		t.Errorf("times = %v, want [100 100 200 200]", times)
+	// Two at a time: two end at 100 and two at 200, one mark each.
+	if times := visits(q); len(times) != 2 || times[0] != 100 || times[1] != 200 {
+		t.Errorf("visits = %v, want [100 200]", times)
+	}
+	if s := l.Stats(); s.StallCycles != 2*100 {
+		t.Errorf("stall cycles = %d, want 200", s.StallCycles)
 	}
 }
 
 func TestUtilization(t *testing.T) {
 	q := clock.New()
 	l, _ := New("x", q, 1)
-	l.Occupy(50, func() {})
-	drain(q)
+	l.Occupy(50)
+	visits(q)
 	q.SkipTo(100)
 	if u := l.Utilization(); u != 0.5 {
 		t.Errorf("utilization = %v, want 0.5", u)
@@ -66,11 +76,9 @@ func TestUtilization(t *testing.T) {
 func TestZeroCycleOccupancyRoundsUp(t *testing.T) {
 	q := clock.New()
 	l, _ := New("x", q, 1)
-	fired := false
-	l.Occupy(0, func() { fired = true })
-	drain(q)
-	if !fired || q.Now() != 1 {
-		t.Errorf("zero occupancy fired=%v at %d", fired, q.Now())
+	l.Occupy(0)
+	if times := visits(q); len(times) != 1 || times[0] != 1 {
+		t.Errorf("zero occupancy ended at %v, want [1]", times)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"gpues/internal/isa"
 	"gpues/internal/obs"
 	"gpues/internal/tlb"
-	"gpues/internal/vm"
 )
 
 // startMem begins executing a global memory instruction: the coalescer
@@ -35,19 +34,46 @@ func (s *SM) startMem(f *flight) {
 	// so they survive reqs reslicing across flight reuses.
 	for i := len(f.trFns); i < n; i++ {
 		i := i
-		f.trFns = append(f.trFns, func() { s.translate(f, &f.reqs[i]) })
+		f.trFns = append(f.trFns, func() {
+			s.translate(f, &f.reqs[i])
+			s.settle(f)
+		})
 		f.tlbFns = append(f.tlbFns, func(res tlb.Result) {
 			s.wake()
 			s.onTranslated(f, &f.reqs[i], res)
+			s.settle(f)
 		})
-		f.accFns = append(f.accFns, func() { s.accessDone(f, &f.reqs[i]) })
-		f.accRetry = append(f.accRetry, func() { s.access(f, &f.reqs[i]) })
+		f.accFns = append(f.accFns, func() {
+			s.accessDone(f, &f.reqs[i])
+			s.settle(f)
+		})
+		f.accRetry = append(f.accRetry, func() {
+			s.access(f, &f.reqs[i])
+			s.settle(f)
+		})
 	}
 	f.tlbRem = n
 	f.reqRem = n
 	s.stats.MemRequests += int64(n)
+	f.pending += n
 	for i := 0; i < n; i++ {
 		s.q.After(int64(i)+1, f.trFns[i])
+	}
+}
+
+// settle ends one callback scheduled against the flight's requests (a
+// translate event, an L1 TLB lookup or its retry, an L1 access or its
+// retry, a baseline re-translate), each counted in f.pending when it
+// was scheduled. A squashed flight returns to the pool when its last
+// one has fired: until then a stale callback may still read its
+// squashed flag.
+//
+//simlint:releases 0
+//simlint:noalloc
+func (s *SM) settle(f *flight) {
+	f.pending--
+	if f.squashed && f.pending == 0 {
+		s.freeFlight(f)
 	}
 }
 
@@ -60,11 +86,11 @@ func (s *SM) translate(f *flight, r *memReq) {
 		// The instruction was squashed after a fault; drop the request.
 		return
 	}
-	page := r.line &^ (uint64(s.cfg.System.PageSize) - 1)
-	ok := s.l1tlb.Lookup(page, f.tlbFns[r.idx])
+	ok := s.l1tlb.Lookup(s.page(r.line), f.tlbFns[r.idx])
 	if !ok {
 		s.l1tlb.OnFree(f.trFns[r.idx])
 	}
+	f.pending++
 }
 
 //simlint:noalloc
@@ -144,6 +170,7 @@ func (s *SM) access(f *flight, r *memReq) {
 	if !ok {
 		s.l1.OnFree(f.accRetry[r.idx])
 	}
+	f.pending++
 }
 
 // accessDone is the cache-hierarchy completion for one request.
@@ -171,14 +198,14 @@ func (s *SM) stallOnFault(f *flight) {
 		if r.state != reqFaulted {
 			continue
 		}
-		page := r.line &^ (uint64(s.cfg.System.PageSize) - 1)
-		s.sink.RaiseFault(page, r.faultKind, s.ID, func() {
+		f.pending++
+		s.sink.RaiseFault(s.page(r.line), r.faultKind, s.ID, func() {
 			s.wake()
-			if f.squashed {
-				return
+			if !f.squashed {
+				r.state = reqPending
+				s.translate(f, r)
 			}
-			r.state = reqPending
-			s.translate(f, r)
+			s.settle(f)
 		})
 	}
 	// Faulted requests will re-translate; clear the flag so the final
@@ -241,33 +268,31 @@ func (s *SM) squashAndRaise(f *flight) {
 		// against it; it can go straight back to the pool.
 		s.freeFlight(buf)
 	}
-	// Collect the distinct faulting pages.
-	kinds := make(map[uint64]vm.FaultKind)
-	var pages []uint64
+	// Raise each distinct faulting page once, in request order, with
+	// the kind of its first faulting request.
+	pages := 0
 	for i := range f.reqs {
-		r := &f.reqs[i]
-		if r.state == reqFaulted {
-			page := r.line &^ (uint64(s.cfg.System.PageSize) - 1)
-			if _, seen := kinds[page]; !seen {
-				kinds[page] = r.faultKind
-				pages = append(pages, page)
-			}
+		if s.firstFault(f, i) {
+			pages++
 		}
 	}
-	if len(pages) > 0 && w.faultsOutstanding == 0 {
+	if pages > 0 && w.faultsOutstanding == 0 {
 		w.faultWaitStart = s.q.Now()
 	}
-	w.faultsOutstanding += len(pages)
+	w.faultsOutstanding += pages
 	s.unblockWarp(w)
 	b := w.block
-	b.pendingFaults += len(pages)
+	b.pendingFaults += pages
 	maxPos := 0
-	for _, page := range pages {
-		page := page
-		if s.tr != nil {
-			s.tr.Emit(s.ID, obs.KFaultRaised, s.warpID(w), page, uint64(kinds[page]))
+	for i := range f.reqs {
+		if !s.firstFault(f, i) {
+			continue
 		}
-		pos := s.sink.RaiseFault(page, kinds[page], s.ID, func() {
+		page, kind := s.page(f.reqs[i].line), f.reqs[i].faultKind
+		if s.tr != nil {
+			s.tr.Emit(s.ID, obs.KFaultRaised, s.warpID(w), page, uint64(kind))
+		}
+		pos := s.sink.RaiseFault(page, kind, s.ID, func() {
 			s.wake()
 			w.faultsOutstanding--
 			b.pendingFaults--
@@ -286,6 +311,24 @@ func (s *SM) squashAndRaise(f *flight) {
 	s.afterDrainStep(b)
 	s.checkWarpDone(w)
 	s.maybeSwitchOut(b, maxPos)
+}
+
+// page returns the page holding a line.
+func (s *SM) page(line uint64) uint64 { return line &^ (uint64(s.cfg.System.PageSize) - 1) }
+
+// firstFault reports whether request i of f faulted on a page no
+// earlier request of f faulted on.
+func (s *SM) firstFault(f *flight, i int) bool {
+	if f.reqs[i].state != reqFaulted {
+		return false
+	}
+	page := s.page(f.reqs[i].line)
+	for j := 0; j < i; j++ {
+		if f.reqs[j].state == reqFaulted && s.page(f.reqs[j].line) == page {
+			return false
+		}
+	}
+	return true
 }
 
 // onFaultResolved resumes a warp (or wakes an off-chip block) when one

@@ -468,17 +468,12 @@ func (s *SM) newFlight(w *warpRT, ti *emu.TraceInst, tIdx int32, isReplay bool) 
 
 // freeFlight returns a flight to the pool. Callers must guarantee no
 // scheduled event still references it: commit (all translations and
-// cache completions have fired by then) and the fetch-buffer flush in
-// squashAndRaise (never issued, so nothing was scheduled) qualify.
-// Squashed flights are never recycled — stale TLB fill and cache
-// callbacks may still hold them, relying on the squashed flag staying
-// set.
+// cache completions have fired by then), the fetch-buffer flush in
+// squashAndRaise (never issued, so nothing was scheduled) and settle
+// (a squashed flight's last callback has fired) qualify.
 //
 //simlint:releases 0
 func (s *SM) freeFlight(f *flight) {
-	if f.squashed {
-		return
-	}
 	f.w, f.ti = nil, nil
 	f.poolNext = s.flightPool
 	s.flightPool = f

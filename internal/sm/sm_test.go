@@ -153,7 +153,7 @@ type memBackend struct {
 }
 
 func (b *memBackend) Fetch(addr uint64, done func()) bool { b.q.After(b.latency, done); return true }
-func (b *memBackend) Write(addr uint64, done func()) bool { b.q.After(b.latency, done); return true }
+func (b *memBackend) Write(addr uint64)                   { b.q.Mark(b.q.Now() + b.latency) }
 
 // run drives the SM until it is done or maxCycles pass.
 func (h *harness) run(maxCycles int64) {

@@ -3,6 +3,7 @@ package sm
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gpues/internal/config"
@@ -98,6 +99,18 @@ func stressOnce(t *testing.T, seed int64, scheme config.Scheme, inject bool) {
 		cfg.SM.MaxThreadBlocks = 2 // force one pending block
 	})
 
+	// Stock the pool with more flights than the run ever holds at once,
+	// so it builds none of its own: the end state then shows whether
+	// every flight, squashed ones included, came back.
+	const stock = 64
+	stocked := make([]*flight, stock)
+	for i := range stocked {
+		stocked[i] = h.sm.newFlight(nil, &traces[0].Warps[0].Insts[0], 0, false)
+	}
+	for _, f := range stocked {
+		h.sm.freeFlight(f)
+	}
+
 	if inject {
 		// Random pages fault until resolved.
 		for _, p := range pages {
@@ -137,6 +150,26 @@ func stressOnce(t *testing.T, seed int64, scheme config.Scheme, inject bool) {
 	}
 	if !h.sm.Done() {
 		t.Fatalf("seed %d: SM never finished", seed)
+	}
+	// Let every stale callback of a squashed flight fire. The sweep
+	// above saw each pooled flight with none outstanding, so a squashed
+	// flight was reused only after its last callback.
+	for {
+		next, ok := h.q.NextEvent()
+		if !ok {
+			break
+		}
+		h.q.SkipTo(next)
+	}
+	pooled := 0
+	for f := h.sm.flightPool; f != nil; f = f.poolNext {
+		pooled++
+	}
+	if pooled != stock {
+		t.Errorf("seed %d: %d flights pooled after the run, want the %d stocked", seed, pooled, stock)
+	}
+	if v := h.sm.CheckInvariants(h.q.Now(), 0); len(v) > 0 {
+		t.Errorf("seed %d: after the run: %v", seed, v)
 	}
 
 	st := h.sm.Stats()
@@ -181,6 +214,30 @@ func TestStressWithFaults(t *testing.T) {
 				stressOnce(t, seed, scheme, true)
 			}
 		})
+	}
+}
+
+// TestCheckInvariantsFlightCounts: the sweep reports a pooled flight
+// with callbacks still outstanding, and a negative outstanding count.
+func TestCheckInvariantsFlightCounts(t *testing.T) {
+	bt, launch, _ := figure3Trace()
+	h := newHarness(t, config.ReplayQueue, []*emu.BlockTrace{bt}, launch)
+	for _, tc := range []struct {
+		pending int
+		want    string
+	}{
+		{2, "pooled flight has 2 callbacks outstanding"},
+		{-1, "pooled flight has negative outstanding count -1"},
+	} {
+		f := h.sm.newFlight(nil, &bt.Warps[0].Insts[0], 0, false)
+		f.pending = tc.pending
+		h.sm.freeFlight(f)
+		v := h.sm.CheckInvariants(h.q.Now(), 0)
+		if len(v) != 1 || !strings.HasSuffix(v[0], tc.want) {
+			t.Errorf("pending %d: violations %q, want one ending %q", tc.pending, v, tc.want)
+		}
+		h.sm.flightPool = f.poolNext
+		f.pending = 0
 	}
 }
 

@@ -132,6 +132,7 @@ type flight struct {
 	reqs      []memReq
 	tlbRem    int // requests without a first translation result
 	reqRem    int // requests not yet done
+	pending   int // callbacks still scheduled against reqs; see SM.settle
 	faulted   bool
 	squashed  bool
 	logHeld   int  // operand log entries held by this instruction
