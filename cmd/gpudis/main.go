@@ -98,9 +98,10 @@ func main() {
 		dyn += bt.DynInsts
 		accesses += bt.GlobalAccesses
 		reqs += bt.MemRequests
-		for p := range bt.TouchedPages(4096) {
+		for p := range bt.TouchedPages(launch.Kernel.Code, 4096) {
 			pages[p] = true
 		}
+		e.Release(bt)
 	}
 	fmt.Printf("// dynamic: %d warp instructions, %d global accesses -> %d coalesced requests (%.2f req/access)\n",
 		dyn, accesses, reqs, float64(reqs)/float64(max(1, accesses)))

@@ -1,9 +1,11 @@
 package emu
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"gpues/internal/excep"
 	"gpues/internal/gpualloc"
@@ -54,15 +56,14 @@ type Emulator struct {
 
 	// Blocks are emulated one at a time, so one set of execution
 	// scratch state serves every block: warp contexts (their 64 KB
-	// register files and their trace buffers) and the shared-memory
-	// buffer are pooled, and coalesced line addresses are carved out of
-	// a chunked arena instead of one slice per instruction. A finished
-	// block's traces are copied out into one exactly sized allocation;
-	// that and the arena chunks escape into the returned BlockTrace,
-	// while only state that does not escape is reused.
+	// register files and their instruction buffers), the block's
+	// coalesced line addresses and the shared-memory buffer. A finished
+	// block is copied out of the scratch into a BlockTrace taken from
+	// free, the traces handed back by Release, or into a new one.
 	ctxs      []*warpCtx
 	sharedBuf []byte
-	arena     []uint64
+	lines     []uint64
+	free      []*BlockTrace
 	// regSpan is one past the highest register the kernel names. No
 	// instruction reads or writes a register above it, so a pooled
 	// register file is reset by clearing only regs[:regSpan].
@@ -75,9 +76,6 @@ type Emulator struct {
 	// heap backs OpMalloc when the launch declares a device heap.
 	heap *gpualloc.Allocator
 }
-
-// arenaChunk is the allocation granule for coalesced line addresses.
-const arenaChunk = 8192
 
 // New returns an Emulator for the launch. lineSize is the cache line
 // size used by the coalescing unit (128 B in the baseline).
@@ -202,21 +200,28 @@ func lane(m uint32) int { return bits.TrailingZeros32(m) & 31 }
 
 // EmulateBlock executes thread block blockID to completion and returns
 // its trace. It is safe to call for each block exactly once per launch;
-// global memory side effects accumulate in the shared Memory.
+// global memory side effects accumulate in the shared Memory. The
+// trace is the caller's until it hands it back with Release.
+//
+//simlint:noalloc
 func (e *Emulator) EmulateBlock(blockID int) (*BlockTrace, error) {
 	if blockID < 0 || blockID >= e.launch.Blocks() {
+		//simlint:ignore noalloc error path
 		return nil, fmt.Errorf("emu: block %d out of range [0,%d)", blockID, e.launch.Blocks())
 	}
 	threads := e.launch.ThreadsPerBlock()
 	numWarps := (threads + 31) / 32
 	sharedSize := e.launch.Kernel.SharedMemBytes
 	if cap(e.sharedBuf) < sharedSize {
+		//simlint:ignore noalloc sized once per launch
 		e.sharedBuf = make([]byte, sharedSize)
 	}
 	shared := e.sharedBuf[:sharedSize]
 	clear(shared)
+	e.lines = e.lines[:0]
 
 	for len(e.ctxs) < numWarps {
+		//simlint:ignore noalloc warp contexts are built once per launch
 		e.ctxs = append(e.ctxs, new(warpCtx))
 	}
 	warps := e.ctxs[:numWarps]
@@ -245,7 +250,7 @@ func (e *Emulator) EmulateBlock(blockID int) (*BlockTrace, error) {
 		ctx.flipAddrMask = 0
 	}
 
-	bt := &BlockTrace{BlockID: blockID, Warps: make([]WarpTrace, numWarps)}
+	bt := e.takeTrace(blockID)
 	// Round-robin warp execution, switching at barriers, until all warps
 	// are done. A pass with no progress means a malformed barrier.
 	for {
@@ -261,6 +266,7 @@ func (e *Emulator) EmulateBlock(blockID int) (*BlockTrace, error) {
 			}
 			before := w.insts
 			if err := e.runWarp(w, blockID, shared, bt); err != nil {
+				//simlint:ignore noalloc error path
 				return nil, fmt.Errorf("emu: block %d warp %d: %w", blockID, w.id, err)
 			}
 			if w.insts != before || w.done {
@@ -285,28 +291,83 @@ func (e *Emulator) EmulateBlock(blockID int) (*BlockTrace, error) {
 			progress = true
 		}
 		if !progress {
+			//simlint:ignore noalloc error path
 			return nil, hangErrorf("emu: block %d deadlocked at a barrier (divergent __syncthreads?)", blockID)
 		}
 	}
+	e.copyOut(bt, warps)
+	return bt, nil
+}
 
-	for _, ctx := range warps {
-		bt.DynInsts += len(ctx.trace)
+// takeTrace returns an empty trace for block blockID: the last one
+// handed back, or a new one.
+//
+//simlint:noalloc
+func (e *Emulator) takeTrace(blockID int) *BlockTrace {
+	n := len(e.free)
+	if n == 0 {
+		//simlint:ignore noalloc the free list is empty until the first trace comes back
+		return &BlockTrace{BlockID: blockID}
 	}
-	// Each warp's trace gets a capacity-capped window of one block-wide
-	// slice, so an append to one cannot overwrite the next.
-	all := make([]TraceInst, bt.DynInsts)
+	bt := e.free[n-1]
+	e.free[n-1] = nil
+	e.free = e.free[:n-1]
+	bt.BlockID = blockID
+	bt.GlobalAccesses, bt.MemRequests = 0, 0
+	return bt
+}
+
+// copyOut moves the finished block's instructions and lines out of the
+// scratch state into bt, reusing its arrays when they are large
+// enough. Each warp's Insts is a capacity-capped window of one
+// block-wide array, so an append to one cannot overwrite the next; the
+// line offsets index the block's scratch lines, which are copied whole.
+//
+//simlint:noalloc
+func (e *Emulator) copyOut(bt *BlockTrace, warps []*warpCtx) {
+	dyn := 0
+	for _, ctx := range warps {
+		dyn += len(ctx.trace)
+	}
+	if cap(bt.insts) < dyn {
+		//simlint:ignore noalloc growth to the largest block emulated so far
+		bt.insts = make([]TraceInst, dyn)
+	}
+	if cap(bt.Warps) < len(warps) {
+		//simlint:ignore noalloc sized once per launch
+		bt.Warps = make([]WarpTrace, len(warps))
+	}
+	bt.lines = append(bt.lines[:0], e.lines...)
+	bt.Warps = bt.Warps[:len(warps)]
+	all := bt.insts[:dyn]
 	for w, ctx := range warps {
 		n := copy(all, ctx.trace)
 		bt.Warps[w] = WarpTrace{WarpID: w, Insts: all[:n:n], Excep: ctx.excep}
 		all = all[n:]
 	}
-	return bt, nil
+	bt.DynInsts = dyn
+}
+
+// Release hands a trace that EmulateBlock returned back to the
+// emulator, whose next EmulateBlock reuses its arrays. The caller must
+// hold no reference into it afterwards: not bt, not a WarpTrace.Insts
+// slice, not a LinesOf slice. Exception records stay the caller's.
+//
+//simlint:releases 0
+//simlint:noalloc
+func (e *Emulator) Release(bt *BlockTrace) {
+	for i := range bt.Warps {
+		bt.Warps[i] = WarpTrace{}
+	}
+	e.free = append(e.free, bt)
 }
 
 // runWarp executes the warp until it exits or reaches a barrier. Each
 // warp instruction is decoded once and executed for all its active
 // lanes together; bt collects the block's global-memory counters as
 // instructions are appended to the trace.
+//
+//simlint:noalloc
 func (e *Emulator) runWarp(w *warpCtx, blockID int, shared []byte, bt *BlockTrace) error {
 	code := e.launch.Kernel.Code
 	for {
@@ -325,6 +386,7 @@ func (e *Emulator) runWarp(w *warpCtx, blockID int, shared []byte, bt *BlockTrac
 			continue
 		}
 		if top.pc < 0 || int(top.pc) >= len(code) {
+			//simlint:ignore noalloc error path
 			return fmt.Errorf("pc %d out of range", top.pc)
 		}
 		w.insts++
@@ -333,6 +395,7 @@ func (e *Emulator) runWarp(w *warpCtx, blockID int, shared []byte, bt *BlockTrac
 			max = DefaultMaxWarpInsts
 		}
 		if w.insts > max {
+			//simlint:ignore noalloc error path
 			return hangErrorf("exceeded %d dynamic instructions (runaway loop?)", max)
 		}
 
@@ -352,7 +415,7 @@ func (e *Emulator) runWarp(w *warpCtx, blockID int, shared []byte, bt *BlockTrac
 			execMask = e.injectFlips(w, in, active, execMask, blockID)
 		}
 
-		ti := TraceInst{PC: top.pc, Static: in, Mask: execMask}
+		ti := TraceInst{PC: top.pc, Mask: execMask}
 
 		switch in.Op {
 		case isa.OpBra:
@@ -379,9 +442,10 @@ func (e *Emulator) runWarp(w *warpCtx, blockID int, shared []byte, bt *BlockTrac
 							minority = notTaken
 						}
 						e.raise(w, blockID, excep.KindTrap, top.pc, in, minority, 0,
-							fmt.Sprintf("uniform branch diverged (taken=%08x)", taken))
+							fmt.Sprintf("uniform branch diverged (taken=%08x)", taken)) //simlint:ignore noalloc exception path: the warp stops here
 						return nil
 					}
+					//simlint:ignore noalloc error path
 					return fmt.Errorf("pc %d: branch asserted warp-uniform diverged (taken=%08x)", top.pc, taken)
 				}
 				fall := top.pc + 1
@@ -408,6 +472,7 @@ func (e *Emulator) runWarp(w *warpCtx, blockID int, shared []byte, bt *BlockTrac
 
 		case isa.OpLdGlobal, isa.OpStGlobal, isa.OpAtomGlobal, isa.OpLdShared, isa.OpStShared:
 			if err := e.execMem(w, in, execMask, blockID, shared, &ti); err != nil {
+				//simlint:ignore noalloc error path
 				return fmt.Errorf("pc %d (%v): %w", top.pc, in, err)
 			}
 			if w.excep != nil {
@@ -416,7 +481,7 @@ func (e *Emulator) runWarp(w *warpCtx, blockID int, shared []byte, bt *BlockTrac
 			w.trace = append(w.trace, ti)
 			if in.IsGlobalMem() {
 				bt.GlobalAccesses++
-				bt.MemRequests += len(ti.Lines)
+				bt.MemRequests += int(ti.lineN)
 			}
 			top.pc++
 			continue
@@ -432,7 +497,7 @@ func (e *Emulator) runWarp(w *warpCtx, blockID int, shared []byte, bt *BlockTrac
 			}
 			if failed != 0 {
 				e.raise(w, blockID, excep.KindAssert, top.pc, in, failed, 0,
-					fmt.Sprintf("assert %d failed on %d lane(s)", in.Imm, bits.OnesCount32(failed)))
+					fmt.Sprintf("assert %d failed on %d lane(s)", in.Imm, bits.OnesCount32(failed))) //simlint:ignore noalloc exception path: the warp stops here
 				return nil
 			}
 			w.trace = append(w.trace, ti)
@@ -442,7 +507,7 @@ func (e *Emulator) runWarp(w *warpCtx, blockID int, shared []byte, bt *BlockTrac
 		case isa.OpTrap:
 			if execMask != 0 {
 				e.raise(w, blockID, excep.KindTrap, top.pc, in, execMask, 0,
-					fmt.Sprintf("trap %d", in.Imm))
+					fmt.Sprintf("trap %d", in.Imm)) //simlint:ignore noalloc exception path: the warp stops here
 				return nil
 			}
 			w.trace = append(w.trace, ti)
@@ -574,6 +639,8 @@ func boolVal(b bool) uint64 {
 // case is a single loop over the active lanes. A lane reads only its
 // own lane of each source before writing its own lane of the
 // destination, so a destination that aliases a source is safe.
+//
+//simlint:noalloc
 func (e *Emulator) execALU(w *warpCtx, in *isa.Instruction, mask uint32, blockID int) {
 	a, b, c := w.src(in.SrcA), w.src(in.SrcB), w.src(in.SrcC)
 	d := w.dst(in.Dst)
@@ -869,25 +936,31 @@ func (e *Emulator) execS2R(w *warpCtx, s isa.SReg, d *laneVec, mask uint32, bloc
 	broadcast(d, mask, v)
 }
 
-// coalesceArena coalesces the per-lane accesses into line addresses
-// backed by the emulator's arena: the worst-case entry count is
-// reserved up front so the append inside coalesce never reallocates,
-// and the arena advances past the entries actually produced. Retired
-// chunks stay referenced by the traces that point into them and are
-// collected when those traces are dropped.
-func (e *Emulator) coalesceArena(addrs *[32]uint64, mask uint32, size int) []uint64 {
-	span := int(uint64(size-1)/e.lineSize) + 2
-	need := 32 * span
-	if cap(e.arena)-len(e.arena) < need {
-		n := arenaChunk
-		if need > n {
-			n = need
-		}
-		e.arena = make([]uint64, 0, n)
+// errTooManyLines reports a block whose coalesced lines overflow the
+// 32-bit offsets of TraceInst.
+var errTooManyLines = errors.New("block has more than 2^32 coalesced lines")
+
+// coalesceLines coalesces the per-lane accesses into line addresses
+// appended to the block's line scratch, and points ti at them. The
+// worst-case entry count is reserved up front, so coalesce's duplicate
+// search sees only this instruction's lines and its appends never
+// reallocate.
+//
+//simlint:noalloc
+func (e *Emulator) coalesceLines(ti *TraceInst, addrs *[32]uint64, mask uint32, size int) error {
+	start := len(e.lines)
+	need := 32 * (int(uint64(size-1)/e.lineSize) + 2)
+	if uint64(start)+uint64(need) > math.MaxUint32 {
+		return errTooManyLines
 	}
-	dst := coalesce(e.arena[len(e.arena):len(e.arena)], addrs, mask, size, e.lineSize)
-	e.arena = e.arena[:len(e.arena)+len(dst)]
-	return dst
+	if cap(e.lines)-start < need {
+		// Growth to the largest block emulated so far.
+		e.lines = slices.Grow(e.lines, need)
+	}
+	dst := coalesce(e.lines[start:start], addrs, mask, size, e.lineSize)
+	e.lines = e.lines[:start+len(dst)]
+	ti.lineOff, ti.lineN = uint32(start), uint32(len(dst))
+	return nil
 }
 
 // execMem executes a memory instruction for every lane in mask. The
@@ -895,6 +968,8 @@ func (e *Emulator) coalesceArena(addrs *[32]uint64, mask uint32, size int) []uin
 // accesses (so atomics and a block's stores interleave in lane order)
 // and the error on an out-of-partition shared access then all run in
 // ascending lane order.
+//
+//simlint:noalloc
 func (e *Emulator) execMem(w *warpCtx, in *isa.Instruction, mask uint32, blockID int, shared []byte, ti *TraceInst) error {
 	size := int(in.Size)
 	var addrs [32]uint64
@@ -918,7 +993,7 @@ func (e *Emulator) execMem(w *warpCtx, in *isa.Instruction, mask uint32, blockID
 			}
 			if a&uint64(size-1) != 0 { // sizes are powers of two
 				e.raise(w, blockID, excep.KindMisaligned, ti.PC, in, 1<<l, a,
-					fmt.Sprintf("address not %d-byte aligned", size))
+					fmt.Sprintf("address not %d-byte aligned", size)) //simlint:ignore noalloc exception path: the warp stops here
 				return nil
 			}
 			if e.AddrValid != nil && !e.AddrValid(a) {
@@ -967,6 +1042,7 @@ func (e *Emulator) execMem(w *warpCtx, in *isa.Instruction, mask uint32, blockID
 		for m := mask; m != 0; m &= m - 1 {
 			l := lane(m)
 			v, cmp := vs[l], cmps[l]
+			//simlint:ignore noalloc the closure does not escape Memory.Atom (go build -gcflags=-m), so it lives on the stack
 			d[l] = e.mem.Atom(addrs[l], size, func(o uint64) (uint64, bool) {
 				switch in.Atom {
 				case isa.AtomAdd:
@@ -997,10 +1073,11 @@ func (e *Emulator) execMem(w *warpCtx, in *isa.Instruction, mask uint32, blockID
 			})
 		}
 	default:
+		//simlint:ignore noalloc error path
 		return fmt.Errorf("execMem: %v is not a memory op", in.Op)
 	}
 	if mask != 0 {
-		ti.Lines = e.coalesceArena(&addrs, mask, size)
+		return e.coalesceLines(ti, &addrs, mask, size)
 	}
 	return nil
 }

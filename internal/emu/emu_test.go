@@ -93,8 +93,8 @@ func TestCoalescingUnitStride(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ti := range bt.Warps[0].Insts {
-		if ti.Static.IsGlobalMem() && len(ti.Lines) != 2 {
-			t.Errorf("unit-stride 8B access coalesced to %d requests, want 2: %v", len(ti.Lines), ti.String())
+		if n := len(bt.LinesOf(ti)); k.Code[ti.PC].IsGlobalMem() && n != 2 {
+			t.Errorf("unit-stride 8B access coalesced to %d requests, want 2: %v", n, ti.String())
 		}
 	}
 	if bt.MemRequests != 6 {
@@ -186,7 +186,7 @@ func TestDivergenceReconvergence(t *testing.T) {
 	// The post-reconvergence store must execute once with a full mask.
 	fullMaskStores := 0
 	for _, ti := range bt.Warps[0].Insts {
-		if ti.Static.Op == isa.OpStGlobal && ti.Mask == ^uint32(0) {
+		if l.Kernel.Code[ti.PC].Op == isa.OpStGlobal && ti.Mask == ^uint32(0) {
 			fullMaskStores++
 		}
 	}
@@ -369,7 +369,7 @@ func TestPartialWarp(t *testing.T) {
 	}
 	// The partial warp's stores carry only 8 active lanes.
 	for _, ti := range bt.Warps[1].Insts {
-		if ti.Static.Op == isa.OpStGlobal && ti.Mask != 0xff {
+		if l.Kernel.Code[ti.PC].Op == isa.OpStGlobal && ti.Mask != 0xff {
 			t.Errorf("partial warp store mask = %#x, want 0xff", ti.Mask)
 		}
 	}
@@ -512,7 +512,7 @@ func TestTouchedPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pages := bt.TouchedPages(4096)
+	pages := bt.TouchedPages(k.Code, 4096)
 	want := map[uint64]bool{0x10000: true, 0x20000: true, 0x30000: true}
 	if len(pages) != 3 {
 		t.Errorf("touched pages = %v, want %v", pages, want)

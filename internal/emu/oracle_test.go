@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -417,8 +418,66 @@ func randProgram(rng *rand.Rand, outBase uint64, threads int) *oracleProgram {
 	return p
 }
 
+// oracleOutBase is where the random programs dump their register pool.
+const oracleOutBase = uint64(0x100000)
+
+// matchOracle emulates blocks of l, which runs p, in order on one
+// emulator, handing each trace back before the next block so later
+// blocks run on recycled traces, and compares every thread's register
+// pool after each segment and the block's shared memory with the
+// per-thread oracle. It returns how many predicated instructions ran
+// with a partial mask.
+func matchOracle(t testing.TB, name string, l *kernel.Launch, p *oracleProgram, blocks []int) (partialMasks int) {
+	t.Helper()
+	threads := l.ThreadsPerBlock()
+	mem := NewMemory()
+	e, err := New(l, mem, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range p.patches {
+		p.k.Code[pt.pc].Size = pt.size
+	}
+	// Later blocks reuse the first block's pooled warp state, so they
+	// also check that a block starts from zeroed registers.
+	for _, blk := range blocks {
+		bt, err := e.EmulateBlock(blk)
+		if err != nil {
+			t.Fatalf("%s block %d: %v", name, blk, err)
+		}
+		// Oracle: run the program one thread at a time.
+		shared := make([]byte, p.k.SharedMemBytes)
+		for tid := 0; tid < threads; tid++ {
+			th := &oracleThread{tid: tid, block: blk, launch: l, shared: shared}
+			for k, seg := range p.segments {
+				for _, in := range seg {
+					th.exec(in)
+				}
+				for i, r := range p.pool {
+					got := mem.ReadU64(oracleOutBase + uint64(((k*threads+tid)*oracleRegs+i)*8))
+					if want := th.regs[r]; got != want {
+						t.Fatalf("%s block %d thread %d, after segment %d, pool r%d: emulator %#x, oracle %#x",
+							name, blk, tid, k, i, got, want)
+					}
+				}
+			}
+		}
+		if got := e.sharedBuf[:len(shared)]; string(got) != string(shared) {
+			t.Fatalf("%s block %d: shared memory differs from the oracle's", name, blk)
+		}
+		for _, w := range bt.Warps {
+			for _, ti := range w.Insts {
+				if l.Kernel.Code[ti.PC].Pred != isa.RegNone && ti.Mask != 0 && ti.Mask != ^uint32(0) {
+					partialMasks++
+				}
+			}
+		}
+		e.Release(bt)
+	}
+	return partialMasks
+}
+
 func TestEmulatorMatchesOracle(t *testing.T) {
-	const outBase = uint64(0x100000)
 	shapes := []struct {
 		name        string
 		grid, block kernel.Dim3
@@ -437,52 +496,9 @@ func TestEmulatorMatchesOracle(t *testing.T) {
 		for seed := int64(0); seed < 30; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			l := &kernel.Launch{Grid: sh.grid, Block: sh.block}
-			threads := l.ThreadsPerBlock()
-			p := randProgram(rng, outBase, threads)
+			p := randProgram(rng, oracleOutBase, l.ThreadsPerBlock())
 			l.Kernel = p.k
-			mem := NewMemory()
-			e, err := New(l, mem, 128)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, pt := range p.patches {
-				p.k.Code[pt.pc].Size = pt.size
-			}
-			// Later blocks reuse the first block's pooled warp state, so
-			// they also check that a block starts from zeroed registers.
-			for _, blk := range sh.blocks {
-				bt, err := e.EmulateBlock(blk)
-				if err != nil {
-					t.Fatalf("%s seed %d block %d: %v", sh.name, seed, blk, err)
-				}
-				// Oracle: run the program one thread at a time.
-				shared := make([]byte, p.k.SharedMemBytes)
-				for tid := 0; tid < threads; tid++ {
-					th := &oracleThread{tid: tid, block: blk, launch: l, shared: shared}
-					for k, seg := range p.segments {
-						for _, in := range seg {
-							th.exec(in)
-						}
-						for i, r := range p.pool {
-							got := mem.ReadU64(outBase + uint64(((k*threads+tid)*oracleRegs+i)*8))
-							if want := th.regs[r]; got != want {
-								t.Fatalf("%s seed %d block %d thread %d, after segment %d, pool r%d: emulator %#x, oracle %#x",
-									sh.name, seed, blk, tid, k, i, got, want)
-							}
-						}
-					}
-				}
-				if got := e.sharedBuf[:len(shared)]; string(got) != string(shared) {
-					t.Fatalf("%s seed %d block %d: shared memory differs from the oracle's", sh.name, seed, blk)
-				}
-				for _, w := range bt.Warps {
-					for _, ti := range w.Insts {
-						if ti.Static.Pred != isa.RegNone && ti.Mask != 0 && ti.Mask != ^uint32(0) {
-							partialMasks++
-						}
-					}
-				}
-			}
+			partialMasks += matchOracle(t, fmt.Sprintf("%s seed %d", sh.name, seed), l, p, sh.blocks)
 
 			for _, seg := range p.segments {
 				for _, in := range seg {
@@ -525,4 +541,24 @@ func TestEmulatorMatchesOracle(t *testing.T) {
 	if partialMasks == 0 || aliased == 0 {
 		t.Errorf("partial-mask instructions %d, aliased destinations %d: want both > 0", partialMasks, aliased)
 	}
+}
+
+// FuzzEmulatorOracle runs a random program from a fuzzed seed on a
+// fuzzed launch shape (up to 4×3 blocks of up to 64×2 threads, so
+// partial last warps and multi-warp blocks) and checks two of its
+// blocks against the per-thread oracle, the second on a recycled
+// trace.
+func FuzzEmulatorOracle(f *testing.F) {
+	f.Add(int64(0), uint8(1), uint8(0), uint8(31), uint8(0), uint8(0), uint8(1))
+	f.Add(int64(7), uint8(2), uint8(1), uint8(19), uint8(2), uint8(4), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, gx, gy, bx, by, b0, b1 uint8) {
+		l := &kernel.Launch{
+			Grid:  kernel.Dim3{X: int(gx%4) + 1, Y: int(gy%3) + 1},
+			Block: kernel.Dim3{X: int(bx%64) + 1, Y: int(by%2) + 1},
+		}
+		p := randProgram(rand.New(rand.NewSource(seed)), oracleOutBase, l.ThreadsPerBlock())
+		l.Kernel = p.k
+		n := l.Blocks()
+		matchOracle(t, fmt.Sprintf("seed %d", seed), l, p, []int{int(b0) % n, int(b1) % n})
+	})
 }

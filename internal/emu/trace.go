@@ -9,38 +9,25 @@ import (
 )
 
 // TraceInst is one dynamic warp instruction in a trace: the static
-// instruction it came from plus the runtime information the timing
-// simulator needs (active mask and, for memory instructions, the
-// coalesced line addresses). PC and Mask sit together so the struct
-// packs into 40 bytes.
+// instruction index plus the runtime information the timing simulator
+// needs (active mask and, for memory instructions, the coalesced line
+// addresses). It holds no pointers: the PC names the static
+// instruction, and the lines live in the owning BlockTrace's line
+// array, read through BlockTrace.LinesOf. The struct is 16 bytes.
 type TraceInst struct {
 	// PC is the static instruction index in the kernel code.
 	PC int32
 	// Mask is the set of active lanes when the instruction executed.
 	Mask uint32
-	// Static points at the kernel's instruction.
-	Static *isa.Instruction
-	// Lines holds the coalesced memory request addresses: one entry per
-	// unique cache line touched by the active lanes, aligned to the line
-	// size, in first-touch lane order. Nil for non-memory instructions
-	// and for memory instructions whose lanes were all predicated off.
-	// For shared memory instructions the addresses are offsets within
-	// the block's shared memory partition.
-	Lines []uint64
-}
-
-// ActiveLanes returns the number of active lanes.
-func (ti *TraceInst) ActiveLanes() int {
-	n := 0
-	for m := ti.Mask; m != 0; m &= m - 1 {
-		n++
-	}
-	return n
+	// lineOff and lineN locate the instruction's coalesced lines in
+	// BlockTrace.lines.
+	lineOff uint32
+	lineN   uint32
 }
 
 // String formats the trace instruction for debugging.
 func (ti *TraceInst) String() string {
-	return fmt.Sprintf("pc=%d mask=%08x %v lines=%d", ti.PC, ti.Mask, ti.Static, len(ti.Lines))
+	return fmt.Sprintf("pc=%d mask=%08x lines=%d", ti.PC, ti.Mask, ti.lineN)
 }
 
 // WarpTrace is the dynamic instruction sequence of one warp.
@@ -57,6 +44,12 @@ type WarpTrace struct {
 
 // BlockTrace is the dynamic trace of one thread block: one WarpTrace per
 // warp, plus summary statistics.
+//
+// A trace that EmulateBlock returned may be handed back with
+// Emulator.Release once its consumer is done with it; the next
+// EmulateBlock then reuses its arrays, so nothing may read it (or any
+// WarpTrace.Insts slice of it) afterwards. Exception records are never
+// reused.
 type BlockTrace struct {
 	// BlockID is the linear block index within the grid.
 	BlockID int
@@ -68,18 +61,54 @@ type BlockTrace struct {
 	GlobalAccesses int
 	// MemRequests is the number of coalesced global memory requests.
 	MemRequests int
+
+	// insts backs every warp's Insts window; lines holds every
+	// instruction's coalesced line addresses. Both are reused when the
+	// trace is released.
+	insts []TraceInst
+	lines []uint64
+}
+
+// LinesOf returns the coalesced memory request addresses of ti, an
+// instruction of bt: one entry per unique cache line touched by the
+// active lanes, aligned to the line size, in first-touch lane order.
+// It is empty for non-memory instructions and for memory instructions
+// whose lanes were all predicated off. For shared memory instructions
+// the addresses are offsets within the block's shared memory
+// partition. The slice aliases the trace.
+func (bt *BlockTrace) LinesOf(ti TraceInst) []uint64 {
+	end := ti.lineOff + ti.lineN
+	return bt.lines[ti.lineOff:end:end]
+}
+
+// Append adds one instruction with the given lines to warp w's stream,
+// growing Warps to cover w. It builds traces by hand, for tests and
+// tools; DynInsts and the access counters are left to the caller.
+func (bt *BlockTrace) Append(w int, pc int32, mask uint32, lines ...uint64) {
+	for len(bt.Warps) <= w {
+		bt.Warps = append(bt.Warps, WarpTrace{WarpID: len(bt.Warps)})
+	}
+	bt.Warps[w].Insts = append(bt.Warps[w].Insts, TraceInst{PC: pc, Mask: mask})
+	bt.SetLines(w, len(bt.Warps[w].Insts)-1, lines...)
+}
+
+// SetLines replaces the lines of instruction i of warp w.
+func (bt *BlockTrace) SetLines(w, i int, lines ...uint64) {
+	ti := &bt.Warps[w].Insts[i]
+	ti.lineOff, ti.lineN = uint32(len(bt.lines)), uint32(len(lines))
+	bt.lines = append(bt.lines, lines...)
 }
 
 // TouchedPages returns the set of distinct virtual pages referenced by
-// the block's global memory instructions, for the given page size.
-func (bt *BlockTrace) TouchedPages(pageSize int) map[uint64]bool {
+// the block's global memory instructions, for the given page size;
+// code is the kernel the block ran.
+func (bt *BlockTrace) TouchedPages(code []isa.Instruction, pageSize int) map[uint64]bool {
 	pages := make(map[uint64]bool)
 	mask := ^uint64(pageSize - 1)
 	for i := range bt.Warps {
-		for j := range bt.Warps[i].Insts {
-			ti := &bt.Warps[i].Insts[j]
-			if ti.Static.IsGlobalMem() {
-				for _, a := range ti.Lines {
+		for _, ti := range bt.Warps[i].Insts {
+			if code[ti.PC].IsGlobalMem() {
+				for _, a := range bt.LinesOf(ti) {
 					pages[a&mask] = true
 				}
 			}

@@ -1,0 +1,73 @@
+package emu_test
+
+import (
+	"reflect"
+	"testing"
+	"unsafe"
+
+	"gpues/internal/emu"
+	"gpues/internal/workloads"
+)
+
+// TestTraceInstLayout pins the trace entry at 16 bytes with no
+// pointers, so trace arrays are noscan memory the collector never
+// walks and a copy into them needs no write barriers.
+func TestTraceInstLayout(t *testing.T) {
+	if got := unsafe.Sizeof(emu.TraceInst{}); got != 16 {
+		t.Errorf("TraceInst is %d bytes, want 16", got)
+	}
+	if path, ok := pointerIn(reflect.TypeOf(emu.TraceInst{}), "TraceInst"); ok {
+		t.Errorf("TraceInst holds a pointer at %s", path)
+	}
+}
+
+// pointerIn returns the path of a pointer-shaped part of t, if any.
+func pointerIn(t reflect.Type, path string) (string, bool) {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if p, ok := pointerIn(f.Type, path+"."+f.Name); ok {
+				return p, true
+			}
+		}
+		return "", false
+	case reflect.Array:
+		return pointerIn(t.Elem(), path+"[]")
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+		reflect.Chan, reflect.Func, reflect.Interface, reflect.String:
+		return path, true
+	}
+	return "", false
+}
+
+// TestEmulateReleaseAllocs: once every block of a launch has been
+// emulated and handed back, emulating a block and handing its trace
+// back allocates nothing. The launch (histo) runs shared memory and
+// global atomics.
+func TestEmulateReleaseAllocs(t *testing.T) {
+	spec, err := workloads.Build("histo", workloads.Params{Scale: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := emu.New(spec.Launch, spec.Memory, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := spec.Launch.Blocks()
+	blk := 0
+	step := func() {
+		bt, err := e.EmulateBlock(blk % n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Release(bt)
+		blk++
+	}
+	for blk < n {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(n, step); allocs != 0 {
+		t.Errorf("warm emulate and hand-back: %.2f allocations per block, want 0", allocs)
+	}
+}

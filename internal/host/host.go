@@ -17,25 +17,33 @@ import (
 	"gpues/internal/vm"
 )
 
-// Dispatcher issues thread blocks to SMs in block-ID order and emulates
-// each block lazily the first time it is handed out.
+// BlockEmulator produces the dynamic trace of one block and takes
+// finished traces back for reuse; *emu.Emulator implements it.
+type BlockEmulator interface {
+	EmulateBlock(blockID int) (*emu.BlockTrace, error)
+	Release(bt *emu.BlockTrace)
+}
+
+// Dispatcher issues thread blocks to SMs in block-ID order, emulates
+// each block lazily the first time it is handed out, and returns each
+// finished block's trace to the emulator.
 type Dispatcher struct {
 	total int
 	next  int
 	done  int
-	//simlint:ckptskip emulation closure over the workload, re-supplied at construction
-	emulate func(blockID int) (*emu.BlockTrace, error)
+	//simlint:ckptskip the emulator over the workload, re-supplied at construction; its functional memory checkpoints as the emu.memory section
+	emul BlockEmulator
 	//simlint:ckptskip a non-nil error ends the run before any checkpoint is cut
 	err error
 }
 
-// NewDispatcher builds a dispatcher over a grid of total blocks.
-// emulate produces the dynamic trace of one block.
-func NewDispatcher(total int, emulate func(int) (*emu.BlockTrace, error)) (*Dispatcher, error) {
-	if total <= 0 || emulate == nil {
+// NewDispatcher builds a dispatcher over a grid of total blocks whose
+// traces e produces.
+func NewDispatcher(total int, e BlockEmulator) (*Dispatcher, error) {
+	if total <= 0 || e == nil {
 		return nil, fmt.Errorf("host: dispatcher needs blocks (%d) and an emulator", total)
 	}
-	return &Dispatcher{total: total, emulate: emulate}, nil
+	return &Dispatcher{total: total, emul: e}, nil
 }
 
 // NextBlock implements sm.BlockSource.
@@ -43,7 +51,7 @@ func (d *Dispatcher) NextBlock(smID int) (*emu.BlockTrace, bool) {
 	if d.err != nil || d.next >= d.total {
 		return nil, false
 	}
-	bt, err := d.emulate(d.next)
+	bt, err := d.emul.EmulateBlock(d.next)
 	if err != nil {
 		d.err = err
 		return nil, false
@@ -52,8 +60,14 @@ func (d *Dispatcher) NextBlock(smID int) (*emu.BlockTrace, bool) {
 	return bt, true
 }
 
-// BlockDone implements sm.BlockSource.
-func (d *Dispatcher) BlockDone(smID, blockID int) { d.done++ }
+// BlockDone implements sm.BlockSource: the trace goes back to the
+// emulator, whose next EmulateBlock reuses it.
+//
+//simlint:releases 1
+func (d *Dispatcher) BlockDone(smID int, bt *emu.BlockTrace) {
+	d.done++
+	d.emul.Release(bt)
+}
 
 // PendingBlocks implements sm.BlockSource.
 func (d *Dispatcher) PendingBlocks() int { return d.total - d.next }

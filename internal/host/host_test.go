@@ -17,20 +17,33 @@ func drain(q *clock.Queue) {
 	}
 }
 
+// fakeEmulator emulates blocks with fn and records the traces handed
+// back to it.
+type fakeEmulator struct {
+	fn       func(int) (*emu.BlockTrace, error)
+	released []*emu.BlockTrace
+}
+
+func (f *fakeEmulator) EmulateBlock(b int) (*emu.BlockTrace, error) { return f.fn(b) }
+func (f *fakeEmulator) Release(bt *emu.BlockTrace)                  { f.released = append(f.released, bt) }
+
 func TestDispatcherHandsBlocksInOrder(t *testing.T) {
 	emulated := []int{}
-	d, err := NewDispatcher(5, func(b int) (*emu.BlockTrace, error) {
+	fe := &fakeEmulator{fn: func(b int) (*emu.BlockTrace, error) {
 		emulated = append(emulated, b)
 		return &emu.BlockTrace{BlockID: b}, nil
-	})
+	}}
+	d, err := NewDispatcher(5, fe)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var bts []*emu.BlockTrace
 	for i := 0; i < 5; i++ {
 		bt, ok := d.NextBlock(i % 2)
 		if !ok || bt.BlockID != i {
 			t.Fatalf("block %d: got %v/%v", i, bt, ok)
 		}
+		bts = append(bts, bt)
 	}
 	if _, ok := d.NextBlock(0); ok {
 		t.Error("exhausted dispatcher handed out a block")
@@ -42,10 +55,19 @@ func TestDispatcherHandsBlocksInOrder(t *testing.T) {
 		if d.AllDone() {
 			t.Fatalf("AllDone before %d completions", i)
 		}
-		d.BlockDone(0, i)
+		d.BlockDone(0, bts[i])
 	}
 	if !d.AllDone() || d.Completed() != 5 {
 		t.Errorf("completed = %d, allDone = %v", d.Completed(), d.AllDone())
+	}
+	// Every finished trace goes back to the emulator, in completion order.
+	for i, bt := range fe.released {
+		if bt != bts[i] {
+			t.Errorf("released trace %d is block %d, want %d", i, bt.BlockID, i)
+		}
+	}
+	if len(fe.released) != 5 {
+		t.Errorf("%d traces handed back, want 5", len(fe.released))
 	}
 	if len(emulated) != 5 {
 		t.Errorf("lazy emulation ran %d times, want 5", len(emulated))
@@ -54,12 +76,12 @@ func TestDispatcherHandsBlocksInOrder(t *testing.T) {
 
 func TestDispatcherPropagatesEmulationError(t *testing.T) {
 	boom := errors.New("boom")
-	d, _ := NewDispatcher(3, func(b int) (*emu.BlockTrace, error) {
+	d, _ := NewDispatcher(3, &fakeEmulator{fn: func(b int) (*emu.BlockTrace, error) {
 		if b == 1 {
 			return nil, boom
 		}
 		return &emu.BlockTrace{BlockID: b}, nil
-	})
+	}})
 	if _, ok := d.NextBlock(0); !ok {
 		t.Fatal("first block failed")
 	}
@@ -75,7 +97,7 @@ func TestDispatcherPropagatesEmulationError(t *testing.T) {
 }
 
 func TestDispatcherValidation(t *testing.T) {
-	if _, err := NewDispatcher(0, func(int) (*emu.BlockTrace, error) { return nil, nil }); err == nil {
+	if _, err := NewDispatcher(0, &fakeEmulator{}); err == nil {
 		t.Error("zero blocks accepted")
 	}
 	if _, err := NewDispatcher(1, nil); err == nil {

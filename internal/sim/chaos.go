@@ -94,9 +94,11 @@ func CheckOracle(l *kernel.Launch, initial, final *emu.Memory, lineB int) ([]emu
 		return nil, fmt.Errorf("sim: functional oracle failed: %w", err)
 	}
 	for b := 0; b < l.Blocks(); b++ {
-		if _, err := em.EmulateBlock(b); err != nil {
+		bt, err := em.EmulateBlock(b)
+		if err != nil {
 			return nil, fmt.Errorf("sim: functional oracle failed: %w", err)
 		}
+		em.Release(bt)
 	}
 	return final.Diff(initial, maxOracleMismatches), nil
 }

@@ -288,7 +288,7 @@ func New(cfg config.Config, spec LaunchSpec) (*Simulator, error) {
 	}
 	s.emul.ConfigureFlips(cfg.Excep.Flip)
 	s.emul.AddrValid = regionChecker(spec.Regions)
-	s.disp, err = host.NewDispatcher(spec.Launch.Blocks(), s.emul.EmulateBlock)
+	s.disp, err = host.NewDispatcher(spec.Launch.Blocks(), s.emul)
 	if err != nil {
 		return nil, err
 	}

@@ -277,8 +277,8 @@ func (s *SM) CheckInvariants(now, maxMSHRAge int64) []string {
 			bad("slot %d blocked with no buffered instruction", i)
 		case w.done || w.bufReady > now || w.block.state != blockActive || w.faultsOutstanding > 0:
 			bad("slot %d blocked but its warp is not ready to issue", i)
-		case units != 1<<w.buf.unit:
-			bad("slot %d blocked under units %#x, its instruction uses %s", i, units, w.buf.unit)
+		case units != 1<<w.buf.d.unit:
+			bad("slot %d blocked under units %#x, its instruction uses %s", i, units, w.buf.d.unit)
 		case s.scoreboardReady(w, w.buf):
 			bad("slot %d blocked but its instruction passes the scoreboard", i)
 		}

@@ -14,7 +14,8 @@ import (
 // request finishes translation is the instruction's "last TLB check"
 // (Figure 5) — the earliest point it is known not to fault.
 func (s *SM) startMem(f *flight) {
-	lines := f.ti.Lines
+	w := f.w
+	lines := w.block.trace.LinesOf(w.trace[f.tIdx])
 	if len(lines) == 0 {
 		// All lanes predicated off: nothing to access.
 		s.q.After(1, f.commitFn)
@@ -165,8 +166,7 @@ func (s *SM) access(f *flight, r *memReq) {
 	if f.squashed {
 		return
 	}
-	write := f.ti.Static.Op == isa.OpStGlobal || f.ti.Static.Op == isa.OpAtomGlobal
-	ok := s.l1.Access(r.line, write, f.accFns[r.idx])
+	ok := s.l1.Access(r.line, f.d.write, f.accFns[r.idx])
 	if !ok {
 		s.l1.OnFree(f.accRetry[r.idx])
 	}

@@ -22,8 +22,8 @@ func switchHarness(t *testing.T, blocks int, mut func(*config.Config)) *harness 
 		bt.BlockID = i
 		if i > 0 {
 			// Later blocks touch distinct, non-faulting pages.
-			bt.Warps[0].Insts[0].Lines = []uint64{uint64(0x100000 + i*0x1000)}
-			bt.Warps[0].Insts[2].Lines = []uint64{uint64(0x200000 + i*0x1000)}
+			bt.SetLines(0, 0, uint64(0x100000+i*0x1000))
+			bt.SetLines(0, 2, uint64(0x200000+i*0x1000))
 		}
 		launch = l
 		traces = append(traces, bt)
@@ -111,8 +111,8 @@ func TestExtraBlockBudgetBoundsAssignment(t *testing.T) {
 		bt, l, _ := figure3Trace()
 		bt.BlockID = i
 		// Every block faults on its own page.
-		bt.Warps[0].Insts[0].Lines = []uint64{uint64(0x300000 + i*0x1000)}
-		bt.Warps[0].Insts[2].Lines = []uint64{uint64(0x400000 + i*0x1000)}
+		bt.SetLines(0, 0, uint64(0x300000+i*0x1000))
+		bt.SetLines(0, 2, uint64(0x400000+i*0x1000))
 		launch = l
 		traces = append(traces, bt)
 	}

@@ -32,8 +32,10 @@ type BlockSource interface {
 	// NextBlock returns the trace of the next pending block, or false
 	// when the grid is exhausted.
 	NextBlock(smID int) (*emu.BlockTrace, bool)
-	// BlockDone reports a completed block.
-	BlockDone(smID, blockID int)
+	// BlockDone reports a completed block and hands its trace back:
+	// the source may recycle it at once, and the SM holds no view of
+	// it any more.
+	BlockDone(smID int, bt *emu.BlockTrace)
 	// PendingBlocks returns how many blocks have not been issued yet.
 	PendingBlocks() int
 }
@@ -109,6 +111,9 @@ type blockRT struct {
 	slot  int // SM block slot while active; -1 when off-chip
 	state blockState
 	warps []*warpRT
+	// trace is the block's dynamic trace, held (off-chip too) until
+	// the block finishes.
+	trace *emu.BlockTrace
 
 	liveWarps     int // warps not done
 	barrierCount  int
@@ -158,6 +163,8 @@ type SM struct {
 	logPerBlock int // operand log entries per block partition
 	//simlint:ckptskip derived from launch at BeginKernel; the spec fingerprint covers the launch
 	blockBytes int // architectural context size of one block
+	//simlint:ckptskip derived from launch at PrepareLaunch; the spec fingerprint covers the kernel
+	decode []decoded // per static instruction, indexed by PC
 
 	slots   []*blockRT // active block slots (nil = free)
 	offchip []*blockRT // switched-out blocks
@@ -315,6 +322,7 @@ func (s *SM) PrepareLaunch(l *kernel.Launch) {
 	// static shared memory, and divergence/barrier control state.
 	regBytes := l.Kernel.RegsPerThread * 4 * l.ThreadsPerBlock()
 	s.blockBytes = regBytes + l.Kernel.SharedMemBytes + 64*s.warpsPerBlock
+	s.decode = decodeKernel(l.Kernel.Code, &s.cfg.SM)
 
 	s.slots = make([]*blockRT, s.occupancy)
 	s.offchip = nil
@@ -361,6 +369,7 @@ func (s *SM) activateBlock(slot int, bt *emu.BlockTrace) {
 		id:           bt.BlockID,
 		slot:         slot,
 		state:        blockActive,
+		trace:        bt,
 		contextBytes: s.blockBytes,
 	}
 	b.warps = make([]*warpRT, len(bt.Warps))
@@ -445,7 +454,7 @@ func (s *SM) deliverExcep(w *warpRT) {
 // reusable closures to the new object) and resets its per-use state.
 // Slice capacities and the closure set survive reuse, so the
 // fetch/issue/memory path stops allocating once the pool is warm.
-func (s *SM) newFlight(w *warpRT, ti *emu.TraceInst, tIdx int32, isReplay bool) *flight {
+func (s *SM) newFlight(w *warpRT, d *decoded, tIdx int32, isReplay bool) *flight {
 	f := s.flightPool
 	if f == nil {
 		f = &flight{}
@@ -455,8 +464,7 @@ func (s *SM) newFlight(w *warpRT, ti *emu.TraceInst, tIdx int32, isReplay bool) 
 		s.flightPool = f.poolNext
 		f.poolNext = nil
 	}
-	f.w, f.ti, f.tIdx, f.isReplay = w, ti, tIdx, isReplay
-	f.unit, f.global = ti.Static.ExecUnit(), ti.Static.IsGlobalMem()
+	f.w, f.d, f.tIdx, f.isReplay = w, d, tIdx, isReplay
 	f.srcHeld = f.srcHeld[:0]
 	f.reqs = f.reqs[:0]
 	f.tlbRem, f.reqRem = 0, 0
@@ -474,7 +482,7 @@ func (s *SM) newFlight(w *warpRT, ti *emu.TraceInst, tIdx int32, isReplay bool) 
 //
 //simlint:releases 0
 func (s *SM) freeFlight(f *flight) {
-	f.w, f.ti = nil, nil
+	f.w, f.d = nil, nil
 	f.poolNext = s.flightPool
 	s.flightPool = f
 }
@@ -551,8 +559,8 @@ func (s *SM) doFetch() bool {
 			if !ok {
 				continue
 			}
-			ti := &w.trace[idx]
-			f := s.newFlight(w, ti, idx, isReplay)
+			d := &s.decode[w.trace[idx].PC]
+			f := s.newFlight(w, d, idx, isReplay)
 			if isReplay {
 				w.replay = w.replay[1:]
 				s.stats.Replays++
@@ -562,11 +570,11 @@ func (s *SM) doFetch() bool {
 			w.buf = f
 			s.setBuf(i)
 			w.bufReady = s.q.Now() + 1
-			if ti.Static.IsControl() {
+			if d.control {
 				w.fetchBlock = fetchControl
 				w.fetchOwner = f
 				w.fetchBlockStart = s.q.Now()
-			} else if f.global &&
+			} else if d.global &&
 				(s.cfg.Scheme == config.WarpDisableCommit || s.cfg.Scheme == config.WarpDisableLastCheck) {
 				w.fetchBlock = fetchWarpDisable
 				w.fetchOwner = f
@@ -755,11 +763,11 @@ func (s *SM) doIssue() bool {
 				continue
 			}
 			f := w.buf
-			if unitBudget[f.unit] <= 0 {
+			if unitBudget[f.d.unit] <= 0 {
 				s.stall(w, f, obs.StallPort)
 				continue
 			}
-			if s.chaos != nil && f.global && s.chaos.StallIssue(s.ID, f.isReplay) {
+			if s.chaos != nil && f.d.global && s.chaos.StallIssue(s.ID, f.isReplay) {
 				// The stall counts as activity so the SM retries next cycle
 				// instead of sleeping for an event that may never come.
 				s.stats.IssueStallChaos++
@@ -770,7 +778,7 @@ func (s *SM) doIssue() bool {
 			if !s.scoreboardReady(w, f) {
 				s.stats.IssueStallScore++
 				s.stall(w, f, obs.StallScoreboard)
-				s.setBlocked(i, f.unit)
+				s.setBlocked(i, f.d.unit)
 				continue
 			}
 			// Operand log capacity: loads/atomics hold one entry, stores
@@ -779,8 +787,8 @@ func (s *SM) doIssue() bool {
 			// until their replay passes its TLB checks, so a replayed
 			// instruction does not allocate again.
 			logNeed := 0
-			if s.cfg.Scheme == config.OperandLog && f.global {
-				logNeed = logEntriesFor(f.ti.Static)
+			if s.cfg.Scheme == config.OperandLog && f.d.global {
+				logNeed = int(f.d.logNeed)
 				if !f.isReplay {
 					if w.block.logUsed+logNeed > s.logPerBlock {
 						s.stats.IssueStallLog++
@@ -797,8 +805,8 @@ func (s *SM) doIssue() bool {
 			// the fault; under the operand-log scheme it reads from the log
 			// and takes no source holds at all.
 			if f.isReplay {
-				if f.ti.Static.Writes() {
-					w.setWritePending(f.ti.Static.Dst)
+				if f.d.writes() {
+					w.setWritePending(f.d.dst)
 				}
 				switch s.cfg.Scheme {
 				case config.ReplayQueue:
@@ -820,7 +828,7 @@ func (s *SM) doIssue() bool {
 			s.trace(obs.KIssue, w, f.tIdx)
 			s.q.After(1, f.opReadFn)
 			budget--
-			unitBudget[f.unit]--
+			unitBudget[f.d.unit]--
 			warpsLeft--
 			s.lastIssue = i
 			issuedAny = true
@@ -846,38 +854,23 @@ func (s *SM) passBlocked(wIdx int, m uint64, unitBudget *[numUnits]int) {
 	s.stats.IssueStallScore += total - port
 }
 
-func logEntriesFor(in *isa.Instruction) int {
-	if in.Op == isa.OpStGlobal || in.Op == isa.OpAtomGlobal {
-		return 2
-	}
-	return 1
-}
-
 // opRead is the operand read stage, one cycle after issue. Source
 // scoreboards are released here in the baseline, warp-disable and
 // operand-log schemes; the replay-queue scheme defers the release of
 // global memory sources to the last TLB check (Section 3.2).
 func (s *SM) opRead(f *flight) {
 	w := f.w
-	if !(s.cfg.Scheme == config.ReplayQueue && f.global) {
+	d := f.d
+	if !(s.cfg.Scheme == config.ReplayQueue && d.global) {
 		w.releaseSources(f)
 	}
-	in := f.ti.Static
 	switch {
-	case in.Op == isa.OpBar:
+	case d.barrier:
 		s.arriveBarrier(f)
-	case in.Op == isa.OpExit:
-		s.q.After(1, f.commitFn)
-	case in.Op == isa.OpBra:
-		s.q.After(int64(s.cfg.SM.BranchLatency), f.commitFn)
-	case in.Op == isa.OpLdShared || in.Op == isa.OpStShared:
-		s.q.After(int64(s.cfg.SM.SharedLatency), f.commitFn)
-	case in.IsGlobalMem():
+	case d.global:
 		s.startMem(f)
-	case in.ExecUnit() == isa.UnitSpecial:
-		s.q.After(int64(s.cfg.SM.SpecialLatency), f.commitFn)
 	default:
-		s.q.After(int64(s.cfg.SM.MathLatency), f.commitFn)
+		s.q.After(int64(d.latency), f.commitFn)
 	}
 }
 
@@ -947,7 +940,7 @@ func (s *SM) commit(f *flight) {
 	w.releaseSources(f)
 	w.inFlight--
 	s.stats.Committed++
-	if f.global {
+	if f.d.global {
 		s.stats.GlobalMemInsts++
 	}
 	if w.fetchOwner == f {
@@ -986,7 +979,8 @@ func (s *SM) checkWarpDone(w *warpRT) {
 	}
 }
 
-// blockFinished releases the block's slot and pulls in the next work.
+// blockFinished releases the block's slot, hands its trace back and
+// pulls in the next work.
 func (s *SM) blockFinished(b *blockRT) {
 	slot := b.slot
 	s.slots[slot] = nil
@@ -995,10 +989,21 @@ func (s *SM) blockFinished(b *blockRT) {
 		s.clrBuf(slot*s.warpsPerBlock + i)
 	}
 	s.assigned--
-	s.src.BlockDone(s.ID, b.id)
+	bt := b.trace
+	b.trace = nil
+	for _, w := range b.warps {
+		w.trace = nil
+	}
+	s.handBack(bt)
 	s.refillSlot(slot)
 	s.wake()
 }
+
+// handBack returns a finished block's trace to the source, which may
+// recycle it for the next block at once.
+//
+//simlint:releases 0
+func (s *SM) handBack(bt *emu.BlockTrace) { s.src.BlockDone(s.ID, bt) }
 
 // refillSlot chooses what to run in a freed slot: a ready off-chip
 // block first (restore), otherwise a fresh pending block.

@@ -2,6 +2,7 @@ package sm
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"gpues/internal/cache"
@@ -73,8 +74,28 @@ func (fs *fakeSource) NextBlock(smID int) (*emu.BlockTrace, bool) {
 	fs.next++
 	return bt, true
 }
-func (fs *fakeSource) BlockDone(smID, blockID int) { fs.done++ }
-func (fs *fakeSource) PendingBlocks() int          { return len(fs.blocks) - fs.next }
+func (fs *fakeSource) PendingBlocks() int { return len(fs.blocks) - fs.next }
+
+// BlockDone poisons the trace handed back, so an SM that reads a trace
+// after handing it back fails loudly: a PC out of any kernel indexes
+// past the decode table, a zero mask and sentinel lines corrupt what a
+// stale read would compute.
+func (fs *fakeSource) BlockDone(smID int, bt *emu.BlockTrace) {
+	fs.done++
+	for _, w := range bt.Warps {
+		for i := range w.Insts {
+			ti := &w.Insts[i]
+			lines := bt.LinesOf(*ti)
+			for j := range lines {
+				lines[j] = poisonLine
+			}
+			ti.PC, ti.Mask = math.MaxInt32, 0
+		}
+	}
+}
+
+// poisonLine is the line address a handed-back trace carries.
+const poisonLine = 0xdead_0000_0000
 
 type nullMover struct{ q *clock.Queue }
 
@@ -213,14 +234,12 @@ func figure3Trace() (*emu.BlockTrace, *kernel.Launch, []isa.Instruction) {
 	code[4] = isa.NewInstruction(isa.OpExit)
 
 	full := ^uint32(0)
-	insts := []emu.TraceInst{
-		{PC: 0, Static: &code[0], Mask: full, Lines: []uint64{0x10000}},
-		{PC: 1, Static: &code[1], Mask: full},
-		{PC: 2, Static: &code[2], Mask: full, Lines: []uint64{0x20000}},
-		{PC: 3, Static: &code[3], Mask: full},
-		{PC: 4, Static: &code[4], Mask: full},
-	}
-	bt := &emu.BlockTrace{BlockID: 0, Warps: []emu.WarpTrace{{WarpID: 0, Insts: insts}}}
+	bt := &emu.BlockTrace{BlockID: 0}
+	bt.Append(0, 0, full, 0x10000)
+	bt.Append(0, 1, full)
+	bt.Append(0, 2, full, 0x20000)
+	bt.Append(0, 3, full)
+	bt.Append(0, 4, full)
 	k := &kernel.Kernel{Name: "fig3", Code: code, RegsPerThread: 16}
 	launch := &kernel.Launch{Kernel: k, Grid: kernel.Dim3{X: 1}, Block: kernel.Dim3{X: 32}}
 	return bt, launch, code
@@ -476,8 +495,8 @@ func TestBlockSwitchingLifecycle(t *testing.T) {
 	bt2, _, _ := figure3Trace()
 	bt2.BlockID = 1
 	// Block 2's loads hit different, non-faulting pages.
-	bt2.Warps[0].Insts[0].Lines = []uint64{0x50000}
-	bt2.Warps[0].Insts[2].Lines = []uint64{0x60000}
+	bt2.SetLines(0, 0, 0x50000)
+	bt2.SetLines(0, 2, 0x60000)
 	launch.Grid = kernel.Dim3{X: 2}
 
 	// Occupancy 1 (one resident block) so the second block only runs

@@ -19,11 +19,11 @@ import (
 // invariants — every instruction commits exactly once, every squash is
 // replayed, and the scoreboards are clean at the end.
 
-// randTrace builds a random trace of n instructions for one warp, plus
-// its backing static code. Page addresses come from the given pool.
-func randTrace(rng *rand.Rand, n int, pages []uint64, code *[]isa.Instruction) []emu.TraceInst {
+// randTrace appends a random trace of n instructions to warp w of bt,
+// plus its backing static code, and returns its length. Page addresses
+// come from the given pool.
+func randTrace(rng *rand.Rand, bt *emu.BlockTrace, w, n int, pages []uint64, code *[]isa.Instruction) int {
 	full := ^uint32(0)
-	var insts []emu.TraceInst
 	for i := 0; i < n; i++ {
 		var in isa.Instruction
 		switch rng.Intn(5) {
@@ -50,20 +50,19 @@ func randTrace(rng *rand.Rand, n int, pages []uint64, code *[]isa.Instruction) [
 			in.SrcC = isa.Reg(rng.Intn(24))
 		}
 		*code = append(*code, in)
-		ti := emu.TraceInst{PC: int32(len(*code) - 1), Static: &(*code)[len(*code)-1], Mask: full}
+		var lines []uint64
 		if in.IsGlobalMem() {
 			nl := 1 + rng.Intn(3)
 			for j := 0; j < nl; j++ {
 				page := pages[rng.Intn(len(pages))]
-				ti.Lines = append(ti.Lines, page+uint64(rng.Intn(32))*128)
+				lines = append(lines, page+uint64(rng.Intn(32))*128)
 			}
 		}
-		insts = append(insts, ti)
+		bt.Append(w, int32(len(*code)-1), full, lines...)
 	}
-	ex := isa.NewInstruction(isa.OpExit)
-	*code = append(*code, ex)
-	insts = append(insts, emu.TraceInst{PC: int32(len(*code) - 1), Static: &(*code)[len(*code)-1], Mask: full})
-	return insts
+	*code = append(*code, isa.NewInstruction(isa.OpExit))
+	bt.Append(w, int32(len(*code)-1), full)
+	return n + 1
 }
 
 func stressOnce(t *testing.T, seed int64, scheme config.Scheme, inject bool) {
@@ -75,7 +74,6 @@ func stressOnce(t *testing.T, seed int64, scheme config.Scheme, inject bool) {
 	}
 
 	var code []isa.Instruction
-	code = make([]isa.Instruction, 0, 4096) // stable backing array for Static pointers
 
 	const (
 		warps  = 4
@@ -86,9 +84,7 @@ func stressOnce(t *testing.T, seed int64, scheme config.Scheme, inject bool) {
 	for b := 0; b < blocks; b++ {
 		bt := &emu.BlockTrace{BlockID: b}
 		for w := 0; w < warps; w++ {
-			insts := randTrace(rng, 20+rng.Intn(40), pages, &code)
-			total += len(insts)
-			bt.Warps = append(bt.Warps, emu.WarpTrace{WarpID: w, Insts: insts})
+			total += randTrace(rng, bt, w, 20+rng.Intn(40), pages, &code)
 		}
 		traces = append(traces, bt)
 	}
@@ -105,7 +101,7 @@ func stressOnce(t *testing.T, seed int64, scheme config.Scheme, inject bool) {
 	const stock = 64
 	stocked := make([]*flight, stock)
 	for i := range stocked {
-		stocked[i] = h.sm.newFlight(nil, &traces[0].Warps[0].Insts[0], 0, false)
+		stocked[i] = h.sm.newFlight(nil, &h.sm.decode[0], 0, false)
 	}
 	for _, f := range stocked {
 		h.sm.freeFlight(f)
@@ -229,7 +225,7 @@ func TestCheckInvariantsFlightCounts(t *testing.T) {
 		{2, "pooled flight has 2 callbacks outstanding"},
 		{-1, "pooled flight has negative outstanding count -1"},
 	} {
-		f := h.sm.newFlight(nil, &bt.Warps[0].Insts[0], 0, false)
+		f := h.sm.newFlight(nil, &h.sm.decode[0], 0, false)
 		f.pending = tc.pending
 		h.sm.freeFlight(f)
 		v := h.sm.CheckInvariants(h.q.Now(), 0)
@@ -251,10 +247,9 @@ func TestStressSchemesAgreeOnWork(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		pages := []uint64{0x100000, 0x101000}
 		var code []isa.Instruction
-		code = make([]isa.Instruction, 0, 1024)
 		bt := &emu.BlockTrace{BlockID: 0}
 		for w := 0; w < 2; w++ {
-			bt.Warps = append(bt.Warps, emu.WarpTrace{WarpID: w, Insts: randTrace(rng, 30, pages, &code)})
+			randTrace(rng, bt, w, 30, pages, &code)
 		}
 		k := &kernel.Kernel{Name: "agree", Code: code, RegsPerThread: 48}
 		launch := &kernel.Launch{Kernel: k, Grid: kernel.Dim3{X: 1}, Block: kernel.Dim3{X: 64}}
@@ -291,8 +286,9 @@ func (s *SM) scoreboardsClean() error {
 }
 
 func TestScoreboardsCleanAfterRun(t *testing.T) {
-	bt, launch, _ := figure3Trace()
 	for _, scheme := range []config.Scheme{config.Baseline, config.ReplayQueue, config.OperandLog} {
+		// Each run hands its trace back, poisoned, so each builds one.
+		bt, launch, _ := figure3Trace()
 		h := newHarness(t, scheme, []*emu.BlockTrace{bt}, launch)
 		h.run(100000)
 		if err := h.sm.scoreboardsClean(); err != nil {

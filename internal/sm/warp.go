@@ -39,7 +39,9 @@ type warpRT struct {
 	sm    *SM
 	block *blockRT
 	// idx is the warp index within its block.
-	idx   int
+	idx int
+	// trace is the warp's instruction stream, a view of its block's
+	// trace; it is dropped when the block hands the trace back.
 	trace []emu.TraceInst
 	// cursor is the next trace index to fetch.
 	cursor int
@@ -117,14 +119,13 @@ type memReq struct {
 // reuse, while the prebuilt closures and slice capacities persist so
 // steady-state execution schedules events without allocating.
 type flight struct {
+	// The instruction is w.trace[tIdx]; d is its decode table entry.
+	// No flight points into a trace, which may be recycled while a
+	// squashed flight still has callbacks pending.
 	w        *warpRT
-	ti       *emu.TraceInst
+	d        *decoded
 	tIdx     int32
 	isReplay bool
-	// unit and global are decoded from ti.Static once, at fetch, so the
-	// issue stage reads them without chasing the static instruction.
-	unit   isa.Unit
-	global bool
 
 	// srcHeld are the source registers still holding pendRead.
 	srcHeld []isa.Reg
@@ -185,17 +186,17 @@ func (w *warpRT) clearWritePending(r isa.Reg) {
 // RAW (sources not pending a write), WAW (destination not pending a
 // write) and WAR (destination not pending reads).
 func (w *warpRT) canIssue(f *flight) bool {
-	in := f.ti.Static
-	for _, r := range [...]isa.Reg{in.SrcA, in.SrcB, in.SrcC, in.Pred} {
+	d := f.d
+	for _, r := range d.sources() {
 		if w.writePending(r) {
 			return false
 		}
 	}
-	if in.Writes() {
-		if w.writePending(in.Dst) {
+	if d.writes() {
+		if w.writePending(d.dst) {
 			return false
 		}
-		if w.pendRead[in.Dst] > 0 {
+		if w.pendRead[d.dst] > 0 {
 			return false
 		}
 	}
@@ -204,22 +205,17 @@ func (w *warpRT) canIssue(f *flight) bool {
 
 // acquire marks the scoreboard for an issuing instruction.
 func (w *warpRT) acquire(f *flight) {
-	in := f.ti.Static
-	if in.Writes() {
-		w.setWritePending(in.Dst)
+	if f.d.writes() {
+		w.setWritePending(f.d.dst)
 	}
 	w.acquireSources(f)
 }
 
 // acquireSources takes the pendRead holds for the instruction's sources.
 func (w *warpRT) acquireSources(f *flight) {
-	in := f.ti.Static
-	f.srcHeld = f.srcHeld[:0]
-	for _, r := range [...]isa.Reg{in.SrcA, in.SrcB, in.SrcC, in.Pred} {
-		if r != isa.RegNone && r != isa.RZ {
-			w.pendRead[r]++
-			f.srcHeld = append(f.srcHeld, r)
-		}
+	f.srcHeld = append(f.srcHeld[:0], f.d.sources()...)
+	for _, r := range f.srcHeld {
+		w.pendRead[r]++
 	}
 }
 
@@ -239,9 +235,8 @@ func (w *warpRT) releaseSources(f *flight) {
 
 // releaseDest drops the pendWrite hold (commit, or squash).
 func (w *warpRT) releaseDest(f *flight) {
-	in := f.ti.Static
-	if in.Writes() {
-		w.clearWritePending(in.Dst)
+	if f.d.writes() {
+		w.clearWritePending(f.d.dst)
 	}
 }
 
@@ -280,21 +275,21 @@ func (w *warpRT) exhausted() bool {
 // the operand-log scheme the replay reads its operands from the log
 // (Figure 8b), so source RAW does not apply at all.
 func (w *warpRT) canIssueReplay(f *flight, heldOwn []isa.Reg, checkSources bool) bool {
-	in := f.ti.Static
+	d := f.d
 	if checkSources {
-		for _, r := range [...]isa.Reg{in.SrcA, in.SrcB, in.SrcC, in.Pred} {
+		for _, r := range d.sources() {
 			if w.writePending(r) {
 				return false
 			}
 		}
 	}
-	if in.Writes() {
-		if w.writePending(in.Dst) {
+	if d.writes() {
+		if w.writePending(d.dst) {
 			return false
 		}
-		pr := int(w.pendRead[in.Dst])
+		pr := int(w.pendRead[d.dst])
 		for _, r := range heldOwn {
-			if r == in.Dst {
+			if r == d.dst {
 				pr--
 			}
 		}

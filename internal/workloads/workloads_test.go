@@ -63,13 +63,13 @@ func TestAllWorkloadsEmulate(t *testing.T) {
 				totalMem += bt.GlobalAccesses
 				// Every global access must fall inside a registered
 				// region (otherwise the timing run aborts).
+				code := spec.Launch.Kernel.Code
 				for i := range bt.Warps {
-					for j := range bt.Warps[i].Insts {
-						ti := &bt.Warps[i].Insts[j]
-						if !ti.Static.IsGlobalMem() {
+					for _, ti := range bt.Warps[i].Insts {
+						if !code[ti.PC].IsGlobalMem() {
 							continue
 						}
-						for _, line := range ti.Lines {
+						for _, line := range bt.LinesOf(ti) {
 							if !inRegions(spec.Regions, line) {
 								t.Fatalf("block %d pc %d: access %#x outside regions",
 									blk, ti.PC, line)
