@@ -17,7 +17,7 @@ type Backend interface {
 	// Fetch requests a line; done runs when the data is available.
 	// A false return means the level cannot accept the request now and
 	// the caller must retry.
-	Fetch(addr uint64, done func()) bool
+	Fetch(addr uint64, done clock.Event) bool
 	// Write hands a line of store traffic downstream. Every level
 	// accepts it at once and nobody waits on it: the level accounts
 	// for its bandwidth and marks the cycle the write completes.
@@ -52,18 +52,17 @@ type line struct {
 	lru   int64
 }
 
-// mshr tracks one outstanding miss. MSHRs are pooled per cache: the
-// waiters slice capacity and the two prebuilt closures (the delayed
-// fetch issue and the fill completion) survive reuse, so a steady
-// stream of misses allocates nothing.
+// mshr tracks one outstanding miss. MSHRs are pooled per cache and
+// keep their index in the cache's MSHR table, which is the payload of
+// their issue and fill events; the waiters slice capacity survives
+// reuse, so a steady stream of misses allocates nothing.
 type mshr struct {
 	addr    uint64
-	waiters []func()
+	waiters []clock.Event
 	born    int64 // cycle the miss was allocated (leak detection)
 
-	issueFn func() // issueFetch(m); also the downstream-full retry
-	fillFn  func() // fill(m) — the downstream fetch completion
-	next    *mshr  // free list
+	id   int64 // index in Cache.mshrTab
+	next *mshr // free list
 }
 
 // Config sizes a cache.
@@ -88,28 +87,32 @@ type Cache struct {
 	next  Backend
 	mshrs map[uint64]*mshr // keyed by line address
 	//simlint:ckptskip free list of recycled MSHRs, a pure allocation cache that holds no simulated state
-	pool  *mshr // free list of recycled MSHRs
-	stats Stats
-	tick  int64 // LRU clock
-	//simlint:ckptskip retry closures; SaveState digests the count and replay rebuilds the population
-	waiters []func()
+	pool *mshr // free list of recycled MSHRs
+	//simlint:ckptskip every MSHR ever built, by id: the payload index of its events, holding no state of its own
+	mshrTab []*mshr
+	//simlint:ckptskip handler built once at construction
+	issueFn clock.Handler // issueFetch(mshrTab[arg]); also the downstream-full retry
+	//simlint:ckptskip handler built once at construction
+	fillFn clock.Handler // fill(mshrTab[arg]) — the downstream fetch completion
+	stats  Stats
+	tick   int64 // LRU clock
+	//simlint:ckptskip retry events; SaveState digests the count and replay rebuilds the population
+	waiters clock.FIFO[clock.Event]
 }
 
 // freeNotifier is implemented by levels that can call back when miss
 // resources free up, avoiding per-cycle retry polling.
-type freeNotifier interface{ OnFree(func()) }
+type freeNotifier interface{ OnFree(clock.Event) }
 
-// OnFree registers fn to run when an MSHR is released. Rejected callers
-// use this instead of polling; fn typically retries the access and
+// OnFree registers e to run when an MSHR is released. Rejected callers
+// use this instead of polling; e typically retries the access and
 // re-registers if still rejected.
-func (c *Cache) OnFree(fn func()) { c.waiters = append(c.waiters, fn) }
+func (c *Cache) OnFree(e clock.Event) { c.waiters.Push(e) }
 
 // release drains waiters while miss resources are available.
 func (c *Cache) release() {
-	for len(c.waiters) > 0 && len(c.mshrs) < c.cfg.MSHRs {
-		fn := c.waiters[0]
-		c.waiters = c.waiters[1:]
-		fn()
+	for c.waiters.Len() > 0 && len(c.mshrs) < c.cfg.MSHRs {
+		c.waiters.Pop().Fire()
 	}
 }
 
@@ -126,18 +129,24 @@ func New(cfg Config, q *clock.Queue, next Backend) (*Cache, error) {
 	if sets == 0 {
 		return nil, fmt.Errorf("cache %s: fewer lines (%d) than ways (%d)", cfg.Name, total, cfg.Ways)
 	}
+	// One backing array for every set: the tag store is a single
+	// allocation however many sets there are.
+	all := make([]line, sets*cfg.Ways)
 	ls := make([][]line, sets)
 	for i := range ls {
-		ls[i] = make([]line, cfg.Ways)
+		ls[i] = all[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
-	return &Cache{
+	c := &Cache{
 		cfg:   cfg,
 		sets:  sets,
 		lines: ls,
 		q:     q,
 		next:  next,
 		mshrs: make(map[uint64]*mshr),
-	}, nil
+	}
+	c.issueFn = c.onIssue
+	c.fillFn = c.onFill
+	return c, nil
 }
 
 // Stats returns a copy of the counters.
@@ -232,23 +241,26 @@ func (c *Cache) sendWrite(addr uint64) {
 // coalesced request. done runs when the access completes from the
 // caller's perspective. Returns false when the access cannot be
 // accepted (MSHRs full) — the caller must retry.
-func (c *Cache) Access(addr uint64, write bool, done func()) bool {
+//
+//simlint:noalloc
+func (c *Cache) Access(addr uint64, write bool, done clock.Event) bool {
 	addr = c.lineAddr(addr)
 	if write {
 		c.accessWrite(addr)
-		c.q.After(c.cfg.Latency, done)
+		c.q.After(c.cfg.Latency, done.Fn, done.Arg)
 		return true
 	}
 	return c.accessRead(addr, done)
 }
 
-func (c *Cache) accessRead(addr uint64, done func()) bool {
+//simlint:noalloc
+func (c *Cache) accessRead(addr uint64, done clock.Event) bool {
 	_, ln := c.find(addr)
 	if ln != nil {
 		c.stats.Hits++
 		c.tick++
 		ln.lru = c.tick
-		c.q.After(c.cfg.Latency, done)
+		c.q.After(c.cfg.Latency, done.Fn, done.Arg)
 		return true
 	}
 	if m, ok := c.mshrs[addr]; ok {
@@ -265,18 +277,20 @@ func (c *Cache) accessRead(addr uint64, done func()) bool {
 	m.waiters = append(m.waiters, done)
 	c.mshrs[addr] = m
 	// Tag lookup takes the access latency before the miss goes down.
-	c.q.After(c.cfg.Latency, m.issueFn)
+	c.q.After(c.cfg.Latency, c.issueFn, m.id)
 	return true
 }
 
-// allocMSHR takes an MSHR from the pool (or builds one, wiring its
-// reusable closures) and resets its per-miss state.
+// allocMSHR takes an MSHR from the pool (or builds one and enters it in
+// the MSHR table) and resets its per-miss state.
+//
+//simlint:noalloc
 func (c *Cache) allocMSHR(addr uint64) *mshr {
 	m := c.pool
 	if m == nil {
-		m = &mshr{}
-		m.issueFn = func() { c.issueFetch(m) }
-		m.fillFn = func() { c.fill(m) }
+		//simlint:ignore noalloc grow path, once per MSHR the cache ever holds at once
+		m = &mshr{id: int64(len(c.mshrTab))}
+		c.mshrTab = append(c.mshrTab, m)
 	} else {
 		c.pool = m.next
 		m.next = nil
@@ -287,12 +301,16 @@ func (c *Cache) allocMSHR(addr uint64) *mshr {
 	return m
 }
 
+func (c *Cache) onIssue(id int64) { c.issueFetch(c.mshrTab[id]) }
+
+func (c *Cache) onFill(id int64) { c.fill(c.mshrTab[id]) }
+
 func (c *Cache) issueFetch(m *mshr) {
-	if !c.next.Fetch(m.addr, m.fillFn) {
+	if !c.next.Fetch(m.addr, clock.Event{Fn: c.fillFn, Arg: m.id}) {
 		if fn, okN := c.next.(freeNotifier); okN {
-			fn.OnFree(m.issueFn)
+			fn.OnFree(clock.Event{Fn: c.issueFn, Arg: m.id})
 		} else {
-			c.q.After(1, m.issueFn)
+			c.q.After(1, c.issueFn, m.id)
 		}
 	}
 }
@@ -305,7 +323,7 @@ func (c *Cache) fill(m *mshr) {
 	c.install(m.addr, false)
 	delete(c.mshrs, m.addr)
 	for _, w := range m.waiters {
-		w()
+		w.Fire()
 	}
 	c.release()
 	c.putMSHR(m)
@@ -354,7 +372,7 @@ func (c *Cache) accessWrite(addr uint64) {
 
 // Fetch implements Backend, so a cache can back another cache (the L1s
 // fetch their misses from the L2).
-func (c *Cache) Fetch(addr uint64, done func()) bool {
+func (c *Cache) Fetch(addr uint64, done clock.Event) bool {
 	return c.accessRead(c.lineAddr(addr), done)
 }
 

@@ -15,14 +15,17 @@ type fakeBackend struct {
 	reject  bool
 }
 
-func (b *fakeBackend) Fetch(addr uint64, done func()) bool {
+func (b *fakeBackend) Fetch(addr uint64, done clock.Event) bool {
 	if b.reject {
 		return false
 	}
 	b.fetches++
-	b.q.After(b.latency, done)
+	b.q.After(b.latency, done.Fn, done.Arg)
 	return true
 }
+
+// on wraps a test callback as an event.
+func on(fn func()) clock.Event { return clock.Event{Fn: func(int64) { fn() }} }
 
 func (b *fakeBackend) Write(addr uint64) {
 	b.writes++
@@ -47,7 +50,7 @@ func TestCacheReadMissThenHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	var t1, t2 int64 = -1, -1
-	if !c.Access(0x1000, false, func() { t1 = q.Now() }) {
+	if !c.Access(0x1000, false, on(func() { t1 = q.Now() })) {
 		t.Fatal("first access rejected")
 	}
 	run(q, 1000)
@@ -57,7 +60,7 @@ func TestCacheReadMissThenHit(t *testing.T) {
 	if be.fetches != 1 {
 		t.Errorf("backend fetches = %d, want 1", be.fetches)
 	}
-	c.Access(0x1000, false, func() { t2 = q.Now() })
+	c.Access(0x1000, false, on(func() { t2 = q.Now() }))
 	start := q.Now()
 	run(q, 1000)
 	if t2-start != 40 {
@@ -75,9 +78,9 @@ func TestCacheMSHRMerge(t *testing.T) {
 	c, _ := New(l1Config(), q, be)
 	done := 0
 	// Two accesses to the same line and one to a different offset in it.
-	c.Access(0x2000, false, func() { done++ })
-	c.Access(0x2040, false, func() { done++ }) // same 128B line
-	c.Access(0x2000, false, func() { done++ })
+	c.Access(0x2000, false, on(func() { done++ }))
+	c.Access(0x2040, false, on(func() { done++ })) // same 128B line
+	c.Access(0x2000, false, on(func() { done++ }))
 	run(q, 1000)
 	if done != 3 {
 		t.Errorf("completions = %d, want 3", done)
@@ -96,13 +99,13 @@ func TestCacheMSHRBackpressure(t *testing.T) {
 	cfg := l1Config()
 	cfg.MSHRs = 2
 	c, _ := New(cfg, q, be)
-	if !c.Access(0x0000, false, func() {}) {
+	if !c.Access(0x0000, false, on(func() {})) {
 		t.Fatal("access 1 rejected")
 	}
-	if !c.Access(0x1000, false, func() {}) {
+	if !c.Access(0x1000, false, on(func() {})) {
 		t.Fatal("access 2 rejected")
 	}
-	if c.Access(0x2000, false, func() {}) {
+	if c.Access(0x2000, false, on(func() {})) {
 		t.Error("access 3 must be rejected: MSHRs full")
 	}
 	if c.InFlight() != 2 {
@@ -121,19 +124,19 @@ func TestCacheLRUEviction(t *testing.T) {
 	c, _ := New(cfg, q, be)
 	// Three lines mapping to the same set (stride = sets*line = 512).
 	for _, a := range []uint64{0, 512, 1024} {
-		c.Access(a, false, func() {})
+		c.Access(a, false, on(func() {}))
 		run(q, 100)
 	}
 	// Line 0 was LRU and must have been evicted: re-access misses.
 	before := c.Stats().Misses
-	c.Access(0, false, func() {})
+	c.Access(0, false, on(func() {}))
 	run(q, 100)
 	if c.Stats().Misses != before+1 {
 		t.Error("LRU line not evicted")
 	}
 	// Line 1024 (MRU) still resident.
 	beforeHits := c.Stats().Hits
-	c.Access(1024, false, func() {})
+	c.Access(1024, false, on(func() {}))
 	run(q, 100)
 	if c.Stats().Hits != beforeHits+1 {
 		t.Error("MRU line evicted")
@@ -145,7 +148,7 @@ func TestWriteThroughForwardsTraffic(t *testing.T) {
 	be := &fakeBackend{q: q, latency: 1}
 	c, _ := New(l1Config(), q, be)
 	done := false
-	c.Access(0x3000, true, func() { done = true })
+	c.Access(0x3000, true, on(func() { done = true }))
 	run(q, 100)
 	if !done {
 		t.Error("store never completed")
@@ -154,7 +157,7 @@ func TestWriteThroughForwardsTraffic(t *testing.T) {
 		t.Errorf("downstream writes = %d, want 1", be.writes)
 	}
 	// Write-through no-allocate: a read after a write miss still misses.
-	c.Access(0x3000, false, func() {})
+	c.Access(0x3000, false, on(func() {}))
 	run(q, 100)
 	if c.Stats().Hits != 0 {
 		t.Error("write miss must not allocate in write-through cache")
@@ -167,14 +170,14 @@ func TestWriteBackDirtyEviction(t *testing.T) {
 	cfg := Config{Name: "L2", SizeKB: 1, Ways: 2, LineB: 128, MSHRs: 8, Latency: 1, Policy: WriteBack}
 	c, _ := New(cfg, q, be)
 	// Dirty a line, then evict it with two more lines in the same set.
-	c.Access(0, true, func() {})
+	c.Access(0, true, on(func() {}))
 	run(q, 10)
 	if be.writes != 0 {
 		t.Fatal("write-back cache must not forward stores immediately")
 	}
-	c.Access(512, false, func() {})
+	c.Access(512, false, on(func() {}))
 	run(q, 10)
-	c.Access(1024, false, func() {})
+	c.Access(1024, false, on(func() {}))
 	run(q, 10)
 	if be.writes != 1 {
 		t.Errorf("dirty eviction writes = %d, want 1", be.writes)
@@ -189,9 +192,9 @@ func TestWriteBackHitDirtiesLine(t *testing.T) {
 	be := &fakeBackend{q: q, latency: 1}
 	cfg := Config{Name: "L2", SizeKB: 1, Ways: 2, LineB: 128, MSHRs: 8, Latency: 1, Policy: WriteBack}
 	c, _ := New(cfg, q, be)
-	c.Access(0, false, func() {})
+	c.Access(0, false, on(func() {}))
 	run(q, 10)
-	c.Access(0, true, func() {}) // hit, dirties
+	c.Access(0, true, on(func() {})) // hit, dirties
 	run(q, 10)
 	c.Flush()
 	run(q, 10)
@@ -225,7 +228,7 @@ func TestCacheRetriesRejectedBackend(t *testing.T) {
 	cfg.Latency = 1
 	c, _ := New(cfg, q, be)
 	done := false
-	c.Access(0x100, false, func() { done = true })
+	c.Access(0x100, false, on(func() { done = true }))
 	run(q, 5)
 	be.reject = false // backend recovers
 	run(q, 100)
@@ -247,4 +250,40 @@ func TestCacheConfigValidation(t *testing.T) {
 			t.Errorf("config %q must be rejected", cfg.Name)
 		}
 	}
+}
+
+// TestOnFreeReentrant: a waiter that registers again from inside the
+// drain queues behind every waiter already registered.
+func TestOnFreeReentrant(t *testing.T) {
+	q := clock.New()
+	cfg := l1Config()
+	cfg.MSHRs = 1
+	c, _ := New(cfg, q, &fakeBackend{q: q, latency: 10})
+	var order []int64
+	again := true
+	var waiter clock.Handler
+	waiter = func(arg int64) {
+		order = append(order, arg)
+		if arg == 1 && again {
+			again = false
+			c.OnFree(clock.Event{Fn: waiter, Arg: arg})
+		}
+	}
+	if !c.Access(0x0, false, on(func() {})) {
+		t.Fatal("first miss rejected")
+	}
+	if c.Access(0x1000, false, on(func() {})) {
+		t.Fatal("second miss accepted with every MSHR busy")
+	}
+	for i := int64(1); i <= 3; i++ {
+		c.OnFree(clock.Event{Fn: waiter, Arg: i})
+	}
+	run(q, 100)
+	if want := []int64{1, 2, 3, 1}; len(order) != len(want) || order[0] != 1 || order[1] != 2 || order[2] != 3 || order[3] != 1 {
+		t.Fatalf("waiters ran in order %v, want %v", order, want)
+	}
+	if c.waiters.Len() != 0 {
+		t.Fatalf("%d waiters left after the drain", c.waiters.Len())
+	}
+
 }

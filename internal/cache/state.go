@@ -9,7 +9,7 @@ import (
 // SaveState serializes the cache: LRU clock, statistics, the full tag
 // array, and a structural summary of the in-flight MSHRs (sorted by
 // line address — the mshrs map must never be iterated raw). MSHR
-// waiter closures are rebuilt by replay on restore.
+// waiter events are rebuilt by replay on restore.
 func (c *Cache) SaveState(w *ckpt.Writer) {
 	w.I64(c.tick)
 	w.I64(c.stats.Hits)
@@ -30,7 +30,7 @@ func (c *Cache) SaveState(w *ckpt.Writer) {
 		}
 	}
 
-	w.Int(len(c.waiters))
+	w.Int(c.waiters.Len())
 	addrs := make([]uint64, 0, len(c.mshrs))
 	for a := range c.mshrs {
 		addrs = append(addrs, a)

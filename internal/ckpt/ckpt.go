@@ -96,7 +96,7 @@ func (s *Hasher) Sum() uint64 { return s.h }
 // SaveState against the checkpoint, so any state SaveState leaves out
 // is state a divergent re-execution could differ in unnoticed.
 //
-// State that cannot be serialized (scheduled event closures, pooled
+// State that cannot be serialized (scheduled event handlers, pooled
 // objects in flight) is represented structurally — counts and sorted
 // summaries — and reached again by deterministic re-execution in an
 // audit; see docs/checkpointing.md.

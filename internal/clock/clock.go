@@ -10,16 +10,22 @@
 // indexed by cycle modulo the horizon, with a two-level bitmap locating
 // the next non-empty bucket in O(1) word operations. Events beyond the
 // horizon wait in a small overflow min-heap and migrate into the ring
-// as the clock advances. Event nodes come from a free list, so
-// steady-state scheduling performs no heap allocation. Ordering
-// semantics are exactly those of the previous container/heap
+// as the clock advances. Event nodes come from a free list refilled in
+// slabs, so steady-state scheduling performs no heap allocation.
+// Ordering semantics are exactly those of the previous container/heap
 // implementation: earliest cycle first, FIFO (scheduling order) among
 // same-cycle events.
 //
-// A mark (Mark) is a node with no callback: it makes the main loop
+// An event is a Handler and an int64 payload. A component builds its
+// handlers once, as method values kept in fields, and puts what an
+// event acts on in the payload — a table index, a slot, a cycle count
+// — so scheduling never builds a closure. A Table parks larger
+// payloads under an index.
+//
+// A mark (Mark) is a node with no handler: it makes the main loop
 // visit its cycle and runs nothing there. Write acknowledgements and
 // other completions nobody waits on use it instead of scheduling an
-// empty closure. A ring bucket holds one cycle, so a mark whose bucket
+// event that does nothing. A ring bucket holds one cycle, so a mark whose bucket
 // is already occupied needs no node of its own.
 //
 // Nearly every latency in the simulated machine — L1/L2 hit latencies,
@@ -39,15 +45,32 @@ const (
 	// occWords is the size of the first-level occupancy bitmap; the
 	// second level (occSum) has one bit per word and fits in a uint32.
 	occWords = numBuckets / 64
+	// slabNodes is how many nodes the free list grows by at once.
+	slabNodes = 256
 )
+
+// Handler is an event callback; it receives the payload its event was
+// scheduled with.
+type Handler func(arg int64)
+
+// Event is a handler with its payload: a completion one component hands
+// another to schedule or run later.
+type Event struct {
+	Fn  Handler
+	Arg int64
+}
+
+// Fire runs the event's handler now.
+func (e Event) Fire() { e.Fn(e.Arg) }
 
 // node is one scheduled event, or a mark when fn is nil. Nodes are
 // pooled: RunDue returns them to the free list before invoking the
-// callback.
+// handler.
 type node struct {
 	cycle int64
 	seq   uint64 // FIFO order among same-cycle events
-	fn    func()
+	fn    Handler
+	arg   int64
 	next  *node
 }
 
@@ -63,7 +86,7 @@ type Queue struct {
 	seq uint64
 	n   int // total pending events (ring + overflow)
 
-	//simlint:ckptskip holds closures; SaveState digests the per-cycle counts and replay rebuilds the population
+	//simlint:ckptskip holds handlers; SaveState digests the per-cycle counts and replay rebuilds the population
 	buckets [numBuckets]bucketList
 	//simlint:ckptskip derived occupancy index over buckets, whose per-cycle counts SaveState digests
 	occ [occWords]uint64 // bit per non-empty bucket
@@ -77,7 +100,7 @@ type Queue struct {
 	// list is in insertion order, which is exactly (cycle, seq) order:
 	// an overdue event's cycle is the now at its insertion, and now is
 	// monotonic.
-	//simlint:ckptskip holds closures; SaveState digests the count and replay rebuilds the population
+	//simlint:ckptskip holds handlers; SaveState digests the count and replay rebuilds the population
 	overdue bucketList
 
 	//simlint:ckptskip node free list, a pure allocation cache that holds no simulated state
@@ -85,7 +108,7 @@ type Queue struct {
 
 	// overflow holds events at now+numBuckets or later, ordered by
 	// (cycle, seq); they migrate into the ring as now advances.
-	//simlint:ckptskip holds closures; SaveState digests the per-cycle counts and replay rebuilds the population
+	//simlint:ckptskip holds handlers; SaveState digests the per-cycle counts and replay rebuilds the population
 	overflow []*node
 }
 
@@ -98,16 +121,21 @@ func (q *Queue) Now() int64 { return q.now }
 // Len returns the number of pending events.
 func (q *Queue) Len() int { return q.n }
 
-// alloc takes a node from the free list; the grow path is the only
-// allocation, paid once per high-water mark of pending events.
+// alloc takes a node from the free list, refilling it a slab at a
+// time; the refill is the only allocation, paid once per slabNodes of
+// the high-water mark of pending events.
 //
 //simlint:noalloc
 func (q *Queue) alloc() *node {
-	nd := q.free
-	if nd == nil {
-		//simlint:ignore noalloc grow path, runs once per high-water mark of pending events
-		return &node{}
+	if q.free == nil {
+		//simlint:ignore noalloc grow path, one slab per slabNodes of the high-water mark of pending events
+		slab := make([]node, slabNodes)
+		for i := range slab[:slabNodes-1] {
+			slab[i].next = &slab[i+1]
+		}
+		q.free = &slab[0]
 	}
+	nd := q.free
 	q.free = nd.next
 	nd.next = nil
 	return nd
@@ -119,7 +147,7 @@ func (q *Queue) alloc() *node {
 //simlint:releases 0
 //simlint:noalloc
 func (q *Queue) recycle(nd *node) {
-	nd.fn = nil
+	nd.fn, nd.arg = nil, 0
 	nd.next = q.free
 	q.free = nd
 }
@@ -154,18 +182,18 @@ func (q *Queue) push(nd *node) {
 	bl.tail = nd
 }
 
-// At schedules fn to run at the given absolute cycle. Events scheduled
-// in the past run at the current cycle's drain. Same-cycle events run in
-// scheduling order.
+// At schedules fn(arg) to run at the given absolute cycle. Events
+// scheduled in the past run at the current cycle's drain. Same-cycle
+// events run in scheduling order.
 //
 //simlint:noalloc
-func (q *Queue) At(cycle int64, fn func()) {
+func (q *Queue) At(cycle int64, fn Handler, arg int64) {
 	if cycle < q.now {
 		cycle = q.now
 	}
 	q.seq++
 	nd := q.alloc()
-	nd.cycle, nd.seq, nd.fn = cycle, q.seq, fn
+	nd.cycle, nd.seq, nd.fn, nd.arg = cycle, q.seq, fn, arg
 	if cycle-q.now < numBuckets {
 		q.push(nd)
 	} else {
@@ -200,10 +228,10 @@ func (q *Queue) Mark(cycle int64) {
 	q.n++
 }
 
-// After schedules fn to run delay cycles from now.
+// After schedules fn(arg) to run delay cycles from now.
 //
 //simlint:noalloc
-func (q *Queue) After(delay int64, fn func()) { q.At(q.now+delay, fn) }
+func (q *Queue) After(delay int64, fn Handler, arg int64) { q.At(q.now+delay, fn, arg) }
 
 // migrate moves overflow events that entered the horizon into the ring.
 // It must run every time now changes: the migration condition matches
@@ -260,10 +288,10 @@ func (q *Queue) RunDue() {
 			q.overdue.tail = nil
 		}
 		q.n--
-		fn := nd.fn
+		fn, arg := nd.fn, nd.arg
 		q.recycle(nd)
 		if fn != nil {
-			fn()
+			fn(arg)
 		}
 	}
 	b := int(q.now) & bucketMask
@@ -276,10 +304,10 @@ func (q *Queue) RunDue() {
 			q.clrOcc(b)
 		}
 		q.n--
-		fn := nd.fn
+		fn, arg := nd.fn, nd.arg
 		q.recycle(nd)
 		if fn != nil {
-			fn()
+			fn(arg)
 		}
 	}
 }
@@ -335,7 +363,7 @@ func (q *Queue) NextEvent() (int64, bool) {
 
 // SkipTo advances the clock to the given cycle (never backwards),
 // running intermediate events at their own scheduled cycles so that
-// callbacks observe the correct Now. Used when all SMs are asleep.
+// handlers observe the correct Now. Used when all SMs are asleep.
 func (q *Queue) SkipTo(cycle int64) {
 	for {
 		next, ok := q.NextEvent()

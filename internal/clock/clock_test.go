@@ -5,10 +5,11 @@ import "testing"
 func TestEventOrdering(t *testing.T) {
 	q := New()
 	var order []int
-	q.At(5, func() { order = append(order, 5) })
-	q.At(2, func() { order = append(order, 2) })
-	q.At(2, func() { order = append(order, 20) }) // same-cycle FIFO
-	q.At(9, func() { order = append(order, 9) })
+	rec := func(arg int64) { order = append(order, int(arg)) }
+	q.At(5, rec, 5)
+	q.At(2, rec, 2)
+	q.At(2, rec, 20) // same-cycle FIFO
+	q.At(9, rec, 9)
 	for q.Len() > 0 {
 		q.Step()
 	}
@@ -27,7 +28,7 @@ func TestAfterAndNow(t *testing.T) {
 	q := New()
 	fired := int64(-1)
 	q.SkipTo(10)
-	q.After(5, func() { fired = q.Now() })
+	q.After(5, func(int64) { fired = q.Now() }, 0)
 	q.SkipTo(20)
 	if fired != 15 {
 		t.Errorf("fired at %d, want 15", fired)
@@ -38,7 +39,7 @@ func TestPastEventsRunNow(t *testing.T) {
 	q := New()
 	q.SkipTo(100)
 	ran := false
-	q.At(50, func() { ran = true })
+	q.At(50, func(int64) { ran = true }, 0)
 	q.RunDue()
 	if !ran {
 		t.Error("past-scheduled event did not run")
@@ -48,14 +49,14 @@ func TestPastEventsRunNow(t *testing.T) {
 func TestCascadingSameCycleEvents(t *testing.T) {
 	q := New()
 	depth := 0
-	var recurse func()
-	recurse = func() {
+	var recurse Handler
+	recurse = func(int64) {
 		depth++
 		if depth < 5 {
-			q.At(q.Now(), recurse)
+			q.At(q.Now(), recurse, 0)
 		}
 	}
-	q.At(3, recurse)
+	q.At(3, recurse, 0)
 	q.SkipTo(3)
 	if depth != 5 {
 		t.Errorf("cascade depth = %d, want 5", depth)
@@ -67,7 +68,7 @@ func TestNextEvent(t *testing.T) {
 	if _, ok := q.NextEvent(); ok {
 		t.Error("empty queue reported an event")
 	}
-	q.At(42, func() {})
+	q.At(42, func(int64) {}, 0)
 	if c, ok := q.NextEvent(); !ok || c != 42 {
 		t.Errorf("NextEvent = %d,%v", c, ok)
 	}
@@ -91,7 +92,7 @@ func TestMarkSharesNode(t *testing.T) {
 	if q.Len() != 1 {
 		t.Fatalf("two marks at one cycle: Len = %d, want 1", q.Len())
 	}
-	q.At(7, func() {})
+	q.At(7, func(int64) {}, 0)
 	q.Mark(7)
 	if q.Len() != 2 {
 		t.Fatalf("mark on an event's cycle: Len = %d, want 2", q.Len())
@@ -104,7 +105,7 @@ func TestMarkVisitsWithoutRunning(t *testing.T) {
 	q := New()
 	ran := false
 	q.Mark(10)
-	q.At(20, func() { ran = true })
+	q.At(20, func(int64) { ran = true }, 0)
 	if c, ok := q.NextEvent(); !ok || c != 10 {
 		t.Fatalf("NextEvent = %d,%v, want the mark at 10", c, ok)
 	}

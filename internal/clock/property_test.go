@@ -9,13 +9,14 @@ import (
 // heapQueue is the previous container/heap implementation, kept as the
 // reference model for the differential test: the calendar queue must
 // order events exactly the way the heap did — earliest cycle first,
-// FIFO among same-cycle events. A mark is an event with a nil callback,
-// which is what a mark replaced: an empty closure.
+// FIFO among same-cycle events. A mark is an event with a nil handler,
+// which is what a mark replaced: an empty callback.
 
 type refEvent struct {
 	cycle int64
 	seq   uint64
-	fn    func()
+	fn    Handler
+	arg   int64
 }
 
 type refHeap []refEvent
@@ -40,17 +41,17 @@ type heapQueue struct {
 func (q *heapQueue) Now() int64 { return q.now }
 func (q *heapQueue) Len() int   { return len(q.events) }
 
-func (q *heapQueue) At(cycle int64, fn func()) {
+func (q *heapQueue) At(cycle int64, fn Handler, arg int64) {
 	if cycle < q.now {
 		cycle = q.now
 	}
 	q.seq++
-	heap.Push(&q.events, refEvent{cycle: cycle, seq: q.seq, fn: fn})
+	heap.Push(&q.events, refEvent{cycle: cycle, seq: q.seq, fn: fn, arg: arg})
 }
 
-func (q *heapQueue) After(delay int64, fn func()) { q.At(q.now+delay, fn) }
+func (q *heapQueue) After(delay int64, fn Handler, arg int64) { q.At(q.now+delay, fn, arg) }
 
-func (q *heapQueue) Mark(cycle int64) { q.At(cycle, nil) }
+func (q *heapQueue) Mark(cycle int64) { q.At(cycle, nil, 0) }
 
 // lenBounds bounds the calendar queue's Len for the same population:
 // every mark may hold a node of its own, but a marked cycle needs at
@@ -77,7 +78,7 @@ func (q *heapQueue) RunDue() {
 	for len(q.events) > 0 && q.events[0].cycle <= q.now {
 		e := heap.Pop(&q.events).(refEvent)
 		if e.fn != nil {
-			e.fn()
+			e.fn(e.arg)
 		}
 	}
 }
@@ -101,7 +102,7 @@ func (q *heapQueue) SkipTo(cycle int64) {
 		}
 		e := heap.Pop(&q.events).(refEvent)
 		if e.fn != nil {
-			e.fn()
+			e.fn(e.arg)
 		}
 	}
 	if cycle > q.now {
@@ -116,11 +117,12 @@ func (q *heapQueue) SkipTo(cycle int64) {
 func TestSameCycleFIFOAcrossHorizon(t *testing.T) {
 	q := New()
 	far := int64(3 * numBuckets)
-	var order []int
-	q.At(far, func() { order = append(order, 0) }) // overflow path
+	var order []int64
+	rec := func(arg int64) { order = append(order, arg) }
+	q.At(far, rec, 0) // overflow path
 	q.SkipTo(far - numBuckets/2)
-	q.At(far, func() { order = append(order, 1) }) // ring path, after migration
-	q.At(far, func() { order = append(order, 2) })
+	q.At(far, rec, 1) // ring path, after migration
+	q.At(far, rec, 2)
 	q.SkipTo(far)
 	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
 		t.Fatalf("same-cycle order across horizon = %v, want [0 1 2]", order)
@@ -133,10 +135,11 @@ func TestSameCycleFIFOAcrossHorizon(t *testing.T) {
 func TestPastSchedulingClamp(t *testing.T) {
 	q := New()
 	q.SkipTo(50)
-	var order []int
-	q.At(50, func() { order = append(order, 1) })
-	q.At(10, func() { order = append(order, 2) }) // clamps to 50, after 1
-	q.At(-5, func() { order = append(order, 3) })
+	var order []int64
+	rec := func(arg int64) { order = append(order, arg) }
+	q.At(50, rec, 1)
+	q.At(10, rec, 2) // clamps to 50, after 1
+	q.At(-5, rec, 3)
 	q.RunDue()
 	if q.Now() != 50 {
 		t.Fatalf("Now = %d, want 50", q.Now())
@@ -146,16 +149,15 @@ func TestPastSchedulingClamp(t *testing.T) {
 	}
 }
 
-// TestSkipToCallbackObservesNow checks that every callback run during a
-// SkipTo observes its own scheduled cycle as Now, including callbacks
+// TestSkipToCallbackObservesNow checks that every handler run during a
+// SkipTo observes its own scheduled cycle as Now, including handlers
 // that migrate out of the overflow heap mid-skip.
 func TestSkipToCallbackObservesNow(t *testing.T) {
 	q := New()
 	cycles := []int64{3, numBuckets - 1, numBuckets + 7, 5 * numBuckets}
 	seen := map[int64]int64{}
 	for _, c := range cycles {
-		c := c
-		q.At(c, func() { seen[c] = q.Now() })
+		q.At(c, func(arg int64) { seen[arg] = q.Now() }, c)
 	}
 	q.SkipTo(10 * numBuckets)
 	for _, c := range cycles {
@@ -168,12 +170,46 @@ func TestSkipToCallbackObservesNow(t *testing.T) {
 	}
 }
 
+// diffQueue is what the differential test drives on both queues.
+type diffQueue interface {
+	After(delay int64, fn Handler, arg int64)
+	Mark(cycle int64)
+	Now() int64
+}
+
+// diffPlan is what one event of the differential test does when it
+// fires, looked up by its payload.
+type diffPlan struct {
+	resched, mark bool
+	next          int64
+}
+
+// diffHandlers builds one queue's two handlers, once: fire logs its
+// payload and the cycle, then follows the payload's plan (schedule the
+// refire arm, mark a cycle); refire logs the negated payload. A handler
+// that received another event's payload, or ran out of (cycle, seq)
+// order, leaves a log that differs from the reference's.
+func diffHandlers(q diffQueue, plans *[]diffPlan, log *[]int64) (fire Handler) {
+	refire := func(arg int64) { *log = append(*log, -arg, q.Now()) }
+	return func(arg int64) {
+		*log = append(*log, arg, q.Now())
+		p := (*plans)[arg]
+		if p.resched {
+			q.After(p.next, refire, arg)
+		}
+		if p.mark {
+			q.Mark(q.Now() + p.next)
+		}
+	}
+}
+
 // TestDifferentialVsHeap drives the calendar queue and the old heap
 // implementation with an identical randomized operation stream —
-// including callbacks that schedule more work or mark cycles, delays
+// including handlers that schedule more work or mark cycles, delays
 // straddling the horizon, marks (merged or not) and mixed Step/SkipTo
-// advancement — and requires the exact same firing sequence, clock
-// positions and next event, and a Len within the reference's bounds.
+// advancement — and requires the exact same firing sequence (handler,
+// payload and cycle of every event), clock positions and next event,
+// and a Len within the reference's bounds.
 func TestDifferentialVsHeap(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -181,35 +217,21 @@ func TestDifferentialVsHeap(t *testing.T) {
 		newQ := New()
 		oldQ := &heapQueue{}
 		var newLog, oldLog []int64
+		plans := []diffPlan{{}} // indexed by payload; payload 0 is unused
+		newFire := diffHandlers(newQ, &plans, &newLog)
+		oldFire := diffHandlers(oldQ, &plans, &oldLog)
 
-		id := int64(0)
-		// schedule installs the same (possibly re-scheduling) callback on
-		// both queues.
-		var schedule func(delay int64)
-		schedule = func(delay int64) {
-			id++
-			ev := id
-			resched := rng.Intn(4) == 0
-			mark := rng.Intn(4) == 0
-			next := int64(rng.Intn(3 * numBuckets))
-			newQ.After(delay, func() {
-				newLog = append(newLog, ev, newQ.Now())
-				if resched {
-					schedule2(newQ, &newLog, ev, next)
-				}
-				if mark {
-					newQ.Mark(newQ.Now() + next)
-				}
+		// schedule installs the same event, payload and plan on both
+		// queues.
+		schedule := func(delay int64) {
+			id := int64(len(plans))
+			plans = append(plans, diffPlan{
+				resched: rng.Intn(4) == 0,
+				mark:    rng.Intn(4) == 0,
+				next:    int64(rng.Intn(3 * numBuckets)),
 			})
-			oldQ.After(delay, func() {
-				oldLog = append(oldLog, ev, oldQ.Now())
-				if resched {
-					schedule2(oldQ, &oldLog, ev, next)
-				}
-				if mark {
-					oldQ.Mark(oldQ.Now() + next)
-				}
-			})
+			newQ.After(delay, newFire, id)
+			oldQ.After(delay, oldFire, id)
 		}
 		// delay mixes near-future, horizon-edge and far-future delays.
 		delay := func() int64 {
@@ -272,34 +294,24 @@ func TestDifferentialVsHeap(t *testing.T) {
 	}
 }
 
-// schedule2 is the rescheduling arm of the differential test's
-// callbacks, shared so both queues run identical logic.
-func schedule2(q interface {
-	After(int64, func())
-	Now() int64
-}, log *[]int64, ev, delay int64) {
-	q.After(delay, func() {
-		*log = append(*log, -ev, q.Now())
-	})
-}
-
 // TestZeroAllocSteadyState asserts the allocation-free guarantee of the
 // hot path: once the node free list is warm, After + Step performs no
 // heap allocations.
 func TestZeroAllocSteadyState(t *testing.T) {
 	q := New()
-	fn := func() {}
+	sum := int64(0)
+	fn := func(arg int64) { sum += arg }
 	// Warm the free list.
 	for i := 0; i < 64; i++ {
-		q.After(1, fn)
-		q.After(3, fn)
+		q.After(1, fn, 1)
+		q.After(3, fn, 3)
 	}
 	q.SkipTo(q.Now() + 8)
 
 	allocs := testing.AllocsPerRun(1000, func() {
-		q.After(1, fn)
-		q.After(2, fn)
-		q.After(5, fn)
+		q.After(1, fn, 1)
+		q.After(2, fn, 2)
+		q.After(5, fn, 5)
 		q.Step()
 	})
 	if allocs != 0 {
@@ -317,6 +329,24 @@ func TestZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestSlabGrowth: the free list grows one slab at a time, so scheduling
+// slabNodes events past the high-water mark allocates once.
+func TestSlabGrowth(t *testing.T) {
+	q := New()
+	fn := func(int64) {}
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < slabNodes; i++ {
+			q.After(int64(i)+1, fn, 0)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("%d events past the high-water mark allocate %v times, want 1", slabNodes, allocs)
+	}
+	if q.Len() != 2*slabNodes {
+		t.Fatalf("Len = %d, want %d", q.Len(), 2*slabNodes)
+	}
+}
+
 // TestOverflowStress pushes thousands of far-future events with random
 // cycles and checks they all fire, in order, with correct Now.
 func TestOverflowStress(t *testing.T) {
@@ -326,7 +356,7 @@ func TestOverflowStress(t *testing.T) {
 	const n = 5000
 	for i := 0; i < n; i++ {
 		c := int64(rng.Intn(20 * numBuckets))
-		q.At(c, func() { fired = append(fired, q.Now()) })
+		q.At(c, func(int64) { fired = append(fired, q.Now()) }, 0)
 	}
 	q.SkipTo(25 * numBuckets)
 	if len(fired) != n {

@@ -8,10 +8,13 @@ import (
 
 // SaveState serializes the queue's checkpointable view: the clock
 // itself plus a structural summary of the pending event population.
-// Event callbacks are closures and cannot be serialized; restore
-// rebuilds them by deterministic replay, and the summary written here
-// — total count, overdue count, and the per-cycle pending counts in
-// ascending cycle order — is what the replay is verified against.
+// An event's handler is a function value and its payload an index into
+// state its component owns, so neither is serialized; an audit
+// rebuilds the population by deterministic replay, and the summary
+// written here — total count, overdue count, and the per-cycle pending
+// counts in ascending cycle order — is what the replay is verified
+// against. Events carrying a handler and a payload instead of a
+// closure left the summary, and so every checkpoint digest, unchanged.
 // Marks count as nodes, but the marks at one cycle inside the horizon
 // share a node (none beside an event), so a marked cycle counts once
 // in the summary however often it was marked; marks beyond the

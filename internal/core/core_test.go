@@ -17,11 +17,14 @@ type recResolver struct {
 	smIDs []int
 }
 
-func (r *recResolver) Service(region uint64, kind vm.FaultKind, smID int, done func()) {
+func (r *recResolver) Service(region uint64, kind vm.FaultKind, smID int, done clock.Event) {
 	r.calls = append(r.calls, region)
 	r.smIDs = append(r.smIDs, smID)
-	r.q.After(r.delay, done)
+	r.q.After(r.delay, done.Fn, done.Arg)
 }
+
+// on wraps a test callback as an event.
+func on(fn func()) clock.Event { return clock.Event{Fn: func(int64) { fn() }} }
 
 func drain(q *clock.Queue) {
 	for q.Len() > 0 {
@@ -38,10 +41,10 @@ func TestFaultUnitMergesRegions(t *testing.T) {
 	}
 	resolved := 0
 	// Three pages in the same 64 KB region, one in another.
-	p0 := fu.RaiseFault(0x10000, vm.FaultMigrate, 0, func() { resolved++ })
-	p1 := fu.RaiseFault(0x12000, vm.FaultMigrate, 1, func() { resolved++ })
-	p2 := fu.RaiseFault(0x1f000, vm.FaultMigrate, 2, func() { resolved++ })
-	p3 := fu.RaiseFault(0x20000, vm.FaultMigrate, 3, func() { resolved++ })
+	p0 := fu.RaiseFault(0x10000, vm.FaultMigrate, 0, on(func() { resolved++ }))
+	p1 := fu.RaiseFault(0x12000, vm.FaultMigrate, 1, on(func() { resolved++ }))
+	p2 := fu.RaiseFault(0x1f000, vm.FaultMigrate, 2, on(func() { resolved++ }))
+	p3 := fu.RaiseFault(0x20000, vm.FaultMigrate, 3, on(func() { resolved++ }))
 	if p0 != 0 || p1 != 0 || p2 != 0 {
 		t.Errorf("merged faults share queue position 0: got %d %d %d", p0, p1, p2)
 	}
@@ -67,13 +70,42 @@ func TestFaultUnitMergesRegions(t *testing.T) {
 	}
 }
 
+// TestFaultUnitSteadyStateAllocs: once its region records are warm, the
+// fault unit raises, merges and resolves faults without allocating.
+func TestFaultUnitSteadyStateAllocs(t *testing.T) {
+	q := clock.New()
+	fu, _ := NewFaultUnit(q, 64*1024, stubResolver{q}, nil)
+	resolved := 0
+	done := clock.Event{Fn: func(int64) { resolved++ }}
+	round := func() {
+		fu.RaiseFault(0x10000, vm.FaultMigrate, 0, done)
+		fu.RaiseFault(0x12000, vm.FaultMigrate, 1, done) // merges
+		fu.RaiseFault(0x20000, vm.FaultAllocOnly, 2, done)
+		drain(q)
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("a warm raise-and-resolve round allocates %v times, want 0", allocs)
+	}
+	if resolved != 3*102 || fu.Pending() != 0 {
+		t.Fatalf("resolved %d with %d pending, want %d and 0", resolved, fu.Pending(), 3*102)
+	}
+}
+
+// stubResolver resolves every region 10 cycles on, recording nothing.
+type stubResolver struct{ q *clock.Queue }
+
+func (r stubResolver) Service(region uint64, kind vm.FaultKind, smID int, done clock.Event) {
+	r.q.After(10, done.Fn, done.Arg)
+}
+
 func TestFaultUnitRouting(t *testing.T) {
 	q := clock.New()
 	cpu := &recResolver{q: q, delay: 10}
 	local := &recResolver{q: q, delay: 10}
 	fu, _ := NewFaultUnit(q, 64*1024, cpu, local)
-	fu.RaiseFault(0x10000, vm.FaultMigrate, 0, func() {})
-	fu.RaiseFault(0x20000, vm.FaultAllocOnly, 1, func() {})
+	fu.RaiseFault(0x10000, vm.FaultMigrate, 0, on(func() {}))
+	fu.RaiseFault(0x20000, vm.FaultAllocOnly, 1, on(func() {}))
 	drain(q)
 	if len(cpu.calls) != 1 || cpu.calls[0] != 0x10000 {
 		t.Errorf("CPU served %v, want [0x10000] (migrations always go to the CPU)", cpu.calls)
@@ -87,7 +119,7 @@ func TestFaultUnitRouting(t *testing.T) {
 	}
 	// Without a local handler, alloc-only faults go to the CPU.
 	fu2, _ := NewFaultUnit(q, 64*1024, cpu, nil)
-	fu2.RaiseFault(0x30000, vm.FaultAllocOnly, 0, func() {})
+	fu2.RaiseFault(0x30000, vm.FaultAllocOnly, 0, on(func() {}))
 	drain(q)
 	if len(cpu.calls) != 2 {
 		t.Error("alloc-only fault not routed to CPU when local handling is off")
@@ -98,7 +130,7 @@ func TestFaultUnitInvalidAborts(t *testing.T) {
 	q := clock.New()
 	cpu := &recResolver{q: q, delay: 10}
 	fu, _ := NewFaultUnit(q, 64*1024, cpu, nil)
-	fu.RaiseFault(0xdead0000, vm.FaultInvalid, 5, func() {})
+	fu.RaiseFault(0xdead0000, vm.FaultInvalid, 5, on(func() {}))
 	if fu.Err() == nil {
 		t.Fatal("invalid fault must set the abort error")
 	}
@@ -143,7 +175,7 @@ func TestLocalHandlerMapsRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doneAt int64 = -1
-	lh.Service(0x10000, vm.FaultAllocOnly, 3, func() { doneAt = q.Now() })
+	lh.Service(0x10000, vm.FaultAllocOnly, 3, on(func() { doneAt = q.Now() }))
 	drain(q)
 	if doneAt != 20000 {
 		t.Errorf("handler completed at %d, want 20000 (20 us at 1 GHz)", doneAt)
@@ -171,7 +203,7 @@ func TestLocalHandlerConcurrencyBound(t *testing.T) {
 	var times []int64
 	// Twice the slot count: the second wave queues behind the first.
 	for i := 0; i < 2*conc; i++ {
-		lh.Service(uint64(i)<<16, vm.FaultAllocOnly, i%16, func() { times = append(times, q.Now()) })
+		lh.Service(uint64(i)<<16, vm.FaultAllocOnly, i%16, on(func() { times = append(times, q.Now()) }))
 	}
 	drain(q)
 	first, second := 0, 0
@@ -197,7 +229,7 @@ func TestLocalHandlerUsesSMPartition(t *testing.T) {
 	q := clock.New()
 	as := newAS(t)
 	lh, _ := NewLocalHandler(q, as, 4, 64*1024, 100, 0)
-	lh.Service(0x40000, vm.FaultAllocOnly, 2, func() {})
+	lh.Service(0x40000, vm.FaultAllocOnly, 2, on(func() {}))
 	drain(q)
 	if lh.allocs[2].Allocated() != 16 {
 		t.Errorf("SM 2 partition allocated %d frames, want 16", lh.allocs[2].Allocated())
@@ -208,7 +240,7 @@ func TestLocalHandlerUsesSMPartition(t *testing.T) {
 		}
 	}
 	// Out-of-range SM ids clamp rather than crash.
-	lh.Service(0x100000, vm.FaultAllocOnly, -1, func() {})
+	lh.Service(0x100000, vm.FaultAllocOnly, -1, on(func() {}))
 	drain(q)
 }
 

@@ -22,7 +22,7 @@ import (
 // region's pages are mapped on the GPU. host.FaultService implements it
 // for the CPU path; LocalHandler for the GPU path.
 type Resolver interface {
-	Service(regionBase uint64, kind vm.FaultKind, smID int, done func())
+	Service(regionBase uint64, kind vm.FaultKind, smID int, done clock.Event)
 }
 
 // Stats counts fault unit activity.
@@ -36,10 +36,18 @@ type Stats struct {
 	MaxQueue int
 }
 
+// regionFault is one region in the pending fault queue. Records are
+// pooled and keep their index in the unit's region table, which is the
+// payload of their completion; the waiters capacity survives reuse.
 type regionFault struct {
+	region  uint64
+	smID    int // the SM whose fault opened the region
 	pos     int
 	born    int64 // cycle the region entered the pending queue
-	waiters []func()
+	waiters []clock.Event
+
+	id   int64        // index in FaultUnit.regionTab
+	next *regionFault // free list
 }
 
 // FaultUnit is the global fault coordinator attached to the fill unit:
@@ -58,8 +66,14 @@ type FaultUnit struct {
 	local Resolver // nil when use case 2 is disabled
 
 	pending map[uint64]*regionFault
-	queued  int
-	stats   Stats
+	//simlint:ckptskip free list of recycled region records, a pure allocation cache that holds no simulated state
+	pool *regionFault
+	//simlint:ckptskip every region record ever built, by id: the payload index of its completion, holding no state of its own
+	regionTab []*regionFault
+	//simlint:ckptskip handler built once at construction
+	completeFn clock.Handler // completes regionTab[arg]
+	queued     int
+	stats      Stats
 	//simlint:ckptskip a non-nil abort ends the run before any checkpoint is cut
 	abort error
 
@@ -93,13 +107,15 @@ func NewFaultUnit(q *clock.Queue, granularity int, cpu Resolver, local Resolver)
 	if cpu == nil {
 		return nil, fmt.Errorf("core: fault unit needs the CPU resolver")
 	}
-	return &FaultUnit{
+	u := &FaultUnit{
 		q:       q,
 		gran:    uint64(granularity),
 		cpu:     cpu,
 		local:   local,
 		pending: make(map[uint64]*regionFault),
-	}, nil
+	}
+	u.completeFn = u.complete
+	return u, nil
 }
 
 // Stats returns a copy of the counters.
@@ -114,12 +130,15 @@ func (u *FaultUnit) Err() error { return u.abort }
 // RaiseFault implements sm.FaultSink: it registers a page fault,
 // returning its position in the global pending fault queue. Faults to a
 // region already being handled merge and share its position.
-func (u *FaultUnit) RaiseFault(pageVA uint64, kind vm.FaultKind, smID int, resolved func()) int {
+//
+//simlint:noalloc
+func (u *FaultUnit) RaiseFault(pageVA uint64, kind vm.FaultKind, smID int, resolved clock.Event) int {
 	u.stats.Raised++
 	if kind == vm.FaultInvalid {
 		// The handler requests the CPU to abort the kernel (Section
 		// 4.2); the simulation surfaces it as an error.
 		if u.abort == nil {
+			//simlint:ignore noalloc the run aborts; happens at most once
 			u.abort = fmt.Errorf("core: invalid memory access at %#x (SM %d): kernel aborted", pageVA, smID)
 		}
 		return u.queued
@@ -130,7 +149,9 @@ func (u *FaultUnit) RaiseFault(pageVA uint64, kind vm.FaultKind, smID int, resol
 		rf.waiters = append(rf.waiters, resolved)
 		return rf.pos
 	}
-	rf := &regionFault{pos: u.queued, born: u.q.Now(), waiters: []func(){resolved}}
+	rf := u.newRegion()
+	rf.region, rf.smID, rf.pos, rf.born = region, smID, u.queued, u.q.Now()
+	rf.waiters = append(rf.waiters, resolved)
 	u.pending[region] = rf
 	u.queued++
 	if u.queued > u.stats.MaxQueue {
@@ -141,27 +162,60 @@ func (u *FaultUnit) RaiseFault(pageVA uint64, kind vm.FaultKind, smID int, resol
 		u.tr.Emit(-1, obs.KRegionQueued, int32(smID), region, uint64(rf.pos))
 	}
 
-	complete := func() {
-		delete(u.pending, region)
-		u.queued--
-		wait := u.q.Now() - rf.born
-		u.latency.Observe(wait)
-		if u.tr != nil {
-			u.tr.Emit(-1, obs.KRegionResolved, int32(smID), region, uint64(wait))
-		}
-		for _, w := range rf.waiters {
-			w()
-		}
-	}
+	done := clock.Event{Fn: u.completeFn, Arg: rf.id}
 	// Route: first-touch (allocation-only) faults can be handled on the
 	// GPU itself when local handling is enabled; migrations and
 	// everything else go to the CPU driver.
 	if kind == vm.FaultAllocOnly && u.local != nil {
 		u.stats.RoutedLocal++
-		u.local.Service(region, kind, smID, complete)
+		u.local.Service(region, kind, smID, done)
 	} else {
 		u.stats.RoutedCPU++
-		u.cpu.Service(region, kind, smID, complete)
+		u.cpu.Service(region, kind, smID, done)
 	}
 	return rf.pos
+}
+
+// newRegion takes a region record from the pool, or builds one and
+// enters it in the region table.
+//
+//simlint:noalloc
+func (u *FaultUnit) newRegion() *regionFault {
+	rf := u.pool
+	if rf == nil {
+		//simlint:ignore noalloc grow path, once per region the queue ever holds at once
+		rf = &regionFault{id: int64(len(u.regionTab))}
+		u.regionTab = append(u.regionTab, rf)
+		return rf
+	}
+	u.pool = rf.next
+	rf.next = nil
+	return rf
+}
+
+// complete resolves region record id: it leaves the pending queue, its
+// waiters run in raise order, and the record returns to the pool.
+func (u *FaultUnit) complete(id int64) {
+	rf := u.regionTab[id]
+	delete(u.pending, rf.region)
+	u.queued--
+	wait := u.q.Now() - rf.born
+	u.latency.Observe(wait)
+	if u.tr != nil {
+		u.tr.Emit(-1, obs.KRegionResolved, int32(rf.smID), rf.region, uint64(wait))
+	}
+	for _, w := range rf.waiters {
+		w.Fire()
+	}
+	u.putRegion(rf)
+}
+
+// putRegion returns a resolved region record to the pool. Callers must
+// drop every reference first: the next newRegion may hand it out again.
+//
+//simlint:releases 0
+func (u *FaultUnit) putRegion(rf *regionFault) {
+	rf.waiters = rf.waiters[:0]
+	rf.next = u.pool
+	u.pool = rf
 }

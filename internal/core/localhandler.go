@@ -63,6 +63,17 @@ type LocalHandler struct {
 	err error
 	//simlint:ckptskip tracer wiring; trace emission is observability, not simulation state
 	tr *obs.Tracer
+	//simlint:ckptskip handler invocations in progress; the clock digests their events and replay rebuilds them
+	running clock.Table[localRun]
+	//simlint:ckptskip handler built once at construction
+	finishFn clock.Handler // finishes running[arg]
+}
+
+// localRun is one handler invocation in progress.
+type localRun struct {
+	region uint64
+	smID   int
+	done   clock.Event
 }
 
 // SetTracer installs the event tracer; nil disables tracing.
@@ -91,14 +102,16 @@ func NewLocalHandler(q *clock.Queue, as *vm.AddressSpace, numSMs, granularity in
 	if err != nil {
 		return nil, fmt.Errorf("core: partitioning GPU physical memory: %w", err)
 	}
-	return &LocalHandler{
+	h := &LocalHandler{
 		q:      q,
 		as:     as,
 		gran:   uint64(granularity),
 		cost:   handlerCycles,
 		free:   make([]int64, concurrency),
 		allocs: allocs,
-	}, nil
+	}
+	h.finishFn = h.finish
+	return h, nil
 }
 
 // Stats returns a copy of the counters.
@@ -110,7 +123,9 @@ func (h *LocalHandler) Err() error { return h.err }
 
 // Service implements Resolver: it runs the handler on the faulting
 // warp's SM, allocating from that SM's partition.
-func (h *LocalHandler) Service(regionBase uint64, kind vm.FaultKind, smID int, done func()) {
+//
+//simlint:noalloc
+func (h *LocalHandler) Service(regionBase uint64, kind vm.FaultKind, smID int, done clock.Event) {
 	if smID < 0 || smID >= len(h.allocs) {
 		smID = 0
 	}
@@ -131,23 +146,28 @@ func (h *LocalHandler) Service(regionBase uint64, kind vm.FaultKind, smID int, d
 	if h.tr != nil {
 		h.tr.Emit(-1, obs.KLocalStart, int32(smID), regionBase, uint64(start-now))
 	}
-	h.q.At(start+h.cost, func() {
-		if h.tr != nil {
-			h.tr.Emit(-1, obs.KLocalEnd, int32(smID), regionBase, 0)
+	h.q.At(start+h.cost, h.finishFn, h.running.Put(localRun{region: regionBase, smID: smID, done: done}))
+}
+
+// finish ends handler invocation id: it maps the region and resolves
+// the fault.
+func (h *LocalHandler) finish(id int64) {
+	run := h.running.Take(id)
+	if h.tr != nil {
+		h.tr.Emit(-1, obs.KLocalEnd, int32(run.smID), run.region, 0)
+	}
+	if err := h.mapRegion(run.region, run.smID); err != nil {
+		// Partition exhaustion: record for Simulator.firstError and
+		// leave the fault pending so the run aborts with a structured
+		// error instead of a panic.
+		if h.err == nil {
+			h.err = fmt.Errorf("core: local fault resolution at region %#x (SM %d) failed: %w",
+				run.region, run.smID, err)
 		}
-		if err := h.mapRegion(regionBase, smID); err != nil {
-			// Partition exhaustion: record for Simulator.firstError and
-			// leave the fault pending so the run aborts with a structured
-			// error instead of a panic.
-			if h.err == nil {
-				h.err = fmt.Errorf("core: local fault resolution at region %#x (SM %d) failed: %w",
-					regionBase, smID, err)
-			}
-			return
-		}
-		h.stats.Handled++
-		done()
-	})
+		return
+	}
+	h.stats.Handled++
+	run.done.Fire()
 }
 
 // mapRegion marks the region's pages GPU-owned and maps them from the

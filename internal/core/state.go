@@ -8,7 +8,7 @@ import (
 
 // SaveState serializes the fault unit: queue depth, statistics, and the
 // pending regions sorted by base address (the pending map must never be
-// iterated raw). Region waiter closures are rebuilt by replay.
+// iterated raw). Region waiter events are rebuilt by replay.
 func (u *FaultUnit) SaveState(w *ckpt.Writer) {
 	w.Int(u.queued)
 	w.I64(u.stats.Raised)

@@ -80,10 +80,10 @@ func (d *DRAM) occupy(bytes int) int64 {
 }
 
 // Fetch implements cache.Backend: a line read.
-func (d *DRAM) Fetch(addr uint64, done func()) bool {
+func (d *DRAM) Fetch(addr uint64, done clock.Event) bool {
 	d.stats.Reads++
 	d.stats.BytesRead += int64(d.lineBytes)
-	d.q.At(d.occupy(d.lineBytes), done)
+	d.q.At(d.occupy(d.lineBytes), done.Fn, done.Arg)
 	return true
 }
 
@@ -97,11 +97,11 @@ func (d *DRAM) Write(addr uint64) {
 
 // Transfer moves bytes in bulk (context save/restore, migrated page
 // copies into GPU memory); done runs at completion.
-func (d *DRAM) Transfer(bytes int, done func()) {
+func (d *DRAM) Transfer(bytes int, done clock.Event) {
 	if bytes <= 0 {
-		d.q.After(1, done)
+		d.q.After(1, done.Fn, done.Arg)
 		return
 	}
 	d.stats.BytesWrit += int64(bytes)
-	d.q.At(d.occupy(bytes), done)
+	d.q.At(d.occupy(bytes), done.Fn, done.Arg)
 }

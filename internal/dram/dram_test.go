@@ -19,7 +19,7 @@ func TestFetchLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	var done int64 = -1
-	d.Fetch(0x1000, func() { done = q.Now() })
+	d.Fetch(0x1000, clock.Event{Fn: func(int64) { done = q.Now() }})
 	drain(q)
 	// 128B at 256B/cycle = 0.5 cycles occupancy + 200 latency.
 	if done != 200 {
@@ -37,7 +37,7 @@ func TestBandwidthSerialization(t *testing.T) {
 	d, _ := New(q, 10, 1, 128)
 	var times []int64
 	for i := 0; i < 4; i++ {
-		d.Fetch(uint64(i*128), func() { times = append(times, q.Now()) })
+		d.Fetch(uint64(i*128), clock.Event{Fn: func(int64) { times = append(times, q.Now()) }})
 	}
 	drain(q)
 	if len(times) != 4 {
@@ -64,7 +64,7 @@ func TestWritesShareBandwidth(t *testing.T) {
 	if !ok || wrDone != 128 {
 		t.Fatalf("write marked %d,%v, want 128 (one line at 1 B/cycle)", wrDone, ok)
 	}
-	d.Fetch(128, func() { rdDone = q.Now() })
+	d.Fetch(128, clock.Event{Fn: func(int64) { rdDone = q.Now() }})
 	drain(q)
 	if rdDone != 2*wrDone {
 		t.Errorf("write done %d, read done %d: read must queue behind write", wrDone, rdDone)
@@ -75,7 +75,7 @@ func TestTransferBulk(t *testing.T) {
 	q := clock.New()
 	d, _ := New(q, 100, 256, 128)
 	var done int64
-	d.Transfer(64*1024, func() { done = q.Now() })
+	d.Transfer(64*1024, clock.Event{Fn: func(int64) { done = q.Now() }})
 	drain(q)
 	// 64KB / 256Bpc = 256 cycles + 100 latency.
 	if done != 356 {
@@ -83,7 +83,7 @@ func TestTransferBulk(t *testing.T) {
 	}
 	// Zero-byte transfer still completes.
 	fired := false
-	d.Transfer(0, func() { fired = true })
+	d.Transfer(0, clock.Event{Fn: func(int64) { fired = true }})
 	drain(q)
 	if !fired {
 		t.Error("empty transfer never completed")
@@ -94,7 +94,7 @@ func TestCompletionNeverInPast(t *testing.T) {
 	q := clock.New()
 	d, _ := New(q, 0, 1024, 4) // sub-cycle occupancy, zero latency
 	var done int64 = -1
-	d.Fetch(0, func() { done = q.Now() })
+	d.Fetch(0, clock.Event{Fn: func(int64) { done = q.Now() }})
 	drain(q)
 	if done < 1 {
 		t.Errorf("completion at %d, want >= 1 cycle after issue", done)

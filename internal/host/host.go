@@ -123,6 +123,19 @@ type FaultService struct {
 	err error
 	//simlint:ckptskip tracer wiring; trace emission is observability, not simulation state
 	tr *obs.Tracer
+	//simlint:ckptskip regions in service; the clock digests their events and replay rebuilds them
+	serving clock.Table[serviceRun]
+	//simlint:ckptskip handler built once at construction
+	occupyFn clock.Handler // occupies the link for arg cycles
+	//simlint:ckptskip handler built once at construction
+	finishFn clock.Handler // finishes serving[arg]
+}
+
+// serviceRun is one region in service.
+type serviceRun struct {
+	region uint64
+	smID   int
+	done   clock.Event
 }
 
 // SetTracer installs the event tracer; nil disables tracing.
@@ -150,12 +163,15 @@ func NewFaultService(q *clock.Queue, link *interconnect.Link, as *vm.AddressSpac
 	if granularity <= 0 || toCycles == nil {
 		return nil, fmt.Errorf("host: bad fault service config")
 	}
-	return &FaultService{
+	s := &FaultService{
 		q: q, link: link, as: as,
 		gran:  uint64(granularity),
 		costs: costs,
 		toCyc: toCycles,
-	}, nil
+	}
+	s.occupyFn = s.occupyLink
+	s.finishFn = s.finish
+	return s, nil
 }
 
 // Stats returns a copy of the counters.
@@ -173,7 +189,9 @@ func (s *FaultService) Err() error { return s.err }
 // page of the region is mapped into GPU memory, and done runs. The
 // caller (the GPU fault unit) is responsible for merging concurrent
 // faults to the same region.
-func (s *FaultService) Service(regionBase uint64, kind vm.FaultKind, smID int, done func()) {
+//
+//simlint:noalloc
+func (s *FaultService) Service(regionBase uint64, kind vm.FaultKind, smID int, done clock.Event) {
 	total := s.costs.AllocOnlyUS
 	if kind == vm.FaultMigrate {
 		total = s.costs.MigrateUS
@@ -208,24 +226,29 @@ func (s *FaultService) Service(regionBase uint64, kind vm.FaultKind, smID int, d
 	if s.tr != nil {
 		s.tr.Emit(-1, obs.KMigrateStart, int32(smID), regionBase, uint64(start-now))
 	}
-	s.q.At(start, func() {
-		s.link.Occupy(linkCycles)
-	})
-	s.q.At(start+totalCycles, func() {
-		if s.tr != nil {
-			s.tr.Emit(-1, obs.KMigrateEnd, int32(smID), regionBase, 0)
+	s.q.At(start, s.occupyFn, linkCycles)
+	s.q.At(start+totalCycles, s.finishFn, s.serving.Put(serviceRun{region: regionBase, smID: smID, done: done}))
+}
+
+func (s *FaultService) occupyLink(cycles int64) { s.link.Occupy(cycles) }
+
+// finish ends service run id: it maps the region and resolves the
+// fault.
+func (s *FaultService) finish(id int64) {
+	run := s.serving.Take(id)
+	if s.tr != nil {
+		s.tr.Emit(-1, obs.KMigrateEnd, int32(run.smID), run.region, 0)
+	}
+	if err := s.mapRegion(run.region); err != nil {
+		// Mapping can only fail on GPU memory exhaustion. Record the
+		// error for Simulator.firstError and leave the fault pending:
+		// the run aborts with a structured error instead of a panic.
+		if s.err == nil {
+			s.err = fmt.Errorf("host: fault resolution at region %#x failed: %w", run.region, err)
 		}
-		if err := s.mapRegion(regionBase); err != nil {
-			// Mapping can only fail on GPU memory exhaustion. Record the
-			// error for Simulator.firstError and leave the fault pending:
-			// the run aborts with a structured error instead of a panic.
-			if s.err == nil {
-				s.err = fmt.Errorf("host: fault resolution at region %#x failed: %w", regionBase, err)
-			}
-			return
-		}
-		done()
-	})
+		return
+	}
+	run.done.Fire()
 }
 
 // mapRegion maps every registered page of the region into GPU memory.

@@ -11,6 +11,9 @@ import (
 	"gpues/internal/vm"
 )
 
+// on wraps a test callback as an event.
+func on(fn func()) clock.Event { return clock.Event{Fn: func(int64) { fn() }} }
+
 func drain(q *clock.Queue) {
 	for q.Len() > 0 {
 		q.Step()
@@ -130,7 +133,7 @@ func TestFaultServiceMigration(t *testing.T) {
 	q := clock.New()
 	svc, as, link := newService(t, q)
 	var doneAt int64 = -1
-	svc.Service(0x10000, vm.FaultMigrate, 0, func() { doneAt = q.Now() })
+	svc.Service(0x10000, vm.FaultMigrate, 0, on(func() { doneAt = q.Now() }))
 	drain(q)
 	// NVLink migration: 12 us = 12000 cycles end to end.
 	if doneAt != 12000 {
@@ -156,7 +159,7 @@ func TestFaultServiceSerializesOneByOne(t *testing.T) {
 	svc, _, _ := newService(t, q)
 	var times []int64
 	for i := 0; i < 3; i++ {
-		svc.Service(uint64(i)<<16, vm.FaultMigrate, 0, func() { times = append(times, q.Now()) })
+		svc.Service(uint64(i)<<16, vm.FaultMigrate, 0, on(func() { times = append(times, q.Now()) }))
 	}
 	drain(q)
 	want := []int64{12000, 24000, 36000}
@@ -177,7 +180,7 @@ func TestFaultServiceAllocOnlyCheaper(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doneAt int64
-	svc.Service(1<<20, vm.FaultAllocOnly, 0, func() { doneAt = q.Now() })
+	svc.Service(1<<20, vm.FaultAllocOnly, 0, on(func() { doneAt = q.Now() }))
 	drain(q)
 	// NVLink alloc-only: 10 us.
 	if doneAt != 10000 {
@@ -195,7 +198,7 @@ func TestFaultServiceSkipsUnregisteredPages(t *testing.T) {
 	if err := as.AddRegion(vm.Region{Name: "tail", Base: 1 << 20, Size: 32 * 1024, Kind: vm.RegionLazy}); err != nil {
 		t.Fatal(err)
 	}
-	svc.Service(1<<20, vm.FaultAllocOnly, 0, func() {})
+	svc.Service(1<<20, vm.FaultAllocOnly, 0, on(func() {}))
 	drain(q)
 	if got := svc.Stats().PagesMapped; got != 8 {
 		t.Errorf("pages mapped = %d, want 8 (half the window registered)", got)

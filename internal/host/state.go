@@ -11,7 +11,7 @@ func (d *Dispatcher) SaveState(w *ckpt.Writer) {
 
 // SaveState serializes the CPU fault service: the handler's next-free
 // cycle and the service statistics. In-flight service completions are
-// scheduled closures, rebuilt by replay.
+// scheduled events, rebuilt by replay.
 func (s *FaultService) SaveState(w *ckpt.Writer) {
 	w.I64(s.cpuFree)
 	w.I64(s.stats.Served)

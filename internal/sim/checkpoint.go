@@ -1,8 +1,8 @@
 // Checkpoints and trail audits for the full simulator. The clock queue
-// stores scheduled closures, which cannot be serialized; a checkpoint
+// stores scheduled handlers, which cannot be serialized; a checkpoint
 // instead records the cycle plus one digest of every component's
 // serialized state (architectural state and a structural summary of its
-// closure-bound state). A run with CheckpointEvery leaves a trail of them.
+// handler-bound state). A run with CheckpointEvery leaves a trail of them.
 // Audit re-executes a fresh simulator through the trail's cycles —
 // deterministic execution makes the re-execution bit-identical — and
 // checks every component's digest at each: any nondeterminism between the

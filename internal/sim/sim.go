@@ -429,7 +429,7 @@ func (s *Simulator) Tracer() *obs.Tracer { return s.tracer }
 // contextMover adapts the DRAM model to sm.ContextMover.
 type contextMover struct{ d *dram.DRAM }
 
-func (m contextMover) Move(bytes int, done func()) { m.d.Transfer(bytes, done) }
+func (m contextMover) Move(bytes int, done clock.Event) { m.d.Transfer(bytes, done) }
 
 // AddressSpace exposes the simulator's VM state (for tests and tools).
 func (s *Simulator) AddressSpace() *vm.AddressSpace { return s.as }

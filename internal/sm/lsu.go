@@ -1,6 +1,7 @@
 package sm
 
 import (
+	"gpues/internal/clock"
 	"gpues/internal/config"
 	"gpues/internal/isa"
 	"gpues/internal/obs"
@@ -13,61 +14,75 @@ import (
 // translated requests access the cache hierarchy. The cycle the final
 // request finishes translation is the instruction's "last TLB check"
 // (Figure 5) — the earliest point it is known not to fault.
+//
+//simlint:noalloc
 func (s *SM) startMem(f *flight) {
 	w := f.w
 	lines := w.block.trace.LinesOf(w.trace[f.tIdx])
 	if len(lines) == 0 {
 		// All lanes predicated off: nothing to access.
-		s.q.After(1, f.commitFn)
+		s.q.After(1, s.ev.commit, f.slot)
 		return
 	}
 	n := len(lines)
 	if cap(f.reqs) >= n {
 		f.reqs = f.reqs[:n]
 	} else {
+		//simlint:ignore noalloc grow path, once per flight per larger request count
 		f.reqs = make([]memReq, n)
 	}
 	for i := range lines {
 		f.reqs[i] = memReq{line: lines[i], idx: int32(i)}
-	}
-	// Extend the per-index closure set to cover this instruction's
-	// request count; the closures dereference &f.reqs[i] when they fire,
-	// so they survive reqs reslicing across flight reuses.
-	for i := len(f.trFns); i < n; i++ {
-		i := i
-		f.trFns = append(f.trFns, func() {
-			s.translate(f, &f.reqs[i])
-			s.settle(f)
-		})
-		f.tlbFns = append(f.tlbFns, func(res tlb.Result) {
-			s.wake()
-			s.onTranslated(f, &f.reqs[i], res)
-			s.settle(f)
-		})
-		f.accFns = append(f.accFns, func() {
-			s.accessDone(f, &f.reqs[i])
-			s.settle(f)
-		})
-		f.accRetry = append(f.accRetry, func() {
-			s.access(f, &f.reqs[i])
-			s.settle(f)
-		})
 	}
 	f.tlbRem = n
 	f.reqRem = n
 	s.stats.MemRequests += int64(n)
 	f.pending += n
 	for i := 0; i < n; i++ {
-		s.q.After(int64(i)+1, f.trFns[i])
+		s.q.After(int64(i)+1, s.ev.translate, reqArg(f, int32(i)))
 	}
 }
 
-// settle ends one callback scheduled against the flight's requests (a
+// req returns the flight and request a request payload names.
+func (s *SM) req(arg int64) (*flight, *memReq) {
+	f := s.flights[arg>>32]
+	return f, &f.reqs[int32(arg)]
+}
+
+// The request events: each runs one step for the request its payload
+// names and then settles the callback it was counted as.
+
+func (s *SM) evTranslate(arg int64) {
+	f, r := s.req(arg)
+	s.translate(f, r)
+	s.settle(f)
+}
+
+func (s *SM) evTranslated(arg int64, res tlb.Result) {
+	s.wake()
+	f, r := s.req(arg)
+	s.onTranslated(f, r, res)
+	s.settle(f)
+}
+
+func (s *SM) evAccess(arg int64) {
+	f, r := s.req(arg)
+	s.access(f, r)
+	s.settle(f)
+}
+
+func (s *SM) evAccessDone(arg int64) {
+	f, r := s.req(arg)
+	s.accessDone(f, r)
+	s.settle(f)
+}
+
+// settle ends one event scheduled against the flight's requests (a
 // translate event, an L1 TLB lookup or its retry, an L1 access or its
-// retry, a baseline re-translate), each counted in f.pending when it
-// was scheduled. A squashed flight returns to the pool when its last
-// one has fired: until then a stale callback may still read its
-// squashed flag.
+// retry, a baseline re-translate, a squashed instruction's fault
+// resolution), each counted in f.pending when it was scheduled. A
+// squashed flight returns to the pool when its last one has fired:
+// until then a stale event may still read its squashed flag.
 //
 //simlint:releases 0
 //simlint:noalloc
@@ -87,9 +102,10 @@ func (s *SM) translate(f *flight, r *memReq) {
 		// The instruction was squashed after a fault; drop the request.
 		return
 	}
-	ok := s.l1tlb.Lookup(s.page(r.line), f.tlbFns[r.idx])
+	arg := reqArg(f, r.idx)
+	ok := s.l1tlb.Lookup(s.page(r.line), tlb.Waiter{Fn: s.ev.translated, Arg: arg})
 	if !ok {
-		s.l1tlb.OnFree(f.trFns[r.idx])
+		s.l1tlb.OnFree(clock.Event{Fn: s.ev.translate, Arg: arg})
 	}
 	f.pending++
 }
@@ -166,9 +182,10 @@ func (s *SM) access(f *flight, r *memReq) {
 	if f.squashed {
 		return
 	}
-	ok := s.l1.Access(r.line, f.d.write, f.accFns[r.idx])
+	arg := reqArg(f, r.idx)
+	ok := s.l1.Access(r.line, f.d.write, clock.Event{Fn: s.ev.accessDone, Arg: arg})
 	if !ok {
-		s.l1.OnFree(f.accRetry[r.idx])
+		s.l1.OnFree(clock.Event{Fn: s.ev.access, Arg: arg})
 	}
 	f.pending++
 }
@@ -184,14 +201,17 @@ func (s *SM) accessDone(f *flight, r *memReq) {
 	r.state = reqDone
 	f.reqRem--
 	if f.reqRem == 0 && !f.faulted {
-		s.q.After(1, f.commitFn)
+		s.q.After(1, s.ev.commit, f.slot)
 	}
 }
 
 // stallOnFault implements the baseline behaviour (Section 2.3): the
 // faulting instruction stays in the pipeline while the CPU resolves the
 // fault; afterwards only the memory request is replayed (re-translated,
-// now hitting), not the instruction.
+// now hitting), not the instruction. The resolution's payload names
+// the faulted request.
+//
+//simlint:noalloc
 func (s *SM) stallOnFault(f *flight) {
 	for i := range f.reqs {
 		r := &f.reqs[i]
@@ -199,18 +219,22 @@ func (s *SM) stallOnFault(f *flight) {
 			continue
 		}
 		f.pending++
-		s.sink.RaiseFault(s.page(r.line), r.faultKind, s.ID, func() {
-			s.wake()
-			if !f.squashed {
-				r.state = reqPending
-				s.translate(f, r)
-			}
-			s.settle(f)
-		})
+		s.sink.RaiseFault(s.page(r.line), r.faultKind, s.ID, clock.Event{Fn: s.ev.refault, Arg: reqArg(f, r.idx)})
 	}
 	// Faulted requests will re-translate; clear the flag so the final
 	// completion check in access() can commit the instruction.
 	f.faulted = false
+}
+
+// evRefault re-translates a baseline request whose fault resolved.
+func (s *SM) evRefault(arg int64) {
+	s.wake()
+	f, r := s.req(arg)
+	if !f.squashed {
+		r.state = reqPending
+		s.translate(f, r)
+	}
+	s.settle(f)
 }
 
 // squashAndRaise implements the preemptible fault path (Section 3): the
@@ -219,6 +243,11 @@ func (s *SM) stallOnFault(f *flight) {
 // until all its faults resolve. Under the warp-disable schemes the
 // squashed instruction is by construction the youngest in flight; under
 // replay-queue/operand-log older non-faulted instructions keep draining.
+// Each raised page's resolution carries the payload of the request that
+// raised it and counts in f.pending, so the squashed flight stays out of
+// the pool until its last fault resolves.
+//
+//simlint:noalloc
 func (s *SM) squashAndRaise(f *flight) {
 	w := f.w
 	f.squashed = true
@@ -229,12 +258,19 @@ func (s *SM) squashAndRaise(f *flight) {
 	if s.cfg.Scheme == config.ReplayQueue && len(f.srcHeld) > 0 {
 		// Replay-queue: the faulted instruction's source holds survive
 		// the fault, keeping younger writers blocked (WAR) until the
-		// replay passes its TLB checks.
+		// replay passes its TLB checks. The flight's slice moves to the
+		// warp's map as it is, and the flight takes a spare; the
+		// replay's issue hands one back.
 		if w.heldSrcs == nil {
+			//simlint:ignore noalloc once per warp that ever faults under replay-queue
 			w.heldSrcs = make(map[int32][]isa.Reg)
 		}
-		w.heldSrcs[f.tIdx] = append([]isa.Reg(nil), f.srcHeld...)
-		f.srcHeld = f.srcHeld[:0]
+		w.heldSrcs[f.tIdx] = f.srcHeld
+		f.srcHeld = nil
+		if n := len(s.spareRegs); n > 0 {
+			f.srcHeld = s.spareRegs[n-1]
+			s.spareRegs = s.spareRegs[:n-1]
+		}
 	} else {
 		w.releaseSources(f)
 	}
@@ -292,18 +328,8 @@ func (s *SM) squashAndRaise(f *flight) {
 		if s.tr != nil {
 			s.tr.Emit(s.ID, obs.KFaultRaised, s.warpID(w), page, uint64(kind))
 		}
-		pos := s.sink.RaiseFault(page, kind, s.ID, func() {
-			s.wake()
-			w.faultsOutstanding--
-			b.pendingFaults--
-			if s.tr != nil {
-				s.tr.Emit(s.ID, obs.KFaultResolved, s.warpID(w), page, uint64(w.faultsOutstanding))
-			}
-			if w.faultsOutstanding == 0 {
-				s.stats.Stalls[obs.StallFaultWait] += s.q.Now() - w.faultWaitStart
-			}
-			s.onFaultResolved(w, b)
-		})
+		f.pending++
+		pos := s.sink.RaiseFault(page, kind, s.ID, clock.Event{Fn: s.ev.faultDone, Arg: reqArg(f, int32(i))})
 		if pos > maxPos {
 			maxPos = pos
 		}
@@ -311,6 +337,25 @@ func (s *SM) squashAndRaise(f *flight) {
 	s.afterDrainStep(b)
 	s.checkWarpDone(w)
 	s.maybeSwitchOut(b, maxPos)
+}
+
+// evFaultDone resolves the page one request of a squashed instruction
+// raised.
+func (s *SM) evFaultDone(arg int64) {
+	f, r := s.req(arg)
+	w := f.w
+	b := w.block
+	s.wake()
+	w.faultsOutstanding--
+	b.pendingFaults--
+	if s.tr != nil {
+		s.tr.Emit(s.ID, obs.KFaultResolved, s.warpID(w), s.page(r.line), uint64(w.faultsOutstanding))
+	}
+	if w.faultsOutstanding == 0 {
+		s.stats.Stalls[obs.StallFaultWait] += s.q.Now() - w.faultWaitStart
+	}
+	s.onFaultResolved(w, b)
+	s.settle(f)
 }
 
 // page returns the page holding a line.

@@ -1,6 +1,7 @@
 package sm
 
 import (
+	"gpues/internal/clock"
 	"gpues/internal/config"
 	"gpues/internal/obs"
 )
@@ -96,9 +97,9 @@ func (s *SM) contextSize(b *blockRT) int {
 
 // move performs a context transfer, either through the DRAM model or in
 // one cycle under the ideal-switch configuration (Figure 12's "ideal").
-func (s *SM) move(bytes int, done func()) {
+func (s *SM) move(bytes int, done clock.Event) {
 	if s.cfg.Scheduler.IdealContextSwitch {
-		s.q.After(1, done)
+		s.q.After(1, done.Fn, done.Arg)
 		return
 	}
 	s.mover.Move(bytes, done)
@@ -113,22 +114,27 @@ func (s *SM) saveBlock(b *blockRT) {
 	if s.tr != nil {
 		s.tr.Emit(s.ID, obs.KSaveStart, s.blockTID(b), uint64(b.id), uint64(bytes))
 	}
-	s.move(bytes, func() {
-		s.wake()
-		if s.tr != nil {
-			s.tr.Emit(s.ID, obs.KSaveEnd, s.blockTID(b), uint64(b.id), 0)
-		}
-		slot := b.slot
-		b.state = blockOffChip
-		b.slot = -1
-		s.slots[slot] = nil
-		for i := 0; i < s.warpsPerBlock; i++ {
-			s.warps[slot*s.warpsPerBlock+i] = nil
-			s.clrBuf(slot*s.warpsPerBlock + i)
-		}
-		s.offchip = append(s.offchip, b)
-		s.refillAfterSwitch(slot)
-	})
+	s.move(bytes, clock.Event{Fn: s.ev.saved, Arg: s.moving.Put(b)})
+}
+
+// evSaved finishes a block's context save: the block goes off-chip and
+// its slot refills.
+func (s *SM) evSaved(arg int64) {
+	b := s.moving.Take(arg)
+	s.wake()
+	if s.tr != nil {
+		s.tr.Emit(s.ID, obs.KSaveEnd, s.blockTID(b), uint64(b.id), 0)
+	}
+	slot := b.slot
+	b.state = blockOffChip
+	b.slot = -1
+	s.slots[slot] = nil
+	for i := 0; i < s.warpsPerBlock; i++ {
+		s.warps[slot*s.warpsPerBlock+i] = nil
+		s.clrBuf(slot*s.warpsPerBlock + i)
+	}
+	s.offchip = append(s.offchip, b)
+	s.refillAfterSwitch(slot)
 }
 
 // refillAfterSwitch picks what to run in a slot freed by a switch-out:
@@ -180,14 +186,19 @@ func (s *SM) restoreReadyBlock(slot int) bool {
 	if s.tr != nil {
 		s.tr.Emit(s.ID, obs.KRestoreStart, s.blockTID(b), uint64(b.id), uint64(bytes))
 	}
-	s.move(bytes, func() {
-		s.wake()
-		b.state = blockActive
-		s.stats.SwitchesIn++
-		s.stats.Stalls[obs.StallOffChip] += s.q.Now() - b.switchOutStart
-		if s.tr != nil {
-			s.tr.Emit(s.ID, obs.KRestoreEnd, s.blockTID(b), uint64(b.id), 0)
-		}
-	})
+	s.move(bytes, clock.Event{Fn: s.ev.restored, Arg: s.moving.Put(b)})
 	return true
+}
+
+// evRestored finishes a block's context restore: the block is active
+// again.
+func (s *SM) evRestored(arg int64) {
+	b := s.moving.Take(arg)
+	s.wake()
+	b.state = blockActive
+	s.stats.SwitchesIn++
+	s.stats.Stalls[obs.StallOffChip] += s.q.Now() - b.switchOutStart
+	if s.tr != nil {
+		s.tr.Emit(s.ID, obs.KRestoreEnd, s.blockTID(b), uint64(b.id), 0)
+	}
 }

@@ -23,7 +23,7 @@ type FaultSink interface {
 	// (its 64 KB handling region) has been resolved. The return value is
 	// the position of the fault in the global pending fault queue, which
 	// the local scheduler compares against its switch threshold.
-	RaiseFault(pageVA uint64, kind vm.FaultKind, smID int, resolved func()) int
+	RaiseFault(pageVA uint64, kind vm.FaultKind, smID int, resolved clock.Event) int
 }
 
 // BlockSource hands out pending thread blocks (the global thread block
@@ -43,7 +43,7 @@ type BlockSource interface {
 // ContextMover moves block context to/from off-chip memory (the DRAM
 // model); done runs when the transfer completes.
 type ContextMover interface {
-	Move(bytes int, done func())
+	Move(bytes int, done clock.Event)
 }
 
 // ExcepSink receives device-raised exception records once the timing
@@ -193,6 +193,20 @@ type SM struct {
 	// flightPool is a free list of flight objects; see newFlight.
 	//simlint:ckptskip free list, a pure allocation cache that holds no simulated state
 	flightPool *flight
+	// flights holds every flight the SM ever built, by slot: the
+	// payload that names a flight, or one of its requests, in a
+	// scheduled event.
+	//simlint:ckptskip flight table by slot; flights are represented by the per-warp counts and flags that name them
+	flights []*flight
+	//simlint:ckptskip blocks whose context transfer is in flight; SaveState records each block's saving or restoring state
+	moving clock.Table[*blockRT]
+	//simlint:ckptskip handlers built once in New
+	ev handlers
+	// spareRegs are empty source-hold slices: a squash under
+	// replay-queue moves its flight's slice into the warp's heldSrcs
+	// and takes one from here, and the replay's issue returns one.
+	//simlint:ckptskip free list, a pure allocation cache that holds no simulated state
+	spareRegs [][]isa.Reg
 
 	idle  bool // nothing proceeded last tick; sleep until next event
 	stats Stats
@@ -269,11 +283,26 @@ func (s *SM) stall(w *warpRT, f *flight, r obs.StallReason) {
 	s.tr.Emit(s.ID, obs.KStall, s.warpID(w), uint64(r), uint64(f.tIdx))
 }
 
+// handlers are the SM's event handlers, method values built once in
+// New. A flight's events carry its slot; a request's carry reqArg.
+type handlers struct {
+	opRead     clock.Handler                 // slot: operand read
+	commit     clock.Handler                 // slot: commit
+	translate  clock.Handler                 // request: L1 TLB lookup, and its retry
+	translated func(arg int64, r tlb.Result) // request: L1 TLB result
+	access     clock.Handler                 // request: L1 access retry
+	accessDone clock.Handler                 // request: L1 access completion
+	refault    clock.Handler                 // request: baseline fault resolved, re-translate
+	faultDone  clock.Handler                 // request: squashed instruction's fault resolved
+	saved      clock.Handler                 // moving index: context save finished
+	restored   clock.Handler                 // moving index: context restore finished
+}
+
 // New builds an SM bound to its L1 cache, L1 TLB and the system-level
 // services.
 func New(id int, cfg *config.Config, q *clock.Queue, l1 *cache.Cache, l1tlb *tlb.TLB,
 	sink FaultSink, src BlockSource, mover ContextMover) *SM {
-	return &SM{
+	s := &SM{
 		ID:    id,
 		cfg:   cfg,
 		q:     q,
@@ -283,6 +312,19 @@ func New(id int, cfg *config.Config, q *clock.Queue, l1 *cache.Cache, l1tlb *tlb
 		src:   src,
 		mover: mover,
 	}
+	s.ev = handlers{
+		opRead:     s.evOpRead,
+		commit:     s.evCommit,
+		translate:  s.evTranslate,
+		translated: s.evTranslated,
+		access:     s.evAccess,
+		accessDone: s.evAccessDone,
+		refault:    s.evRefault,
+		faultDone:  s.evFaultDone,
+		saved:      s.evSaved,
+		restored:   s.evRestored,
+	}
+	return s
 }
 
 // Stats returns a copy of the counters.
@@ -450,16 +492,15 @@ func (s *SM) deliverExcep(w *warpRT) {
 	s.afterDrainStep(b)
 }
 
-// newFlight takes a flight from the pool (or builds one, wiring its
-// reusable closures to the new object) and resets its per-use state.
-// Slice capacities and the closure set survive reuse, so the
-// fetch/issue/memory path stops allocating once the pool is warm.
+// newFlight takes a flight from the pool (or builds one and enters it
+// in the flight table) and resets its per-use state. Slice capacities
+// and the slot survive reuse, so the fetch/issue/memory path stops
+// allocating once the pool is warm.
 func (s *SM) newFlight(w *warpRT, d *decoded, tIdx int32, isReplay bool) *flight {
 	f := s.flightPool
 	if f == nil {
-		f = &flight{}
-		f.opReadFn = func() { s.wake(); s.opRead(f) }
-		f.commitFn = func() { s.wake(); s.commit(f) }
+		f = &flight{slot: int64(len(s.flights))}
+		s.flights = append(s.flights, f)
 	} else {
 		s.flightPool = f.poolNext
 		f.poolNext = nil
@@ -562,7 +603,9 @@ func (s *SM) doFetch() bool {
 			d := &s.decode[w.trace[idx].PC]
 			f := s.newFlight(w, d, idx, isReplay)
 			if isReplay {
-				w.replay = w.replay[1:]
+				// Shift down rather than reslice, so the list keeps
+				// its backing array; the list is short.
+				w.replay = w.replay[:copy(w.replay, w.replay[1:])]
 				s.stats.Replays++
 			} else {
 				w.cursor++
@@ -810,8 +853,11 @@ func (s *SM) doIssue() bool {
 				}
 				switch s.cfg.Scheme {
 				case config.ReplayQueue:
-					f.srcHeld = append(f.srcHeld[:0], w.heldSrcs[f.tIdx]...)
-					delete(w.heldSrcs, f.tIdx)
+					if held, ok := w.heldSrcs[f.tIdx]; ok {
+						s.spareRegs = append(s.spareRegs, f.srcHeld[:0])
+						f.srcHeld = held
+						delete(w.heldSrcs, f.tIdx)
+					}
 				case config.OperandLog:
 					// No register file reads on replay.
 				default:
@@ -826,7 +872,7 @@ func (s *SM) doIssue() bool {
 			s.stats.Issued++
 			s.event("issue", w, f.tIdx)
 			s.trace(obs.KIssue, w, f.tIdx)
-			s.q.After(1, f.opReadFn)
+			s.q.After(1, s.ev.opRead, f.slot)
 			budget--
 			unitBudget[f.d.unit]--
 			warpsLeft--
@@ -854,6 +900,16 @@ func (s *SM) passBlocked(wIdx int, m uint64, unitBudget *[numUnits]int) {
 	s.stats.IssueStallScore += total - port
 }
 
+func (s *SM) evOpRead(slot int64) {
+	s.wake()
+	s.opRead(s.flights[slot])
+}
+
+func (s *SM) evCommit(slot int64) {
+	s.wake()
+	s.commit(s.flights[slot])
+}
+
 // opRead is the operand read stage, one cycle after issue. Source
 // scoreboards are released here in the baseline, warp-disable and
 // operand-log schemes; the replay-queue scheme defers the release of
@@ -870,7 +926,7 @@ func (s *SM) opRead(f *flight) {
 	case d.global:
 		s.startMem(f)
 	default:
-		s.q.After(int64(d.latency), f.commitFn)
+		s.q.After(int64(d.latency), s.ev.commit, f.slot)
 	}
 }
 
@@ -900,7 +956,7 @@ func (s *SM) releaseBarrier(b *blockRT) {
 			s.stats.Stalls[obs.StallBarrier] += s.q.Now() - bw.barStart
 			bf := bw.barFlight
 			bw.barFlight = nil
-			s.q.After(1, bf.commitFn)
+			s.q.After(1, s.ev.commit, bf.slot)
 		}
 	}
 }

@@ -38,12 +38,12 @@ type fakeSink struct {
 	pos     int
 }
 
-func (fs *fakeSink) RaiseFault(pageVA uint64, kind vm.FaultKind, smID int, resolved func()) int {
+func (fs *fakeSink) RaiseFault(pageVA uint64, kind vm.FaultKind, smID int, resolved clock.Event) int {
 	fs.raised = append(fs.raised, pageVA)
 	page := pageVA
 	fs.pending = append(fs.pending, func() {
 		delete(fs.h.fault, page)
-		resolved()
+		resolved.Fire()
 	})
 	fs.pos++
 	return fs.pos
@@ -53,11 +53,11 @@ func (fs *fakeSink) RaiseFault(pageVA uint64, kind vm.FaultKind, smID int, resol
 func (fs *fakeSink) resolveAll(delay int64) {
 	ps := fs.pending
 	fs.pending = nil
-	fs.h.q.After(delay, func() {
+	fs.h.q.After(delay, func(int64) {
 		for _, p := range ps {
 			p()
 		}
-	})
+	}, 0)
 }
 
 type fakeSource struct {
@@ -99,7 +99,7 @@ const poisonLine = 0xdead_0000_0000
 
 type nullMover struct{ q *clock.Queue }
 
-func (m nullMover) Move(bytes int, done func()) { m.q.After(10, done) }
+func (m nullMover) Move(bytes int, done clock.Event) { m.q.After(10, done.Fn, done.Arg) }
 
 func newHarness(t *testing.T, scheme config.Scheme, blocks []*emu.BlockTrace, launch *kernel.Launch) *harness {
 	return newHarnessCfg(t, scheme, blocks, launch, nil)
@@ -173,8 +173,11 @@ type memBackend struct {
 	latency int64
 }
 
-func (b *memBackend) Fetch(addr uint64, done func()) bool { b.q.After(b.latency, done); return true }
-func (b *memBackend) Write(addr uint64)                   { b.q.Mark(b.q.Now() + b.latency) }
+func (b *memBackend) Fetch(addr uint64, done clock.Event) bool {
+	b.q.After(b.latency, done.Fn, done.Arg)
+	return true
+}
+func (b *memBackend) Write(addr uint64) { b.q.Mark(b.q.Now() + b.latency) }
 
 // run drives the SM until it is done or maxCycles pass.
 func (h *harness) run(maxCycles int64) {

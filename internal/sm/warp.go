@@ -16,7 +16,6 @@ import (
 	"gpues/internal/emu"
 	"gpues/internal/excep"
 	"gpues/internal/isa"
-	"gpues/internal/tlb"
 	"gpues/internal/vm"
 )
 
@@ -106,9 +105,8 @@ const (
 
 type memReq struct {
 	line uint64
-	// idx is the request's position in flight.reqs, so retry and
-	// completion paths can reuse the flight's prebuilt per-index
-	// closures instead of allocating fresh ones.
+	// idx is the request's position in flight.reqs; with the flight's
+	// slot it names the request in its events' payload (reqArg).
 	idx       int32
 	state     memReqState
 	faultKind vm.FaultKind
@@ -116,8 +114,8 @@ type memReq struct {
 
 // flight is one in-flight dynamic instruction. Flights are pooled per
 // SM (see SM.newFlight/freeFlight): the per-use fields below reset on
-// reuse, while the prebuilt closures and slice capacities persist so
-// steady-state execution schedules events without allocating.
+// reuse, while the slot and slice capacities persist so steady-state
+// execution schedules events without allocating.
 type flight struct {
 	// The instruction is w.trace[tIdx]; d is its decode table entry.
 	// No flight points into a trace, which may be recycled while a
@@ -140,18 +138,14 @@ type flight struct {
 	wdOwner   bool // this flight disabled its warp's fetch (wd schemes)
 	committed bool
 
-	// Prebuilt closures, created once per pooled flight object. The
-	// per-index ones resolve &reqs[i] at fire time, so reslicing reqs
-	// between uses is safe.
-	opReadFn func()             // wake + opRead(f)
-	commitFn func()             // wake + commit(f)
-	trFns    []func()           // [i]: translate(f, &reqs[i]); also the TLB OnFree retry
-	tlbFns   []func(tlb.Result) // [i]: wake + onTranslated(f, &reqs[i], res)
-	accFns   []func()           // [i]: accessDone(f, &reqs[i]) — the cache completion
-	accRetry []func()           // [i]: access(f, &reqs[i]) — the MSHR-full retry
-
+	// slot is the flight's index in SM.flights, fixed when it is built:
+	// the payload its events carry.
+	slot     int64
 	poolNext *flight
 }
+
+// reqArg is the payload naming request i of flight f.
+func reqArg(f *flight, i int32) int64 { return f.slot<<32 | int64(i) }
 
 // scoreboard helpers ---------------------------------------------------
 

@@ -8,8 +8,8 @@ import (
 
 // SaveState serializes the TLB: LRU clock, statistics, the full entry
 // array, and a structural summary of in-flight miss handling (sorted by
-// VPN — the mshrs map must never be iterated raw). Waiter and delivery
-// closures are rebuilt by replay on restore.
+// VPN — the mshrs map must never be iterated raw). Waiters and hit
+// deliveries are rebuilt by replay on restore.
 func (t *TLB) SaveState(w *ckpt.Writer) {
 	w.I64(t.tick)
 	w.I64(t.stats.Hits)
@@ -29,7 +29,7 @@ func (t *TLB) SaveState(w *ckpt.Writer) {
 		}
 	}
 
-	w.Int(len(t.waiters))
+	w.Int(t.waiters.Len())
 	vpns := make([]uint64, 0, len(t.mshrs))
 	for v := range t.mshrs {
 		vpns = append(vpns, v)
@@ -46,15 +46,13 @@ func (t *TLB) SaveState(w *ckpt.Writer) {
 }
 
 // SaveState serializes the fill unit: walk counters, busy walkers and
-// the queued walk requests in queue order (their completion closures
+// the queued walk requests in queue order (their completion waiters
 // are rebuilt by replay).
 func (f *FillUnit) SaveState(w *ckpt.Writer) {
 	w.I64(f.Walks)
 	w.I64(f.FaultsDetected)
 	w.I64(f.FaultsInjected)
 	w.Int(f.busy)
-	w.Int(len(f.queue))
-	for i := range f.queue {
-		w.U64(f.queue[i].pageVA)
-	}
+	w.Int(f.queue.Len())
+	f.queue.Each(func(r *walkReq) { w.U64(r.pageVA) })
 }

@@ -21,13 +21,20 @@ type Result struct {
 	Fault   vm.FaultKind
 }
 
+// Waiter receives a translation result as Fn(Arg, r). Fn is a handler
+// its owner builds once; Arg names the request it answers.
+type Waiter struct {
+	Fn  func(arg int64, r Result)
+	Arg int64
+}
+
 // Level is anything that can translate a page: an underlying TLB level
 // or the fill unit.
 type Level interface {
 	// Lookup translates the page containing pageVA; done receives the
 	// result. A false return means the level is full (MSHR/queue
 	// backpressure) and the caller must retry.
-	Lookup(pageVA uint64, done func(Result)) bool
+	Lookup(pageVA uint64, done Waiter) bool
 }
 
 // Stats counts TLB events.
@@ -55,27 +62,25 @@ type tlbEntry struct {
 }
 
 // tlbMSHR tracks one outstanding translation miss. Like cache MSHRs,
-// they are pooled: waiters capacity and the prebuilt issue/fill
-// closures survive reuse so steady-state misses do not allocate.
+// they are pooled and keep their index in the TLB's MSHR table, which
+// is the payload of their issue and fill events; waiters capacity
+// survives reuse so steady-state misses do not allocate.
 type tlbMSHR struct {
 	pageVA  uint64
 	vpn     uint64
-	waiters []func(Result)
+	waiters []Waiter
 	born    int64 // cycle the miss was allocated (leak detection)
 
-	issueFn func()       // issue(m); also the downstream-full retry
-	fillFn  func(Result) // fill(m, r) — the downstream completion
-	next    *tlbMSHR     // free list
+	id   int64    // index in TLB.mshrTab
+	next *tlbMSHR // free list
 }
 
-// delivery carries one hit result through the latency delay. Deliveries
-// are pooled so the hit path — the common case on the L1 TLB, once per
-// coalesced request — schedules without allocating.
+// delivery carries one hit result through the latency delay, parked in
+// the TLB's delivery table so the hit path — the common case on the L1
+// TLB, once per coalesced request — schedules without allocating.
 type delivery struct {
-	done func(Result)
+	done Waiter
 	r    Result
-	fire func()
-	next *delivery
 }
 
 // TLB is one translation level backed by a lower Level.
@@ -92,49 +97,45 @@ type TLB struct {
 	mshrs map[uint64]*tlbMSHR
 	//simlint:ckptskip free list of recycled MSHRs, a pure allocation cache that holds no simulated state
 	pool *tlbMSHR // free list of recycled MSHRs
-	//simlint:ckptskip free list of recycled hit deliveries, a pure allocation cache that holds no simulated state
-	deliver *delivery // free list of recycled hit deliveries
-	stats   Stats
-	tick    int64
-	//simlint:ckptskip retry closures; SaveState digests the count and replay rebuilds the population
-	waiters []func()
+	//simlint:ckptskip every MSHR ever built, by id: the payload index of its events, holding no state of its own
+	mshrTab []*tlbMSHR
+	//simlint:ckptskip hit results in flight; the clock digests their events and replay rebuilds them
+	deliveries clock.Table[delivery]
+	//simlint:ckptskip handler built once at construction
+	deliverFn clock.Handler // runs deliveries[arg]
+	//simlint:ckptskip handler built once at construction
+	issueFn clock.Handler // issue(mshrTab[arg]); also the downstream-full retry
+	//simlint:ckptskip handler built once at construction
+	fillFn func(arg int64, r Result) // fill(mshrTab[arg], r) — the downstream completion
+	stats  Stats
+	tick   int64
+	//simlint:ckptskip retry events; SaveState digests the count and replay rebuilds the population
+	waiters clock.FIFO[clock.Event]
 }
 
-// sendResult schedules done(r) after the TLB latency using a pooled
-// delivery node. The node recycles itself when it fires, after copying
-// its payload out, so re-entrant lookups from inside done reuse it.
-func (t *TLB) sendResult(done func(Result), r Result) {
-	d := t.deliver
-	if d == nil {
-		d = &delivery{}
-		d.fire = func() {
-			dn, res := d.done, d.r
-			d.done = nil
-			d.next = t.deliver
-			t.deliver = d
-			dn(res)
-		}
-	} else {
-		t.deliver = d.next
-		d.next = nil
-	}
-	d.done, d.r = done, r
-	t.q.After(t.cfg.Latency, d.fire)
+// sendResult delivers r to done after the TLB latency, parking the pair
+// in the delivery table. The entry is freed before done runs, so
+// re-entrant lookups from inside done reuse it.
+func (t *TLB) sendResult(done Waiter, r Result) {
+	t.q.After(t.cfg.Latency, t.deliverFn, t.deliveries.Put(delivery{done: done, r: r}))
+}
+
+func (t *TLB) onDeliver(arg int64) {
+	d := t.deliveries.Take(arg)
+	d.done.Fn(d.done.Arg, d.r)
 }
 
 // freeNotifier is implemented by levels that can call back when miss
 // resources free up.
-type freeNotifier interface{ OnFree(func()) }
+type freeNotifier interface{ OnFree(clock.Event) }
 
-// OnFree registers fn to run when a TLB MSHR is released; rejected
+// OnFree registers e to run when a TLB MSHR is released; rejected
 // callers use this instead of polling.
-func (t *TLB) OnFree(fn func()) { t.waiters = append(t.waiters, fn) }
+func (t *TLB) OnFree(e clock.Event) { t.waiters.Push(e) }
 
 func (t *TLB) release() {
-	for len(t.waiters) > 0 && (t.cfg.MSHRs == 0 || len(t.mshrs) < t.cfg.MSHRs) {
-		fn := t.waiters[0]
-		t.waiters = t.waiters[1:]
-		fn()
+	for t.waiters.Len() > 0 && (t.cfg.MSHRs == 0 || len(t.mshrs) < t.cfg.MSHRs) {
+		t.waiters.Pop().Fire()
 	}
 }
 
@@ -147,11 +148,12 @@ func New(cfg Config, pageSize int, q *clock.Queue, next Level) (*TLB, error) {
 		return nil, fmt.Errorf("tlb %s: page size %d", cfg.Name, pageSize)
 	}
 	sets := cfg.Entries / cfg.Ways
+	all := make([]tlbEntry, sets*cfg.Ways)
 	e := make([][]tlbEntry, sets)
 	for i := range e {
-		e[i] = make([]tlbEntry, cfg.Ways)
+		e[i] = all[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
-	return &TLB{
+	t := &TLB{
 		cfg:      cfg,
 		sets:     sets,
 		entries:  e,
@@ -159,7 +161,11 @@ func New(cfg Config, pageSize int, q *clock.Queue, next Level) (*TLB, error) {
 		q:        q,
 		next:     next,
 		mshrs:    make(map[uint64]*tlbMSHR),
-	}, nil
+	}
+	t.deliverFn = t.onDeliver
+	t.issueFn = t.onIssue
+	t.fillFn = t.onFill
+	return t, nil
 }
 
 // Stats returns a copy of the counters.
@@ -208,7 +214,9 @@ func (t *TLB) install(vpn uint64) {
 }
 
 // Lookup implements Level.
-func (t *TLB) Lookup(pageVA uint64, done func(Result)) bool {
+//
+//simlint:noalloc
+func (t *TLB) Lookup(pageVA uint64, done Waiter) bool {
 	vpn := t.vpn(pageVA)
 	if e := t.find(vpn); e != nil {
 		t.stats.Hits++
@@ -230,18 +238,20 @@ func (t *TLB) Lookup(pageVA uint64, done func(Result)) bool {
 	m := t.allocMSHR(pageVA, vpn)
 	m.waiters = append(m.waiters, done)
 	t.mshrs[vpn] = m
-	t.q.After(t.cfg.Latency, m.issueFn)
+	t.q.After(t.cfg.Latency, t.issueFn, m.id)
 	return true
 }
 
-// allocMSHR takes a miss tracker from the pool (or builds one, wiring
-// its reusable closures) and resets its per-miss state.
+// allocMSHR takes a miss tracker from the pool (or builds one and
+// enters it in the MSHR table) and resets its per-miss state.
+//
+//simlint:noalloc
 func (t *TLB) allocMSHR(pageVA, vpn uint64) *tlbMSHR {
 	m := t.pool
 	if m == nil {
-		m = &tlbMSHR{}
-		m.issueFn = func() { t.issue(m) }
-		m.fillFn = func(r Result) { t.fill(m, r) }
+		//simlint:ignore noalloc grow path, once per MSHR the TLB ever holds at once
+		m = &tlbMSHR{id: int64(len(t.mshrTab))}
+		t.mshrTab = append(t.mshrTab, m)
 	} else {
 		t.pool = m.next
 		m.next = nil
@@ -252,12 +262,16 @@ func (t *TLB) allocMSHR(pageVA, vpn uint64) *tlbMSHR {
 	return m
 }
 
+func (t *TLB) onIssue(id int64) { t.issue(t.mshrTab[id]) }
+
+func (t *TLB) onFill(id int64, r Result) { t.fill(t.mshrTab[id], r) }
+
 func (t *TLB) issue(m *tlbMSHR) {
-	if !t.next.Lookup(m.pageVA, m.fillFn) {
+	if !t.next.Lookup(m.pageVA, Waiter{Fn: t.fillFn, Arg: m.id}) {
 		if fn, okN := t.next.(freeNotifier); okN {
-			fn.OnFree(m.issueFn)
+			fn.OnFree(clock.Event{Fn: t.issueFn, Arg: m.id})
 		} else {
-			t.q.After(1, m.issueFn)
+			t.q.After(1, t.issueFn, m.id)
 		}
 	}
 }
@@ -273,7 +287,7 @@ func (t *TLB) fill(m *tlbMSHR, r Result) {
 	}
 	delete(t.mshrs, m.vpn)
 	for _, w := range m.waiters {
-		w(r)
+		w.Fn(w.Arg, r)
 	}
 	t.release()
 	t.putMSHR(m)
@@ -347,7 +361,11 @@ type FillUnit struct {
 	//simlint:ckptskip construction-time latency (Table 1: 500-cycle walks), fixed for the life of the unit
 	walkLatency int64
 	busy        int
-	queue       []walkReq
+	queue       clock.FIFO[walkReq]
+	//simlint:ckptskip walks in progress; the clock digests their events and replay rebuilds them
+	walks clock.Table[walkReq]
+	//simlint:ckptskip handler built once at construction
+	walkFn clock.Handler // finishes walks[arg]
 	//simlint:ckptskip page-table-probe closure over the address space, which checkpoints itself as the vm section
 	classify func(pageVA uint64) Result
 	//simlint:ckptskip chaos hook, fixed when the plan is attached; the plan checkpoints its progress as the chaos section
@@ -365,7 +383,7 @@ type FillUnit struct {
 
 type walkReq struct {
 	pageVA uint64
-	done   func(Result)
+	done   Waiter
 }
 
 // NewFillUnit builds the fill unit. classify must return the current
@@ -374,16 +392,18 @@ func NewFillUnit(q *clock.Queue, walkers int, walkLatency int64, classify func(u
 	if walkers <= 0 || walkLatency <= 0 || classify == nil {
 		return nil, fmt.Errorf("tlb: bad fill unit config (%d walkers, %d latency)", walkers, walkLatency)
 	}
-	return &FillUnit{q: q, walkers: walkers, walkLatency: walkLatency, classify: classify}, nil
+	f := &FillUnit{q: q, walkers: walkers, walkLatency: walkLatency, classify: classify}
+	f.walkFn = f.onWalk
+	return f, nil
 }
 
 // Lookup implements Level: it starts a page walk, queueing when all
 // walkers are busy.
-func (f *FillUnit) Lookup(pageVA uint64, done func(Result)) bool {
+func (f *FillUnit) Lookup(pageVA uint64, done Waiter) bool {
 	if f.busy < f.walkers {
 		f.startWalk(pageVA, done)
 	} else {
-		f.queue = append(f.queue, walkReq{pageVA: pageVA, done: done})
+		f.queue.Push(walkReq{pageVA: pageVA, done: done})
 	}
 	return true
 }
@@ -392,7 +412,7 @@ func (f *FillUnit) Lookup(pageVA uint64, done func(Result)) bool {
 func (f *FillUnit) Busy() int { return f.busy }
 
 // Queued returns the number of walks waiting for a walker.
-func (f *FillUnit) Queued() int { return len(f.queue) }
+func (f *FillUnit) Queued() int { return f.queue.Len() }
 
 // SetInjector installs the chaos hook; nil removes it.
 func (f *FillUnit) SetInjector(i WalkInjector) { f.injector = i }
@@ -415,27 +435,36 @@ func (f *FillUnit) CheckInvariants() []string {
 	return nil
 }
 
-func (f *FillUnit) startWalk(pageVA uint64, done func(Result)) {
+// startWalk occupies a walker for the walk latency, parking the request
+// in the walk table.
+//
+//simlint:noalloc
+func (f *FillUnit) startWalk(pageVA uint64, done Waiter) {
 	f.busy++
-	f.q.After(f.walkLatency, func() {
-		f.busy--
-		f.Walks++
-		r := f.classify(pageVA)
-		if r.Present && f.injector != nil && f.injector.InjectWalkFault(pageVA) {
-			r = Result{Fault: vm.FaultAllocOnly}
-			f.FaultsInjected++
+	f.q.After(f.walkLatency, f.walkFn, f.walks.Put(walkReq{pageVA: pageVA, done: done}))
+}
+
+// onWalk finishes a walk: it classifies the page, hands the freed
+// walker to the oldest queued request, then delivers the result.
+func (f *FillUnit) onWalk(arg int64) {
+	req := f.walks.Take(arg)
+	pageVA := req.pageVA
+	f.busy--
+	f.Walks++
+	r := f.classify(pageVA)
+	if r.Present && f.injector != nil && f.injector.InjectWalkFault(pageVA) {
+		r = Result{Fault: vm.FaultAllocOnly}
+		f.FaultsInjected++
+	}
+	if !r.Present {
+		f.FaultsDetected++
+		if f.tr != nil {
+			f.tr.Emit(-1, obs.KWalkFault, -1, pageVA, uint64(r.Fault))
 		}
-		if !r.Present {
-			f.FaultsDetected++
-			if f.tr != nil {
-				f.tr.Emit(-1, obs.KWalkFault, -1, pageVA, uint64(r.Fault))
-			}
-		}
-		if len(f.queue) > 0 {
-			next := f.queue[0]
-			f.queue = f.queue[1:]
-			f.startWalk(next.pageVA, next.done)
-		}
-		done(r)
-	})
+	}
+	if f.queue.Len() > 0 {
+		next := f.queue.Pop()
+		f.startWalk(next.pageVA, next.done)
+	}
+	req.done.Fn(req.done.Arg, r)
 }
