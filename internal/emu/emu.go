@@ -56,13 +56,12 @@ type Emulator struct {
 
 	// Blocks are emulated one at a time, so one set of execution
 	// scratch state serves every block: warp contexts (their 64 KB
-	// register files and their instruction buffers), the block's
-	// coalesced line addresses and the shared-memory buffer. A finished
-	// block is copied out of the scratch into a BlockTrace taken from
-	// free, the traces handed back by Release, or into a new one.
+	// register files and their trace buffers) and the shared-memory
+	// buffer. A finished block is copied out of the scratch into a
+	// BlockTrace taken from free, the traces handed back by Release, or
+	// into a new one.
 	ctxs      []*warpCtx
 	sharedBuf []byte
-	lines     []uint64
 	free      []*BlockTrace
 	// regSpan is one past the highest register the kernel names. No
 	// instruction reads or writes a register above it, so a pooled
@@ -163,9 +162,15 @@ type warpCtx struct {
 	atBarrier bool
 	done      bool
 	insts     int
-	// trace collects the warp's instructions during the block; it is
-	// copied out at the end, and the buffer is reused.
-	trace []TraceInst
+	// traced counts the instructions in runs: insts less the one that
+	// raised the warp's exception, if any.
+	traced int
+	// runs, counts and lines collect the warp's trace during the
+	// block (see WarpTrace); they are copied out at the end, and the
+	// buffers are reused.
+	runs   []Run
+	counts []uint8
+	lines  []uint64
 
 	// excep is the warp's raised exception, if any: the trace ends
 	// just before the faulting instruction and the warp counts as done
@@ -194,6 +199,12 @@ func (w *warpCtx) dst(r isa.Reg) *laneVec {
 	return &w.regs[uint8(r)]
 }
 
+// push appends one executed instruction to the warp's runs.
+func (w *warpCtx) push(pc int32, mask uint32) {
+	w.runs = extend(w.runs, pc, mask)
+	w.traced++
+}
+
 // lane returns the lowest lane set in the non-zero mask m. The & 31
 // lets the compiler drop the bounds check on lanes indexing.
 func lane(m uint32) int { return bits.TrailingZeros32(m) & 31 }
@@ -218,7 +229,6 @@ func (e *Emulator) EmulateBlock(blockID int) (*BlockTrace, error) {
 	}
 	shared := e.sharedBuf[:sharedSize]
 	clear(shared)
-	e.lines = e.lines[:0]
 
 	for len(e.ctxs) < numWarps {
 		//simlint:ignore noalloc warp contexts are built once per launch
@@ -245,7 +255,10 @@ func (e *Emulator) EmulateBlock(blockID int) (*BlockTrace, error) {
 		ctx.atBarrier = false
 		ctx.done = false
 		ctx.insts = 0
-		ctx.trace = ctx.trace[:0]
+		ctx.traced = 0
+		ctx.runs = ctx.runs[:0]
+		ctx.counts = ctx.counts[:0]
+		ctx.lines = ctx.lines[:0]
 		ctx.excep = nil
 		ctx.flipAddrMask = 0
 	}
@@ -317,41 +330,55 @@ func (e *Emulator) takeTrace(blockID int) *BlockTrace {
 	return bt
 }
 
-// copyOut moves the finished block's instructions and lines out of the
-// scratch state into bt, reusing its arrays when they are large
-// enough. Each warp's Insts is a capacity-capped window of one
-// block-wide array, so an append to one cannot overwrite the next; the
-// line offsets index the block's scratch lines, which are copied whole.
+// copyOut moves the finished block's runs, line counts and lines out
+// of the scratch state into bt, reusing its arrays when they are large
+// enough. Each warp's Runs, Counts and Lines are capacity-capped
+// windows of block-wide arrays, so an append to one cannot overwrite
+// the next.
 //
 //simlint:noalloc
 func (e *Emulator) copyOut(bt *BlockTrace, warps []*warpCtx) {
-	dyn := 0
+	dyn, nRuns, nCounts, nLines := 0, 0, 0, 0
 	for _, ctx := range warps {
-		dyn += len(ctx.trace)
+		dyn += ctx.traced
+		nRuns += len(ctx.runs)
+		nCounts += len(ctx.counts)
+		nLines += len(ctx.lines)
 	}
-	if cap(bt.insts) < dyn {
+	if cap(bt.runs) < nRuns {
 		//simlint:ignore noalloc growth to the largest block emulated so far
-		bt.insts = make([]TraceInst, dyn)
+		bt.runs = make([]Run, nRuns)
+	}
+	if cap(bt.counts) < nCounts {
+		//simlint:ignore noalloc growth to the largest block emulated so far
+		bt.counts = make([]uint8, nCounts)
+	}
+	if cap(bt.lines) < nLines {
+		//simlint:ignore noalloc growth to the largest block emulated so far
+		bt.lines = make([]uint64, nLines)
 	}
 	if cap(bt.Warps) < len(warps) {
 		//simlint:ignore noalloc sized once per launch
 		bt.Warps = make([]WarpTrace, len(warps))
 	}
-	bt.lines = append(bt.lines[:0], e.lines...)
 	bt.Warps = bt.Warps[:len(warps)]
-	all := bt.insts[:dyn]
+	runs, counts, lines := bt.runs[:nRuns], bt.counts[:nCounts], bt.lines[:nLines]
 	for w, ctx := range warps {
-		n := copy(all, ctx.trace)
-		bt.Warps[w] = WarpTrace{WarpID: w, Insts: all[:n:n], Excep: ctx.excep}
-		all = all[n:]
+		r, c, l := copy(runs, ctx.runs), copy(counts, ctx.counts), copy(lines, ctx.lines)
+		bt.Warps[w] = WarpTrace{
+			WarpID: w, Len: ctx.traced,
+			Runs: runs[:r:r], Counts: counts[:c:c], Lines: lines[:l:l],
+			Excep: ctx.excep,
+		}
+		runs, counts, lines = runs[r:], counts[c:], lines[l:]
 	}
 	bt.DynInsts = dyn
 }
 
 // Release hands a trace that EmulateBlock returned back to the
 // emulator, whose next EmulateBlock reuses its arrays. The caller must
-// hold no reference into it afterwards: not bt, not a WarpTrace.Insts
-// slice, not a LinesOf slice. Exception records stay the caller's.
+// hold no reference into it afterwards: not bt, not a slice of one of
+// its WarpTraces. Exception records stay the caller's.
 //
 //simlint:releases 0
 //simlint:noalloc
@@ -415,13 +442,11 @@ func (e *Emulator) runWarp(w *warpCtx, blockID int, shared []byte, bt *BlockTrac
 			execMask = e.injectFlips(w, in, active, execMask, blockID)
 		}
 
-		ti := TraceInst{PC: top.pc, Mask: execMask}
-
 		switch in.Op {
 		case isa.OpBra:
 			taken := execMask
 			notTaken := active &^ taken
-			w.trace = append(w.trace, ti)
+			w.push(top.pc, execMask)
 			switch {
 			case taken == 0:
 				top.pc++
@@ -459,29 +484,32 @@ func (e *Emulator) runWarp(w *warpCtx, blockID int, shared []byte, bt *BlockTrac
 			continue
 
 		case isa.OpExit:
-			w.trace = append(w.trace, ti)
+			w.push(top.pc, execMask)
 			w.exited |= execMask
 			top.pc++
 			continue
 
 		case isa.OpBar:
-			w.trace = append(w.trace, ti)
+			w.push(top.pc, execMask)
 			top.pc++
 			w.atBarrier = true
 			return nil
 
 		case isa.OpLdGlobal, isa.OpStGlobal, isa.OpAtomGlobal, isa.OpLdShared, isa.OpStShared:
-			if err := e.execMem(w, in, execMask, blockID, shared, &ti); err != nil {
+			start := len(w.lines)
+			if err := e.execMem(w, in, execMask, blockID, shared, top.pc); err != nil {
 				//simlint:ignore noalloc error path
 				return fmt.Errorf("pc %d (%v): %w", top.pc, in, err)
 			}
 			if w.excep != nil {
 				return nil
 			}
-			w.trace = append(w.trace, ti)
+			n := len(w.lines) - start
+			w.push(top.pc, execMask)
+			w.counts = append(w.counts, uint8(n))
 			if in.IsGlobalMem() {
 				bt.GlobalAccesses++
-				bt.MemRequests += int(ti.lineN)
+				bt.MemRequests += n
 			}
 			top.pc++
 			continue
@@ -500,7 +528,7 @@ func (e *Emulator) runWarp(w *warpCtx, blockID int, shared []byte, bt *BlockTrac
 					fmt.Sprintf("assert %d failed on %d lane(s)", in.Imm, bits.OnesCount32(failed))) //simlint:ignore noalloc exception path: the warp stops here
 				return nil
 			}
-			w.trace = append(w.trace, ti)
+			w.push(top.pc, execMask)
 			top.pc++
 			continue
 
@@ -510,7 +538,7 @@ func (e *Emulator) runWarp(w *warpCtx, blockID int, shared []byte, bt *BlockTrac
 					fmt.Sprintf("trap %d", in.Imm)) //simlint:ignore noalloc exception path: the warp stops here
 				return nil
 			}
-			w.trace = append(w.trace, ti)
+			w.push(top.pc, execMask)
 			top.pc++
 			continue
 
@@ -519,13 +547,13 @@ func (e *Emulator) runWarp(w *warpCtx, blockID int, shared []byte, bt *BlockTrac
 			if w.excep != nil {
 				return nil
 			}
-			w.trace = append(w.trace, ti)
+			w.push(top.pc, execMask)
 			top.pc++
 			continue
 
 		default:
 			e.execALU(w, in, execMask, blockID)
-			w.trace = append(w.trace, ti)
+			w.push(top.pc, execMask)
 			top.pc++
 			continue
 		}
@@ -936,30 +964,34 @@ func (e *Emulator) execS2R(w *warpCtx, s isa.SReg, d *laneVec, mask uint32, bloc
 	broadcast(d, mask, v)
 }
 
-// errTooManyLines reports a block whose coalesced lines overflow the
-// 32-bit offsets of TraceInst.
-var errTooManyLines = errors.New("block has more than 2^32 coalesced lines")
+// Line offsets in a warp trace are 32-bit and line counts 8-bit, so a
+// warp's coalesced lines, and one instruction's, are bounded.
+var (
+	errTooManyLines = errors.New("warp has more than 2^32 coalesced lines")
+	errLineCount    = errors.New("instruction coalesces to more than 255 lines")
+)
 
 // coalesceLines coalesces the per-lane accesses into line addresses
-// appended to the block's line scratch, and points ti at them. The
-// worst-case entry count is reserved up front, so coalesce's duplicate
-// search sees only this instruction's lines and its appends never
-// reallocate.
+// appended to the warp's line buffer. The worst-case entry count is
+// reserved up front, so coalesce's duplicate search sees only this
+// instruction's lines and its appends never reallocate.
 //
 //simlint:noalloc
-func (e *Emulator) coalesceLines(ti *TraceInst, addrs *[32]uint64, mask uint32, size int) error {
-	start := len(e.lines)
+func (e *Emulator) coalesceLines(w *warpCtx, addrs *[32]uint64, mask uint32, size int) error {
+	start := len(w.lines)
 	need := 32 * (int(uint64(size-1)/e.lineSize) + 2)
 	if uint64(start)+uint64(need) > math.MaxUint32 {
 		return errTooManyLines
 	}
-	if cap(e.lines)-start < need {
-		// Growth to the largest block emulated so far.
-		e.lines = slices.Grow(e.lines, need)
+	if cap(w.lines)-start < need {
+		// Growth to the longest warp trace emulated so far.
+		w.lines = slices.Grow(w.lines, need)
 	}
-	dst := coalesce(e.lines[start:start], addrs, mask, size, e.lineSize)
-	e.lines = e.lines[:start+len(dst)]
-	ti.lineOff, ti.lineN = uint32(start), uint32(len(dst))
+	dst := coalesce(w.lines[start:start], addrs, mask, size, e.lineSize)
+	if len(dst) > math.MaxUint8 {
+		return errLineCount
+	}
+	w.lines = w.lines[:start+len(dst)]
 	return nil
 }
 
@@ -970,7 +1002,7 @@ func (e *Emulator) coalesceLines(ti *TraceInst, addrs *[32]uint64, mask uint32, 
 // ascending lane order.
 //
 //simlint:noalloc
-func (e *Emulator) execMem(w *warpCtx, in *isa.Instruction, mask uint32, blockID int, shared []byte, ti *TraceInst) error {
+func (e *Emulator) execMem(w *warpCtx, in *isa.Instruction, mask uint32, blockID int, shared []byte, pc int32) error {
 	size := int(in.Size)
 	var addrs [32]uint64
 	base := w.src(in.SrcA)
@@ -987,17 +1019,17 @@ func (e *Emulator) execMem(w *warpCtx, in *isa.Instruction, mask uint32, blockID
 			l := lane(m)
 			a := addrs[l]
 			if a < IllegalFloor {
-				e.raise(w, blockID, excep.KindIllegalAddress, ti.PC, in, 1<<l, a,
+				e.raise(w, blockID, excep.KindIllegalAddress, pc, in, 1<<l, a,
 					"global access below the mapped address space")
 				return nil
 			}
 			if a&uint64(size-1) != 0 { // sizes are powers of two
-				e.raise(w, blockID, excep.KindMisaligned, ti.PC, in, 1<<l, a,
+				e.raise(w, blockID, excep.KindMisaligned, pc, in, 1<<l, a,
 					fmt.Sprintf("address not %d-byte aligned", size)) //simlint:ignore noalloc exception path: the warp stops here
 				return nil
 			}
 			if e.AddrValid != nil && !e.AddrValid(a) {
-				e.raise(w, blockID, excep.KindIllegalAddress, ti.PC, in, 1<<l, a,
+				e.raise(w, blockID, excep.KindIllegalAddress, pc, in, 1<<l, a,
 					"global access outside any mapped region")
 				return nil
 			}
@@ -1077,7 +1109,7 @@ func (e *Emulator) execMem(w *warpCtx, in *isa.Instruction, mask uint32, blockID
 		return fmt.Errorf("execMem: %v is not a memory op", in.Op)
 	}
 	if mask != 0 {
-		return e.coalesceLines(ti, &addrs, mask, size)
+		return e.coalesceLines(w, &addrs, mask, size)
 	}
 	return nil
 }

@@ -92,9 +92,9 @@ func TestCoalescingUnitStride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ti := range bt.Warps[0].Insts {
-		if n := len(bt.LinesOf(ti)); k.Code[ti.PC].IsGlobalMem() && n != 2 {
-			t.Errorf("unit-stride 8B access coalesced to %d requests, want 2: %v", n, ti.String())
+	for it := bt.Warps[0].Iter(k.Code); it.Next(); {
+		if n := len(it.Lines()); k.Code[it.PC()].IsGlobalMem() && n != 2 {
+			t.Errorf("unit-stride 8B access at pc %d coalesced to %d requests, want 2", it.PC(), n)
 		}
 	}
 	if bt.MemRequests != 6 {
@@ -185,8 +185,8 @@ func TestDivergenceReconvergence(t *testing.T) {
 	}
 	// The post-reconvergence store must execute once with a full mask.
 	fullMaskStores := 0
-	for _, ti := range bt.Warps[0].Insts {
-		if l.Kernel.Code[ti.PC].Op == isa.OpStGlobal && ti.Mask == ^uint32(0) {
+	for it := bt.Warps[0].Iter(l.Kernel.Code); it.Next(); {
+		if l.Kernel.Code[it.PC()].Op == isa.OpStGlobal && it.Mask() == ^uint32(0) {
 			fullMaskStores++
 		}
 	}
@@ -368,9 +368,9 @@ func TestPartialWarp(t *testing.T) {
 		t.Fatalf("warps = %d, want 2", len(bt.Warps))
 	}
 	// The partial warp's stores carry only 8 active lanes.
-	for _, ti := range bt.Warps[1].Insts {
-		if l.Kernel.Code[ti.PC].Op == isa.OpStGlobal && ti.Mask != 0xff {
-			t.Errorf("partial warp store mask = %#x, want 0xff", ti.Mask)
+	for it := bt.Warps[1].Iter(l.Kernel.Code); it.Next(); {
+		if l.Kernel.Code[it.PC()].Op == isa.OpStGlobal && it.Mask() != 0xff {
+			t.Errorf("partial warp store mask = %#x, want 0xff", it.Mask())
 		}
 	}
 	for i := 0; i < 40; i++ {

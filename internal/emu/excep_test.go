@@ -43,7 +43,8 @@ func TestAssertRaisesAndTruncates(t *testing.T) {
 	b.Assert(cond, 3)                       // pc 2: fails on lane 5
 	b.MovI(x, 1)                            // pc 3: must never trace
 	b.Exit()
-	bt, r := emuRaise(t, oneBlock(b.MustBuild(), 32))
+	k := b.MustBuild()
+	bt, r := emuRaise(t, oneBlock(k, 32))
 
 	if r.Kind != excep.KindAssert {
 		t.Errorf("kind = %v, want %v", r.Kind, excep.KindAssert)
@@ -58,14 +59,12 @@ func TestAssertRaisesAndTruncates(t *testing.T) {
 		t.Errorf("detail %q does not name assert id 3", r.Detail)
 	}
 	// The trace ends just before the faulting instruction.
-	insts := bt.Warps[0].Insts
-	if len(insts) == 0 || insts[len(insts)-1].PC != 1 {
-		t.Fatalf("trace must end at pc 1 (pre-assert), got %v", insts)
+	var pcs []int32
+	for it := bt.Warps[0].Iter(k.Code); it.Next(); {
+		pcs = append(pcs, it.PC())
 	}
-	for _, ti := range insts {
-		if ti.PC >= 2 {
-			t.Errorf("instruction at pc %d traced past the fault", ti.PC)
-		}
+	if len(pcs) != 2 || pcs[0] != 0 || pcs[1] != 1 {
+		t.Fatalf("trace must be pcs [0 1], ending before the assert; got %v", pcs)
 	}
 	if len(r.Frames) == 0 {
 		t.Fatal("record has no stack frames")

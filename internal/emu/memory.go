@@ -2,6 +2,17 @@
 // the paper's methodology (Section 5.1): it executes kernels written in
 // the internal ISA and produces the dynamic instruction and memory
 // traces that the timing simulator consumes.
+//
+// A block's trace holds one WarpTrace per warp, run-length encoded: a
+// list of runs, each a maximal stretch of consecutive PCs executed
+// under one active mask (a 12-byte Run), plus one line count per
+// memory instruction and the coalesced line addresses those counts
+// consume, in execution order. Straight-line code under a full warp
+// is one run however long it is; a taken branch, a predicated
+// instruction or a divergent region starts a new one. Readers walk a
+// trace in order with a Pos, which Next advances in O(1), or with
+// Iter; which instructions carry a line count is read from the kernel
+// code (isa.Instruction.IsMem), not stored.
 package emu
 
 import (

@@ -11,11 +11,13 @@ import (
 )
 
 // This file cross-checks the warp-wide emulator against an independent
-// per-lane interpreter on randomly generated straight-line programs.
-// The emulator decodes each instruction once and executes it for every
-// active lane of a warp; the oracle runs the whole program one thread
-// at a time over a plain register array. Any divergence between the
-// two implementations is a bug in one of them.
+// per-lane interpreter on randomly generated programs with divergent,
+// reconverging branches. The emulator decodes each instruction once
+// and executes it for every active lane of a warp, splitting and
+// rejoining the warp on its divergence stack; the oracle runs the
+// whole program one thread at a time over a plain register array,
+// following each branch for its thread alone. Any divergence between
+// the two implementations is a bug in one of them.
 
 // oracleThread is one thread's architectural state and identity.
 type oracleThread struct {
@@ -24,6 +26,40 @@ type oracleThread struct {
 	block  int
 	launch *kernel.Launch
 	shared []byte // the block's shared memory
+}
+
+// active reports whether the thread executes in: its predicate, if
+// any, holds. A branch is taken exactly when it is active.
+func (th *oracleThread) active(in isa.Instruction) bool {
+	if in.Pred == isa.RegNone {
+		return true
+	}
+	p := uint64(0)
+	if in.Pred != isa.RZ {
+		p = th.regs[in.Pred]
+	}
+	return (p&1 == 1) != in.PredNeg
+}
+
+// run interprets the instructions code[start:end] for the thread,
+// following taken branches, which all jump forward within the range
+// or to its end. It calls taken(pc, ok) for each branch it reaches.
+func (th *oracleThread) run(code []isa.Instruction, start, end int, taken func(pc int, ok bool)) {
+	for pc := start; pc < end; {
+		in := code[pc]
+		if in.Op != isa.OpBra {
+			th.exec(in)
+			pc++
+			continue
+		}
+		ok := th.active(in)
+		taken(pc, ok)
+		if ok {
+			pc = int(in.Target)
+		} else {
+			pc++
+		}
+	}
 }
 
 // exec interprets one instruction for the thread — deliberately
@@ -40,7 +76,7 @@ func (th *oracleThread) exec(in isa.Instruction) {
 			th.regs[r] = v
 		}
 	}
-	if in.Pred != isa.RegNone && (read(in.Pred)&1 == 1) == in.PredNeg {
+	if !th.active(in) {
 		return // predicated off in this lane
 	}
 	a, b, c := read(in.SrcA), read(in.SrcB), read(in.SrcC)
@@ -234,27 +270,37 @@ type sizePatch struct {
 	size uint8
 }
 
-// oracleProgram is a random straight-line kernel and the oracle's view
-// of it.
+// oracleProgram is a random kernel and the oracle's view of it.
 type oracleProgram struct {
 	k *kernel.Kernel
-	// segments are the instructions the oracle runs, with true access
-	// widths. After each one the kernel stores the register pool to
+	// segments are the code ranges the oracle runs, once patches are
+	// applied. After each one the kernel stores the register pool to
 	// out, one row per thread, so every segment's end state is
 	// observed.
-	segments [][]isa.Instruction
+	segments []pcRange
 	pool     []isa.Reg
 	patches  []sizePatch
 }
 
-// randProgram builds a random straight-line program over a register
-// pool: a prologue that seeds the pool with lane-varying integers and
-// floats (NaN and the infinities among them), then four segments of
-// random predicated and unpredicated ALU, SFU, special-register,
-// parameter and shared-memory instructions. The pool is allocated
-// last, so its top register is also the highest one the kernel names.
+// pcRange is the instructions code[start:end].
+type pcRange struct{ start, end int }
+
+// insts returns the instructions of segment k.
+func (p *oracleProgram) insts(k int) []isa.Instruction {
+	return p.k.Code[p.segments[k].start:p.segments[k].end]
+}
+
+// randProgram builds a random program over a register pool: a prologue
+// that seeds the pool with lane-varying integers and floats (NaN and
+// the infinities among them), then four segments of random predicated
+// and unpredicated ALU, SFU, special-register, parameter and
+// shared-memory instructions, among them if and if-else regions,
+// nested up to two deep, whose branch predicates are pool registers
+// and so split warps. Every region reconverges before its segment
+// ends. The pool is allocated last, so its top register is also the
+// highest one the kernel names.
 func randProgram(rng *rand.Rand, outBase uint64, threads int) *oracleProgram {
-	const segments, segLen = 4, 25
+	const segments, segLen, maxDepth = 4, 25, 2
 	b := kernel.NewBuilder("fuzz").SetSharedMem(threads * oracleWindow)
 	po := b.AddParam(outBase)
 	params := []int{b.AddParam(rng.Uint64()), b.AddParam(rng.Uint64() >> 40), b.AddParam(math.Float64bits(rng.NormFloat64()))}
@@ -268,15 +314,11 @@ func randProgram(rng *rand.Rand, outBase uint64, threads int) *oracleProgram {
 	}
 	p := &oracleProgram{pool: regs}
 
-	var seg []isa.Instruction
-	emit := func(in isa.Instruction) {
-		b.Emit(in)
-		seg = append(seg, in)
-	}
+	segStart := 0
 	op2 := func(op isa.Op, d, a, rb isa.Reg, imm int64) {
 		in := isa.NewInstruction(op)
 		in.Dst, in.SrcA, in.SrcB, in.Imm = d, a, rb, imm
-		emit(in)
+		b.Emit(in)
 	}
 	op1 := func(op isa.Op, d, a isa.Reg, imm int64) { op2(op, d, a, isa.RegNone, imm) }
 	s2r := func(d isa.Reg, s isa.SReg) { op1(isa.OpS2R, d, isa.RegNone, int64(s)) }
@@ -288,6 +330,7 @@ func randProgram(rng *rand.Rand, outBase uint64, threads int) *oracleProgram {
 	}
 	// dump stores the pool to out[k][tid], outside the oracle's view.
 	dump := func(k int) {
+		p.segments = append(p.segments, pcRange{segStart, b.PC()})
 		b.S2R(row, isa.SRWarpID)
 		b.IMul(row, row, isa.RZ, 32)
 		b.S2R(addr, isa.SRLaneID)
@@ -298,8 +341,7 @@ func randProgram(rng *rand.Rand, outBase uint64, threads int) *oracleProgram {
 		for i := 0; i < oracleRegs; i++ {
 			b.StGlobal(addr, int64((k*threads*oracleRegs+i)*8), regs[i], 8)
 		}
-		p.segments = append(p.segments, seg)
-		seg = nil
+		segStart = b.PC()
 	}
 
 	// Prologue: the shared window, then lane-varying seeds. Registers
@@ -316,7 +358,7 @@ func randProgram(rng *rand.Rand, outBase uint64, threads int) *oracleProgram {
 	for off := 0; off < oracleWindow; off += 8 {
 		in := isa.NewInstruction(isa.OpStShared)
 		in.SrcA, in.SrcB, in.Imm, in.Size = sbase, regs[3], int64(off), 8
-		emit(in) // fill the window, so narrow loads see nonzero high bytes
+		b.Emit(in) // fill the window, so narrow loads see nonzero high bytes
 		op1(isa.OpShl, regs[3], regs[3], 5)
 	}
 	op1(isa.OpI2F, regs[4], regs[1], 0)
@@ -340,77 +382,101 @@ func randProgram(rng *rand.Rand, outBase uint64, threads int) *oracleProgram {
 		isa.OpS2R, isa.OpLdParam, isa.OpLdShared, isa.OpStShared,
 	}
 	sizes := []uint8{1, 2, 4, 8}
-	for k := 0; k < segments; k++ {
-		for i := 0; i < segLen; i++ {
-			in := isa.NewInstruction(ops[rng.Intn(len(ops))])
-			in.Dst = regs[rng.Intn(oracleRegs)]
-			size := uint8(0)
-			switch in.Op {
-			case isa.OpNop:
-				in.Dst = isa.RegNone
-			case isa.OpIMad, isa.OpFFma:
-				in.SrcA, in.SrcB, in.SrcC = rreg(), rreg(), rreg()
-			case isa.OpMov:
-				in.SrcA = rreg()
-				if rng.Intn(2) == 0 {
-					in.SrcA = isa.RegNone
-					in.Imm = rng.Int63n(4096)
-				}
-			case isa.OpShl, isa.OpShr:
-				in.SrcA, in.SrcB = rreg(), isa.RZ
-				in.Imm = rng.Int63n(63)
-			case isa.OpSetP:
-				in.SrcA, in.SrcB = rreg(), rreg()
-				in.Imm = rng.Int63n(64) - 32
-				in.Cmp = isa.Cmp(rng.Intn(6))
-			case isa.OpFSetP:
-				in.SrcA, in.SrcB = rreg(), rreg()
-				in.Cmp = isa.Cmp(rng.Intn(6))
-			case isa.OpI2F, isa.OpF2I, isa.OpFRcp, isa.OpFSqrt, isa.OpFRsqrt,
-				isa.OpFExp, isa.OpFLog, isa.OpFSin, isa.OpFCos:
-				in.SrcA = rreg()
-			case isa.OpS2R:
-				in.Imm = int64(rng.Intn(int(isa.SRNumSReg)))
-			case isa.OpLdParam:
-				in.Imm = int64(params[rng.Intn(len(params))])
-			case isa.OpLdShared, isa.OpStShared:
-				size = sizes[rng.Intn(len(sizes))]
-				in.SrcA, in.Size = sbase, size
-				in.Imm = rng.Int63n(int64(oracleWindow - int(size) + 1))
-				if in.Op == isa.OpStShared {
-					in.Dst, in.SrcB = isa.RegNone, rreg()
-				}
-			default:
-				in.SrcA, in.SrcB = rreg(), rreg()
-				if rng.Intn(2) == 0 {
-					in.Imm = rng.Int63n(100)
+	randInst := func() {
+		in := isa.NewInstruction(ops[rng.Intn(len(ops))])
+		in.Dst = regs[rng.Intn(oracleRegs)]
+		size := uint8(0)
+		switch in.Op {
+		case isa.OpNop:
+			in.Dst = isa.RegNone
+		case isa.OpIMad, isa.OpFFma:
+			in.SrcA, in.SrcB, in.SrcC = rreg(), rreg(), rreg()
+		case isa.OpMov:
+			in.SrcA = rreg()
+			if rng.Intn(2) == 0 {
+				in.SrcA = isa.RegNone
+				in.Imm = rng.Int63n(4096)
+			}
+		case isa.OpShl, isa.OpShr:
+			in.SrcA, in.SrcB = rreg(), isa.RZ
+			in.Imm = rng.Int63n(63)
+		case isa.OpSetP:
+			in.SrcA, in.SrcB = rreg(), rreg()
+			in.Imm = rng.Int63n(64) - 32
+			in.Cmp = isa.Cmp(rng.Intn(6))
+		case isa.OpFSetP:
+			in.SrcA, in.SrcB = rreg(), rreg()
+			in.Cmp = isa.Cmp(rng.Intn(6))
+		case isa.OpI2F, isa.OpF2I, isa.OpFRcp, isa.OpFSqrt, isa.OpFRsqrt,
+			isa.OpFExp, isa.OpFLog, isa.OpFSin, isa.OpFCos:
+			in.SrcA = rreg()
+		case isa.OpS2R:
+			in.Imm = int64(rng.Intn(int(isa.SRNumSReg)))
+		case isa.OpLdParam:
+			in.Imm = int64(params[rng.Intn(len(params))])
+		case isa.OpLdShared, isa.OpStShared:
+			size = sizes[rng.Intn(len(sizes))]
+			in.SrcA, in.Size = sbase, size
+			in.Imm = rng.Int63n(int64(oracleWindow - int(size) + 1))
+			if in.Op == isa.OpStShared {
+				in.Dst, in.SrcB = isa.RegNone, rreg()
+			}
+		default:
+			in.SrcA, in.SrcB = rreg(), rreg()
+			if rng.Intn(2) == 0 {
+				in.Imm = rng.Int63n(100)
+			}
+		}
+		// A third of the writes alias a source, so a lane must read
+		// its operands before the destination changes under it.
+		if in.Dst != isa.RegNone && rng.Intn(3) == 0 {
+			for _, r := range [...]isa.Reg{in.SrcA, in.SrcB, in.SrcC} {
+				if r != isa.RegNone && r != isa.RZ && r != sbase {
+					in.Dst = r
+					break
 				}
 			}
-			// A third of the writes alias a source, so a lane must read
-			// its operands before the destination changes under it.
-			if in.Dst != isa.RegNone && rng.Intn(3) == 0 {
-				for _, r := range [...]isa.Reg{in.SrcA, in.SrcB, in.SrcC} {
-					if r != isa.RegNone && r != isa.RZ && r != sbase {
-						in.Dst = r
-						break
-					}
-				}
-			}
-			// A quarter are predicated on a register's low bit, giving
-			// partial execution masks.
-			if rng.Intn(4) == 0 {
-				in.Pred, in.PredNeg = regs[rng.Intn(oracleRegs)], rng.Intn(2) == 0
-			}
-			if size == 1 || size == 2 {
-				p.patches = append(p.patches, sizePatch{pc: b.PC(), size: size})
-				built := in
-				built.Size = 8
-				b.Emit(built)
-				seg = append(seg, in)
+		}
+		// A quarter are predicated on a register's low bit, giving
+		// partial execution masks.
+		if rng.Intn(4) == 0 {
+			in.Pred, in.PredNeg = regs[rng.Intn(oracleRegs)], rng.Intn(2) == 0
+		}
+		if size == 1 || size == 2 {
+			p.patches = append(p.patches, sizePatch{pc: b.PC(), size: size})
+			in.Size = 8
+		}
+		b.Emit(in)
+	}
+	// block emits n random instructions or regions at nesting depth d.
+	var block func(n, d int)
+	block = func(n, d int) {
+		for i := 0; i < n; i++ {
+			if d == maxDepth || rng.Intn(6) != 0 {
+				randInst()
 				continue
 			}
-			emit(in)
+			pred, neg := regs[rng.Intn(oracleRegs)], rng.Intn(2) == 0
+			end := b.NewLabel()
+			if rng.Intn(2) == 0 {
+				// if: the lanes whose predicate holds skip the body.
+				b.BraIf(pred, neg, end, end)
+				block(1+rng.Intn(5), d+1)
+			} else {
+				// if-else: the taken lanes run the else body first, the
+				// others the then body, which jumps over it.
+				els := b.NewLabel()
+				b.BraIf(pred, neg, els, end)
+				block(1+rng.Intn(5), d+1)
+				b.Bra(end)
+				b.Bind(els)
+				block(1+rng.Intn(5), d+1)
+			}
+			b.Bind(end)
 		}
+	}
+	for k := 0; k < segments; k++ {
+		block(segLen, 0)
 		dump(k)
 	}
 	b.Exit()
@@ -425,9 +491,11 @@ const oracleOutBase = uint64(0x100000)
 // emulator, handing each trace back before the next block so later
 // blocks run on recycled traces, and compares every thread's register
 // pool after each segment and the block's shared memory with the
-// per-thread oracle. It returns how many predicated instructions ran
-// with a partial mask.
-func matchOracle(t testing.TB, name string, l *kernel.Launch, p *oracleProgram, blocks []int) (partialMasks int) {
+// per-thread oracle; it also checks each trace's encoding (checkRuns).
+// It returns how many predicated instructions ran with a partial mask,
+// and how many branch executions split a warp: some of its threads
+// took the branch and others did not.
+func matchOracle(t testing.TB, name string, l *kernel.Launch, p *oracleProgram, blocks []int) (partialMasks, divergent int) {
 	t.Helper()
 	threads := l.ThreadsPerBlock()
 	mem := NewMemory()
@@ -438,6 +506,7 @@ func matchOracle(t testing.TB, name string, l *kernel.Launch, p *oracleProgram, 
 	for _, pt := range p.patches {
 		p.k.Code[pt.pc].Size = pt.size
 	}
+	code := p.k.Code
 	// Later blocks reuse the first block's pooled warp state, so they
 	// also check that a block starts from zeroed registers.
 	for _, blk := range blocks {
@@ -445,14 +514,28 @@ func matchOracle(t testing.TB, name string, l *kernel.Launch, p *oracleProgram, 
 		if err != nil {
 			t.Fatalf("%s block %d: %v", name, blk, err)
 		}
-		// Oracle: run the program one thread at a time.
+		checkRuns(t, fmt.Sprintf("%s block %d", name, blk), bt, code)
+		// Oracle: run the program one thread at a time. No branch runs
+		// twice in a thread, so a warp's lanes at one branch PC are
+		// one execution of it.
+		type lanes struct{ taken, fell uint32 }
+		branches := make(map[[2]int]*lanes)
 		shared := make([]byte, p.k.SharedMemBytes)
 		for tid := 0; tid < threads; tid++ {
 			th := &oracleThread{tid: tid, block: blk, launch: l, shared: shared}
-			for k, seg := range p.segments {
-				for _, in := range seg {
-					th.exec(in)
+			taken := func(pc int, ok bool) {
+				key := [2]int{tid / 32, pc}
+				if branches[key] == nil {
+					branches[key] = &lanes{}
 				}
+				if ok {
+					branches[key].taken |= 1 << (tid % 32)
+				} else {
+					branches[key].fell |= 1 << (tid % 32)
+				}
+			}
+			for k, seg := range p.segments {
+				th.run(code, seg.start, seg.end, taken)
 				for i, r := range p.pool {
 					got := mem.ReadU64(oracleOutBase + uint64(((k*threads+tid)*oracleRegs+i)*8))
 					if want := th.regs[r]; got != want {
@@ -465,16 +548,69 @@ func matchOracle(t testing.TB, name string, l *kernel.Launch, p *oracleProgram, 
 		if got := e.sharedBuf[:len(shared)]; string(got) != string(shared) {
 			t.Fatalf("%s block %d: shared memory differs from the oracle's", name, blk)
 		}
-		for _, w := range bt.Warps {
-			for _, ti := range w.Insts {
-				if l.Kernel.Code[ti.PC].Pred != isa.RegNone && ti.Mask != 0 && ti.Mask != ^uint32(0) {
+		for _, ln := range branches {
+			if ln.taken != 0 && ln.fell != 0 {
+				divergent++
+			}
+		}
+		for i := range bt.Warps {
+			for it := bt.Warps[i].Iter(code); it.Next(); {
+				if m := it.Mask(); code[it.PC()].Pred != isa.RegNone && m != 0 && m != ^uint32(0) {
 					partialMasks++
 				}
 			}
 		}
 		e.Release(bt)
 	}
-	return partialMasks
+	return partialMasks, divergent
+}
+
+// checkRuns checks the encoding of a block trace: every run is
+// non-empty and maximal (the next run neither continues its PCs under
+// its mask), run lengths sum to each warp's Len and to the block's
+// DynInsts, and each warp holds one line count per memory instruction,
+// whose counts consume exactly its lines.
+func checkRuns(t testing.TB, name string, bt *BlockTrace, code []isa.Instruction) {
+	t.Helper()
+	total := 0
+	for w := range bt.Warps {
+		wt := &bt.Warps[w]
+		n := 0
+		for i, r := range wt.Runs {
+			if r.N == 0 {
+				t.Fatalf("%s warp %d: run %d is empty", name, w, i)
+			}
+			if i > 0 {
+				if prev := wt.Runs[i-1]; prev.Mask == r.Mask && prev.PC+int32(prev.N) == r.PC {
+					t.Fatalf("%s warp %d: run %d %+v continues run %d %+v", name, w, i, r, i-1, prev)
+				}
+			}
+			n += int(r.N)
+		}
+		if n != wt.Len {
+			t.Fatalf("%s warp %d: runs hold %d instructions, Len is %d", name, w, n, wt.Len)
+		}
+		total += n
+		mems, lines := 0, 0
+		for i, r := range wt.Runs {
+			for pc := r.PC; pc < r.PC+int32(r.N); pc++ {
+				if code[pc].IsMem() {
+					if mems >= len(wt.Counts) {
+						t.Fatalf("%s warp %d: run %d's pc %d has no line count left", name, w, i, pc)
+					}
+					lines += int(wt.Counts[mems])
+					mems++
+				}
+			}
+		}
+		if mems != len(wt.Counts) || lines != len(wt.Lines) {
+			t.Fatalf("%s warp %d: %d memory instructions with %d lines, trace holds %d counts and %d lines",
+				name, w, mems, lines, len(wt.Counts), len(wt.Lines))
+		}
+	}
+	if total != bt.DynInsts {
+		t.Fatalf("%s: warps hold %d instructions, DynInsts is %d", name, total, bt.DynInsts)
+	}
 }
 
 func TestEmulatorMatchesOracle(t *testing.T) {
@@ -491,17 +627,19 @@ func TestEmulatorMatchesOracle(t *testing.T) {
 	seenOps := make(map[isa.Op]bool)
 	seenSRegs := make(map[isa.SReg]bool)
 	seenSizes := make(map[uint8]bool)
-	partialMasks, aliased := 0, 0
+	partialMasks, divergent, aliased := 0, 0, 0
 	for _, sh := range shapes {
 		for seed := int64(0); seed < 30; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			l := &kernel.Launch{Grid: sh.grid, Block: sh.block}
 			p := randProgram(rng, oracleOutBase, l.ThreadsPerBlock())
 			l.Kernel = p.k
-			partialMasks += matchOracle(t, fmt.Sprintf("%s seed %d", sh.name, seed), l, p, sh.blocks)
+			pm, dv := matchOracle(t, fmt.Sprintf("%s seed %d", sh.name, seed), l, p, sh.blocks)
+			partialMasks += pm
+			divergent += dv
 
-			for _, seg := range p.segments {
-				for _, in := range seg {
+			for k := range p.segments {
+				for _, in := range p.insts(k) {
 					seenOps[in.Op] = true
 					if in.Op == isa.OpS2R {
 						seenSRegs[isa.SReg(in.Imm)] = true
@@ -538,8 +676,9 @@ func TestEmulatorMatchesOracle(t *testing.T) {
 			t.Errorf("no random program made a %d-byte shared access", size)
 		}
 	}
-	if partialMasks == 0 || aliased == 0 {
-		t.Errorf("partial-mask instructions %d, aliased destinations %d: want both > 0", partialMasks, aliased)
+	if partialMasks == 0 || divergent == 0 || aliased == 0 {
+		t.Errorf("partial-mask instructions %d, divergent branches %d, aliased destinations %d: want all > 0",
+			partialMasks, divergent, aliased)
 	}
 }
 
@@ -547,7 +686,7 @@ func TestEmulatorMatchesOracle(t *testing.T) {
 // fuzzed launch shape (up to 4×3 blocks of up to 64×2 threads, so
 // partial last warps and multi-warp blocks) and checks two of its
 // blocks against the per-thread oracle, the second on a recycled
-// trace.
+// trace, and the run encoding of both traces.
 func FuzzEmulatorOracle(f *testing.F) {
 	f.Add(int64(0), uint8(1), uint8(0), uint8(31), uint8(0), uint8(0), uint8(1))
 	f.Add(int64(7), uint8(2), uint8(1), uint8(19), uint8(2), uint8(4), uint8(1))

@@ -1,45 +1,138 @@
 package emu
 
 import (
-	"fmt"
 	"math/bits"
 
 	"gpues/internal/excep"
 	"gpues/internal/isa"
 )
 
-// TraceInst is one dynamic warp instruction in a trace: the static
-// instruction index plus the runtime information the timing simulator
-// needs (active mask and, for memory instructions, the coalesced line
-// addresses). It holds no pointers: the PC names the static
-// instruction, and the lines live in the owning BlockTrace's line
-// array, read through BlockTrace.LinesOf. The struct is 16 bytes.
-type TraceInst struct {
-	// PC is the static instruction index in the kernel code.
+// Run is a maximal stretch of a warp's dynamic instructions at
+// consecutive PCs under one active mask: the instructions PC, PC+1, ...,
+// PC+N-1, each executed with Mask. It holds no pointers and is 12 bytes.
+type Run struct {
+	// PC is the static instruction index of the run's first instruction.
 	PC int32
-	// Mask is the set of active lanes when the instruction executed.
+	// Mask is the set of active lanes of every instruction in the run.
 	Mask uint32
-	// lineOff and lineN locate the instruction's coalesced lines in
-	// BlockTrace.lines.
-	lineOff uint32
-	lineN   uint32
+	// N is the number of instructions in the run, at least one.
+	N uint32
 }
 
-// String formats the trace instruction for debugging.
-func (ti *TraceInst) String() string {
-	return fmt.Sprintf("pc=%d mask=%08x lines=%d", ti.PC, ti.Mask, ti.lineN)
-}
-
-// WarpTrace is the dynamic instruction sequence of one warp.
+// WarpTrace is the dynamic instruction sequence of one warp, run-length
+// encoded: Runs gives the PC and active mask of every instruction, and
+// each memory instruction (one the kernel code says IsMem) has, in
+// order, one entry in Counts: how many of the following entries of
+// Lines are its coalesced line addresses. Read it in order with Iter,
+// or from the zero Pos with Next.
 type WarpTrace struct {
 	// WarpID is the warp index within its thread block.
 	WarpID int
-	// Insts is the dynamic instruction stream in execution order.
-	Insts []TraceInst
-	// Excep, when set, is the device exception the warp raised: Insts
-	// ends just before the faulting instruction and the timing layer
-	// delivers the record once the warp drains (see internal/sm).
+	// Len is the number of dynamic instructions.
+	Len int
+	// Runs, Counts and Lines encode the instructions; see WarpTrace.
+	Runs   []Run
+	Counts []uint8
+	Lines  []uint64
+	// Excep, when set, is the device exception the warp raised: the
+	// trace ends just before the faulting instruction and the timing
+	// layer delivers the record once the warp drains (see internal/sm).
 	Excep *excep.Record
+}
+
+// Pos is a position in a warp trace: the index of one dynamic
+// instruction and where it sits in the encoding. The zero Pos is the
+// first instruction; Next steps to the following one in O(1).
+type Pos struct {
+	// Idx is the dynamic instruction index within the warp.
+	Idx int32
+	// run and off locate the instruction in Runs; cnt and line are the
+	// Counts and Lines offsets of the first memory instruction at or
+	// after it.
+	run, off, cnt int32
+	line          uint32
+}
+
+// End reports whether p is past the warp's last instruction.
+func (wt *WarpTrace) End(p Pos) bool { return int(p.Idx) >= wt.Len }
+
+// PC returns the static instruction index at p, which must not be End.
+func (wt *WarpTrace) PC(p Pos) int32 { return wt.Runs[p.run].PC + p.off }
+
+// Mask returns the active lanes of the instruction at p.
+func (wt *WarpTrace) Mask(p Pos) uint32 { return wt.Runs[p.run].Mask }
+
+// LinesAt returns the coalesced memory request addresses of the memory
+// instruction at p: one entry per unique cache line touched by the
+// active lanes, aligned to the line size, in first-touch lane order.
+// It is empty when all the instruction's lanes were predicated off.
+// For shared memory instructions the addresses are offsets within the
+// block's shared memory partition. The slice aliases the trace. p must
+// hold a memory instruction: at any other, LinesAt returns the lines
+// of the next memory instruction.
+func (wt *WarpTrace) LinesAt(p Pos) []uint64 {
+	end := p.line + uint32(wt.Counts[p.cnt])
+	return wt.Lines[p.line:end:end]
+}
+
+// Next returns the position after p. mem says whether the instruction
+// at p is a memory instruction, which consumes one line count.
+func (wt *WarpTrace) Next(p Pos, mem bool) Pos {
+	if mem {
+		p.line += uint32(wt.Counts[p.cnt])
+		p.cnt++
+	}
+	p.Idx++
+	p.off++
+	if uint32(p.off) == wt.Runs[p.run].N {
+		p.run++
+		p.off = 0
+	}
+	return p
+}
+
+// Iter walks a warp trace in execution order:
+//
+//	for it := wt.Iter(code); it.Next(); {
+//		use(it.PC(), it.Mask(), it.Lines())
+//	}
+type Iter struct {
+	wt        *WarpTrace
+	code      []isa.Instruction
+	pos, next Pos
+	mem       bool
+}
+
+// Iter returns an iterator over the warp's instructions. code is the
+// kernel the warp ran, which says which instructions carry lines.
+func (wt *WarpTrace) Iter(code []isa.Instruction) Iter {
+	return Iter{wt: wt, code: code}
+}
+
+// Next moves to the next instruction and reports whether there is one.
+func (it *Iter) Next() bool {
+	if it.wt.End(it.next) {
+		return false
+	}
+	it.pos = it.next
+	it.mem = it.code[it.wt.PC(it.pos)].IsMem()
+	it.next = it.wt.Next(it.pos, it.mem)
+	return true
+}
+
+// PC returns the current instruction's static index.
+func (it *Iter) PC() int32 { return it.wt.PC(it.pos) }
+
+// Mask returns the current instruction's active lanes.
+func (it *Iter) Mask() uint32 { return it.wt.Mask(it.pos) }
+
+// Lines returns the current instruction's coalesced lines (see
+// WarpTrace.LinesAt); it is empty for a non-memory instruction.
+func (it *Iter) Lines() []uint64 {
+	if !it.mem {
+		return nil
+	}
+	return it.wt.LinesAt(it.pos)
 }
 
 // BlockTrace is the dynamic trace of one thread block: one WarpTrace per
@@ -48,7 +141,7 @@ type WarpTrace struct {
 // A trace that EmulateBlock returned may be handed back with
 // Emulator.Release once its consumer is done with it; the next
 // EmulateBlock then reuses its arrays, so nothing may read it (or any
-// WarpTrace.Insts slice of it) afterwards. Exception records are never
+// slice of a WarpTrace of it) afterwards. Exception records are never
 // reused.
 type BlockTrace struct {
 	// BlockID is the linear block index within the grid.
@@ -62,41 +155,66 @@ type BlockTrace struct {
 	// MemRequests is the number of coalesced global memory requests.
 	MemRequests int
 
-	// insts backs every warp's Insts window; lines holds every
-	// instruction's coalesced line addresses. Both are reused when the
-	// trace is released.
-	insts []TraceInst
-	lines []uint64
+	// runs, counts and lines back every warp's Runs, Counts and Lines
+	// windows. They are reused when the trace is released.
+	runs   []Run
+	counts []uint8
+	lines  []uint64
 }
 
-// LinesOf returns the coalesced memory request addresses of ti, an
-// instruction of bt: one entry per unique cache line touched by the
-// active lanes, aligned to the line size, in first-touch lane order.
-// It is empty for non-memory instructions and for memory instructions
-// whose lanes were all predicated off. For shared memory instructions
-// the addresses are offsets within the block's shared memory
-// partition. The slice aliases the trace.
-func (bt *BlockTrace) LinesOf(ti TraceInst) []uint64 {
-	end := ti.lineOff + ti.lineN
-	return bt.lines[ti.lineOff:end:end]
+// RunBytes is the encoded size of one Run.
+const RunBytes = 12
+
+// Bytes returns the size of the block's encoded instructions: 12 bytes
+// per run, one per line count and eight per coalesced line.
+func (bt *BlockTrace) Bytes() int {
+	n := 0
+	for i := range bt.Warps {
+		wt := &bt.Warps[i]
+		n += RunBytes*len(wt.Runs) + len(wt.Counts) + 8*len(wt.Lines)
+	}
+	return n
 }
 
-// Append adds one instruction with the given lines to warp w's stream,
-// growing Warps to cover w. It builds traces by hand, for tests and
-// tools; DynInsts and the access counters are left to the caller.
+// NumRuns returns the number of runs across the block's warps.
+func (bt *BlockTrace) NumRuns() int {
+	n := 0
+	for i := range bt.Warps {
+		n += len(bt.Warps[i].Runs)
+	}
+	return n
+}
+
+// Append adds one instruction to warp w's stream, growing Warps to
+// cover w. An instruction given lines is a memory instruction and
+// gets a line count; one given none is not, so a hand-built trace
+// cannot hold a memory instruction whose lanes were all off. It builds
+// traces by hand, for tests and tools; DynInsts and the access counters
+// are left to the caller.
 func (bt *BlockTrace) Append(w int, pc int32, mask uint32, lines ...uint64) {
 	for len(bt.Warps) <= w {
 		bt.Warps = append(bt.Warps, WarpTrace{WarpID: len(bt.Warps)})
 	}
-	bt.Warps[w].Insts = append(bt.Warps[w].Insts, TraceInst{PC: pc, Mask: mask})
-	bt.SetLines(w, len(bt.Warps[w].Insts)-1, lines...)
+	wt := &bt.Warps[w]
+	wt.Runs = extend(wt.Runs, pc, mask)
+	wt.Len++
+	if len(lines) > 0 {
+		wt.Counts = append(wt.Counts, uint8(len(lines)))
+		wt.Lines = append(wt.Lines, lines...)
+	}
 }
 
-// SetLines replaces the lines of instruction i of warp w.
-func (bt *BlockTrace) SetLines(w, i int, lines ...uint64) {
-	ti := &bt.Warps[w].Insts[i]
-	ti.lineOff, ti.lineN = uint32(len(bt.lines)), uint32(len(lines))
-	bt.lines = append(bt.lines, lines...)
+// extend appends one instruction to runs: it lengthens the last run
+// when the instruction continues it, and starts a new run otherwise.
+func extend(runs []Run, pc int32, mask uint32) []Run {
+	if n := len(runs); n > 0 {
+		r := &runs[n-1]
+		if r.Mask == mask && r.PC+int32(r.N) == pc {
+			r.N++
+			return runs
+		}
+	}
+	return append(runs, Run{PC: pc, Mask: mask, N: 1})
 }
 
 // TouchedPages returns the set of distinct virtual pages referenced by
@@ -106,9 +224,9 @@ func (bt *BlockTrace) TouchedPages(code []isa.Instruction, pageSize int) map[uin
 	pages := make(map[uint64]bool)
 	mask := ^uint64(pageSize - 1)
 	for i := range bt.Warps {
-		for _, ti := range bt.Warps[i].Insts {
-			if code[ti.PC].IsGlobalMem() {
-				for _, a := range bt.LinesOf(ti) {
+		for it := bt.Warps[i].Iter(code); it.Next(); {
+			if code[it.PC()].IsGlobalMem() {
+				for _, a := range it.Lines() {
 					pages[a&mask] = true
 				}
 			}

@@ -9,15 +9,15 @@ import (
 	"gpues/internal/workloads"
 )
 
-// TestTraceInstLayout pins the trace entry at 16 bytes with no
-// pointers, so trace arrays are noscan memory the collector never
-// walks and a copy into them needs no write barriers.
-func TestTraceInstLayout(t *testing.T) {
-	if got := unsafe.Sizeof(emu.TraceInst{}); got != 16 {
-		t.Errorf("TraceInst is %d bytes, want 16", got)
+// TestRunLayout pins a trace run at 12 bytes with no pointers, so
+// trace arrays are noscan memory the collector never walks and a copy
+// into them needs no write barriers.
+func TestRunLayout(t *testing.T) {
+	if got := unsafe.Sizeof(emu.Run{}); got != emu.RunBytes {
+		t.Errorf("Run is %d bytes, want %d", got, emu.RunBytes)
 	}
-	if path, ok := pointerIn(reflect.TypeOf(emu.TraceInst{}), "TraceInst"); ok {
-		t.Errorf("TraceInst holds a pointer at %s", path)
+	if path, ok := pointerIn(reflect.TypeOf(emu.Run{}), "Run"); ok {
+		t.Errorf("Run holds a pointer at %s", path)
 	}
 }
 

@@ -51,16 +51,22 @@ func (o *oneBlock) PendingBlocks() int {
 	return 1
 }
 
-// faultLoopSM builds an SM running one block of four warps, each a long
-// loop of a load from a fresh lazy page followed by an add that reads
-// the loaded value, so every load faults once and is resolved through
-// sink. The TLBs, fill unit and L1 are the real ones.
-func faultLoopSM(t *testing.T, scheme config.Scheme) (*SM, *clock.Queue, *lazySink) {
+// endless hands out the same block forever and ignores completions.
+type endless struct{ bt *emu.BlockTrace }
+
+func (e endless) NextBlock(int) (*emu.BlockTrace, bool) { return e.bt, true }
+func (endless) BlockDone(int, *emu.BlockTrace)          {}
+func (endless) PendingBlocks() int                      { return 1 }
+
+// faultLoopSM builds an SM running blocks of four warps, each a loop of
+// loads from a fresh lazy page followed by an add that reads the
+// loaded value, so every load faults once and is resolved through
+// sink. The TLBs, fill unit and L1 are the real ones. The SM runs one
+// block, or the same block over and over when again is set; the pages
+// are backed once the first run has faulted them in.
+func faultLoopSM(t *testing.T, scheme config.Scheme, loads int, again bool) (*SM, *clock.Queue, *lazySink) {
 	t.Helper()
-	const (
-		warps = 4
-		loads = 400
-	)
+	const warps = 4
 	cfg := config.Default()
 	cfg.Scheme = scheme
 	cfg.System.NumSMs = 1
@@ -112,7 +118,11 @@ func faultLoopSM(t *testing.T, scheme config.Scheme) (*SM, *clock.Queue, *lazySi
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(0, &cfg, q, l1, l1tlb, sink, &oneBlock{bt: bt}, nullMover{q})
+	var src BlockSource = &oneBlock{bt: bt}
+	if again {
+		src = endless{bt}
+	}
+	s := New(0, &cfg, q, l1, l1tlb, sink, src, nullMover{q})
 	s.PrepareLaunch(launch)
 	s.FillBlocks()
 	return s, q, sink
@@ -144,7 +154,7 @@ func runFor(t *testing.T, s *SM, q *clock.Queue, cycles int64) {
 func TestFaultPathSteadyStateAllocs(t *testing.T) {
 	for _, scheme := range []config.Scheme{config.ReplayQueue, config.Baseline} {
 		t.Run(scheme.String(), func(t *testing.T) {
-			s, q, sink := faultLoopSM(t, scheme)
+			s, q, sink := faultLoopSM(t, scheme, 400, false)
 			runFor(t, s, q, 20_000)
 			before := sink.raised
 			allocs := testing.AllocsPerRun(20, func() { runFor(t, s, q, 5_000) })
@@ -158,5 +168,22 @@ func TestFaultPathSteadyStateAllocs(t *testing.T) {
 				t.Fatalf("steady-state fault path allocates %v times per 5000 cycles, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestBlockActivationAllocs: on a warm SM, running more blocks —
+// activation, execution, completion and the trace's hand-back —
+// allocates nothing: a finished block's activation record and warp
+// records go back to the SM's pool and the next block reuses them.
+func TestBlockActivationAllocs(t *testing.T) {
+	s, q, _ := faultLoopSM(t, config.ReplayQueue, 4, true)
+	runFor(t, s, q, 20_000)
+	before := s.Stats().BlocksRun
+	allocs := testing.AllocsPerRun(20, func() { runFor(t, s, q, 2_000) })
+	if n := s.Stats().BlocksRun - before; n < 20 {
+		t.Fatalf("only %d blocks ran during the measurement", n)
+	}
+	if allocs != 0 {
+		t.Fatalf("warm SM allocates %v times per 2000 cycles of block turnover, want 0", allocs)
 	}
 }

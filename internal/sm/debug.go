@@ -106,8 +106,8 @@ func snapshotWarp(w *warpRT) WarpSnapshot {
 	return WarpSnapshot{
 		Index:             w.idx,
 		Done:              w.done,
-		Cursor:            w.cursor,
-		TraceLen:          len(w.trace),
+		Cursor:            int(w.pos.Idx),
+		TraceLen:          w.trace.Len,
 		ReplayQueue:       len(w.replay),
 		Buffered:          w.buf != nil,
 		FetchBlock:        w.fetchBlock.String(),

@@ -17,8 +17,7 @@ import (
 //
 //simlint:noalloc
 func (s *SM) startMem(f *flight) {
-	w := f.w
-	lines := w.block.trace.LinesOf(w.trace[f.tIdx])
+	lines := f.w.trace.LinesAt(f.pos)
 	if len(lines) == 0 {
 		// All lanes predicated off: nothing to access.
 		s.q.After(1, s.ev.commit, f.slot)
@@ -144,13 +143,13 @@ func (s *SM) onTranslated(f *flight, r *memReq, res tlb.Result) {
 //simlint:noalloc
 func (s *SM) lastTLBCheck(f *flight) {
 	w := f.w
-	s.event("lastcheck", w, f.tIdx)
+	s.event("lastcheck", w, f.pos.Idx)
 	if s.tr != nil {
 		var faulted uint64
 		if f.faulted {
 			faulted = 1
 		}
-		s.tr.Emit(s.ID, obs.KLastCheck, s.warpID(w), uint64(f.tIdx), faulted)
+		s.tr.Emit(s.ID, obs.KLastCheck, s.warpID(w), uint64(f.pos.Idx), faulted)
 	}
 	if !f.faulted {
 		if f.wdOwner && s.cfg.Scheme == config.WarpDisableLastCheck && w.fetchOwner == f {
@@ -252,8 +251,8 @@ func (s *SM) squashAndRaise(f *flight) {
 	w := f.w
 	f.squashed = true
 	s.stats.Squashed++
-	s.event("squash", w, f.tIdx)
-	s.trace(obs.KSquash, w, f.tIdx)
+	s.event("squash", w, f.pos.Idx)
+	s.trace(obs.KSquash, w, f.pos.Idx)
 	w.releaseDest(f)
 	if s.cfg.Scheme == config.ReplayQueue && len(f.srcHeld) > 0 {
 		// Replay-queue: the faulted instruction's source holds survive
@@ -265,7 +264,7 @@ func (s *SM) squashAndRaise(f *flight) {
 			//simlint:ignore noalloc once per warp that ever faults under replay-queue
 			w.heldSrcs = make(map[int32][]isa.Reg)
 		}
-		w.heldSrcs[f.tIdx] = f.srcHeld
+		w.heldSrcs[f.pos.Idx] = f.srcHeld
 		f.srcHeld = nil
 		if n := len(s.spareRegs); n > 0 {
 			f.srcHeld = s.spareRegs[n-1]
@@ -278,7 +277,7 @@ func (s *SM) squashAndRaise(f *flight) {
 	// The operand log keeps the squashed instruction's entries: the
 	// replay reads its operands from the log (Figure 8b). They free at
 	// the replay's successful last TLB check.
-	w.insertReplay(f.tIdx)
+	w.insertReplay(f.pos)
 	s.met.ReplayOcc.Observe(int64(len(w.replay)))
 	if w.fetchOwner == f {
 		s.clearFetchBlock(w)
@@ -290,10 +289,10 @@ func (s *SM) squashAndRaise(f *flight) {
 	// code).
 	if buf := w.buf; buf != nil {
 		if buf.isReplay {
-			w.insertReplay(buf.tIdx)
+			w.insertReplay(buf.pos)
 			s.met.ReplayOcc.Observe(int64(len(w.replay)))
-		} else if int(buf.tIdx) < w.cursor {
-			w.cursor = int(buf.tIdx)
+		} else if buf.pos.Idx < w.pos.Idx {
+			w.pos = buf.pos
 		}
 		if w.fetchOwner == buf {
 			s.clearFetchBlock(w)

@@ -18,13 +18,13 @@ func switchHarness(t *testing.T, blocks int, mut func(*config.Config)) *harness 
 	var traces []*emu.BlockTrace
 	var launch *kernel.Launch
 	for i := 0; i < blocks; i++ {
-		bt, l, _ := figure3Trace()
-		bt.BlockID = i
+		a, c := uint64(0x10000), uint64(0x20000)
 		if i > 0 {
 			// Later blocks touch distinct, non-faulting pages.
-			bt.SetLines(0, 0, uint64(0x100000+i*0x1000))
-			bt.SetLines(0, 2, uint64(0x200000+i*0x1000))
+			a, c = uint64(0x100000+i*0x1000), uint64(0x200000+i*0x1000)
 		}
+		bt, l, _ := figure3TraceAt(a, c)
+		bt.BlockID = i
 		launch = l
 		traces = append(traces, bt)
 	}
@@ -108,11 +108,9 @@ func TestExtraBlockBudgetBoundsAssignment(t *testing.T) {
 	var launch *kernel.Launch
 	const blocks = 12
 	for i := 0; i < blocks; i++ {
-		bt, l, _ := figure3Trace()
-		bt.BlockID = i
 		// Every block faults on its own page.
-		bt.SetLines(0, 0, uint64(0x300000+i*0x1000))
-		bt.SetLines(0, 2, uint64(0x400000+i*0x1000))
+		bt, l, _ := figure3TraceAt(uint64(0x300000+i*0x1000), uint64(0x400000+i*0x1000))
+		bt.BlockID = i
 		launch = l
 		traces = append(traces, bt)
 	}
@@ -188,7 +186,7 @@ func TestContextSizeIncludesReplayAndLog(t *testing.T) {
 		t.Fatalf("empty context = %d, want %d", base, h.sm.blockBytes)
 	}
 	// Pending replay entries and live log entries enlarge the context.
-	b.warps[0].replay = append(b.warps[0].replay, 0, 2)
+	b.warps[0].replay = append(b.warps[0].replay, emu.Pos{}, emu.Pos{Idx: 2})
 	b.logUsed = 3
 	grown := h.sm.contextSize(b)
 	want := base + 2*8 + 3*h.cfg.SM.OperandLog.EntryBytes

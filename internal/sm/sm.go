@@ -207,6 +207,11 @@ type SM struct {
 	// and takes one from here, and the replay's issue returns one.
 	//simlint:ckptskip free list, a pure allocation cache that holds no simulated state
 	spareRegs [][]isa.Reg
+	// blockPool holds the activation records of finished blocks, each
+	// with its warp records, for activateBlock to reset and reuse. A
+	// block switched out keeps its records.
+	//simlint:ckptskip free list, a pure allocation cache that holds no simulated state
+	blockPool []*blockRT
 
 	idle  bool // nothing proceeded last tick; sleep until next event
 	stats Stats
@@ -280,7 +285,7 @@ func (s *SM) stall(w *warpRT, f *flight, r obs.StallReason) {
 	if s.tr == nil {
 		return
 	}
-	s.tr.Emit(s.ID, obs.KStall, s.warpID(w), uint64(r), uint64(f.tIdx))
+	s.tr.Emit(s.ID, obs.KStall, s.warpID(w), uint64(r), uint64(f.pos.Idx))
 }
 
 // handlers are the SM's event handlers, method values built once in
@@ -405,30 +410,34 @@ func (s *SM) startBlock(slot int) bool {
 	return true
 }
 
-// activateBlock installs a block trace into a slot.
+// activateBlock installs a block trace into a slot, on an activation
+// record from the pool when one is there.
 func (s *SM) activateBlock(slot int, bt *emu.BlockTrace) {
-	b := &blockRT{
+	b := s.newBlock(len(bt.Warps))
+	*b = blockRT{
 		id:           bt.BlockID,
 		slot:         slot,
 		state:        blockActive,
+		warps:        b.warps,
 		trace:        bt,
 		contextBytes: s.blockBytes,
 	}
-	b.warps = make([]*warpRT, len(bt.Warps))
 	for i := range bt.Warps {
-		w := &warpRT{
-			sm:    s,
-			block: b,
-			idx:   i,
-			trace: bt.Warps[i].Insts,
-			excep: bt.Warps[i].Excep,
+		w := b.warps[i]
+		*w = warpRT{
+			sm:       s,
+			block:    b,
+			idx:      i,
+			trace:    &bt.Warps[i],
+			excep:    bt.Warps[i].Excep,
+			replay:   w.replay[:0],
+			heldSrcs: w.heldSrcs,
 		}
-		if len(w.trace) == 0 {
+		if w.trace.Len == 0 {
 			w.done = true
 		} else {
 			b.liveWarps++
 		}
-		b.warps[i] = w
 		s.warps[slot*s.warpsPerBlock+i] = w
 	}
 	// Blocks may have fewer warps than the slot width (never more).
@@ -449,6 +458,27 @@ func (s *SM) activateBlock(slot int, bt *emu.BlockTrace) {
 	if b.liveWarps == 0 && !b.excepted {
 		s.blockFinished(b)
 	}
+}
+
+// newBlock returns an activation record with n warp records: the last
+// one a finished block handed back to the pool, or a new one. The
+// caller resets every field in place; the records keep their replay
+// lists' arrays and their held-source maps, which are empty.
+func (s *SM) newBlock(n int) *blockRT {
+	var b *blockRT
+	if k := len(s.blockPool); k > 0 {
+		b = s.blockPool[k-1]
+		s.blockPool[k-1] = nil
+		s.blockPool = s.blockPool[:k-1]
+	} else {
+		b = new(blockRT)
+	}
+	ws := b.warps[:cap(b.warps)]
+	for len(ws) < n {
+		ws = append(ws, new(warpRT))
+	}
+	b.warps = ws[:n]
+	return b
 }
 
 // deliverExcep posts a drained warp's pending exception record to the
@@ -496,7 +526,7 @@ func (s *SM) deliverExcep(w *warpRT) {
 // in the flight table) and resets its per-use state. Slice capacities
 // and the slot survive reuse, so the fetch/issue/memory path stops
 // allocating once the pool is warm.
-func (s *SM) newFlight(w *warpRT, d *decoded, tIdx int32, isReplay bool) *flight {
+func (s *SM) newFlight(w *warpRT, d *decoded, pos emu.Pos, isReplay bool) *flight {
 	f := s.flightPool
 	if f == nil {
 		f = &flight{slot: int64(len(s.flights))}
@@ -505,7 +535,7 @@ func (s *SM) newFlight(w *warpRT, d *decoded, tIdx int32, isReplay bool) *flight
 		s.flightPool = f.poolNext
 		f.poolNext = nil
 	}
-	f.w, f.d, f.tIdx, f.isReplay = w, d, tIdx, isReplay
+	f.w, f.d, f.pos, f.isReplay = w, d, pos, isReplay
 	f.srcHeld = f.srcHeld[:0]
 	f.reqs = f.reqs[:0]
 	f.tlbRem, f.reqRem = 0, 0
@@ -596,19 +626,19 @@ func (s *SM) doFetch() bool {
 				w.atBarrier || w.faultsOutstanding > 0 || w.block.state != blockActive {
 				continue
 			}
-			idx, isReplay, ok := w.nextFetchIndex()
+			pos, isReplay, ok := w.nextFetch()
 			if !ok {
 				continue
 			}
-			d := &s.decode[w.trace[idx].PC]
-			f := s.newFlight(w, d, idx, isReplay)
+			d := &s.decode[w.trace.PC(pos)]
+			f := s.newFlight(w, d, pos, isReplay)
 			if isReplay {
 				// Shift down rather than reslice, so the list keeps
 				// its backing array; the list is short.
 				w.replay = w.replay[:copy(w.replay, w.replay[1:])]
 				s.stats.Replays++
 			} else {
-				w.cursor++
+				w.pos = w.trace.Next(pos, d.mem)
 			}
 			w.buf = f
 			s.setBuf(i)
@@ -626,11 +656,11 @@ func (s *SM) doFetch() bool {
 			}
 			s.lastFetch = i
 			s.stats.Fetched++
-			s.event("fetch", w, idx)
+			s.event("fetch", w, pos.Idx)
 			if isReplay {
-				s.trace(obs.KReplayFetch, w, idx)
+				s.trace(obs.KReplayFetch, w, pos.Idx)
 			} else {
-				s.trace(obs.KFetch, w, idx)
+				s.trace(obs.KFetch, w, pos.Idx)
 			}
 			budget--
 			if budget == 0 {
@@ -728,7 +758,7 @@ func (s *SM) scoreboardReady(w *warpRT, f *flight) bool {
 	}
 	var heldOwn []isa.Reg
 	if s.cfg.Scheme == config.ReplayQueue {
-		heldOwn = w.heldSrcs[f.tIdx]
+		heldOwn = w.heldSrcs[f.pos.Idx]
 	}
 	checkSources := s.cfg.Scheme != config.ReplayQueue && s.cfg.Scheme != config.OperandLog
 	return w.canIssueReplay(f, heldOwn, checkSources)
@@ -853,10 +883,10 @@ func (s *SM) doIssue() bool {
 				}
 				switch s.cfg.Scheme {
 				case config.ReplayQueue:
-					if held, ok := w.heldSrcs[f.tIdx]; ok {
+					if held, ok := w.heldSrcs[f.pos.Idx]; ok {
 						s.spareRegs = append(s.spareRegs, f.srcHeld[:0])
 						f.srcHeld = held
-						delete(w.heldSrcs, f.tIdx)
+						delete(w.heldSrcs, f.pos.Idx)
 					}
 				case config.OperandLog:
 					// No register file reads on replay.
@@ -870,8 +900,8 @@ func (s *SM) doIssue() bool {
 			w.buf = nil
 			s.clrBuf(i)
 			s.stats.Issued++
-			s.event("issue", w, f.tIdx)
-			s.trace(obs.KIssue, w, f.tIdx)
+			s.event("issue", w, f.pos.Idx)
+			s.trace(obs.KIssue, w, f.pos.Idx)
 			s.q.After(1, s.ev.opRead, f.slot)
 			budget--
 			unitBudget[f.d.unit]--
@@ -984,11 +1014,11 @@ func (s *SM) commit(f *flight) {
 	}
 	f.committed = true
 	w := f.w
-	s.event("commit", w, f.tIdx)
+	s.event("commit", w, f.pos.Idx)
 	if f.isReplay {
-		s.trace(obs.KReplayCommit, w, f.tIdx)
+		s.trace(obs.KReplayCommit, w, f.pos.Idx)
 	} else {
-		s.trace(obs.KCommit, w, f.tIdx)
+		s.trace(obs.KCommit, w, f.pos.Idx)
 	}
 	w.releaseDest(f)
 	// Replay-queue holds sources until last TLB check; a non-memory
@@ -1049,8 +1079,12 @@ func (s *SM) blockFinished(b *blockRT) {
 	b.trace = nil
 	for _, w := range b.warps {
 		w.trace = nil
+		w.excep = nil
 	}
 	s.handBack(bt)
+	// Nothing names the block or its warps any more: a squashed
+	// flight still waiting on events reads only its own flags.
+	s.blockPool = append(s.blockPool, b)
 	s.refillSlot(slot)
 	s.wake()
 }

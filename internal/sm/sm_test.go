@@ -78,18 +78,19 @@ func (fs *fakeSource) PendingBlocks() int { return len(fs.blocks) - fs.next }
 
 // BlockDone poisons the trace handed back, so an SM that reads a trace
 // after handing it back fails loudly: a PC out of any kernel indexes
-// past the decode table, a zero mask and sentinel lines corrupt what a
-// stale read would compute.
+// past the decode table, a zero mask, sentinel lines and line counts
+// that overrun the lines corrupt what a stale read would compute.
 func (fs *fakeSource) BlockDone(smID int, bt *emu.BlockTrace) {
 	fs.done++
 	for _, w := range bt.Warps {
-		for i := range w.Insts {
-			ti := &w.Insts[i]
-			lines := bt.LinesOf(*ti)
-			for j := range lines {
-				lines[j] = poisonLine
-			}
-			ti.PC, ti.Mask = math.MaxInt32, 0
+		for i := range w.Runs {
+			w.Runs[i].PC, w.Runs[i].Mask = math.MaxInt32, 0
+		}
+		for i := range w.Counts {
+			w.Counts[i] = math.MaxUint8
+		}
+		for i := range w.Lines {
+			w.Lines[i] = poisonLine
 		}
 	}
 }
@@ -221,6 +222,11 @@ func (h *harness) at(kind string, tIdx int) int64 {
 //
 // A and C load from distinct pages so their faults are independent.
 func figure3Trace() (*emu.BlockTrace, *kernel.Launch, []isa.Instruction) {
+	return figure3TraceAt(0x10000, 0x20000)
+}
+
+// figure3TraceAt is figure3Trace with A loading line a and C line c.
+func figure3TraceAt(a, c uint64) (*emu.BlockTrace, *kernel.Launch, []isa.Instruction) {
 	code := make([]isa.Instruction, 5)
 	ldA := isa.NewInstruction(isa.OpLdGlobal)
 	ldA.Dst, ldA.SrcA, ldA.Size = 3, 2, 8
@@ -238,9 +244,9 @@ func figure3Trace() (*emu.BlockTrace, *kernel.Launch, []isa.Instruction) {
 
 	full := ^uint32(0)
 	bt := &emu.BlockTrace{BlockID: 0}
-	bt.Append(0, 0, full, 0x10000)
+	bt.Append(0, 0, full, a)
 	bt.Append(0, 1, full)
-	bt.Append(0, 2, full, 0x20000)
+	bt.Append(0, 2, full, c)
 	bt.Append(0, 3, full)
 	bt.Append(0, 4, full)
 	k := &kernel.Kernel{Name: "fig3", Code: code, RegsPerThread: 16}
@@ -495,11 +501,9 @@ func TestOperandLogBackpressure(t *testing.T) {
 // finishes.
 func TestBlockSwitchingLifecycle(t *testing.T) {
 	bt1, launch, _ := figure3Trace()
-	bt2, _, _ := figure3Trace()
-	bt2.BlockID = 1
 	// Block 2's loads hit different, non-faulting pages.
-	bt2.SetLines(0, 0, 0x50000)
-	bt2.SetLines(0, 2, 0x60000)
+	bt2, _, _ := figure3TraceAt(0x50000, 0x60000)
+	bt2.BlockID = 1
 	launch.Grid = kernel.Dim3{X: 2}
 
 	// Occupancy 1 (one resident block) so the second block only runs

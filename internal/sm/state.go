@@ -79,14 +79,16 @@ func saveBlock(w *ckpt.Writer, b *blockRT) {
 
 func saveWarp(w *ckpt.Writer, wr *warpRT) {
 	w.Int(wr.idx)
-	w.Int(wr.cursor)
+	// A trace position is saved as its instruction index: the rest of
+	// it follows from the index and the trace.
+	w.Int(int(wr.pos.Idx))
 	w.Int(len(wr.replay))
-	for _, t := range wr.replay {
-		w.U64(uint64(t))
+	for _, p := range wr.replay {
+		w.U64(uint64(p.Idx))
 	}
 	w.Bool(wr.buf != nil)
 	if wr.buf != nil {
-		w.U64(uint64(wr.buf.tIdx))
+		w.U64(uint64(wr.buf.pos.Idx))
 	}
 	w.I64(wr.bufReady)
 	w.U64(uint64(wr.fetchBlock))

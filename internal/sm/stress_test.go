@@ -101,7 +101,7 @@ func stressOnce(t *testing.T, seed int64, scheme config.Scheme, inject bool) {
 	const stock = 64
 	stocked := make([]*flight, stock)
 	for i := range stocked {
-		stocked[i] = h.sm.newFlight(nil, &h.sm.decode[0], 0, false)
+		stocked[i] = h.sm.newFlight(nil, &h.sm.decode[0], emu.Pos{}, false)
 	}
 	for _, f := range stocked {
 		h.sm.freeFlight(f)
@@ -225,7 +225,7 @@ func TestCheckInvariantsFlightCounts(t *testing.T) {
 		{2, "pooled flight has 2 callbacks outstanding"},
 		{-1, "pooled flight has negative outstanding count -1"},
 	} {
-		f := h.sm.newFlight(nil, &h.sm.decode[0], 0, false)
+		f := h.sm.newFlight(nil, &h.sm.decode[0], emu.Pos{}, false)
 		f.pending = tc.pending
 		h.sm.freeFlight(f)
 		v := h.sm.CheckInvariants(h.q.Now(), 0)

@@ -39,16 +39,17 @@ type warpRT struct {
 	block *blockRT
 	// idx is the warp index within its block.
 	idx int
-	// trace is the warp's instruction stream, a view of its block's
-	// trace; it is dropped when the block hands the trace back.
-	trace []emu.TraceInst
-	// cursor is the next trace index to fetch.
-	cursor int
-	// replay holds trace indices of squashed (faulted) instructions, in
-	// program order; they are re-fetched before cursor continues. This
-	// is the replay queue content of Section 3.2 from the timing
-	// perspective.
-	replay []int32
+	// trace is the warp's instruction stream, in its block's trace; it
+	// is dropped when the block hands the trace back.
+	trace *emu.WarpTrace
+	// pos is the trace position of the next instruction to fetch; its
+	// index is the fetch cursor.
+	pos emu.Pos
+	// replay holds the trace positions of squashed (faulted)
+	// instructions, in program order; they are re-fetched before pos
+	// continues. This is the replay queue content of Section 3.2 from
+	// the timing perspective.
+	replay []emu.Pos
 
 	// buf is the fetched instruction awaiting issue (1-entry
 	// instruction buffer); bufReady is the cycle it becomes issuable.
@@ -117,12 +118,12 @@ type memReq struct {
 // reuse, while the slot and slice capacities persist so steady-state
 // execution schedules events without allocating.
 type flight struct {
-	// The instruction is w.trace[tIdx]; d is its decode table entry.
-	// No flight points into a trace, which may be recycled while a
-	// squashed flight still has callbacks pending.
+	// The instruction is at pos in w's trace; d is its decode table
+	// entry. No flight points into a trace, which may be recycled while
+	// a squashed flight still has callbacks pending.
 	w        *warpRT
 	d        *decoded
-	tIdx     int32
+	pos      emu.Pos
 	isReplay bool
 
 	// srcHeld are the source registers still holding pendRead.
@@ -234,32 +235,32 @@ func (w *warpRT) releaseDest(f *flight) {
 	}
 }
 
-// insertReplay adds a trace index keeping program order.
-func (w *warpRT) insertReplay(idx int32) {
-	pos := len(w.replay)
-	for pos > 0 && w.replay[pos-1] > idx {
-		pos--
+// insertReplay adds a trace position keeping program order.
+func (w *warpRT) insertReplay(p emu.Pos) {
+	i := len(w.replay)
+	for i > 0 && w.replay[i-1].Idx > p.Idx {
+		i--
 	}
-	w.replay = append(w.replay, 0)
-	copy(w.replay[pos+1:], w.replay[pos:])
-	w.replay[pos] = idx
+	w.replay = append(w.replay, emu.Pos{})
+	copy(w.replay[i+1:], w.replay[i:])
+	w.replay[i] = p
 }
 
-// nextFetchIndex returns the next trace index this warp would fetch,
+// nextFetch returns the trace position this warp would fetch next,
 // preferring the replay list, and whether one exists.
-func (w *warpRT) nextFetchIndex() (int32, bool, bool) {
+func (w *warpRT) nextFetch() (emu.Pos, bool, bool) {
 	if len(w.replay) > 0 {
 		return w.replay[0], true, true
 	}
-	if w.cursor < len(w.trace) {
-		return int32(w.cursor), false, true
+	if !w.trace.End(w.pos) {
+		return w.pos, false, true
 	}
-	return 0, false, false
+	return emu.Pos{}, false, false
 }
 
 // exhausted reports whether the warp has nothing left to run.
 func (w *warpRT) exhausted() bool {
-	return w.cursor >= len(w.trace) && len(w.replay) == 0 && w.buf == nil && w.inFlight == 0
+	return w.trace.End(w.pos) && len(w.replay) == 0 && w.buf == nil && w.inFlight == 0
 }
 
 // canIssueReplay checks hazards for a replayed (previously squashed)

@@ -5,6 +5,7 @@ import (
 
 	"gpues/internal/ckpt"
 	"gpues/internal/emu"
+	"gpues/internal/isa"
 )
 
 // traceDigests pins the dynamic trace content of every registered
@@ -34,17 +35,20 @@ var traceDigests = map[string]uint64{
 	"histo":          0x348af9db33527dca,
 }
 
-// hashTrace folds one block's trace into h.
-func hashTrace(h *ckpt.Hasher, bt *emu.BlockTrace) {
+// hashTrace folds one block's trace into h; code is the kernel it ran.
+// It hashes each instruction as the trace expands to, so the digests
+// do not depend on how the trace encodes them.
+func hashTrace(h *ckpt.Hasher, bt *emu.BlockTrace, code []isa.Instruction) {
 	h.U64(uint64(bt.BlockID))
 	h.U64(uint64(len(bt.Warps)))
-	for _, w := range bt.Warps {
+	for i := range bt.Warps {
+		w := &bt.Warps[i]
 		h.U64(uint64(w.WarpID))
-		h.U64(uint64(len(w.Insts)))
-		for _, ti := range w.Insts {
-			h.U64(uint64(uint32(ti.PC)))
-			h.U64(uint64(ti.Mask))
-			lines := bt.LinesOf(ti)
+		h.U64(uint64(w.Len))
+		for it := w.Iter(code); it.Next(); {
+			h.U64(uint64(uint32(it.PC())))
+			h.U64(uint64(it.Mask()))
+			lines := it.Lines()
 			h.U64(uint64(len(lines)))
 			for _, l := range lines {
 				h.U64(l)
@@ -82,7 +86,7 @@ func TestTraceDigest(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s block %d: %v", w.Name, b, err)
 				}
-				hashTrace(h, bt)
+				hashTrace(h, bt, spec.Launch.Kernel.Code)
 				if recycle {
 					e.Release(bt)
 				}
@@ -90,6 +94,64 @@ func TestTraceDigest(t *testing.T) {
 			if want := traceDigests[w.Name]; h.Sum() != want {
 				t.Errorf("%s (recycle %v): trace digest %#016x, want %#016x", w.Name, recycle, h.Sum(), want)
 			}
+		}
+	}
+}
+
+// TestTraceFootprint emulates every workload at scale 1, seed 42, and
+// bounds its trace bytes (BlockTrace.Bytes) per dynamic instruction, so
+// a change to the trace layout that grows it fails here rather than
+// only in the simulator's memory use. Each bound is the measured
+// figure plus about a tenth.
+func TestTraceFootprint(t *testing.T) {
+	bounds := map[string]float64{
+		"assert-demo":    5.9,
+		"oom-demo":       4.0,
+		"halloc-spree":   58.7,
+		"halloc-cycle":   142.2,
+		"halloc-varsize": 33.8,
+		"halloc-churn":   79.0,
+		"quadtree":       9.9,
+		"cutcp":          5.1,
+		"mri-q":          3.3,
+		"tpacf":          9.6,
+		"mri-gridding":   5.1,
+		"sgemm":          3.4,
+		"stencil":        7.9,
+		"lbm":            3.4,
+		"sad":            4.1,
+		"spmv":           12.0,
+		"bfs":            17.9,
+		"histo":          17.2,
+	}
+	for _, w := range All() {
+		spec, err := w.Build(Params{Scale: 1, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := emu.New(spec.Launch, spec.Memory, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes, insts := 0, 0
+		for b := 0; b < spec.Launch.Blocks(); b++ {
+			bt, err := e.EmulateBlock(b)
+			if err != nil {
+				t.Fatalf("%s block %d: %v", w.Name, b, err)
+			}
+			bytes += bt.Bytes()
+			insts += bt.DynInsts
+			e.Release(bt)
+		}
+		per := float64(bytes) / float64(insts)
+		t.Logf("%s: %.2f B per instruction, %d B per block", w.Name, per, bytes/spec.Launch.Blocks())
+		bound, ok := bounds[w.Name]
+		if !ok {
+			t.Errorf("%s: no footprint bound", w.Name)
+			continue
+		}
+		if per > bound {
+			t.Errorf("%s: trace takes %.2f B per instruction, bound %.2f", w.Name, per, bound)
 		}
 	}
 }

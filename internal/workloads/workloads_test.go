@@ -65,14 +65,14 @@ func TestAllWorkloadsEmulate(t *testing.T) {
 				// region (otherwise the timing run aborts).
 				code := spec.Launch.Kernel.Code
 				for i := range bt.Warps {
-					for _, ti := range bt.Warps[i].Insts {
-						if !code[ti.PC].IsGlobalMem() {
+					for it := bt.Warps[i].Iter(code); it.Next(); {
+						if !code[it.PC()].IsGlobalMem() {
 							continue
 						}
-						for _, line := range bt.LinesOf(ti) {
+						for _, line := range it.Lines() {
 							if !inRegions(spec.Regions, line) {
 								t.Fatalf("block %d pc %d: access %#x outside regions",
-									blk, ti.PC, line)
+									blk, it.PC(), line)
 							}
 						}
 					}
