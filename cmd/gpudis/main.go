@@ -87,7 +87,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	dyn, accesses, reqs, runs, bytes := 0, 0, 0, 0, 0
+	dyn, accesses, reqs, runs, runBytes, lineBytes := 0, 0, 0, 0, 0, 0
 	pages := map[uint64]bool{}
 	for b := 0; b < launch.Blocks(); b++ {
 		bt, err := e.EmulateBlock(b)
@@ -99,7 +99,8 @@ func main() {
 		accesses += bt.GlobalAccesses
 		reqs += bt.MemRequests
 		runs += bt.NumRuns()
-		bytes += bt.Bytes()
+		runBytes += bt.RunBytes()
+		lineBytes += bt.LineBytes()
 		for p := range bt.TouchedPages(launch.Kernel.Code, 4096) {
 			pages[p] = true
 		}
@@ -107,8 +108,10 @@ func main() {
 	}
 	fmt.Printf("// dynamic: %d warp instructions, %d global accesses -> %d coalesced requests (%.2f req/access)\n",
 		dyn, accesses, reqs, float64(reqs)/float64(max(1, accesses)))
-	fmt.Printf("// trace: %d runs (%.1f instructions per run), %d B per block (%.2f B per instruction)\n",
-		runs, float64(dyn)/float64(max(1, runs)), bytes/launch.Blocks(), float64(bytes)/float64(max(1, dyn)))
+	bytes := runBytes + lineBytes
+	fmt.Printf("// trace: %d runs (%.1f instructions per run), %d B per block (%.2f B per instruction): runs %d B, lines %d B per block\n",
+		runs, float64(dyn)/float64(max(1, runs)), bytes/launch.Blocks(), float64(bytes)/float64(max(1, dyn)),
+		runBytes/launch.Blocks(), lineBytes/launch.Blocks())
 	fmt.Printf("// footprint: %d distinct 4 KB pages (%d KB)\n", len(pages), len(pages)*4)
 }
 

@@ -63,15 +63,25 @@ type Event struct {
 // Fire runs the event's handler now.
 func (e Event) Fire() { e.Fn(e.Arg) }
 
-// node is one scheduled event, or a mark when fn is nil. Nodes are
-// pooled: RunDue returns them to the free list before invoking the
-// handler.
+// node is one scheduled event in the ring or on the overdue list, or a
+// mark when fn is nil. It holds neither cycle nor sequence number: a
+// ring bucket holds one cycle, which its index gives, and its list
+// order is the FIFO order of that cycle's events. Nodes are pooled:
+// RunDue returns them to the free list before invoking the handler.
 type node struct {
+	fn   Handler
+	arg  int64
+	next *node
+}
+
+// farEvent is an event beyond the horizon, waiting in the overflow
+// heap: it keeps its cycle, and its sequence number orders it among
+// same-cycle events until it migrates into the ring.
+type farEvent struct {
 	cycle int64
 	seq   uint64 // FIFO order among same-cycle events
 	fn    Handler
 	arg   int64
-	next  *node
 }
 
 // bucketList is one calendar slot: a FIFO of same-cycle events.
@@ -99,9 +109,11 @@ type Queue struct {
 	// next drain, ahead of everything scheduled for later cycles. The
 	// list is in insertion order, which is exactly (cycle, seq) order:
 	// an overdue event's cycle is the now at its insertion, and now is
-	// monotonic.
+	// monotonic. overdueAt is the cycle of its head, the earliest.
 	//simlint:ckptskip holds handlers; SaveState digests the count and replay rebuilds the population
 	overdue bucketList
+	//simlint:ckptskip cycle of the overdue list's head; SaveState digests the overdue count and replay rebuilds the list
+	overdueAt int64
 
 	//simlint:ckptskip node free list, a pure allocation cache that holds no simulated state
 	free *node
@@ -109,7 +121,7 @@ type Queue struct {
 	// overflow holds events at now+numBuckets or later, ordered by
 	// (cycle, seq); they migrate into the ring as now advances.
 	//simlint:ckptskip holds handlers; SaveState digests the per-cycle counts and replay rebuilds the population
-	overflow []*node
+	overflow []farEvent
 }
 
 // New returns a queue at cycle 0.
@@ -167,11 +179,12 @@ func (q *Queue) clrOcc(b int) {
 	}
 }
 
-// push appends nd to its ring bucket (FIFO tail).
+// push appends nd to the ring bucket of cycle (FIFO tail), which must
+// lie in [now, now+numBuckets).
 //
 //simlint:noalloc
-func (q *Queue) push(nd *node) {
-	b := int(nd.cycle) & bucketMask
+func (q *Queue) push(cycle int64, nd *node) {
+	b := int(cycle) & bucketMask
 	bl := &q.buckets[b]
 	if bl.tail == nil {
 		bl.head = nd
@@ -192,12 +205,12 @@ func (q *Queue) At(cycle int64, fn Handler, arg int64) {
 		cycle = q.now
 	}
 	q.seq++
-	nd := q.alloc()
-	nd.cycle, nd.seq, nd.fn, nd.arg = cycle, q.seq, fn, arg
 	if cycle-q.now < numBuckets {
-		q.push(nd)
+		nd := q.alloc()
+		nd.fn, nd.arg = fn, arg
+		q.push(cycle, nd)
 	} else {
-		q.overflowPush(nd)
+		q.overflowPush(farEvent{cycle: cycle, seq: q.seq, fn: fn, arg: arg})
 	}
 	q.n++
 }
@@ -214,16 +227,12 @@ func (q *Queue) Mark(cycle int64) {
 	if cycle < q.now {
 		cycle = q.now
 	}
-	near := cycle-q.now < numBuckets
-	if near && q.occupied(int(cycle)&bucketMask) {
-		return
-	}
-	nd := q.alloc()
-	nd.cycle, nd.seq = cycle, 0
-	if near {
-		q.push(nd)
+	if cycle-q.now >= numBuckets {
+		q.overflowPush(farEvent{cycle: cycle})
+	} else if !q.occupied(int(cycle) & bucketMask) {
+		q.push(cycle, q.alloc())
 	} else {
-		q.overflowPush(nd)
+		return
 	}
 	q.n++
 }
@@ -242,13 +251,14 @@ func (q *Queue) After(delay int64, fn Handler, arg int64) { q.At(q.now+delay, fn
 //simlint:noalloc
 func (q *Queue) migrate() {
 	for len(q.overflow) > 0 && q.overflow[0].cycle-q.now < numBuckets {
-		nd := q.overflowPop()
-		if nd.fn == nil && q.occupied(int(nd.cycle)&bucketMask) {
+		ev := q.overflowPop()
+		if ev.fn == nil && q.occupied(int(ev.cycle)&bucketMask) {
 			q.n--
-			q.recycle(nd)
 			continue
 		}
-		q.push(nd)
+		nd := q.alloc()
+		nd.fn, nd.arg = ev.fn, ev.arg
+		q.push(ev.cycle, nd)
 	}
 }
 
@@ -263,6 +273,7 @@ func (q *Queue) advance(to int64) {
 	if bl := &q.buckets[b]; bl.head != nil {
 		if q.overdue.tail == nil {
 			q.overdue.head = bl.head
+			q.overdueAt = q.now
 		} else {
 			q.overdue.tail.next = bl.head
 		}
@@ -294,9 +305,10 @@ func (q *Queue) RunDue() {
 			fn(arg)
 		}
 	}
+	// now's bucket holds only events at now: the ring spans one horizon.
 	b := int(q.now) & bucketMask
 	bl := &q.buckets[b]
-	for bl.head != nil && bl.head.cycle <= q.now {
+	for bl.head != nil {
 		nd := bl.head
 		bl.head = nd.next
 		if bl.head == nil {
@@ -350,10 +362,10 @@ func (q *Queue) nextBucket() int {
 // NextEvent returns the cycle of the earliest pending event.
 func (q *Queue) NextEvent() (int64, bool) {
 	if q.overdue.head != nil {
-		return q.overdue.head.cycle, true
+		return q.overdueAt, true
 	}
 	if b := q.nextBucket(); b >= 0 {
-		return q.buckets[b].head.cycle, true
+		return q.now + int64((b-int(q.now))&bucketMask), true
 	}
 	if len(q.overflow) > 0 {
 		return q.overflow[0].cycle, true
@@ -382,19 +394,19 @@ func (q *Queue) SkipTo(cycle int64) {
 
 // overflow min-heap, ordered by (cycle, seq) ----------------------------
 
-func overflowLess(a, b *node) bool {
+func overflowLess(a, b *farEvent) bool {
 	if a.cycle != b.cycle {
 		return a.cycle < b.cycle
 	}
 	return a.seq < b.seq
 }
 
-func (q *Queue) overflowPush(nd *node) {
-	q.overflow = append(q.overflow, nd)
+func (q *Queue) overflowPush(ev farEvent) {
+	q.overflow = append(q.overflow, ev)
 	i := len(q.overflow) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !overflowLess(q.overflow[i], q.overflow[p]) {
+		if !overflowLess(&q.overflow[i], &q.overflow[p]) {
 			break
 		}
 		q.overflow[i], q.overflow[p] = q.overflow[p], q.overflow[i]
@@ -402,21 +414,21 @@ func (q *Queue) overflowPush(nd *node) {
 	}
 }
 
-func (q *Queue) overflowPop() *node {
+func (q *Queue) overflowPop() farEvent {
 	h := q.overflow
 	top := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
-	h[last] = nil
+	h[last] = farEvent{}
 	q.overflow = h[:last]
 	i, n := 0, last
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < n && overflowLess(h[l], h[small]) {
+		if l < n && overflowLess(&h[l], &h[small]) {
 			small = l
 		}
-		if r < n && overflowLess(h[r], h[small]) {
+		if r < n && overflowLess(&h[r], &h[small]) {
 			small = r
 		}
 		if small == i {

@@ -1,6 +1,9 @@
 package clock
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestEventOrdering(t *testing.T) {
 	q := New()
@@ -156,7 +159,7 @@ func TestMarkOverdue(t *testing.T) {
 	q := New()
 	q.Mark(0)
 	q.advance(1)
-	if nd := q.overdue.head; nd == nil || nd.fn != nil || nd.cycle != 0 {
+	if nd := q.overdue.head; nd == nil || nd.fn != nil || q.overdueAt != 0 {
 		t.Fatalf("overdue head = %+v, want the mark at 0", nd)
 	}
 	if q.occupied(0) {
@@ -169,5 +172,17 @@ func TestMarkOverdue(t *testing.T) {
 	q.RunDue()
 	if c, ok := q.NextEvent(); q.Len() != 1 || !ok || c != numBuckets {
 		t.Fatalf("after RunDue: Len %d, NextEvent %d,%v; want 1, %d", q.Len(), c, ok, numBuckets)
+	}
+}
+
+// TestRecordSizes pins the size of the records a pending event holds,
+// so that growing one is a visible decision: a fault storm keeps about
+// 120,000 ring nodes pending at once.
+func TestRecordSizes(t *testing.T) {
+	if n := unsafe.Sizeof(node{}); n != 24 {
+		t.Errorf("ring node is %d bytes, want 24", n)
+	}
+	if n := unsafe.Sizeof(farEvent{}); n != 32 {
+		t.Errorf("overflow event is %d bytes, want 32", n)
 	}
 }

@@ -38,11 +38,11 @@ func (q *Queue) SaveState(w *ckpt.Writer) {
 	for i := int64(0); i < numBuckets; i++ {
 		c := q.now + i
 		for nd := q.buckets[int(c)&bucketMask].head; nd != nil; nd = nd.next {
-			counts[nd.cycle]++
+			counts[c]++
 		}
 	}
-	for _, nd := range q.overflow {
-		counts[nd.cycle]++
+	for i := range q.overflow {
+		counts[q.overflow[i].cycle]++
 	}
 	cycles := make([]int64, 0, len(counts))
 	for c := range counts {

@@ -86,3 +86,34 @@ func (f *FIFO[T]) Each(fn func(*T)) {
 		fn(&f.recs[i])
 	}
 }
+
+// Clients holds the handlers of a component that parks waiters for
+// several clients. A parked waiter is one int64: the client's index in
+// its top ClientBits bits and the client's own payload below them, so
+// it costs 8 bytes and no handler. A client registers its handler once
+// with Add and passes Add's tag ORed with a payload in [0, 2^48). The
+// zero value has no clients.
+type Clients[F any] struct {
+	fns []F
+}
+
+// ClientBits is how many high bits of a waiter name its client.
+const ClientBits = 16
+
+const payloadBits = 64 - ClientBits
+
+// Add registers a client's handler and returns the client's tag.
+func (c *Clients[F]) Add(fn F) int64 {
+	if len(c.fns) == 1<<ClientBits {
+		panic("clock: too many clients")
+	}
+	c.fns = append(c.fns, fn)
+	return int64(uint64(len(c.fns)-1) << payloadBits)
+}
+
+// Get returns the handler of the client waiter w names, and its payload.
+//
+//simlint:noalloc
+func (c *Clients[F]) Get(w int64) (F, int64) {
+	return c.fns[uint64(w)>>payloadBits], w & (1<<payloadBits - 1)
+}

@@ -67,3 +67,25 @@ func TestFIFOKeepsBackingArray(t *testing.T) {
 		t.Fatalf("emptied queue at len %d head %d, want it rewound", len(f.recs), f.head)
 	}
 }
+
+// TestClientsRoute: a waiter reaches the handler of the client whose
+// tag it carries, with its payload intact, for every client index the
+// tag can hold.
+func TestClientsRoute(t *testing.T) {
+	var c Clients[Handler]
+	var got [2]int64
+	tags := make([]int64, 1<<ClientBits)
+	for i := range tags {
+		tags[i] = c.Add(func(arg int64) { got = [2]int64{int64(i), arg} })
+	}
+	const payload = 1<<(64-ClientBits) - 1
+	for _, i := range []int{0, 1, 1<<(ClientBits-1) - 1, 1 << (ClientBits - 1), 1<<ClientBits - 1} {
+		for _, arg := range []int64{0, 42, payload} {
+			fn, a := c.Get(tags[i] | arg)
+			fn(a)
+			if got != [2]int64{int64(i), arg} {
+				t.Fatalf("waiter of client %d, payload %#x, reached client %d with %#x", i, arg, got[0], got[1])
+			}
+		}
+	}
+}

@@ -384,6 +384,11 @@ func (c *Config) BytesPerCycle() float64 {
 	return c.System.DRAMBandwidthGBs / c.System.FrequencyGHz
 }
 
+// MaxSMs bounds System.NumSMs: the fault unit names each SM's two
+// fault handlers, and the L2 TLB each SM's L1 TLB, in the 16 client
+// bits of a parked waiter (clock.Clients).
+const MaxSMs = 1 << 15
+
 // Validate checks the configuration for inconsistencies that would make
 // the simulation meaningless, returning a descriptive error.
 func (c *Config) Validate() error {
@@ -395,6 +400,8 @@ func (c *Config) Validate() error {
 			c.SM.MaxWarps, c.SM.MaxThreadBlocks)
 	case c.System.NumSMs <= 0:
 		return fmt.Errorf("config: need at least one SM, got %d", c.System.NumSMs)
+	case c.System.NumSMs > MaxSMs:
+		return fmt.Errorf("config: at most %d SMs, got %d", MaxSMs, c.System.NumSMs)
 	case c.System.PageSize <= 0 || c.System.PageSize&(c.System.PageSize-1) != 0:
 		return fmt.Errorf("config: page size must be a positive power of two, got %d", c.System.PageSize)
 	case c.System.FaultGranularity < c.System.PageSize:

@@ -119,6 +119,7 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{"zero warp size", func(c *Config) { c.SM.WarpSize = 0 }},
 		{"zero warps", func(c *Config) { c.SM.MaxWarps = 0 }},
 		{"zero SMs", func(c *Config) { c.System.NumSMs = 0 }},
+		{"too many SMs", func(c *Config) { c.System.NumSMs = MaxSMs + 1 }},
 		{"non power-of-two page", func(c *Config) { c.System.PageSize = 3000 }},
 		{"granularity below page", func(c *Config) { c.System.FaultGranularity = 1024 }},
 		{"granularity not multiple", func(c *Config) { c.System.FaultGranularity = 6144; c.System.PageSize = 4096 }},

@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"gpues/internal/clock"
 	"gpues/internal/vm"
@@ -23,8 +24,12 @@ func (r *recResolver) Service(region uint64, kind vm.FaultKind, smID int, done c
 	r.q.After(r.delay, done.Fn, done.Arg)
 }
 
-// on wraps a test callback as an event.
-func on(fn func()) clock.Event { return clock.Event{Fn: func(int64) { fn() }} }
+// on registers a test callback as a client of u and returns the waiter
+// that runs it.
+func on(u *FaultUnit, fn func()) int64 { return u.Attach(func(int64) { fn() }) }
+
+// ev wraps a test callback as an event.
+func ev(fn func()) clock.Event { return clock.Event{Fn: func(int64) { fn() }} }
 
 func drain(q *clock.Queue) {
 	for q.Len() > 0 {
@@ -41,10 +46,10 @@ func TestFaultUnitMergesRegions(t *testing.T) {
 	}
 	resolved := 0
 	// Three pages in the same 64 KB region, one in another.
-	p0 := fu.RaiseFault(0x10000, vm.FaultMigrate, 0, on(func() { resolved++ }))
-	p1 := fu.RaiseFault(0x12000, vm.FaultMigrate, 1, on(func() { resolved++ }))
-	p2 := fu.RaiseFault(0x1f000, vm.FaultMigrate, 2, on(func() { resolved++ }))
-	p3 := fu.RaiseFault(0x20000, vm.FaultMigrate, 3, on(func() { resolved++ }))
+	p0 := fu.RaiseFault(0x10000, vm.FaultMigrate, 0, on(fu, func() { resolved++ }))
+	p1 := fu.RaiseFault(0x12000, vm.FaultMigrate, 1, on(fu, func() { resolved++ }))
+	p2 := fu.RaiseFault(0x1f000, vm.FaultMigrate, 2, on(fu, func() { resolved++ }))
+	p3 := fu.RaiseFault(0x20000, vm.FaultMigrate, 3, on(fu, func() { resolved++ }))
 	if p0 != 0 || p1 != 0 || p2 != 0 {
 		t.Errorf("merged faults share queue position 0: got %d %d %d", p0, p1, p2)
 	}
@@ -76,7 +81,7 @@ func TestFaultUnitSteadyStateAllocs(t *testing.T) {
 	q := clock.New()
 	fu, _ := NewFaultUnit(q, 64*1024, stubResolver{q}, nil)
 	resolved := 0
-	done := clock.Event{Fn: func(int64) { resolved++ }}
+	done := on(fu, func() { resolved++ })
 	round := func() {
 		fu.RaiseFault(0x10000, vm.FaultMigrate, 0, done)
 		fu.RaiseFault(0x12000, vm.FaultMigrate, 1, done) // merges
@@ -104,8 +109,8 @@ func TestFaultUnitRouting(t *testing.T) {
 	cpu := &recResolver{q: q, delay: 10}
 	local := &recResolver{q: q, delay: 10}
 	fu, _ := NewFaultUnit(q, 64*1024, cpu, local)
-	fu.RaiseFault(0x10000, vm.FaultMigrate, 0, on(func() {}))
-	fu.RaiseFault(0x20000, vm.FaultAllocOnly, 1, on(func() {}))
+	fu.RaiseFault(0x10000, vm.FaultMigrate, 0, on(fu, func() {}))
+	fu.RaiseFault(0x20000, vm.FaultAllocOnly, 1, on(fu, func() {}))
 	drain(q)
 	if len(cpu.calls) != 1 || cpu.calls[0] != 0x10000 {
 		t.Errorf("CPU served %v, want [0x10000] (migrations always go to the CPU)", cpu.calls)
@@ -119,7 +124,7 @@ func TestFaultUnitRouting(t *testing.T) {
 	}
 	// Without a local handler, alloc-only faults go to the CPU.
 	fu2, _ := NewFaultUnit(q, 64*1024, cpu, nil)
-	fu2.RaiseFault(0x30000, vm.FaultAllocOnly, 0, on(func() {}))
+	fu2.RaiseFault(0x30000, vm.FaultAllocOnly, 0, on(fu2, func() {}))
 	drain(q)
 	if len(cpu.calls) != 2 {
 		t.Error("alloc-only fault not routed to CPU when local handling is off")
@@ -130,7 +135,7 @@ func TestFaultUnitInvalidAborts(t *testing.T) {
 	q := clock.New()
 	cpu := &recResolver{q: q, delay: 10}
 	fu, _ := NewFaultUnit(q, 64*1024, cpu, nil)
-	fu.RaiseFault(0xdead0000, vm.FaultInvalid, 5, on(func() {}))
+	fu.RaiseFault(0xdead0000, vm.FaultInvalid, 5, on(fu, func() {}))
 	if fu.Err() == nil {
 		t.Fatal("invalid fault must set the abort error")
 	}
@@ -175,7 +180,7 @@ func TestLocalHandlerMapsRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doneAt int64 = -1
-	lh.Service(0x10000, vm.FaultAllocOnly, 3, on(func() { doneAt = q.Now() }))
+	lh.Service(0x10000, vm.FaultAllocOnly, 3, ev(func() { doneAt = q.Now() }))
 	drain(q)
 	if doneAt != 20000 {
 		t.Errorf("handler completed at %d, want 20000 (20 us at 1 GHz)", doneAt)
@@ -203,7 +208,7 @@ func TestLocalHandlerConcurrencyBound(t *testing.T) {
 	var times []int64
 	// Twice the slot count: the second wave queues behind the first.
 	for i := 0; i < 2*conc; i++ {
-		lh.Service(uint64(i)<<16, vm.FaultAllocOnly, i%16, on(func() { times = append(times, q.Now()) }))
+		lh.Service(uint64(i)<<16, vm.FaultAllocOnly, i%16, ev(func() { times = append(times, q.Now()) }))
 	}
 	drain(q)
 	first, second := 0, 0
@@ -229,7 +234,7 @@ func TestLocalHandlerUsesSMPartition(t *testing.T) {
 	q := clock.New()
 	as := newAS(t)
 	lh, _ := NewLocalHandler(q, as, 4, 64*1024, 100, 0)
-	lh.Service(0x40000, vm.FaultAllocOnly, 2, on(func() {}))
+	lh.Service(0x40000, vm.FaultAllocOnly, 2, ev(func() {}))
 	drain(q)
 	if lh.allocs[2].Allocated() != 16 {
 		t.Errorf("SM 2 partition allocated %d frames, want 16", lh.allocs[2].Allocated())
@@ -240,7 +245,7 @@ func TestLocalHandlerUsesSMPartition(t *testing.T) {
 		}
 	}
 	// Out-of-range SM ids clamp rather than crash.
-	lh.Service(0x100000, vm.FaultAllocOnly, -1, on(func() {}))
+	lh.Service(0x100000, vm.FaultAllocOnly, -1, ev(func() {}))
 	drain(q)
 }
 
@@ -252,5 +257,15 @@ func TestLocalHandlerValidation(t *testing.T) {
 	}
 	if _, err := NewLocalHandler(q, as, 4, 65536, 0, 0); err == nil {
 		t.Error("zero handler cost accepted")
+	}
+}
+
+// TestRecordSizes pins the size of a region's waiter entry, so that
+// growing it is a visible decision: a fault storm merges up to 8,192
+// raises into one region.
+func TestRecordSizes(t *testing.T) {
+	var rf regionFault
+	if n := unsafe.Sizeof(rf.waiters[0]); n != 8 {
+		t.Errorf("region waiter is %d bytes, want 8", n)
 	}
 }

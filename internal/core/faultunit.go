@@ -39,12 +39,13 @@ type Stats struct {
 // regionFault is one region in the pending fault queue. Records are
 // pooled and keep their index in the unit's region table, which is the
 // payload of their completion; the waiters capacity survives reuse.
+// A waiter is 8 bytes, a client tag and a payload (see Attach).
 type regionFault struct {
 	region  uint64
 	smID    int // the SM whose fault opened the region
 	pos     int
 	born    int64 // cycle the region entered the pending queue
-	waiters []clock.Event
+	waiters []int64
 
 	id   int64        // index in FaultUnit.regionTab
 	next *regionFault // free list
@@ -72,8 +73,10 @@ type FaultUnit struct {
 	regionTab []*regionFault
 	//simlint:ckptskip handler built once at construction
 	completeFn clock.Handler // completes regionTab[arg]
-	queued     int
-	stats      Stats
+	//simlint:ckptskip handlers of the raising SMs, registered once at construction
+	clients clock.Clients[clock.Handler]
+	queued  int
+	stats   Stats
 	//simlint:ckptskip a non-nil abort ends the run before any checkpoint is cut
 	abort error
 
@@ -127,12 +130,18 @@ func (u *FaultUnit) Pending() int { return u.queued }
 // Err returns the abort condition, if an invalid access was raised.
 func (u *FaultUnit) Err() error { return u.abort }
 
+// Attach implements sm.FaultSink: it registers the handler a client's
+// resolved faults run, and returns the client's tag.
+func (u *FaultUnit) Attach(resolved clock.Handler) int64 { return u.clients.Add(resolved) }
+
 // RaiseFault implements sm.FaultSink: it registers a page fault,
 // returning its position in the global pending fault queue. Faults to a
-// region already being handled merge and share its position.
+// region already being handled merge and share its position. waiter is
+// a client's tag ORed with the payload its handler runs with once the
+// region resolves.
 //
 //simlint:noalloc
-func (u *FaultUnit) RaiseFault(pageVA uint64, kind vm.FaultKind, smID int, resolved clock.Event) int {
+func (u *FaultUnit) RaiseFault(pageVA uint64, kind vm.FaultKind, smID int, waiter int64) int {
 	u.stats.Raised++
 	if kind == vm.FaultInvalid {
 		// The handler requests the CPU to abort the kernel (Section
@@ -146,12 +155,12 @@ func (u *FaultUnit) RaiseFault(pageVA uint64, kind vm.FaultKind, smID int, resol
 	region := pageVA &^ (u.gran - 1)
 	if rf, ok := u.pending[region]; ok {
 		u.stats.Merged++
-		rf.waiters = append(rf.waiters, resolved)
+		rf.waiters = append(rf.waiters, waiter)
 		return rf.pos
 	}
 	rf := u.newRegion()
 	rf.region, rf.smID, rf.pos, rf.born = region, smID, u.queued, u.q.Now()
-	rf.waiters = append(rf.waiters, resolved)
+	rf.waiters = append(rf.waiters, waiter)
 	u.pending[region] = rf
 	u.queued++
 	if u.queued > u.stats.MaxQueue {
@@ -205,7 +214,8 @@ func (u *FaultUnit) complete(id int64) {
 		u.tr.Emit(-1, obs.KRegionResolved, int32(rf.smID), rf.region, uint64(wait))
 	}
 	for _, w := range rf.waiters {
-		w.Fire()
+		fn, arg := u.clients.Get(w)
+		fn(arg)
 	}
 	u.putRegion(rf)
 }

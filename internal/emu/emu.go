@@ -43,6 +43,12 @@ type Emulator struct {
 	launch   *kernel.Launch
 	mem      *Memory
 	lineSize uint64
+	// lineShift is log2(lineSize): a line's number is its address >>
+	// lineShift, which is how traces store it.
+	lineShift uint8
+	// coalesced is the scratch one instruction's line addresses are
+	// coalesced into before the warp's trace stores them.
+	coalesced []uint64
 
 	// MaxWarpInsts bounds the dynamic instruction count per warp.
 	MaxWarpInsts int
@@ -102,6 +108,7 @@ func New(l *kernel.Launch, mem *Memory, lineSize int) (*Emulator, error) {
 		launch:       l,
 		mem:          mem,
 		lineSize:     uint64(lineSize),
+		lineShift:    uint8(bits.TrailingZeros(uint(lineSize))),
 		MaxWarpInsts: DefaultMaxWarpInsts,
 		regSpan:      regSpan(l.Kernel.Code),
 		heap:         heap,
@@ -166,11 +173,13 @@ type warpCtx struct {
 	// raised the warp's exception, if any.
 	traced int
 	// runs, counts and lines collect the warp's trace during the
-	// block (see WarpTrace); they are copied out at the end, and the
-	// buffers are reused.
-	runs   []Run
-	counts []uint8
-	lines  []uint64
+	// block (see WarpTrace); lines are stored against lineBase, the
+	// number of the warp's first line. They are copied out at the end,
+	// and the buffers are reused.
+	runs     []Run
+	counts   []uint8
+	lines    []uint32
+	lineBase uint64
 
 	// excep is the warp's raised exception, if any: the trace ends
 	// just before the faulting instruction and the warp counts as done
@@ -259,6 +268,7 @@ func (e *Emulator) EmulateBlock(blockID int) (*BlockTrace, error) {
 		ctx.runs = ctx.runs[:0]
 		ctx.counts = ctx.counts[:0]
 		ctx.lines = ctx.lines[:0]
+		ctx.lineBase = 0
 		ctx.excep = nil
 		ctx.flipAddrMask = 0
 	}
@@ -355,7 +365,7 @@ func (e *Emulator) copyOut(bt *BlockTrace, warps []*warpCtx) {
 	}
 	if cap(bt.lines) < nLines {
 		//simlint:ignore noalloc growth to the largest block emulated so far
-		bt.lines = make([]uint64, nLines)
+		bt.lines = make([]uint32, nLines)
 	}
 	if cap(bt.Warps) < len(warps) {
 		//simlint:ignore noalloc sized once per launch
@@ -368,6 +378,7 @@ func (e *Emulator) copyOut(bt *BlockTrace, warps []*warpCtx) {
 		bt.Warps[w] = WarpTrace{
 			WarpID: w, Len: ctx.traced,
 			Runs: runs[:r:r], Counts: counts[:c:c], Lines: lines[:l:l],
+			Base: ctx.lineBase, shift: e.lineShift,
 			Excep: ctx.excep,
 		}
 		runs, counts, lines = runs[r:], counts[c:], lines[l:]
@@ -964,17 +975,21 @@ func (e *Emulator) execS2R(w *warpCtx, s isa.SReg, d *laneVec, mask uint32, bloc
 	broadcast(d, mask, v)
 }
 
-// Line offsets in a warp trace are 32-bit and line counts 8-bit, so a
-// warp's coalesced lines, and one instruction's, are bounded.
+// Line offsets in a warp trace are 32-bit, line counts 8-bit and lines
+// signed 32-bit line-number offsets from the warp's first line, so a
+// warp's coalesced lines, one instruction's, and the span of a warp's
+// lines are bounded.
 var (
 	errTooManyLines = errors.New("warp has more than 2^32 coalesced lines")
 	errLineCount    = errors.New("instruction coalesces to more than 255 lines")
+	errLineRange    = errors.New("coalesced line more than 2^31 lines from the warp's first")
 )
 
 // coalesceLines coalesces the per-lane accesses into line addresses
-// appended to the warp's line buffer. The worst-case entry count is
-// reserved up front, so coalesce's duplicate search sees only this
-// instruction's lines and its appends never reallocate.
+// and appends them to the warp's line buffer as offsets from its first
+// line's number. The worst-case entry count is reserved up front, so
+// coalesce's duplicate search sees only this instruction's lines and
+// its appends never reallocate.
 //
 //simlint:noalloc
 func (e *Emulator) coalesceLines(w *warpCtx, addrs *[32]uint64, mask uint32, size int) error {
@@ -983,15 +998,28 @@ func (e *Emulator) coalesceLines(w *warpCtx, addrs *[32]uint64, mask uint32, siz
 	if uint64(start)+uint64(need) > math.MaxUint32 {
 		return errTooManyLines
 	}
+	if cap(e.coalesced) < need {
+		// Growth to the widest access emulated so far.
+		e.coalesced = slices.Grow(e.coalesced, need)
+	}
 	if cap(w.lines)-start < need {
 		// Growth to the longest warp trace emulated so far.
 		w.lines = slices.Grow(w.lines, need)
 	}
-	dst := coalesce(w.lines[start:start], addrs, mask, size, e.lineSize)
-	if len(dst) > math.MaxUint8 {
+	lines := coalesce(e.coalesced[:0], addrs, mask, size, e.lineSize)
+	if len(lines) > math.MaxUint8 {
 		return errLineCount
 	}
-	w.lines = w.lines[:start+len(dst)]
+	if start == 0 && len(lines) > 0 {
+		w.lineBase = lines[0] >> e.lineShift
+	}
+	for _, a := range lines {
+		off, ok := lineOffset(a>>e.lineShift, w.lineBase)
+		if !ok {
+			return errLineRange
+		}
+		w.lines = append(w.lines, off)
+	}
 	return nil
 }
 

@@ -93,7 +93,7 @@ func TestCoalescingUnitStride(t *testing.T) {
 		t.Fatal(err)
 	}
 	for it := bt.Warps[0].Iter(k.Code); it.Next(); {
-		if n := len(it.Lines()); k.Code[it.PC()].IsGlobalMem() && n != 2 {
+		if n := len(it.Lines(nil)); k.Code[it.PC()].IsGlobalMem() && n != 2 {
 			t.Errorf("unit-stride 8B access at pc %d coalesced to %d requests, want 2", it.PC(), n)
 		}
 	}

@@ -6,8 +6,9 @@
 // A block's trace holds one WarpTrace per warp, run-length encoded: a
 // list of runs, each a maximal stretch of consecutive PCs executed
 // under one active mask (a 12-byte Run), plus one line count per
-// memory instruction and the coalesced line addresses those counts
-// consume, in execution order. Straight-line code under a full warp
+// memory instruction and the coalesced lines those counts consume, in
+// execution order, each stored in 4 bytes as its line number's offset
+// from the warp's first line's. Straight-line code under a full warp
 // is one run however long it is; a taken branch, a predicated
 // instruction or a divergent region starts a new one. Readers walk a
 // trace in order with a Pos, which Next advances in O(1), or with

@@ -1,9 +1,11 @@
 package emu
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gpues/internal/isa"
@@ -16,8 +18,10 @@ import (
 // and executes it for every active lane of a warp, splitting and
 // rejoining the warp on its divergence stack; the oracle runs the
 // whole program one thread at a time over a plain register array,
-// following each branch for its thread alone. Any divergence between
-// the two implementations is a bug in one of them.
+// following each branch for its thread alone, and coalesces each
+// warp's memory accesses itself, so every line the trace stores is
+// checked too. Any divergence between the two implementations is a bug
+// in one of them.
 
 // oracleThread is one thread's architectural state and identity.
 type oracleThread struct {
@@ -25,7 +29,18 @@ type oracleThread struct {
 	tid    int // linear thread index within the block
 	block  int
 	launch *kernel.Launch
-	shared []byte // the block's shared memory
+	shared []byte          // the block's shared memory
+	global map[uint64]byte // global memory the program wrote
+	// access, when set, sees each memory access the thread makes.
+	access func(pc int, addr uint64, size int)
+}
+
+// reg reads register r.
+func (th *oracleThread) reg(r isa.Reg) uint64 {
+	if r == isa.RZ || r == isa.RegNone {
+		return 0
+	}
+	return th.regs[r]
 }
 
 // active reports whether the thread executes in: its predicate, if
@@ -48,6 +63,9 @@ func (th *oracleThread) run(code []isa.Instruction, start, end int, taken func(p
 	for pc := start; pc < end; {
 		in := code[pc]
 		if in.Op != isa.OpBra {
+			if in.IsMem() && th.access != nil && th.active(in) {
+				th.access(pc, th.reg(in.SrcA)+uint64(in.Imm), int(in.Size))
+			}
 			th.exec(in)
 			pc++
 			continue
@@ -250,18 +268,40 @@ func (th *oracleThread) exec(in isa.Instruction) {
 		for i := 0; i < int(in.Size); i++ {
 			th.shared[off+uint64(i)] = byte(b >> (8 * i))
 		}
+	case isa.OpLdGlobal:
+		addr := a + uint64(in.Imm)
+		var v uint64
+		for i := 0; i < int(in.Size); i++ {
+			v |= uint64(th.global[addr+uint64(i)]) << (8 * i)
+		}
+		write(in.Dst, v)
+	case isa.OpStGlobal:
+		addr := a + uint64(in.Imm)
+		for i := 0; i < int(in.Size); i++ {
+			th.global[addr+uint64(i)] = byte(b >> (8 * i))
+		}
 	}
 }
 
 const (
 	// oracleRegs is the pool of registers random instructions use.
 	oracleRegs = 16
-	// oracleWindow is the slice of shared memory private to each
-	// thread. Threads never share bytes, so running the program one
-	// thread at a time sees the same shared state as running it warp by
-	// warp.
+	// oracleWindow is the slice of shared memory, and of global
+	// memory, private to each thread. Threads never share bytes, so
+	// running the program one thread at a time sees the same memory as
+	// running it warp by warp.
 	oracleWindow = 64
+	// oracleLine is the line size the emulator coalesces to.
+	oracleLine = 128
 )
+
+// globalSpan places the random programs' global windows: thread t of
+// block b owns the oracleWindow bytes at base + (b*threads + t)*stride.
+// base and stride are multiples of 8, so every access is aligned.
+type globalSpan struct{ base, stride uint64 }
+
+// defaultSpan packs the global windows the way a kernel's arrays are.
+var defaultSpan = globalSpan{base: 1 << 24, stride: oracleWindow}
 
 // sizePatch records a shared access whose width Validate would reject:
 // it is built as an 8-byte access and narrowed after emu.New.
@@ -293,21 +333,23 @@ func (p *oracleProgram) insts(k int) []isa.Instruction {
 // randProgram builds a random program over a register pool: a prologue
 // that seeds the pool with lane-varying integers and floats (NaN and
 // the infinities among them), then four segments of random predicated
-// and unpredicated ALU, SFU, special-register, parameter and
-// shared-memory instructions, among them if and if-else regions,
+// and unpredicated ALU, SFU, special-register, parameter, shared-memory
+// and global-memory instructions, among them if and if-else regions,
 // nested up to two deep, whose branch predicates are pool registers
-// and so split warps. Every region reconverges before its segment
-// ends. The pool is allocated last, so its top register is also the
-// highest one the kernel names.
-func randProgram(rng *rand.Rand, outBase uint64, threads int) *oracleProgram {
+// and so split warps. Global accesses stay inside the thread's window
+// that g places. Every region reconverges before its segment ends. The
+// pool is allocated last, so its top register is also the highest one
+// the kernel names.
+func randProgram(rng *rand.Rand, outBase uint64, threads int, g globalSpan) *oracleProgram {
 	const segments, segLen, maxDepth = 4, 25, 2
 	b := kernel.NewBuilder("fuzz").SetSharedMem(threads * oracleWindow)
 	po := b.AddParam(outBase)
+	pBase, pStride := b.AddParam(g.base), b.AddParam(g.stride)
 	params := []int{b.AddParam(rng.Uint64()), b.AddParam(rng.Uint64() >> 40), b.AddParam(math.Float64bits(rng.NormFloat64()))}
 
-	// The dump's registers and the thread's shared window sit below the
-	// pool; no random instruction writes them.
-	addr, row, sbase := b.Reg(), b.Reg(), b.Reg()
+	// The dump's registers and the thread's shared and global windows
+	// sit below the pool; no random instruction writes them.
+	addr, row, sbase, gbase := b.Reg(), b.Reg(), b.Reg(), b.Reg()
 	regs := make([]isa.Reg, oracleRegs)
 	for i := range regs {
 		regs[i] = b.Reg()
@@ -352,6 +394,21 @@ func randProgram(rng *rand.Rand, outBase uint64, threads int) *oracleProgram {
 	s2r(regs[0], isa.SRLaneID)
 	op2(isa.OpIAdd, sbase, sbase, regs[0], 0)
 	op1(isa.OpIMul, sbase, sbase, oracleWindow)
+	// gbase = base + (block*threads + tid)*stride, block and tid linear.
+	s2r(gbase, isa.SRCtaIDY)
+	s2r(addr, isa.SRGridDimX)
+	op2(isa.OpIMul, gbase, gbase, addr, 0)
+	s2r(addr, isa.SRCtaIDX)
+	op2(isa.OpIAdd, gbase, gbase, addr, 0)
+	op1(isa.OpIMul, gbase, gbase, int64(threads))
+	s2r(addr, isa.SRWarpID)
+	op1(isa.OpIMul, addr, addr, 32)
+	op2(isa.OpIAdd, gbase, gbase, addr, 0)
+	op2(isa.OpIAdd, gbase, gbase, regs[0], 0)
+	b.LoadParam(addr, pStride)
+	op2(isa.OpIMul, gbase, gbase, addr, 0)
+	b.LoadParam(addr, pBase)
+	op2(isa.OpIAdd, gbase, gbase, addr, 0)
 	s2r(regs[1], isa.SRTidX)
 	op1(isa.OpXor, regs[2], regs[0], rng.Int63())
 	op2(isa.OpIMul, regs[3], regs[2], regs[2], 0)
@@ -380,6 +437,7 @@ func randProgram(rng *rand.Rand, outBase uint64, threads int) *oracleProgram {
 		isa.OpFSetP, isa.OpI2F, isa.OpF2I,
 		isa.OpFRcp, isa.OpFSqrt, isa.OpFRsqrt, isa.OpFExp, isa.OpFLog, isa.OpFSin, isa.OpFCos,
 		isa.OpS2R, isa.OpLdParam, isa.OpLdShared, isa.OpStShared,
+		isa.OpLdGlobal, isa.OpStGlobal,
 	}
 	sizes := []uint8{1, 2, 4, 8}
 	randInst := func() {
@@ -421,6 +479,13 @@ func randProgram(rng *rand.Rand, outBase uint64, threads int) *oracleProgram {
 			if in.Op == isa.OpStShared {
 				in.Dst, in.SrcB = isa.RegNone, rreg()
 			}
+		case isa.OpLdGlobal, isa.OpStGlobal:
+			size = sizes[2+rng.Intn(2)] // 4 or 8, the widths Validate accepts
+			in.SrcA, in.Size = gbase, size
+			in.Imm = int64(rng.Intn(oracleWindow/int(size)) * int(size))
+			if in.Op == isa.OpStGlobal {
+				in.Dst, in.SrcB = isa.RegNone, rreg()
+			}
 		default:
 			in.SrcA, in.SrcB = rreg(), rreg()
 			if rng.Intn(2) == 0 {
@@ -431,7 +496,7 @@ func randProgram(rng *rand.Rand, outBase uint64, threads int) *oracleProgram {
 		// its operands before the destination changes under it.
 		if in.Dst != isa.RegNone && rng.Intn(3) == 0 {
 			for _, r := range [...]isa.Reg{in.SrcA, in.SrcB, in.SrcC} {
-				if r != isa.RegNone && r != isa.RZ && r != sbase {
+				if r != isa.RegNone && r != isa.RZ && r != sbase && r != gbase {
 					in.Dst = r
 					break
 				}
@@ -490,16 +555,18 @@ const oracleOutBase = uint64(0x100000)
 // matchOracle emulates blocks of l, which runs p, in order on one
 // emulator, handing each trace back before the next block so later
 // blocks run on recycled traces, and compares every thread's register
-// pool after each segment and the block's shared memory with the
-// per-thread oracle; it also checks each trace's encoding (checkRuns).
-// It returns how many predicated instructions ran with a partial mask,
+// pool after each segment, the block's shared memory and every line of
+// every memory instruction with the per-thread oracle; it also checks
+// each trace's encoding (checkRuns). A block whose lines the trace
+// cannot encode must fail with errLineRange, and ends the run. It
+// returns how many predicated instructions ran with a partial mask,
 // and how many branch executions split a warp: some of its threads
 // took the branch and others did not.
 func matchOracle(t testing.TB, name string, l *kernel.Launch, p *oracleProgram, blocks []int) (partialMasks, divergent int) {
 	t.Helper()
 	threads := l.ThreadsPerBlock()
 	mem := NewMemory()
-	e, err := New(l, mem, 128)
+	e, err := New(l, mem, oracleLine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,22 +574,21 @@ func matchOracle(t testing.TB, name string, l *kernel.Launch, p *oracleProgram, 
 		p.k.Code[pt.pc].Size = pt.size
 	}
 	code := p.k.Code
+	global := make(map[uint64]byte)
 	// Later blocks reuse the first block's pooled warp state, so they
 	// also check that a block starts from zeroed registers.
 	for _, blk := range blocks {
-		bt, err := e.EmulateBlock(blk)
-		if err != nil {
-			t.Fatalf("%s block %d: %v", name, blk, err)
-		}
-		checkRuns(t, fmt.Sprintf("%s block %d", name, blk), bt, code)
-		// Oracle: run the program one thread at a time. No branch runs
-		// twice in a thread, so a warp's lanes at one branch PC are
-		// one execution of it.
+		bt, emuErr := e.EmulateBlock(blk)
+		// Oracle: run the program one thread at a time, its dumps too.
+		// No branch runs twice in a thread, so a warp's lanes at one
+		// branch PC are one execution of it, and its lanes' accesses at
+		// one PC are one memory instruction.
 		type lanes struct{ taken, fell uint32 }
 		branches := make(map[[2]int]*lanes)
+		accesses := make(map[[2]int][]laneAccess)
 		shared := make([]byte, p.k.SharedMemBytes)
 		for tid := 0; tid < threads; tid++ {
-			th := &oracleThread{tid: tid, block: blk, launch: l, shared: shared}
+			th := &oracleThread{tid: tid, block: blk, launch: l, shared: shared, global: global}
 			taken := func(pc int, ok bool) {
 				key := [2]int{tid / 32, pc}
 				if branches[key] == nil {
@@ -534,17 +600,40 @@ func matchOracle(t testing.TB, name string, l *kernel.Launch, p *oracleProgram, 
 					branches[key].fell |= 1 << (tid % 32)
 				}
 			}
+			th.access = func(pc int, addr uint64, size int) {
+				key := [2]int{tid / 32, pc}
+				accesses[key] = append(accesses[key], laneAccess{addr, size})
+			}
 			for k, seg := range p.segments {
 				th.run(code, seg.start, seg.end, taken)
-				for i, r := range p.pool {
-					got := mem.ReadU64(oracleOutBase + uint64(((k*threads+tid)*oracleRegs+i)*8))
-					if want := th.regs[r]; got != want {
-						t.Fatalf("%s block %d thread %d, after segment %d, pool r%d: emulator %#x, oracle %#x",
-							name, blk, tid, k, i, got, want)
+				if emuErr == nil {
+					for i, r := range p.pool {
+						got := mem.ReadU64(oracleOutBase + uint64(((k*threads+tid)*oracleRegs+i)*8))
+						if want := th.regs[r]; got != want {
+							t.Fatalf("%s block %d thread %d, after segment %d, pool r%d: emulator %#x, oracle %#x",
+								name, blk, tid, k, i, got, want)
+						}
 					}
 				}
+				dumpEnd := len(code) - 1 // the final exit
+				if k+1 < len(p.segments) {
+					dumpEnd = p.segments[k+1].start
+				}
+				th.run(code, seg.end, dumpEnd, taken)
 			}
 		}
+		tooFar := linesOutOfRange(accesses)
+		if emuErr != nil {
+			if !errors.Is(emuErr, errLineRange) || tooFar < 0 {
+				t.Fatalf("%s block %d: %v", name, blk, emuErr)
+			}
+			return partialMasks, divergent
+		}
+		if tooFar >= 0 {
+			t.Fatalf("%s block %d: warp %d has a line more than 2^31 lines from its first, and the emulator encoded it", name, blk, tooFar)
+		}
+		checkRuns(t, fmt.Sprintf("%s block %d", name, blk), bt, code)
+		checkLines(t, fmt.Sprintf("%s block %d", name, blk), bt, code, accesses)
 		if got := e.sharedBuf[:len(shared)]; string(got) != string(shared) {
 			t.Fatalf("%s block %d: shared memory differs from the oracle's", name, blk)
 		}
@@ -563,6 +652,80 @@ func matchOracle(t testing.TB, name string, l *kernel.Launch, p *oracleProgram, 
 		e.Release(bt)
 	}
 	return partialMasks, divergent
+}
+
+// laneAccess is one lane's access: size bytes at addr.
+type laneAccess struct {
+	addr uint64
+	size int
+}
+
+// oracleLines coalesces one warp instruction's lane accesses, given in
+// lane order, into the lines they touch, in first-touch order.
+func oracleLines(accs []laneAccess) []uint64 {
+	var lines []uint64
+	for _, a := range accs {
+		first := a.addr / oracleLine * oracleLine
+		last := (a.addr + uint64(a.size) - 1) / oracleLine * oracleLine
+		for line := first; line <= last; line += oracleLine {
+			if !slices.Contains(lines, line) {
+				lines = append(lines, line)
+			}
+		}
+	}
+	return lines
+}
+
+// linesOutOfRange returns the first warp, in warp order, with a line
+// whose line number lies more than a signed 32-bit offset from the
+// warp's first line's, or -1 when every warp's lines can be stored.
+// Each warp's first memory instruction is the prologue's first shared
+// store: it runs before any branch, on every live lane, so its PC is
+// the lowest of the warp's accesses.
+func linesOutOfRange(accesses map[[2]int][]laneAccess) int {
+	first := make(map[int][2]int)
+	for key := range accesses {
+		if f, ok := first[key[0]]; !ok || key[1] < f[1] {
+			first[key[0]] = key
+		}
+	}
+	worst := -1
+	for key, accs := range accesses {
+		base := oracleLines(accesses[first[key[0]]])[0] / oracleLine
+		for _, line := range oracleLines(accs) {
+			if d := int64(line/oracleLine - base); d != int64(int32(d)) && (worst < 0 || key[0] < worst) {
+				worst = key[0]
+			}
+		}
+	}
+	return worst
+}
+
+// checkLines compares every memory instruction's decoded lines with
+// the oracle's coalescing of its lanes' accesses, and checks that the
+// trace holds every memory instruction the oracle ran.
+func checkLines(t testing.TB, name string, bt *BlockTrace, code []isa.Instruction, accesses map[[2]int][]laneAccess) {
+	t.Helper()
+	seen := 0
+	var got []uint64
+	for w := range bt.Warps {
+		for it := bt.Warps[w].Iter(code); it.Next(); {
+			if !code[it.PC()].IsMem() {
+				continue
+			}
+			accs, ok := accesses[[2]int{w, int(it.PC())}]
+			if ok {
+				seen++
+			}
+			got = it.Lines(got[:0])
+			if want := oracleLines(accs); !slices.Equal(got, want) {
+				t.Fatalf("%s warp %d pc %d: lines %#x, oracle %#x", name, w, it.PC(), got, want)
+			}
+		}
+	}
+	if seen != len(accesses) {
+		t.Fatalf("%s: trace holds %d of the %d memory instructions the oracle ran", name, seen, len(accesses))
+	}
 }
 
 // checkRuns checks the encoding of a block trace: every run is
@@ -632,7 +795,9 @@ func TestEmulatorMatchesOracle(t *testing.T) {
 		for seed := int64(0); seed < 30; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			l := &kernel.Launch{Grid: sh.grid, Block: sh.block}
-			p := randProgram(rng, oracleOutBase, l.ThreadsPerBlock())
+			// Strides from packed windows up to 2 MB apart.
+			g := globalSpan{base: defaultSpan.base, stride: oracleWindow << (seed % 16)}
+			p := randProgram(rng, oracleOutBase, l.ThreadsPerBlock(), g)
 			l.Kernel = p.k
 			pm, dv := matchOracle(t, fmt.Sprintf("%s seed %d", sh.name, seed), l, p, sh.blocks)
 			partialMasks += pm
@@ -658,9 +823,8 @@ func TestEmulatorMatchesOracle(t *testing.T) {
 
 	// The random programs must have covered what they exist to check.
 	for op := isa.OpNop; op <= isa.OpStShared; op++ {
-		switch op {
-		case isa.OpLdGlobal, isa.OpStGlobal, isa.OpAtomGlobal:
-			continue // the dumps' stores; globals have their own tests
+		if op == isa.OpAtomGlobal {
+			continue // atomics have their own tests
 		}
 		if !seenOps[op] {
 			t.Errorf("no random program exercised %v", op.Mnemonic())
@@ -673,7 +837,7 @@ func TestEmulatorMatchesOracle(t *testing.T) {
 	}
 	for _, size := range []uint8{1, 2, 4, 8} {
 		if !seenSizes[size] {
-			t.Errorf("no random program made a %d-byte shared access", size)
+			t.Errorf("no random program made a %d-byte memory access", size)
 		}
 	}
 	if partialMasks == 0 || divergent == 0 || aliased == 0 {
@@ -684,18 +848,25 @@ func TestEmulatorMatchesOracle(t *testing.T) {
 
 // FuzzEmulatorOracle runs a random program from a fuzzed seed on a
 // fuzzed launch shape (up to 4×3 blocks of up to 64×2 threads, so
-// partial last warps and multi-warp blocks) and checks two of its
-// blocks against the per-thread oracle, the second on a recycled
-// trace, and the run encoding of both traces.
+// partial last warps and multi-warp blocks) with its global windows at
+// a fuzzed base (16 MB plus up to 2^38 bytes) and lane stride (64 bytes
+// plus up to 2^34), and checks two of its blocks against the per-thread
+// oracle, the second on a recycled trace, and the run and line
+// encoding of both traces. Far enough apart, a warp's lines no longer
+// fit the trace's 32-bit line offsets, and the block must fail.
 func FuzzEmulatorOracle(f *testing.F) {
-	f.Add(int64(0), uint8(1), uint8(0), uint8(31), uint8(0), uint8(0), uint8(1))
-	f.Add(int64(7), uint8(2), uint8(1), uint8(19), uint8(2), uint8(4), uint8(1))
-	f.Fuzz(func(t *testing.T, seed int64, gx, gy, bx, by, b0, b1 uint8) {
+	f.Add(int64(0), uint8(1), uint8(0), uint8(31), uint8(0), uint8(0), uint8(1), uint64(0), uint64(0))
+	f.Add(int64(7), uint8(2), uint8(1), uint8(19), uint8(2), uint8(4), uint8(1), uint64(1<<30), uint64(1<<20))
+	f.Fuzz(func(t *testing.T, seed int64, gx, gy, bx, by, b0, b1 uint8, gbase, gstride uint64) {
 		l := &kernel.Launch{
 			Grid:  kernel.Dim3{X: int(gx%4) + 1, Y: int(gy%3) + 1},
 			Block: kernel.Dim3{X: int(bx%64) + 1, Y: int(by%2) + 1},
 		}
-		p := randProgram(rand.New(rand.NewSource(seed)), oracleOutBase, l.ThreadsPerBlock())
+		g := globalSpan{
+			base:   defaultSpan.base + gbase%(1<<38)&^7,
+			stride: oracleWindow + gstride%(1<<34)&^7,
+		}
+		p := randProgram(rand.New(rand.NewSource(seed)), oracleOutBase, l.ThreadsPerBlock(), g)
 		l.Kernel = p.k
 		n := l.Blocks()
 		matchOracle(t, fmt.Sprintf("seed %d", seed), l, p, []int{int(b0) % n, int(b1) % n})

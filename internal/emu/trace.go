@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"fmt"
 	"math/bits"
 
 	"gpues/internal/excep"
@@ -23,8 +24,11 @@ type Run struct {
 // encoded: Runs gives the PC and active mask of every instruction, and
 // each memory instruction (one the kernel code says IsMem) has, in
 // order, one entry in Counts: how many of the following entries of
-// Lines are its coalesced line addresses. Read it in order with Iter,
-// or from the zero Pos with Next.
+// Lines are its coalesced lines. A line is stored in 4 bytes, as its
+// line number (address >> the log2 of the line size) less Base, taken
+// as a signed 32-bit offset; LineAt and LinesAt expand it back to an
+// address. Read the trace in order with Iter, or from the zero Pos
+// with Next.
 type WarpTrace struct {
 	// WarpID is the warp index within its thread block.
 	WarpID int
@@ -33,7 +37,13 @@ type WarpTrace struct {
 	// Runs, Counts and Lines encode the instructions; see WarpTrace.
 	Runs   []Run
 	Counts []uint8
-	Lines  []uint64
+	Lines  []uint32
+	// Base is the line number Lines are offsets from: the warp's first
+	// line's.
+	Base uint64
+	// shift is the log2 of the line size: a line's number is its
+	// address >> shift.
+	shift uint8
 	// Excep, when set, is the device exception the warp raised: the
 	// trace ends just before the faulting instruction and the timing
 	// layer delivers the record once the warp drains (see internal/sm).
@@ -62,17 +72,40 @@ func (wt *WarpTrace) PC(p Pos) int32 { return wt.Runs[p.run].PC + p.off }
 // Mask returns the active lanes of the instruction at p.
 func (wt *WarpTrace) Mask(p Pos) uint32 { return wt.Runs[p.run].Mask }
 
-// LinesAt returns the coalesced memory request addresses of the memory
-// instruction at p: one entry per unique cache line touched by the
-// active lanes, aligned to the line size, in first-touch lane order.
-// It is empty when all the instruction's lanes were predicated off.
-// For shared memory instructions the addresses are offsets within the
-// block's shared memory partition. The slice aliases the trace. p must
-// hold a memory instruction: at any other, LinesAt returns the lines
-// of the next memory instruction.
-func (wt *WarpTrace) LinesAt(p Pos) []uint64 {
-	end := p.line + uint32(wt.Counts[p.cnt])
-	return wt.Lines[p.line:end:end]
+// NumLines returns how many coalesced lines the memory instruction at p
+// has: one per unique cache line its active lanes touch, none when all
+// its lanes were predicated off. p must hold a memory instruction: at
+// any other, the line accessors read the next memory instruction's.
+func (wt *WarpTrace) NumLines(p Pos) int { return int(wt.Counts[p.cnt]) }
+
+// LineAt returns the address of line i, in [0, NumLines(p)), of the
+// memory instruction at p. Lines are aligned to the line size and in
+// first-touch lane order; for shared memory instructions they are
+// offsets within the block's shared memory partition.
+func (wt *WarpTrace) LineAt(p Pos, i int) uint64 {
+	return wt.expand(wt.Lines[p.line+uint32(i)])
+}
+
+// LinesAt appends the addresses of the lines of the memory instruction
+// at p (see LineAt) to dst and returns the extended slice.
+func (wt *WarpTrace) LinesAt(dst []uint64, p Pos) []uint64 {
+	for _, l := range wt.Lines[p.line : p.line+uint32(wt.Counts[p.cnt])] {
+		dst = append(dst, wt.expand(l))
+	}
+	return dst
+}
+
+// expand returns the address of a stored line.
+func (wt *WarpTrace) expand(l uint32) uint64 {
+	return (wt.Base + uint64(int64(int32(l)))) << wt.shift
+}
+
+// lineOffset returns how a line whose number is num is stored against
+// base, and whether it fits: its signed distance from base must fit in
+// 32 bits.
+func lineOffset(num, base uint64) (uint32, bool) {
+	d := int64(num - base)
+	return uint32(d), d == int64(int32(d))
 }
 
 // Next returns the position after p. mem says whether the instruction
@@ -94,7 +127,7 @@ func (wt *WarpTrace) Next(p Pos, mem bool) Pos {
 // Iter walks a warp trace in execution order:
 //
 //	for it := wt.Iter(code); it.Next(); {
-//		use(it.PC(), it.Mask(), it.Lines())
+//		use(it.PC(), it.Mask(), it.Lines(nil))
 //	}
 type Iter struct {
 	wt        *WarpTrace
@@ -126,13 +159,14 @@ func (it *Iter) PC() int32 { return it.wt.PC(it.pos) }
 // Mask returns the current instruction's active lanes.
 func (it *Iter) Mask() uint32 { return it.wt.Mask(it.pos) }
 
-// Lines returns the current instruction's coalesced lines (see
-// WarpTrace.LinesAt); it is empty for a non-memory instruction.
-func (it *Iter) Lines() []uint64 {
+// Lines appends the current instruction's coalesced line addresses
+// (see WarpTrace.LineAt) to dst and returns the extended slice; a
+// non-memory instruction appends none.
+func (it *Iter) Lines(dst []uint64) []uint64 {
 	if !it.mem {
-		return nil
+		return dst
 	}
-	return it.wt.LinesAt(it.pos)
+	return it.wt.LinesAt(dst, it.pos)
 }
 
 // BlockTrace is the dynamic trace of one thread block: one WarpTrace per
@@ -159,19 +193,29 @@ type BlockTrace struct {
 	// windows. They are reused when the trace is released.
 	runs   []Run
 	counts []uint8
-	lines  []uint64
+	lines  []uint32
 }
 
-// RunBytes is the encoded size of one Run.
-const RunBytes = 12
+// RunBytes and LineBytes are the encoded sizes of one Run and one line.
+const (
+	RunBytes  = 12
+	LineBytes = 4
+)
 
-// Bytes returns the size of the block's encoded instructions: 12 bytes
-// per run, one per line count and eight per coalesced line.
-func (bt *BlockTrace) Bytes() int {
+// Bytes returns the size of the block's encoded instructions: its
+// RunBytes and its LineBytes.
+func (bt *BlockTrace) Bytes() int { return bt.RunBytes() + bt.LineBytes() }
+
+// RunBytes returns the size of the block's runs: 12 bytes per run.
+func (bt *BlockTrace) RunBytes() int { return RunBytes * bt.NumRuns() }
+
+// LineBytes returns the size of the block's memory instructions'
+// lines: one byte per line count and four per coalesced line.
+func (bt *BlockTrace) LineBytes() int {
 	n := 0
 	for i := range bt.Warps {
 		wt := &bt.Warps[i]
-		n += RunBytes*len(wt.Runs) + len(wt.Counts) + 8*len(wt.Lines)
+		n += len(wt.Counts) + LineBytes*len(wt.Lines)
 	}
 	return n
 }
@@ -190,7 +234,9 @@ func (bt *BlockTrace) NumRuns() int {
 // gets a line count; one given none is not, so a hand-built trace
 // cannot hold a memory instruction whose lanes were all off. It builds
 // traces by hand, for tests and tools; DynInsts and the access counters
-// are left to the caller.
+// are left to the caller. A hand-built trace stores byte addresses
+// (line size 1), so its lines need no alignment; Append panics on a
+// line more than 2^31 bytes from the warp's first.
 func (bt *BlockTrace) Append(w int, pc int32, mask uint32, lines ...uint64) {
 	for len(bt.Warps) <= w {
 		bt.Warps = append(bt.Warps, WarpTrace{WarpID: len(bt.Warps)})
@@ -198,9 +244,19 @@ func (bt *BlockTrace) Append(w int, pc int32, mask uint32, lines ...uint64) {
 	wt := &bt.Warps[w]
 	wt.Runs = extend(wt.Runs, pc, mask)
 	wt.Len++
-	if len(lines) > 0 {
-		wt.Counts = append(wt.Counts, uint8(len(lines)))
-		wt.Lines = append(wt.Lines, lines...)
+	if len(lines) == 0 {
+		return
+	}
+	if len(wt.Lines) == 0 {
+		wt.Base = lines[0]
+	}
+	wt.Counts = append(wt.Counts, uint8(len(lines)))
+	for _, a := range lines {
+		off, ok := lineOffset(a, wt.Base)
+		if !ok {
+			panic(fmt.Sprintf("emu: Append: line %#x is more than 2^31 bytes from the warp's first, %#x", a, wt.Base))
+		}
+		wt.Lines = append(wt.Lines, off)
 	}
 }
 
@@ -223,10 +279,12 @@ func extend(runs []Run, pc int32, mask uint32) []Run {
 func (bt *BlockTrace) TouchedPages(code []isa.Instruction, pageSize int) map[uint64]bool {
 	pages := make(map[uint64]bool)
 	mask := ^uint64(pageSize - 1)
+	var lines []uint64
 	for i := range bt.Warps {
 		for it := bt.Warps[i].Iter(code); it.Next(); {
 			if code[it.PC()].IsGlobalMem() {
-				for _, a := range it.Lines() {
+				lines = it.Lines(lines[:0])
+				for _, a := range lines {
 					pages[a&mask] = true
 				}
 			}

@@ -21,6 +21,39 @@ func TestRunLayout(t *testing.T) {
 	}
 }
 
+// TestLineEncoding: a line is stored in 4 bytes as a signed offset
+// from the warp's first line, so lines on either side of it, up to
+// 2^31 away, expand back exactly, and one further cannot be stored.
+func TestLineEncoding(t *testing.T) {
+	if got := unsafe.Sizeof(emu.WarpTrace{}.Lines[0]); got != emu.LineBytes {
+		t.Errorf("a stored line is %d bytes, want %d", got, emu.LineBytes)
+	}
+	const first = 1 << 40
+	lines := []uint64{first, first - 1<<31, first + 1<<31 - 1, first + 8}
+	var bt emu.BlockTrace
+	bt.Append(0, 0, 1, lines...)
+	wt := &bt.Warps[0]
+	var p emu.Pos
+	if got := wt.LinesAt(nil, p); !reflect.DeepEqual(got, lines) {
+		t.Errorf("LinesAt = %#x, want %#x", got, lines)
+	}
+	for i, want := range lines {
+		if got := wt.LineAt(p, i); got != want {
+			t.Errorf("LineAt(%d) = %#x, want %#x", i, got, want)
+		}
+	}
+	for _, far := range []uint64{first + 1<<31, first - 1<<31 - 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Append stored line %#x, %d from the warp's first", far, int64(far-first))
+				}
+			}()
+			bt.Append(0, 1, 1, far)
+		}()
+	}
+}
+
 // pointerIn returns the path of a pointer-shaped part of t, if any.
 func pointerIn(t reflect.Type, path string) (string, bool) {
 	switch t.Kind() {

@@ -329,3 +329,31 @@ func TestTracerTailMatchesEvents(t *testing.T) {
 		t.Fatalf("nil tracer Tail = %v", ev)
 	}
 }
+
+// FuzzSeriesNDJSON feeds arbitrary bytes to ReadSeriesNDJSON, the
+// decoder simstat runs on series files. It must never panic, a table
+// it accepts must be rectangular (one value per column per sample),
+// and the analytics simstat runs on an accepted table must not panic
+// either. The committed corpus holds a real gpues-series/1 file
+// (gpusim -workload mri-q -sample-every 2500).
+func FuzzSeriesNDJSON(f *testing.F) {
+	f.Add([]byte(`{"schema":"gpues-series/1","every":100,"columns":["sm.committed","faultunit.raised"]}
+{"cycle":100,"v":[50,1]}
+{"cycle":200,"v":[120,1]}
+`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tb, err := ReadSeriesNDJSON(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if len(tb.Cols) != len(tb.Names) {
+			t.Fatalf("%d columns named, %d decoded", len(tb.Names), len(tb.Cols))
+		}
+		for c, col := range tb.Cols {
+			if len(col) != tb.Len() {
+				t.Fatalf("column %q holds %d values for %d samples", tb.Names[c], len(col), tb.Len())
+			}
+		}
+		Summarize(tb)
+	})
+}

@@ -2,6 +2,7 @@ package sm
 
 import (
 	"testing"
+	"unsafe"
 
 	"gpues/internal/cache"
 	"gpues/internal/clock"
@@ -17,16 +18,20 @@ import (
 // first-touch allocation of a lazy page: the page is backed from then
 // on. It allocates nothing per fault.
 type lazySink struct {
-	q      *clock.Queue
-	lazy   map[uint64]bool // pages not backed yet
-	delay  int64
-	raised int
+	q       *clock.Queue
+	lazy    map[uint64]bool // pages not backed yet
+	delay   int64
+	raised  int
+	clients clock.Clients[clock.Handler]
 }
 
-func (ls *lazySink) RaiseFault(pageVA uint64, kind vm.FaultKind, smID int, resolved clock.Event) int {
+func (ls *lazySink) Attach(resolved clock.Handler) int64 { return ls.clients.Add(resolved) }
+
+func (ls *lazySink) RaiseFault(pageVA uint64, kind vm.FaultKind, smID int, waiter int64) int {
 	ls.raised++
 	delete(ls.lazy, pageVA)
-	ls.q.After(ls.delay, resolved.Fn, resolved.Arg)
+	fn, arg := ls.clients.Get(waiter)
+	ls.q.After(ls.delay, fn, arg)
 	return 0
 }
 
@@ -185,5 +190,14 @@ func TestBlockActivationAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("warm SM allocates %v times per 2000 cycles of block turnover, want 0", allocs)
+	}
+}
+
+// TestRecordSizes pins the size of a coalesced request record, so that
+// growing it is a visible decision: every pooled flight keeps one per
+// line of the widest instruction it ran.
+func TestRecordSizes(t *testing.T) {
+	if n := unsafe.Sizeof(memReq{}); n != 3 {
+		t.Errorf("memReq is %d bytes, want 3", n)
 	}
 }

@@ -1,6 +1,9 @@
 package sm
 
 import (
+	"math"
+	"slices"
+
 	"gpues/internal/clock"
 	"gpues/internal/config"
 	"gpues/internal/isa"
@@ -17,36 +20,41 @@ import (
 //
 //simlint:noalloc
 func (s *SM) startMem(f *flight) {
-	lines := f.w.trace.LinesAt(f.pos)
-	if len(lines) == 0 {
+	n := f.w.trace.NumLines(f.pos)
+	if n == 0 {
 		// All lanes predicated off: nothing to access.
 		s.q.After(1, s.ev.commit, f.slot)
 		return
 	}
-	n := len(lines)
 	if cap(f.reqs) >= n {
 		f.reqs = f.reqs[:n]
 	} else {
 		//simlint:ignore noalloc grow path, once per flight per larger request count
 		f.reqs = make([]memReq, n)
 	}
-	for i := range lines {
-		f.reqs[i] = memReq{line: lines[i], idx: int32(i)}
+	for i := range f.reqs {
+		f.reqs[i] = memReq{idx: uint8(i)}
 	}
 	f.tlbRem = n
 	f.reqRem = n
 	s.stats.MemRequests += int64(n)
 	f.pending += n
 	for i := 0; i < n; i++ {
-		s.q.After(int64(i)+1, s.ev.translate, reqArg(f, int32(i)))
+		s.q.After(int64(i)+1, s.ev.translate, reqArg(f, uint8(i)))
 	}
 }
 
 // req returns the flight and request a request payload names.
 func (s *SM) req(arg int64) (*flight, *memReq) {
-	f := s.flights[arg>>32]
-	return f, &f.reqs[int32(arg)]
+	f := s.flights[arg>>8]
+	return f, &f.reqs[uint8(arg)]
 }
+
+// line returns the line request r of flight f accesses, read from the
+// warp's trace. A squashed flight may ask only while its warp waits on
+// the faults it raised: after that its block may finish and hand the
+// trace back.
+func (s *SM) line(f *flight, r *memReq) uint64 { return f.w.trace.LineAt(f.pos, int(r.idx)) }
 
 // The request events: each runs one step for the request its payload
 // names and then settles the callback it was counted as.
@@ -102,7 +110,7 @@ func (s *SM) translate(f *flight, r *memReq) {
 		return
 	}
 	arg := reqArg(f, r.idx)
-	ok := s.l1tlb.Lookup(s.page(r.line), tlb.Waiter{Fn: s.ev.translated, Arg: arg})
+	ok := s.l1tlb.Lookup(s.page(s.line(f, r)), s.tags.translated|arg)
 	if !ok {
 		s.l1tlb.OnFree(clock.Event{Fn: s.ev.translate, Arg: arg})
 	}
@@ -182,7 +190,7 @@ func (s *SM) access(f *flight, r *memReq) {
 		return
 	}
 	arg := reqArg(f, r.idx)
-	ok := s.l1.Access(r.line, f.d.write, clock.Event{Fn: s.ev.accessDone, Arg: arg})
+	ok := s.l1.Access(s.line(f, r), f.d.write, clock.Event{Fn: s.ev.accessDone, Arg: arg})
 	if !ok {
 		s.l1.OnFree(clock.Event{Fn: s.ev.access, Arg: arg})
 	}
@@ -218,7 +226,7 @@ func (s *SM) stallOnFault(f *flight) {
 			continue
 		}
 		f.pending++
-		s.sink.RaiseFault(s.page(r.line), r.faultKind, s.ID, clock.Event{Fn: s.ev.refault, Arg: reqArg(f, r.idx)})
+		s.sink.RaiseFault(s.page(s.line(f, r)), r.faultKind, s.ID, s.tags.refault|reqArg(f, r.idx))
 	}
 	// Faulted requests will re-translate; clear the flag so the final
 	// completion check in access() can commit the instruction.
@@ -304,31 +312,35 @@ func (s *SM) squashAndRaise(f *flight) {
 		s.freeFlight(buf)
 	}
 	// Raise each distinct faulting page once, in request order, with
-	// the kind of its first faulting request.
-	pages := 0
+	// the kind of its first faulting request. An instruction has at
+	// most 255 requests.
+	var pages [math.MaxUint8]uint64
+	var first [math.MaxUint8]uint8 // the request that raises pages[k]
+	n := 0
 	for i := range f.reqs {
-		if s.firstFault(f, i) {
-			pages++
-		}
-	}
-	if pages > 0 && w.faultsOutstanding == 0 {
-		w.faultWaitStart = s.q.Now()
-	}
-	w.faultsOutstanding += pages
-	s.unblockWarp(w)
-	b := w.block
-	b.pendingFaults += pages
-	maxPos := 0
-	for i := range f.reqs {
-		if !s.firstFault(f, i) {
+		if f.reqs[i].state != reqFaulted {
 			continue
 		}
-		page, kind := s.page(f.reqs[i].line), f.reqs[i].faultKind
+		if page := s.page(s.line(f, &f.reqs[i])); !slices.Contains(pages[:n], page) {
+			pages[n], first[n] = page, uint8(i)
+			n++
+		}
+	}
+	if n > 0 && w.faultsOutstanding == 0 {
+		w.faultWaitStart = s.q.Now()
+	}
+	w.faultsOutstanding += n
+	s.unblockWarp(w)
+	b := w.block
+	b.pendingFaults += n
+	maxPos := 0
+	for k, i := range first[:n] {
+		page, kind := pages[k], f.reqs[i].faultKind
 		if s.tr != nil {
 			s.tr.Emit(s.ID, obs.KFaultRaised, s.warpID(w), page, uint64(kind))
 		}
 		f.pending++
-		pos := s.sink.RaiseFault(page, kind, s.ID, clock.Event{Fn: s.ev.faultDone, Arg: reqArg(f, int32(i))})
+		pos := s.sink.RaiseFault(page, kind, s.ID, s.tags.faultDone|reqArg(f, i))
 		if pos > maxPos {
 			maxPos = pos
 		}
@@ -348,7 +360,7 @@ func (s *SM) evFaultDone(arg int64) {
 	w.faultsOutstanding--
 	b.pendingFaults--
 	if s.tr != nil {
-		s.tr.Emit(s.ID, obs.KFaultResolved, s.warpID(w), s.page(r.line), uint64(w.faultsOutstanding))
+		s.tr.Emit(s.ID, obs.KFaultResolved, s.warpID(w), s.page(s.line(f, r)), uint64(w.faultsOutstanding))
 	}
 	if w.faultsOutstanding == 0 {
 		s.stats.Stalls[obs.StallFaultWait] += s.q.Now() - w.faultWaitStart
@@ -359,21 +371,6 @@ func (s *SM) evFaultDone(arg int64) {
 
 // page returns the page holding a line.
 func (s *SM) page(line uint64) uint64 { return line &^ (uint64(s.cfg.System.PageSize) - 1) }
-
-// firstFault reports whether request i of f faulted on a page no
-// earlier request of f faulted on.
-func (s *SM) firstFault(f *flight, i int) bool {
-	if f.reqs[i].state != reqFaulted {
-		return false
-	}
-	page := s.page(f.reqs[i].line)
-	for j := 0; j < i; j++ {
-		if f.reqs[j].state == reqFaulted && s.page(f.reqs[j].line) == page {
-			return false
-		}
-	}
-	return true
-}
 
 // onFaultResolved resumes a warp (or wakes an off-chip block) when one
 // of its faults resolves.

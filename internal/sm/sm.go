@@ -19,11 +19,16 @@ import (
 // It is implemented by the system-level exception unit (internal/core),
 // which routes faults to the CPU driver or the GPU-local handler.
 type FaultSink interface {
-	// RaiseFault reports a faulting page. resolved runs when the fault
-	// (its 64 KB handling region) has been resolved. The return value is
-	// the position of the fault in the global pending fault queue, which
-	// the local scheduler compares against its switch threshold.
-	RaiseFault(pageVA uint64, kind vm.FaultKind, smID int, resolved clock.Event) int
+	// Attach registers the handler a client's resolved faults run, and
+	// returns the client's tag (see clock.Clients).
+	Attach(resolved clock.Handler) int64
+	// RaiseFault reports a faulting page. waiter is a client's tag ORed
+	// with a payload: the client's handler runs with the payload when
+	// the fault (its 64 KB handling region) has been resolved. The
+	// return value is the position of the fault in the global pending
+	// fault queue, which the local scheduler compares against its
+	// switch threshold.
+	RaiseFault(pageVA uint64, kind vm.FaultKind, smID int, waiter int64) int
 }
 
 // BlockSource hands out pending thread blocks (the global thread block
@@ -144,6 +149,10 @@ type SM struct {
 	l1tlb *tlb.TLB
 	//simlint:ckptskip wiring to the fault coordinator, which checkpoints itself as its own section
 	sink FaultSink
+	// The client tags of the SM's handlers at the L1 TLB and the fault
+	// sink, ORed with a request's payload (reqArg) to make its waiter.
+	//simlint:ckptskip client tags, fixed at construction
+	tags struct{ translated, refault, faultDone int64 }
 	//simlint:ckptskip wiring to the block dispatcher, which checkpoints itself as its own section
 	src BlockSource
 	//simlint:ckptskip wiring to the context mover, a stateless adapter over DRAM, which checkpoints itself as the dram section
@@ -329,6 +338,9 @@ func New(id int, cfg *config.Config, q *clock.Queue, l1 *cache.Cache, l1tlb *tlb
 		saved:      s.evSaved,
 		restored:   s.evRestored,
 	}
+	s.tags.translated = l1tlb.Attach(s.ev.translated)
+	s.tags.refault = sink.Attach(s.ev.refault)
+	s.tags.faultDone = sink.Attach(s.ev.faultDone)
 	return s
 }
 

@@ -36,14 +36,18 @@ type fakeSink struct {
 	raised  []uint64
 	pending []func()
 	pos     int
+	clients clock.Clients[clock.Handler]
 }
 
-func (fs *fakeSink) RaiseFault(pageVA uint64, kind vm.FaultKind, smID int, resolved clock.Event) int {
+func (fs *fakeSink) Attach(resolved clock.Handler) int64 { return fs.clients.Add(resolved) }
+
+func (fs *fakeSink) RaiseFault(pageVA uint64, kind vm.FaultKind, smID int, waiter int64) int {
 	fs.raised = append(fs.raised, pageVA)
 	page := pageVA
 	fs.pending = append(fs.pending, func() {
 		delete(fs.h.fault, page)
-		resolved.Fire()
+		fn, arg := fs.clients.Get(waiter)
+		fn(arg)
 	})
 	fs.pos++
 	return fs.pos
@@ -82,7 +86,8 @@ func (fs *fakeSource) PendingBlocks() int { return len(fs.blocks) - fs.next }
 // that overrun the lines corrupt what a stale read would compute.
 func (fs *fakeSource) BlockDone(smID int, bt *emu.BlockTrace) {
 	fs.done++
-	for _, w := range bt.Warps {
+	for k := range bt.Warps {
+		w := &bt.Warps[k]
 		for i := range w.Runs {
 			w.Runs[i].PC, w.Runs[i].Mask = math.MaxInt32, 0
 		}
@@ -90,12 +95,15 @@ func (fs *fakeSource) BlockDone(smID int, bt *emu.BlockTrace) {
 			w.Counts[i] = math.MaxUint8
 		}
 		for i := range w.Lines {
-			w.Lines[i] = poisonLine
+			w.Lines[i] = 0
 		}
+		w.Base = poisonLine
 	}
 }
 
-// poisonLine is the line address a handed-back trace carries.
+// poisonLine is the line address a handed-back trace carries: a
+// hand-built trace stores byte addresses, so it is every line's
+// decoded address.
 const poisonLine = 0xdead_0000_0000
 
 type nullMover struct{ q *clock.Queue }
@@ -556,7 +564,7 @@ func TestOccupancyPartitioning(t *testing.T) {
 	cfg := config.Default()
 	cfg.Scheme = config.OperandLog
 	q := clock.New()
-	m := New(0, &cfg, q, nil, nil, nil, nil, nil)
+	m := &SM{cfg: &cfg, q: q} // no memory path: PrepareLaunch reads only the config
 	m.PrepareLaunch(launch)
 	// 32-thread blocks, 16 regs: occupancy capped by MaxThreadBlocks=16.
 	if m.Occupancy() != 16 {

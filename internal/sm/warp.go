@@ -104,11 +104,13 @@ const (
 	reqDone                          // data returned / store accepted
 )
 
+// memReq is one coalesced request of a memory instruction. Its line is
+// read from the flight's trace (SM.line), so the record is 3 bytes.
 type memReq struct {
-	line uint64
-	// idx is the request's position in flight.reqs; with the flight's
-	// slot it names the request in its events' payload (reqArg).
-	idx       int32
+	// idx is the request's position in flight.reqs, below 256 as an
+	// instruction has at most 255 lines; with the flight's slot it
+	// names the request in its events' payload (reqArg).
+	idx       uint8
 	state     memReqState
 	faultKind vm.FaultKind
 }
@@ -120,7 +122,8 @@ type memReq struct {
 type flight struct {
 	// The instruction is at pos in w's trace; d is its decode table
 	// entry. No flight points into a trace, which may be recycled while
-	// a squashed flight still has callbacks pending.
+	// a squashed flight still has callbacks pending: its requests' lines
+	// are read through w (SM.line), and only while the trace is w's.
 	w        *warpRT
 	d        *decoded
 	pos      emu.Pos
@@ -146,7 +149,7 @@ type flight struct {
 }
 
 // reqArg is the payload naming request i of flight f.
-func reqArg(f *flight, i int32) int64 { return f.slot<<32 | int64(i) }
+func reqArg(f *flight, i uint8) int64 { return f.slot<<8 | int64(i) }
 
 // scoreboard helpers ---------------------------------------------------
 

@@ -21,20 +21,23 @@ type Result struct {
 	Fault   vm.FaultKind
 }
 
-// Waiter receives a translation result as Fn(Arg, r). Fn is a handler
-// its owner builds once; Arg names the request it answers.
-type Waiter struct {
-	Fn  func(arg int64, r Result)
-	Arg int64
-}
+// Handler receives a translation result for the request its payload
+// names. A client builds it once and registers it with Level.Attach.
+type Handler func(arg int64, r Result)
 
 // Level is anything that can translate a page: an underlying TLB level
-// or the fill unit.
+// or the fill unit. A request waiting on it is a waiter, one int64 (see
+// clock.Clients): the tag Attach gave its client ORed with the client's
+// payload, in [0, 2^48).
 type Level interface {
-	// Lookup translates the page containing pageVA; done receives the
-	// result. A false return means the level is full (MSHR/queue
-	// backpressure) and the caller must retry.
-	Lookup(pageVA uint64, done Waiter) bool
+	// Attach registers a client's result handler and returns the
+	// client's tag.
+	Attach(done Handler) int64
+	// Lookup translates the page containing pageVA; the handler of the
+	// waiter's client receives the result with the waiter's payload. A
+	// false return means the level is full (MSHR/queue backpressure)
+	// and the caller must retry.
+	Lookup(pageVA uint64, waiter int64) bool
 }
 
 // Stats counts TLB events.
@@ -68,7 +71,7 @@ type tlbEntry struct {
 type tlbMSHR struct {
 	pageVA  uint64
 	vpn     uint64
-	waiters []Waiter
+	waiters []int64
 	born    int64 // cycle the miss was allocated (leak detection)
 
 	id   int64    // index in TLB.mshrTab
@@ -79,8 +82,8 @@ type tlbMSHR struct {
 // the TLB's delivery table so the hit path — the common case on the L1
 // TLB, once per coalesced request — schedules without allocating.
 type delivery struct {
-	done Waiter
-	r    Result
+	waiter int64
+	r      Result
 }
 
 // TLB is one translation level backed by a lower Level.
@@ -93,8 +96,12 @@ type TLB struct {
 	//simlint:ckptskip wiring to the shared event queue, which checkpoints itself as the clock section
 	q *clock.Queue
 	//simlint:ckptskip wiring to the lower level, which checkpoints itself as its own section
-	next  Level
-	mshrs map[uint64]*tlbMSHR
+	next Level
+	//simlint:ckptskip this TLB's client tag at next, fixed at construction
+	nextTag int64
+	//simlint:ckptskip handlers of the levels above, registered once at construction
+	clients clock.Clients[Handler]
+	mshrs   map[uint64]*tlbMSHR
 	//simlint:ckptskip free list of recycled MSHRs, a pure allocation cache that holds no simulated state
 	pool *tlbMSHR // free list of recycled MSHRs
 	//simlint:ckptskip every MSHR ever built, by id: the payload index of its events, holding no state of its own
@@ -105,25 +112,32 @@ type TLB struct {
 	deliverFn clock.Handler // runs deliveries[arg]
 	//simlint:ckptskip handler built once at construction
 	issueFn clock.Handler // issue(mshrTab[arg]); also the downstream-full retry
-	//simlint:ckptskip handler built once at construction
-	fillFn func(arg int64, r Result) // fill(mshrTab[arg], r) — the downstream completion
-	stats  Stats
-	tick   int64
+	stats   Stats
+	tick    int64
 	//simlint:ckptskip retry events; SaveState digests the count and replay rebuilds the population
 	waiters clock.FIFO[clock.Event]
 }
 
-// sendResult delivers r to done after the TLB latency, parking the pair
-// in the delivery table. The entry is freed before done runs, so
-// re-entrant lookups from inside done reuse it.
-func (t *TLB) sendResult(done Waiter, r Result) {
-	t.q.After(t.cfg.Latency, t.deliverFn, t.deliveries.Put(delivery{done: done, r: r}))
+// sendResult delivers r to waiter after the TLB latency, parking the
+// pair in the delivery table. The entry is freed before the waiter's
+// handler runs, so re-entrant lookups from inside it reuse it.
+func (t *TLB) sendResult(waiter int64, r Result) {
+	t.q.After(t.cfg.Latency, t.deliverFn, t.deliveries.Put(delivery{waiter: waiter, r: r}))
 }
 
 func (t *TLB) onDeliver(arg int64) {
 	d := t.deliveries.Take(arg)
-	d.done.Fn(d.done.Arg, d.r)
+	t.answer(d.waiter, d.r)
 }
+
+// answer runs the handler of waiter's client with its payload.
+func (t *TLB) answer(waiter int64, r Result) {
+	fn, arg := t.clients.Get(waiter)
+	fn(arg, r)
+}
+
+// Attach implements Level.
+func (t *TLB) Attach(done Handler) int64 { return t.clients.Add(done) }
 
 // freeNotifier is implemented by levels that can call back when miss
 // resources free up.
@@ -164,7 +178,7 @@ func New(cfg Config, pageSize int, q *clock.Queue, next Level) (*TLB, error) {
 	}
 	t.deliverFn = t.onDeliver
 	t.issueFn = t.onIssue
-	t.fillFn = t.onFill
+	t.nextTag = next.Attach(t.onFill)
 	return t, nil
 }
 
@@ -216,18 +230,18 @@ func (t *TLB) install(vpn uint64) {
 // Lookup implements Level.
 //
 //simlint:noalloc
-func (t *TLB) Lookup(pageVA uint64, done Waiter) bool {
+func (t *TLB) Lookup(pageVA uint64, waiter int64) bool {
 	vpn := t.vpn(pageVA)
 	if e := t.find(vpn); e != nil {
 		t.stats.Hits++
 		t.tick++
 		e.lru = t.tick
-		t.sendResult(done, Result{Present: true})
+		t.sendResult(waiter, Result{Present: true})
 		return true
 	}
 	if m, ok := t.mshrs[vpn]; ok {
 		t.stats.Merges++
-		m.waiters = append(m.waiters, done)
+		m.waiters = append(m.waiters, waiter)
 		return true
 	}
 	if t.cfg.MSHRs > 0 && len(t.mshrs) >= t.cfg.MSHRs {
@@ -236,7 +250,7 @@ func (t *TLB) Lookup(pageVA uint64, done Waiter) bool {
 	}
 	t.stats.Misses++
 	m := t.allocMSHR(pageVA, vpn)
-	m.waiters = append(m.waiters, done)
+	m.waiters = append(m.waiters, waiter)
 	t.mshrs[vpn] = m
 	t.q.After(t.cfg.Latency, t.issueFn, m.id)
 	return true
@@ -267,7 +281,7 @@ func (t *TLB) onIssue(id int64) { t.issue(t.mshrTab[id]) }
 func (t *TLB) onFill(id int64, r Result) { t.fill(t.mshrTab[id], r) }
 
 func (t *TLB) issue(m *tlbMSHR) {
-	if !t.next.Lookup(m.pageVA, Waiter{Fn: t.fillFn, Arg: m.id}) {
+	if !t.next.Lookup(m.pageVA, t.nextTag|m.id) {
 		if fn, okN := t.next.(freeNotifier); okN {
 			fn.OnFree(clock.Event{Fn: t.issueFn, Arg: m.id})
 		} else {
@@ -287,7 +301,7 @@ func (t *TLB) fill(m *tlbMSHR, r Result) {
 	}
 	delete(t.mshrs, m.vpn)
 	for _, w := range m.waiters {
-		w.Fn(w.Arg, r)
+		t.answer(w, r)
 	}
 	t.release()
 	t.putMSHR(m)
@@ -366,6 +380,8 @@ type FillUnit struct {
 	walks clock.Table[walkReq]
 	//simlint:ckptskip handler built once at construction
 	walkFn clock.Handler // finishes walks[arg]
+	//simlint:ckptskip handlers of the levels above, registered once at construction
+	clients clock.Clients[Handler]
 	//simlint:ckptskip page-table-probe closure over the address space, which checkpoints itself as the vm section
 	classify func(pageVA uint64) Result
 	//simlint:ckptskip chaos hook, fixed when the plan is attached; the plan checkpoints its progress as the chaos section
@@ -383,7 +399,7 @@ type FillUnit struct {
 
 type walkReq struct {
 	pageVA uint64
-	done   Waiter
+	waiter int64
 }
 
 // NewFillUnit builds the fill unit. classify must return the current
@@ -397,13 +413,16 @@ func NewFillUnit(q *clock.Queue, walkers int, walkLatency int64, classify func(u
 	return f, nil
 }
 
+// Attach implements Level.
+func (f *FillUnit) Attach(done Handler) int64 { return f.clients.Add(done) }
+
 // Lookup implements Level: it starts a page walk, queueing when all
 // walkers are busy.
-func (f *FillUnit) Lookup(pageVA uint64, done Waiter) bool {
+func (f *FillUnit) Lookup(pageVA uint64, waiter int64) bool {
 	if f.busy < f.walkers {
-		f.startWalk(pageVA, done)
+		f.startWalk(pageVA, waiter)
 	} else {
-		f.queue.Push(walkReq{pageVA: pageVA, done: done})
+		f.queue.Push(walkReq{pageVA: pageVA, waiter: waiter})
 	}
 	return true
 }
@@ -439,9 +458,9 @@ func (f *FillUnit) CheckInvariants() []string {
 // in the walk table.
 //
 //simlint:noalloc
-func (f *FillUnit) startWalk(pageVA uint64, done Waiter) {
+func (f *FillUnit) startWalk(pageVA uint64, waiter int64) {
 	f.busy++
-	f.q.After(f.walkLatency, f.walkFn, f.walks.Put(walkReq{pageVA: pageVA, done: done}))
+	f.q.After(f.walkLatency, f.walkFn, f.walks.Put(walkReq{pageVA: pageVA, waiter: waiter}))
 }
 
 // onWalk finishes a walk: it classifies the page, hands the freed
@@ -464,7 +483,8 @@ func (f *FillUnit) onWalk(arg int64) {
 	}
 	if f.queue.Len() > 0 {
 		next := f.queue.Pop()
-		f.startWalk(next.pageVA, next.done)
+		f.startWalk(next.pageVA, next.waiter)
 	}
-	req.done.Fn(req.done.Arg, r)
+	fn, arg := f.clients.Get(req.waiter)
+	fn(arg, r)
 }

@@ -2,6 +2,7 @@ package tlb
 
 import (
 	"testing"
+	"unsafe"
 
 	"gpues/internal/clock"
 	"gpues/internal/vm"
@@ -19,23 +20,28 @@ type presentSet struct {
 	latency int64
 	present map[uint64]bool
 	lookups int
+	clients clock.Clients[Handler]
 }
 
-func (p *presentSet) Lookup(pageVA uint64, done Waiter) bool {
+func (p *presentSet) Attach(done Handler) int64 { return p.clients.Add(done) }
+
+func (p *presentSet) Lookup(pageVA uint64, waiter int64) bool {
 	p.lookups++
 	ok := p.present[pageVA&^4095]
 	p.q.After(p.latency, func(int64) {
+		fn, arg := p.clients.Get(waiter)
 		if ok {
-			done.Fn(done.Arg, Result{Present: true})
+			fn(arg, Result{Present: true})
 		} else {
-			done.Fn(done.Arg, Result{Fault: vm.FaultMigrate})
+			fn(arg, Result{Fault: vm.FaultMigrate})
 		}
 	}, 0)
 	return true
 }
 
-// wait wraps a test callback as a waiter.
-func wait(fn func(Result)) Waiter { return Waiter{Fn: func(_ int64, r Result) { fn(r) }} }
+// wait registers a test callback as a client of l and returns the
+// waiter that delivers to it.
+func wait(l Level, fn func(Result)) int64 { return l.Attach(func(_ int64, r Result) { fn(r) }) }
 
 func l1Cfg() Config {
 	return Config{Name: "l1tlb", Entries: 32, Ways: 8, Latency: 1}
@@ -50,13 +56,13 @@ func TestTLBMissFillHit(t *testing.T) {
 	}
 	var r1, r2 Result
 	var t1, t2 int64
-	tl.Lookup(0x10008, wait(func(r Result) { r1, t1 = r, q.Now() }))
+	tl.Lookup(0x10008, wait(tl, func(r Result) { r1, t1 = r, q.Now() }))
 	drain(q, 1000)
 	if !r1.Present || t1 < 71 {
 		t.Errorf("miss result %+v at %d", r1, t1)
 	}
 	start := q.Now()
-	tl.Lookup(0x10100, wait(func(r Result) { r2, t2 = r, q.Now() })) // same page
+	tl.Lookup(0x10100, wait(tl, func(r Result) { r2, t2 = r, q.Now() })) // same page
 	drain(q, 1000)
 	if !r2.Present || t2-start != 1 {
 		t.Errorf("hit result %+v latency %d, want 1", r2, t2-start)
@@ -75,7 +81,7 @@ func TestTLBFaultNotCached(t *testing.T) {
 	next := &presentSet{q: q, latency: 10, present: map[uint64]bool{}}
 	tl, _ := New(l1Cfg(), 4096, q, next)
 	var r Result
-	tl.Lookup(0x20000, wait(func(res Result) { r = res }))
+	tl.Lookup(0x20000, wait(tl, func(res Result) { r = res }))
 	drain(q, 100)
 	if r.Present || r.Fault != vm.FaultMigrate {
 		t.Errorf("fault result = %+v", r)
@@ -86,7 +92,7 @@ func TestTLBFaultNotCached(t *testing.T) {
 	// The page becomes present (fault resolved); the next lookup must go
 	// to the backend again, not be served from a stale cached fault.
 	next.present[0x20000] = true
-	tl.Lookup(0x20000, wait(func(res Result) { r = res }))
+	tl.Lookup(0x20000, wait(tl, func(res Result) { r = res }))
 	drain(q, 100)
 	if !r.Present {
 		t.Error("lookup after resolution must be present")
@@ -103,10 +109,10 @@ func TestTLBMSHRMergeAndBackpressure(t *testing.T) {
 	cfg.MSHRs = 2
 	tl, _ := New(cfg, 4096, q, next)
 	n := 0
-	tl.Lookup(0x0, wait(func(Result) { n++ }))
-	tl.Lookup(0x8, wait(func(Result) { n++ })) // merges with first
-	tl.Lookup(0x1000, wait(func(Result) { n++ }))
-	if tl.Lookup(0x2000, wait(func(Result) { n++ })) {
+	tl.Lookup(0x0, wait(tl, func(Result) { n++ }))
+	tl.Lookup(0x8, wait(tl, func(Result) { n++ })) // merges with first
+	tl.Lookup(0x1000, wait(tl, func(Result) { n++ }))
+	if tl.Lookup(0x2000, wait(tl, func(Result) { n++ })) {
 		t.Error("third distinct page must be rejected with 2 MSHRs")
 	}
 	if tl.InFlight() != 2 {
@@ -132,11 +138,11 @@ func TestTLBLRUReplacement(t *testing.T) {
 	cfg := Config{Name: "tiny", Entries: 2, Ways: 2, Latency: 1}
 	tl, _ := New(cfg, 4096, q, next)
 	for _, p := range []uint64{0, 4096, 8192} {
-		tl.Lookup(p, wait(func(Result) {}))
+		tl.Lookup(p, wait(tl, func(Result) {}))
 		drain(q, 100)
 	}
 	missesBefore := tl.Stats().Misses
-	tl.Lookup(0, wait(func(Result) {})) // was LRU, evicted
+	tl.Lookup(0, wait(tl, func(Result) {})) // was LRU, evicted
 	drain(q, 100)
 	if tl.Stats().Misses != missesBefore+1 {
 		t.Error("LRU entry not evicted")
@@ -147,10 +153,10 @@ func TestTLBFlush(t *testing.T) {
 	q := clock.New()
 	next := &presentSet{q: q, latency: 1, present: map[uint64]bool{0: true}}
 	tl, _ := New(l1Cfg(), 4096, q, next)
-	tl.Lookup(0, wait(func(Result) {}))
+	tl.Lookup(0, wait(tl, func(Result) {}))
 	drain(q, 100)
 	tl.Flush()
-	tl.Lookup(0, wait(func(Result) {}))
+	tl.Lookup(0, wait(tl, func(Result) {}))
 	drain(q, 100)
 	if tl.Stats().Misses != 2 {
 		t.Errorf("misses after flush = %d, want 2", tl.Stats().Misses)
@@ -186,8 +192,8 @@ func TestFillUnitWalkAndFault(t *testing.T) {
 	}
 	var rPresent, rFault Result
 	var tDone int64
-	fu.Lookup(0x5000, wait(func(r Result) { rPresent, tDone = r, q.Now() }))
-	fu.Lookup(0x9000, wait(func(r Result) { rFault = r }))
+	fu.Lookup(0x5000, wait(fu, func(r Result) { rPresent, tDone = r, q.Now() }))
+	fu.Lookup(0x9000, wait(fu, func(r Result) { rFault = r }))
 	drain(q, 2000)
 	if !rPresent.Present || tDone != 500 {
 		t.Errorf("walk result %+v at %d, want present at 500", rPresent, tDone)
@@ -205,7 +211,7 @@ func TestFillUnitWalkerPoolQueueing(t *testing.T) {
 	fu, _ := NewFillUnit(q, 2, 100, func(va uint64) Result { return Result{Present: true} })
 	var times []int64
 	for i := 0; i < 4; i++ {
-		fu.Lookup(uint64(i*4096), wait(func(Result) { times = append(times, q.Now()) }))
+		fu.Lookup(uint64(i*4096), wait(fu, func(Result) { times = append(times, q.Now()) }))
 	}
 	if fu.Busy() != 2 || fu.Queued() != 2 {
 		t.Errorf("busy=%d queued=%d, want 2/2", fu.Busy(), fu.Queued())
@@ -239,7 +245,7 @@ func TestTwoLevelChain(t *testing.T) {
 	l1, _ := New(l1Cfg(), 4096, q, l2)
 
 	var done int64
-	l1.Lookup(0x7000, wait(func(Result) { done = q.Now() }))
+	l1.Lookup(0x7000, wait(l1, func(Result) { done = q.Now() }))
 	drain(q, 5000)
 	// 1 (L1) + 70 (L2) + 500 (walk) = 571.
 	if done != 571 {
@@ -247,7 +253,7 @@ func TestTwoLevelChain(t *testing.T) {
 	}
 	// Second access to same page: L1 hit at 1 cycle.
 	start := q.Now()
-	l1.Lookup(0x7008, wait(func(Result) { done = q.Now() }))
+	l1.Lookup(0x7008, wait(l1, func(Result) { done = q.Now() }))
 	drain(q, 100)
 	if done-start != 1 {
 		t.Errorf("warm lookup latency = %d, want 1", done-start)
@@ -255,7 +261,7 @@ func TestTwoLevelChain(t *testing.T) {
 	// A different SM's L1 miss hits in L2: flush only L1.
 	l1.Flush()
 	start = q.Now()
-	l1.Lookup(0x7000, wait(func(Result) { done = q.Now() }))
+	l1.Lookup(0x7000, wait(l1, func(Result) { done = q.Now() }))
 	drain(q, 1000)
 	if done-start != 71 {
 		t.Errorf("L2-hit lookup latency = %d, want 71", done-start)
@@ -280,10 +286,10 @@ func TestOnFreeReentrant(t *testing.T) {
 			tl.OnFree(clock.Event{Fn: waiter, Arg: arg})
 		}
 	}
-	if !tl.Lookup(0x1000, wait(func(Result) {})) {
+	if !tl.Lookup(0x1000, wait(tl, func(Result) {})) {
 		t.Fatal("first miss rejected")
 	}
-	if tl.Lookup(0x2000, wait(func(Result) {})) {
+	if tl.Lookup(0x2000, wait(tl, func(Result) {})) {
 		t.Fatal("second miss accepted with every MSHR busy")
 	}
 	for i := int64(1); i <= 3; i++ {
@@ -295,5 +301,15 @@ func TestOnFreeReentrant(t *testing.T) {
 	}
 	if tl.waiters.Len() != 0 {
 		t.Fatalf("%d waiters left after the drain", tl.waiters.Len())
+	}
+}
+
+// TestRecordSizes pins the size of a merged miss's waiter entry, so
+// that growing it is a visible decision: a fault storm parks thousands
+// per MSHR.
+func TestRecordSizes(t *testing.T) {
+	var m tlbMSHR
+	if n := unsafe.Sizeof(m.waiters[0]); n != 8 {
+		t.Errorf("MSHR waiter is %d bytes, want 8", n)
 	}
 }

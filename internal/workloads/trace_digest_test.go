@@ -45,10 +45,11 @@ func hashTrace(h *ckpt.Hasher, bt *emu.BlockTrace, code []isa.Instruction) {
 		w := &bt.Warps[i]
 		h.U64(uint64(w.WarpID))
 		h.U64(uint64(w.Len))
+		var lines []uint64
 		for it := w.Iter(code); it.Next(); {
 			h.U64(uint64(uint32(it.PC())))
 			h.U64(uint64(it.Mask()))
-			lines := it.Lines()
+			lines = it.Lines(lines[:0])
 			h.U64(uint64(len(lines)))
 			for _, l := range lines {
 				h.U64(l)
@@ -105,24 +106,24 @@ func TestTraceDigest(t *testing.T) {
 // figure plus about a tenth.
 func TestTraceFootprint(t *testing.T) {
 	bounds := map[string]float64{
-		"assert-demo":    5.9,
-		"oom-demo":       4.0,
-		"halloc-spree":   58.7,
-		"halloc-cycle":   142.2,
-		"halloc-varsize": 33.8,
-		"halloc-churn":   79.0,
-		"quadtree":       9.9,
-		"cutcp":          5.1,
-		"mri-q":          3.3,
-		"tpacf":          9.6,
-		"mri-gridding":   5.1,
-		"sgemm":          3.4,
-		"stencil":        7.9,
-		"lbm":            3.4,
-		"sad":            4.1,
-		"spmv":           12.0,
-		"bfs":            17.9,
-		"histo":          17.2,
+		"assert-demo":    5.0,
+		"oom-demo":       2.9,
+		"halloc-spree":   29.9,
+		"halloc-cycle":   71.6,
+		"halloc-varsize": 17.4,
+		"halloc-churn":   39.9,
+		"quadtree":       6.3,
+		"cutcp":          4.1,
+		"mri-q":          2.4,
+		"tpacf":          5.2,
+		"mri-gridding":   4.2,
+		"sgemm":          2.2,
+		"stencil":        4.7,
+		"lbm":            1.9,
+		"sad":            2.8,
+		"spmv":           7.3,
+		"bfs":            11.0,
+		"histo":          9.2,
 	}
 	for _, w := range All() {
 		spec, err := w.Build(Params{Scale: 1, Seed: 42})

@@ -69,7 +69,7 @@ func TestAllWorkloadsEmulate(t *testing.T) {
 						if !code[it.PC()].IsGlobalMem() {
 							continue
 						}
-						for _, line := range it.Lines() {
+						for _, line := range it.Lines(nil) {
 							if !inRegions(spec.Regions, line) {
 								t.Fatalf("block %d pc %d: access %#x outside regions",
 									blk, it.PC(), line)
