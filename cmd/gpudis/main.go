@@ -31,6 +31,28 @@ func main() {
 	)
 	flag.Parse()
 
+	// Check every value before any output: a bad one exits 2 instead of
+	// running as something else (Dim3 counts a zero extent as 1) or
+	// failing after the listing.
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, format+"\n", args...)
+		os.Exit(2)
+	}
+	if *scale < 1 || *scale > workloads.MaxScale {
+		usage("-scale %d outside [1,%d]", *scale, workloads.MaxScale)
+	}
+	if *gridX < 1 {
+		usage("-grid %d: need at least one block", *gridX)
+	}
+	if *blockX < 1 || *blockX > emu.MaxBlockThreads {
+		usage("-block %d outside [1,%d]", *blockX, emu.MaxBlockThreads)
+	}
+	if *workload != "" {
+		if _, err := workloads.Get(*workload); err != nil {
+			usage("%v", err)
+		}
+	}
+
 	var launch *kernel.Launch
 	var mem *emu.Memory
 	switch {
@@ -57,8 +79,7 @@ func main() {
 			Grid: kernel.Dim3{X: *gridX}, Block: kernel.Dim3{X: *blockX}}
 		mem = emu.NewMemory()
 	default:
-		fmt.Fprintln(os.Stderr, "need -workload or -in; see -h")
-		os.Exit(2)
+		usage("need -workload or -in; see -h")
 	}
 
 	fmt.Print(asm.Disassemble(launch.Kernel))

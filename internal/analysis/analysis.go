@@ -4,8 +4,10 @@
 // unavailable), scoped to exactly what the simlint analyzers need.
 //
 // An Analyzer inspects one type-checked package (a Pass) and reports
-// Diagnostics; every analyzer is purely per-package, so a package's
-// findings depend on that package alone. The drivers — cmd/simlint and
+// Diagnostics on that package only. A package's findings depend on
+// that package alone, except that a call matches the
+// //simlint:releases annotations of the module packages it depends on
+// (Pass.Deps). The drivers — cmd/simlint and
 // the analysistest harness — construct Passes and apply the shared
 // suppression rules before surfacing diagnostics.
 //
@@ -67,6 +69,10 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
+	// Deps are the module packages Pkg depends on, parsed and
+	// type-checked by the same loader, so their objects are the ones
+	// Pkg's TypesInfo refers to. They are read, never reported on.
+	Deps []*LoadedPackage
 
 	// Report delivers one diagnostic. Drivers install it; analyzers
 	// usually call Reportf instead.
@@ -166,29 +172,40 @@ func ParseReleases(args string) (ReleaseSpec, error) {
 }
 
 // ReleaseFuncs indexes every //simlint:releases-annotated function in
-// the pass by its types.Object, so call sites can be matched without
-// name heuristics.
+// the pass's package and in the module packages it depends on by its
+// types.Object, so call sites can be matched without name heuristics.
+// A generic function or method is indexed by its declared object; a
+// call site matches it through types.Func.Origin. A malformed
+// annotation is reported only in the package that declares it.
 func ReleaseFuncs(pass *Pass) map[types.Object]ReleaseSpec {
 	out := map[types.Object]ReleaseSpec{}
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			args, ok := FuncHasDirective(fn, "releases")
-			if !ok {
-				continue
-			}
-			spec, err := ParseReleases(args)
-			if err != nil {
-				pass.Reportf(fn.Pos(), "%v", err)
-				continue
-			}
-			if obj := pass.TypesInfo.Defs[fn.Name]; obj != nil {
-				out[obj] = spec
+	index := func(files []*ast.File, info *types.Info, report bool) {
+		for _, f := range files {
+			for _, d := range f.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				args, ok := FuncHasDirective(fn, "releases")
+				if !ok {
+					continue
+				}
+				spec, err := ParseReleases(args)
+				if err != nil {
+					if report {
+						pass.Reportf(fn.Pos(), "%v", err)
+					}
+					continue
+				}
+				if obj := info.Defs[fn.Name]; obj != nil {
+					out[obj] = spec
+				}
 			}
 		}
+	}
+	index(pass.Files, pass.TypesInfo, true)
+	for _, dep := range pass.Deps {
+		index(dep.Files, dep.Info, false)
 	}
 	return out
 }

@@ -36,6 +36,27 @@ type LoadedPackage struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+	// Imports are the module packages this one imports directly.
+	Imports []*LoadedPackage
+}
+
+// Deps returns every module package lp imports, directly or through
+// another, each once.
+func (lp *LoadedPackage) Deps() []*LoadedPackage {
+	var deps []*LoadedPackage
+	seen := map[*LoadedPackage]bool{}
+	var walk func(*LoadedPackage)
+	walk = func(p *LoadedPackage) {
+		for _, d := range p.Imports {
+			if !seen[d] {
+				seen[d] = true
+				deps = append(deps, d)
+				walk(d)
+			}
+		}
+	}
+	walk(lp)
+	return deps
 }
 
 // NewLoader builds a loader rooted at the module directory.
@@ -148,6 +169,11 @@ func (l *Loader) LoadDir(dir, path string, extraFiles []string) (*LoadedPackage,
 		return nil, fmt.Errorf("typecheck %s: %w", path, err)
 	}
 	lp := &LoadedPackage{Path: path, Fset: l.Fset, Files: files, Types: pkg, Info: info}
+	for _, imp := range pkg.Imports() {
+		if dep, ok := l.pkgs[imp.Path()]; ok {
+			lp.Imports = append(lp.Imports, dep)
+		}
+	}
 	l.pkgs[path] = lp
 	return lp, nil
 }
@@ -177,6 +203,7 @@ func RunAnalyzer(a *Analyzer, lp *LoadedPackage) ([]Diagnostic, error) {
 		Files:     lp.Files,
 		Pkg:       lp.Types,
 		TypesInfo: lp.Info,
+		Deps:      lp.Deps(),
 	}
 	pass.Report = func(d Diagnostic) {
 		if !sup.Suppressed(lp.Fset, a.Name, d) {

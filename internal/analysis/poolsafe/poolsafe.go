@@ -113,6 +113,9 @@ func (c *checker) releasedBy(call *ast.CallExpr) types.Object {
 	if !ok {
 		return nil
 	}
+	// A method of an instantiated generic type is a distinct object;
+	// its annotation sits on the declared one.
+	fn = fn.Origin()
 	// sync.Pool.Put releases its argument.
 	if fn.Name() == "Put" && isSyncPoolMethod(fn) {
 		if len(call.Args) == 1 {

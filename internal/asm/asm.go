@@ -150,12 +150,16 @@ func validLabel(s string) bool {
 	return true
 }
 
+// validName reports whether s is a kernel name Disassemble writes
+// unchanged.
+func validName(s string) bool { return sanitizeName(s) == s }
+
 func (p *parser) directive(line string) error {
 	f := strings.Fields(line)
 	switch f[0] {
 	case ".kernel":
-		if len(f) != 2 {
-			return fmt.Errorf(".kernel wants a name")
+		if len(f) != 2 || !validName(f[1]) {
+			return fmt.Errorf(".kernel wants a name of letters, digits, '_' and '-'")
 		}
 		p.name = f[1]
 	case ".regs":
@@ -280,7 +284,7 @@ func regOrImm(s string) (isa.Reg, int64, bool, error) {
 
 // parseMemOperand parses "[rA+imm]" or "[rA-imm]" or "[rA]".
 func parseMemOperand(s string) (isa.Reg, int64, error) {
-	if !strings.HasPrefix(s, "[") || !strings.HasSuffix(s, "]") {
+	if len(s) < 3 || s[0] != '[' || s[len(s)-1] != ']' {
 		return 0, 0, fmt.Errorf("bad memory operand %q", s)
 	}
 	body := s[1 : len(s)-1]

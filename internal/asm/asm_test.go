@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -161,6 +162,9 @@ func TestAssembleErrors(t *testing.T) {
 		"shared atomics":     "    atom.shared.add.u64 r1, [r2], r3\n    exit",
 		"bad float imm":      "    fmov r1, #abc\n    exit",
 		"bad regs directive": ".regs zero\n    exit",
+		"empty global load":  "ld.global.u64 r0, []\nexit",
+		"empty shared store": "    st.shared.u32 [], r1\n    exit",
+		"bad kernel name":    ".kernel !\n    exit",
 	}
 	for name, src := range cases {
 		if name == "missing reconv" {
@@ -240,4 +244,42 @@ func TestDisassembleReadable(t *testing.T) {
 			t.Errorf("listing missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// FuzzAssemble: no listing panics the assembler, and an accepted one
+// survives a disassemble/assemble round trip with its code, register
+// count, shared bytes, parameters and name.
+func FuzzAssemble(f *testing.F) {
+	f.Add(saxpySrc)
+	f.Add(".kernel atoms\n    mov r0, #4096\n    mov r1, #1\n    atom.global.add.u64 r2, [r0], r1\n" +
+		"    atom.global.cas.u64 r3, [r0+8], r1, r2\n    exit\n")
+	f.Add(".kernel diverge\n    s2r r0, laneid\n    isetp.lt r1, r0, rz, #16\n    @r1 bra low, join\n" +
+		"    mov r2, #2\n    bra join\nlow:\n    mov r2, #1\njoin:\n    @!r1 nop\n    fmov r3, #1.5\n" +
+		"    st.shared.u32 [r7-16], r3\n    bar.sync\n    exit\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		k, err := Assemble(src)
+		if err != nil {
+			return
+		}
+		listing := Disassemble(k)
+		k2, err := Assemble(listing)
+		if err != nil {
+			t.Fatalf("listing of an accepted kernel does not assemble: %v\n%s", err, listing)
+		}
+		if k2.Name != k.Name || k2.RegsPerThread != k.RegsPerThread || k2.SharedMemBytes != k.SharedMemBytes {
+			t.Fatalf("name, regs, shared %q %d %d came back as %q %d %d",
+				k.Name, k.RegsPerThread, k.SharedMemBytes, k2.Name, k2.RegsPerThread, k2.SharedMemBytes)
+		}
+		if !slices.Equal(k2.Params, k.Params) {
+			t.Fatalf("params %#x came back as %#x", k.Params, k2.Params)
+		}
+		if !slices.Equal(k2.Code, k.Code) {
+			for pc := range k.Code {
+				if pc >= len(k2.Code) || k2.Code[pc] != k.Code[pc] {
+					t.Fatalf("pc %d of %d differs after the round trip\nlisting:\n%s", pc, len(k.Code), listing)
+				}
+			}
+			t.Fatalf("%d instructions came back as %d", len(k.Code), len(k2.Code))
+		}
+	})
 }

@@ -52,17 +52,15 @@ type line struct {
 	lru   int64
 }
 
-// mshr tracks one outstanding miss. MSHRs are pooled per cache and
-// keep their index in the cache's MSHR table, which is the payload of
-// their issue and fill events; the waiters slice capacity survives
-// reuse, so a steady stream of misses allocates nothing.
+// mshr tracks one outstanding miss. MSHRs are records of the cache's
+// MSHR table, whose index is the payload of their issue and fill
+// events; the waiters slice capacity survives reuse, so a steady stream
+// of misses allocates nothing.
 type mshr struct {
 	addr    uint64
 	waiters []clock.Event
 	born    int64 // cycle the miss was allocated (leak detection)
-
-	id   int64 // index in Cache.mshrTab
-	next *mshr // free list
+	id      int64 // index in Cache.mshrTab
 }
 
 // Config sizes a cache.
@@ -86,14 +84,12 @@ type Cache struct {
 	//simlint:ckptskip wiring to the lower level, which checkpoints itself as its own section
 	next  Backend
 	mshrs map[uint64]*mshr // keyed by line address
-	//simlint:ckptskip free list of recycled MSHRs, a pure allocation cache that holds no simulated state
-	pool *mshr // free list of recycled MSHRs
-	//simlint:ckptskip every MSHR ever built, by id: the payload index of its events, holding no state of its own
-	mshrTab []*mshr
+	//simlint:ckptskip every MSHR ever built, by id: the payload index of its events; mshrs names the live ones
+	mshrTab clock.Table[mshr]
 	//simlint:ckptskip handler built once at construction
-	issueFn clock.Handler // issueFetch(mshrTab[arg]); also the downstream-full retry
+	issueFn clock.Handler // issueFetch(mshrTab.At(arg)); also the downstream-full retry
 	//simlint:ckptskip handler built once at construction
-	fillFn clock.Handler // fill(mshrTab[arg]) — the downstream fetch completion
+	fillFn clock.Handler // fill(mshrTab.At(arg)) — the downstream fetch completion
 	stats  Stats
 	tick   int64 // LRU clock
 	//simlint:ckptskip retry events; SaveState digests the count and replay rebuilds the population
@@ -273,37 +269,17 @@ func (c *Cache) accessRead(addr uint64, done clock.Event) bool {
 		return false
 	}
 	c.stats.Misses++
-	m := c.allocMSHR(addr)
-	m.waiters = append(m.waiters, done)
+	id, m := c.mshrTab.Get()
+	*m = mshr{addr: addr, waiters: append(m.waiters[:0], done), born: c.q.Now(), id: id}
 	c.mshrs[addr] = m
 	// Tag lookup takes the access latency before the miss goes down.
 	c.q.After(c.cfg.Latency, c.issueFn, m.id)
 	return true
 }
 
-// allocMSHR takes an MSHR from the pool (or builds one and enters it in
-// the MSHR table) and resets its per-miss state.
-//
-//simlint:noalloc
-func (c *Cache) allocMSHR(addr uint64) *mshr {
-	m := c.pool
-	if m == nil {
-		//simlint:ignore noalloc grow path, once per MSHR the cache ever holds at once
-		m = &mshr{id: int64(len(c.mshrTab))}
-		c.mshrTab = append(c.mshrTab, m)
-	} else {
-		c.pool = m.next
-		m.next = nil
-	}
-	m.addr = addr
-	m.born = c.q.Now()
-	m.waiters = m.waiters[:0]
-	return m
-}
+func (c *Cache) onIssue(id int64) { c.issueFetch(c.mshrTab.At(id)) }
 
-func (c *Cache) onIssue(id int64) { c.issueFetch(c.mshrTab[id]) }
-
-func (c *Cache) onFill(id int64) { c.fill(c.mshrTab[id]) }
+func (c *Cache) onFill(id int64) { c.fill(c.mshrTab.At(id)) }
 
 func (c *Cache) issueFetch(m *mshr) {
 	if !c.next.Fetch(m.addr, clock.Event{Fn: c.fillFn, Arg: m.id}) {
@@ -316,9 +292,9 @@ func (c *Cache) issueFetch(m *mshr) {
 }
 
 // fill completes a miss: install the line, retire the MSHR, run the
-// merged waiters in arrival order, then recycle. Recycling happens
-// last so a waiter that immediately re-misses allocates a different
-// node than the one still being drained.
+// merged waiters in arrival order, then free it. Freeing happens last
+// so a waiter that immediately re-misses gets a different record than
+// the one still being drained.
 func (c *Cache) fill(m *mshr) {
 	c.install(m.addr, false)
 	delete(c.mshrs, m.addr)
@@ -326,17 +302,7 @@ func (c *Cache) fill(m *mshr) {
 		w.Fire()
 	}
 	c.release()
-	c.putMSHR(m)
-}
-
-// putMSHR returns a retired MSHR to the free list. Callers must drop
-// every reference first: the next allocMSHR may hand it out again.
-//
-//simlint:releases 0
-func (c *Cache) putMSHR(m *mshr) {
-	m.waiters = m.waiters[:0]
-	m.next = c.pool
-	c.pool = m
+	c.mshrTab.Free(m.id, m)
 }
 
 // accessWrite applies a store to the tag array and forwards its

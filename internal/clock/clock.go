@@ -19,8 +19,8 @@
 // An event is a Handler and an int64 payload. A component builds its
 // handlers once, as method values kept in fields, and puts what an
 // event acts on in the payload — a table index, a slot, a cycle count
-// — so scheduling never builds a closure. A Table parks larger
-// payloads under an index.
+// — so scheduling never builds a closure. A Table holds the records
+// events name, and parks larger payloads, under an index.
 //
 // A mark (Mark) is a node with no handler: it makes the main loop
 // visit its cycle and runs nothing there. Write acknowledgements and

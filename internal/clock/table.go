@@ -1,41 +1,95 @@
 package clock
 
-// Table parks the records pending events need under int64 indices, for
-// payloads that do not fit an event's own: a component puts a record,
-// schedules its handler with the index as payload, and takes the record
-// back when the handler fires. Freed indices are reused, so a warm
-// table hands out indices without allocating. The zero value is empty
-// and ready to use.
+// Table pools the records pending events name: a component gets a
+// record and its index, schedules a handler with the index as payload,
+// finds the record again with At when the handler fires, and frees it
+// once no event names it any more. Freed indices are reused, most
+// recently freed first.
+//
+// Records live in chunks that are never moved, so a record keeps its
+// address for the life of the table and may be pointed to while it is
+// live. Get hands a freed record back as its last owner left it: its
+// slices keep their capacity, and the caller resets what it uses. A
+// warm table therefore gets and frees records without allocating. Put
+// and Take park value records, which carry no capacity worth keeping,
+// under an index. The zero value is empty and ready to use.
 type Table[T any] struct {
-	recs []T
-	free []int64
+	chunks []*[chunkLen]T // record i is chunks[i/chunkLen][i%chunkLen]
+	n      int64          // records ever built: indices [0, n)
+	free   []int64        // freed indices, the next to reuse last
+}
+
+// chunkLen is how many records a table allocates at once. A table holds
+// at most chunkLen-1 records it never used, so many small tables stay
+// small.
+const chunkLen = 32
+
+// Get returns a record and its index: the last one freed, or a new
+// zero record.
+//
+//simlint:noalloc
+func (t *Table[T]) Get() (int64, *T) {
+	if k := len(t.free); k > 0 {
+		i := t.free[k-1]
+		t.free = t.free[:k-1]
+		return i, t.At(i)
+	}
+	i := t.n
+	if i%chunkLen == 0 {
+		//simlint:ignore noalloc grow path, one chunk per chunkLen records the table ever holds at once
+		t.chunks = append(t.chunks, new([chunkLen]T))
+	}
+	t.n++
+	return i, t.At(i)
+}
+
+// At returns the record at index i.
+//
+//simlint:noalloc
+func (t *Table[T]) At(i int64) *T { return &t.chunks[uint64(i)/chunkLen][uint64(i)%chunkLen] }
+
+// Free returns rec, the record at index i, to the table. Nothing may
+// name it afterwards: the next Get may hand it to a new owner. It
+// panics when rec is not the record at i.
+//
+//simlint:releases 1
+//simlint:noalloc
+func (t *Table[T]) Free(i int64, rec *T) {
+	if t.At(i) != rec {
+		//simlint:ignore noalloc a constant message, on a caller's broken invariant only
+		panic("clock: Table.Free of a record under another index")
+	}
+	t.free = append(t.free, i)
 }
 
 // Put stores v and returns its index.
 //
 //simlint:noalloc
 func (t *Table[T]) Put(v T) int64 {
-	if n := len(t.free); n > 0 {
-		i := t.free[n-1]
-		t.free = t.free[:n-1]
-		t.recs[i] = v
-		return i
-	}
-	t.recs = append(t.recs, v)
-	return int64(len(t.recs) - 1)
+	i, rec := t.Get()
+	*rec = v
+	return i
 }
 
-// Take returns the record at index i and frees the index: the next Put
-// may reuse it.
+// Take returns the record at index i, clears it and frees the index:
+// the next Put may reuse it.
 //
 //simlint:releases 0
 //simlint:noalloc
 func (t *Table[T]) Take(i int64) T {
-	v := t.recs[i]
+	rec := t.At(i)
+	v := *rec
 	var zero T
-	t.recs[i] = zero
+	*rec = zero
 	t.free = append(t.free, i)
 	return v
+}
+
+// EachFree calls fn on every freed record, the next Get's first.
+func (t *Table[T]) EachFree(fn func(*T)) {
+	for k := len(t.free) - 1; k >= 0; k-- {
+		fn(t.At(t.free[k]))
+	}
 }
 
 // FIFO is a queue of records waiting on a resource, such as callers

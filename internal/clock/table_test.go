@@ -2,8 +2,8 @@ package clock
 
 import "testing"
 
-// TestTableReusesIndices: a taken index is handed out again, and a
-// warm table stores without allocating.
+// TestTableReusesIndices: a taken index is handed out again, Take
+// clears its record, and a warm table stores without allocating.
 func TestTableReusesIndices(t *testing.T) {
 	var tb Table[string]
 	a, b := tb.Put("a"), tb.Put("b")
@@ -16,10 +16,105 @@ func TestTableReusesIndices(t *testing.T) {
 	if c := tb.Put("c"); c != a {
 		t.Fatalf("Put after Take returned %d, want the freed %d", c, a)
 	}
+	if got := tb.Take(b); got != "b" {
+		t.Fatalf("Take(%d) = %q, want \"b\"", b, got)
+	}
+	if got := *tb.At(b); got != "" {
+		t.Fatalf("record %d holds %q after Take, want it cleared", b, got)
+	}
 	allocs := testing.AllocsPerRun(100, func() { tb.Take(tb.Put("d")) })
 	if allocs != 0 {
 		t.Fatalf("warm Put+Take allocates %v times, want 0", allocs)
 	}
+}
+
+// TestTableRecordsStay: records keep their address and contents as the
+// table grows through many chunks, and each index finds its own record.
+func TestTableRecordsStay(t *testing.T) {
+	var tb Table[[2]int64]
+	const n = 1000 // past the first chunk many times over
+	recs := make([]*[2]int64, n)
+	for k := range recs {
+		i, rec := tb.Get()
+		if i != int64(k) {
+			t.Fatalf("Get %d on a fresh table returned index %d", k, i)
+		}
+		*rec = [2]int64{i, -i}
+		recs[k] = rec
+	}
+	for k, rec := range recs {
+		if got := tb.At(int64(k)); got != rec {
+			t.Fatalf("At(%d) moved from %p to %p", k, rec, got)
+		}
+		if *rec != [2]int64{int64(k), -int64(k)} {
+			t.Fatalf("record %d holds %v", k, *rec)
+		}
+	}
+}
+
+// TestTableGetKeepsCapacity: a freed record comes back from Get as it
+// was left, its slice's backing array included, most recently freed
+// first.
+func TestTableGetKeepsCapacity(t *testing.T) {
+	type rec struct{ waiters []int64 }
+	var tb Table[rec]
+	a, ra := tb.Get()
+	b, rb := tb.Get()
+	ra.waiters = append(make([]int64, 0, 16), 1, 2, 3)
+	arr := &ra.waiters[:1][0]
+	tb.Free(b, rb)
+	tb.Free(a, ra)
+	i, r := tb.Get()
+	if i != a || r != ra {
+		t.Fatalf("Get returned index %d, want the last freed %d", i, a)
+	}
+	if cap(r.waiters) != 16 || &r.waiters[:1][0] != arr {
+		t.Fatalf("reused record's waiters have capacity %d in a new array, want 16 in the old one", cap(r.waiters))
+	}
+	if i, _ := tb.Get(); i != b {
+		t.Fatalf("second Get returned index %d, want %d", i, b)
+	}
+	var seen int
+	tb.EachFree(func(*rec) { seen++ })
+	if seen != 0 {
+		t.Fatalf("%d free records after both were taken back, want 0", seen)
+	}
+}
+
+// TestTableWarmGetFree: once a table has held its peak, getting and
+// freeing records allocates nothing.
+func TestTableWarmGetFree(t *testing.T) {
+	type rec struct{ waiters []int64 }
+	var tb Table[rec]
+	var idx [40]int64
+	var recs [40]*rec
+	cycle := func() {
+		for k := range idx {
+			idx[k], recs[k] = tb.Get()
+			recs[k].waiters = append(recs[k].waiters[:0], int64(k))
+		}
+		for k := range idx {
+			tb.Free(idx[k], recs[k])
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("warm Get+Free allocates %v times, want 0", allocs)
+	}
+}
+
+// TestTableFreeChecksIndex: freeing a record under another record's
+// index panics instead of corrupting the free list.
+func TestTableFreeChecksIndex(t *testing.T) {
+	var tb Table[int]
+	a, _ := tb.Get()
+	_, rb := tb.Get()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Free of record b under index a did not panic")
+		}
+	}()
+	tb.Free(a, rb)
 }
 
 // TestFIFOReentrantOrder: a record pushed while the queue drains lands

@@ -36,19 +36,16 @@ type Stats struct {
 	MaxQueue int
 }
 
-// regionFault is one region in the pending fault queue. Records are
-// pooled and keep their index in the unit's region table, which is the
-// payload of their completion; the waiters capacity survives reuse.
-// A waiter is 8 bytes, a client tag and a payload (see Attach).
+// regionFault is one region in the pending fault queue, a record of
+// the unit's region table, whose index is the payload of its
+// completion; the waiters capacity survives reuse. A waiter is 8 bytes,
+// a client tag and a payload (see Attach).
 type regionFault struct {
 	region  uint64
 	smID    int // the SM whose fault opened the region
 	pos     int
 	born    int64 // cycle the region entered the pending queue
 	waiters []int64
-
-	id   int64        // index in FaultUnit.regionTab
-	next *regionFault // free list
 }
 
 // FaultUnit is the global fault coordinator attached to the fill unit:
@@ -67,12 +64,10 @@ type FaultUnit struct {
 	local Resolver // nil when use case 2 is disabled
 
 	pending map[uint64]*regionFault
-	//simlint:ckptskip free list of recycled region records, a pure allocation cache that holds no simulated state
-	pool *regionFault
-	//simlint:ckptskip every region record ever built, by id: the payload index of its completion, holding no state of its own
-	regionTab []*regionFault
+	//simlint:ckptskip every region record ever built, by id: the payload index of its completion; pending names the live ones
+	regionTab clock.Table[regionFault]
 	//simlint:ckptskip handler built once at construction
-	completeFn clock.Handler // completes regionTab[arg]
+	completeFn clock.Handler // completes regionTab.At(arg)
 	//simlint:ckptskip handlers of the raising SMs, registered once at construction
 	clients clock.Clients[clock.Handler]
 	queued  int
@@ -158,9 +153,9 @@ func (u *FaultUnit) RaiseFault(pageVA uint64, kind vm.FaultKind, smID int, waite
 		rf.waiters = append(rf.waiters, waiter)
 		return rf.pos
 	}
-	rf := u.newRegion()
-	rf.region, rf.smID, rf.pos, rf.born = region, smID, u.queued, u.q.Now()
-	rf.waiters = append(rf.waiters, waiter)
+	id, rf := u.regionTab.Get()
+	*rf = regionFault{region: region, smID: smID, pos: u.queued, born: u.q.Now(),
+		waiters: append(rf.waiters[:0], waiter)}
 	u.pending[region] = rf
 	u.queued++
 	if u.queued > u.stats.MaxQueue {
@@ -171,7 +166,7 @@ func (u *FaultUnit) RaiseFault(pageVA uint64, kind vm.FaultKind, smID int, waite
 		u.tr.Emit(-1, obs.KRegionQueued, int32(smID), region, uint64(rf.pos))
 	}
 
-	done := clock.Event{Fn: u.completeFn, Arg: rf.id}
+	done := clock.Event{Fn: u.completeFn, Arg: id}
 	// Route: first-touch (allocation-only) faults can be handled on the
 	// GPU itself when local handling is enabled; migrations and
 	// everything else go to the CPU driver.
@@ -185,27 +180,10 @@ func (u *FaultUnit) RaiseFault(pageVA uint64, kind vm.FaultKind, smID int, waite
 	return rf.pos
 }
 
-// newRegion takes a region record from the pool, or builds one and
-// enters it in the region table.
-//
-//simlint:noalloc
-func (u *FaultUnit) newRegion() *regionFault {
-	rf := u.pool
-	if rf == nil {
-		//simlint:ignore noalloc grow path, once per region the queue ever holds at once
-		rf = &regionFault{id: int64(len(u.regionTab))}
-		u.regionTab = append(u.regionTab, rf)
-		return rf
-	}
-	u.pool = rf.next
-	rf.next = nil
-	return rf
-}
-
 // complete resolves region record id: it leaves the pending queue, its
-// waiters run in raise order, and the record returns to the pool.
+// waiters run in raise order, and the record is freed.
 func (u *FaultUnit) complete(id int64) {
-	rf := u.regionTab[id]
+	rf := u.regionTab.At(id)
 	delete(u.pending, rf.region)
 	u.queued--
 	wait := u.q.Now() - rf.born
@@ -217,15 +195,5 @@ func (u *FaultUnit) complete(id int64) {
 		fn, arg := u.clients.Get(w)
 		fn(arg)
 	}
-	u.putRegion(rf)
-}
-
-// putRegion returns a resolved region record to the pool. Callers must
-// drop every reference first: the next newRegion may hand it out again.
-//
-//simlint:releases 0
-func (u *FaultUnit) putRegion(rf *regionFault) {
-	rf.waiters = rf.waiters[:0]
-	rf.next = u.pool
-	u.pool = rf
+	u.regionTab.Free(id, rf)
 }

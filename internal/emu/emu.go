@@ -82,13 +82,16 @@ type Emulator struct {
 	heap *gpualloc.Allocator
 }
 
+// MaxBlockThreads is the largest block New accepts: 64 warps.
+const MaxBlockThreads = 32 * 64
+
 // New returns an Emulator for the launch. lineSize is the cache line
 // size used by the coalescing unit (128 B in the baseline).
 func New(l *kernel.Launch, mem *Memory, lineSize int) (*Emulator, error) {
 	if err := l.Kernel.Validate(); err != nil {
 		return nil, err
 	}
-	if l.ThreadsPerBlock() <= 0 || l.ThreadsPerBlock() > 32*64 {
+	if l.ThreadsPerBlock() <= 0 || l.ThreadsPerBlock() > MaxBlockThreads {
 		return nil, fmt.Errorf("emu: block of %d threads unsupported", l.ThreadsPerBlock())
 	}
 	if l.Blocks() <= 0 {

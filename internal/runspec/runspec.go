@@ -64,12 +64,6 @@ type JobSpec struct {
 	Perturb string `json:"-"`
 }
 
-// maxScale bounds JobSpec.Scale. Workload images grow with the scale,
-// and Build (so a job submission, before it is admitted) builds one: at
-// scale 8 the largest, stencil's, is 32 MiB and grows with the square
-// of the scale. The repository's figures and CI run scales 1-4.
-const maxScale = 8
-
 // Bind registers every model axis on fs under its gpusim flag name and
 // returns the spec that parsing fs fills in, starting from the flags'
 // defaults.
@@ -213,8 +207,10 @@ func (js JobSpec) Build() (config.Config, sim.LaunchSpec, error) {
 	cfg.MaxCycles = js.MaxCycles
 	cfg.Excep.Flip = js.Flip
 	cfg.SampleEvery = js.SampleEvery
-	if js.Scale < 0 || js.Scale > maxScale {
-		return fail(fmt.Errorf("runspec: scale %d outside [1,%d]", js.Scale, maxScale))
+	// Build (so a job submission, before it is admitted) builds the
+	// workload's image.
+	if js.Scale < 0 || js.Scale > workloads.MaxScale {
+		return fail(fmt.Errorf("runspec: scale %d outside [1,%d]", js.Scale, workloads.MaxScale))
 	}
 	if _, err := js.ChaosPlan(); err != nil {
 		return fail(err)

@@ -179,7 +179,7 @@ func TestFaultPathSteadyStateAllocs(t *testing.T) {
 // TestBlockActivationAllocs: on a warm SM, running more blocks —
 // activation, execution, completion and the trace's hand-back —
 // allocates nothing: a finished block's activation record and warp
-// records go back to the SM's pool and the next block reuses them.
+// records are freed in the SM's block table and the next block reuses them.
 func TestBlockActivationAllocs(t *testing.T) {
 	s, q, _ := faultLoopSM(t, config.ReplayQueue, 4, true)
 	runFor(t, s, q, 20_000)

@@ -284,16 +284,16 @@ func (s *SM) CheckInvariants(now, maxMSHRAge int64) []string {
 		}
 	}
 
-	// A pooled flight has no callback left to fire: a stale one would
+	// A free flight has no callback left to fire: a stale one would
 	// act on the flight's next instruction.
-	for f := s.flightPool; f != nil; f = f.poolNext {
+	s.flights.EachFree(func(f *flight) {
 		switch {
 		case f.pending < 0:
 			bad("pooled flight has negative outstanding count %d", f.pending)
 		case f.pending > 0:
 			bad("pooled flight has %d callbacks outstanding", f.pending)
 		}
-	}
+	})
 
 	if s.l1 != nil {
 		v = append(v, s.l1.CheckInvariants(now, maxMSHRAge)...)

@@ -46,7 +46,7 @@ func (s *SM) startMem(f *flight) {
 
 // req returns the flight and request a request payload names.
 func (s *SM) req(arg int64) (*flight, *memReq) {
-	f := s.flights[arg>>8]
+	f := s.flights.At(arg >> 8)
 	return f, &f.reqs[uint8(arg)]
 }
 
@@ -88,15 +88,15 @@ func (s *SM) evAccessDone(arg int64) {
 // translate event, an L1 TLB lookup or its retry, an L1 access or its
 // retry, a baseline re-translate, a squashed instruction's fault
 // resolution), each counted in f.pending when it was scheduled. A
-// squashed flight returns to the pool when its last one has fired:
-// until then a stale event may still read its squashed flag.
+// squashed flight is freed when its last one has fired: until then a
+// stale event may still read its squashed flag.
 //
 //simlint:releases 0
 //simlint:noalloc
 func (s *SM) settle(f *flight) {
 	f.pending--
 	if f.squashed && f.pending == 0 {
-		s.freeFlight(f)
+		s.flights.Free(f.slot, f)
 	}
 }
 
@@ -251,8 +251,8 @@ func (s *SM) evRefault(arg int64) {
 // squashed instruction is by construction the youngest in flight; under
 // replay-queue/operand-log older non-faulted instructions keep draining.
 // Each raised page's resolution carries the payload of the request that
-// raised it and counts in f.pending, so the squashed flight stays out of
-// the pool until its last fault resolves.
+// raised it and counts in f.pending, so the squashed flight stays live
+// until its last fault resolves.
 //
 //simlint:noalloc
 func (s *SM) squashAndRaise(f *flight) {
@@ -308,8 +308,8 @@ func (s *SM) squashAndRaise(f *flight) {
 		w.buf = nil
 		s.clrBuf(s.warpIndex(w))
 		// The flushed flight never issued, so nothing was scheduled
-		// against it; it can go straight back to the pool.
-		s.freeFlight(buf)
+		// against it; it can be freed at once.
+		s.flights.Free(buf.slot, buf)
 	}
 	// Raise each distinct faulting page once, in request order, with
 	// the kind of its first faulting request. An instruction has at

@@ -114,13 +114,13 @@ func (s *SM) saveBlock(b *blockRT) {
 	if s.tr != nil {
 		s.tr.Emit(s.ID, obs.KSaveStart, s.blockTID(b), uint64(b.id), uint64(bytes))
 	}
-	s.move(bytes, clock.Event{Fn: s.ev.saved, Arg: s.moving.Put(b)})
+	s.move(bytes, clock.Event{Fn: s.ev.saved, Arg: b.ref})
 }
 
 // evSaved finishes a block's context save: the block goes off-chip and
 // its slot refills.
 func (s *SM) evSaved(arg int64) {
-	b := s.moving.Take(arg)
+	b := s.blocks.At(arg)
 	s.wake()
 	if s.tr != nil {
 		s.tr.Emit(s.ID, obs.KSaveEnd, s.blockTID(b), uint64(b.id), 0)
@@ -186,14 +186,14 @@ func (s *SM) restoreReadyBlock(slot int) bool {
 	if s.tr != nil {
 		s.tr.Emit(s.ID, obs.KRestoreStart, s.blockTID(b), uint64(b.id), uint64(bytes))
 	}
-	s.move(bytes, clock.Event{Fn: s.ev.restored, Arg: s.moving.Put(b)})
+	s.move(bytes, clock.Event{Fn: s.ev.restored, Arg: b.ref})
 	return true
 }
 
 // evRestored finishes a block's context restore: the block is active
 // again.
 func (s *SM) evRestored(arg int64) {
-	b := s.moving.Take(arg)
+	b := s.blocks.At(arg)
 	s.wake()
 	b.state = blockActive
 	s.stats.SwitchesIn++

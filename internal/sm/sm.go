@@ -112,6 +112,7 @@ const (
 
 // blockRT is a resident (or switched-out) thread block.
 type blockRT struct {
+	ref   int64 // index in SM.blocks, the payload of its context-transfer events
 	id    int
 	slot  int // SM block slot while active; -1 when off-chip
 	state blockState
@@ -199,16 +200,17 @@ type SM struct {
 	//simlint:ckptskip derived cache of issue-stage scoreboard verdicts; an empty set changes no outcome, it only costs re-checks
 	blockedUnit [numUnits][]uint64
 
-	// flightPool is a free list of flight objects; see newFlight.
-	//simlint:ckptskip free list, a pure allocation cache that holds no simulated state
-	flightPool *flight
 	// flights holds every flight the SM ever built, by slot: the
 	// payload that names a flight, or one of its requests, in a
 	// scheduled event.
 	//simlint:ckptskip flight table by slot; flights are represented by the per-warp counts and flags that name them
-	flights []*flight
-	//simlint:ckptskip blocks whose context transfer is in flight; SaveState records each block's saving or restoring state
-	moving clock.Table[*blockRT]
+	flights clock.Table[flight]
+	// blocks holds the activation records of the SM's blocks, each
+	// with its warp records; a context transfer's events carry the
+	// block's index. A finished block's records are freed for the next
+	// block to reuse; a block switched out keeps its records.
+	//simlint:ckptskip activation records by index; SaveState records each block through slots and offchip
+	blocks clock.Table[blockRT]
 	//simlint:ckptskip handlers built once in New
 	ev handlers
 	// spareRegs are empty source-hold slices: a squash under
@@ -216,11 +218,6 @@ type SM struct {
 	// and takes one from here, and the replay's issue returns one.
 	//simlint:ckptskip free list, a pure allocation cache that holds no simulated state
 	spareRegs [][]isa.Reg
-	// blockPool holds the activation records of finished blocks, each
-	// with its warp records, for activateBlock to reset and reuse. A
-	// block switched out keeps its records.
-	//simlint:ckptskip free list, a pure allocation cache that holds no simulated state
-	blockPool []*blockRT
 
 	idle  bool // nothing proceeded last tick; sleep until next event
 	stats Stats
@@ -308,8 +305,8 @@ type handlers struct {
 	accessDone clock.Handler                 // request: L1 access completion
 	refault    clock.Handler                 // request: baseline fault resolved, re-translate
 	faultDone  clock.Handler                 // request: squashed instruction's fault resolved
-	saved      clock.Handler                 // moving index: context save finished
-	restored   clock.Handler                 // moving index: context restore finished
+	saved      clock.Handler                 // block index: context save finished
+	restored   clock.Handler                 // block index: context restore finished
 }
 
 // New builds an SM bound to its L1 cache, L1 TLB and the system-level
@@ -423,10 +420,11 @@ func (s *SM) startBlock(slot int) bool {
 }
 
 // activateBlock installs a block trace into a slot, on an activation
-// record from the pool when one is there.
+// record a finished block freed when there is one.
 func (s *SM) activateBlock(slot int, bt *emu.BlockTrace) {
 	b := s.newBlock(len(bt.Warps))
 	*b = blockRT{
+		ref:          b.ref,
 		id:           bt.BlockID,
 		slot:         slot,
 		state:        blockActive,
@@ -473,18 +471,12 @@ func (s *SM) activateBlock(slot int, bt *emu.BlockTrace) {
 }
 
 // newBlock returns an activation record with n warp records: the last
-// one a finished block handed back to the pool, or a new one. The
-// caller resets every field in place; the records keep their replay
-// lists' arrays and their held-source maps, which are empty.
+// one a finished block freed, or a new one. The caller resets every
+// field but ref in place; the records keep their replay lists' arrays
+// and their held-source maps, which are empty.
 func (s *SM) newBlock(n int) *blockRT {
-	var b *blockRT
-	if k := len(s.blockPool); k > 0 {
-		b = s.blockPool[k-1]
-		s.blockPool[k-1] = nil
-		s.blockPool = s.blockPool[:k-1]
-	} else {
-		b = new(blockRT)
-	}
+	ref, b := s.blocks.Get()
+	b.ref = ref
 	ws := b.warps[:cap(b.warps)]
 	for len(ws) < n {
 		ws = append(ws, new(warpRT))
@@ -534,19 +526,17 @@ func (s *SM) deliverExcep(w *warpRT) {
 	s.afterDrainStep(b)
 }
 
-// newFlight takes a flight from the pool (or builds one and enters it
-// in the flight table) and resets its per-use state. Slice capacities
-// and the slot survive reuse, so the fetch/issue/memory path stops
-// allocating once the pool is warm.
+// newFlight takes a flight from the flight table and resets its
+// per-use state. Slice capacities survive reuse, so the
+// fetch/issue/memory path stops allocating once the table is warm. A
+// flight is freed (s.flights.Free) only when no scheduled event names
+// it: at commit (all translations and cache completions have fired by
+// then), at the fetch-buffer flush in squashAndRaise (never issued, so
+// nothing was scheduled) and in settle (a squashed flight's last
+// callback has fired).
 func (s *SM) newFlight(w *warpRT, d *decoded, pos emu.Pos, isReplay bool) *flight {
-	f := s.flightPool
-	if f == nil {
-		f = &flight{slot: int64(len(s.flights))}
-		s.flights = append(s.flights, f)
-	} else {
-		s.flightPool = f.poolNext
-		f.poolNext = nil
-	}
+	slot, f := s.flights.Get()
+	f.slot = slot
 	f.w, f.d, f.pos, f.isReplay = w, d, pos, isReplay
 	f.srcHeld = f.srcHeld[:0]
 	f.reqs = f.reqs[:0]
@@ -555,19 +545,6 @@ func (s *SM) newFlight(w *warpRT, d *decoded, pos emu.Pos, isReplay bool) *fligh
 	f.logHeld = 0
 	f.wdOwner = false
 	return f
-}
-
-// freeFlight returns a flight to the pool. Callers must guarantee no
-// scheduled event still references it: commit (all translations and
-// cache completions have fired by then), the fetch-buffer flush in
-// squashAndRaise (never issued, so nothing was scheduled) and settle
-// (a squashed flight's last callback has fired) qualify.
-//
-//simlint:releases 0
-func (s *SM) freeFlight(f *flight) {
-	f.w, f.d = nil, nil
-	f.poolNext = s.flightPool
-	s.flightPool = f
 }
 
 // SetWakeHook installs the idle→awake notification used by the
@@ -944,12 +921,12 @@ func (s *SM) passBlocked(wIdx int, m uint64, unitBudget *[numUnits]int) {
 
 func (s *SM) evOpRead(slot int64) {
 	s.wake()
-	s.opRead(s.flights[slot])
+	s.opRead(s.flights.At(slot))
 }
 
 func (s *SM) evCommit(slot int64) {
 	s.wake()
-	s.commit(s.flights[slot])
+	s.commit(s.flights.At(slot))
 }
 
 // opRead is the operand read stage, one cycle after issue. Source
@@ -1046,7 +1023,7 @@ func (s *SM) commit(f *flight) {
 	}
 	s.afterDrainStep(w.block)
 	s.checkWarpDone(w)
-	s.freeFlight(f)
+	s.flights.Free(f.slot, f)
 }
 
 // checkWarpDone marks the warp done when its trace is exhausted, and
@@ -1096,7 +1073,7 @@ func (s *SM) blockFinished(b *blockRT) {
 	s.handBack(bt)
 	// Nothing names the block or its warps any more: a squashed
 	// flight still waiting on events reads only its own flags.
-	s.blockPool = append(s.blockPool, b)
+	s.blocks.Free(b.ref, b)
 	s.refillSlot(slot)
 	s.wake()
 }

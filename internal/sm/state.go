@@ -10,7 +10,7 @@ import (
 // buffered-instruction mask, and a full structural record of every
 // resident and switched-out block — per-warp cursors,
 // replay queues, scoreboards and stall stamps. In-flight instructions
-// live as pooled flights that scheduled events name by slot, so flights
+// live as flight-table records that scheduled events name by slot, so flights
 // themselves are represented only by the per-warp counts and flags
 // that name them; replay rebuilds the objects.
 func (s *SM) SaveState(w *ckpt.Writer) {

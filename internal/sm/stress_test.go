@@ -95,16 +95,16 @@ func stressOnce(t *testing.T, seed int64, scheme config.Scheme, inject bool) {
 		cfg.SM.MaxThreadBlocks = 2 // force one pending block
 	})
 
-	// Stock the pool with more flights than the run ever holds at once,
-	// so it builds none of its own: the end state then shows whether
-	// every flight, squashed ones included, came back.
+	// Stock the flight table with more flights than the run ever holds
+	// at once, so it builds none of its own: the end state then shows
+	// whether every flight, squashed ones included, was freed.
 	const stock = 64
 	stocked := make([]*flight, stock)
 	for i := range stocked {
 		stocked[i] = h.sm.newFlight(nil, &h.sm.decode[0], emu.Pos{}, false)
 	}
 	for _, f := range stocked {
-		h.sm.freeFlight(f)
+		h.sm.flights.Free(f.slot, f)
 	}
 
 	if inject {
@@ -158,9 +158,7 @@ func stressOnce(t *testing.T, seed int64, scheme config.Scheme, inject bool) {
 		h.q.SkipTo(next)
 	}
 	pooled := 0
-	for f := h.sm.flightPool; f != nil; f = f.poolNext {
-		pooled++
-	}
+	h.sm.flights.EachFree(func(*flight) { pooled++ })
 	if pooled != stock {
 		t.Errorf("seed %d: %d flights pooled after the run, want the %d stocked", seed, pooled, stock)
 	}
@@ -227,12 +225,12 @@ func TestCheckInvariantsFlightCounts(t *testing.T) {
 	} {
 		f := h.sm.newFlight(nil, &h.sm.decode[0], emu.Pos{}, false)
 		f.pending = tc.pending
-		h.sm.freeFlight(f)
+		h.sm.flights.Free(f.slot, f)
 		v := h.sm.CheckInvariants(h.q.Now(), 0)
 		if len(v) != 1 || !strings.HasSuffix(v[0], tc.want) {
 			t.Errorf("pending %d: violations %q, want one ending %q", tc.pending, v, tc.want)
 		}
-		h.sm.flightPool = f.poolNext
+		f = h.sm.newFlight(nil, &h.sm.decode[0], emu.Pos{}, false)
 		f.pending = 0
 	}
 }

@@ -115,10 +115,10 @@ type memReq struct {
 	faultKind vm.FaultKind
 }
 
-// flight is one in-flight dynamic instruction. Flights are pooled per
-// SM (see SM.newFlight/freeFlight): the per-use fields below reset on
-// reuse, while the slot and slice capacities persist so steady-state
-// execution schedules events without allocating.
+// flight is one in-flight dynamic instruction, a record of its SM's
+// flight table (see SM.newFlight): the per-use fields below reset on
+// reuse, while slice capacities persist so steady-state execution
+// schedules events without allocating.
 type flight struct {
 	// The instruction is at pos in w's trace; d is its decode table
 	// entry. No flight points into a trace, which may be recycled while
@@ -142,10 +142,9 @@ type flight struct {
 	wdOwner   bool // this flight disabled its warp's fetch (wd schemes)
 	committed bool
 
-	// slot is the flight's index in SM.flights, fixed when it is built:
-	// the payload its events carry.
-	slot     int64
-	poolNext *flight
+	// slot is the flight's index in SM.flights: the payload its events
+	// carry.
+	slot int64
 }
 
 // reqArg is the payload naming request i of flight f.

@@ -65,17 +65,15 @@ type tlbEntry struct {
 }
 
 // tlbMSHR tracks one outstanding translation miss. Like cache MSHRs,
-// they are pooled and keep their index in the TLB's MSHR table, which
-// is the payload of their issue and fill events; waiters capacity
-// survives reuse so steady-state misses do not allocate.
+// they are records of the TLB's MSHR table, whose index is the payload
+// of their issue and fill events; waiters capacity survives reuse so
+// steady-state misses do not allocate.
 type tlbMSHR struct {
 	pageVA  uint64
 	vpn     uint64
 	waiters []int64
 	born    int64 // cycle the miss was allocated (leak detection)
-
-	id   int64    // index in TLB.mshrTab
-	next *tlbMSHR // free list
+	id      int64 // index in TLB.mshrTab
 }
 
 // delivery carries one hit result through the latency delay, parked in
@@ -102,16 +100,14 @@ type TLB struct {
 	//simlint:ckptskip handlers of the levels above, registered once at construction
 	clients clock.Clients[Handler]
 	mshrs   map[uint64]*tlbMSHR
-	//simlint:ckptskip free list of recycled MSHRs, a pure allocation cache that holds no simulated state
-	pool *tlbMSHR // free list of recycled MSHRs
-	//simlint:ckptskip every MSHR ever built, by id: the payload index of its events, holding no state of its own
-	mshrTab []*tlbMSHR
+	//simlint:ckptskip every MSHR ever built, by id: the payload index of its events; mshrs names the live ones
+	mshrTab clock.Table[tlbMSHR]
 	//simlint:ckptskip hit results in flight; the clock digests their events and replay rebuilds them
 	deliveries clock.Table[delivery]
 	//simlint:ckptskip handler built once at construction
 	deliverFn clock.Handler // runs deliveries[arg]
 	//simlint:ckptskip handler built once at construction
-	issueFn clock.Handler // issue(mshrTab[arg]); also the downstream-full retry
+	issueFn clock.Handler // issue(mshrTab.At(arg)); also the downstream-full retry
 	stats   Stats
 	tick    int64
 	//simlint:ckptskip retry events; SaveState digests the count and replay rebuilds the population
@@ -249,36 +245,16 @@ func (t *TLB) Lookup(pageVA uint64, waiter int64) bool {
 		return false
 	}
 	t.stats.Misses++
-	m := t.allocMSHR(pageVA, vpn)
-	m.waiters = append(m.waiters, waiter)
+	id, m := t.mshrTab.Get()
+	*m = tlbMSHR{pageVA: pageVA, vpn: vpn, waiters: append(m.waiters[:0], waiter), born: t.q.Now(), id: id}
 	t.mshrs[vpn] = m
 	t.q.After(t.cfg.Latency, t.issueFn, m.id)
 	return true
 }
 
-// allocMSHR takes a miss tracker from the pool (or builds one and
-// enters it in the MSHR table) and resets its per-miss state.
-//
-//simlint:noalloc
-func (t *TLB) allocMSHR(pageVA, vpn uint64) *tlbMSHR {
-	m := t.pool
-	if m == nil {
-		//simlint:ignore noalloc grow path, once per MSHR the TLB ever holds at once
-		m = &tlbMSHR{id: int64(len(t.mshrTab))}
-		t.mshrTab = append(t.mshrTab, m)
-	} else {
-		t.pool = m.next
-		m.next = nil
-	}
-	m.pageVA, m.vpn = pageVA, vpn
-	m.born = t.q.Now()
-	m.waiters = m.waiters[:0]
-	return m
-}
+func (t *TLB) onIssue(id int64) { t.issue(t.mshrTab.At(id)) }
 
-func (t *TLB) onIssue(id int64) { t.issue(t.mshrTab[id]) }
-
-func (t *TLB) onFill(id int64, r Result) { t.fill(t.mshrTab[id], r) }
+func (t *TLB) onFill(id int64, r Result) { t.fill(t.mshrTab.At(id), r) }
 
 func (t *TLB) issue(m *tlbMSHR) {
 	if !t.next.Lookup(m.pageVA, t.nextTag|m.id) {
@@ -291,8 +267,8 @@ func (t *TLB) issue(m *tlbMSHR) {
 }
 
 // fill completes a miss: install on a hit, retire the tracker, run the
-// merged waiters in arrival order, then recycle it (last, so waiters
-// that immediately re-miss get a different node).
+// merged waiters in arrival order, then free it (last, so waiters that
+// immediately re-miss get a different record).
 func (t *TLB) fill(m *tlbMSHR, r Result) {
 	if r.Present {
 		t.install(m.vpn)
@@ -304,17 +280,7 @@ func (t *TLB) fill(m *tlbMSHR, r Result) {
 		t.answer(w, r)
 	}
 	t.release()
-	t.putMSHR(m)
-}
-
-// putMSHR returns a retired miss tracker to the free list. Callers must
-// drop every reference first: the next allocMSHR may hand it out again.
-//
-//simlint:releases 0
-func (t *TLB) putMSHR(m *tlbMSHR) {
-	m.waiters = m.waiters[:0]
-	m.next = t.pool
-	t.pool = m
+	t.mshrTab.Free(m.id, m)
 }
 
 // CheckInvariants validates the TLB's structural state: MSHR occupancy

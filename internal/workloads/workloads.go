@@ -62,6 +62,12 @@ type Params struct {
 	Seed int64
 }
 
+// MaxScale bounds Params.Scale for a caller that takes the scale from
+// outside. Workload images grow with the scale: at scale 8 the largest,
+// stencil's, is 32 MiB and grows with the square of the scale. The
+// repository's figures and CI run scales 1-4.
+const MaxScale = 8
+
 // normalize fills defaults.
 func (p Params) normalize() Params {
 	if p.Scale <= 0 {
