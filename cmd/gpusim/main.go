@@ -320,7 +320,8 @@ func audit(s *gpues.Simulator, dir string) (string, error) {
 		return "", err
 	}
 	if len(skipped) > 0 {
-		return "", fmt.Errorf("audit: unreadable checkpoint %s", filepath.Join(dir, skipped[0]))
+		_, err := ckpt.ReadFile(filepath.Join(dir, skipped[0]))
+		return "", fmt.Errorf("audit: unreadable checkpoint %w", err)
 	}
 	if err := s.Audit(trail...); err != nil {
 		return "", err

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"gpues"
+	"gpues/internal/ckpt"
 	"gpues/internal/runspec"
 )
 
@@ -28,7 +29,9 @@ func newRun(t *testing.T) *gpues.Simulator {
 }
 
 // TestAuditTrail: an intact trail audits with every checkpoint counted,
-// and a trail with one file truncated on disk fails naming that file.
+// a trail with one file an older binary wrote fails naming that file
+// and its version, and a trail with one file truncated on disk fails
+// naming that file.
 func TestAuditTrail(t *testing.T) {
 	dir := t.TempDir()
 	w := newRun(t)
@@ -48,6 +51,25 @@ func TestAuditTrail(t *testing.T) {
 	}
 	if want := fmt.Sprintf(" %d checkpoints match", len(files)); !strings.HasPrefix(line, "audit ") || !strings.Contains(line, want) {
 		t.Errorf("summary = %q, want an audit line with%s", line, want)
+	}
+
+	old := files[0]
+	ck, err := ckpt.ReadFile(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Version = 3
+	if err := ck.WriteFile(old); err != nil {
+		t.Fatal(err)
+	}
+	_, err = audit(newRun(t), dir)
+	if want := "format version 3, this binary reads version 4"; err == nil ||
+		!strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("audit of a trail holding a version-3 file = %v, want an error naming %s and %q", err, old, want)
+	}
+	ck.Version = ckpt.Version
+	if err := ck.WriteFile(old); err != nil {
+		t.Fatal(err)
 	}
 
 	victim := files[len(files)/2]

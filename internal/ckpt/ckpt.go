@@ -38,10 +38,11 @@ import (
 const Magic = "GPUCKPT1"
 
 // Version is the current checkpoint format version. Bump it whenever
-// the envelope or any component's SaveState layout changes: an audit
+// the envelope, any component's SaveState layout or the state a
+// section digests changes: an audit
 // refuses checkpoints written by a different version instead of
 // reporting a spurious divergence against them.
-const Version uint32 = 3
+const Version uint32 = 4
 
 // fnv64a is the FNV-1a digest used for section, file and streaming
 // state digests. It is not cryptographic; it only needs to make state

@@ -167,7 +167,7 @@ func TestDecodeRefusesVersion1(t *testing.T) {
 	if err == nil {
 		t.Fatal("version-1 file accepted")
 	}
-	if !strings.Contains(err.Error(), "format version 1, this binary reads version 3") {
+	if !strings.Contains(err.Error(), "format version 1, this binary reads version 4") {
 		t.Errorf("error %q does not name version 1", err)
 	}
 }
@@ -181,8 +181,25 @@ func TestDecodeRefusesVersion2(t *testing.T) {
 	if err == nil {
 		t.Fatal("version-2 file accepted")
 	}
-	if !strings.Contains(err.Error(), "format version 2, this binary reads version 3") {
+	if !strings.Contains(err.Error(), "format version 2, this binary reads version 4") {
 		t.Errorf("error %q does not name version 2", err)
+	}
+}
+
+// Version 3 had today's envelope and sections, but its emu.memory
+// section digested the functional memory after the blocks handed out
+// so far; version 4 digests it after one wave more, the blocks a
+// simulator emulates ahead of dispatch. A version-3 trail of a grid
+// larger than one wave would fail its audit on emu.memory.
+func TestDecodeRefusesVersion3(t *testing.T) {
+	c := sampleCheckpoint()
+	c.Version = 3
+	_, err := Decode(c.Encode())
+	if err == nil {
+		t.Fatal("version-3 file accepted")
+	}
+	if !strings.Contains(err.Error(), "format version 3, this binary reads version 4") {
+		t.Errorf("error %q does not name version 3", err)
 	}
 }
 

@@ -207,10 +207,11 @@ type LocalHandlerConfig struct {
 	// Enabled routes first-touch (allocation-only) faults to the
 	// GPU-resident handler instead of the CPU.
 	Enabled bool
-	// Concurrency bounds how many handler invocations run usefully in
-	// parallel across the GPU; the handlers serialize on system-level
-	// synchronization (Szymanski's lock around shared page table
-	// updates). 0 selects the default of one handler per five SMs
+	// Concurrency bounds how many handler invocations run in parallel
+	// across the GPU. The paper's handlers serialize on system-level
+	// synchronization around shared page table updates; the model
+	// does not execute that lock and bounds the handlers by this count
+	// instead. 0 selects the default of one handler per five SMs
 	// (3 for the 16-SM baseline), which matches the measured
 	// scalability the paper reports.
 	Concurrency int

@@ -31,11 +31,11 @@ type LocalStats struct {
 // GPU still wins on throughput under fault storms.
 // DefaultHandlerConcurrency returns the effective parallelism of the
 // GPU-local handler for a GPU of the given size: any faulting warp can
-// enter system mode, but the handlers serialize on the system-level
-// synchronization (Szymanski's lock around the shared page table
-// update, Section 4.2) and on shared allocator metadata, so the
-// measured scalability of the prototype handler corresponds to a small
-// effective concurrency — about one useful handler per five SMs
+// enter system mode, but in the paper the handlers serialize on
+// system-level synchronization around the shared page table update
+// (Section 4.2) and on shared allocator metadata. The model does not
+// execute that synchronization; it bounds the handlers by this count,
+// a small effective concurrency — about one handler per five SMs
 // (3 for the paper's 16-SM configuration) — rather than one per warp.
 // Local handling therefore improves with the number of SMs
 // (Section 5.5).

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"gpues/internal/excep"
 	"gpues/internal/gpualloc"
@@ -53,21 +54,25 @@ type Emulator struct {
 	// MaxWarpInsts bounds the dynamic instruction count per warp.
 	MaxWarpInsts int
 
-	// AddrValid, when set, is the launch's address map: global accesses
-	// to addresses it rejects raise an illegal-address exception, the
-	// functional equivalent of an MMU fault on an unmapped VA. Unset,
-	// only the IllegalFloor check applies (the timing layer still
-	// aborts on unmapped accesses).
-	AddrValid func(addr uint64) bool
+	// AddrValid, when set, is the launch's address map: it reports
+	// whether the addresses [lo, hi] all lie inside one mapped region.
+	// A global access whose address it rejects raises an
+	// illegal-address exception, the functional equivalent of an MMU
+	// fault on an unmapped VA. Unset, only the IllegalFloor check
+	// applies (the timing layer still aborts on unmapped accesses).
+	AddrValid func(lo, hi uint64) bool
 
 	// Blocks are emulated one at a time, so one set of execution
 	// scratch state serves every block: warp contexts (their 64 KB
 	// register files and their trace buffers) and the shared-memory
 	// buffer. A finished block is copied out of the scratch into a
 	// BlockTrace taken from free, the traces handed back by Release, or
-	// into a new one.
+	// into a new one. Release may run on another goroutine than
+	// EmulateBlock (a dispatcher emulating ahead hands traces back from
+	// the timing loop), so freeMu guards free.
 	ctxs      []*warpCtx
 	sharedBuf []byte
+	freeMu    sync.Mutex
 	free      []*BlockTrace
 	// regSpan is one past the highest register the kernel names. No
 	// instruction reads or writes a register above it, so a pooled
@@ -75,9 +80,9 @@ type Emulator struct {
 	regSpan int
 
 	// flip is the armed bit-flip injector (zero = off); flips counts
-	// the flips applied so far across all blocks.
+	// the flips applied to the block being emulated.
 	flip  excep.FlipConfig
-	flips int64
+	flips int
 	// heap backs OpMalloc when the launch declares a device heap.
 	heap *gpualloc.Allocator
 }
@@ -136,10 +141,6 @@ func regSpan(code []isa.Instruction) int {
 // ConfigureFlips arms the bit-flip injector for the launch. Call
 // before any block is emulated.
 func (e *Emulator) ConfigureFlips(cfg excep.FlipConfig) { e.flip = cfg }
-
-// Flips returns the number of bit flips injected so far. Blocks are
-// emulated deterministically, so the count is seed-stable.
-func (e *Emulator) Flips() int64 { return e.flips }
 
 // Memory returns the functional memory the emulator executes against.
 func (e *Emulator) Memory() *Memory { return e.mem }
@@ -277,6 +278,7 @@ func (e *Emulator) EmulateBlock(blockID int) (*BlockTrace, error) {
 	}
 
 	bt := e.takeTrace(blockID)
+	e.flips = 0
 	// Round-robin warp execution, switching at barriers, until all warps
 	// are done. A pass with no progress means a malformed barrier.
 	for {
@@ -322,6 +324,7 @@ func (e *Emulator) EmulateBlock(blockID int) (*BlockTrace, error) {
 		}
 	}
 	e.copyOut(bt, warps)
+	bt.Flips = e.flips
 	return bt, nil
 }
 
@@ -330,14 +333,17 @@ func (e *Emulator) EmulateBlock(blockID int) (*BlockTrace, error) {
 //
 //simlint:noalloc
 func (e *Emulator) takeTrace(blockID int) *BlockTrace {
+	e.freeMu.Lock()
 	n := len(e.free)
 	if n == 0 {
+		e.freeMu.Unlock()
 		//simlint:ignore noalloc the free list is empty until the first trace comes back
 		return &BlockTrace{BlockID: blockID}
 	}
 	bt := e.free[n-1]
 	e.free[n-1] = nil
 	e.free = e.free[:n-1]
+	e.freeMu.Unlock()
 	bt.BlockID = blockID
 	bt.GlobalAccesses, bt.MemRequests = 0, 0
 	return bt
@@ -392,7 +398,8 @@ func (e *Emulator) copyOut(bt *BlockTrace, warps []*warpCtx) {
 // Release hands a trace that EmulateBlock returned back to the
 // emulator, whose next EmulateBlock reuses its arrays. The caller must
 // hold no reference into it afterwards: not bt, not a slice of one of
-// its WarpTraces. Exception records stay the caller's.
+// its WarpTraces. Exception records stay the caller's. Release is safe
+// to call while another goroutine runs EmulateBlock.
 //
 //simlint:releases 0
 //simlint:noalloc
@@ -400,7 +407,9 @@ func (e *Emulator) Release(bt *BlockTrace) {
 	for i := range bt.Warps {
 		bt.Warps[i] = WarpTrace{}
 	}
+	e.freeMu.Lock()
 	e.free = append(e.free, bt)
+	e.freeMu.Unlock()
 }
 
 // runWarp executes the warp until it exits or reaches a barrier. Each
@@ -1027,10 +1036,17 @@ func (e *Emulator) coalesceLines(w *warpCtx, addrs *[32]uint64, mask uint32, siz
 }
 
 // execMem executes a memory instruction for every lane in mask. The
-// effective addresses are computed first; the exception checks, the
-// accesses (so atomics and a block's stores interleave in lane order)
-// and the error on an out-of-partition shared access then all run in
-// ascending lane order.
+// effective addresses are computed first. A global access is then
+// checked once for the whole warp: its lowest and highest lane address
+// against the floor and the address map, and every address's alignment.
+// Only when that check fails do the per-lane checks run, in ascending
+// lane order, so the lowest offending lane raises the same record as a
+// check of each lane would. The accesses follow in ascending lane order
+// (so atomics and a block's stores interleave in lane order), through
+// one chunk lookup when every lane's bytes fall in one memory chunk. A
+// shared access is bounds-checked once when its highest address fits
+// the partition; otherwise each lane is checked, and the first one
+// outside is an error.
 //
 //simlint:noalloc
 func (e *Emulator) execMem(w *warpCtx, in *isa.Instruction, mask uint32, blockID int, shared []byte, pc int32) error {
@@ -1045,31 +1061,33 @@ func (e *Emulator) execMem(w *warpCtx, in *isa.Instruction, mask uint32, blockID
 		l := lane(m)
 		addrs[l] ^= w.flipAddrXor[l]
 	}
-	if in.IsGlobalMem() {
-		for m := mask; m != 0; m &= m - 1 {
-			l := lane(m)
-			a := addrs[l]
-			if a < IllegalFloor {
-				e.raise(w, blockID, excep.KindIllegalAddress, pc, in, 1<<l, a,
-					"global access below the mapped address space")
-				return nil
-			}
-			if a&uint64(size-1) != 0 { // sizes are powers of two
-				e.raise(w, blockID, excep.KindMisaligned, pc, in, 1<<l, a,
-					fmt.Sprintf("address not %d-byte aligned", size)) //simlint:ignore noalloc exception path: the warp stops here
-				return nil
-			}
-			if e.AddrValid != nil && !e.AddrValid(a) {
-				e.raise(w, blockID, excep.KindIllegalAddress, pc, in, 1<<l, a,
-					"global access outside any mapped region")
-				return nil
-			}
-		}
+	lo, hi, bitsOr := ^uint64(0), uint64(0), uint64(0)
+	for m := mask; m != 0; m &= m - 1 {
+		a := addrs[lane(m)]
+		lo, hi, bitsOr = min(lo, a), max(hi, a), bitsOr|a
 	}
+	global := in.IsGlobalMem()
+	if global && mask != 0 && (lo < IllegalFloor || bitsOr&uint64(size-1) != 0 || // sizes are powers of two
+		e.AddrValid != nil && !e.AddrValid(lo, hi)) && !e.checkLanes(w, in, &addrs, mask, blockID, pc) {
+		return nil
+	}
+	// inShared holds when every lane's bytes lie inside the shared
+	// partition, so no lane needs its own bounds check.
+	inShared := uint64(size) <= uint64(len(shared)) && hi <= uint64(len(shared)-size)
+	// oneChunk holds when every lane's bytes fall in one memory chunk;
+	// hi+size-1 cannot wrap, since lo is at least IllegalFloor.
+	oneChunk := global && mask != 0 && lo>>chunkBits == (hi+uint64(size)-1)>>chunkBits
 
 	switch in.Op {
 	case isa.OpLdShared:
 		d := w.dst(in.Dst)
+		if inShared {
+			for m := mask; m != 0; m &= m - 1 {
+				l := lane(m)
+				d[l] = getLE(shared[addrs[l]:], size)
+			}
+			break
+		}
 		for m := mask; m != 0; m &= m - 1 {
 			l := lane(m)
 			word, err := sharedWord(shared, addrs[l], size)
@@ -1080,6 +1098,13 @@ func (e *Emulator) execMem(w *warpCtx, in *isa.Instruction, mask uint32, blockID
 		}
 	case isa.OpStShared:
 		v := w.src(in.SrcB)
+		if inShared {
+			for m := mask; m != 0; m &= m - 1 {
+				l := lane(m)
+				putLE(shared[addrs[l]:], size, v[l])
+			}
+			break
+		}
 		for m := mask; m != 0; m &= m - 1 {
 			l := lane(m)
 			word, err := sharedWord(shared, addrs[l], size)
@@ -1090,50 +1115,64 @@ func (e *Emulator) execMem(w *warpCtx, in *isa.Instruction, mask uint32, blockID
 		}
 	case isa.OpLdGlobal:
 		d := w.dst(in.Dst)
+		if oneChunk {
+			c := e.mem.chunk(lo, false)
+			if c == nil {
+				broadcast(d, mask, 0)
+				break
+			}
+			for m := mask; m != 0; m &= m - 1 {
+				l := lane(m)
+				d[l] = getLE(c[addrs[l]&(chunkSize-1):], size)
+			}
+			break
+		}
 		for m := mask; m != 0; m &= m - 1 {
 			l := lane(m)
 			d[l] = e.mem.Read(addrs[l], size)
 		}
 	case isa.OpStGlobal:
 		v := w.src(in.SrcB)
+		if oneChunk {
+			c := e.mem.chunk(lo, true)
+			for m := mask; m != 0; m &= m - 1 {
+				l := lane(m)
+				putLE(c[addrs[l]&(chunkSize-1):], size, v[l])
+			}
+			break
+		}
 		for m := mask; m != 0; m &= m - 1 {
 			l := lane(m)
 			e.mem.Write(addrs[l], size, v[l])
 		}
 	case isa.OpAtomGlobal:
 		vs, cmps, d := w.src(in.SrcB), w.src(in.SrcC), w.dst(in.Dst)
+		if oneChunk {
+			// Like Memory.Atom, a lane that stores nothing materializes
+			// no chunk.
+			c := e.mem.chunk(lo, false)
+			for m := mask; m != 0; m &= m - 1 {
+				l := lane(m)
+				off := addrs[l] & (chunkSize - 1)
+				var old uint64
+				if c != nil {
+					old = getLE(c[off:], size)
+				}
+				if nv, store := atomApply(in.Atom, old, vs[l], cmps[l]); store {
+					if c == nil {
+						c = e.mem.chunk(lo, true)
+					}
+					putLE(c[off:], size, nv)
+				}
+				d[l] = old
+			}
+			break
+		}
 		for m := mask; m != 0; m &= m - 1 {
 			l := lane(m)
 			v, cmp := vs[l], cmps[l]
 			//simlint:ignore noalloc the closure does not escape Memory.Atom (go build -gcflags=-m), so it lives on the stack
-			d[l] = e.mem.Atom(addrs[l], size, func(o uint64) (uint64, bool) {
-				switch in.Atom {
-				case isa.AtomAdd:
-					return o + v, true
-				case isa.AtomMax:
-					if int64(v) > int64(o) {
-						return v, true
-					}
-					return o, false
-				case isa.AtomMin:
-					if int64(v) < int64(o) {
-						return v, true
-					}
-					return o, false
-				case isa.AtomExch:
-					return v, true
-				case isa.AtomCAS:
-					if o == cmp {
-						return v, true
-					}
-					return o, false
-				case isa.AtomAnd:
-					return o & v, true
-				case isa.AtomOr:
-					return o | v, true
-				}
-				return o, false
-			})
+			d[l] = e.mem.Atom(addrs[l], size, func(o uint64) (uint64, bool) { return atomApply(in.Atom, o, v, cmp) })
 		}
 	default:
 		//simlint:ignore noalloc error path
@@ -1143,6 +1182,66 @@ func (e *Emulator) execMem(w *warpCtx, in *isa.Instruction, mask uint32, blockID
 		return e.coalesceLines(w, &addrs, mask, size)
 	}
 	return nil
+}
+
+// checkLanes runs a global access's exception checks lane by lane, in
+// ascending lane order: the floor, the alignment, then the address map.
+// The first lane that fails one raises the warp's exception, and
+// checkLanes reports false; it reports true when every lane passes (a
+// warp whose lanes span two regions fails the warp-wide check alone).
+func (e *Emulator) checkLanes(w *warpCtx, in *isa.Instruction, addrs *[32]uint64, mask uint32, blockID int, pc int32) bool {
+	size := uint64(in.Size)
+	for m := mask; m != 0; m &= m - 1 {
+		l := lane(m)
+		a := addrs[l]
+		switch {
+		case a < IllegalFloor:
+			e.raise(w, blockID, excep.KindIllegalAddress, pc, in, 1<<l, a,
+				"global access below the mapped address space")
+		case a&(size-1) != 0:
+			e.raise(w, blockID, excep.KindMisaligned, pc, in, 1<<l, a,
+				fmt.Sprintf("address not %d-byte aligned", size))
+		case e.AddrValid != nil && !e.AddrValid(a, a):
+			e.raise(w, blockID, excep.KindIllegalAddress, pc, in, 1<<l, a,
+				"global access outside any mapped region")
+		default:
+			continue
+		}
+		return false
+	}
+	return true
+}
+
+// atomApply is atomic op's read-modify-write on the old value o with
+// operand v (and compare value cmp for CAS): the value to store, and
+// whether to store it.
+func atomApply(op isa.AtomOp, o, v, cmp uint64) (uint64, bool) {
+	switch op {
+	case isa.AtomAdd:
+		return o + v, true
+	case isa.AtomMax:
+		if int64(v) > int64(o) {
+			return v, true
+		}
+		return o, false
+	case isa.AtomMin:
+		if int64(v) < int64(o) {
+			return v, true
+		}
+		return o, false
+	case isa.AtomExch:
+		return v, true
+	case isa.AtomCAS:
+		if o == cmp {
+			return v, true
+		}
+		return o, false
+	case isa.AtomAnd:
+		return o & v, true
+	case isa.AtomOr:
+		return o | v, true
+	}
+	return o, false
 }
 
 // sharedWord returns the size bytes of the shared partition at off, or

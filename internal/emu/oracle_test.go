@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"gpues/internal/excep"
 	"gpues/internal/isa"
 	"gpues/internal/kernel"
 )
@@ -21,7 +22,9 @@ import (
 // following each branch for its thread alone, and coalesces each
 // warp's memory accesses itself, so every line the trace stores is
 // checked too. Any divergence between the two implementations is a bug
-// in one of them.
+// in one of them. A program may also carry one raising instruction,
+// whose exception records the oracle predicts from the lanes' own
+// checks.
 
 // oracleThread is one thread's architectural state and identity.
 type oracleThread struct {
@@ -283,6 +286,33 @@ func (th *oracleThread) exec(in isa.Instruction) {
 	}
 }
 
+// fault returns the exception the thread raises at in, if any: a
+// trap, a failed assert, or a global access below IllegalFloor,
+// misaligned, or outside every region valid accepts, checked in that
+// order.
+func (th *oracleThread) fault(in isa.Instruction, valid func(uint64) bool) (excep.Kind, bool) {
+	if !th.active(in) {
+		return 0, false
+	}
+	switch in.Op {
+	case isa.OpTrap:
+		return excep.KindTrap, true
+	case isa.OpAssert:
+		return excep.KindAssert, th.reg(in.SrcA) == 0
+	case isa.OpLdGlobal, isa.OpStGlobal:
+		addr := th.reg(in.SrcA) + uint64(in.Imm)
+		switch {
+		case addr < IllegalFloor:
+			return excep.KindIllegalAddress, true
+		case addr%uint64(in.Size) != 0:
+			return excep.KindMisaligned, true
+		case !valid(addr):
+			return excep.KindIllegalAddress, true
+		}
+	}
+	return 0, false
+}
+
 const (
 	// oracleRegs is the pool of registers random instructions use.
 	oracleRegs = 16
@@ -303,6 +333,42 @@ type globalSpan struct{ base, stride uint64 }
 // defaultSpan packs the global windows the way a kernel's arrays are.
 var defaultSpan = globalSpan{base: 1 << 24, stride: oracleWindow}
 
+// raiseKind selects the instruction a program raises its exception
+// at, and how its lanes fail.
+type raiseKind uint8
+
+const (
+	raiseNone       raiseKind = iota
+	raiseFloor                // a load below IllegalFloor
+	raiseMisaligned           // a misaligned load
+	raiseOutside              // a load past the probe region's end
+	raiseFloorAlign           // a load both below the floor and misaligned
+	raiseTrap                 // a trap
+	raiseAssert               // a failed assert
+	numRaiseKinds
+)
+
+// raiseSpec places one raising instruction: at the start of segment
+// seg, failing on the lanes from lane up. pred, when not negative, also
+// predicates it on pool register pred, so some failing lanes may be
+// inactive and the lowest failing active lane is any lane.
+type raiseSpec struct {
+	kind raiseKind
+	seg  int
+	lane int
+	pred int
+}
+
+// The probe region holds one 8-byte word per lane and nothing else;
+// no program writes it, and the addresses past its end, up to the
+// output dump at oracleOutBase, lie in no region. Below-floor lanes
+// address probeLow upward.
+const (
+	probeBase = uint64(0x80000)
+	probeSize = 32 * 8
+	probeLow  = uint64(0x100)
+)
+
 // sizePatch records a shared access whose width Validate would reject:
 // it is built as an 8-byte access and narrowed after emu.New.
 type sizePatch struct {
@@ -320,6 +386,9 @@ type oracleProgram struct {
 	segments []pcRange
 	pool     []isa.Reg
 	patches  []sizePatch
+	// raisePC is the PC of the raising instruction, or -1, and
+	// raiseSeg the segment it starts.
+	raisePC, raiseSeg int
 }
 
 // pcRange is the instructions code[start:end].
@@ -339,8 +408,9 @@ func (p *oracleProgram) insts(k int) []isa.Instruction {
 // and so split warps. Global accesses stay inside the thread's window
 // that g places. Every region reconverges before its segment ends. The
 // pool is allocated last, so its top register is also the highest one
-// the kernel names.
-func randProgram(rng *rand.Rand, outBase uint64, threads int, g globalSpan) *oracleProgram {
+// the kernel names. x, unless its kind is raiseNone, places one raising
+// instruction; the rest of the program does not depend on it.
+func randProgram(rng *rand.Rand, outBase uint64, threads int, g globalSpan, x raiseSpec) *oracleProgram {
 	const segments, segLen, maxDepth = 4, 25, 2
 	b := kernel.NewBuilder("fuzz").SetSharedMem(threads * oracleWindow)
 	po := b.AddParam(outBase)
@@ -350,11 +420,15 @@ func randProgram(rng *rand.Rand, outBase uint64, threads int, g globalSpan) *ora
 	// The dump's registers and the thread's shared and global windows
 	// sit below the pool; no random instruction writes them.
 	addr, row, sbase, gbase := b.Reg(), b.Reg(), b.Reg(), b.Reg()
+	var bad, tmp isa.Reg
+	if x.kind != raiseNone {
+		bad, tmp = b.Reg(), b.Reg()
+	}
 	regs := make([]isa.Reg, oracleRegs)
 	for i := range regs {
 		regs[i] = b.Reg()
 	}
-	p := &oracleProgram{pool: regs}
+	p := &oracleProgram{pool: regs, raisePC: -1, raiseSeg: -1}
 
 	segStart := 0
 	op2 := func(op isa.Op, d, a, rb isa.Reg, imm int64) {
@@ -541,6 +615,10 @@ func randProgram(rng *rand.Rand, outBase uint64, threads int, g globalSpan) *ora
 		}
 	}
 	for k := 0; k < segments; k++ {
+		if x.kind != raiseNone && k == x.seg%segments {
+			p.raiseSeg = k
+			p.raisePC = emitRaise(b, x, row, bad, tmp, addr, regs)
+		}
 		block(segLen, 0)
 		dump(k)
 	}
@@ -549,20 +627,87 @@ func randProgram(rng *rand.Rand, outBase uint64, threads int, g globalSpan) *ora
 	return p
 }
 
+// emitRaise emits x's raising instruction, at depth 0, and the lane
+// arithmetic before it, in registers no random instruction touches:
+// lane holds the lane index, bad is 1 on the lanes from x.lane up, and
+// addr is a load's address, in the probe region on the other lanes.
+// It returns the raising instruction's PC.
+func emitRaise(b *kernel.Builder, x raiseSpec, lane, bad, tmp, addr isa.Reg, regs []isa.Reg) int {
+	inst := func(op isa.Op, d, a, rb isa.Reg, imm int64) isa.Instruction {
+		in := isa.NewInstruction(op)
+		in.Dst, in.SrcA, in.SrcB, in.Imm = d, a, rb, imm
+		return in
+	}
+	setp := func(d isa.Reg, cmp isa.Cmp) {
+		in := inst(isa.OpSetP, d, lane, isa.RZ, int64(x.lane))
+		in.Cmp = cmp
+		b.Emit(in)
+	}
+	b.S2R(lane, isa.SRLaneID)
+	setp(bad, isa.CmpGE)
+	b.Emit(inst(isa.OpIMul, addr, lane, isa.RZ, 8))
+	b.Emit(inst(isa.OpIAdd, addr, addr, isa.RZ, int64(probeBase)))
+	switch x.kind {
+	case raiseFloor, raiseFloorAlign:
+		drop := probeBase - probeLow
+		if x.kind == raiseFloorAlign {
+			drop -= 4
+		}
+		b.Emit(inst(isa.OpIMul, tmp, bad, isa.RZ, int64(drop)))
+		b.Emit(inst(isa.OpISub, addr, addr, tmp, 0))
+	case raiseMisaligned:
+		b.Emit(inst(isa.OpIMul, tmp, bad, isa.RZ, 4))
+		b.Emit(inst(isa.OpIAdd, addr, addr, tmp, 0))
+	case raiseOutside:
+		b.Emit(inst(isa.OpIAdd, addr, addr, isa.RZ, int64(probeSize-8*x.lane)))
+	case raiseAssert:
+		setp(tmp, isa.CmpLT)
+	}
+	var in isa.Instruction
+	switch x.kind {
+	case raiseTrap:
+		in = inst(isa.OpTrap, isa.RegNone, isa.RegNone, isa.RegNone, 7)
+		in.Pred = bad
+	case raiseAssert:
+		in = inst(isa.OpAssert, isa.RegNone, tmp, isa.RegNone, 3)
+	default:
+		in = inst(isa.OpLdGlobal, tmp, addr, isa.RegNone, 0)
+		in.Size = 8
+	}
+	if x.pred >= 0 && x.kind != raiseTrap {
+		in.Pred = regs[x.pred%len(regs)]
+	}
+	pc := b.PC()
+	b.Emit(in)
+	return pc
+}
+
 // oracleOutBase is where the random programs dump their register pool.
 const oracleOutBase = uint64(0x100000)
 
-// matchOracle emulates blocks of l, which runs p, in order on one
-// emulator, handing each trace back before the next block so later
-// blocks run on recycled traces, and compares every thread's register
-// pool after each segment, the block's shared memory and every line of
-// every memory instruction with the per-thread oracle; it also checks
-// each trace's encoding (checkRuns). A block whose lines the trace
-// cannot encode must fail with errLineRange, and ends the run. It
-// returns how many predicated instructions ran with a partial mask,
-// and how many branch executions split a warp: some of its threads
-// took the branch and others did not.
-func matchOracle(t testing.TB, name string, l *kernel.Launch, p *oracleProgram, blocks []int) (partialMasks, divergent int) {
+// oracleStats is what a matchOracle run exercised: how many predicated
+// instructions ran with a partial mask, how many branch executions
+// split a warp (some of its threads took the branch and others did
+// not), and the exception records the emulator raised, each checked
+// against the oracle's prediction.
+type oracleStats struct {
+	partialMasks, divergent int
+	raised                  []*excep.Record
+}
+
+// matchOracle emulates blocks of l, which runs p with its global
+// windows placed by g, in order on one emulator, handing each trace
+// back before the next block so later blocks run on recycled traces,
+// and compares every thread's register pool after each segment, the
+// block's shared memory and every line of every memory instruction
+// with the per-thread oracle; it also checks each trace's encoding
+// (checkRuns). The emulator's address map holds the global windows,
+// the dump area and the probe region. When p raises, each warp's
+// exception record must be the oracle's: the lowest active lane that
+// fails its check names it, and the warp stops there. A block whose
+// lines the trace cannot encode must fail with errLineRange, and ends
+// the run.
+func matchOracle(t testing.TB, name string, l *kernel.Launch, p *oracleProgram, g globalSpan, blocks []int) oracleStats {
 	t.Helper()
 	threads := l.ThreadsPerBlock()
 	mem := NewMemory()
@@ -570,11 +715,26 @@ func matchOracle(t testing.TB, name string, l *kernel.Launch, p *oracleProgram, 
 	if err != nil {
 		t.Fatal(err)
 	}
+	regions := [][2]uint64{
+		{probeBase, probeBase + probeSize},
+		{oracleOutBase, oracleOutBase + uint64(len(p.segments)*threads*oracleRegs*8)},
+		{g.base, g.base + uint64(l.Blocks()*threads)*g.stride},
+	}
+	e.AddrValid = func(lo, hi uint64) bool {
+		for _, r := range regions {
+			if lo >= r[0] && hi < r[1] {
+				return true
+			}
+		}
+		return false
+	}
+	valid := func(a uint64) bool { return e.AddrValid(a, a) }
 	for _, pt := range p.patches {
 		p.k.Code[pt.pc].Size = pt.size
 	}
 	code := p.k.Code
 	global := make(map[uint64]byte)
+	var st oracleStats
 	// Later blocks reuse the first block's pooled warp state, so they
 	// also check that a block starts from zeroed registers.
 	for _, blk := range blocks {
@@ -582,14 +742,18 @@ func matchOracle(t testing.TB, name string, l *kernel.Launch, p *oracleProgram, 
 		// Oracle: run the program one thread at a time, its dumps too.
 		// No branch runs twice in a thread, so a warp's lanes at one
 		// branch PC are one execution of it, and its lanes' accesses at
-		// one PC are one memory instruction.
+		// one PC are one memory instruction. Threads share no bytes, so
+		// running them segment by segment sees what running each one
+		// through sees.
 		type lanes struct{ taken, fell uint32 }
 		branches := make(map[[2]int]*lanes)
 		accesses := make(map[[2]int][]laneAccess)
 		shared := make([]byte, p.k.SharedMemBytes)
-		for tid := 0; tid < threads; tid++ {
+		ths := make([]*oracleThread, threads)
+		takens := make([]func(pc int, ok bool), threads)
+		for tid := range ths {
 			th := &oracleThread{tid: tid, block: blk, launch: l, shared: shared, global: global}
-			taken := func(pc int, ok bool) {
+			takens[tid] = func(pc int, ok bool) {
 				key := [2]int{tid / 32, pc}
 				if branches[key] == nil {
 					branches[key] = &lanes{}
@@ -604,8 +768,40 @@ func matchOracle(t testing.TB, name string, l *kernel.Launch, p *oracleProgram, 
 				key := [2]int{tid / 32, pc}
 				accesses[key] = append(accesses[key], laneAccess{addr, size})
 			}
-			for k, seg := range p.segments {
-				th.run(code, seg.start, seg.end, taken)
+			ths[tid] = th
+		}
+		// want holds each warp's predicted exception record.
+		want := make([]*excep.Record, (threads+31)/32)
+		for k, seg := range p.segments {
+			start := seg.start
+			if k == p.raiseSeg {
+				for tid, th := range ths {
+					th.run(code, seg.start, p.raisePC, takens[tid])
+				}
+				in := code[p.raisePC]
+				for tid, th := range ths {
+					w := tid / 32
+					kind, ok := th.fault(in, valid)
+					if !ok || want[w] != nil {
+						continue
+					}
+					mask := ^uint32(0) >> (32 - min(threads-w*32, 32))
+					want[w] = &excep.Record{
+						Kind: kind, Block: int32(blk), Warp: int32(w), Lane: int32(tid % 32),
+						PC: int32(p.raisePC), Mnemonic: in.Op.Mnemonic(),
+						Frames: []excep.Frame{{PC: int32(p.raisePC), RPC: -2, Mask: mask}},
+					}
+					if in.IsGlobalMem() {
+						want[w].Addr = th.reg(in.SrcA) + uint64(in.Imm)
+					}
+				}
+				start = p.raisePC
+			}
+			for tid, th := range ths {
+				if want[tid/32] != nil {
+					continue // the warp stopped at its exception
+				}
+				th.run(code, start, seg.end, takens[tid])
 				if emuErr == nil {
 					for i, r := range p.pool {
 						got := mem.ReadU64(oracleOutBase + uint64(((k*threads+tid)*oracleRegs+i)*8))
@@ -619,7 +815,7 @@ func matchOracle(t testing.TB, name string, l *kernel.Launch, p *oracleProgram, 
 				if k+1 < len(p.segments) {
 					dumpEnd = p.segments[k+1].start
 				}
-				th.run(code, seg.end, dumpEnd, taken)
+				th.run(code, seg.end, dumpEnd, takens[tid])
 			}
 		}
 		tooFar := linesOutOfRange(accesses)
@@ -627,10 +823,25 @@ func matchOracle(t testing.TB, name string, l *kernel.Launch, p *oracleProgram, 
 			if !errors.Is(emuErr, errLineRange) || tooFar < 0 {
 				t.Fatalf("%s block %d: %v", name, blk, emuErr)
 			}
-			return partialMasks, divergent
+			return st
 		}
 		if tooFar >= 0 {
 			t.Fatalf("%s block %d: warp %d has a line more than 2^31 lines from its first, and the emulator encoded it", name, blk, tooFar)
+		}
+		for w := range bt.Warps {
+			got := bt.Warps[w].Excep
+			if got == nil && want[w] == nil {
+				continue
+			}
+			if got == nil || want[w] == nil {
+				t.Fatalf("%s block %d warp %d: emulator raised %+v, oracle %+v", name, blk, w, got, want[w])
+			}
+			if got.Kind != want[w].Kind || got.Block != want[w].Block || got.Warp != want[w].Warp ||
+				got.Lane != want[w].Lane || got.PC != want[w].PC || got.Mnemonic != want[w].Mnemonic ||
+				got.Addr != want[w].Addr || !slices.Equal(got.Frames, want[w].Frames) {
+				t.Fatalf("%s block %d warp %d: emulator raised %+v, oracle %+v", name, blk, w, got, want[w])
+			}
+			st.raised = append(st.raised, got)
 		}
 		checkRuns(t, fmt.Sprintf("%s block %d", name, blk), bt, code)
 		checkLines(t, fmt.Sprintf("%s block %d", name, blk), bt, code, accesses)
@@ -639,19 +850,19 @@ func matchOracle(t testing.TB, name string, l *kernel.Launch, p *oracleProgram, 
 		}
 		for _, ln := range branches {
 			if ln.taken != 0 && ln.fell != 0 {
-				divergent++
+				st.divergent++
 			}
 		}
 		for i := range bt.Warps {
 			for it := bt.Warps[i].Iter(code); it.Next(); {
 				if m := it.Mask(); code[it.PC()].Pred != isa.RegNone && m != 0 && m != ^uint32(0) {
-					partialMasks++
+					st.partialMasks++
 				}
 			}
 		}
 		e.Release(bt)
 	}
-	return partialMasks, divergent
+	return st
 }
 
 // laneAccess is one lane's access: size bytes at addr.
@@ -797,11 +1008,14 @@ func TestEmulatorMatchesOracle(t *testing.T) {
 			l := &kernel.Launch{Grid: sh.grid, Block: sh.block}
 			// Strides from packed windows up to 2 MB apart.
 			g := globalSpan{base: defaultSpan.base, stride: oracleWindow << (seed % 16)}
-			p := randProgram(rng, oracleOutBase, l.ThreadsPerBlock(), g)
+			p := randProgram(rng, oracleOutBase, l.ThreadsPerBlock(), g, raiseSpec{})
 			l.Kernel = p.k
-			pm, dv := matchOracle(t, fmt.Sprintf("%s seed %d", sh.name, seed), l, p, sh.blocks)
-			partialMasks += pm
-			divergent += dv
+			st := matchOracle(t, fmt.Sprintf("%s seed %d", sh.name, seed), l, p, g, sh.blocks)
+			partialMasks += st.partialMasks
+			divergent += st.divergent
+			if len(st.raised) > 0 {
+				t.Fatalf("%s seed %d: a program with no raising instruction raised %+v", sh.name, seed, st.raised[0])
+			}
 
 			for k := range p.segments {
 				for _, in := range p.insts(k) {
@@ -846,6 +1060,46 @@ func TestEmulatorMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestEmulatorOracleExceptions runs programs that raise, one kind per
+// program and the failing lanes from a varying lane up, sometimes
+// under a predicate, and checks each warp's record against the
+// oracle's. Every kind must be raised, by a lane above the warp's
+// lowest active one too, and a load whose lanes straddle the end of a
+// region must raise at the first lane past it.
+func TestEmulatorOracleExceptions(t *testing.T) {
+	l := &kernel.Launch{Grid: kernel.Dim3{X: 2}, Block: kernel.Dim3{X: 40, Y: 2}}
+	kinds := make(map[excep.Kind]int)
+	later, straddled := 0, 0
+	for kind := raiseFloor; kind < numRaiseKinds; kind++ {
+		for seed := int64(0); seed < 8; seed++ {
+			x := raiseSpec{kind: kind, seg: int(seed), lane: int(seed*5) % 32, pred: -1}
+			if seed%3 == 2 {
+				x.pred = int(seed)
+			}
+			p := randProgram(rand.New(rand.NewSource(seed)), oracleOutBase, l.ThreadsPerBlock(), defaultSpan, x)
+			l.Kernel = p.k
+			st := matchOracle(t, fmt.Sprintf("kind %d seed %d", kind, seed), l, p, defaultSpan, []int{1, 0})
+			for _, r := range st.raised {
+				kinds[r.Kind]++
+				if r.Lane > 0 {
+					later++
+				}
+				if kind == raiseOutside && r.Lane > 0 && x.pred < 0 {
+					straddled++
+				}
+			}
+		}
+	}
+	for _, k := range []excep.Kind{excep.KindIllegalAddress, excep.KindMisaligned, excep.KindTrap, excep.KindAssert} {
+		if kinds[k] == 0 {
+			t.Errorf("no program raised %v", k)
+		}
+	}
+	if later == 0 || straddled == 0 {
+		t.Errorf("records raised by a lane above lane 0: %d, at a region's end: %d; want both > 0", later, straddled)
+	}
+}
+
 // FuzzEmulatorOracle runs a random program from a fuzzed seed on a
 // fuzzed launch shape (up to 4×3 blocks of up to 64×2 threads, so
 // partial last warps and multi-warp blocks) with its global windows at
@@ -853,11 +1107,15 @@ func TestEmulatorMatchesOracle(t *testing.T) {
 // plus up to 2^34), and checks two of its blocks against the per-thread
 // oracle, the second on a recycled trace, and the run and line
 // encoding of both traces. Far enough apart, a warp's lines no longer
-// fit the trace's 32-bit line offsets, and the block must fail.
+// fit the trace's 32-bit line offsets, and the block must fail. xkind
+// and xlane place a raising instruction (xkind%numRaiseKinds picks
+// its kind, none at 0, and xkind/numRaiseKinds its segment; xlane%32
+// is its first failing lane, and bit 5 of xlane predicates it on a
+// pool register), whose records must be the oracle's.
 func FuzzEmulatorOracle(f *testing.F) {
-	f.Add(int64(0), uint8(1), uint8(0), uint8(31), uint8(0), uint8(0), uint8(1), uint64(0), uint64(0))
-	f.Add(int64(7), uint8(2), uint8(1), uint8(19), uint8(2), uint8(4), uint8(1), uint64(1<<30), uint64(1<<20))
-	f.Fuzz(func(t *testing.T, seed int64, gx, gy, bx, by, b0, b1 uint8, gbase, gstride uint64) {
+	f.Add(int64(0), uint8(1), uint8(0), uint8(31), uint8(0), uint8(0), uint8(1), uint64(0), uint64(0), uint8(0), uint8(0))
+	f.Add(int64(7), uint8(2), uint8(1), uint8(19), uint8(2), uint8(4), uint8(1), uint64(1<<30), uint64(1<<20), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, gx, gy, bx, by, b0, b1 uint8, gbase, gstride uint64, xkind, xlane uint8) {
 		l := &kernel.Launch{
 			Grid:  kernel.Dim3{X: int(gx%4) + 1, Y: int(gy%3) + 1},
 			Block: kernel.Dim3{X: int(bx%64) + 1, Y: int(by%2) + 1},
@@ -866,9 +1124,16 @@ func FuzzEmulatorOracle(f *testing.F) {
 			base:   defaultSpan.base + gbase%(1<<38)&^7,
 			stride: oracleWindow + gstride%(1<<34)&^7,
 		}
-		p := randProgram(rand.New(rand.NewSource(seed)), oracleOutBase, l.ThreadsPerBlock(), g)
+		x := raiseSpec{
+			kind: raiseKind(xkind % uint8(numRaiseKinds)), seg: int(xkind / uint8(numRaiseKinds)),
+			lane: int(xlane % 32), pred: -1,
+		}
+		if xlane&32 != 0 {
+			x.pred = int(xlane >> 6)
+		}
+		p := randProgram(rand.New(rand.NewSource(seed)), oracleOutBase, l.ThreadsPerBlock(), g, x)
 		l.Kernel = p.k
 		n := l.Blocks()
-		matchOracle(t, fmt.Sprintf("seed %d", seed), l, p, []int{int(b0) % n, int(b1) % n})
+		matchOracle(t, fmt.Sprintf("seed %d", seed), l, p, g, []int{int(b0) % n, int(b1) % n})
 	})
 }

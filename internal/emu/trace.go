@@ -188,6 +188,9 @@ type BlockTrace struct {
 	GlobalAccesses int
 	// MemRequests is the number of coalesced global memory requests.
 	MemRequests int
+	// Flips is the number of bit flips injected into the block's
+	// execution.
+	Flips int
 
 	// runs, counts and lines back every warp's Runs, Counts and Lines
 	// windows. They are reused when the trace is released.
@@ -299,21 +302,24 @@ func (bt *BlockTrace) TouchedPages(code []isa.Instruction, pageSize int) map[uin
 // SM generates exactly one memory request per unique line (Figure 5).
 func coalesce(dst []uint64, addrs *[32]uint64, mask uint32, size int, lineSize uint64) []uint64 {
 	lineMask := ^(lineSize - 1)
+	// While each line is at least the last one appended, dst is
+	// strictly increasing, and a line is new exactly when it exceeds
+	// the last; the first line below it falls back to a full search.
+	rising := true
 	for m := mask; m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros32(m)
 		first := addrs[lane] & lineMask
 		last := (addrs[lane] + uint64(size) - 1) & lineMask
 		for line := first; ; line += lineSize {
-			// Neighbouring lanes mostly touch the line appended last,
-			// so the search runs newest first.
-			seen := false
-			for i := len(dst) - 1; i >= 0; i-- {
-				if dst[i] == line {
-					seen = true
-					break
-				}
+			n := len(dst)
+			if rising && n > 0 && line < dst[n-1] {
+				rising = false
 			}
-			if !seen {
+			if rising {
+				if n == 0 || line > dst[n-1] {
+					dst = append(dst, line)
+				}
+			} else if !hasLine(dst, line) {
 				dst = append(dst, line)
 			}
 			if line == last {
@@ -322,4 +328,15 @@ func coalesce(dst []uint64, addrs *[32]uint64, mask uint32, size int, lineSize u
 		}
 	}
 	return dst
+}
+
+// hasLine reports whether dst holds line. Neighbouring lanes mostly
+// touch the line appended last, so the search runs newest first.
+func hasLine(dst []uint64, line uint64) bool {
+	for i := len(dst) - 1; i >= 0; i-- {
+		if dst[i] == line {
+			return true
+		}
+	}
+	return false
 }

@@ -8,6 +8,7 @@ package host
 
 import (
 	"fmt"
+	"sync"
 
 	"gpues/internal/clock"
 	"gpues/internal/config"
@@ -24,17 +25,50 @@ type BlockEmulator interface {
 	Release(bt *emu.BlockTrace)
 }
 
-// Dispatcher issues thread blocks to SMs in block-ID order, emulates
-// each block lazily the first time it is handed out, and returns each
-// finished block's trace to the emulator.
+// Dispatcher issues thread blocks to SMs in block-ID order and returns
+// each finished block's trace to the emulator.
+//
+// The blocks of the initial fill are emulated on the caller's goroutine
+// as they are handed out. After that, EmulateAhead lets a second
+// goroutine, the filler, keep one wave of blocks emulated ahead of
+// dispatch: a wave is the number of blocks the initial fill took.
+// Blocks are emulated in block-ID order whichever goroutine runs them,
+// so every trace, and the functional memory after every block, are the
+// same as emulating each block when it is handed out; only when the
+// emulation happens moves. An emulation error or a trace's exception
+// records still reach the SMs when their block is dispatched.
 type Dispatcher struct {
 	total int
 	next  int
 	done  int
+	// flips counts the bit flips injected into the blocks handed out so
+	// far.
+	flips int64
 	//simlint:ckptskip the emulator over the workload, re-supplied at construction; its functional memory checkpoints as the emu.memory section
 	emul BlockEmulator
 	//simlint:ckptskip a non-nil error ends the run before any checkpoint is cut
 	err error
+	//simlint:ckptskip traces of blocks not handed out yet: Settle, which every checkpoint runs first, makes the ring a pure function of next, and its memory effects checkpoint as emu.memory
+	ahead *lookahead
+}
+
+// lookahead is the ring of traces the filler emulates ahead of
+// dispatch: the trace of block b sits in ring[b%len(ring)] from the
+// time it is emulated until it is handed out. mu guards every field
+// below it, which the filler and the dispatching goroutine share.
+type lookahead struct {
+	mu sync.Mutex
+	// cond is signalled whenever filled grows or the filler stops.
+	cond sync.Cond
+	ring []*emu.BlockTrace
+	// taken is the dispatcher's next, and filled the number of blocks
+	// emulated: the ring holds blocks [taken, filled).
+	taken, filled int
+	// err is the emulation error of block filled; the filler stops
+	// there for good.
+	err error
+	// running is set while a filler goroutine is alive.
+	running bool
 }
 
 // NewDispatcher builds a dispatcher over a grid of total blocks whose
@@ -46,17 +80,112 @@ func NewDispatcher(total int, e BlockEmulator) (*Dispatcher, error) {
 	return &Dispatcher{total: total, emul: e}, nil
 }
 
+// EmulateAhead ends the initial fill: from now on a filler goroutine
+// keeps the next wave of blocks, as many as have been handed out so
+// far, emulated ahead of dispatch. A grid that fit in the initial fill
+// starts none. Call it once, after the initial fill and before any
+// other block is handed out.
+func (d *Dispatcher) EmulateAhead() {
+	if d.ahead != nil || d.err != nil || d.next == 0 || d.next >= d.total {
+		return
+	}
+	a := &lookahead{ring: make([]*emu.BlockTrace, d.next), taken: d.next, filled: d.next}
+	a.cond.L = &a.mu
+	d.ahead = a
+	a.mu.Lock()
+	d.wake()
+	a.mu.Unlock()
+}
+
+// target is the number of blocks the ring keeps emulated: one wave
+// past the blocks handed out, within the grid. The caller holds
+// d.ahead.mu.
+func (d *Dispatcher) target() int { return min(d.total, d.ahead.taken+len(d.ahead.ring)) }
+
+// wake starts a filler if none is running and the ring has room.
+// The caller holds d.ahead.mu.
+func (d *Dispatcher) wake() {
+	a := d.ahead
+	if a.running || a.err != nil || a.filled >= d.target() {
+		return
+	}
+	a.running = true
+	//simlint:ignore determinism the filler only emulates blocks in block-ID order, ahead of dispatch; the timing loop takes each trace in that order, and Settle parks it at a fixed block count before anything observes functional memory
+	go d.fill()
+}
+
+// fill is the filler: it emulates blocks in order until the ring is
+// full, the grid is exhausted or a block fails, and then exits, so a
+// dropped simulation leaves no goroutine behind.
+func (d *Dispatcher) fill() {
+	a := d.ahead
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for a.err == nil && a.filled < d.target() {
+		b := a.filled
+		a.mu.Unlock()
+		bt, err := d.emul.EmulateBlock(b)
+		a.mu.Lock()
+		if err != nil {
+			a.err = err
+			break
+		}
+		a.ring[b%len(a.ring)] = bt
+		a.filled++
+		a.cond.Broadcast()
+	}
+	a.running = false
+	a.cond.Broadcast()
+}
+
+// Settle tops the ring up to min(total, handed out + one wave) blocks,
+// or up to the first block whose emulation fails, and waits for the
+// filler to stop. Functional memory then holds a pure function of the
+// number of blocks handed out, and nothing writes it until the next
+// block is handed out. Checkpoints, digests and the end of a run
+// settle first.
+func (d *Dispatcher) Settle() {
+	a := d.ahead
+	if a == nil {
+		return
+	}
+	a.mu.Lock()
+	d.wake()
+	for a.running {
+		a.cond.Wait()
+	}
+	a.mu.Unlock()
+}
+
 // NextBlock implements sm.BlockSource.
 func (d *Dispatcher) NextBlock(smID int) (*emu.BlockTrace, bool) {
 	if d.err != nil || d.next >= d.total {
 		return nil, false
 	}
-	bt, err := d.emul.EmulateBlock(d.next)
-	if err != nil {
-		d.err = err
+	var bt *emu.BlockTrace
+	if a := d.ahead; a != nil {
+		a.mu.Lock()
+		d.wake()
+		for a.filled <= d.next && a.running {
+			a.cond.Wait()
+		}
+		if a.filled > d.next {
+			slot := &a.ring[d.next%len(a.ring)]
+			bt, *slot = *slot, nil
+			a.taken = d.next + 1
+			d.wake()
+		} else {
+			d.err = a.err
+		}
+		a.mu.Unlock()
+	} else {
+		bt, d.err = d.emul.EmulateBlock(d.next)
+	}
+	if d.err != nil {
 		return nil, false
 	}
 	d.next++
+	d.flips += int64(bt.Flips)
 	return bt, true
 }
 
@@ -77,6 +206,10 @@ func (d *Dispatcher) Completed() int { return d.done }
 
 // Issued returns the number of blocks handed out to SMs so far.
 func (d *Dispatcher) Issued() int { return d.next }
+
+// Flips returns the number of bit flips injected into the blocks
+// handed out so far.
+func (d *Dispatcher) Flips() int64 { return d.flips }
 
 // AllDone reports whether every block of the grid has completed.
 func (d *Dispatcher) AllDone() bool { return d.done >= d.total }

@@ -2,12 +2,16 @@ package host
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"gpues/internal/clock"
 	"gpues/internal/config"
 	"gpues/internal/emu"
 	"gpues/internal/interconnect"
+	"gpues/internal/isa"
+	"gpues/internal/kernel"
 	"gpues/internal/vm"
 )
 
@@ -96,6 +100,144 @@ func TestDispatcherPropagatesEmulationError(t *testing.T) {
 	}
 	if _, ok := d.NextBlock(0); ok {
 		t.Error("dispatcher must stay dead after an error")
+	}
+}
+
+// orderLaunch is a grid of blocks of 64 threads in which every thread
+// takes a ticket from a global counter with an atomic add and stores it
+// at its global thread index in out. Emulated in block-ID order, block
+// b's threads hold tickets [64b, 64b+64).
+func orderLaunch(t *testing.T, blocks int) (*kernel.Launch, *emu.Memory) {
+	t.Helper()
+	b := kernel.NewBuilder("tickets")
+	pc, po := b.AddParam(orderCounter), b.AddParam(orderOut)
+	tid, cta, ntid, a, one, ticket := b.Reg(), b.Reg(), b.Reg(), b.Reg(), b.Reg(), b.Reg()
+	b.S2R(tid, isa.SRTidX)
+	b.S2R(cta, isa.SRCtaIDX)
+	b.S2R(ntid, isa.SRNTidX)
+	b.LoadParam(a, pc)
+	b.MovI(one, 1)
+	b.AtomGlobal(isa.AtomAdd, ticket, a, one, isa.RZ, 8)
+	b.IMad(tid, cta, ntid, tid)
+	b.Shl(tid, tid, 3)
+	b.LoadParam(a, po)
+	b.IAdd(a, a, tid, 0)
+	b.StGlobal(a, 0, ticket, 8)
+	b.Exit()
+	k, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &kernel.Launch{Kernel: k, Grid: kernel.Dim3{X: blocks}, Block: kernel.Dim3{X: 64}}, emu.NewMemory()
+}
+
+const orderCounter, orderOut = uint64(0x100000), uint64(0x200000)
+
+// recordingEmulator records the blocks a real emulator is asked for,
+// from whichever goroutine asks.
+type recordingEmulator struct {
+	*emu.Emulator
+	mu    sync.Mutex
+	order []int
+}
+
+func (r *recordingEmulator) EmulateBlock(b int) (*emu.BlockTrace, error) {
+	r.mu.Lock()
+	r.order = append(r.order, b)
+	r.mu.Unlock()
+	return r.Emulator.EmulateBlock(b)
+}
+
+func (r *recordingEmulator) emulated() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.order)
+}
+
+// TestDispatcherEmulatesOneWaveAhead hands a grid out after an initial
+// fill of one wave, handing each oldest trace back while the filler
+// runs: blocks come out in order, every settle leaves exactly one wave
+// emulated ahead of dispatch, and the emulation order is block-ID order
+// (each block's threads hold their own range of tickets).
+func TestDispatcherEmulatesOneWaveAhead(t *testing.T) {
+	const total, wave = 40, 8
+	l, mem := orderLaunch(t, total)
+	e, err := emu.New(l, mem, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	re := &recordingEmulator{Emulator: e}
+	d, err := NewDispatcher(total, re)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live []*emu.BlockTrace
+	take := func() {
+		bt, ok := d.NextBlock(0)
+		if !ok || bt.BlockID != d.Issued()-1 {
+			t.Fatalf("block %d: got %v, %v (%v)", d.Issued(), bt, ok, d.Err())
+		}
+		live = append(live, bt)
+	}
+	for d.Issued() < wave {
+		take()
+	}
+	d.EmulateAhead()
+	for d.Issued() < total {
+		d.BlockDone(0, live[0])
+		live = live[1:]
+		take()
+		if d.Issued()%5 == 0 {
+			d.Settle()
+			if got, want := re.emulated(), min(total, d.Issued()+wave); got != want {
+				t.Fatalf("%d blocks issued: %d emulated after Settle, want %d", d.Issued(), got, want)
+			}
+		}
+	}
+	for _, bt := range live {
+		d.BlockDone(0, bt)
+	}
+	d.Settle()
+	for i, b := range re.order {
+		if b != i {
+			t.Fatalf("emulation %d ran block %d", i, b)
+		}
+	}
+	for i := 0; i < total*64; i++ {
+		if ticket := mem.ReadU64(orderOut + uint64(i)*8); ticket/64 != uint64(i/64) {
+			t.Fatalf("thread %d of block %d holds ticket %d", i%64, i/64, ticket)
+		}
+	}
+}
+
+// TestDispatcherAheadStopsAtFailingBlock: the filler stops at the first
+// block whose emulation fails, the blocks before it are handed out, and
+// the error surfaces when the failing block is due.
+func TestDispatcherAheadStopsAtFailingBlock(t *testing.T) {
+	boom := errors.New("boom")
+	var calls atomic.Int64
+	d, _ := NewDispatcher(20, &fakeEmulator{fn: func(b int) (*emu.BlockTrace, error) {
+		calls.Add(1)
+		if b == 6 {
+			return nil, boom
+		}
+		return &emu.BlockTrace{BlockID: b}, nil
+	}})
+	for i := 0; i < 4; i++ {
+		d.NextBlock(0)
+	}
+	d.EmulateAhead()
+	d.Settle()
+	if n := calls.Load(); n != 7 {
+		t.Fatalf("%d blocks emulated, want 7: the fill, then blocks 4-6", n)
+	}
+	for i := 4; i < 6; i++ {
+		if bt, ok := d.NextBlock(0); !ok || bt.BlockID != i {
+			t.Fatalf("block %d: got %v, %v", i, bt, ok)
+		}
+	}
+	if _, ok := d.NextBlock(0); ok || !errors.Is(d.Err(), boom) {
+		t.Fatalf("failing block handed out: %v, err %v", ok, d.Err())
 	}
 }
 

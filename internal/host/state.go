@@ -2,11 +2,13 @@ package host
 
 import "gpues/internal/ckpt"
 
-// SaveState serializes the dispatcher's grid progress.
+// SaveState serializes the dispatcher's grid progress and the flips
+// injected into the blocks handed out.
 func (d *Dispatcher) SaveState(w *ckpt.Writer) {
 	w.Int(d.total)
 	w.Int(d.next)
 	w.Int(d.done)
+	w.I64(d.flips)
 }
 
 // SaveState serializes the CPU fault service: the handler's next-free

@@ -119,8 +119,12 @@ func RunKey(cfg config.Config, spec LaunchSpec) string {
 // Capture digests the complete current state into a checkpoint.
 // Valid only at a cycle boundary (the main loop's top); callers inside
 // the loop are maybeWriteCheckpoint and stallError, callers outside
-// must go through StepTo.
+// must go through StepTo. It settles the dispatcher first, so the
+// emu.memory section digests the functional memory after exactly
+// min(total, issued + one wave) blocks, or up to the first block whose
+// emulation fails: a pure function of the cycle.
 func (s *Simulator) Capture() *ckpt.Checkpoint {
+	s.disp.Settle()
 	ck := &ckpt.Checkpoint{
 		Version:  ckpt.Version,
 		Cycle:    s.q.Now(),

@@ -7,6 +7,8 @@
 package sim_test
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -77,7 +79,11 @@ func runWithDigests(t *testing.T, pc shapeCase, cfg config.Config) (*sim.Result,
 // checkpoint's config fingerprint (sampling only reads), so the
 // checkpoint must pass Audit's byte-exact section comparison, and the
 // audited run must finish bit-identical to the uninterrupted unsampled
-// reference in everything but the series.
+// reference in everything but the series. The case is a multi-wave
+// grid, emulated ahead of dispatch, so the trails subtest also checks
+// that emulating ahead leaves a digest trail a function of the cycle
+// alone: two runs and two sampling periods write it byte for byte, and
+// it passes its own audit.
 func TestCheckpointCrossSampleEvery(t *testing.T) {
 	pc := pagingCase()
 	base := caseConfig(pc, excep.ModePrecise)
@@ -88,6 +94,57 @@ func TestCheckpointCrossSampleEvery(t *testing.T) {
 		cfg.SampleEvery = every
 		return cfg
 	}
+	if wave := refR.Occupancy * base.System.NumSMs; wave >= refR.Blocks {
+		t.Fatalf("%d blocks fit one wave of %d: nothing is emulated ahead", refR.Blocks, wave)
+	}
+
+	t.Run("trails", func(t *testing.T) {
+		trail := func(every int64) (string, map[string][]byte) {
+			s, err := sim.New(withEvery(every), buildSpec(t, pc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.CheckpointEvery = refR.Cycles / 8
+			s.CheckpointDir = t.TempDir()
+			if _, err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			entries, err := os.ReadDir(s.CheckpointDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files := make(map[string][]byte)
+			for _, e := range entries {
+				if files[e.Name()], err = os.ReadFile(filepath.Join(s.CheckpointDir, e.Name())); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(files) < 4 {
+				t.Fatalf("trail holds %d checkpoints, want at least 4", len(files))
+			}
+			return s.CheckpointDir, files
+		}
+		dir, ref := trail(0)
+		for _, every := range []int64{0, 1000} {
+			if _, got := trail(every); !reflect.DeepEqual(got, ref) {
+				t.Errorf("trail at SampleEvery=%d differs from the first unsampled run's", every)
+			}
+		}
+		ckpts, skipped, err := ckpt.ReadTrail(dir)
+		if err != nil || len(skipped) > 0 {
+			t.Fatalf("read trail: %v, skipped %v", err, skipped)
+		}
+		s, err := sim.New(base, buildSpec(t, pc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Audit(ckpts...); err != nil {
+			t.Fatalf("trail fails its own audit: %v", err)
+		}
+		if r, err := s.Run(); err != nil || !reflect.DeepEqual(r, refR) {
+			t.Errorf("audited run: %v, result equal to the reference: %v", err, reflect.DeepEqual(r, refR))
+		}
+	})
 
 	for _, dir := range []struct {
 		name       string

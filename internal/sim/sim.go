@@ -386,7 +386,7 @@ func (s *Simulator) registerMetrics() {
 		}
 		return t
 	})
-	s.reg.Gauge("emu.flips", s.emul.Flips)
+	s.reg.Gauge("emu.flips", s.disp.Flips)
 	s.reg.Gauge("sm.committed", smSum(func(st sm.Stats) int64 { return st.Committed }))
 	s.reg.Gauge("sm.exceptions", smSum(func(st sm.Stats) int64 { return st.Exceptions }))
 	s.reg.Gauge("sm.faults", smSum(func(st sm.Stats) int64 { return st.Faults }))
@@ -434,9 +434,12 @@ func (m contextMover) Move(bytes int, done clock.Event) { m.d.Transfer(bytes, do
 // AddressSpace exposes the simulator's VM state (for tests and tools).
 func (s *Simulator) AddressSpace() *vm.AddressSpace { return s.as }
 
-// Start seeds the launch: blocks are filled onto the SMs and the
-// active set and progress tracking are initialized. Idempotent; Run
-// calls it automatically, Audit calls it before stepping.
+// Start seeds the launch: blocks are filled onto the SMs, emulated
+// as they are handed out, and the active set and progress tracking are
+// initialized. A grid larger than that first wave goes on emulating
+// one wave ahead of dispatch on a second goroutine
+// (host.Dispatcher.EmulateAhead). Idempotent; Run calls it
+// automatically, Audit calls it before stepping.
 func (s *Simulator) Start() error {
 	if s.started {
 		return nil
@@ -450,6 +453,7 @@ func (s *Simulator) Start() error {
 	if err := s.disp.Err(); err != nil {
 		return err
 	}
+	s.disp.EmulateAhead()
 	// Seed the active set: wake hooks only fire on the idle→awake
 	// transition, which the initial block fill never takes.
 	for i := range s.active {
@@ -559,8 +563,11 @@ func (s *Simulator) tickSequential() bool {
 	return anyActive
 }
 
-// Run simulates the launch to completion and returns the result.
+// Run simulates the launch to completion and returns the result. When
+// it returns, however it ends, nothing is emulating ahead, so the
+// caller may read the functional memory.
 func (s *Simulator) Run() (*Result, error) {
+	defer s.disp.Settle()
 	if err := s.Start(); err != nil {
 		return nil, err
 	}
@@ -655,7 +662,7 @@ func (s *Simulator) collect() *Result {
 		r.Exceptions += st.Exceptions
 		r.Stalls.Add(st.Stalls)
 	}
-	r.Flips = s.emul.Flips()
+	r.Flips = s.disp.Flips()
 	r.Metrics = s.reg.Snapshot()
 	r.Series = s.sampler.View()
 	if len(s.sms) > 0 {

@@ -1,9 +1,10 @@
 // Package vm implements the virtual memory substrate of the modelled
 // system: a radix page table, physical memory allocators for the CPU and
-// GPU memories, fault classification (migration vs. lazy allocation vs.
-// invalid access), and the system-level synchronization (Szymanski's
-// algorithm) the paper's concurrent memory management relies on
-// (Section 4.2).
+// GPU memories, and fault classification (migration vs. lazy allocation
+// vs. invalid access). The system-level synchronization that the
+// paper's concurrent memory management relies on (Szymanski's
+// algorithm, Section 4.2) is not executed; the model bounds concurrent
+// GPU-local handlers by a count instead (config.LocalHandlerConfig).
 package vm
 
 import "fmt"
