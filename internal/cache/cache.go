@@ -6,6 +6,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"gpues/internal/clock"
@@ -45,13 +46,6 @@ type Stats struct {
 	WriteBacks int64
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   int64
-}
-
 // mshr tracks one outstanding miss. MSHRs are records of the cache's
 // MSHR table, whose index is the payload of their issue and fill
 // events; the waiters slice capacity survives reuse, so a steady stream
@@ -75,10 +69,21 @@ type Config struct {
 }
 
 // Cache is one cache level. Not safe for concurrent use.
+//
+// The tag array is flat and set-major: way w of set s is entry
+// s*Ways+w of keys, lru and dirty. A key is the line's number (its
+// address >> log2 of the line size) plus one, and 0 marks an invalid
+// way, so a lookup compares one word per way. An invalid way's lru
+// and dirty are zero.
 type Cache struct {
 	cfg   Config
-	sets  int
-	lines [][]line // [set][way]
+	keys  []uint64
+	lru   []int64
+	dirty []bool
+	//simlint:ckptskip construction-time geometry derived from cfg, which the config fingerprint covers
+	shift uint8 // log2 of the line size
+	//simlint:ckptskip construction-time geometry derived from cfg, which the config fingerprint covers
+	setMask uint64 // sets-1: the set of line number n is n&setMask
 	//simlint:ckptskip wiring to the shared event queue, which checkpoints itself as the clock section
 	q *clock.Queue
 	//simlint:ckptskip wiring to the lower level, which checkpoints itself as its own section
@@ -125,20 +130,23 @@ func New(cfg Config, q *clock.Queue, next Backend) (*Cache, error) {
 	if sets == 0 {
 		return nil, fmt.Errorf("cache %s: fewer lines (%d) than ways (%d)", cfg.Name, total, cfg.Ways)
 	}
-	// One backing array for every set: the tag store is a single
-	// allocation however many sets there are.
-	all := make([]line, sets*cfg.Ways)
-	ls := make([][]line, sets)
-	for i := range ls {
-		ls[i] = all[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
+	// The set index is a mask of the line number, so the set count
+	// must be a power of two.
+	if sets&(sets-1) != 0 {
+		return nil, fmt.Errorf("cache %s: %d lines in %d ways is not a power-of-two number of sets",
+			cfg.Name, total, cfg.Ways)
 	}
+	n := sets * cfg.Ways
 	c := &Cache{
-		cfg:   cfg,
-		sets:  sets,
-		lines: ls,
-		q:     q,
-		next:  next,
-		mshrs: make(map[uint64]*mshr),
+		cfg:     cfg,
+		keys:    make([]uint64, n),
+		lru:     make([]int64, n),
+		dirty:   make([]bool, n),
+		shift:   uint8(bits.TrailingZeros(uint(cfg.LineB))),
+		setMask: uint64(sets - 1),
+		q:       q,
+		next:    next,
+		mshrs:   make(map[uint64]*mshr),
 	}
 	c.issueFn = c.onIssue
 	c.fillFn = c.onFill
@@ -189,41 +197,44 @@ func (c *Cache) CheckInvariants(now, maxAge int64) []string {
 
 func (c *Cache) lineAddr(addr uint64) uint64 { return addr &^ uint64(c.cfg.LineB-1) }
 
-func (c *Cache) find(addr uint64) (setIdx int, l *line) {
-	tag := addr / uint64(c.cfg.LineB)
-	set := int(tag % uint64(c.sets))
-	for w := range c.lines[set] {
-		ln := &c.lines[set][w]
-		if ln.valid && ln.tag == tag {
-			return set, ln
+// set returns the first tag array index of the set holding line
+// number num.
+func (c *Cache) set(num uint64) int { return int(num&c.setMask) * c.cfg.Ways }
+
+// find returns the tag array index of the line holding addr, or -1.
+func (c *Cache) find(addr uint64) int {
+	num := addr >> c.shift
+	base := c.set(num)
+	for w, k := range c.keys[base : base+c.cfg.Ways] {
+		if k == num+1 {
+			return base + w
 		}
 	}
-	return set, nil
+	return -1
 }
 
-// install places the line, evicting the LRU victim; a dirty victim is
-// written back downstream.
+// install places the line, evicting the victim: the first invalid way,
+// else the way with the strictly lowest LRU stamp, way 0 first. A
+// dirty victim is written back downstream.
 func (c *Cache) install(addr uint64, dirty bool) {
-	tag := addr / uint64(c.cfg.LineB)
-	set := int(tag % uint64(c.sets))
-	victim := &c.lines[set][0]
-	for w := range c.lines[set] {
-		ln := &c.lines[set][w]
-		if !ln.valid {
-			victim = ln
+	num := addr >> c.shift
+	base := c.set(num)
+	v := base
+	for i := base; i < base+c.cfg.Ways; i++ {
+		if c.keys[i] == 0 {
+			v = i
 			break
 		}
-		if ln.lru < victim.lru {
-			victim = ln
+		if c.lru[i] < c.lru[v] {
+			v = i
 		}
 	}
-	if victim.valid && victim.dirty {
+	if c.keys[v] != 0 && c.dirty[v] {
 		c.stats.WriteBacks++
-		victimAddr := victim.tag * uint64(c.cfg.LineB)
-		c.sendWrite(victimAddr)
+		c.sendWrite((c.keys[v] - 1) << c.shift)
 	}
 	c.tick++
-	*victim = line{tag: tag, valid: true, dirty: dirty, lru: c.tick}
+	c.keys[v], c.lru[v], c.dirty[v] = num+1, c.tick, dirty
 }
 
 // sendWrite forwards write traffic downstream.
@@ -251,11 +262,10 @@ func (c *Cache) Access(addr uint64, write bool, done clock.Event) bool {
 
 //simlint:noalloc
 func (c *Cache) accessRead(addr uint64, done clock.Event) bool {
-	_, ln := c.find(addr)
-	if ln != nil {
+	if i := c.find(addr); i >= 0 {
 		c.stats.Hits++
 		c.tick++
-		ln.lru = c.tick
+		c.lru[i] = c.tick
 		c.q.After(c.cfg.Latency, done.Fn, done.Arg)
 		return true
 	}
@@ -308,13 +318,13 @@ func (c *Cache) fill(m *mshr) {
 // accessWrite applies a store to the tag array and forwards its
 // traffic; the store completes Latency cycles later.
 func (c *Cache) accessWrite(addr uint64) {
-	_, ln := c.find(addr)
+	i := c.find(addr)
 	switch c.cfg.Policy {
 	case WriteThrough:
-		if ln != nil {
+		if i >= 0 {
 			c.stats.Hits++
 			c.tick++
-			ln.lru = c.tick
+			c.lru[i] = c.tick
 		} else {
 			c.stats.Misses++
 		}
@@ -322,11 +332,11 @@ func (c *Cache) accessWrite(addr uint64) {
 		// downstream in the background.
 		c.sendWrite(addr)
 	default: // WriteBack
-		if ln != nil {
+		if i >= 0 {
 			c.stats.Hits++
 			c.tick++
-			ln.lru = c.tick
-			ln.dirty = true
+			c.lru[i] = c.tick
+			c.dirty[i] = true
 		} else {
 			// Write-allocate without fetch: the whole line is assumed
 			// written (coalesced 128 B stores make this the common case).
@@ -351,14 +361,13 @@ func (c *Cache) Write(addr uint64) {
 // Flush writes back all dirty lines and invalidates the cache (used at
 // kernel boundaries).
 func (c *Cache) Flush() {
-	for s := range c.lines {
-		for w := range c.lines[s] {
-			ln := &c.lines[s][w]
-			if ln.valid && ln.dirty {
-				c.stats.WriteBacks++
-				c.sendWrite(ln.tag * uint64(c.cfg.LineB))
-			}
-			*ln = line{}
+	for i, k := range c.keys {
+		if k != 0 && c.dirty[i] {
+			c.stats.WriteBacks++
+			c.sendWrite((k - 1) << c.shift)
 		}
 	}
+	clear(c.keys)
+	clear(c.lru)
+	clear(c.dirty)
 }

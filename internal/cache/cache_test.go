@@ -1,8 +1,13 @@
 package cache
 
 import (
+	"bytes"
+	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 
+	"gpues/internal/ckpt"
 	"gpues/internal/clock"
 )
 
@@ -286,4 +291,288 @@ func TestOnFreeReentrant(t *testing.T) {
 		t.Fatalf("%d waiters left after the drain", c.waiters.Len())
 	}
 
+}
+
+// TestRecordSizes pins the bytes each way of the tag array takes
+// across its parallel arrays, so that growing it is a visible decision:
+// an 8-byte key, an 8-byte LRU stamp and a dirty flag. The L2 has
+// 16,384 ways.
+func TestRecordSizes(t *testing.T) {
+	var c Cache
+	if n := unsafe.Sizeof(c.keys[0]) + unsafe.Sizeof(c.lru[0]) + unsafe.Sizeof(c.dirty[0]); n != 17 {
+		t.Errorf("a cache way is %d bytes, want 17", n)
+	}
+}
+
+// TestNewRequiresPowerOfTwoSets: the set index is a mask, so New
+// rejects a geometry whose set count is not a power of two and accepts
+// the shipped ones.
+func TestNewRequiresPowerOfTwoSets(t *testing.T) {
+	q := clock.New()
+	for _, tc := range []struct {
+		cfg  Config
+		sets int // 0: must be rejected
+	}{
+		{Config{Name: "3 ways", SizeKB: 32, Ways: 3, LineB: 128, MSHRs: 1}, 0},     // 85 sets
+		{Config{Name: "48 KB", SizeKB: 48, Ways: 4, LineB: 128, MSHRs: 1}, 0},      // 96 sets
+		{Config{Name: "12 ways", SizeKB: 2048, Ways: 12, LineB: 128, MSHRs: 1}, 0}, // 1365 sets
+		{Config{Name: "L1", SizeKB: 32, Ways: 4, LineB: 128, MSHRs: 1}, 64},
+		{Config{Name: "L2", SizeKB: 2048, Ways: 8, LineB: 128, MSHRs: 1}, 2048},
+	} {
+		c, err := New(tc.cfg, q, nil)
+		switch {
+		case tc.sets == 0 && err == nil:
+			t.Errorf("%s: accepted %d sets", tc.cfg.Name, c.setMask+1)
+		case tc.sets != 0 && err != nil:
+			t.Errorf("%s: %v", tc.cfg.Name, err)
+		case tc.sets != 0 && int(c.setMask)+1 != tc.sets:
+			t.Errorf("%s: %d sets, want %d", tc.cfg.Name, c.setMask+1, tc.sets)
+		}
+	}
+}
+
+// refLine and refCache are the tag array as it was kept before it
+// became flat: a [set][way] array of 24-byte records, found by a
+// division and a modulo, with MSHRs as a map of line address to birth
+// cycle and waiter count. TestTagArrayMatchesReference replays random
+// streams against it.
+type refLine struct {
+	tag   uint64
+	valid bool
+	dirty bool
+	lru   int64
+}
+
+type refMSHR struct {
+	born    int64
+	waiters int
+}
+
+type refCache struct {
+	cfg    Config
+	sets   int
+	lines  [][]refLine
+	tick   int64
+	stats  Stats
+	mshrs  map[uint64]*refMSHR
+	writes []uint64 // downstream write traffic, in order
+}
+
+func newRefCache(cfg Config) *refCache {
+	sets := cfg.SizeKB * 1024 / cfg.LineB / cfg.Ways
+	r := &refCache{cfg: cfg, sets: sets, lines: make([][]refLine, sets), mshrs: map[uint64]*refMSHR{}}
+	for i := range r.lines {
+		r.lines[i] = make([]refLine, cfg.Ways)
+	}
+	return r
+}
+
+func (r *refCache) find(addr uint64) *refLine {
+	tag := addr / uint64(r.cfg.LineB)
+	set := int(tag % uint64(r.sets))
+	for w := range r.lines[set] {
+		if ln := &r.lines[set][w]; ln.valid && ln.tag == tag {
+			return ln
+		}
+	}
+	return nil
+}
+
+func (r *refCache) install(addr uint64, dirty bool) {
+	tag := addr / uint64(r.cfg.LineB)
+	set := int(tag % uint64(r.sets))
+	victim := &r.lines[set][0]
+	for w := range r.lines[set] {
+		ln := &r.lines[set][w]
+		if !ln.valid {
+			victim = ln
+			break
+		}
+		if ln.lru < victim.lru {
+			victim = ln
+		}
+	}
+	if victim.valid && victim.dirty {
+		r.stats.WriteBacks++
+		r.writes = append(r.writes, victim.tag*uint64(r.cfg.LineB))
+	}
+	r.tick++
+	*victim = refLine{tag: tag, valid: true, dirty: dirty, lru: r.tick}
+}
+
+func (r *refCache) read(addr uint64, now int64) {
+	if ln := r.find(addr); ln != nil {
+		r.stats.Hits++
+		r.tick++
+		ln.lru = r.tick
+		return
+	}
+	if m, ok := r.mshrs[addr]; ok {
+		r.stats.MSHRMerges++
+		m.waiters++
+		return
+	}
+	if len(r.mshrs) >= r.cfg.MSHRs {
+		r.stats.Rejects++
+		return
+	}
+	r.stats.Misses++
+	r.mshrs[addr] = &refMSHR{born: now, waiters: 1}
+}
+
+func (r *refCache) write(addr uint64) {
+	ln := r.find(addr)
+	if ln != nil {
+		r.stats.Hits++
+		r.tick++
+		ln.lru = r.tick
+	} else {
+		r.stats.Misses++
+	}
+	if r.cfg.Policy == WriteThrough {
+		r.writes = append(r.writes, addr)
+		return
+	}
+	if ln != nil {
+		ln.dirty = true
+	} else {
+		r.install(addr, true)
+	}
+}
+
+func (r *refCache) fill(addr uint64) {
+	r.install(addr, false)
+	delete(r.mshrs, addr)
+}
+
+func (r *refCache) flush() {
+	for s := range r.lines {
+		for w := range r.lines[s] {
+			ln := &r.lines[s][w]
+			if ln.valid && ln.dirty {
+				r.stats.WriteBacks++
+				r.writes = append(r.writes, ln.tag*uint64(r.cfg.LineB))
+			}
+			*ln = refLine{}
+		}
+	}
+}
+
+func (r *refCache) saveState(w *ckpt.Writer) {
+	w.I64(r.tick)
+	w.I64(r.stats.Hits)
+	w.I64(r.stats.Misses)
+	w.I64(r.stats.MSHRMerges)
+	w.I64(r.stats.Rejects)
+	w.I64(r.stats.WriteBacks)
+	w.Int(r.sets)
+	w.Int(r.cfg.Ways)
+	for _, set := range r.lines {
+		for _, l := range set {
+			w.U64(l.tag)
+			w.Bool(l.valid)
+			w.Bool(l.dirty)
+			w.I64(l.lru)
+		}
+	}
+	w.Int(0) // no OnFree waiters: the stream never registers one
+	addrs := make([]uint64, 0, len(r.mshrs))
+	for a := range r.mshrs {
+		addrs = append(addrs, a)
+	}
+	slices.Sort(addrs)
+	w.Int(len(addrs))
+	for _, a := range addrs {
+		w.U64(a)
+		w.I64(r.mshrs[a].born)
+		w.Int(r.mshrs[a].waiters)
+	}
+}
+
+// heldBackend holds every fetch until the test fills it, and logs the
+// write traffic.
+type heldBackend struct {
+	fetches []heldFetch
+	writes  []uint64
+}
+
+type heldFetch struct {
+	addr uint64
+	done clock.Event
+}
+
+func (b *heldBackend) Fetch(addr uint64, done clock.Event) bool {
+	b.fetches = append(b.fetches, heldFetch{addr, done})
+	return true
+}
+
+func (b *heldBackend) Write(addr uint64) { b.writes = append(b.writes, addr) }
+
+// TestTagArrayMatchesReference replays random streams of reads, writes,
+// fills and flushes, under both write policies, against the reference
+// [set][way] tag array: hits, misses, merges, rejects and write-backs,
+// the victims' write-back addresses and every SaveState byte must
+// agree after every operation. The line pool maps several lines to
+// each set, and holds line 0, whose tag is 0.
+func TestTagArrayMatchesReference(t *testing.T) {
+	for _, policy := range []WritePolicy{WriteThrough, WriteBack} {
+		for seed := int64(1); seed <= 20; seed++ {
+			cfg := Config{Name: "prop", SizeKB: 1, Ways: 4, LineB: 64, MSHRs: 3, Latency: 1, Policy: policy}
+			rng := rand.New(rand.NewSource(seed))
+			q := clock.New()
+			be := &heldBackend{}
+			c, err := New(cfg, q, be)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newRefCache(cfg)
+			var pool []uint64
+			for i := 0; i < 24; i++ {
+				num := uint64(rng.Intn(32))
+				if i%6 == 0 {
+					num += 1 << 40 // a tag far above the set bits
+				}
+				pool = append(pool, num*uint64(cfg.LineB))
+			}
+			nop := clock.Event{Fn: func(int64) {}}
+			got, want := ckpt.NewWriter(), ckpt.NewWriter()
+			for op := 0; op < 3000; op++ {
+				addr := pool[rng.Intn(len(pool))] + uint64(rng.Intn(cfg.LineB))
+				switch k := rng.Intn(20); {
+				case k < 9:
+					c.Access(addr, false, nop)
+					ref.read(addr&^uint64(cfg.LineB-1), q.Now())
+				case k < 14:
+					c.Access(addr, true, nop)
+					ref.write(addr &^ uint64(cfg.LineB-1))
+				case k < 19:
+					if len(be.fetches) == 0 {
+						break
+					}
+					i := rng.Intn(len(be.fetches))
+					f := be.fetches[i]
+					be.fetches = slices.Delete(be.fetches, i, i+1)
+					f.done.Fire()
+					ref.fill(f.addr)
+				default:
+					c.Flush()
+					ref.flush()
+				}
+				q.Step() // issues the misses of the last cycle
+				got.Reset()
+				want.Reset()
+				c.SaveState(got)
+				ref.saveState(want)
+				if c.Stats() != ref.stats || !slices.Equal(be.writes, ref.writes) ||
+					!bytes.Equal(got.Data(), want.Data()) {
+					t.Fatalf("%v seed %d op %d: stats %+v, reference %+v; %d writes, reference %d; state equal %v",
+						policy, seed, op, c.Stats(), ref.stats, len(be.writes), len(ref.writes),
+						bytes.Equal(got.Data(), want.Data()))
+				}
+			}
+			if ref.stats.WriteBacks == 0 && policy == WriteBack || ref.stats.Rejects == 0 || ref.stats.MSHRMerges == 0 {
+				t.Errorf("%v seed %d: stream too tame: %+v", policy, seed, ref.stats)
+			}
+		}
+	}
 }

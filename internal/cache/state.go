@@ -18,16 +18,15 @@ func (c *Cache) SaveState(w *ckpt.Writer) {
 	w.I64(c.stats.Rejects)
 	w.I64(c.stats.WriteBacks)
 
-	w.Int(c.sets)
+	// Each way as a (tag, valid, dirty, lru) record, set by set; an
+	// invalid way's tag is 0.
+	w.Int(int(c.setMask) + 1)
 	w.Int(c.cfg.Ways)
-	for _, set := range c.lines {
-		for i := range set {
-			l := &set[i]
-			w.U64(l.tag)
-			w.Bool(l.valid)
-			w.Bool(l.dirty)
-			w.I64(l.lru)
-		}
+	for i, k := range c.keys {
+		w.U64(max(k, 1) - 1)
+		w.Bool(k != 0)
+		w.Bool(c.dirty[i])
+		w.I64(c.lru[i])
 	}
 
 	w.Int(c.waiters.Len())

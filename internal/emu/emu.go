@@ -527,10 +527,12 @@ func (e *Emulator) runWarp(w *warpCtx, blockID int, shared []byte, bt *BlockTrac
 			if w.excep != nil {
 				return nil
 			}
-			n := len(w.lines) - start
 			w.push(top.pc, execMask)
-			w.counts = append(w.counts, uint8(n))
+			// Only a global access has lines: the timing model gives a
+			// shared access a fixed latency.
 			if in.IsGlobalMem() {
+				n := len(w.lines) - start
+				w.counts = append(w.counts, uint8(n))
 				bt.GlobalAccesses++
 				bt.MemRequests += n
 			}
@@ -1046,7 +1048,8 @@ func (e *Emulator) coalesceLines(w *warpCtx, addrs *[32]uint64, mask uint32, siz
 // one chunk lookup when every lane's bytes fall in one memory chunk. A
 // shared access is bounds-checked once when its highest address fits
 // the partition; otherwise each lane is checked, and the first one
-// outside is an error.
+// outside is an error. A global access appends its coalesced lines to
+// the warp's line buffer; a shared access has none.
 //
 //simlint:noalloc
 func (e *Emulator) execMem(w *warpCtx, in *isa.Instruction, mask uint32, blockID int, shared []byte, pc int32) error {
@@ -1178,7 +1181,7 @@ func (e *Emulator) execMem(w *warpCtx, in *isa.Instruction, mask uint32, blockID
 		//simlint:ignore noalloc error path
 		return fmt.Errorf("execMem: %v is not a memory op", in.Op)
 	}
-	if mask != 0 {
+	if global && mask != 0 {
 		return e.coalesceLines(w, &addrs, mask, size)
 	}
 	return nil

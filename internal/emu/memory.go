@@ -6,14 +6,14 @@
 // A block's trace holds one WarpTrace per warp, run-length encoded: a
 // list of runs, each a maximal stretch of consecutive PCs executed
 // under one active mask (a 12-byte Run), plus one line count per
-// memory instruction and the coalesced lines those counts consume, in
-// execution order, each stored in 4 bytes as its line number's offset
-// from the warp's first line's. Straight-line code under a full warp
-// is one run however long it is; a taken branch, a predicated
-// instruction or a divergent region starts a new one. Readers walk a
-// trace in order with a Pos, which Next advances in O(1), or with
-// Iter; which instructions carry a line count is read from the kernel
-// code (isa.Instruction.IsMem), not stored.
+// global memory instruction and the coalesced lines those counts
+// consume, in execution order, each stored in 4 bytes as its line
+// number's offset from the warp's first line's. Straight-line code
+// under a full warp is one run however long it is; a taken branch, a
+// predicated instruction or a divergent region starts a new one.
+// Readers walk a trace in order with a Pos, which Next advances in
+// O(1), or with Iter; which instructions carry a line count is read
+// from the kernel code (isa.Instruction.IsGlobalMem), not stored.
 package emu
 
 import (

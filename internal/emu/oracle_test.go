@@ -818,7 +818,7 @@ func matchOracle(t testing.TB, name string, l *kernel.Launch, p *oracleProgram, 
 				th.run(code, seg.end, dumpEnd, takens[tid])
 			}
 		}
-		tooFar := linesOutOfRange(accesses)
+		tooFar := linesOutOfRange(accesses, code)
 		if emuErr != nil {
 			if !errors.Is(emuErr, errLineRange) || tooFar < 0 {
 				t.Fatalf("%s block %d: %v", name, blk, emuErr)
@@ -890,18 +890,23 @@ func oracleLines(accs []laneAccess) []uint64 {
 // linesOutOfRange returns the first warp, in warp order, with a line
 // whose line number lies more than a signed 32-bit offset from the
 // warp's first line's, or -1 when every warp's lines can be stored.
-// Each warp's first memory instruction is the prologue's first shared
-// store: it runs before any branch, on every live lane, so its PC is
-// the lowest of the warp's accesses.
-func linesOutOfRange(accesses map[[2]int][]laneAccess) int {
+// Only global accesses have lines. Every branch jumps forward, so a
+// warp's first global access is the one at its lowest PC.
+func linesOutOfRange(accesses map[[2]int][]laneAccess, code []isa.Instruction) int {
 	first := make(map[int][2]int)
 	for key := range accesses {
+		if !code[key[1]].IsGlobalMem() {
+			continue
+		}
 		if f, ok := first[key[0]]; !ok || key[1] < f[1] {
 			first[key[0]] = key
 		}
 	}
 	worst := -1
 	for key, accs := range accesses {
+		if !code[key[1]].IsGlobalMem() {
+			continue
+		}
 		base := oracleLines(accesses[first[key[0]]])[0] / oracleLine
 		for _, line := range oracleLines(accs) {
 			if d := int64(line/oracleLine - base); d != int64(int32(d)) && (worst < 0 || key[0] < worst) {
@@ -912,8 +917,9 @@ func linesOutOfRange(accesses map[[2]int][]laneAccess) int {
 	return worst
 }
 
-// checkLines compares every memory instruction's decoded lines with
-// the oracle's coalescing of its lanes' accesses, and checks that the
+// checkLines compares every global memory instruction's decoded lines
+// with the oracle's coalescing of its lanes' accesses, requires exactly
+// zero lines on every shared memory instruction, and checks that the
 // trace holds every memory instruction the oracle ran.
 func checkLines(t testing.TB, name string, bt *BlockTrace, code []isa.Instruction, accesses map[[2]int][]laneAccess) {
 	t.Helper()
@@ -921,7 +927,8 @@ func checkLines(t testing.TB, name string, bt *BlockTrace, code []isa.Instructio
 	var got []uint64
 	for w := range bt.Warps {
 		for it := bt.Warps[w].Iter(code); it.Next(); {
-			if !code[it.PC()].IsMem() {
+			in := code[it.PC()]
+			if !in.IsMem() {
 				continue
 			}
 			accs, ok := accesses[[2]int{w, int(it.PC())}]
@@ -929,7 +936,11 @@ func checkLines(t testing.TB, name string, bt *BlockTrace, code []isa.Instructio
 				seen++
 			}
 			got = it.Lines(got[:0])
-			if want := oracleLines(accs); !slices.Equal(got, want) {
+			var want []uint64
+			if in.IsGlobalMem() {
+				want = oracleLines(accs)
+			}
+			if !slices.Equal(got, want) {
 				t.Fatalf("%s warp %d pc %d: lines %#x, oracle %#x", name, w, it.PC(), got, want)
 			}
 		}
@@ -942,8 +953,8 @@ func checkLines(t testing.TB, name string, bt *BlockTrace, code []isa.Instructio
 // checkRuns checks the encoding of a block trace: every run is
 // non-empty and maximal (the next run neither continues its PCs under
 // its mask), run lengths sum to each warp's Len and to the block's
-// DynInsts, and each warp holds one line count per memory instruction,
-// whose counts consume exactly its lines.
+// DynInsts, and each warp holds one line count per global memory
+// instruction, whose counts consume exactly its lines.
 func checkRuns(t testing.TB, name string, bt *BlockTrace, code []isa.Instruction) {
 	t.Helper()
 	total := 0
@@ -968,7 +979,7 @@ func checkRuns(t testing.TB, name string, bt *BlockTrace, code []isa.Instruction
 		mems, lines := 0, 0
 		for i, r := range wt.Runs {
 			for pc := r.PC; pc < r.PC+int32(r.N); pc++ {
-				if code[pc].IsMem() {
+				if code[pc].IsGlobalMem() {
 					if mems >= len(wt.Counts) {
 						t.Fatalf("%s warp %d: run %d's pc %d has no line count left", name, w, i, pc)
 					}
@@ -978,7 +989,7 @@ func checkRuns(t testing.TB, name string, bt *BlockTrace, code []isa.Instruction
 			}
 		}
 		if mems != len(wt.Counts) || lines != len(wt.Lines) {
-			t.Fatalf("%s warp %d: %d memory instructions with %d lines, trace holds %d counts and %d lines",
+			t.Fatalf("%s warp %d: %d global memory instructions with %d lines, trace holds %d counts and %d lines",
 				name, w, mems, lines, len(wt.Counts), len(wt.Lines))
 		}
 	}

@@ -22,13 +22,13 @@ type Run struct {
 
 // WarpTrace is the dynamic instruction sequence of one warp, run-length
 // encoded: Runs gives the PC and active mask of every instruction, and
-// each memory instruction (one the kernel code says IsMem) has, in
-// order, one entry in Counts: how many of the following entries of
-// Lines are its coalesced lines. A line is stored in 4 bytes, as its
-// line number (address >> the log2 of the line size) less Base, taken
-// as a signed 32-bit offset; LineAt and LinesAt expand it back to an
-// address. Read the trace in order with Iter, or from the zero Pos
-// with Next.
+// each global memory instruction (one the kernel code says
+// IsGlobalMem) has, in order, one entry in Counts: how many of the
+// following entries of Lines are its coalesced lines. A line is stored
+// in 4 bytes, as its line number (address >> the log2 of the line
+// size) less Base, taken as a signed 32-bit offset; LineAt and LinesAt
+// expand it back to an address. Read the trace in order with Iter, or
+// from the zero Pos with Next.
 type WarpTrace struct {
 	// WarpID is the warp index within its thread block.
 	WarpID int
@@ -72,22 +72,22 @@ func (wt *WarpTrace) PC(p Pos) int32 { return wt.Runs[p.run].PC + p.off }
 // Mask returns the active lanes of the instruction at p.
 func (wt *WarpTrace) Mask(p Pos) uint32 { return wt.Runs[p.run].Mask }
 
-// NumLines returns how many coalesced lines the memory instruction at p
-// has: one per unique cache line its active lanes touch, none when all
-// its lanes were predicated off. p must hold a memory instruction: at
-// any other, the line accessors read the next memory instruction's.
+// NumLines returns how many coalesced lines the global memory
+// instruction at p has: one per unique cache line its active lanes
+// touch, none when all its lanes were predicated off. p must hold a
+// global memory instruction: at any other, the line accessors read the
+// next global memory instruction's.
 func (wt *WarpTrace) NumLines(p Pos) int { return int(wt.Counts[p.cnt]) }
 
 // LineAt returns the address of line i, in [0, NumLines(p)), of the
-// memory instruction at p. Lines are aligned to the line size and in
-// first-touch lane order; for shared memory instructions they are
-// offsets within the block's shared memory partition.
+// global memory instruction at p. Lines are aligned to the line size
+// and in first-touch lane order.
 func (wt *WarpTrace) LineAt(p Pos, i int) uint64 {
 	return wt.expand(wt.Lines[p.line+uint32(i)])
 }
 
-// LinesAt appends the addresses of the lines of the memory instruction
-// at p (see LineAt) to dst and returns the extended slice.
+// LinesAt appends the addresses of the lines of the global memory
+// instruction at p (see LineAt) to dst and returns the extended slice.
 func (wt *WarpTrace) LinesAt(dst []uint64, p Pos) []uint64 {
 	for _, l := range wt.Lines[p.line : p.line+uint32(wt.Counts[p.cnt])] {
 		dst = append(dst, wt.expand(l))
@@ -108,10 +108,11 @@ func lineOffset(num, base uint64) (uint32, bool) {
 	return uint32(d), d == int64(int32(d))
 }
 
-// Next returns the position after p. mem says whether the instruction
-// at p is a memory instruction, which consumes one line count.
-func (wt *WarpTrace) Next(p Pos, mem bool) Pos {
-	if mem {
+// Next returns the position after p. global says whether the
+// instruction at p is a global memory instruction, which consumes one
+// line count.
+func (wt *WarpTrace) Next(p Pos, global bool) Pos {
+	if global {
 		p.line += uint32(wt.Counts[p.cnt])
 		p.cnt++
 	}
@@ -133,7 +134,7 @@ type Iter struct {
 	wt        *WarpTrace
 	code      []isa.Instruction
 	pos, next Pos
-	mem       bool
+	global    bool
 }
 
 // Iter returns an iterator over the warp's instructions. code is the
@@ -148,8 +149,8 @@ func (it *Iter) Next() bool {
 		return false
 	}
 	it.pos = it.next
-	it.mem = it.code[it.wt.PC(it.pos)].IsMem()
-	it.next = it.wt.Next(it.pos, it.mem)
+	it.global = it.code[it.wt.PC(it.pos)].IsGlobalMem()
+	it.next = it.wt.Next(it.pos, it.global)
 	return true
 }
 
@@ -160,10 +161,10 @@ func (it *Iter) PC() int32 { return it.wt.PC(it.pos) }
 func (it *Iter) Mask() uint32 { return it.wt.Mask(it.pos) }
 
 // Lines appends the current instruction's coalesced line addresses
-// (see WarpTrace.LineAt) to dst and returns the extended slice; a
-// non-memory instruction appends none.
+// (see WarpTrace.LineAt) to dst and returns the extended slice; an
+// instruction that is not a global memory access appends none.
 func (it *Iter) Lines(dst []uint64) []uint64 {
-	if !it.mem {
+	if !it.global {
 		return dst
 	}
 	return it.wt.LinesAt(dst, it.pos)
@@ -212,8 +213,9 @@ func (bt *BlockTrace) Bytes() int { return bt.RunBytes() + bt.LineBytes() }
 // RunBytes returns the size of the block's runs: 12 bytes per run.
 func (bt *BlockTrace) RunBytes() int { return RunBytes * bt.NumRuns() }
 
-// LineBytes returns the size of the block's memory instructions'
-// lines: one byte per line count and four per coalesced line.
+// LineBytes returns the size of the block's global memory
+// instructions' lines: one byte per line count and four per coalesced
+// line.
 func (bt *BlockTrace) LineBytes() int {
 	n := 0
 	for i := range bt.Warps {
@@ -233,13 +235,13 @@ func (bt *BlockTrace) NumRuns() int {
 }
 
 // Append adds one instruction to warp w's stream, growing Warps to
-// cover w. An instruction given lines is a memory instruction and
-// gets a line count; one given none is not, so a hand-built trace
-// cannot hold a memory instruction whose lanes were all off. It builds
-// traces by hand, for tests and tools; DynInsts and the access counters
-// are left to the caller. A hand-built trace stores byte addresses
-// (line size 1), so its lines need no alignment; Append panics on a
-// line more than 2^31 bytes from the warp's first.
+// cover w. An instruction given lines is a global memory instruction
+// and gets a line count; one given none is not, so a hand-built trace
+// cannot hold a global memory instruction whose lanes were all off. It
+// builds traces by hand, for tests and tools; DynInsts and the access
+// counters are left to the caller. A hand-built trace stores byte
+// addresses (line size 1), so its lines need no alignment; Append
+// panics on a line more than 2^31 bytes from the warp's first.
 func (bt *BlockTrace) Append(w int, pc int32, mask uint32, lines ...uint64) {
 	for len(bt.Warps) <= w {
 		bt.Warps = append(bt.Warps, WarpTrace{WarpID: len(bt.Warps)})
@@ -285,11 +287,9 @@ func (bt *BlockTrace) TouchedPages(code []isa.Instruction, pageSize int) map[uin
 	var lines []uint64
 	for i := range bt.Warps {
 		for it := bt.Warps[i].Iter(code); it.Next(); {
-			if code[it.PC()].IsGlobalMem() {
-				lines = it.Lines(lines[:0])
-				for _, a := range lines {
-					pages[a&mask] = true
-				}
+			lines = it.Lines(lines[:0])
+			for _, a := range lines {
+				pages[a&mask] = true
 			}
 		}
 	}

@@ -195,9 +195,36 @@ func TestBlockActivationAllocs(t *testing.T) {
 
 // TestRecordSizes pins the size of a coalesced request record, so that
 // growing it is a visible decision: every pooled flight keeps one per
-// line of the widest instruction it ran.
+// line of the widest instruction it ran. It also pins that the warp
+// fields the fetch and issue stages read for every candidate slot lie
+// in the warp record's first 128 bytes, ahead of its 256-byte pendRead.
 func TestRecordSizes(t *testing.T) {
 	if n := unsafe.Sizeof(memReq{}); n != 3 {
 		t.Errorf("memReq is %d bytes, want 3", n)
+	}
+	var w warpRT
+	for _, f := range []struct {
+		name      string
+		off, size uintptr
+	}{
+		{"block", unsafe.Offsetof(w.block), unsafe.Sizeof(w.block)},
+		{"trace", unsafe.Offsetof(w.trace), unsafe.Sizeof(w.trace)},
+		{"buf", unsafe.Offsetof(w.buf), unsafe.Sizeof(w.buf)},
+		{"bufReady", unsafe.Offsetof(w.bufReady), unsafe.Sizeof(w.bufReady)},
+		{"pos", unsafe.Offsetof(w.pos), unsafe.Sizeof(w.pos)},
+		{"fetchBlock", unsafe.Offsetof(w.fetchBlock), unsafe.Sizeof(w.fetchBlock)},
+		{"atBarrier", unsafe.Offsetof(w.atBarrier), unsafe.Sizeof(w.atBarrier)},
+		{"done", unsafe.Offsetof(w.done), unsafe.Sizeof(w.done)},
+		{"faultsOutstanding", unsafe.Offsetof(w.faultsOutstanding), unsafe.Sizeof(w.faultsOutstanding)},
+		{"inFlight", unsafe.Offsetof(w.inFlight), unsafe.Sizeof(w.inFlight)},
+		{"replay", unsafe.Offsetof(w.replay), unsafe.Sizeof(w.replay)},
+		{"fetchOwner", unsafe.Offsetof(w.fetchOwner), unsafe.Sizeof(w.fetchOwner)},
+	} {
+		if end := f.off + f.size; end > 128 {
+			t.Errorf("warpRT.%s ends at byte %d, past the first 128", f.name, end)
+		}
+	}
+	if off := unsafe.Offsetof(w.pendRead); off < 128 {
+		t.Errorf("warpRT.pendRead starts at byte %d, inside the first 128", off)
 	}
 }

@@ -255,10 +255,20 @@ func (s *SM) CheckInvariants(now, maxMSHRAge int64) []string {
 	// warp the issue stage would take to its scoreboard check, whose
 	// buffered instruction still fails that check and is recorded under
 	// its own exec unit.
+	//
+	// fetchable over-approximates the slots the fetch stage would fetch
+	// for: an unbuffered slot whose warp passes doFetch's checks and has
+	// an instruction left must have its bit set, and no bit lies past
+	// the last slot.
 	for i, w := range s.warps {
 		wd, bit := i>>6, uint64(1)<<(uint(i)&63)
 		if buffered := w != nil && w.buf != nil; buffered != (s.bufMask[wd]&bit != 0) {
 			bad("slot %d: buffered=%v but bufMask bit=%v", i, buffered, !buffered)
+		}
+		if s.fetchable[wd]&bit == 0 && s.bufMask[wd]&bit == 0 && w != nil && w.fetchReady() {
+			if _, _, ok := w.nextFetch(); ok {
+				bad("slot %d: warp %d can fetch but its fetchable bit is clear", i, w.idx)
+			}
 		}
 		var units uint64
 		for u := range s.blockedUnit {
@@ -282,6 +292,10 @@ func (s *SM) CheckInvariants(now, maxMSHRAge int64) []string {
 		case s.scoreboardReady(w, w.buf):
 			bad("slot %d blocked but its instruction passes the scoreboard", i)
 		}
+	}
+
+	if n := len(s.warps); n&63 != 0 && s.fetchable[n>>6]>>(uint(n)&63) != 0 {
+		bad("fetchable bits set past the last slot %d: %#x", n-1, s.fetchable[n>>6])
 	}
 
 	// A free flight has no callback left to fire: a stale one would

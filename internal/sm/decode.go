@@ -12,8 +12,7 @@ import (
 // entry's PC indexes the table.
 type decoded struct {
 	unit    isa.Unit
-	global  bool // a global memory access: runs through startMem
-	mem     bool // global or shared access: has a line count in the trace
+	global  bool // a global memory access: runs through startMem, has a line count in the trace
 	control bool // control flow: fetch stops until it commits
 	barrier bool // bar.sync: operand read parks the warp
 	write   bool // a global write access (store or atomic)
@@ -46,7 +45,6 @@ func decodeKernel(code []isa.Instruction, c *config.SMConfig) []decoded {
 		d := &tab[i]
 		d.unit = in.ExecUnit()
 		d.global = in.IsGlobalMem()
-		d.mem = in.IsMem()
 		d.control = in.IsControl()
 		d.barrier = in.Op == isa.OpBar
 		d.write = in.Op == isa.OpStGlobal || in.Op == isa.OpAtomGlobal

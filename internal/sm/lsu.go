@@ -364,6 +364,7 @@ func (s *SM) evFaultDone(arg int64) {
 	}
 	if w.faultsOutstanding == 0 {
 		s.stats.Stalls[obs.StallFaultWait] += s.q.Now() - w.faultWaitStart
+		s.markFetchable(w)
 	}
 	s.onFaultResolved(w, b)
 	s.settle(f)

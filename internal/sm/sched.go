@@ -151,7 +151,9 @@ func (s *SM) refillAfterSwitch(slot int) {
 }
 
 // restoreReadyBlock restores an off-chip block with no pending faults
-// into the given slot, returning whether one was found.
+// into the given slot, returning whether one was found. Its warps
+// cannot fetch until evRestored makes the block active and marks them
+// fetchable.
 func (s *SM) restoreReadyBlock(slot int) bool {
 	if s.slots[slot] != nil {
 		return false
@@ -196,6 +198,9 @@ func (s *SM) evRestored(arg int64) {
 	b := s.blocks.At(arg)
 	s.wake()
 	b.state = blockActive
+	for _, w := range b.warps {
+		s.markFetchable(w)
+	}
 	s.stats.SwitchesIn++
 	s.stats.Stalls[obs.StallOffChip] += s.q.Now() - b.switchOutStart
 	if s.tr != nil {

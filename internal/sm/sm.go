@@ -190,6 +190,16 @@ type SM struct {
 	// the set bits, and doFetch only the clear ones, each in the same
 	// ascending wrap-around order as a full slot scan.
 	bufMask []uint64
+	// fetchable over-approximates the slots doFetch could fetch for: a
+	// slot whose warp would pass its checks has its bit set. doFetch
+	// walks only these bits, and clears the bit of each slot it turns
+	// away; markFetchable sets it again at every transition that can let
+	// the warp fetch (activation, restore, barrier release, fetch
+	// re-enabled, last fault resolved, an instruction queued for
+	// replay). A bit too many costs one visit; a missing one would skip
+	// a fetch, which CheckInvariants catches.
+	//simlint:ckptskip derived cache of fetch-stage verdicts; a full set changes no outcome, it only costs visits
+	fetchable []uint64
 	// blocked marks the buffered slots whose instruction failed its
 	// scoreboard check, and blockedUnit[u] those of them bound for exec
 	// unit u. A bit stays set only while nothing that could change the
@@ -213,6 +223,11 @@ type SM struct {
 	blocks clock.Table[blockRT]
 	//simlint:ckptskip handlers built once in New
 	ev handlers
+	// ports is each exec unit's issue ports per cycle, indexed by
+	// isa.Unit, from cfg; UnitNone instructions are bounded only by the
+	// issue width.
+	//simlint:ckptskip immutable, derived from the run configuration in New
+	ports [numUnits]int
 	// spareRegs are empty source-hold slices: a squash under
 	// replay-queue moves its flight's slice into the warp's heldSrcs
 	// and takes one from here, and the replay's issue returns one.
@@ -335,6 +350,13 @@ func New(id int, cfg *config.Config, q *clock.Queue, l1 *cache.Cache, l1tlb *tlb
 		saved:      s.evSaved,
 		restored:   s.evRestored,
 	}
+	s.ports = [numUnits]int{
+		isa.UnitMath:      cfg.SM.MathUnits,
+		isa.UnitSpecial:   cfg.SM.SpecialUnits,
+		isa.UnitLoadStore: cfg.SM.LoadStore,
+		isa.UnitBranch:    cfg.SM.BranchUnits,
+		isa.UnitNone:      cfg.SM.IssueWidth,
+	}
 	s.tags.translated = l1tlb.Attach(s.ev.translated)
 	s.tags.refault = sink.Attach(s.ev.refault)
 	s.tags.faultDone = sink.Attach(s.ev.faultDone)
@@ -386,6 +408,7 @@ func (s *SM) PrepareLaunch(l *kernel.Launch) {
 	s.warps = make([]*warpRT, s.occupancy*s.warpsPerBlock)
 	s.lastFetch, s.lastIssue = 0, 0
 	s.bufMask = make([]uint64, (len(s.warps)+63)/64)
+	s.fetchable = make([]uint64, len(s.bufMask))
 	s.blocked = make([]uint64, len(s.bufMask))
 	for u := range s.blockedUnit {
 		s.blockedUnit[u] = make([]uint64, len(s.bufMask))
@@ -449,6 +472,7 @@ func (s *SM) activateBlock(slot int, bt *emu.BlockTrace) {
 			b.liveWarps++
 		}
 		s.warps[slot*s.warpsPerBlock+i] = w
+		s.markFetchable(w)
 	}
 	// Blocks may have fewer warps than the slot width (never more).
 	for i := len(bt.Warps); i < s.warpsPerBlock; i++ {
@@ -599,24 +623,22 @@ func (s *SM) doFetch() bool {
 		pos -= n
 	}
 	// The instruction buffer is one entry deep, so only unbuffered slots
-	// can fetch: walk the clear bits of bufMask below n.
+	// can fetch: walk the fetchable slots among the clear bits of
+	// bufMask (fetchable holds no bit at or above n).
 	nW := len(s.bufMask)
-	tail := ^uint64(0) >> (uint(-n) & 63)
 	for k := 0; k <= nW; k++ {
 		wIdx, win := wrapWindow(pos, nW, k)
-		free := ^s.bufMask[wIdx] & win
-		if wIdx == nW-1 {
-			free &= tail
-		}
+		free := s.fetchable[wIdx] &^ s.bufMask[wIdx] & win
 		for ; free != 0; free &= free - 1 {
 			i := wIdx<<6 | bits.TrailingZeros64(free)
 			w := s.warps[i]
-			if w == nil || w.done || w.fetchBlock != fetchOK ||
-				w.atBarrier || w.faultsOutstanding > 0 || w.block.state != blockActive {
-				continue
+			var pos emu.Pos
+			var isReplay, ok bool
+			if w != nil && w.fetchReady() {
+				pos, isReplay, ok = w.nextFetch()
 			}
-			pos, isReplay, ok := w.nextFetch()
 			if !ok {
+				s.fetchable[wIdx] &^= free & -free
 				continue
 			}
 			d := &s.decode[w.trace.PC(pos)]
@@ -627,7 +649,7 @@ func (s *SM) doFetch() bool {
 				w.replay = w.replay[:copy(w.replay, w.replay[1:])]
 				s.stats.Replays++
 			} else {
-				w.pos = w.trace.Next(pos, d.mem)
+				w.pos = w.trace.Next(pos, d.global)
 			}
 			w.buf = f
 			s.setBuf(i)
@@ -689,6 +711,16 @@ func (s *SM) setBuf(i int) {
 func (s *SM) clrBuf(i int) {
 	s.bufMask[i>>6] &^= 1 << (uint(i) & 63)
 	s.clrBlocked(i)
+}
+
+// markFetchable sets a resident warp's fetchable bit: the fetch stage
+// visits its slot again. An off-chip block has no slot; its restore
+// marks its warps.
+func (s *SM) markFetchable(w *warpRT) {
+	if w.block.slot >= 0 {
+		i := s.warpIndex(w)
+		s.fetchable[i>>6] |= 1 << (uint(i) & 63)
+	}
 }
 
 // numUnits sizes the per-unit tables of the issue stage.
@@ -766,15 +798,7 @@ func (s *SM) doIssue() bool {
 	}
 	budget := s.cfg.SM.IssueWidth
 	warpsLeft := s.cfg.SM.IssueWarps
-	// Per-unit issue ports, indexed by isa.Unit (a map here shows up as
-	// hashing in the cycle-loop profile).
-	unitBudget := [numUnits]int{
-		isa.UnitMath:      s.cfg.SM.MathUnits,
-		isa.UnitSpecial:   s.cfg.SM.SpecialUnits,
-		isa.UnitLoadStore: s.cfg.SM.LoadStore,
-		isa.UnitBranch:    s.cfg.SM.BranchUnits,
-		isa.UnitNone:      budget,
-	}
+	unitBudget := s.ports
 	n := len(s.warps)
 	// Loose round-robin starts after the last issuing warp; the greedy
 	// policy starts at it, so a warp keeps issuing until it stalls.
@@ -972,6 +996,7 @@ func (s *SM) releaseBarrier(b *blockRT) {
 	for _, bw := range b.warps {
 		if bw.atBarrier {
 			bw.atBarrier = false
+			s.markFetchable(bw)
 			s.stats.Stalls[obs.StallBarrier] += s.q.Now() - bw.barStart
 			bf := bw.barFlight
 			bw.barFlight = nil
@@ -993,6 +1018,7 @@ func (s *SM) clearFetchBlock(w *warpRT) {
 	}
 	w.fetchBlock = fetchOK
 	w.fetchOwner = nil
+	s.markFetchable(w)
 }
 
 // commit retires an instruction: scoreboard release, fetch unblocking,

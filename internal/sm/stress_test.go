@@ -10,6 +10,7 @@ import (
 	"gpues/internal/emu"
 	"gpues/internal/isa"
 	"gpues/internal/kernel"
+	"gpues/internal/obs"
 	"gpues/internal/vm"
 )
 
@@ -21,10 +22,17 @@ import (
 
 // randTrace appends a random trace of n instructions to warp w of bt,
 // plus its backing static code, and returns its length. Page addresses
-// come from the given pool.
-func randTrace(rng *rand.Rand, bt *emu.BlockTrace, w, n int, pages []uint64, code *[]isa.Instruction) int {
+// come from the given pool. When barEvery is positive, a bar.sync
+// follows every barEvery-th instruction.
+func randTrace(rng *rand.Rand, bt *emu.BlockTrace, w, n, barEvery int, pages []uint64, code *[]isa.Instruction) int {
 	full := ^uint32(0)
+	bars := 0
 	for i := 0; i < n; i++ {
+		if barEvery > 0 && i > 0 && i%barEvery == 0 {
+			*code = append(*code, isa.NewInstruction(isa.OpBar))
+			bt.Append(w, int32(len(*code)-1), full)
+			bars++
+		}
 		var in isa.Instruction
 		switch rng.Intn(5) {
 		case 0, 1: // ALU with random deps
@@ -62,10 +70,25 @@ func randTrace(rng *rand.Rand, bt *emu.BlockTrace, w, n int, pages []uint64, cod
 	}
 	*code = append(*code, isa.NewInstruction(isa.OpExit))
 	bt.Append(w, int32(len(*code)-1), full)
-	return n + 1
+	return n + bars + 1
 }
 
-func stressOnce(t *testing.T, seed int64, scheme config.Scheme, inject bool) {
+// stressOpts selects what a stress run exercises beyond random ALU and
+// global memory traffic.
+type stressOpts struct {
+	// inject makes random pages fault until resolved; lazy raises half
+	// of them as lazy-allocation faults.
+	inject, lazy bool
+	// barriers puts a bar.sync after every 8th instruction of each warp.
+	barriers bool
+	// switching turns on block switching with two extra blocks (the
+	// scheme must be preemptible) and grows the grid to five blocks.
+	switching bool
+}
+
+// stressOnce runs one random grid under scheme, sweeping the SM's
+// invariants every step, and returns the SM's counters.
+func stressOnce(t *testing.T, seed int64, scheme config.Scheme, opt stressOpts) Stats {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	pages := make([]uint64, 8)
@@ -75,16 +98,20 @@ func stressOnce(t *testing.T, seed int64, scheme config.Scheme, inject bool) {
 
 	var code []isa.Instruction
 
-	const (
-		warps  = 4
-		blocks = 3
-	)
+	const warps = 4
+	blocks, barEvery := 3, 0
+	if opt.switching {
+		blocks = 5
+	}
+	if opt.barriers {
+		barEvery = 8
+	}
 	var traces []*emu.BlockTrace
 	total := 0
 	for b := 0; b < blocks; b++ {
 		bt := &emu.BlockTrace{BlockID: b}
 		for w := 0; w < warps; w++ {
-			total += randTrace(rng, bt, w, 20+rng.Intn(40), pages, &code)
+			total += randTrace(rng, bt, w, 20+rng.Intn(40), barEvery, pages, &code)
 		}
 		traces = append(traces, bt)
 	}
@@ -92,13 +119,16 @@ func stressOnce(t *testing.T, seed int64, scheme config.Scheme, inject bool) {
 	k := &kernel.Kernel{Name: "stress", Code: code, RegsPerThread: 48}
 	launch := &kernel.Launch{Kernel: k, Grid: kernel.Dim3{X: blocks}, Block: kernel.Dim3{X: warps * 32}}
 	h := newHarnessCfg(t, scheme, traces, launch, func(cfg *config.Config) {
-		cfg.SM.MaxThreadBlocks = 2 // force one pending block
+		cfg.SM.MaxThreadBlocks = 2 // force pending blocks
+		if opt.switching {
+			cfg.Scheduler = config.SchedulerConfig{Enabled: true, MaxExtraBlocks: 2}
+		}
 	})
 
 	// Stock the flight table with more flights than the run ever holds
 	// at once, so it builds none of its own: the end state then shows
 	// whether every flight, squashed ones included, was freed.
-	const stock = 64
+	const stock = 256
 	stocked := make([]*flight, stock)
 	for i := range stocked {
 		stocked[i] = h.sm.newFlight(nil, &h.sm.decode[0], emu.Pos{}, false)
@@ -107,11 +137,14 @@ func stressOnce(t *testing.T, seed int64, scheme config.Scheme, inject bool) {
 		h.sm.flights.Free(f.slot, f)
 	}
 
-	if inject {
+	if opt.inject {
 		// Random pages fault until resolved.
 		for _, p := range pages {
 			if rng.Intn(2) == 0 {
 				h.fault[p] = vm.FaultMigrate
+				if opt.lazy && rng.Intn(2) == 0 {
+					h.fault[p] = vm.FaultAllocOnly
+				}
 			}
 		}
 	}
@@ -175,12 +208,13 @@ func stressOnce(t *testing.T, seed int64, scheme config.Scheme, inject bool) {
 	if st.Replays != st.Squashed {
 		t.Errorf("seed %d: %d squashes but %d replays", seed, st.Squashed, st.Replays)
 	}
-	if inject && scheme.Preemptible() && st.Faults > 0 && st.Squashed == 0 {
+	if opt.inject && scheme.Preemptible() && st.Faults > 0 && st.Squashed == 0 {
 		t.Errorf("seed %d: faults without squashes under %v", seed, scheme)
 	}
 	if h.src.done != blocks {
 		t.Errorf("seed %d: %d blocks completed, want %d", seed, h.src.done, blocks)
 	}
+	return st
 }
 
 func TestStressFaultFree(t *testing.T) {
@@ -191,7 +225,7 @@ func TestStressFaultFree(t *testing.T) {
 		scheme := scheme
 		t.Run(scheme.String(), func(t *testing.T) {
 			for seed := int64(0); seed < 10; seed++ {
-				stressOnce(t, seed, scheme, false)
+				stressOnce(t, seed, scheme, stressOpts{})
 			}
 		})
 	}
@@ -205,7 +239,40 @@ func TestStressWithFaults(t *testing.T) {
 		scheme := scheme
 		t.Run(scheme.String(), func(t *testing.T) {
 			for seed := int64(100); seed < 115; seed++ {
-				stressOnce(t, seed, scheme, true)
+				stressOnce(t, seed, scheme, stressOpts{inject: true})
+			}
+		})
+	}
+}
+
+// TestStressFetchMask sweeps the invariants, the fetch mask's among
+// them, every cycle of random runs with barriers and migration and
+// lazy-allocation faults under all five schemes, with block switching
+// under the four preemptible ones: every transition that lets a warp
+// fetch again (activation, restore, barrier release, fetch re-enabled,
+// last fault resolved, replay queued) must set its fetchable bit.
+func TestStressFetchMask(t *testing.T) {
+	for _, scheme := range []config.Scheme{
+		config.Baseline, config.WarpDisableCommit, config.WarpDisableLastCheck,
+		config.ReplayQueue, config.OperandLog,
+	} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			var sum Stats
+			for seed := int64(200); seed < 212; seed++ {
+				st := stressOnce(t, seed, scheme, stressOpts{
+					inject: true, lazy: true, barriers: true, switching: scheme.Preemptible(),
+				})
+				sum.Faults += st.Faults
+				sum.Replays += st.Replays
+				sum.SwitchesIn += st.SwitchesIn
+				sum.Stalls[obs.StallBarrier] += st.Stalls[obs.StallBarrier]
+			}
+			// The runs must reach what they claim to exercise.
+			if sum.Faults == 0 || sum.Stalls[obs.StallBarrier] == 0 {
+				t.Errorf("%d faults, %d barrier stall cycles", sum.Faults, sum.Stalls[obs.StallBarrier])
+			}
+			if scheme.Preemptible() && (sum.Replays == 0 || sum.SwitchesIn == 0) {
+				t.Errorf("%d replays, %d switches in", sum.Replays, sum.SwitchesIn)
 			}
 		})
 	}
@@ -247,7 +314,7 @@ func TestStressSchemesAgreeOnWork(t *testing.T) {
 		var code []isa.Instruction
 		bt := &emu.BlockTrace{BlockID: 0}
 		for w := 0; w < 2; w++ {
-			randTrace(rng, bt, w, 30, pages, &code)
+			randTrace(rng, bt, w, 30, 0, pages, &code)
 		}
 		k := &kernel.Kernel{Name: "agree", Code: code, RegsPerThread: 48}
 		launch := &kernel.Launch{Kernel: k, Grid: kernel.Dim3{X: 1}, Block: kernel.Dim3{X: 64}}

@@ -33,32 +33,43 @@ const (
 	fetchWarpDisable
 )
 
-// warpRT is the runtime state of one resident warp slot.
+// warpRT is the runtime state of one resident warp slot. The fields
+// the fetch and issue stages read for every candidate slot come first,
+// ahead of the 256-byte pendRead, so a slot's checks touch the record's
+// first two cache lines (TestRecordSizes pins the first 128 bytes).
 type warpRT struct {
-	sm    *SM
 	block *blockRT
-	// idx is the warp index within its block.
-	idx int
 	// trace is the warp's instruction stream, in its block's trace; it
 	// is dropped when the block hands the trace back.
 	trace *emu.WarpTrace
-	// pos is the trace position of the next instruction to fetch; its
-	// index is the fetch cursor.
-	pos emu.Pos
-	// replay holds the trace positions of squashed (faulted)
-	// instructions, in program order; they are re-fetched before pos
-	// continues. This is the replay queue content of Section 3.2 from
-	// the timing perspective.
-	replay []emu.Pos
 
 	// buf is the fetched instruction awaiting issue (1-entry
 	// instruction buffer); bufReady is the cycle it becomes issuable.
 	buf      *flight
 	bufReady int64
 
-	fetchBlock fetchReason
+	// pos is the trace position of the next instruction to fetch; its
+	// index is the fetch cursor.
+	pos emu.Pos
+
+	fetchBlock        fetchReason
+	atBarrier         bool
+	done              bool
+	faultsOutstanding int
+	inFlight          int
+
+	// replay holds the trace positions of squashed (faulted)
+	// instructions, in program order; they are re-fetched before pos
+	// continues. This is the replay queue content of Section 3.2 from
+	// the timing perspective.
+	replay []emu.Pos
+
 	// fetchOwner is the flight whose commit/last-check unblocks fetch.
 	fetchOwner *flight
+
+	sm *SM
+	// idx is the warp index within its block.
+	idx int
 
 	// Scoreboards: pendWrite marks registers with an in-flight writer
 	// (released at commit); pendRead counts in-flight readers (released
@@ -67,11 +78,7 @@ type warpRT struct {
 	pendWrite [4]uint64
 	pendRead  [isa.MaxRegs]uint8
 
-	inFlight          int
-	atBarrier         bool
-	barFlight         *flight
-	faultsOutstanding int
-	done              bool
+	barFlight *flight
 
 	// excep, when set, is the device exception the warp raised during
 	// emulation: its trace ends just before the faulting instruction,
@@ -92,6 +99,14 @@ type warpRT struct {
 	// only after a successful last TLB check, so a faulted instruction
 	// keeps blocking younger writers (no RAW on replay).
 	heldSrcs map[int32][]isa.Reg
+}
+
+// fetchReady reports whether nothing but an empty stream keeps the
+// warp from fetching: it runs, its fetch is enabled, it is not parked
+// at a barrier or waiting on a fault, and its block is active.
+func (w *warpRT) fetchReady() bool {
+	return !w.done && w.fetchBlock == fetchOK && !w.atBarrier &&
+		w.faultsOutstanding == 0 && w.block.state == blockActive
 }
 
 // memReqState tracks one coalesced request of a memory instruction.
@@ -246,6 +261,7 @@ func (w *warpRT) insertReplay(p emu.Pos) {
 	w.replay = append(w.replay, emu.Pos{})
 	copy(w.replay[i+1:], w.replay[i:])
 	w.replay[i] = p
+	w.sm.markFetchable(w)
 }
 
 // nextFetch returns the trace position this warp would fetch next,

@@ -18,15 +18,14 @@ func (t *TLB) SaveState(w *ckpt.Writer) {
 	w.I64(t.stats.Rejects)
 	w.I64(t.stats.Faults)
 
-	w.Int(t.sets)
+	// Each way as a (vpn, valid, lru) record, set by set; an invalid
+	// way's vpn is 0.
+	w.Int(int(t.setMask) + 1)
 	w.Int(t.cfg.Ways)
-	for _, set := range t.entries {
-		for i := range set {
-			e := &set[i]
-			w.U64(e.vpn)
-			w.Bool(e.valid)
-			w.I64(e.lru)
-		}
+	for i, k := range t.keys {
+		w.U64(max(k, 1) - 1)
+		w.Bool(k != 0)
+		w.I64(t.lru[i])
 	}
 
 	w.Int(t.waiters.Len())

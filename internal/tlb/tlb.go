@@ -7,6 +7,7 @@ package tlb
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"gpues/internal/clock"
@@ -58,12 +59,6 @@ type Config struct {
 	Latency int64
 }
 
-type tlbEntry struct {
-	vpn   uint64
-	valid bool
-	lru   int64
-}
-
 // tlbMSHR tracks one outstanding translation miss. Like cache MSHRs,
 // they are records of the TLB's MSHR table, whose index is the payload
 // of their issue and fill events; waiters capacity survives reuse so
@@ -85,12 +80,19 @@ type delivery struct {
 }
 
 // TLB is one translation level backed by a lower Level.
+//
+// The entry array is flat and set-major: way w of set s is entry
+// s*Ways+w of keys and lru. A key is the page number plus one, and 0
+// marks an invalid way, so a lookup compares one word per way. An
+// invalid way's lru is zero.
 type TLB struct {
-	cfg     Config
-	sets    int
-	entries [][]tlbEntry
+	cfg  Config
+	keys []uint64
+	lru  []int64
 	//simlint:ckptskip construction-time geometry derived from cfg, which the config fingerprint covers
-	pageSize uint64
+	pageShift uint8 // log2 of the page size: a page's number is va >> pageShift
+	//simlint:ckptskip construction-time geometry derived from cfg, which the config fingerprint covers
+	setMask uint64 // sets-1: the set of page number n is n&setMask
 	//simlint:ckptskip wiring to the shared event queue, which checkpoints itself as the clock section
 	q *clock.Queue
 	//simlint:ckptskip wiring to the lower level, which checkpoints itself as its own section
@@ -157,20 +159,22 @@ func New(cfg Config, pageSize int, q *clock.Queue, next Level) (*TLB, error) {
 	if pageSize <= 0 || pageSize&(pageSize-1) != 0 {
 		return nil, fmt.Errorf("tlb %s: page size %d", cfg.Name, pageSize)
 	}
+	// The set index is a mask of the page number, so the set count must
+	// be a power of two.
 	sets := cfg.Entries / cfg.Ways
-	all := make([]tlbEntry, sets*cfg.Ways)
-	e := make([][]tlbEntry, sets)
-	for i := range e {
-		e[i] = all[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
+	if sets&(sets-1) != 0 {
+		return nil, fmt.Errorf("tlb %s: %d entries in %d ways is not a power-of-two number of sets",
+			cfg.Name, cfg.Entries, cfg.Ways)
 	}
 	t := &TLB{
-		cfg:      cfg,
-		sets:     sets,
-		entries:  e,
-		pageSize: uint64(pageSize),
-		q:        q,
-		next:     next,
-		mshrs:    make(map[uint64]*tlbMSHR),
+		cfg:       cfg,
+		keys:      make([]uint64, cfg.Entries),
+		lru:       make([]int64, cfg.Entries),
+		pageShift: uint8(bits.TrailingZeros(uint(pageSize))),
+		setMask:   uint64(sets - 1),
+		q:         q,
+		next:      next,
+		mshrs:     make(map[uint64]*tlbMSHR),
 	}
 	t.deliverFn = t.onDeliver
 	t.issueFn = t.onIssue
@@ -193,34 +197,40 @@ func (t *TLB) RegisterMetrics(reg *obs.Registry, prefix string) {
 // InFlight returns the number of outstanding misses.
 func (t *TLB) InFlight() int { return len(t.mshrs) }
 
-func (t *TLB) vpn(va uint64) uint64 { return va / t.pageSize }
+func (t *TLB) vpn(va uint64) uint64 { return va >> t.pageShift }
 
-func (t *TLB) find(vpn uint64) *tlbEntry {
-	set := int(vpn % uint64(t.sets))
-	for w := range t.entries[set] {
-		e := &t.entries[set][w]
-		if e.valid && e.vpn == vpn {
-			return e
+// set returns the first entry index of the set holding page number
+// vpn.
+func (t *TLB) set(vpn uint64) int { return int(vpn&t.setMask) * t.cfg.Ways }
+
+// find returns the entry index holding vpn, or -1.
+func (t *TLB) find(vpn uint64) int {
+	base := t.set(vpn)
+	for w, k := range t.keys[base : base+t.cfg.Ways] {
+		if k == vpn+1 {
+			return base + w
 		}
 	}
-	return nil
+	return -1
 }
 
+// install places vpn in its set, evicting the victim: the first
+// invalid way, else the way with the strictly lowest LRU stamp, way 0
+// first.
 func (t *TLB) install(vpn uint64) {
-	set := int(vpn % uint64(t.sets))
-	victim := &t.entries[set][0]
-	for w := range t.entries[set] {
-		e := &t.entries[set][w]
-		if !e.valid {
-			victim = e
+	base := t.set(vpn)
+	v := base
+	for i := base; i < base+t.cfg.Ways; i++ {
+		if t.keys[i] == 0 {
+			v = i
 			break
 		}
-		if e.lru < victim.lru {
-			victim = e
+		if t.lru[i] < t.lru[v] {
+			v = i
 		}
 	}
 	t.tick++
-	*victim = tlbEntry{vpn: vpn, valid: true, lru: t.tick}
+	t.keys[v], t.lru[v] = vpn+1, t.tick
 }
 
 // Lookup implements Level.
@@ -228,10 +238,10 @@ func (t *TLB) install(vpn uint64) {
 //simlint:noalloc
 func (t *TLB) Lookup(pageVA uint64, waiter int64) bool {
 	vpn := t.vpn(pageVA)
-	if e := t.find(vpn); e != nil {
+	if i := t.find(vpn); i >= 0 {
 		t.stats.Hits++
 		t.tick++
-		e.lru = t.tick
+		t.lru[i] = t.tick
 		t.sendResult(waiter, Result{Present: true})
 		return true
 	}
@@ -313,11 +323,8 @@ func (t *TLB) CheckInvariants(now, maxAge int64) []string {
 
 // Flush invalidates all entries (kernel boundary).
 func (t *TLB) Flush() {
-	for s := range t.entries {
-		for w := range t.entries[s] {
-			t.entries[s][w] = tlbEntry{}
-		}
-	}
+	clear(t.keys)
+	clear(t.lru)
 }
 
 // WalkInjector is the chaos hook of the fill unit: it may turn a

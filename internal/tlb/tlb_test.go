@@ -1,9 +1,13 @@
 package tlb
 
 import (
+	"bytes"
+	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
+	"gpues/internal/ckpt"
 	"gpues/internal/clock"
 	"gpues/internal/vm"
 )
@@ -306,10 +310,266 @@ func TestOnFreeReentrant(t *testing.T) {
 
 // TestRecordSizes pins the size of a merged miss's waiter entry, so
 // that growing it is a visible decision: a fault storm parks thousands
-// per MSHR.
+// per MSHR. It also pins the bytes each way of the entry array takes
+// across its parallel arrays: an 8-byte key and an 8-byte LRU stamp.
 func TestRecordSizes(t *testing.T) {
 	var m tlbMSHR
 	if n := unsafe.Sizeof(m.waiters[0]); n != 8 {
 		t.Errorf("MSHR waiter is %d bytes, want 8", n)
+	}
+	var tl TLB
+	if n := unsafe.Sizeof(tl.keys[0]) + unsafe.Sizeof(tl.lru[0]); n != 16 {
+		t.Errorf("a TLB way is %d bytes, want 16", n)
+	}
+}
+
+// TestNewRequiresPowerOfTwoSets: the set index is a mask, so New
+// rejects a geometry whose set count is not a power of two and accepts
+// the shipped ones.
+func TestNewRequiresPowerOfTwoSets(t *testing.T) {
+	q := clock.New()
+	next := &presentSet{q: q}
+	for _, tc := range []struct {
+		cfg  Config
+		sets int // 0: must be rejected
+	}{
+		{Config{Name: "3 ways", Entries: 30, Ways: 3}, 0}, // 10 sets
+		{Config{Name: "12 sets", Entries: 24, Ways: 2}, 0},
+		{Config{Name: "6 sets", Entries: 48, Ways: 8}, 0},
+		{Config{Name: "3 ways of 8 sets", Entries: 24, Ways: 3}, 8},
+		{Config{Name: "L1 TLB", Entries: 32, Ways: 8}, 4},
+		{Config{Name: "L2 TLB", Entries: 1024, Ways: 8, MSHRs: 128}, 128},
+	} {
+		tl, err := New(tc.cfg, 4096, q, next)
+		switch {
+		case tc.sets == 0 && err == nil:
+			t.Errorf("%s: accepted %d sets", tc.cfg.Name, tl.setMask+1)
+		case tc.sets != 0 && err != nil:
+			t.Errorf("%s: %v", tc.cfg.Name, err)
+		case tc.sets != 0 && int(tl.setMask)+1 != tc.sets:
+			t.Errorf("%s: %d sets, want %d", tc.cfg.Name, tl.setMask+1, tc.sets)
+		}
+	}
+}
+
+// refEntry and refTLB are the entry array as it was kept before it
+// became flat: a [set][way] array of 24-byte records, found by a
+// division and a modulo, with MSHRs as a map of page number to first
+// requester, birth cycle and waiter count.
+// TestEntryArrayMatchesReference replays random streams against it.
+type refEntry struct {
+	vpn   uint64
+	valid bool
+	lru   int64
+}
+
+type refTLBMSHR struct {
+	pageVA  uint64
+	born    int64
+	waiters int
+}
+
+type refTLB struct {
+	cfg      Config
+	pageSize uint64
+	sets     int
+	entries  [][]refEntry
+	tick     int64
+	stats    Stats
+	mshrs    map[uint64]*refTLBMSHR
+}
+
+func newRefTLB(cfg Config, pageSize int) *refTLB {
+	sets := cfg.Entries / cfg.Ways
+	r := &refTLB{cfg: cfg, pageSize: uint64(pageSize), sets: sets,
+		entries: make([][]refEntry, sets), mshrs: map[uint64]*refTLBMSHR{}}
+	for i := range r.entries {
+		r.entries[i] = make([]refEntry, cfg.Ways)
+	}
+	return r
+}
+
+func (r *refTLB) find(vpn uint64) *refEntry {
+	set := int(vpn % uint64(r.sets))
+	for w := range r.entries[set] {
+		if e := &r.entries[set][w]; e.valid && e.vpn == vpn {
+			return e
+		}
+	}
+	return nil
+}
+
+func (r *refTLB) install(vpn uint64) {
+	set := int(vpn % uint64(r.sets))
+	victim := &r.entries[set][0]
+	for w := range r.entries[set] {
+		e := &r.entries[set][w]
+		if !e.valid {
+			victim = e
+			break
+		}
+		if e.lru < victim.lru {
+			victim = e
+		}
+	}
+	r.tick++
+	*victim = refEntry{vpn: vpn, valid: true, lru: r.tick}
+}
+
+func (r *refTLB) lookup(pageVA uint64, now int64) {
+	vpn := pageVA / r.pageSize
+	if e := r.find(vpn); e != nil {
+		r.stats.Hits++
+		r.tick++
+		e.lru = r.tick
+		return
+	}
+	if m, ok := r.mshrs[vpn]; ok {
+		r.stats.Merges++
+		m.waiters++
+		return
+	}
+	if r.cfg.MSHRs > 0 && len(r.mshrs) >= r.cfg.MSHRs {
+		r.stats.Rejects++
+		return
+	}
+	r.stats.Misses++
+	r.mshrs[vpn] = &refTLBMSHR{pageVA: pageVA, born: now, waiters: 1}
+}
+
+func (r *refTLB) fill(pageVA uint64, present bool) {
+	vpn := pageVA / r.pageSize
+	if present {
+		r.install(vpn)
+	} else {
+		r.stats.Faults++
+	}
+	delete(r.mshrs, vpn)
+}
+
+func (r *refTLB) flush() {
+	for s := range r.entries {
+		clear(r.entries[s])
+	}
+}
+
+func (r *refTLB) saveState(w *ckpt.Writer) {
+	w.I64(r.tick)
+	w.I64(r.stats.Hits)
+	w.I64(r.stats.Misses)
+	w.I64(r.stats.Merges)
+	w.I64(r.stats.Rejects)
+	w.I64(r.stats.Faults)
+	w.Int(r.sets)
+	w.Int(r.cfg.Ways)
+	for _, set := range r.entries {
+		for _, e := range set {
+			w.U64(e.vpn)
+			w.Bool(e.valid)
+			w.I64(e.lru)
+		}
+	}
+	w.Int(0) // no OnFree waiters: the stream never registers one
+	vpns := make([]uint64, 0, len(r.mshrs))
+	for v := range r.mshrs {
+		vpns = append(vpns, v)
+	}
+	slices.Sort(vpns)
+	w.Int(len(vpns))
+	for _, v := range vpns {
+		m := r.mshrs[v]
+		w.U64(v)
+		w.U64(m.pageVA)
+		w.I64(m.born)
+		w.Int(m.waiters)
+	}
+}
+
+// heldLevel holds every lookup until the test fills it.
+type heldLevel struct {
+	clients clock.Clients[Handler]
+	lookups []heldLookup
+}
+
+type heldLookup struct {
+	pageVA uint64
+	waiter int64
+}
+
+func (l *heldLevel) Attach(done Handler) int64 { return l.clients.Add(done) }
+
+func (l *heldLevel) Lookup(pageVA uint64, waiter int64) bool {
+	l.lookups = append(l.lookups, heldLookup{pageVA, waiter})
+	return true
+}
+
+// TestEntryArrayMatchesReference replays random streams of lookups,
+// fills (present or faulting) and flushes, with bounded and unbounded
+// MSHRs, against the reference [set][way] entry array: hits, misses,
+// merges, rejects and faults, and every SaveState byte (the victims'
+// positions among them) must agree after every operation. The page
+// pool maps several pages to each set, and holds page 0, whose number
+// is 0.
+func TestEntryArrayMatchesReference(t *testing.T) {
+	const pageSize = 4096
+	for _, mshrs := range []int{0, 3} {
+		for seed := int64(1); seed <= 20; seed++ {
+			cfg := Config{Name: "prop", Entries: 16, Ways: 4, MSHRs: mshrs, Latency: 1}
+			rng := rand.New(rand.NewSource(seed))
+			q := clock.New()
+			next := &heldLevel{}
+			tl, err := New(cfg, pageSize, q, next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newRefTLB(cfg, pageSize)
+			var pool []uint64
+			for i := 0; i < 24; i++ {
+				vpn := uint64(rng.Intn(32))
+				if i%6 == 0 {
+					vpn += 1 << 36 // a page number far above the set bits
+				}
+				pool = append(pool, vpn*pageSize)
+			}
+			waiter := tl.Attach(func(int64, Result) {})
+			got, want := ckpt.NewWriter(), ckpt.NewWriter()
+			for op := 0; op < 3000; op++ {
+				switch k := rng.Intn(20); {
+				case k < 11:
+					va := pool[rng.Intn(len(pool))] + uint64(rng.Intn(pageSize))
+					tl.Lookup(va, waiter)
+					ref.lookup(va, q.Now())
+				case k < 19:
+					if len(next.lookups) == 0 {
+						break
+					}
+					i := rng.Intn(len(next.lookups))
+					l := next.lookups[i]
+					next.lookups = slices.Delete(next.lookups, i, i+1)
+					r := Result{Present: true}
+					if rng.Intn(4) == 0 {
+						r = Result{Fault: vm.FaultMigrate}
+					}
+					fn, arg := next.clients.Get(l.waiter)
+					fn(arg, r)
+					ref.fill(l.pageVA, r.Present)
+				default:
+					tl.Flush()
+					ref.flush()
+				}
+				q.Step() // issues the misses of the last cycle
+				got.Reset()
+				want.Reset()
+				tl.SaveState(got)
+				ref.saveState(want)
+				if tl.Stats() != ref.stats || !bytes.Equal(got.Data(), want.Data()) {
+					t.Fatalf("MSHRs %d seed %d op %d: stats %+v, reference %+v; state equal %v",
+						mshrs, seed, op, tl.Stats(), ref.stats, bytes.Equal(got.Data(), want.Data()))
+				}
+			}
+			if ref.stats.Merges == 0 || ref.stats.Faults == 0 || mshrs > 0 && ref.stats.Rejects == 0 {
+				t.Errorf("MSHRs %d seed %d: stream too tame: %+v", mshrs, seed, ref.stats)
+			}
+		}
 	}
 }

@@ -26,7 +26,7 @@ var traceDigests = map[string]uint64{
 	"mri-q":          0x16ace022357ad025,
 	"tpacf":          0xf741829b78b27c8f,
 	"mri-gridding":   0x71bd4dcb34658075,
-	"sgemm":          0xfeb0933698f5a7bd,
+	"sgemm":          0xc22b6fa2b2ef4f7d,
 	"stencil":        0xbe366fd4d9ee1564,
 	"lbm":            0x52e1bebae5d51745,
 	"sad":            0x19765a19381d71d1,
@@ -117,7 +117,7 @@ func TestTraceFootprint(t *testing.T) {
 		"mri-q":          2.4,
 		"tpacf":          5.2,
 		"mri-gridding":   4.2,
-		"sgemm":          2.2,
+		"sgemm":          1.12,
 		"stencil":        4.7,
 		"lbm":            1.9,
 		"sad":            2.8,
